@@ -18,7 +18,7 @@ through the narrow :class:`ControlPlaneServices` interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Set
+from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.config import BulletConfig
 from repro.core.control_messages import (
@@ -122,24 +122,32 @@ class BulletNode:
         )
 
     # ------------------------------------------------------------- reception
-    def on_packet(self, sequence: int, from_node: Optional[int], via_peer: bool) -> ReceiveOutcome:
-        """Process one arriving packet.
+    def on_packets(
+        self, sequences: Sequence[int], from_node: Optional[int], via_peer: bool
+    ) -> Tuple[int, int]:
+        """Process the packets one flow delivered this step, in arrival order.
 
-        ``from_node`` identifies the overlay hop it came from (``None`` for
+        ``from_node`` identifies the overlay hop they came from (``None`` for
         packets originating locally at the root).  ``via_peer`` distinguishes
         perpendicular mesh packets from parent-stream packets so the per-peer
-        duplicate accounting of Section 3.4 stays accurate.
+        duplicate accounting of Section 3.4 stays accurate.  Returns how many
+        were useful (first copies) and how many duplicates.
         """
-        useful = self.working_set.add(sequence)
-        duplicate = not useful
-        if useful:
-            self.newly_received.append(sequence)
-            self._period_useful_packets += 1
+        fresh = self.working_set.add_many(sequences)
+        useful = len(fresh)
+        duplicates = len(sequences) - useful
+        self.newly_received.extend(fresh)
+        self._period_useful_packets += useful
         if via_peer and from_node is not None:
             record = self.peers.senders.get(from_node)
             if record is not None:
-                record.record_packet(duplicate=duplicate)
-        return ReceiveOutcome(useful=useful, duplicate=duplicate)
+                record.record_packets(useful, duplicates)
+        return useful, duplicates
+
+    def on_packet(self, sequence: int, from_node: Optional[int], via_peer: bool) -> ReceiveOutcome:
+        """Process one arriving packet (a one-element :meth:`on_packets`)."""
+        useful, duplicates = self.on_packets((sequence,), from_node, via_peer)
+        return ReceiveOutcome(useful=bool(useful), duplicate=bool(duplicates))
 
     def take_newly_received(self) -> List[int]:
         """Drain packets that arrived since the previous protocol phase."""
@@ -405,9 +413,9 @@ class BulletNode:
     def _recovery_bloom(self):
         """The filter recovery requests carry this refresh round.
 
-        Incremental mode: a frozen snapshot of the working set's live filter
-        (the same object is returned until the working set changes, which is
-        what lets senders recognise unchanged selections).  Legacy mode:
+        Incremental mode: a frozen snapshot of the working set's recent
+        window (the same object is returned until that window changes, which
+        is what lets senders recognise unchanged selections).  Legacy mode:
         ``None``, so :func:`build_recovery_requests` rebuilds from scratch.
         """
         if not self.config.incremental_protocol:

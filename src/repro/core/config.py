@@ -51,10 +51,11 @@ class BulletConfig:
     source_serves_peers: bool = False
     #: Seconds between Bloom filter / recovery-range refreshes (paper: 5 s).
     bloom_refresh_s: float = 5.0
-    #: Incremental protocol maintenance: keep each node's Bloom filter live
-    #: (mutate-in-place, versioned) and export frozen snapshots instead of
-    #: rebuilding from the packet store every refresh, and let senders skip
-    #: the holdings rescan when a refresh's selection is unchanged.
+    #: Incremental protocol maintenance: requests carry a frozen Bloom
+    #: snapshot that is reused while the node's recent window is unchanged
+    #: (instead of a fresh filter object every refresh), tickets are diffed
+    #: against the previous build, and senders skip the holdings rescan when
+    #: a refresh's selection is unchanged.
     #: Observationally equivalent to the from-scratch path (False), which is
     #: kept for benchmarks and regression comparison.
     incremental_protocol: bool = True

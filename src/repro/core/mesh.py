@@ -411,25 +411,16 @@ class BulletMesh:
 
     # --------------------------------------------------------------- delivery
     def _deliver_phase(self) -> None:
-        for (parent, child), flow in list(self.tree_flows.items()):
-            delivered = flow.take_delivered()
-            if child in self.failed:
-                continue
-            node = self.nodes[child]
-            for sequence in delivered:
-                outcome = node.on_packet(sequence, from_node=parent, via_peer=False)
-                self.stats.record_receive(
-                    child, sequence, duplicate=outcome.duplicate, from_parent=True
+        for flows, via_peer in ((self.tree_flows, False), (self.mesh_flows, True)):
+            for (sender, receiver), flow in flows.items():
+                delivered = flow.take_delivered()
+                if not delivered or receiver in self.failed:
+                    continue
+                useful, duplicates = self.nodes[receiver].on_packets(
+                    delivered, from_node=sender, via_peer=via_peer
                 )
-        for (sender, receiver), flow in list(self.mesh_flows.items()):
-            delivered = flow.take_delivered()
-            if receiver in self.failed:
-                continue
-            node = self.nodes[receiver]
-            for sequence in delivered:
-                outcome = node.on_packet(sequence, from_node=sender, via_peer=True)
-                self.stats.record_receive(
-                    receiver, sequence, duplicate=outcome.duplicate, from_parent=False
+                self.stats.record_receive_counts(
+                    receiver, useful, duplicates, from_parent=not via_peer
                 )
 
     def _source_phase(self) -> None:
@@ -441,13 +432,11 @@ class BulletMesh:
         )
         count = int(packets)
         self._source_carry = packets - count
-        root_node = self.nodes[self.root]
-        for _ in range(count):
-            sequence = self._next_sequence
-            self._next_sequence += 1
-            if sequence % self._trace_sample_stride == 0:
-                self.stats.trace_sequences([sequence])
-            root_node.on_packet(sequence, from_node=None, via_peer=False)
+        sequences = range(self._next_sequence, self._next_sequence + count)
+        self._next_sequence = sequences.stop
+        stride = self._trace_sample_stride
+        self.stats.trace_sequences(s for s in sequences if s % stride == 0)
+        self.nodes[self.root].on_packets(sequences, from_node=None, via_peer=False)
 
     def _forward_phase(self) -> None:
         for node_id in self.active_members():
@@ -463,8 +452,7 @@ class BulletMesh:
             # Offer fresh packets to the recovery queues of our receivers so
             # peers can pull them without waiting for the next Bloom refresh.
             for record in node.peers.receivers.values():
-                for sequence in fresh:
-                    record.queue.offer_new_packet(sequence)
+                record.queue.offer_new_packets(fresh)
             if not node.disjoint.children:
                 continue
 

@@ -39,14 +39,12 @@ class SenderRecord:
     period_useful: int = 0
     period_duplicates: int = 0
 
-    def record_packet(self, duplicate: bool) -> None:
-        """Account one packet received from this sender."""
-        if duplicate:
-            self.duplicate_packets += 1
-            self.period_duplicates += 1
-        else:
-            self.useful_packets += 1
-            self.period_useful += 1
+    def record_packets(self, useful: int, duplicates: int) -> None:
+        """Account packets received from this sender."""
+        self.useful_packets += useful
+        self.period_useful += useful
+        self.duplicate_packets += duplicates
+        self.period_duplicates += duplicates
 
     def period_total(self) -> int:
         """Packets received from this sender during the evaluation period."""

@@ -26,7 +26,7 @@ from repro.reconcile.working_set import WorkingSet
 RECOVERY_REQUEST_HEADER_BYTES: int = 32
 
 #: Filters a request may carry: a standalone FIFO filter (legacy from-scratch
-#: builds, tests) or a frozen snapshot of a node's live filter (the
+#: builds, tests) or a frozen snapshot of a node's recent window (the
 #: incremental protocol path).
 RequestBloom = Union[FifoBloomFilter, BloomSnapshot]
 
@@ -93,7 +93,7 @@ def build_recovery_requests(
     sender on the next round instead of staying unrecoverable.
 
     ``bloom`` short-circuits the filter construction with a caller-supplied
-    filter (the incremental path passes the working set's live snapshot);
+    filter (the incremental path passes the working set's snapshot);
     when omitted, a filter is built from scratch as the pre-incremental code
     always did.
     """
@@ -151,6 +151,26 @@ class SenderQueue:
         if pending and pending[0] < holdings_low_water:
             del pending[: bisect_left(pending, holdings_low_water)]
 
+    def _unsent_wanted(self, sequences: Iterable[int]) -> List[int]:
+        """The ``sequences`` the installed request wants and we never pushed.
+
+        Row and range are cheap arithmetic; they run before the Bloom probe
+        so the k-hash membership test only sees this sender's row.
+        """
+        request = self.request
+        sent = self.already_sent
+        low = request.low
+        high = request.high
+        total = request.total_senders
+        mod = request.mod
+        if total > 1:
+            candidates = [
+                s for s in sequences if low <= s <= high and s % total == mod and s not in sent
+            ]
+        else:
+            candidates = [s for s in sequences if low <= s <= high and s not in sent]
+        return request.bloom.missing(candidates) if candidates else candidates
+
     def install_request(self, request: RecoveryRequest, holdings: Iterable[int]) -> None:
         """Install a fresh recovery request and rebuild the pending queue.
 
@@ -158,42 +178,32 @@ class SenderQueue:
         the receiver wants (range, row, Bloom filter) are queued.
         """
         self.request = request
-        sent = self.already_sent
-        low = request.low
-        high = request.high
-        total = request.total_senders
-        mod = request.mod
-        # Row and range are cheap arithmetic; hoist them out of the Bloom
-        # probe so the k-hash membership test only runs on this sender's row.
-        if total > 1:
-            candidates = [
-                s for s in holdings if low <= s <= high and s % total == mod and s not in sent
-            ]
-        else:
-            candidates = [s for s in holdings if low <= s <= high and s not in sent]
-        candidates.sort()
-        self.pending = request.bloom.missing(candidates)
+        self.pending = self._unsent_wanted(holdings)
+        self.pending.sort()
         # The receiver's Bloom filter supersedes our memory of what we sent
         # long ago; keep only recent entries to bound memory.
+        sent = self.already_sent
         if len(sent) > 4096:
             cutoff = request.low
             self.already_sent = {seq for seq in sent if seq >= cutoff}
 
-    def offer_new_packet(self, sequence: int) -> None:
-        """Consider a packet that just arrived at the sender for this receiver."""
+    def offer_new_packets(self, sequences: Iterable[int]) -> None:
+        """Consider packets that just arrived at the sender for this receiver."""
         if self.request is None:
             return
-        if sequence in self.already_sent:
-            return
-        if self.request.wants(sequence):
+        pending = self.pending
+        for sequence in self._unsent_wanted(sequences):
             # Keep the queue sorted (drains stay in sequence order, and an
             # unchanged-selection refresh can adopt it verbatim) and
             # deduplicated: a packet that arrived in the same step as a
             # refresh is already queued by the install's holdings scan.
-            index = bisect_left(self.pending, sequence)
-            if index < len(self.pending) and self.pending[index] == sequence:
-                return
-            self.pending.insert(index, sequence)
+            index = bisect_left(pending, sequence)
+            if index == len(pending) or pending[index] != sequence:
+                pending.insert(index, sequence)
+
+    def offer_new_packet(self, sequence: int) -> None:
+        """Consider one packet (a one-element :meth:`offer_new_packets`)."""
+        self.offer_new_packets((sequence,))
 
     def take_for_send(self, budget: int) -> List[int]:
         """Dequeue up to ``budget`` packets to push to the receiver."""

@@ -42,8 +42,8 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.bullet_node import BulletNode
 from repro.network.control import ControlMessage
 
-#: One shipped packet delivery: (dst, sequence, src, via_peer).
-DeliveryEntry = Tuple[int, int, int, bool]
+#: One flow's shipped packet deliveries: (dst, src, via_peer, sequences).
+DeliveryEntry = Tuple[int, int, bool, List[int]]
 
 #: One recorded control-plane service call: (order key, seq, op, sender,
 #: receiver).  Sorting by (key, seq) recovers serial's global call order.
@@ -150,12 +150,13 @@ class HeadHost:
         raise ValueError(f"unknown head-mesh command {kind!r}")
 
     def _deliver(self, entries: List[DeliveryEntry]) -> Dict:
-        """Apply shipped packet deliveries; reply with per-packet duplicate flags."""
-        outcomes: List[bool] = []
-        for dst, sequence, src, via_peer in entries:
-            outcome = self.nodes[dst].on_packet(sequence, from_node=src, via_peer=via_peer)
-            outcomes.append(outcome.duplicate)
-        return {"outcomes": outcomes}
+        """Apply shipped deliveries; reply with (useful, duplicates) per flow."""
+        return {
+            "counts": [
+                self.nodes[dst].on_packets(sequences, from_node=src, via_peer=via_peer)
+                for dst, src, via_peer, sequences in entries
+            ]
+        }
 
     def _timers(self, now: float, epoch, refresh: List[int]) -> Dict:
         """Epoch begin / peer evaluation / refreshes / request-expiry polls.
@@ -223,9 +224,7 @@ class HeadHost:
         accepted sequences for the coordinator to replay on the real flows.
         """
         if source_seqs:
-            root_node = self.nodes[self.root]
-            for sequence in source_seqs:
-                root_node.on_packet(sequence, from_node=None, via_peer=False)
+            self.nodes[self.root].on_packets(source_seqs, from_node=None, via_peer=False)
 
         tree_rem = {key: budget for key, (budget, _active) in tree_ba.items()}
         fresh_len: Dict[int, int] = {}
@@ -237,8 +236,7 @@ class HeadHost:
             if not fresh:
                 continue
             for record in node.peers.receivers.values():
-                for sequence in fresh:
-                    record.queue.offer_new_packet(sequence)
+                record.queue.offer_new_packets(fresh)
             if not node.disjoint.children:
                 continue
 
@@ -377,33 +375,27 @@ class HeadMeshCoordinator:
     # --------------------------------------------------------------- delivery
     def _deliver_phase(self) -> None:
         mesh = self.mesh
-        entries: List[DeliveryEntry] = []
-        for (parent, child), flow in list(mesh.tree_flows.items()):
-            delivered = flow.take_delivered()
-            if child in mesh.failed:
-                continue
-            for sequence in delivered:
-                entries.append((child, sequence, parent, False))
-        for (sender, receiver), flow in list(mesh.mesh_flows.items()):
-            delivered = flow.take_delivered()
-            if receiver in mesh.failed:
-                continue
-            for sequence in delivered:
-                entries.append((receiver, sequence, sender, True))
-        if not entries:
-            return
         per_worker: Dict[int, List[DeliveryEntry]] = {}
-        for entry in entries:
-            per_worker.setdefault(self.owner_of[entry[0]], []).append(entry)
+        for flows, via_peer in ((mesh.tree_flows, False), (mesh.mesh_flows, True)):
+            for (sender, receiver), flow in flows.items():
+                delivered = flow.take_delivered()
+                if not delivered or receiver in mesh.failed:
+                    continue
+                per_worker.setdefault(self.owner_of[receiver], []).append(
+                    (receiver, sender, via_peer, delivered)
+                )
+        if not per_worker:
+            return
         replies = self.executor.mesh_scatter(
             {worker: ("mesh_deliver", batch) for worker, batch in per_worker.items()}
         )
-        cursors = {worker: iter(replies[worker]["outcomes"]) for worker in replies}
-        for dst, sequence, _src, via_peer in entries:
-            duplicate = next(cursors[self.owner_of[dst]])
-            mesh.stats.record_receive(
-                dst, sequence, duplicate=duplicate, from_parent=not via_peer
-            )
+        for worker, batch in per_worker.items():
+            for (dst, _src, via_peer, _sequences), (useful, duplicates) in zip(
+                batch, replies[worker]["counts"]
+            ):
+                mesh.stats.record_receive_counts(
+                    dst, useful, duplicates, from_parent=not via_peer
+                )
 
     # ----------------------------------------------------------------- timers
     def _begin_epoch_payload(self) -> Tuple[int, Optional[float], bool]:

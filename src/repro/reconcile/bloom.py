@@ -8,14 +8,20 @@ but it never wastes bandwidth on a packet the filter says the receiver has —
 exactly the trade-off the paper wants.
 
 Bullet additionally bounds the filter population by periodically removing
-low sequence numbers (Section 3.1).  A plain Bloom filter cannot delete, so
-:class:`FifoBloomFilter` keeps per-bit *counters* alongside the wire-format
-bit array: evicting a key decrements its counters and clears the bits that
-reach zero, which is observationally identical to rebuilding the bit array
-over the surviving keys but costs O(evicted) instead of O(window) per
-window advance.  Every observable mutation bumps :attr:`FifoBloomFilter.
-version`, so callers (recovery refreshes) can detect "nothing changed" and
-reuse a previously exported :meth:`snapshot` instead of re-serializing.
+low sequence numbers (Section 3.1), so what a request carries describes a
+*window*: the most recent ``capacity`` sequences a node holds.  Two builders
+produce that wire state, bit for bit the same:
+
+* :meth:`BloomSnapshot.from_keys` derives a frozen snapshot from the window's
+  keys in one vectorised pass over a per-process position table.  This is the
+  protocol path: a node reads its filter once per refresh, so nothing is
+  maintained between reads (see :meth:`~repro.reconcile.working_set.
+  WorkingSet.bloom_snapshot`).
+* :class:`FifoBloomFilter` is the mutable form — per-bit *counters* beside
+  the bit array, so evicting a key clears exactly the bits no live key still
+  sets.  It backs the ``antientropy`` baseline, the legacy-mode
+  :meth:`~repro.reconcile.working_set.WorkingSet.bloom_filter` rebuild and
+  the test oracles.
 """
 
 from __future__ import annotations
@@ -24,6 +30,8 @@ import heapq
 import math
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.util.hashing import stable_hash
 
@@ -114,6 +122,40 @@ def _hash_key(
             family.clear()
         family[key] = positions
     return positions
+
+
+#: Dense ``key -> bit positions`` rows per ``(num_bits, num_hashes)``, the
+#: array form of the cache above for :meth:`BloomSnapshot.from_keys`.  One per
+#: process, shared by every node, and grown on first use only as far as the
+#: highest sequence number asked for.  Keys past the cap (a sparse universe,
+#: never a stream's sequence numbers) are hashed per call instead.
+_POSITION_TABLES: Dict[Tuple[int, int], np.ndarray] = {}
+_POSITION_TABLE_MAX_KEYS = 1 << 20
+_POSITION_TABLE_GROWTH = 1024
+
+
+def _position_rows(keys: Iterable[int], num_bits: int, num_hashes: int) -> np.ndarray:
+    """Bit positions of ``keys`` as an ``(len(keys), num_hashes)`` array."""
+    coefficients = _hash_coefficients(num_hashes)
+    rows = [_hash_key(key, num_bits, coefficients, None) for key in keys]
+    return np.array(rows, dtype=np.int32).reshape(len(rows), num_hashes)
+
+
+def _window_positions(keys: Sequence[int], num_bits: int, num_hashes: int) -> np.ndarray:
+    """Bit positions of the ascending ``keys``, read from the shared table."""
+    needed = keys[-1] + 1
+    if needed > _POSITION_TABLE_MAX_KEYS:
+        return _position_rows(keys, num_bits, num_hashes)
+    geometry = (num_bits, num_hashes)
+    table = _POSITION_TABLES.get(geometry)
+    if table is None:
+        table = np.empty((0, num_hashes), dtype=np.int32)
+    if needed > len(table):
+        grown = _position_rows(
+            range(len(table), needed + _POSITION_TABLE_GROWTH), num_bits, num_hashes
+        )
+        table = _POSITION_TABLES[geometry] = np.concatenate((table, grown))
+    return table[np.array(keys, dtype=np.int64)]
 
 
 class BloomFilter:
@@ -209,8 +251,8 @@ class BloomSnapshot:
     """A frozen, read-only view of a FIFO Bloom filter at one instant.
 
     This is what actually travels inside a recovery request: the wire-format
-    bit array plus the window floor, detached from the live filter so later
-    receptions at the owner do not mutate what the sender already installed.
+    bit array plus the window floor, detached from the owner's state so later
+    receptions there do not mutate what the sender already installed.
     Membership semantics match :class:`FifoBloomFilter` (keys below the floor
     report present).
     """
@@ -239,7 +281,7 @@ class BloomSnapshot:
         self.low_sequence = low_sequence
         self.count = count
         self._bits = bits
-        # Snapshots built from live filters carry the shared deterministic
+        # Snapshots of working sets and filters carry the shared deterministic
         # family, so cached positions apply; a hand-rolled coefficient list
         # (tests) bypasses the cache.
         if coefficients is _hash_coefficients(num_hashes):
@@ -249,6 +291,28 @@ class BloomSnapshot:
         else:
             self._family = None
         self._coefficients = list(coefficients)
+
+    @classmethod
+    def from_keys(cls, keys: Sequence[int], num_bits: int, num_hashes: int) -> "BloomSnapshot":
+        """The snapshot of a filter holding exactly the ascending ``keys``.
+
+        Byte- and behaviour-identical to inserting ``keys`` into a fresh
+        :class:`FifoBloomFilter` of the same geometry and taking its
+        :meth:`~FifoBloomFilter.snapshot` (floor at the lowest key, zero for
+        an empty window), but built in one pass: gather the keys' rows from
+        the shared position table, set those bits, pack little-endian.
+        """
+        bits = np.zeros(num_bits, dtype=bool)
+        if keys:
+            bits[_window_positions(keys, num_bits, num_hashes).ravel()] = True
+        return cls(
+            num_bits=num_bits,
+            num_hashes=num_hashes,
+            bits=np.packbits(bits, bitorder="little").tobytes(),
+            low_sequence=keys[0] if keys else 0,
+            count=len(keys),
+            coefficients=_hash_coefficients(num_hashes),
+        )
 
     def __contains__(self, key: int) -> bool:
         if key < self.low_sequence:

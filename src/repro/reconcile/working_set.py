@@ -11,52 +11,80 @@ Bullet removes items that are no longer needed for data reconstruction, so
 the working set supports pruning below a low-water mark while remembering the
 node's cumulative useful packet count.
 
-The working set is *versioned*: every observable mutation bumps
-:attr:`WorkingSet.version`.  Two caches hang off that version so the
-protocol hot path stops re-deriving the same state every refresh:
+Receiving a packet is O(1) amortised: the held sequences live twice, as a
+membership set and as one ascending list kept in step with it (in-order
+arrivals append, stragglers are bisected in, pruning slices the head off).
+Everything else is *derived* from that list when somebody asks:
 
-* a sorted view of the held sequences (``sequences`` /
-  ``sequences_in_range`` re-sort at most once per mutation, then answer
-  range queries by bisection);
-* a *live* FIFO Bloom filter maintained insert-by-insert, from which
-  :meth:`bloom_snapshot` exports frozen wire copies — byte-identical to the
-  historical rebuild-from-scratch but O(copy) instead of O(window · k).
+* range queries bisect it, and the hot request/serve path gets zero-copy
+  :class:`SortedRangeView` windows over it (copy-on-write: handing out a view
+  marks the list shared, and the next mutation copies it once);
+* :meth:`WorkingSet.bloom_snapshot` builds the wire-format Bloom filter of
+  the most recent ``capacity`` entries on demand — a node reads its filter
+  once per refresh period, so nothing is maintained per packet — and hands
+  back the *same* frozen object for as long as that window's content stands;
+* the incremental summary ticket diffs the window against its previous
+  build and folds only the keys that entered it.
+
+Every observable mutation bumps :attr:`WorkingSet.version`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence as SequenceABC
+from functools import lru_cache
 from typing import Iterable, List, Optional, Set, Tuple, Union
 
-from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter
+import numpy as np
+
+from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter, optimal_parameters
 from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
 from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
-#: The sorted view and the live-bloom snapshot caches hang off
-#: :attr:`WorkingSet.version`; every mutation of the held set must bump it on
-#: the same control-flow path.
+#: The ascending list mirrors the membership set, so whatever changes one must
+#: bump :attr:`WorkingSet.version` on the same control-flow path, and every
+#: in-place edit of the list must first go through ``_writable`` (views may
+#: still window the old list).  The Bloom snapshot cache is valid only for the
+#: window it was built over: storing one without its key is a stale filter.
 CACHE_INVARIANTS = {
     "WorkingSet": {
         "scope": "module",
         "attrs": {
             "_sequences": ["version"],
+            "_ordered": ["version"],
+            "_snapshot": ["_snapshot_key"],
         },
         "calls": {
             "_sequences.add": ["version"],
+            "_sequences.difference_update": ["version"],
+            "_ordered.append": ["version", "_writable"],
+            "_ordered.insert": ["version", "_writable"],
         },
+        "exempt": ["_writable"],
     },
 }
+
+
+#: Minimum of an entry over an empty window: above every permuted value.
+_NO_MINIMUM = DEFAULT_UNIVERSE
+
+
+@lru_cache(maxsize=None)
+def _sketch_coefficients(entries: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ticket's ``(a, b)`` permutation pairs as two int64 columns."""
+    pairs = np.array(permutation_coefficients(entries, seed=seed), dtype=np.int64)
+    return pairs[:, :1], pairs[:, 1:]
 
 
 class SortedRangeView(SequenceABC):
     """A read-only window into a sorted list — no copying.
 
-    The working set's sorted cache is never mutated in place (mutations
-    replace it wholesale on the next sorted query), so a view taken from it
-    is a stable snapshot even if the working set changes afterwards.  This
-    is what the hot request/serve path hands to
+    The working set never edits a list a view windows (it copies the list
+    before the first mutation that follows a view), so a view is a stable
+    snapshot even if the working set changes afterwards.  This is what the
+    hot request/serve path hands to
     :meth:`~repro.core.recovery.SenderQueue.install_request` instead of a
     fresh list copy per refresh.
     """
@@ -108,68 +136,91 @@ class WorkingSet:
         self.ticket_entries = ticket_entries
         self.ticket_seed = ticket_seed
         self._sequences: Set[int] = set()
+        #: The same sequences in ascending order.
+        self._ordered: List[int] = []
+        #: True while a :class:`SortedRangeView` may window ``_ordered``.
+        self._ordered_shared: bool = False
         self._low_water: int = 0
         self._highest: int = -1
         self.total_received: int = 0
         self.total_duplicates: int = 0
         #: Bumped on every observable mutation (accepted add, prune).
         self.version: int = 0
-        self._sorted_cache: List[int] = []
-        self._sorted_version: int = 0
-        # Live Bloom filter state (created lazily on first snapshot request).
-        self._live_bloom: Optional[FifoBloomFilter] = None
-        self._live_bloom_params: Optional[Tuple[int, float]] = None
-        self._snapshot_cache: Optional[BloomSnapshot] = None
-        self._snapshot_version: int = -1
-        # Incremental min-wise sketch state: (params, key set, entry mins,
+        # Last Bloom snapshot and the window it describes (see bloom_snapshot).
+        self._snapshot: Optional[BloomSnapshot] = None
+        self._snapshot_key: Optional[Tuple[int, float, int, int]] = None
+        # Incremental min-wise sketch state: (params, key set, entry minima,
         # per-entry argmin keys) of the previous ticket build.
         self._ticket_sketch: Optional[
-            Tuple[Tuple[Optional[int], int], Set[int], List[Optional[int]], List[int]]
+            Tuple[Tuple[Optional[int], int], Set[int], np.ndarray, np.ndarray]
         ] = None
 
     # ---------------------------------------------------------------- updates
+    def _writable(self) -> List[int]:
+        """The ascending list, safe to edit in place (copied if a view has it)."""
+        if self._ordered_shared:
+            self._ordered = list(self._ordered)
+            self._ordered_shared = False
+        return self._ordered
+
+    def add_many(self, sequences: Iterable[int]) -> List[int]:
+        """Record received packets; returns the new (useful) ones, in order.
+
+        Exactly a loop of single adds: the window is pruned after each
+        accepted packet, so a later packet of the same batch that falls
+        below the advanced low-water mark counts as a duplicate.
+        """
+        fresh: List[int] = []
+        # ``ordered`` is ``self._ordered``; edits spell the attribute out so
+        # the COH001 guards above see them.
+        ordered = self._writable()
+        window = self.prune_window
+        for sequence in sequences:
+            if sequence < self._low_water or sequence in self._sequences:
+                if sequence < 0:
+                    raise ValueError("sequence numbers are non-negative")
+                self.total_duplicates += 1
+                continue
+            self._sequences.add(sequence)
+            if sequence > self._highest:
+                self._highest = sequence
+                self._ordered.append(sequence)
+            else:
+                self._ordered.insert(bisect_left(ordered, sequence), sequence)
+            self.total_received += 1
+            self.version += 1
+            fresh.append(sequence)
+            if len(ordered) > window:
+                self._prune()
+        return fresh
+
     def add(self, sequence: int) -> bool:
         """Record a received packet; returns True if it was new (useful)."""
-        if sequence < 0:
-            raise ValueError("sequence numbers are non-negative")
-        if sequence < self._low_water or sequence in self._sequences:
-            self.total_duplicates += 1
-            return False
-        self._sequences.add(sequence)
-        if sequence > self._highest:
-            self._highest = sequence
-        self.total_received += 1
-        self.version += 1
-        if self._live_bloom is not None:
-            self._live_bloom.add(sequence)
-        if len(self._sequences) > self.prune_window:
-            self._prune()
-        return True
+        return bool(self.add_many((sequence,)))
 
     def update(self, sequences: Iterable[int]) -> int:
         """Add many packets; returns how many were new."""
-        return sum(1 for sequence in sequences if self.add(sequence))
+        return len(self.add_many(sequences))
 
     def _prune(self) -> None:
         """Drop the oldest sequences beyond the prune window."""
-        ordered = self._sorted()
-        keep = ordered[-self.prune_window :]
-        self._low_water = keep[0] if keep else self._low_water
-        self._sequences = set(keep)
+        ordered = self._writable()
+        excess = len(ordered) - self.prune_window
+        self._sequences.difference_update(ordered[:excess])
+        del ordered[:excess]
+        self._low_water = ordered[0]
         self.version += 1
-        if self._live_bloom is not None:
-            # No-op unless the prune window undercuts the bloom window.
-            self._live_bloom.advance_window(self._low_water)
 
     def prune_below(self, low_sequence: int) -> None:
         """Explicitly drop every sequence below ``low_sequence``."""
         if low_sequence <= self._low_water:
             return
+        ordered = self._writable()
+        cut = bisect_left(ordered, low_sequence)
+        self._sequences.difference_update(ordered[:cut])
+        del ordered[:cut]
         self._low_water = low_sequence
-        self._sequences = {seq for seq in self._sequences if seq >= low_sequence}
         self.version += 1
-        if self._live_bloom is not None:
-            self._live_bloom.advance_window(low_sequence)
 
     # ---------------------------------------------------------------- queries
     def __contains__(self, sequence: int) -> bool:
@@ -189,11 +240,8 @@ class WorkingSet:
         return self._low_water
 
     def _sorted(self) -> List[int]:
-        """The held sequences in ascending order (cached per version)."""
-        if self._sorted_version != self.version:
-            self._sorted_cache = sorted(self._sequences)
-            self._sorted_version = self.version
-        return self._sorted_cache
+        """The held sequences in ascending order (the live list: do not edit)."""
+        return self._ordered
 
     def sequences(self) -> List[int]:
         """A sorted list of currently held sequence numbers."""
@@ -271,56 +319,56 @@ class WorkingSet:
         ticket.update(keys)
         return ticket
 
+    def _sketch(
+        self, keys: List[int], entries: Optional[List[int]] = None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per ticket entry, the minimum permuted value over the ascending
+        ``keys`` and the key achieving it (``entries`` restricts the rows).
+
+        One int64 matrix instead of a Python ``min`` per entry: ``a``, ``b``
+        and the reduced key are all below 2^31, so ``a * k + b`` is exact,
+        and ``argmin`` returns the first minimum — the smallest key, which
+        is how the scalar sketch breaks ties.
+        """
+        a, b = _sketch_coefficients(self.ticket_entries, self.ticket_seed)
+        if entries is not None:
+            a, b = a[entries], b[entries]
+        values = np.array(keys, dtype=np.int64)
+        permuted = (a * (values % DEFAULT_UNIVERSE) + b) % DEFAULT_UNIVERSE
+        return permuted.min(axis=1), values[permuted.argmin(axis=1)]
+
     def _incremental_ticket(
         self, keys: List[int], params: Tuple[Optional[int], int]
     ) -> SummaryTicket:
         """Min-wise sketch of ``keys``, diffed against the previous build."""
-        coefficients = permutation_coefficients(self.ticket_entries, seed=self.ticket_seed)
-        universe = DEFAULT_UNIVERSE
         key_set = set(keys)
         state = self._ticket_sketch
         if state is not None and state[0] == params:
-            _, old_keys, entries, min_keys = state
-            entries = list(entries)
-            min_keys = list(min_keys)
+            _, old_keys, minima, owners = state
             removed = old_keys - key_set
             added = key_set - old_keys
             if removed:
                 # Entries whose minimum left the window lose their witness;
                 # re-sketch just those over the full key list.
-                for index in [
-                    i for i, owner in enumerate(min_keys) if owner in removed
-                ]:
-                    a, b = coefficients[index]
-                    if keys:
-                        value, owner = min(((a * k + b) % universe, k) for k in keys)
-                        entries[index], min_keys[index] = value, owner
-                    else:
-                        entries[index], min_keys[index] = None, -1
+                stale = [i for i, owner in enumerate(owners.tolist()) if owner in removed]
+                if stale and keys:
+                    minima[stale], owners[stale] = self._sketch(keys, stale)
+                elif stale:
+                    minima[stale], owners[stale] = _NO_MINIMUM, -1
             if added:
-                added_keys = sorted(added)
-                for index, (a, b) in enumerate(coefficients):
-                    value, owner = min(((a * k + b) % universe, k) for k in added_keys)
-                    current = entries[index]
-                    if (
-                        current is None
-                        or value < current
-                        or (value == current and owner < min_keys[index])
-                    ):
-                        entries[index], min_keys[index] = value, owner
+                values, winners = self._sketch(sorted(added))
+                better = (values < minima) | ((values == minima) & (winners < owners))
+                minima = np.where(better, values, minima)
+                owners = np.where(better, winners, owners)
         elif keys:
-            entries = []
-            min_keys = []
-            for a, b in coefficients:
-                value, owner = min(((a * k + b) % universe, k) for k in keys)
-                entries.append(value)
-                min_keys.append(owner)
+            minima, owners = self._sketch(keys)
         else:
-            entries = [None] * self.ticket_entries
-            min_keys = [-1] * self.ticket_entries
-        self._ticket_sketch = (params, key_set, entries, min_keys)
+            minima = np.full(self.ticket_entries, _NO_MINIMUM, dtype=np.int64)
+            owners = np.full(self.ticket_entries, -1, dtype=np.int64)
+        self._ticket_sketch = (params, key_set, minima, owners)
         ticket = SummaryTicket(num_entries=self.ticket_entries, seed=self.ticket_seed)
-        ticket._entries = list(entries)
+        if keys:  # a non-empty window leaves no entry without a minimum
+            ticket._entries = minima.tolist()
         return ticket
 
     def bloom_filter(
@@ -334,9 +382,9 @@ class WorkingSet:
         ``expected_items`` sequences; everything older is implicitly treated
         as already held (the FIFO filter's window floor).
 
-        This is the from-scratch construction; the protocol hot path uses
-        :meth:`bloom_snapshot`, which maintains the same filter
-        incrementally and exports frozen copies.
+        This is the mutable from-scratch construction (legacy protocol mode,
+        tests); the protocol hot path uses :meth:`bloom_snapshot`, which
+        derives the same wire state without building a filter object.
         """
         population = max(len(self._sequences), 1)
         capacity = expected_items if expected_items is not None else max(population, 128)
@@ -350,35 +398,30 @@ class WorkingSet:
     def bloom_snapshot(
         self, expected_items: Optional[int] = None, false_positive_rate: float = 0.01
     ) -> BloomSnapshot:
-        """A frozen Bloom filter over the recent working set, incrementally.
+        """A frozen Bloom filter over the recent working set, built on demand.
 
-        Observationally equivalent to ``bloom_filter(...)`` with the same
-        parameters, but the underlying filter is maintained insert-by-insert
-        and the export is a byte copy; consecutive calls with an unchanged
-        working set return the *same* snapshot object, which downstream code
-        uses to recognise "nothing changed since the last refresh".
+        Byte-identical to ``bloom_filter(...).snapshot()`` with the same
+        parameters.  Calls return the *same* snapshot object for as long as
+        the window's content is unchanged, which downstream code uses to
+        recognise "nothing changed since the last refresh".
+
+        The window is the top ``capacity`` entries of the ascending list, and
+        its (first key, length) pair identifies its content: sequences only
+        ever leave from the low end and never come back, so while the first
+        key survives the window can only have gained keys — and then it is
+        longer, or its first key has moved up.
         """
-        population = max(len(self._sequences), 1)
-        capacity = expected_items if expected_items is not None else max(population, 128)
-        params = (capacity, false_positive_rate)
-        if self._live_bloom is None or self._live_bloom_params != params:
-            live = FifoBloomFilter.with_capacity(
-                capacity, false_positive_rate, window=capacity
+        ordered = self._sorted()
+        capacity = expected_items if expected_items is not None else max(len(ordered), 128)
+        size = min(len(ordered), capacity)
+        key = (capacity, false_positive_rate, ordered[-size] if size else -1, size)
+        if key != self._snapshot_key:
+            self._snapshot = BloomSnapshot.from_keys(
+                ordered[-size:] if size else [],
+                *optimal_parameters(capacity, false_positive_rate),
             )
-            live.update(self._sorted())
-            self._live_bloom = live
-            self._live_bloom_params = params
-            self._snapshot_cache = None
-        assert self._live_bloom is not None
-        if self._snapshot_cache is None or self._snapshot_version != self._live_bloom.version:
-            self._snapshot_cache = self._live_bloom.snapshot()
-            self._snapshot_version = self._live_bloom.version
-        return self._snapshot_cache
-
-    @property
-    def bloom_version(self) -> int:
-        """Version of the live Bloom filter (0 until first snapshot request)."""
-        return self._live_bloom.version if self._live_bloom is not None else 0
+            self._snapshot_key = key
+        return self._snapshot
 
     def sequences_in_range(self, low: int, high: int) -> List[int]:
         """Held sequence numbers within ``[low, high]``, sorted ascending."""
@@ -391,11 +434,12 @@ class WorkingSet:
         """Like :meth:`sequences_in_range` but a zero-copy read-only view.
 
         The hot request/serve path (refresh installs at every sending peer)
-        only iterates the holdings once, so it gets a window over the cached
-        sorted list instead of a fresh copy per refresh.  The view snapshots
+        only iterates the holdings once, so it gets a window over the
+        ascending list instead of a fresh copy per refresh.  The view snapshots
         the current content: later working-set mutations do not leak into it.
         """
         ordered = self._sorted()
+        self._ordered_shared = True
         if high < low:
             return SortedRangeView(ordered, 0, 0)
         return SortedRangeView(

@@ -411,8 +411,7 @@ class Topology:
             out_degree = self._graph.out_degree(client)
             if out_degree != 1:
                 raise ValueError(f"client {client} must have exactly one uplink, has {out_degree}")
-        undirected = self._graph.to_undirected()
-        if self._graph.number_of_nodes() > 1 and not nx.is_connected(undirected):
+        if self._graph.number_of_nodes() > 1 and not nx.is_weakly_connected(self._graph):
             raise ValueError("topology is not connected")
 
 

@@ -122,6 +122,8 @@ class RoutingEngine:
         self._adjacency: Union[
             List[List[Tuple[int, float, int]]], Dict[int, List[Tuple[int, float, int]]]
         ] = []
+        #: Dense mode only: ``_stub[node]`` marks hosts a solve never queues.
+        self._stub = bytearray()
         self._trees: Dict[int, ShortestPathTree] = {}
         #: Route cache in recency order (python dicts preserve insertion
         #: order; hits re-insert once the bound has been reached, making the
@@ -181,11 +183,23 @@ class RoutingEngine:
         # the same way).
         if dense:
             adjacency_list: List[List[Tuple[int, float, int]]] = [[] for _ in range(n)]
+            in_links = bytearray(n)  # saturates at 2: only "exactly one" matters
             for link in links:
                 adjacency_list[link.src].append(
                     (link.dst, link.routing_metric_s, link.index)
                 )
+                if in_links[link.dst] < 2:
+                    in_links[link.dst] += 1
             self._adjacency = adjacency_list
+            # Stub hosts: one out-link and one in-link, both to the same
+            # router.  Such a node is reached from that router only and its
+            # own link leads straight back, so a solve settles it on sight.
+            stub = bytearray(n)
+            for link in links:
+                out = adjacency_list[link.dst]
+                if in_links[link.dst] == 1 and len(out) == 1 and out[0][0] == link.src:
+                    stub[link.dst] = 1
+            self._stub = stub
         else:
             adjacency_dict: Dict[int, List[Tuple[int, float, int]]] = {}
             for link in links:
@@ -223,6 +237,7 @@ class RoutingEngine:
             dist = [infinity] * n
             dist[src] = 0.0
             adjacency = self._adjacency
+            stub = self._stub
             heap: List[Tuple[float, int]] = [(0.0, src)]
             while heap:
                 d, u = pop(heap)
@@ -233,7 +248,8 @@ class RoutingEngine:
                     if nd < dist[v]:
                         dist[v] = nd
                         parent[v] = index
-                        push(heap, (nd, v))
+                        if not stub[v]:  # popping a stub host relaxes nothing
+                            push(heap, (nd, v))
             return parent
         parent_map: Dict[int, int] = {src: -1}
         dist_map: Dict[int, float] = {src: 0.0}

@@ -72,14 +72,14 @@ class TestMeshIsAThinScheduler:
         ".peers.senders.pop",
         ".peers.receivers.pop",
         ".queue.install_request",
-        ".queue.offer_new_packet(",  # offered only via the owning node's records
+        ".queue.offer_new_packet",  # offered only via the owning node's records
         ".pending_requests[",
     )
 
     def test_mesh_source_never_touches_remote_peer_state(self):
         source = inspect.getsource(mesh_module)
         # The one legitimate offer site iterates the *local* node's records.
-        source = source.replace("record.queue.offer_new_packet(sequence)", "")
+        source = source.replace("record.queue.offer_new_packets(fresh)", "")
         for token in self.FORBIDDEN:
             assert token not in source, (
                 f"BulletMesh reaches into node state directly ({token}); all"

@@ -88,10 +88,8 @@ class TestSenderEvaluation:
         peers = PeerManager(1, config)
         good = peers.add_sender(10, epoch=1)
         bad = peers.add_sender(11, epoch=1)
-        for _ in range(20):
-            good.record_packet(duplicate=False)
-        for _ in range(20):
-            bad.record_packet(duplicate=True)
+        good.record_packets(useful=20, duplicates=0)
+        bad.record_packets(useful=0, duplicates=20)
         assert peers.evaluate_senders() == 11
 
     def test_worst_useful_sender_dropped_when_enough_peers(self):
@@ -100,23 +98,21 @@ class TestSenderEvaluation:
         rates = {10: 30, 11: 5, 12: 20}
         for sender, count in rates.items():
             record = peers.add_sender(sender, epoch=1)
-            for _ in range(count):
-                record.record_packet(duplicate=False)
+            record.record_packets(useful=count, duplicates=0)
         assert peers.evaluate_senders() == 11
 
     def test_no_eviction_with_few_senders(self):
         config = BulletConfig(max_senders=10)
         peers = PeerManager(1, config)
         record = peers.add_sender(10, epoch=1)
-        record.record_packet(duplicate=False)
+        record.record_packets(useful=1, duplicates=0)
         assert peers.evaluate_senders() is None
 
     def test_new_senders_with_no_data_are_spared(self):
         config = BulletConfig(max_senders=4)
         peers = PeerManager(1, config)
         active = peers.add_sender(10, epoch=1)
-        for _ in range(5):
-            active.record_packet(duplicate=False)
+        active.record_packets(useful=5, duplicates=0)
         peers.add_sender(11, epoch=2)  # just added, no packets yet
         peers.add_sender(12, epoch=2)
         peers.add_sender(13, epoch=2)
@@ -125,7 +121,7 @@ class TestSenderEvaluation:
     def test_reset_periods(self):
         peers = PeerManager(1, BulletConfig())
         record = peers.add_sender(10, epoch=1)
-        record.record_packet(duplicate=True)
+        record.record_packets(useful=0, duplicates=1)
         peers.reset_periods()
         assert record.period_total() == 0
         assert record.duplicate_packets == 1  # lifetime counter kept

@@ -1,0 +1,354 @@
+"""Test-side oracles for the receive path (no slow twin lives in ``src/``).
+
+:class:`SortEverythingWorkingSet` is the pre-rewrite working set, kept
+verbatim as the reference the fast one is checked against: a bare membership
+set re-sorted after every mutation (and rebuilt on every prune), a *live*
+counting Bloom filter fed insert by insert with snapshots exported from it,
+and the scalar generator-fed min-wise sketch.  The two free functions are
+the per-packet forms of ``BulletNode.on_packets`` and
+``SenderQueue.offer_new_packets`` as the delivery loops used to spell them.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from typing import Iterable, List, Optional, Set, Tuple
+
+from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter
+from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
+from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients
+
+
+class SortEverythingWorkingSet:
+    """The working set as it was before the sorted-window rewrite."""
+
+    def __init__(self, prune_window: int = 4096, ticket_entries: int = DEFAULT_TICKET_ENTRIES,
+                 ticket_seed: int = 0) -> None:
+        if prune_window <= 0:
+            raise ValueError("prune_window must be positive")
+        self.prune_window = prune_window
+        self.ticket_entries = ticket_entries
+        self.ticket_seed = ticket_seed
+        self._sequences: Set[int] = set()
+        self._low_water: int = 0
+        self._highest: int = -1
+        self.total_received: int = 0
+        self.total_duplicates: int = 0
+        #: Bumped on every observable mutation (accepted add, prune).
+        self.version: int = 0
+        self._sorted_cache: List[int] = []
+        self._sorted_version: int = 0
+        # Live Bloom filter state (created lazily on first snapshot request).
+        self._live_bloom: Optional[FifoBloomFilter] = None
+        self._live_bloom_params: Optional[Tuple[int, float]] = None
+        self._snapshot_cache: Optional[BloomSnapshot] = None
+        self._snapshot_version: int = -1
+        # Incremental min-wise sketch state: (params, key set, entry mins,
+        # per-entry argmin keys) of the previous ticket build.
+        self._ticket_sketch: Optional[
+            Tuple[Tuple[Optional[int], int], Set[int], List[Optional[int]], List[int]]
+        ] = None
+
+    # ---------------------------------------------------------------- updates
+    def add(self, sequence: int) -> bool:
+        """Record a received packet; returns True if it was new (useful)."""
+        if sequence < 0:
+            raise ValueError("sequence numbers are non-negative")
+        if sequence < self._low_water or sequence in self._sequences:
+            self.total_duplicates += 1
+            return False
+        self._sequences.add(sequence)
+        if sequence > self._highest:
+            self._highest = sequence
+        self.total_received += 1
+        self.version += 1
+        if self._live_bloom is not None:
+            self._live_bloom.add(sequence)
+        if len(self._sequences) > self.prune_window:
+            self._prune()
+        return True
+
+    def update(self, sequences: Iterable[int]) -> int:
+        """Add many packets; returns how many were new."""
+        return sum(1 for sequence in sequences if self.add(sequence))
+
+    def _prune(self) -> None:
+        """Drop the oldest sequences beyond the prune window."""
+        ordered = self._sorted()
+        keep = ordered[-self.prune_window :]
+        self._low_water = keep[0] if keep else self._low_water
+        self._sequences = set(keep)
+        self.version += 1
+        if self._live_bloom is not None:
+            # No-op unless the prune window undercuts the bloom window.
+            self._live_bloom.advance_window(self._low_water)
+
+    def prune_below(self, low_sequence: int) -> None:
+        """Explicitly drop every sequence below ``low_sequence``."""
+        if low_sequence <= self._low_water:
+            return
+        self._low_water = low_sequence
+        self._sequences = {seq for seq in self._sequences if seq >= low_sequence}
+        self.version += 1
+        if self._live_bloom is not None:
+            self._live_bloom.advance_window(low_sequence)
+
+    # ---------------------------------------------------------------- queries
+    def __contains__(self, sequence: int) -> bool:
+        return sequence < self._low_water or sequence in self._sequences
+
+    def __len__(self) -> int:
+        return len(self._sequences)
+
+    @property
+    def highest_sequence(self) -> int:
+        """Highest sequence number seen (-1 if none)."""
+        return self._highest
+
+    @property
+    def low_water(self) -> int:
+        """Sequences below this mark have been pruned (treated as held)."""
+        return self._low_water
+
+    def _sorted(self) -> List[int]:
+        """The held sequences in ascending order (cached per version)."""
+        if self._sorted_version != self.version:
+            self._sorted_cache = sorted(self._sequences)
+            self._sorted_version = self.version
+        return self._sorted_cache
+
+    def sequences(self) -> List[int]:
+        """A sorted list of currently held sequence numbers."""
+        return list(self._sorted())
+
+    def missing_in_range(self, low: int, high: int) -> List[int]:
+        """Sequence numbers in ``[low, high]`` the node does not hold."""
+        if high < low:
+            return []
+        start = max(low, self._low_water)
+        held = self._sequences
+        return [seq for seq in range(start, high + 1) if seq not in held]
+
+    def recovery_range(self, span: int) -> Tuple[int, int]:
+        """The (Low, High) range of sequences the node is interested in.
+
+        The receiver "requests data within the range (Low, High) of sequence
+        numbers based on what it has received"; the range trails the highest
+        sequence seen by ``span`` packets and advances over time (Figure 4b).
+        A node that has received nothing yet anchors the range at its
+        low-water mark — for a fresh node that is sequence 0, while a node
+        that *joined* mid-stream starts at the stream position it was primed
+        with rather than asking peers for long-expired data.
+        """
+        if span <= 0:
+            raise ValueError("span must be positive")
+        high = self._highest
+        if high < 0:
+            return (self._low_water, self._low_water + span - 1)
+        low = max(self._low_water, high - span + 1)
+        return (low, high)
+
+    # ------------------------------------------------------------- summaries
+    def summary_ticket(
+        self, window: Optional[int] = None, sample_stride: int = 1,
+        incremental: bool = False,
+    ) -> SummaryTicket:
+        """Build the node's current summary ticket.
+
+        ``window`` restricts the ticket to the most recent ``window`` sequence
+        numbers (the paper keeps tickets over a bounded working set so they
+        reflect *recent* content rather than everything ever received).
+        ``sample_stride`` > 1 sub-samples the window before sketching — a
+        simulation-performance knob.  Sampling is by *value* (only sequence
+        numbers divisible by the stride are sketched) so that every node
+        samples the same universe subset and resemblance estimates between
+        nodes remain comparable.
+
+        ``incremental`` reuses the previous build: min-wise entries are
+        monotone under inserts, so only keys that entered the window since
+        last time are folded in, and only entries whose minimum was achieved
+        by a key that *left* the window are re-sketched from scratch.  The
+        result is identical to a full rebuild (ties resolve to the smallest
+        key in both paths); the flag exists so the pre-incremental hot path
+        stays available for benchmarks.
+        """
+        if sample_stride < 1:
+            raise ValueError("sample_stride must be >= 1")
+        ordered = self._sorted()
+        if window is not None:
+            if window <= 0:
+                raise ValueError("window must be positive")
+            keys = ordered[-window:]
+        else:
+            keys = ordered
+        if sample_stride > 1:
+            sampled = [key for key in keys if key % sample_stride == 0]
+            # Fall back to the full window when the value-based sample is too
+            # thin to say anything (tiny working sets early in a run).
+            if len(sampled) >= self.ticket_entries:
+                keys = sampled
+        if incremental:
+            return self._incremental_ticket(keys, (window, sample_stride))
+        ticket = SummaryTicket(num_entries=self.ticket_entries, seed=self.ticket_seed)
+        ticket.update(keys)
+        return ticket
+
+    def _incremental_ticket(
+        self, keys: List[int], params: Tuple[Optional[int], int]
+    ) -> SummaryTicket:
+        """Min-wise sketch of ``keys``, diffed against the previous build."""
+        coefficients = permutation_coefficients(self.ticket_entries, seed=self.ticket_seed)
+        universe = DEFAULT_UNIVERSE
+        key_set = set(keys)
+        state = self._ticket_sketch
+        if state is not None and state[0] == params:
+            _, old_keys, entries, min_keys = state
+            entries = list(entries)
+            min_keys = list(min_keys)
+            removed = old_keys - key_set
+            added = key_set - old_keys
+            if removed:
+                # Entries whose minimum left the window lose their witness;
+                # re-sketch just those over the full key list.
+                for index in [
+                    i for i, owner in enumerate(min_keys) if owner in removed
+                ]:
+                    a, b = coefficients[index]
+                    if keys:
+                        value, owner = min(((a * k + b) % universe, k) for k in keys)
+                        entries[index], min_keys[index] = value, owner
+                    else:
+                        entries[index], min_keys[index] = None, -1
+            if added:
+                added_keys = sorted(added)
+                for index, (a, b) in enumerate(coefficients):
+                    value, owner = min(((a * k + b) % universe, k) for k in added_keys)
+                    current = entries[index]
+                    if (
+                        current is None
+                        or value < current
+                        or (value == current and owner < min_keys[index])
+                    ):
+                        entries[index], min_keys[index] = value, owner
+        elif keys:
+            entries = []
+            min_keys = []
+            for a, b in coefficients:
+                value, owner = min(((a * k + b) % universe, k) for k in keys)
+                entries.append(value)
+                min_keys.append(owner)
+        else:
+            entries = [None] * self.ticket_entries
+            min_keys = [-1] * self.ticket_entries
+        self._ticket_sketch = (params, key_set, entries, min_keys)
+        ticket = SummaryTicket(num_entries=self.ticket_entries, seed=self.ticket_seed)
+        ticket._entries = list(entries)
+        return ticket
+
+    def bloom_filter(
+        self, expected_items: Optional[int] = None, false_positive_rate: float = 0.01
+    ) -> FifoBloomFilter:
+        """Build a Bloom filter describing the *recent* working set.
+
+        Bullet's filters only ever describe the sequences a node still cares
+        about recovering (the paper prunes low sequence numbers from the
+        filter), so the filter is built over the most recent
+        ``expected_items`` sequences; everything older is implicitly treated
+        as already held (the FIFO filter's window floor).
+
+        This is the from-scratch construction; the protocol hot path uses
+        :meth:`bloom_snapshot`, which maintains the same filter
+        incrementally and exports frozen copies.
+        """
+        population = max(len(self._sequences), 1)
+        capacity = expected_items if expected_items is not None else max(population, 128)
+        recent = self._sorted()[-capacity:]
+        bloom = FifoBloomFilter.with_capacity(capacity, false_positive_rate, window=capacity)
+        if recent:
+            bloom.advance_window(recent[0])
+        bloom.update(recent)
+        return bloom
+
+    def bloom_snapshot(
+        self, expected_items: Optional[int] = None, false_positive_rate: float = 0.01
+    ) -> BloomSnapshot:
+        """A frozen Bloom filter over the recent working set, incrementally.
+
+        Observationally equivalent to ``bloom_filter(...)`` with the same
+        parameters, but the underlying filter is maintained insert-by-insert
+        and the export is a byte copy; consecutive calls with an unchanged
+        working set return the *same* snapshot object, which downstream code
+        uses to recognise "nothing changed since the last refresh".
+        """
+        population = max(len(self._sequences), 1)
+        capacity = expected_items if expected_items is not None else max(population, 128)
+        params = (capacity, false_positive_rate)
+        if self._live_bloom is None or self._live_bloom_params != params:
+            live = FifoBloomFilter.with_capacity(
+                capacity, false_positive_rate, window=capacity
+            )
+            live.update(self._sorted())
+            self._live_bloom = live
+            self._live_bloom_params = params
+            self._snapshot_cache = None
+        assert self._live_bloom is not None
+        if self._snapshot_cache is None or self._snapshot_version != self._live_bloom.version:
+            self._snapshot_cache = self._live_bloom.snapshot()
+            self._snapshot_version = self._live_bloom.version
+        return self._snapshot_cache
+
+    @property
+    def bloom_version(self) -> int:
+        """Version of the live Bloom filter (0 until first snapshot request)."""
+        return self._live_bloom.version if self._live_bloom is not None else 0
+
+    def sequences_in_range(self, low: int, high: int) -> List[int]:
+        """Held sequence numbers within ``[low, high]``, sorted ascending."""
+        if high < low:
+            return []
+        ordered = self._sorted()
+        return ordered[bisect_left(ordered, low) : bisect_right(ordered, high)]
+
+    def duplicate_fraction(self) -> float:
+        """Fraction of all receives that were duplicates."""
+        total = self.total_received + self.total_duplicates
+        return self.total_duplicates / total if total else 0.0
+
+
+def on_packet_loop(node, sequences, from_node, via_peer) -> Tuple[int, int]:
+    """Per-packet reception exactly as ``BulletNode.on_packet`` used to do it.
+
+    ``node`` is a real :class:`~repro.core.bullet_node.BulletNode` whose
+    ``working_set`` has been swapped for the oracle above.
+    """
+    useful_count = 0
+    for sequence in sequences:
+        useful = node.working_set.add(sequence)
+        if useful:
+            node.newly_received.append(sequence)
+            node._period_useful_packets += 1
+            useful_count += 1
+        if via_peer and from_node is not None:
+            record = node.peers.senders.get(from_node)
+            if record is not None:
+                if useful:
+                    record.useful_packets += 1
+                    record.period_useful += 1
+                else:
+                    record.duplicate_packets += 1
+                    record.period_duplicates += 1
+    return useful_count, len(sequences) - useful_count
+
+
+def offer_new_packet_loop(queue, sequences) -> None:
+    """Per-packet offers exactly as ``SenderQueue.offer_new_packet`` used to."""
+    for sequence in sequences:
+        if queue.request is None:
+            return
+        if sequence in queue.already_sent:
+            continue
+        if queue.request.wants(sequence):
+            index = bisect_left(queue.pending, sequence)
+            if index < len(queue.pending) and queue.pending[index] == sequence:
+                continue
+            queue.pending.insert(index, sequence)

@@ -107,13 +107,16 @@ class TestWorkingSet:
         ws = WorkingSet()
         ws.update([1, 4, 6, 9, 15])
         view = ws.sequences_in_range_view(1, 15)
-        # No copy: the view windows the cached sorted list itself.
+        # No copy: the view windows the working set's ascending list itself.
         assert view._data is ws._sorted()
-        # Later mutations replace the cache wholesale; the view still sees
-        # the content it was taken over (a stable snapshot).
+        # The first mutation after a view copies the list (once); the view
+        # still sees the content it was taken over (a stable snapshot).
         ws.add(7)
         assert list(view) == [1, 4, 6, 9, 15]
         assert ws.sequences_in_range(1, 15) == [1, 4, 6, 7, 9, 15]
+        unshared = ws._sorted()
+        ws.add(8)
+        assert ws._sorted() is unshared
 
     def test_view_is_read_only(self):
         ws = WorkingSet()
@@ -221,9 +224,9 @@ class TestBloomSnapshotEquivalence:
         st.integers(min_value=0, max_value=250),
     )
     def test_snapshot_matches_from_scratch_build(self, sequences, prune_at):
-        """The maintained filter's snapshot == the historical rebuild."""
+        """The derived snapshot == the from-scratch filter build."""
         incremental = WorkingSet(prune_window=64)
-        incremental.bloom_snapshot(expected_items=48)  # arm the live filter
+        incremental.bloom_snapshot(expected_items=48)  # an early read must not pin later ones
         reference = WorkingSet(prune_window=64)
         for sequence in sequences:
             incremental.add(sequence)

@@ -7,9 +7,12 @@ picks, every queried pair must agree on links, delay, loss and bottleneck —
 and attribute mutations must never trigger route re-solves in the engine.
 """
 
+import heapq
+
 from hypothesis import given, settings, strategies as st
 
 from repro.topology.generator import TopologyConfig, generate_topology
+from repro.topology.graph import Topology
 from repro.topology.links import LinkType
 from repro.util.rng import SeededRng
 
@@ -113,3 +116,85 @@ def test_attribute_mutations_never_resolve_routes(seed, loss_rounds):
             engine_topo.path(src, dst)
     assert engine_topo.routing_stats.dijkstra_runs == solves
     assert engine_topo.routing_stats.paths_extracted == extractions
+
+
+# ------------------------------------------------- stub hosts skip the heap
+def reference_tree(topology, src):
+    """Textbook binary-heap Dijkstra that queues every relaxed node."""
+    adjacency = [[] for _ in range(topology.num_nodes)]
+    for link in topology.links:
+        adjacency[link.src].append((link.dst, link.routing_metric_s, link.index))
+    dist = [float("inf")] * topology.num_nodes
+    parent = [-1] * topology.num_nodes
+    dist[src] = 0.0
+    heap = [(0.0, src)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist[u]:
+            continue
+        for v, weight, index in adjacency[u]:
+            if d + weight < dist[v]:
+                dist[v] = d + weight
+                parent[v] = index
+                heapq.heappush(heap, (d + weight, v))
+    return parent
+
+
+def assert_trees_match_reference(topology):
+    for src in range(topology.num_nodes):
+        assert list(topology.routing.shortest_path_tree(src)) == reference_tree(topology, src)
+
+
+#: Delays come from a handful of values so equal-cost paths are common: the
+#: skipped pushes must not change which of them a solve settles on.
+delays = st.sampled_from([0.001, 0.002, 0.003, 0.005])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    spanning=st.lists(st.tuples(st.integers(0, 10**6), delays), min_size=1, max_size=7),
+    chords=st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), delays), max_size=6),
+    leaves=st.lists(st.tuples(st.integers(0, 7), delays), min_size=1, max_size=10),
+)
+def test_stub_host_skip_leaves_every_tree_unchanged(spanning, chords, leaves):
+    """Random duplex router graphs with single-homed hosts hanging off them."""
+    topo = Topology()
+    routers = len(spanning) + 1
+    for router in range(routers):
+        topo.add_node(router, "stub")
+    cabled = set()
+
+    def cable(a, b, delay):
+        if a != b and (a, b) not in cabled:
+            cabled.update({(a, b), (b, a)})
+            topo.add_duplex_link(a, b, LinkType.STUB_STUB, 1000.0, delay)
+
+    for router, (pick, delay) in enumerate(spanning, start=1):
+        cable(router, pick % router, delay)
+    for a, b, delay in chords:
+        cable(a % routers, b % routers, delay)
+    for offset, (attach, delay) in enumerate(leaves):
+        topo.add_node(routers + offset, "client")
+        topo.add_duplex_link(
+            routers + offset, attach % routers, LinkType.CLIENT_STUB, 1000.0, delay
+        )
+    assert_trees_match_reference(topo)
+    assert sum(topo.routing._stub) >= len(leaves)
+
+
+def test_leaf_looking_node_with_a_second_in_link_is_not_skipped():
+    """One out-link, but reachable from two routers: it can be a transit hop.
+
+    The only cheap way from router 1 to router 0 is 1 -> host 2 -> 0; a solve
+    that settled host 2 without queueing it would route 1 -> 0 directly.
+    """
+    topo = Topology()
+    topo.add_node(0, "stub")
+    topo.add_node(1, "stub")
+    topo.add_node(2, "client")
+    topo.add_duplex_link(0, 1, LinkType.STUB_STUB, 1000.0, 0.050)
+    topo.add_duplex_link(2, 0, LinkType.CLIENT_STUB, 1000.0, 0.001)
+    shortcut = topo.add_link(1, 2, LinkType.CLIENT_STUB, 1000.0, 0.001)
+    assert_trees_match_reference(topo)
+    assert not topo.routing._stub[2]
+    assert topo.path(1, 0).links == (shortcut.index, topo.link_between(2, 0).index)
