@@ -1,4 +1,4 @@
-"""Golden export digests of three miniature runs.
+"""Golden export digests of four miniature runs.
 
 Byte-identity has so far been proven against the legacy twins; these
 literals make it rest on something that survives the twins.  Each digest is
@@ -19,6 +19,8 @@ import pytest
 
 from repro.core.config import BulletConfig
 from repro.experiments.harness import ExperimentConfig, run_experiment
+from repro.experiments.session import ExperimentSession
+from repro.hierarchy.sharding import ShardedSession
 from repro.report.catalog import flatten_export
 from repro.report.manifest import canonical_json, export_digest
 
@@ -66,14 +68,17 @@ def _clustered(shard_workers: int) -> ExperimentConfig:
     )
 
 
-def _digest(config: ExperimentConfig) -> str:
-    result = run_experiment(config)
+def _export_digest(result) -> str:
     export = {
         field.name: getattr(result, field.name)
         for field in dataclasses.fields(result)
         if field.name not in ("config", "failure_time_s")
     }
     return export_digest(canonical_json(flatten_export(export)).encode())
+
+
+def _digest(config: ExperimentConfig) -> str:
+    return _export_digest(run_experiment(config))
 
 
 @pytest.mark.parametrize(
@@ -90,3 +95,72 @@ def _digest(config: ExperimentConfig) -> str:
 )
 def test_export_digest_matches_the_committed_literal(config, expected):
     assert _digest(config) == expected
+
+
+# ------------------------------------------------- three-level churn miniature
+THREE_LEVEL_CHURN = "sha256:3498b702a5369063c35d11ac253495ed1c542955858a44e4c444692022859ec2"
+
+
+def _three_level_churn_digest(shard_workers: int) -> str:
+    """A three-level run through every membership path of the hierarchy.
+
+    A super-head fails at 8 s (its mesh seat passes to a surviving leaf head
+    of its group, its own leaf cluster promotes and rejoins the group), a
+    non-mesh leaf head at 14 s, a plain interior at 20 s; two joiners arrive
+    at 12 s and 18 s.  Victims are picked from the built structure, so the
+    literal pins the layout as well as the trajectory.
+    """
+    config = ExperimentConfig(
+        system="bullet-clustered",
+        n_overlay=80,
+        cluster_size=6,
+        hierarchy_levels=3,
+        churn_joins=2,
+        join_start_s=12.0,
+        join_duration_s=6.0,
+        duration_s=36.0,
+        sample_interval_s=2.0,
+        seed=3,
+        shard_workers=shard_workers,
+        bullet=BulletConfig(seed=3, working_set_window=768),
+    )
+    session = (ShardedSession if shard_workers >= 2 else ExperimentSession)(config)
+    system = session.system
+    try:
+        super_head = next(
+            head
+            for head in sorted(system._mesh_seen)
+            if head != system.source
+            and system._mids[system._mid_of[head]].live_interiors()
+        )
+        leaf_head = next(
+            mid.live_interiors()[0]
+            for mid in system._mids
+            if mid.root not in (system.source, super_head) and mid.live_interiors()
+        )
+        interior = next(
+            cluster.live_interiors()[0]
+            for cluster in system._clusters
+            if cluster.root not in (super_head, leaf_head) and cluster.live_interiors()
+        )
+        session.drive(8.0)
+        system.fail_node(super_head)
+        assert super_head not in system._mesh_seen  # the mesh seat moved
+        session.drive(6.0)
+        system.fail_node(leaf_head)
+        session.drive(6.0)
+        system.fail_node(interior)
+        session.drive(16.0)
+        assert all(event.fired for event in session.injector.join_events)
+        result = session.collect()
+    finally:
+        system.shutdown_sharding()
+    gone = {super_head, leaf_head, interior}
+    assert gone.isdisjoint(result.per_node_bandwidth_final)
+    assert len(result.per_node_bandwidth_final) == 80 - 1 - 3 + 2
+    return _export_digest(result)
+
+
+@pytest.mark.parametrize("shard_workers", [0, 2], ids=["serial", "sharded"])
+def test_three_level_churn_digest_matches_the_committed_literal(shard_workers):
+    assert _three_level_churn_digest(shard_workers) == THREE_LEVEL_CHURN
