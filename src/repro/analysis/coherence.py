@@ -10,7 +10,7 @@ would catch.  Each module owning such a cache declares a module-level
     CACHE_INVARIANTS = {
         "Topology": {
             "scope": "tree",          # enforce across the whole scanned tree
-            "attrs": {                # attribute stored/deleted -> required bumps
+            "attrs": {                # attribute (or item of it) stored -> bumps
                 "loss_rate": ["note_loss_change"],
             },
             "calls": {                # "receiver.method" mutating call -> bumps
@@ -188,6 +188,10 @@ class CoherenceChecker:
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
             for target in targets:
+                # ``obj.attr[i] = x`` mutates what ``obj.attr`` holds just as
+                # ``obj.attr = x`` does.
+                while isinstance(target, ast.Subscript):
+                    target = target.value
                 if isinstance(target, ast.Attribute):
                     for table in tables:
                         bumps = table.attrs.get(target.attr)

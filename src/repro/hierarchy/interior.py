@@ -92,6 +92,8 @@ class InteriorCluster:
         self._loss_carry: List[float] = [0.0] * len(self.members)
         #: parent index per member; -1 = cluster root, -2 = detached (failed).
         self._parent: List[int] = [-1] * len(self.members)
+        #: Position of the current root in ``members`` (``_rebuild_tree`` sets it).
+        self._root_idx = 0
         self._rebuild_tree(self.members[0], self.members[1:])
         #: Cached numpy views per level, rebuilt after membership changes.
         self._level_arrays: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
@@ -109,6 +111,7 @@ class InteriorCluster:
         height, no RNG.  Detached members (failed) keep parent -2.
         """
         root_idx = self._index[root]
+        self._root_idx = root_idx
         self._parent[root_idx] = -1
         frontier: List[int] = [root_idx]
         child_counts: Dict[int, int] = {root_idx: 0}
@@ -126,13 +129,7 @@ class InteriorCluster:
 
     def _rebuild_levels(self) -> None:
         """Group live non-root members by tree depth (parents before children)."""
-        depth: Dict[int, int] = {}
-        root_idx = self._index[self.members[0]] if self.members else -1
-        # Heads may be replaced by promote(); find the current root instead.
-        for idx, parent in enumerate(self._parent):
-            if parent == -1:
-                root_idx = idx
-        depth[root_idx] = 0
+        depth: Dict[int, int] = {self._root_idx: 0}
         levels: List[List[int]] = []
         changed = True
         while changed:
@@ -153,10 +150,7 @@ class InteriorCluster:
     @property
     def root(self) -> int:
         """The current cluster root (the head, post-promotion aware)."""
-        for idx, parent in enumerate(self._parent):
-            if parent == -1:
-                return self.members[idx]
-        raise ValueError("cluster has no root")
+        return self.members[self._root_idx]
 
     def live_interiors(self) -> List[int]:
         """Live members other than the root, in member order."""
@@ -200,8 +194,7 @@ class InteriorCluster:
         if head_delta < 0:
             raise ValueError("head_delta must be non-negative")
         counts = self.counts
-        root_idx = self._index[self.root]
-        counts[root_idx] += head_delta
+        counts[self._root_idx] += head_delta
         for level in self._levels:
             for idx in level:
                 parent = self._parent[idx]
@@ -245,7 +238,7 @@ class InteriorCluster:
         cap_carry = np.array(self._cap_carry, dtype=np.float64)
         loss_rate = np.array(self._loss_rate, dtype=np.float64)
         loss_carry = np.array(self._loss_carry, dtype=np.float64)
-        root_idx = self._index[self.root]
+        root_idx = self._root_idx
         zero = np.int64(0)
         for head_delta in head_deltas:
             if head_delta < 0:
@@ -389,10 +382,7 @@ class InteriorCluster:
     def _choose_join_parent(self) -> int:
         """Live member with the fewest children, shallowest, lowest id."""
         children_count: Dict[int, int] = {}
-        depth: Dict[int, int] = {}
-        for idx, parent in enumerate(self._parent):
-            if parent == -1:
-                depth[idx] = 0
+        depth: Dict[int, int] = {self._root_idx: 0}
         # Levels are parents-before-children, so one pass resolves depths.
         for level in self._levels:
             for idx in level:
@@ -458,6 +448,7 @@ class ClusterShard:
         cap_carry: List[float] = []
         loss_rate: List[float] = []
         loss_carry: List[float] = []
+        member_ids: List[int] = []
         root_globals: List[int] = []
         #: depth -> list of (global child index, global parent index).
         edge_levels: List[List[Tuple[int, int]]] = []
@@ -466,6 +457,7 @@ class ClusterShard:
             cluster = self._clusters[cluster_index]
             offset = len(counts)
             self._offsets[cluster_index] = offset
+            member_ids.extend(cluster.members)
             state = cluster.export_state()
             counts.extend(state["counts"])
             window.extend(state["window"])
@@ -473,7 +465,7 @@ class ClusterShard:
             cap_carry.extend(state["cap_carry"])
             loss_rate.extend(state["loss_rate"])
             loss_carry.extend(state["loss_carry"])
-            root_globals.append(offset + cluster._index[cluster.root])
+            root_globals.append(offset + cluster._root_idx)
             for depth, edges in enumerate(cluster.edge_levels()):
                 while len(edge_levels) <= depth:
                     edge_levels.append([])
@@ -482,6 +474,7 @@ class ClusterShard:
                 )
         # Authoritative at-rest state, global member order (float64: exact
         # for the integer counts/windows, native for the carries).
+        self._member_ids = np.array(member_ids, dtype=np.int64)
         self._counts = np.array(counts, dtype=np.float64)
         self._window = np.array(window, dtype=np.float64)
         self._cap_step_all = np.array(cap_step, dtype=np.float64)
@@ -523,29 +516,25 @@ class ClusterShard:
                 )
             )
 
-    def step_window(self, deltas_by_cluster: Dict[int, Sequence[int]]) -> None:
-        """Replay a barrier window of per-cluster head deltas, fused."""
-        if not deltas_by_cluster:
-            return
-        window_lengths = {len(deltas) for deltas in deltas_by_cluster.values()}
-        if len(window_lengths) != 1:
-            raise ValueError("all clusters must share the barrier window length")
-        steps = window_lengths.pop()
-        if steps == 0:
-            return
-        matrix = np.ascontiguousarray(
-            np.array(
-                [deltas_by_cluster[index] for index in self._order],
-                dtype=np.float64,
-            ).T
-        )
+    def step_window(self, deltas: np.ndarray) -> None:
+        """Replay a barrier window of head deltas, fused.
+
+        ``deltas`` is a ``steps x owned-clusters`` array: one row per
+        simulation step, one column per cluster in ascending cluster index.
+        """
+        matrix = np.ascontiguousarray(deltas, dtype=np.float64)
+        if matrix.ndim != 2 or matrix.shape[1] != len(self._order):
+            raise ValueError(
+                f"window must be steps x {len(self._order)} clusters,"
+                f" got shape {matrix.shape}"
+            )
         if (matrix < 0).any():
             raise ValueError("head deltas must be non-negative")
         levels = self._levels
         root_counts = self._root_counts
         parent_counts = [root_counts] + [level[2] for level in levels[:-1]]
-        for step in range(steps):
-            root_counts += matrix[step]
+        for head_deltas in matrix:
+            root_counts += head_deltas
             for above, level in zip(parent_counts, levels):
                 (_, parent_pos, counts, window,
                  cap_step, cap_carry, loss_rate, loss_carry) = level
@@ -572,23 +561,19 @@ class ClusterShard:
             self._cap_carry_all[child] = cap_carry
             self._loss_carry_all[child] = loss_carry
 
-    def take_windows(self) -> Dict[int, List[Tuple[int, int]]]:
-        """Drain per-cluster delivery windows, keyed by cluster index."""
+    def take_windows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Drain every owned window: (node ids, packets delivered) arrays.
+
+        Only members that received something appear, in global member order
+        (clusters by ascending index, members in cluster order).
+        """
         for (child, _, _, window, _, _, _, _) in self._levels:
             self._window[child] = window
             window[:] = 0.0
-        reports: Dict[int, List[Tuple[int, int]]] = {}
-        for cluster_index in self._order:
-            cluster = self._clusters[cluster_index]
-            offset = self._offsets[cluster_index]
-            segment = self._window[offset : offset + len(cluster.members)]
-            positions = np.nonzero(segment)[0]
-            reports[cluster_index] = [
-                (cluster.members[position], int(segment[position]))
-                for position in positions.tolist()
-            ]
-            segment[positions] = 0.0
-        return reports
+        positions = np.nonzero(self._window)[0]
+        delivered = self._window[positions].astype(np.int64)
+        self._window[positions] = 0.0
+        return self._member_ids[positions], delivered
 
     def _sync_back(self) -> None:
         """Write the fused state back into the member clusters."""

@@ -12,16 +12,21 @@ exploit that:
   arrive.  This is the serial mode's engine.
 * :class:`ProcessShardExecutor` — the sharded mode: buffers deltas on the
   main process and, at each barrier, ships one message per worker carrying
-  the whole window; workers replay it with the vectorized
-  :meth:`~repro.hierarchy.interior.InteriorCluster.step_batch` and return
-  per-node delivery windows.  Clusters are partitioned round-robin across
-  fork-spawned workers; the only traffic is head deltas out and window
-  counts back — exactly the head-boundary exchange the tentpole specifies.
+  the whole window as one ``steps x owned-clusters`` array; workers replay
+  it with the fused :class:`~repro.hierarchy.interior.ClusterShard` stepper
+  and answer with their drained delivery window.  Clusters are partitioned
+  round-robin across fork-spawned workers; the only traffic is head deltas
+  out and window counts back — exactly the head-boundary exchange the
+  tentpole specifies.
 
-Both executors expose the same interface and produce byte-identical delivery
-windows (the batch stepper replays the same IEEE-754 sequence as the scalar
-one), so a sharded run's exports match the serial run bit for bit — the
-equivalence suite and the CI determinism matrix both check this.
+Both executors expose the same interface.  ``flush()`` returns one
+:data:`WindowReport` per shard (the serial executor is one shard): two
+parallel int64 arrays, the ids of the nodes that received something since
+the last barrier and how many packets each received, which the system hands
+to the stats collector whole.  The reports hold the same (node, count)
+pairs in both modes (the fused stepper replays the same IEEE-754 sequence
+as the scalar one), so a sharded run's exports match the serial run bit for
+bit — the equivalence suite and the CI determinism matrix both check this.
 
 :class:`ShardedSession` is the thin session subclass that flips a clustered
 system into process-sharded mode before the first step and tears the workers
@@ -34,11 +39,13 @@ from __future__ import annotations
 import multiprocessing
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.experiments.session import ExperimentSession
 from repro.hierarchy.interior import ClusterShard, InteriorCluster
 
-#: One cluster's flushed delivery window: (node, useful packets) pairs.
-WindowReport = List[Tuple[int, int]]
+#: One shard's flushed delivery window: (node ids, useful packets) arrays.
+WindowReport = Tuple[np.ndarray, np.ndarray]
 
 
 class SerialShardExecutor:
@@ -53,8 +60,10 @@ class SerialShardExecutor:
             cluster.step(delta)
 
     def flush(self) -> List[WindowReport]:
-        """Drain per-cluster delivery windows, in cluster order."""
-        return [cluster.take_window() for cluster in self.clusters]
+        """Drain every cluster's delivery window, in cluster order."""
+        pairs = [pair for cluster in self.clusters for pair in cluster.take_window()]
+        report = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        return [(report[:, 0], report[:, 1])]
 
     def fail_interior(self, cluster_index: int, node: int) -> None:
         self.clusters[cluster_index].fail_interior(node)
@@ -92,10 +101,8 @@ def _worker_loop(conn, clusters: Dict[int, InteriorCluster], head_host=None) -> 
             command = conn.recv()
             kind = command[0]
             if kind == "run":
-                windows: Dict[int, List[int]] = command[1]
-                shard.step_window(windows)
-                reports = shard.take_windows()
-                conn.send({index: reports[index] for index in windows})
+                shard.step_window(command[1])
+                conn.send(shard.take_windows())
             elif kind.startswith("mesh_"):
                 if head_host is None:  # pragma: no cover - protocol misuse guard
                     raise ValueError("no head host attached to this shard worker")
@@ -124,7 +131,7 @@ class ProcessShardExecutor:
     so tree shape, liveness and roots stay queryable on the main side, while
     packet counts advance only in the workers (the mirror's counts go stale
     and are never read).  Deltas are buffered per step and shipped once per
-    flush — one pickled dict per worker per barrier.
+    flush — one pickled array per worker per barrier.
     """
 
     @staticmethod
@@ -151,20 +158,16 @@ class ProcessShardExecutor:
             raise ValueError(
                 f"expected {self.workers} head hosts, got {len(head_hosts)}"
             )
-        #: cluster index -> worker index (round-robin partition).
-        self._owner: List[int] = [
-            index % self.workers for index in range(len(self.clusters))
-        ]
         self._pending: List[List[int]] = []
         context = multiprocessing.get_context("fork")
         self._connections = []
         self._processes = []
         for worker in range(self.workers):
             parent_conn, child_conn = context.Pipe(duplex=True)
+            # Round-robin partition: worker w owns clusters w, w + workers, ...
             owned = {
-                index: cluster
-                for index, cluster in enumerate(self.clusters)
-                if self._owner[index] == worker
+                index: self.clusters[index]
+                for index in range(worker, len(self.clusters), self.workers)
             }
             host = head_hosts[worker] if head_hosts is not None else None
             process = context.Process(
@@ -183,39 +186,33 @@ class ProcessShardExecutor:
         self._pending.append(list(deltas))
 
     def flush(self) -> List[WindowReport]:
-        """Barrier: ship buffered windows, gather per-cluster reports."""
-        window_length = len(self._pending)
-        per_worker: List[Dict[int, List[int]]] = [
-            {} for _ in range(self.workers)
-        ]
-        for cluster_index in range(len(self.clusters)):
-            per_worker[self._owner[cluster_index]][cluster_index] = [
-                step[cluster_index] for step in self._pending
-            ]
-        self._pending = []
-        if window_length == 0:
+        """Barrier: ship buffered windows, gather one report per worker."""
+        if not self._pending:
             # Nothing stepped since the last barrier; windows are empty by
             # construction, so skip the round-trip entirely.
-            return [[] for _ in self.clusters]
-        for connection, windows in zip(self._connections, per_worker):
-            connection.send(("run", windows))
-        reports: List[WindowReport] = [[] for _ in self.clusters]
+            return []
+        window = np.array(self._pending, dtype=np.int64)
+        self._pending = []
+        for worker, connection in enumerate(self._connections):
+            # The worker's own columns, in ascending cluster order.
+            connection.send(("run", window[:, worker :: self.workers]))
+        reports: List[WindowReport] = []
         for connection in self._connections:
             try:
-                worker_reports = connection.recv()
+                reports.append(connection.recv())
             except EOFError as error:  # pragma: no cover - worker crash guard
                 raise RuntimeError("shard worker died mid-run") from error
-            for cluster_index, report in worker_reports.items():
-                reports[cluster_index] = report
         return reports
 
-    def _command(self, cluster_index: int, command: Tuple) -> None:
+    def _require_barrier(self) -> None:
         if self._pending:
             raise RuntimeError(
                 "membership mutations require a flushed barrier; call flush()"
                 " before fail/promote/add"
             )
-        self._connections[self._owner[cluster_index]].send(command)
+
+    def _send(self, cluster_index: int, command: Tuple) -> None:
+        self._connections[cluster_index % self.workers].send(command)
 
     # --------------------------------------------------------- head-mesh RPCs
     # Synchronous request/reply exchanges for shard-owned head meshes.  Each
@@ -243,25 +240,32 @@ class ProcessShardExecutor:
         """Send one command to one worker and await its reply."""
         return self.mesh_scatter({worker: command})[worker]
 
+    # Membership mutations land on the structure mirror first: it validates
+    # them, so a mutation it rejects raises here and never reaches (and
+    # kills) the worker.
     def fail_interior(self, cluster_index: int, node: int) -> None:
-        self._command(cluster_index, ("fail", cluster_index, node))
+        self._require_barrier()
         self.clusters[cluster_index].fail_interior(node)
+        self._send(cluster_index, ("fail", cluster_index, node))
 
     def promote(self, cluster_index: int, new_head: int) -> None:
-        self._command(cluster_index, ("promote", cluster_index, new_head))
+        self._require_barrier()
         self.clusters[cluster_index].promote(new_head)
+        self._send(cluster_index, ("promote", cluster_index, new_head))
 
     def add_interior(
         self, cluster_index: int, node: int, cap_kbps: float, loss_rate: float
     ) -> int:
-        """Attach a joiner in both the worker and the structure mirror.
+        """Attach a joiner in both the structure mirror and the worker.
 
         The mirror's deterministic parent choice matches the worker's (it
         depends on tree structure only, which the two sides share), so the
         returned parent needs no worker round-trip.
         """
-        self._command(cluster_index, ("add", cluster_index, node, cap_kbps, loss_rate))
-        return self.clusters[cluster_index].add_interior(node, cap_kbps, loss_rate)
+        self._require_barrier()
+        parent = self.clusters[cluster_index].add_interior(node, cap_kbps, loss_rate)
+        self._send(cluster_index, ("add", cluster_index, node, cap_kbps, loss_rate))
+        return parent
 
     def shutdown(self) -> None:
         """Stop the workers; idempotent."""

@@ -26,9 +26,17 @@ executor buffers deltas and replays them at the next barrier
 (:meth:`ClusteredBullet.receivers`, which the session calls at every
 sampling point, and every membership event).  Mid clusters are always
 stepped on the main process — there are only ~mesh-member-count of them.
-Either way the flushed per-node delivery windows land in the shared
-:class:`~repro.network.stats.StatsCollector` through
-``record_receive_counts`` — byte-identical in both modes.
+A barrier drains each shard's delivery window as two arrays (node ids,
+packet counts) and hands them whole to the shared
+:class:`~repro.network.stats.StatsCollector`
+(``record_receive_counts_many``: one call per shard, not one per node) —
+the same counts in both modes, so every export is byte-identical.
+
+``receivers()`` is that barrier *and* the membership query, but only the
+barrier is paid every time: the sorted membership is cached and dropped
+only by what changes it — ``fail_node``, ``add_node`` and the promotions
+they trigger (declared in ``CACHE_INVARIANTS`` below, so
+``python -m repro.analysis`` flags a mutation that forgets to).
 
 With ``shard_workers >= 2`` the head mesh itself also shards: each worker's
 :class:`~repro.hierarchy.headmesh.HeadHost` owns the Bullet nodes whose leaf
@@ -66,6 +74,30 @@ from repro.hierarchy.sharding import ProcessShardExecutor, SerialShardExecutor
 from repro.network.simulator import NetworkSimulator
 from repro.topology.landmarks import build_estimator
 from repro.trees.random_tree import build_random_tree
+
+#: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
+#: ``_receivers`` caches the sorted live membership; everything that changes
+#: who is a live receiver — the executor's and the mid clusters' membership
+#: mutations, the mesh's, a cluster or head group dying — must drop it.
+CACHE_INVARIANTS = {
+    "ClusteredBullet": {
+        "scope": "module",
+        "attrs": {
+            "_dead_clusters": ["_receivers"],
+            "_mid_dead": ["_receivers"],
+        },
+        "calls": {
+            "_executor.fail_interior": ["_receivers"],
+            "_executor.promote": ["_receivers"],
+            "_executor.add_interior": ["_receivers"],
+            "_mesh_driver.fail_node": ["_receivers"],
+            "_mesh_driver.add_node": ["_receivers"],
+            "mid.fail_interior": ["_receivers"],
+            "mid.promote": ["_receivers"],
+            "mid.add_interior": ["_receivers"],
+        },
+    },
+}
 
 
 class ClusteredBullet:
@@ -180,6 +212,8 @@ class ClusteredBullet:
         self._mesh_seen: Dict[int, int] = {member: 0 for member in mesh_members}
         #: Leaf clusters whose head died with no survivor to promote.
         self._dead_clusters: List[bool] = [False] * len(self._clusters)
+        #: Sorted live non-source membership; ``None`` = rebuild on next read.
+        self._receivers: Optional[List[int]] = None
         self._stepped = False
 
     # --------------------------------------------------------------- plumbing
@@ -308,26 +342,28 @@ class ClusteredBullet:
         barriers, so the stats stream — and every export derived from it —
         is byte-identical across modes.
         """
-        for report in self._executor.flush():
-            for node, useful in report:
-                self.stats.record_receive_counts(node, useful, from_parent=True)
+        for nodes, useful in self._executor.flush():
+            self.stats.record_receive_counts_many(nodes, useful)
 
     def receivers(self) -> List[int]:
         """All live non-source members: mesh, mid interiors, leaf interiors.
 
         Doubles as the step barrier: the session calls this exactly at each
         sampling point (and result collection), so interior windows are
-        flushed to stats before every read.
+        flushed to stats before every read.  The membership itself is
+        cached between membership events; callers get their own copy.
         """
         self._flush_interiors()
-        nodes = list(self.mesh.receivers())
-        for mid_index, mid in enumerate(self._mids):
-            if not self._mid_dead[mid_index]:
-                nodes.extend(mid.live_interiors())
-        for index, cluster in enumerate(self._clusters):
-            if not self._dead_clusters[index]:
-                nodes.extend(cluster.live_interiors())
-        return sorted(nodes)
+        if self._receivers is None:
+            nodes = list(self.mesh.receivers())
+            for mid_index, mid in enumerate(self._mids):
+                if not self._mid_dead[mid_index]:
+                    nodes.extend(mid.live_interiors())
+            for index, cluster in enumerate(self._clusters):
+                if not self._dead_clusters[index]:
+                    nodes.extend(cluster.live_interiors())
+            self._receivers = sorted(nodes)
+        return list(self._receivers)
 
     # ------------------------------------------------------------- membership
     def fail_node(self, node: int) -> None:
@@ -340,6 +376,7 @@ class ClusteredBullet:
         if self._dead_clusters[index]:
             raise ValueError(f"node {node} belongs to a dead cluster")
         self._flush_interiors()
+        self._receivers = None
         cluster = self._clusters[index]
         if cluster.root != node:
             self._executor.fail_interior(index, node)
@@ -369,6 +406,7 @@ class ClusteredBullet:
         the node's own leaf cluster promotes independently and rejoins the
         group as a mid interior.
         """
+        self._receivers = None
         mid_index = self._mid_of.get(node)
         if mid_index is None:
             # Two-level layout: the promoted interior takes the mesh seat.
@@ -435,6 +473,7 @@ class ClusteredBullet:
         self, node: int, index: int, promoted: Optional[int]
     ) -> None:
         """A non-mesh leaf head died (levels=3): promote within its group."""
+        self._receivers = None
         mid_index = self._mid_of.get(node)
         if mid_index is None:  # pragma: no cover - membership invariant guard
             raise ValueError(f"leaf head {node} belongs to no head group")
@@ -476,6 +515,7 @@ class ClusteredBullet:
             )
             index = self._cluster_of[head]
         self._flush_interiors()
+        self._receivers = None
         chosen = self._executor.add_interior(
             index,
             node,

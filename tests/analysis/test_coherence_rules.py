@@ -1,6 +1,11 @@
 """Fixture pairs for the cache-coherence rule (COH001) and its tables."""
 
 import textwrap
+from pathlib import Path
+
+import pytest
+
+SYSTEM_PY = Path(__file__).resolve().parents[2] / "src/repro/hierarchy/system.py"
 
 
 def rules_of(findings):
@@ -86,6 +91,26 @@ class TestCoh001Attrs:
         """)})
         assert findings == []
 
+    def test_item_store_through_the_attribute_is_a_store(self, analyze):
+        # ``self.payload[i] = x`` changes what the cache was built from just
+        # as rebinding ``self.payload`` does.
+        findings = analyze({"mod.py": guarded("""
+            class Cache:
+                def poison(self, index, value):
+                    self.payload[index] = value
+
+                def nested(self, row, column, value):
+                    self.payload[row][column] = value
+
+                def store(self, index, value):
+                    self.payload[index] = value
+                    self.version += 1
+        """)})
+        assert rules_of(findings) == ["COH001", "COH001"]
+        assert all("payload" in finding.message for finding in findings)
+        assert "in poison()" in findings[0].message
+        assert "in nested()" in findings[1].message
+
     def test_declared_exempt_helper(self, analyze):
         findings = analyze({"mod.py": guarded("""
             class Cache:
@@ -116,6 +141,52 @@ class TestCoh001Calls:
                     self.version += 1
         """)})
         assert findings == []
+
+
+class TestClusteredBulletMembershipCache:
+    """The real table: ``receivers()``' cached membership in hierarchy/system.py."""
+
+    INVALIDATION = "        self._receivers = None\n"
+
+    def test_shipped_module_is_clean(self, analyze):
+        assert analyze({"system.py": SYSTEM_PY.read_text()}) == []
+
+    @pytest.mark.parametrize(
+        "function, unguarded",
+        [
+            ("fail_node", ["_executor.fail_interior()"]),
+            (
+                "_fail_mesh_member",
+                [
+                    "_mesh_driver.fail_node()",
+                    "_mesh_driver.add_node()",
+                    "_executor.promote()",
+                    "mid.promote()",
+                    "mid.add_interior()",
+                    "._dead_clusters",
+                    "._mid_dead",
+                ],
+            ),
+            (
+                "_fail_group_head",
+                ["mid.fail_interior()", "_executor.promote()", "._dead_clusters"],
+            ),
+            ("add_node", ["_executor.add_interior()"]),
+        ],
+    )
+    def test_dropped_invalidation_is_flagged(self, analyze, function, unguarded):
+        source = SYSTEM_PY.read_text()
+        start = source.index(f"    def {function}(")
+        drop = source.index(self.INVALIDATION, start)
+        # The invalidation being dropped is this function's own.
+        assert "\n    def " not in source[start + 1 : drop]
+        broken = source[:drop] + source[drop + len(self.INVALIDATION) :]
+        findings = analyze({"system.py": broken})
+        assert findings and set(rules_of(findings)) == {"COH001"}
+        assert all(f"in {function}()" in finding.message for finding in findings)
+        assert all("_receivers" in finding.message for finding in findings)
+        for mutation in unguarded:
+            assert any(mutation in finding.message for finding in findings), mutation
 
 
 class TestTreeScope:

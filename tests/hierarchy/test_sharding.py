@@ -1,5 +1,6 @@
 """Shard executors: serial vs process equality, barriers and lifecycle."""
 
+import numpy as np
 import pytest
 
 from repro.experiments.harness import ExperimentConfig
@@ -28,6 +29,41 @@ def make_clusters(count=5, size=9):
     return clusters
 
 
+def report_pairs(report):
+    """One array report as the (node, packets) pairs it stands for, in order."""
+    nodes, delivered = report
+    assert nodes.dtype == delivered.dtype == np.int64
+    assert nodes.shape == delivered.shape and nodes.ndim == 1
+    return list(zip(nodes.tolist(), delivered.tolist()))
+
+
+def scalar_pairs(clusters, order=None):
+    """Concatenated scalar ``take_window()`` of ``clusters`` (drains them)."""
+    order = range(len(clusters)) if order is None else order
+    return [pair for index in order for pair in clusters[index].take_window()]
+
+
+class Reference:
+    """Scalar clusters stepped alongside an executor, one step at a time."""
+
+    def __init__(self):
+        self.clusters = make_clusters()
+
+    def step(self, deltas):
+        for cluster, delta in zip(self.clusters, deltas):
+            cluster.step(delta)
+
+    def expected_reports(self, executor):
+        """What ``executor.flush()`` must return at this barrier, as pairs."""
+        if isinstance(executor, SerialShardExecutor):
+            return [scalar_pairs(self.clusters)]
+        # One report per worker: its round-robin clusters, ascending.
+        return [
+            scalar_pairs(self.clusters, range(worker, len(self.clusters), executor.workers))
+            for worker in range(executor.workers)
+        ]
+
+
 @pytest.fixture
 def executors():
     serial = SerialShardExecutor(make_clusters())
@@ -37,41 +73,62 @@ def executors():
 
 
 class TestExecutorEquality:
+    """Both executors' array reports equal concatenated scalar windows."""
+
     def test_windows_identical_across_barriers(self, executors):
-        serial, process = executors
-        for barrier in range(3):
-            for step in range(17):
-                deltas = [(step + barrier + index) % 5 for index in range(5)]
-                serial.enqueue_step(deltas)
-                process.enqueue_step(deltas)
-            assert serial.flush() == process.flush()
+        for executor in executors:
+            reference = Reference()
+            for barrier in range(3):
+                for step in range(17):
+                    deltas = [(step + barrier + index) % 5 for index in range(5)]
+                    reference.step(deltas)
+                    executor.enqueue_step(deltas)
+                expected = reference.expected_reports(executor)
+                assert any(expected)
+                assert [report_pairs(report) for report in executor.flush()] == expected
 
     def test_mutations_identical(self, executors):
-        serial, process = executors
-        for step in range(20):
-            deltas = [(step * 3 + index) % 4 for index in range(5)]
-            serial.enqueue_step(deltas)
-            process.enqueue_step(deltas)
-        assert serial.flush() == process.flush()
-        parents = []
-        for executor in (serial, process):
+        for executor in executors:
+            reference = Reference()
+
+            def run(steps, stride, modulus):
+                for step in range(steps):
+                    deltas = [(step * stride + index) % modulus for index in range(5)]
+                    reference.step(deltas)
+                    executor.enqueue_step(deltas)
+                expected = reference.expected_reports(executor)
+                assert [report_pairs(report) for report in executor.flush()] == expected
+
+            run(20, 3, 4)
+            scalar = reference.clusters
+            scalar[1].fail_interior(scalar[1].members[3])
+            scalar[2].promote(scalar[2].members[4])
+            expected_parent = scalar[3].add_interior(900, 310.0, 0.002)
             executor.fail_interior(1, executor.clusters[1].members[3])
             executor.promote(2, executor.clusters[2].members[4])
-            parents.append(executor.add_interior(3, 900, 310.0, 0.002))
-        assert parents[0] == parents[1]
-        for step in range(20):
-            deltas = [(step * 7 + index) % 3 for index in range(5)]
-            serial.enqueue_step(deltas)
-            process.enqueue_step(deltas)
-        assert serial.flush() == process.flush()
+            assert executor.add_interior(3, 900, 310.0, 0.002) == expected_parent
+            run(20, 7, 3)
 
-    def test_mirror_structure_tracks_worker(self, executors):
-        _, process = executors
-        victim = process.clusters[1].members[2]
-        process.fail_interior(1, victim)
-        assert victim not in process.clusters[1].live_interiors()
-        process.promote(4, process.clusters[4].members[1])
-        assert process.clusters[4].root == process.clusters[4].members[0]
+    def test_barrier_with_nothing_delivered_reports_empty_arrays(self, executors):
+        # Steps were enqueued, so the barrier is real, but no head had
+        # anything new: every report is a pair of empty int64 arrays.
+        for executor, shards in zip(executors, (1, 2)):
+            for _ in range(4):
+                executor.enqueue_step([0, 0, 0, 0, 0])
+            reports = executor.flush()
+            assert len(reports) == shards
+            assert [report_pairs(report) for report in reports] == [[]] * shards
+
+    def test_mirror_structure_tracks_worker(self):
+        process = ProcessShardExecutor(make_clusters(), workers=2)
+        try:
+            victim = process.clusters[1].members[2]
+            process.fail_interior(1, victim)
+            assert victim not in process.clusters[1].live_interiors()
+            process.promote(4, process.clusters[4].members[1])
+            assert process.clusters[4].root == process.clusters[4].members[0]
+        finally:
+            process.shutdown()
 
 
 class TestClusterShard:
@@ -87,33 +144,49 @@ class TestClusterShard:
 
     def test_fused_window_matches_scalar(self):
         scalar = make_clusters()
-        fused = make_clusters()
-        shard = ClusterShard(dict(enumerate(fused)))
+        shard = ClusterShard(dict(enumerate(make_clusters())))
         for barrier in range(3):
-            window = [
-                [(step * 5 + barrier + index) % 6 for step in range(23)]
-                for index in range(5)
-            ]
-            for step in range(23):
-                for cluster, deltas in zip(scalar, window):
-                    cluster.step(deltas[step])
-            shard.step_window(dict(enumerate(window)))
-            reports = shard.take_windows()
-            for index, cluster in enumerate(scalar):
-                assert reports[index] == cluster.take_window()
+            window = np.array(
+                [
+                    [(step * 5 + barrier + index) % 6 for index in range(5)]
+                    for step in range(23)
+                ]
+            )
+            for deltas in window.tolist():
+                for cluster, delta in zip(scalar, deltas):
+                    cluster.step(delta)
+            shard.step_window(window)
+            assert report_pairs(shard.take_windows()) == scalar_pairs(scalar)
+        # Drained: a second take reports nothing, as two empty arrays.
+        assert report_pairs(shard.take_windows()) == []
+
+    def test_owned_subset_reports_in_ascending_cluster_order(self):
+        # A worker's shard owns a round-robin subset; its window's columns
+        # and its report both follow ascending cluster index.
+        scalar = make_clusters()
+        owned = [3, 1]
+        shard = ClusterShard({index: make_clusters()[index] for index in owned})
+        window = np.array([[2 + step % 3, 1 + step % 2] for step in range(19)])
+        for first, second in window.tolist():
+            scalar[1].step(first)
+            scalar[3].step(second)
+        shard.step_window(window)
+        assert report_pairs(shard.take_windows()) == scalar_pairs(scalar, [1, 3])
 
     def test_fused_state_survives_mutations(self):
         scalar = make_clusters()
         fused = make_clusters()
         shard = ClusterShard(dict(enumerate(fused)))
-        window = [[(index + step) % 4 for step in range(15)] for index in range(5)]
-        for step in range(15):
-            for cluster, deltas in zip(scalar, window):
-                cluster.step(deltas[step])
-        shard.step_window(dict(enumerate(window)))
-        assert shard.take_windows() == {
-            index: cluster.take_window() for index, cluster in enumerate(scalar)
-        }
+        window = np.array([[(index + step) % 4 for index in range(5)] for step in range(15)])
+
+        def replay():
+            for deltas in window.tolist():
+                for cluster, delta in zip(scalar, deltas):
+                    cluster.step(delta)
+            shard.step_window(window)
+            assert report_pairs(shard.take_windows()) == scalar_pairs(scalar)
+
+        replay()
         scalar[1].fail_interior(scalar[1].members[3])
         shard.fail_interior(1, fused[1].members[3])
         scalar[2].promote(scalar[2].members[4])
@@ -121,34 +194,37 @@ class TestClusterShard:
         assert scalar[3].add_interior(900, 310.0, 0.002) == shard.add_interior(
             3, 900, 310.0, 0.002
         )
-        for step in range(15):
-            for cluster, deltas in zip(scalar, window):
-                cluster.step(deltas[step])
-        shard.step_window(dict(enumerate(window)))
-        assert shard.take_windows() == {
-            index: cluster.take_window() for index, cluster in enumerate(scalar)
-        }
+        replay()
         # Counts and carries — not just windows — agree after a sync.
         shard._sync_back()
         for reference, mirrored in zip(scalar, fused):
             assert self._state(reference) == self._state(mirrored)
 
     def test_mismatched_window_lengths_rejected(self):
+        # One column per owned cluster: a window of another width (or not a
+        # steps x clusters matrix at all) is refused before any stepping.
         shard = ClusterShard(dict(enumerate(make_clusters(count=2))))
-        with pytest.raises(ValueError, match="window length"):
-            shard.step_window({0: [1, 2], 1: [1]})
+        with pytest.raises(ValueError, match="steps x 2 clusters"):
+            shard.step_window(np.array([[1, 2, 3]]))
+        with pytest.raises(ValueError, match="steps x 2 clusters"):
+            shard.step_window(np.array([1, 2]))
+        assert report_pairs(shard.take_windows()) == []
 
     def test_negative_delta_rejected(self):
         shard = ClusterShard(dict(enumerate(make_clusters(count=2))))
         with pytest.raises(ValueError, match="non-negative"):
-            shard.step_window({0: [1, -1], 1: [1, 1]})
+            shard.step_window(np.array([[1, 1], [-1, 1]]))
 
 
 class TestProcessExecutorLifecycle:
     def test_empty_flush_skips_round_trip(self):
         process = ProcessShardExecutor(make_clusters(), workers=2)
         try:
-            assert process.flush() == [[] for _ in range(5)]
+            assert process.flush() == []
+            # ... and again right after a real barrier.
+            process.enqueue_step([1, 2, 3, 4, 5])
+            assert len(process.flush()) == 2
+            assert process.flush() == []
         finally:
             process.shutdown()
 
@@ -158,6 +234,31 @@ class TestProcessExecutorLifecycle:
             process.enqueue_step([1, 1, 1, 1, 1])
             with pytest.raises(RuntimeError, match="flush"):
                 process.fail_interior(0, process.clusters[0].members[1])
+        finally:
+            process.shutdown()
+
+    def test_rejected_mutation_leaves_workers_alive(self):
+        # The structure mirror validates first: a mutation it refuses must
+        # not reach the worker, whose loop would die on the same error and
+        # take the next barrier down with a reset pipe.
+        process = ProcessShardExecutor(make_clusters(), workers=2)
+        reference = Reference()
+        try:
+            victim = process.clusters[1].members[3]
+            process.fail_interior(1, victim)
+            reference.clusters[1].fail_interior(victim)
+            with pytest.raises(ValueError, match="already failed"):
+                process.fail_interior(1, victim)
+            with pytest.raises(ValueError, match="failed node"):
+                process.promote(1, victim)
+            with pytest.raises(ValueError, match="already a cluster member"):
+                process.add_interior(1, process.clusters[1].members[2], 300.0, 0.0)
+            for step in range(12):
+                deltas = [1 + (step + index) % 3 for index in range(5)]
+                reference.step(deltas)
+                process.enqueue_step(deltas)
+            expected = reference.expected_reports(process)
+            assert [report_pairs(report) for report in process.flush()] == expected
         finally:
             process.shutdown()
 

@@ -138,6 +138,92 @@ class TestInteriorFailure:
         system.fail_node(victim)
         assert victim not in system.receivers()
 
+    @pytest.mark.parametrize("shard_workers", [0, 2], ids=["serial", "sharded"])
+    def test_double_fail_raises_once_and_the_session_lives(self, shard_workers):
+        # The second fail is refused by the main-side structure; it must not
+        # reach (and kill) a shard worker, or the next barrier dies on a
+        # reset pipe.
+        session = make_session()
+        system = session.system
+        if shard_workers and not system.enable_sharding(shard_workers):
+            pytest.skip("fork start method unavailable")
+        try:
+            session.drive(4.0)
+            victim = system._clusters[1].live_interiors()[0]
+            system.fail_node(victim)
+            with pytest.raises(ValueError, match="already failed"):
+                system.fail_node(victim)
+            session.drive(4.0)
+            receivers = system.receivers()
+            assert victim not in receivers
+            assert len(receivers) == 32 - 1 - 1
+            stats = session.simulator.stats
+            survivor = system._clusters[1].live_interiors()[0]
+            assert stats.node_counters(survivor).useful_packets > 0
+        finally:
+            system.shutdown_sharding()
+
+
+class TestReceiversCache:
+    """``receivers()`` is cached; every membership path must refresh it."""
+
+    @staticmethod
+    def _rebuilt(system):
+        nodes = list(system.mesh.receivers())
+        for dead, mid in zip(system._mid_dead, system._mids):
+            if not dead:
+                nodes.extend(mid.live_interiors())
+        for dead, cluster in zip(system._dead_clusters, system._clusters):
+            if not dead:
+                nodes.extend(cluster.live_interiors())
+        return sorted(nodes)
+
+    def test_callers_get_their_own_copy(self):
+        system = make_session().system
+        first = system.receivers()
+        first.clear()
+        assert system.receivers() == self._rebuilt(system)
+
+    @pytest.mark.parametrize("levels", [2, 3])
+    def test_cache_follows_every_membership_event(self, levels):
+        session = make_session(n_overlay=60, hierarchy_levels=levels)
+        system = session.system
+        topology = session.workload.topology
+        spare = sorted(
+            host
+            for host in topology.client_nodes
+            if host not in set(session.workload.participants)
+        )
+        session.drive(3.0)
+        assert system.receivers() == self._rebuilt(system)
+        mesh_head = next(head for head in sorted(system._mesh_seen) if head != system.source)
+        interior = next(
+            cluster.live_interiors()[0]
+            for cluster in system._clusters
+            if cluster.root not in (system.source, mesh_head) and cluster.live_interiors()
+        )
+        events = [
+            lambda: system.fail_node(interior),
+            lambda: system.add_node(spare[0]),
+            lambda: system.fail_node(mesh_head),
+            lambda: system.add_node(spare[1]),
+        ]
+        if levels == 3:
+            leaf_head = next(
+                head
+                for mid in system._mids
+                if mid.root != mesh_head
+                for head in mid.live_interiors()
+            )
+            events.append(lambda: system.fail_node(leaf_head))
+        for event in events:
+            before = system.receivers()
+            event()
+            after = system.receivers()
+            assert after != before
+            assert after == self._rebuilt(system)
+            session.drive(1.0)
+
 
 class TestJoin:
     def test_join_routes_to_nearest_cluster(self):
