@@ -1,4 +1,4 @@
-"""Golden export digests of four miniature runs.
+"""Golden export digests: miniature runs and the CI determinism matrix.
 
 Byte-identity has so far been proven against the legacy twins; these
 literals make it rest on something that survives the twins.  Each digest is
@@ -11,14 +11,25 @@ rescans, which peer a node picks — moves at least one of them.
 The working-set windows are set below the stream length so every run
 exercises pruning; the churn miniature's window also undercuts the Bloom
 capacity (the "prune window narrower than the filter window" regime).
+
+The second half pins what the engine-twin equivalence suites used to prove
+by comparison: the three baselines, a lossy run, a worst-case failure, the
+PlanetLab workload, and the five command lines of CI's ``determinism`` job
+run in-process through :mod:`repro.cli`.
 """
 
 import dataclasses
+import hashlib
 
 import pytest
 
+from repro import cli
 from repro.core.config import BulletConfig
-from repro.experiments.harness import ExperimentConfig, run_experiment
+from repro.experiments.harness import (
+    ExperimentConfig,
+    run_experiment,
+    run_planetlab_experiment,
+)
 from repro.experiments.session import ExperimentSession
 from repro.hierarchy.sharding import ShardedSession
 from repro.report.catalog import flatten_export
@@ -164,3 +175,128 @@ def _three_level_churn_digest(shard_workers: int) -> str:
 @pytest.mark.parametrize("shard_workers", [0, 2], ids=["serial", "sharded"])
 def test_three_level_churn_digest_matches_the_committed_literal(shard_workers):
     assert _three_level_churn_digest(shard_workers) == THREE_LEVEL_CHURN
+
+
+# ------------------------------------- what the engine twins used to vouch for
+# Literals computed on the last commit that still carried the from-scratch
+# twins, where each was also asserted equal under ``--engines legacy``.
+BULLET = "sha256:5abca6e71e14f310992c1332200bd7faddfa392faec6dcff9d94dc23f823f208"
+STREAM = "sha256:3726fc68b599ad96035367a6e063e5d051018935c973d3a2649a437dc9ca7537"
+GOSSIP = "sha256:1e13b2b508415f4c80ab3b8048311532293013602104ccb09f5bdaa75c45e51b"
+ANTIENTROPY = "sha256:206b484302179bb24be5a780346589b70f72959c579501363e6598d0866f4295"
+LOSSY = "sha256:932d08350ac336cffb446b7036bc6d576c9c14e845bc8cc1261d7ad4eb74c240"
+FAIL_AT = "sha256:f3afa7809624e6d5a61444a459fe8dd285b17db464c45a6cefdad814d1c3b452"
+JOIN_CHURN_SMALL = "sha256:ddc580f52b70886b21480c5ca46f649e220db083fb01b7e75176a0c37008e983"
+BOTTLENECK_TREE = "sha256:a6136d720eabfaece47f949809abc1949333c759a66b03cbd533b8d1aa16fe32"
+OVERCAST_STREAM = "sha256:c60b10733b33704600c7c0560c5817684c4f26697b87e1eb0ee14af9437c5c88"
+PLANETLAB = "sha256:92a97b30e81d63342ff304c9e15b4969f43145eafe31c48e29e105f939133246"
+
+
+def _miniature(**overrides) -> ExperimentConfig:
+    parameters = dict(system="bullet", n_overlay=16, duration_s=40.0, seed=5)
+    parameters.update(overrides)
+    return ExperimentConfig(**parameters)
+
+
+_MINIATURES = {
+    "bullet": (dict(), BULLET),
+    "stream": (dict(system="stream"), STREAM),
+    "gossip": (dict(system="gossip"), GOSSIP),
+    "antientropy": (dict(system="antientropy"), ANTIENTROPY),
+    # The Section 4.5 loss model rides the routing engine's attribute cache.
+    "lossy": (dict(n_overlay=14, lossy=True, seed=7), LOSSY),
+    # fail_node must disarm the dead node's refresh wakeup.
+    "fail-at": (dict(failure_at_s=20.0, duration_s=50.0), FAIL_AT),
+    # Joins arm refresh wakeups whose staggered start may lie in the past.
+    "join-churn-small": (
+        dict(
+            n_overlay=12, churn_joins=8, churn_failures=2, join_start_s=8.0,
+            join_duration_s=12.0, duration_s=50.0, seed=4,
+        ),
+        JOIN_CHURN_SMALL,
+    ),
+    # Both offline tree constructions resolve underlay paths before any
+    # session exists.
+    "bottleneck-tree": (dict(tree_kind="bottleneck"), BOTTLENECK_TREE),
+    "overcast-stream": (dict(system="stream", tree_kind="overcast"), OVERCAST_STREAM),
+}
+
+
+@pytest.mark.parametrize("engines", [None, "legacy"], ids=["default", "legacy"])
+@pytest.mark.parametrize("name", list(_MINIATURES))
+def test_miniature_digest_matches_the_committed_literal(name, engines):
+    overrides, expected = _MINIATURES[name]
+    assert _digest(_miniature(engines=engines, **overrides)) == expected
+
+
+def test_planetlab_digest_matches_the_committed_literal():
+    result = run_planetlab_experiment(duration_s=60.0)
+    assert _export_digest(result) == PLANETLAB
+
+
+def test_planetlab_legacy_engines_match_the_committed_literal():
+    from repro.experiments.workloads import build_planetlab_workload
+    from repro.topology.planetlab import PlanetLabConfig
+
+    workload = build_planetlab_workload(PlanetLabConfig(seed=7), seed=7)
+    workload.topology.use_routing_engine = False
+    config = ExperimentConfig(
+        system="bullet", n_overlay=len(workload.testbed.sites), stream_rate_kbps=1500.0,
+        duration_s=60.0, seed=7, engines="legacy",
+    )
+    result = ExperimentSession(config, workload=workload, tree=workload.random_tree).run()
+    assert _export_digest(result) == PLANETLAB
+
+
+# --------------------------------------------------- CI determinism-matrix rows
+#: The command lines of CI's ``determinism`` job and the sha256 of what each
+#: writes (``series.csv`` followed by the ``--json`` stdout).  CI runs this
+#: test per row under ``PYTHONHASHSEED=1``, ``=2`` and ``REPRO_SHAKEOUT=1``.
+MATRIX = {
+    "steady": (
+        "--system bullet --nodes 30 --duration 120 --seed 3",
+        "sha256:0eb7ea12bf6c588da0b61a241f9b76796d2d386bc243a514aca707c77d233ce4",
+    ),
+    "join-churn": (
+        "--scenario flash-crowd --nodes 20 --joins 15 --churn 4 --duration 80 --seed 3",
+        "sha256:0a0429864ed30241b6f099db36594d5882bbdcd912486a58cc778ca0ea280895",
+    ),
+    "churn-heavy": (
+        "--scenario churn-heavy --nodes 30 --churn 8 --duration 100 --seed 3",
+        "sha256:2879aba22ba29ad2303ba352cd5f562eca57d3417c3b5a1e8b6de3b4f987c16b",
+    ),
+    "clustered": (
+        "--system bullet-clustered --nodes 36 --cluster-size 8 --duration 60 --seed 3",
+        "sha256:6a74237a4cc82efa68e3f54f665773669dca37e67fb97863aa0fb1e492936ded",
+    ),
+    # Head-count-capped smoke of the 100k preset: keeps the three-level plan
+    # and landmark estimator but shrinks the node count.  The base row pins
+    # --shard-workers 1 (serial); argparse keeps the last value given.
+    "scale-100k": (
+        "--scenario scale-100000 --nodes 96 --cluster-size 8 --duration 45 --seed 3"
+        " --shard-workers 1",
+        "sha256:90ab6741b1a66fe48ad63b01404aa1fd41be33ad45cb05a23e87b07e9116ba53",
+    ),
+}
+
+_MATRIX_ROWS = [pytest.param(args, digest, id=name) for name, (args, digest) in MATRIX.items()]
+# Forked shard workers — and on scale-100k the shard-owned head meshes — are
+# part of the determinism contract, not just a perf mode.
+_MATRIX_ROWS += [
+    pytest.param(MATRIX[name][0] + " --shard-workers 4", MATRIX[name][1], id=f"{name}-workers4")
+    for name in ("clustered", "scale-100k")
+]
+_MATRIX_ROWS += [
+    pytest.param(args + " --engines legacy", digest, id=f"{name}-legacy")
+    for name, (args, digest) in MATRIX.items()
+]
+
+
+@pytest.mark.parametrize("args, expected", _MATRIX_ROWS)
+def test_determinism_matrix_row_matches_the_committed_literal(
+    args, expected, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["run", *args.split(), "--csv", "series.csv", "--json"]) == 0
+    written = (tmp_path / "series.csv").read_bytes() + capsys.readouterr().out.encode()
+    assert "sha256:" + hashlib.sha256(written).hexdigest() == expected
