@@ -7,8 +7,7 @@ setting: ``scale-500`` / ``scale-1000`` steady-state dissemination,
 ``flash-crowd`` (400 receivers join a 100-node overlay mid-run, over a
 30-second arrival window) and ``churn-heavy`` (receivers keep departing
 while the stream is live).  They all lean on the incremental allocation
-and protocol engines — the from-scratch modes make the larger ones
-impractically slow.
+and protocol engines.
 
 Run one scenario at its full scale (minutes of wall-clock for the 500/1000
 node presets)::

@@ -30,6 +30,7 @@ from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
 from repro.reconcile.bloom import FifoBloomFilter
+from repro.sched.engine import StepEngine
 from repro.trees.tree import OverlayTree
 from repro.util.rng import SeededRng
 from repro.util.units import PACKET_SIZE_KBITS
@@ -87,16 +88,19 @@ class AntiEntropyStreaming(TreeStreaming):
         #: Per (helper, requester) pair: packets queued for recovery push.
         self._recovery_pending: Dict[Tuple[int, int], List[int]] = {}
         self.recovery_flows: Dict[Tuple[int, int], Flow] = {}
+        # A private engine until a session attaches its own.
+        self.attach_step_engine(StepEngine())
 
     # ----------------------------------------------------------- step engine
     def attach_step_engine(self, engine) -> None:
-        """Arm the anti-entropy round timer as a session wakeup.
+        """Arm the anti-entropy round timer as a step-engine wakeup.
 
-        With an engine attached the round timer is only polled when due, and
-        the channel pump is skipped on steps where no digests were sent and
-        nothing in flight arrives within the pump horizon.
+        The round timer is only polled when due, and the channel pump is
+        skipped on steps where no digests were sent and nothing in flight
+        arrives within the pump horizon.  (The streaming loop underneath is
+        purely data-driven and declares no wakeups of its own.)
         """
-        super().attach_step_engine(engine)
+        self._step_engine = engine
         engine.arm_timer(("antientropy", "round"), self._ae_timer, self.simulator.time)
 
     # ------------------------------------------------------------------ steps
@@ -105,22 +109,18 @@ class AntiEntropyStreaming(TreeStreaming):
         super().protocol_phase(now)
         engine = self._step_engine
         fired = False
-        if engine is None or ("antientropy", "round") in engine.due_set(now):
+        if ("antientropy", "round") in engine.due_set(now):
             if self._ae_timer.fire(now):
                 self._anti_entropy_round(now)
                 fired = True
-            if engine is not None:
-                engine.arm_timer(("antientropy", "round"), self._ae_timer, now)
+            engine.arm_timer(("antientropy", "round"), self._ae_timer, now)
         horizon = now + self.simulator.dt
-        skip_pump = False
-        if engine is not None and not fired:
+        due = self.control_channel.next_due()
+        if not fired and (due is None or due > horizon + 1e-12):
             # No digests left this step and nothing in flight is due by the
             # horizon: the pump would deliver nothing (handlers never send).
-            due = self.control_channel.next_due()
-            skip_pump = due is None or due > horizon + 1e-12
-            if skip_pump:
-                engine.note_skipped(1)
-        if not skip_pump:
+            engine.note_skipped(1)
+        else:
             self.control_channel.pump(horizon, self._handle_control)
         self._drain_recovery_queues()
         self._update_recovery_demands()

@@ -31,6 +31,7 @@ from repro.network.control import ControlChannel, ControlMessage
 from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
+from repro.sched.engine import StepEngine
 from repro.util.rng import SeededRng
 from repro.util.units import PACKET_SIZE_KBITS
 
@@ -94,13 +95,13 @@ class PushGossip:
         self._active_pairs: Set[Tuple[int, int]] = set()
         #: View notices awaiting transmission.
         self._outbox: List[ControlMessage] = []
-        #: Optional quiescence-aware step engine (see attach_step_engine).
-        self._step_engine = None
 
         self.flows: Dict[Tuple[int, int], Flow] = {}
         self._targets: Dict[int, List[int]] = {}
         for node in self.members:
             self._reselect_targets(node)
+        # A private engine until a session attaches its own.
+        self.attach_step_engine(StepEngine())
 
     # -------------------------------------------------------------- topology
     def _reselect_targets(self, node: int) -> None:
@@ -135,13 +136,13 @@ class PushGossip:
 
     # ----------------------------------------------------------- step engine
     def attach_step_engine(self, engine) -> None:
-        """Register this system's wakeup sources with a session step engine.
+        """Register this system's wakeup sources with a step engine.
 
         Gossip owns one periodic wakeup — the view-refresh timer — plus the
-        control channel's pending deliveries.  With an engine attached,
-        :meth:`protocol_phase` only polls the view timer when its wakeup is
-        due and skips the channel pump on steps where nothing was sent and
-        nothing in flight arrives within the pump horizon.
+        control channel's pending deliveries.  :meth:`protocol_phase` only
+        polls the view timer when its wakeup is due and skips the channel
+        pump on steps where nothing was sent and nothing in flight arrives
+        within the pump horizon.
         """
         self._step_engine = engine
         engine.arm_timer(("gossip", "view"), self._view_timer, self.simulator.time)
@@ -150,26 +151,22 @@ class PushGossip:
     def protocol_phase(self, now: float) -> None:
         """One gossip pass; call between simulator begin/end step."""
         engine = self._step_engine
-        if engine is None or ("gossip", "view") in engine.due_set(now):
+        if ("gossip", "view") in engine.due_set(now):
             if self._view_timer.fire(now):
                 for node in self.members:
                     self._reselect_targets(node)
-            if engine is not None:
-                engine.arm_timer(("gossip", "view"), self._view_timer, now)
+            engine.arm_timer(("gossip", "view"), self._view_timer, now)
         sent = len(self._outbox)
         for message in self._outbox:
             self.control_channel.send(message, now)
         self._outbox = []
         horizon = now + self.simulator.dt
-        skip_pump = False
-        if engine is not None and sent == 0:
+        due = self.control_channel.next_due()
+        if sent == 0 and (due is None or due > horizon + 1e-12):
             # No new sends and nothing in flight due by the horizon: the pump
             # would deliver nothing (handlers never send), so skip it.
-            due = self.control_channel.next_due()
-            skip_pump = due is None or due > horizon + 1e-12
-            if skip_pump:
-                engine.note_skipped(1)
-        if not skip_pump:
+            engine.note_skipped(1)
+        else:
             self.control_channel.pump(horizon, self._handle_control)
         self._deliver_phase()
         self._source_phase()

@@ -51,8 +51,6 @@ class TreeStreaming:
 
         self._next_sequence = 0
         self._source_carry = 0.0
-        #: Optional quiescence-aware step engine (see attach_step_engine).
-        self._step_engine = None
         #: Sequences each node has received (duplicate detection).
         self._received: Dict[int, set] = {node: set() for node in tree.members()}
         #: Packets awaiting forwarding, per node (filled on delivery).
@@ -73,17 +71,6 @@ class TreeStreaming:
             self.flows[(parent, child)] = flow
             if transport == "tcp":
                 self._queues[(parent, child)] = ReliableQueue(max_queue=4096)
-
-    # ----------------------------------------------------------- step engine
-    def attach_step_engine(self, engine) -> None:
-        """Register wakeup sources with a session step engine.
-
-        Plain streaming is purely data-driven: every step forwards whatever
-        the flows delivered, so there are no periodic timers to declare.
-        Holding the engine lets subclasses (anti-entropy) arm their own
-        wakeups on top of this loop.
-        """
-        self._step_engine = engine
 
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:

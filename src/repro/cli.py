@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import warnings
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.batch import sweep
@@ -89,9 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", choices=scale_scenario_names(), default=None,
                      help="start from a scale-scenario preset (see the"
                      " 'scenarios' command); --nodes/--duration/--seed/"
-                     "--churn/--solver/--engines (and the per-engine"
-                     " overrides) override preset values, other base flags"
-                     " are rejected")
+                     "--churn/--solver override preset values, other base"
+                     " flags are rejected")
     run.add_argument("--tree", choices=["random", "bottleneck", "overcast"], default=None,
                      help="overlay tree construction (default random)")
     run.add_argument("--nodes", type=int, default=None, help="overlay size (default 50)")
@@ -109,26 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--joins", type=int, default=None,
                      help="join this many new receivers mid-run (flash crowd)")
     run.add_argument("--solver", choices=["max_min", "single_pass"], default="max_min")
-    run.add_argument("--engines", choices=["legacy", "incremental"], default=None,
-                     help="engine mode: 'incremental' (default; all four"
-                     " incremental engines on) or 'legacy' (the byte-identical"
-                     " from-scratch reference mode for all four)")
-    run.add_argument("--no-incremental", action="store_true",
-                     help="DEPRECATED (use --engines legacy): force a"
-                     " from-scratch bandwidth solve every step")
-    run.add_argument("--no-incremental-protocol", action="store_true",
-                     help="DEPRECATED (use --engines legacy): force the"
-                     " from-scratch protocol plane (Bloom rebuilds and full"
-                     " refresh installs every period)")
-    run.add_argument("--no-routing-engine", action="store_true",
-                     help="DEPRECATED (use --engines legacy): force the"
-                     " legacy per-pair networkx path resolution instead of"
-                     " the amortized routing engine")
-    run.add_argument("--no-step-engine", action="store_true",
-                     help="DEPRECATED (use --engines legacy): force the"
-                     " legacy every-node-every-step loop instead of the"
-                     " quiescence-aware step core (wakeups plus vectorized"
-                     " per-flow batches)")
     run.add_argument("--cluster-size", type=int, default=None,
                      help="target cluster size for hierarchical systems"
                      " (e.g. bullet-clustered; default 50)")
@@ -253,42 +231,6 @@ def _print_result(result: ExperimentResult, as_json: bool) -> None:
         print(f"  {key:<24}: {value}")
 
 
-_DEPRECATED_ENGINE_FLAGS = (
-    ("no_incremental", "--no-incremental", "incremental_allocation"),
-    ("no_incremental_protocol", "--no-incremental-protocol", "incremental_protocol"),
-    ("no_routing_engine", "--no-routing-engine", "routing_engine"),
-    ("no_step_engine", "--no-step-engine", "step_engine"),
-)
-
-
-def _engine_overrides(args: argparse.Namespace) -> Dict[str, object]:
-    """Engine-mode config kwargs from the CLI flags.
-
-    ``--engines legacy|incremental`` is the consolidated selector; the old
-    ``--no-*`` flags remain as deprecated per-engine overrides (a warning
-    goes to stderr, never stdout, so JSON/CSV output stays clean).  Only
-    flags the user actually passed produce kwargs, so they compose with
-    ``--engines`` and scenario presets instead of silently resetting them.
-    """
-    overrides: Dict[str, object] = {}
-    if args.engines is not None:
-        overrides["engines"] = args.engines
-    for attr, flag, field_name in _DEPRECATED_ENGINE_FLAGS:
-        if getattr(args, attr):
-            with warnings.catch_warnings():
-                # The default filter drops DeprecationWarning outside
-                # __main__; a CLI user passing the flag must always see it.
-                warnings.simplefilter("always", DeprecationWarning)
-                warnings.warn(
-                    f"{flag} is deprecated; use --engines legacy"
-                    f" (or the {field_name} config field)",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            overrides[field_name] = False
-    return overrides
-
-
 def _validate_hierarchy_flags(args: argparse.Namespace) -> None:
     """Range-check the hierarchy knobs before any config is built.
 
@@ -323,12 +265,10 @@ def _command_run(args: argparse.Namespace) -> int:
             raise SystemExit(
                 f"--scenario presets fix {', '.join(conflicts)}; only"
                 " --nodes/--duration/--seed/--churn/--joins/--solver/"
-                "--engines (plus the deprecated --no-* engine flags)/"
                 "--cluster-size/--shard-workers/--hierarchy-levels/"
                 "--latency-estimator can override a preset"
             )
         overrides: Dict[str, object] = {"solver": args.solver}
-        overrides.update(_engine_overrides(args))
         if args.nodes is not None:
             overrides["n_overlay"] = args.nodes
         if args.duration is not None:
@@ -370,7 +310,6 @@ def _command_run(args: argparse.Namespace) -> int:
                 args.latency_estimator if args.latency_estimator is not None else "exact"
             ),
             seed=args.seed if args.seed is not None else 1,
-            **_engine_overrides(args),
         )
     result = run_experiment(config)
     _print_result(result, as_json=args.json)

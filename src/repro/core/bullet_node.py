@@ -29,7 +29,11 @@ from repro.core.control_messages import (
 )
 from repro.core.disjoint import DisjointSender
 from repro.core.peering import PeerManager
-from repro.core.recovery import RecoveryRequest, build_recovery_requests
+from repro.core.recovery import (
+    RecoveryRequest,
+    build_recovery_requests,
+    recovery_bloom,
+)
 from repro.network.control import ControlMessage
 from repro.ransub.protocol import RanSubCollect, RanSubDistribute, RanSubNodeState
 from repro.ransub.state import MemberSummary
@@ -114,7 +118,7 @@ class BulletNode:
         #: Counts Bloom-refresh rounds to rotate the row assignment (Fig 4b).
         self._refresh_round: int = 0
         #: Per-rotation-phase cache of (selection key, requests) for the
-        #: incremental resend-verbatim path, valid for one sender set.
+        #: resend-verbatim path, valid for one sender set.
         self._refresh_cache: Dict[int, tuple] = {}
         self._refresh_cache_senders: tuple = ()
         self._cached_ticket: SummaryTicket = SummaryTicket(
@@ -160,7 +164,6 @@ class BulletNode:
         self._cached_ticket = self.working_set.summary_ticket(
             window=self.config.ticket_window,
             sample_stride=self.config.ticket_sample_stride,
-            incremental=self.config.incremental_protocol,
         )
         return self._cached_ticket
 
@@ -322,7 +325,6 @@ class BulletNode:
             reported_bandwidth_kbps=self.reported_bandwidth_kbps(
                 self.config.bloom_refresh_s
             ),
-            bloom=self._recovery_bloom(),
         )[candidate]
 
     # ------------------------------------------------------------- handlers
@@ -410,21 +412,6 @@ class BulletNode:
             return 0.0
         return self._period_useful_packets * self.config.packet_kbits / period_s
 
-    def _recovery_bloom(self):
-        """The filter recovery requests carry this refresh round.
-
-        Incremental mode: a frozen snapshot of the working set's recent
-        window (the same object is returned until that window changes, which
-        is what lets senders recognise unchanged selections).  Legacy mode:
-        ``None``, so :func:`build_recovery_requests` rebuilds from scratch.
-        """
-        if not self.config.incremental_protocol:
-            return None
-        return self.working_set.bloom_snapshot(
-            expected_items=max(self.config.recovery_span_packets, 128),
-            false_positive_rate=self.config.bloom_false_positive_rate,
-        )
-
     def build_recovery_requests(self, period_s: float) -> Dict[int, RecoveryRequest]:
         """Build this period's recovery requests for all sending peers."""
         requests = build_recovery_requests(
@@ -434,7 +421,6 @@ class BulletNode:
             config=self.config,
             reported_bandwidth_kbps=self.reported_bandwidth_kbps(period_s),
             rotation=self._refresh_round,
-            bloom=self._recovery_bloom(),
         )
         self._period_useful_packets = 0
         self._refresh_round += 1
@@ -452,8 +438,8 @@ class BulletNode:
     def _refresh_requests(self) -> Dict[int, RecoveryRequest]:
         """This round's refresh requests, regenerated only when they changed.
 
-        In incremental mode a previous round's requests are resent verbatim
-        when nothing that determines them moved: the sender set, the (low,
+        A previous round's requests are resent verbatim when nothing that
+        determines them moved: the sender set, the (low,
         high) range, the Bloom snapshot (compared by identity — the working
         set hands out the same frozen object until its content changes), the
         row assignment's phase and the reported bandwidth.  The rotation
@@ -461,10 +447,8 @@ class BulletNode:
         entry per phase: a stalled node with N senders starts hitting again
         after N rounds.  The reporting period still restarts and the
         rotation still advances, so a resend is indistinguishable from a
-        from-scratch rebuild on the wire.
+        rebuild on the wire.
         """
-        if not self.config.incremental_protocol:
-            return self.build_recovery_requests(self.config.bloom_refresh_s)
         senders = tuple(self.peers.sender_ids())
         total = len(senders)
         low, high = self.working_set.recovery_range(self.config.recovery_span_packets)
@@ -478,7 +462,7 @@ class BulletNode:
         key = (
             low,
             high,
-            self._recovery_bloom(),
+            recovery_bloom(self.working_set, self.config),
             self.reported_bandwidth_kbps(self.config.bloom_refresh_s),
         )
         cached = self._refresh_cache.get(phase)

@@ -51,18 +51,6 @@ class BulletConfig:
     source_serves_peers: bool = False
     #: Seconds between Bloom filter / recovery-range refreshes (paper: 5 s).
     bloom_refresh_s: float = 5.0
-    #: Incremental protocol maintenance: requests carry a frozen Bloom
-    #: snapshot that is reused while the node's recent window is unchanged
-    #: (instead of a fresh filter object every refresh), tickets are diffed
-    #: against the previous build, and senders skip the holdings rescan when
-    #: a refresh's selection is unchanged.
-    #: Observationally equivalent to the from-scratch path (False), which is
-    #: kept for benchmarks and regression comparison.
-    incremental_protocol: bool = True
-    #: Stagger per-node Bloom-refresh timers across the refresh period (each
-    #: node gets a deterministic phase offset) so refresh work spreads over
-    #: simulation steps instead of spiking on one step in every five.
-    refresh_stagger: bool = True
     #: Target false-positive rate when sizing Bloom filters.
     bloom_false_positive_rate: float = 0.01
     #: Number of RanSub epochs between peer-set re-evaluations

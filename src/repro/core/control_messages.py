@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from repro.core.recovery import RecoveryRequest
 from repro.network.control import ControlMessage
-from repro.reconcile.bloom import FifoBloomFilter
+from repro.reconcile.bloom import BloomSnapshot, optimal_parameters
 
 #: Approximate wire size of a peering reply / teardown / small control message.
 SMALL_CONTROL_BYTES: int = 24
@@ -36,8 +36,12 @@ SMALL_CONTROL_BYTES: int = 24
 
 def _empty_request() -> RecoveryRequest:
     return RecoveryRequest(
-        receiver=-1, bloom=FifoBloomFilter.with_capacity(1), low=0, high=0,
-        mod=0, total_senders=1,
+        receiver=-1,
+        bloom=BloomSnapshot.from_keys((), *optimal_parameters(1, 0.01)),
+        low=0,
+        high=0,
+        mod=0,
+        total_senders=1,
     )
 
 

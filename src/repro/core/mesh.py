@@ -44,6 +44,7 @@ from repro.network.control import ControlChannel, ControlMessage
 from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
+from repro.sched.engine import StepEngine
 from repro.trees.tree import OverlayTree
 from repro.util.hashing import stable_hash
 from repro.util.rng import SeededRng
@@ -133,16 +134,16 @@ class BulletMesh:
         self.mesh_flows: Dict[Tuple[int, int], Flow] = {}
 
         self._epoch_timer = PeriodicTimer(self.config.ransub_epoch_s)
-        #: Per-node refresh timers.  With ``refresh_stagger`` each node gets
-        #: a deterministic phase offset inside the refresh period, spreading
-        #: the per-refresh protocol work across simulation steps instead of
-        #: spiking every node on the same step.
+        #: Per-node refresh timers.  Each node gets a deterministic phase
+        #: offset inside the refresh period, spreading the per-refresh
+        #: protocol work across simulation steps instead of spiking every
+        #: node on the same step.
         self._refresh_timers: Dict[int, PeriodicTimer] = {
             member: self._make_refresh_timer(member) for member in members
         }
 
-        #: Wall-clock seconds spent per protocol-phase stage (the protocol
-        #: benchmark's measurement surface): ``timers`` covers the RanSub
+        #: Wall-clock seconds spent per protocol-phase stage (read by the
+        #: end-to-end benchmark's tracer): ``timers`` covers the RanSub
         #: epoch + refresh generation + node-local timeout polls, ``control``
         #: the channel pump and message handlers, ``deliver``/``data_out``
         #: the data plane around them.
@@ -150,14 +151,13 @@ class BulletMesh:
             "deliver": 0.0, "timers": 0.0, "control": 0.0, "data_out": 0.0
         }
 
-        #: Optional quiescence-aware step engine (see attach_step_engine).
-        self._step_engine = None
-
         #: Optional latency estimator shared by every node's peer scoring
         #: (see :meth:`set_latency_estimator`).
         self._latency_estimator = None
 
         self._rebuild_depth_levels()
+        # A private engine until a session attaches its own.
+        self.attach_step_engine(StepEngine())
 
     def set_latency_estimator(self, estimator) -> None:
         """Attach a latency estimator to every node's peer manager.
@@ -173,8 +173,6 @@ class BulletMesh:
 
     def _make_refresh_timer(self, node: int) -> PeriodicTimer:
         period = self.config.bloom_refresh_s
-        if not self.config.refresh_stagger:
-            return PeriodicTimer(period)
         dt = self.simulator.dt
         slots = max(1, int(round(period / dt)))
         offset = (stable_hash(f"refresh-phase-{node}", self.config.seed) % slots) * dt
@@ -257,16 +255,18 @@ class BulletMesh:
 
     # ----------------------------------------------------------- step engine
     def attach_step_engine(self, engine) -> None:
-        """Register this mesh's wakeup sources with a session step engine.
+        """Register this mesh's wakeup sources with a step engine.
 
         The mesh owns two kinds of periodic wakeups: the global RanSub epoch
-        timer and one staggered Bloom-refresh timer per member.  With an
-        engine attached, :meth:`protocol_phase` consults the due set and only
-        fires (and re-arms) the timers whose wakeups came due, instead of
-        polling every member's timer every step.  Firing exactly the due
-        subset in ascending node order reproduces the legacy pass byte for
-        byte: a non-due ``PeriodicTimer.fire`` is a no-op, so skipping it
-        changes nothing, and due members keep their relative order.
+        timer and one staggered Bloom-refresh timer per member.
+        :meth:`protocol_phase` consults the due set and only fires (and
+        re-arms) the timers whose wakeups came due, instead of polling every
+        member's timer every step.  Firing exactly the due subset in
+        ascending node order equals a poll of every member: a non-due
+        ``PeriodicTimer.fire`` is a no-op, so skipping it changes nothing,
+        and due members keep their relative order.  A mesh arms a private
+        engine at construction; a session that drives it attaches its own
+        (timers keep their deadlines across re-attachment).
         """
         self._step_engine = engine
         now = self.simulator.time
@@ -276,20 +276,17 @@ class BulletMesh:
                 ("bullet", "refresh", member), self._refresh_timers[member], now
             )
 
-    def _fire_timers(self, now: float) -> None:
-        """Fire the epoch and refresh timers that are due at ``now``."""
+    def _fire_due_timers(self, now: float) -> Tuple[bool, List[int]]:
+        """Fire and re-arm the timers whose wakeups are due at ``now``.
+
+        Returns whether a RanSub epoch begins and which members (ascending)
+        send their recovery refreshes this step.
+        """
         engine = self._step_engine
-        if engine is None:
-            if self._epoch_timer.fire(now):
-                self._begin_ransub_epoch(now)
-            for node_id in self.active_members():
-                if self._refresh_timers[node_id].fire(now):
-                    self.nodes[node_id].send_recovery_refreshes()
-            return
         due = engine.due_set(now)
+        epoch_fired = False
         if ("bullet", "epoch") in due:
-            if self._epoch_timer.fire(now):
-                self._begin_ransub_epoch(now)
+            epoch_fired = self._epoch_timer.fire(now)
             engine.arm_timer(("bullet", "epoch"), self._epoch_timer, now)
         due_members = sorted(
             key[2]
@@ -297,15 +294,25 @@ class BulletMesh:
             if type(key) is tuple and len(key) == 3 and key[:2] == ("bullet", "refresh")
         )
         checked = 0
+        refreshing: List[int] = []
         for node_id in due_members:
             if node_id in self.failed or node_id not in self.nodes:
                 continue
             checked += 1
             timer = self._refresh_timers[node_id]
             if timer.fire(now):
-                self.nodes[node_id].send_recovery_refreshes()
+                refreshing.append(node_id)
             engine.arm_timer(("bullet", "refresh", node_id), timer, now)
         engine.note_skipped(len(self.nodes) - len(self.failed) - checked)
+        return epoch_fired, refreshing
+
+    def _fire_timers(self, now: float) -> None:
+        """Begin a RanSub epoch / send recovery refreshes where due."""
+        epoch_fired, refreshing = self._fire_due_timers(now)
+        if epoch_fired:
+            self._begin_ransub_epoch(now)
+        for node_id in refreshing:
+            self.nodes[node_id].send_recovery_refreshes()
 
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
@@ -330,16 +337,6 @@ class BulletMesh:
         phases["timers"] += t2 - t1
         phases["control"] += t3 - t2
         phases["data_out"] += t4 - t3
-
-    def protocol_plane_seconds(self) -> float:
-        """Wall-clock seconds spent on refresh/RanSub/control work so far.
-
-        The protocol-phase macro benchmark gates on this: it is the portion
-        of the step this PR's incremental engine owns (timer-driven refresh
-        and epoch generation, timeout polls, and the control-plane pump with
-        its message handlers), excluding the data plane around it.
-        """
-        return self.phase_seconds["timers"] + self.phase_seconds["control"]
 
     def run(self, duration_s: float, sample_interval_s: float = 5.0) -> None:
         """Drive the simulator for ``duration_s`` seconds of simulated time."""
@@ -396,7 +393,7 @@ class BulletMesh:
         multiple steps.
         """
         horizon = now + self.simulator.dt
-        if self._flush_outboxes(now) == 0 and self._step_engine is not None:
+        if self._flush_outboxes(now) == 0:
             # Nothing left the nodes this pass; if nothing already in flight
             # arrives within the pump horizon either, the pump is a no-op —
             # no dispatch can run, so no outbox can refill.  Skip it.
@@ -567,12 +564,11 @@ class BulletMesh:
             demand_kbps=self.config.stream_rate_kbps,
         )
         self._refresh_timers[node_id] = self._make_refresh_timer(node_id)
-        if self._step_engine is not None:
-            self._step_engine.arm_timer(
-                ("bullet", "refresh", node_id),
-                self._refresh_timers[node_id],
-                self.simulator.time,
-            )
+        self._step_engine.arm_timer(
+            ("bullet", "refresh", node_id),
+            self._refresh_timers[node_id],
+            self.simulator.time,
+        )
         self._rebuild_depth_levels()
         return parent
 
@@ -598,8 +594,7 @@ class BulletMesh:
         node.outbox.clear()
         node.pending_requests.clear()
         self.control_channel.mark_down(node_id)
-        if self._step_engine is not None:
-            self._step_engine.disarm(("bullet", "refresh", node_id))
+        self._step_engine.disarm(("bullet", "refresh", node_id))
         for key, flow in list(self.tree_flows.items()):
             if node_id in key:
                 self.simulator.remove_flow(flow)

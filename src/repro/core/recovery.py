@@ -16,19 +16,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.core.config import BulletConfig
-from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter
+from repro.reconcile.bloom import BloomSnapshot
 from repro.reconcile.working_set import WorkingSet
 
 #: Approximate non-Bloom bytes in a recovery request (range, mod, counters).
 RECOVERY_REQUEST_HEADER_BYTES: int = 32
-
-#: Filters a request may carry: a standalone FIFO filter (legacy from-scratch
-#: builds, tests) or a frozen snapshot of a node's recent window (the
-#: incremental protocol path).
-RequestBloom = Union[FifoBloomFilter, BloomSnapshot]
 
 
 @dataclass
@@ -36,7 +31,8 @@ class RecoveryRequest:
     """What a receiver installs at one of its senders."""
 
     receiver: int
-    bloom: RequestBloom
+    #: A frozen snapshot of the receiver's recent window.
+    bloom: BloomSnapshot
     low: int
     high: int
     mod: int
@@ -60,11 +56,10 @@ class RecoveryRequest:
     def same_selection(self, other: "RecoveryRequest") -> bool:
         """True if both requests select exactly the same packets.
 
-        Filters are compared by identity: the incremental protocol path
-        reuses one frozen snapshot object for as long as the working set is
-        unchanged, so identity is exact and O(1).  Distinct filter objects
-        (the from-scratch path builds a fresh one per refresh) compare
-        unequal, which degrades to the historical always-rescan behaviour.
+        Filters are compared by identity: a working set hands out one
+        frozen snapshot object for as long as its recent window is
+        unchanged, so identity is exact and O(1).  Distinct snapshot objects
+        compare unequal, which merely costs the sender a rescan.
         """
         return (
             self.bloom is other.bloom
@@ -75,6 +70,19 @@ class RecoveryRequest:
         )
 
 
+def recovery_bloom(working_set: WorkingSet, config: BulletConfig) -> BloomSnapshot:
+    """The filter a node's recovery requests carry this refresh round.
+
+    A frozen snapshot of the working set's recent window: the same object is
+    returned until that window changes, which is what lets senders recognise
+    unchanged selections.
+    """
+    return working_set.bloom_snapshot(
+        expected_items=max(config.recovery_span_packets, 128),
+        false_positive_rate=config.bloom_false_positive_rate,
+    )
+
+
 def build_recovery_requests(
     receiver: int,
     working_set: WorkingSet,
@@ -82,7 +90,6 @@ def build_recovery_requests(
     config: BulletConfig,
     reported_bandwidth_kbps: float = 0.0,
     rotation: int = 0,
-    bloom: Optional[RequestBloom] = None,
 ) -> Dict[int, RecoveryRequest]:
     """Build this period's recovery request for each sending peer.
 
@@ -92,10 +99,7 @@ def build_recovery_requests(
     a packet whose assigned sender happened not to hold it gets a different
     sender on the next round instead of staying unrecoverable.
 
-    ``bloom`` short-circuits the filter construction with a caller-supplied
-    filter (the incremental path passes the working set's snapshot);
-    when omitted, a filter is built from scratch as the pre-incremental code
-    always did.
+    Every request carries the same filter (:func:`recovery_bloom`).
     """
     ordered = sorted(senders)
     total = len(ordered)
@@ -103,11 +107,7 @@ def build_recovery_requests(
         return {}
     low, high = working_set.recovery_range(config.recovery_span_packets)
     high += config.recovery_lookahead_packets
-    if bloom is None:
-        bloom = working_set.bloom_filter(
-            expected_items=max(config.recovery_span_packets, 128),
-            false_positive_rate=config.bloom_false_positive_rate,
-        )
+    bloom = recovery_bloom(working_set, config)
     requests: Dict[int, RecoveryRequest] = {}
     for index, sender in enumerate(ordered):
         requests[sender] = RecoveryRequest(

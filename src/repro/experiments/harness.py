@@ -14,7 +14,7 @@ here, in batch sweeps and from the CLI without touching this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.config import BulletConfig
 from repro.experiments.metrics import SeriesSummary, steady_state_average
@@ -25,54 +25,6 @@ from repro.network.fairshare import SOLVERS
 from repro.network.simulator import NetworkSimulator
 from repro.topology.links import BandwidthClass
 from repro.topology.planetlab import PlanetLabConfig
-
-
-@dataclass(frozen=True)
-class EngineModes:
-    """Which incremental engines a run uses, as one coherent mode object.
-
-    The four engines (dirty-region allocation, incremental protocol plane,
-    routing engine, quiescence step core) each keep a byte-identical legacy
-    reference mode.  Historically each was its own config boolean plus a
-    ``--no-*`` CLI flag; ``EngineModes`` consolidates them: pick a named mode
-    (``incremental`` — the default — or ``legacy``), then override individual
-    engines if a benchmark needs a mixed mode.
-    """
-
-    allocation: bool = True
-    protocol: bool = True
-    routing: bool = True
-    step: bool = True
-
-    #: The named modes ``parse`` accepts (also the CLI's ``--engines`` choices).
-    NAMES = ("incremental", "legacy")
-
-    @classmethod
-    def incremental(cls) -> "EngineModes":
-        """Every incremental engine on — the production default."""
-        return cls()
-
-    @classmethod
-    def legacy(cls) -> "EngineModes":
-        """Every engine off: the byte-identical from-scratch reference mode."""
-        return cls(allocation=False, protocol=False, routing=False, step=False)
-
-    @classmethod
-    def parse(cls, value: "Union[EngineModes, str, None]") -> "EngineModes":
-        """Coerce a mode name / instance / None into an :class:`EngineModes`."""
-        if value is None:
-            return cls.incremental()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, str):
-            if value == "incremental":
-                return cls.incremental()
-            if value == "legacy":
-                return cls.legacy()
-            raise ValueError(
-                f"unknown engine mode {value!r}; expected one of {cls.NAMES}"
-            )
-        raise ValueError(f"engines must be an EngineModes, mode name or None, not {value!r}")
 
 
 @dataclass
@@ -111,15 +63,6 @@ class ExperimentConfig:
     #: model) or ``single_pass`` (the cheaper c/n estimate), or any name
     #: registered via :func:`repro.network.fairshare.register_solver`.
     solver: str = "max_min"
-    #: Consolidated engine-mode selection: an :class:`EngineModes`, a mode
-    #: name (``"incremental"`` / ``"legacy"``) or ``None`` (incremental).
-    #: ``__post_init__`` resolves it against the four per-engine overrides
-    #: below and stores the resolved :class:`EngineModes` here.
-    engines: Union[EngineModes, str, None] = None
-    #: Per-engine override of ``engines``: re-solve only the flows affected
-    #: by cap/membership changes each step (False forces the original
-    #: from-scratch solve, kept for benchmarks).  ``None`` follows ``engines``.
-    incremental_allocation: Optional[bool] = None
     #: Churn-heavy dissemination: fail this many random non-source overlay
     #: participants, spread evenly across the run (0 disables churn).  The
     #: system under test must support ``fail_node``.
@@ -145,28 +88,6 @@ class ExperimentConfig:
     #: Window the joins are spread over, in seconds: a small value models a
     #: flash crowd, a large one steady growth.
     join_duration_s: float = 30.0
-    #: Per-engine override of ``engines``: route underlay path queries
-    #: through the amortized routing engine (per-source shortest-path trees,
-    #: split route/attribute caches, batch warm-up at construction and
-    #: joins).  False forces the legacy per-pair networkx resolution — the
-    #: byte-identical reference mode kept for benchmarks and equivalence
-    #: tests.  ``None`` follows ``engines``.
-    routing_engine: Optional[bool] = None
-    #: Quiescence-aware step core (``repro.sched``): systems and flows
-    #: register wakeups instead of being polled every ``dt``, and the
-    #: remaining per-flow work runs as numpy batches.  False forces the
-    #: legacy every-node-every-step loop — the byte-identical reference mode
-    #: kept for benchmarks and equivalence tests.  ``None`` follows
-    #: ``engines``.
-    step_engine: Optional[bool] = None
-    #: Incremental protocol plane (versioned in-place Bloom/working-set
-    #: maintenance, snapshot reuse, skip-unchanged refresh installs) for the
-    #: bullet system.  False forces the pre-incremental from-scratch hot
-    #: path; kept for benchmarks and equivalence tests.  Like the other
-    #: bullet knobs here, this is ignored when an explicit ``bullet=``
-    #: BulletConfig override is supplied — set it on that config instead.
-    #: ``None`` follows ``engines``.
-    incremental_protocol: Optional[bool] = None
     #: Bullet-specific overrides (peer counts, epochs, disjointness, ...).
     bullet: Optional[BulletConfig] = None
     #: Transport for the plain streaming baseline.
@@ -201,26 +122,6 @@ class ExperimentConfig:
     max_fanout: int = 4
 
     def __post_init__(self) -> None:
-        # Resolve the consolidated engine mode against per-engine overrides:
-        # an explicit True/False on an individual field wins over ``engines``;
-        # ``None`` (the default) follows it.  The resolved plain booleans are
-        # written back so every existing ``config.routing_engine`` read (and
-        # ``dataclasses.replace`` round-trip) keeps working unchanged.
-        base = EngineModes.parse(self.engines)
-        self.engines = EngineModes(
-            allocation=base.allocation
-            if self.incremental_allocation is None
-            else self.incremental_allocation,
-            protocol=base.protocol
-            if self.incremental_protocol is None
-            else self.incremental_protocol,
-            routing=base.routing if self.routing_engine is None else self.routing_engine,
-            step=base.step if self.step_engine is None else self.step_engine,
-        )
-        self.incremental_allocation = self.engines.allocation
-        self.incremental_protocol = self.engines.protocol
-        self.routing_engine = self.engines.routing
-        self.step_engine = self.engines.step
         if not system_known(self.system):
             raise ValueError(
                 f"system must be one of {tuple(available_systems())}"
@@ -268,7 +169,6 @@ class ExperimentConfig:
             stream_rate_kbps=self.stream_rate_kbps,
             ransub_failure_detection=self.ransub_failure_detection,
             control_loss_rate=self.control_loss_rate,
-            incremental_protocol=self.incremental_protocol,
             seed=self.seed,
         )
 

@@ -1,8 +1,8 @@
 """The experiment session: one simulate–sample–inject loop for every scenario.
 
-Historically the repository carried four copies of the same drive loop (the
-harness, ``BulletMesh.run``, ``TreeStreaming.run`` and ``PushGossip.run``).
-:class:`ExperimentSession` is now the single owner of that loop.  A session
+:class:`ExperimentSession` is the single owner of the drive loop (the
+harness, ``BulletMesh.run``, ``TreeStreaming.run`` and ``PushGossip.run`` all
+delegate here).  A session
 
 * prepares whatever was not supplied — workload (from the config), simulator
   (from the workload topology) and system (through the pluggable
@@ -116,12 +116,9 @@ class ExperimentSession:
         self.config = config
         self.observers: List[SessionObserver] = list(observers)
 
-        #: The quiescence-aware step engine (None in legacy mode).  Bare
-        #: sessions wrapping a pre-built simulator/system pair stay legacy —
-        #: the flag is an ExperimentConfig contract.
-        self.step_engine: Optional[StepEngine] = None
-        if config is not None and getattr(config, "step_engine", True):
-            self.step_engine = StepEngine()
+        #: The quiescence-aware step engine every wakeup source of this
+        #: session (system timers, control deliveries, injector events) arms.
+        self.step_engine = StepEngine()
 
         self.spec: Optional[SystemSpec] = None
         if system is None and config is not None:
@@ -139,21 +136,12 @@ class ExperimentSession:
                     " system or workload"
                 )
 
-        # Pin the underlay routing mode before anything resolves a path.
-        # build_workload_for already applied the config's flag; this covers
-        # externally supplied workloads (e.g. PlanetLab) as well.
-        topology = getattr(self.workload, "topology", None)
-        if config is not None and topology is not None:
-            topology.use_routing_engine = getattr(config, "routing_engine", True)
-
         if simulator is None:
             simulator = NetworkSimulator(
                 self.workload.topology,
                 dt=config.dt,
                 seed=config.seed,
                 solver=getattr(config, "solver", "max_min"),
-                incremental=getattr(config, "incremental_allocation", True),
-                step_engine=self.step_engine is not None,
             )
         self.simulator = simulator
 
@@ -169,10 +157,9 @@ class ExperimentSession:
             self._warm_initial_routes(context)
             system = self.spec.build(context)
         self.system = system
-        if self.step_engine is not None:
-            attach = getattr(self.system, "attach_step_engine", None)
-            if attach is not None:
-                attach(self.step_engine)
+        attach = getattr(self.system, "attach_step_engine", None)
+        if attach is not None:
+            attach(self.step_engine)
 
         # Systems that route control traffic over a ControlChannel expose it
         # as ``control_channel``; tap it so observers can watch the control
@@ -221,7 +208,7 @@ class ExperimentSession:
         a batch here, so peer discovery during the run — where any pair of
         participants may open control exchanges or mesh flows — extracts
         paths from cached trees instead of running a Dijkstra inside the
-        step loop.  No-op in legacy routing mode.
+        step loop.
 
         Hierarchical (clustered) systems opt out via their capability
         declaration: only cluster heads touch the underlay, so the builder
@@ -231,7 +218,7 @@ class ExperimentSession:
         if self.spec is not None and self.spec.capabilities.hierarchical:
             return
         topology = getattr(self.workload, "topology", None)
-        if topology is None or not getattr(topology, "use_routing_engine", False):
+        if topology is None:
             return
         hosts = list(dict.fromkeys(context.participants))
         if context.source is not None and context.source not in hosts:
@@ -250,9 +237,8 @@ class ExperimentSession:
         O(hops) extractions from cached trees.
         """
         topology = getattr(self.workload, "topology", None)
-        if topology is None or not getattr(topology, "use_routing_engine", False):
-            return
-        topology.warm_routes([node])
+        if topology is not None:
+            topology.warm_routes([node])
 
     def _schedule_churn(self, config) -> None:
         """Schedule ``config.churn_failures`` departures across the run.
@@ -396,7 +382,7 @@ class ExperimentSession:
         simulator = self.simulator
         simulator.begin_step()
         injector_due = self._injector is not None
-        if injector_due and self.step_engine is not None:
+        if injector_due:
             # Injector wakeup: skip the tick (and the pending-event scans)
             # on steps where no failure/join can fire.  run_due with nothing
             # due is a no-op, so skipping it is behaviour-identical.

@@ -92,19 +92,12 @@ def build_workload(
     seed: int = 1,
     max_fanout: int = 4,
     topology_config: Optional[TopologyConfig] = None,
-    routing_engine: bool = True,
 ) -> Workload:
-    """Prepare a transit-stub scenario: topology, placement, source and tree.
-
-    ``routing_engine=False`` pins the topology to the legacy per-pair
-    networkx path resolution *before* any tree construction touches it, so a
-    legacy-mode run never benefits from engine-side amortization.
-    """
+    """Prepare a transit-stub scenario: topology, placement, source and tree."""
     if tree_kind not in TREE_KINDS:
         raise ValueError(f"tree_kind must be one of {TREE_KINDS}")
     config = topology_config or scaled_topology_config(n_overlay, bandwidth_class, seed)
     topology = generate_topology(config)
-    topology.use_routing_engine = routing_engine
     if lossy:
         apply_loss_model(topology, loss_config or LossConfig(seed=seed))
     participants = place_overlay_participants(topology, n_overlay, seed=seed)
@@ -153,7 +146,6 @@ def build_workload_for(config) -> Workload:
         seed=config.seed,
         max_fanout=config.max_fanout,
         topology_config=topology_config,
-        routing_engine=getattr(config, "routing_engine", True),
     )
 
 
@@ -175,9 +167,7 @@ def _scenario(name: str, description: str, **overrides: object) -> ScaleScenario
 
 #: The scale scenario pack: presets that push the simulator toward (and past)
 #: the paper's 1000-node setting, runnable through ``repro.cli run/sweep
-#: --scenario`` and :func:`scenario_config`.  All of them lean on the
-#: incremental allocation engine; the from-scratch solver makes the larger
-#: ones impractically slow.
+#: --scenario`` and :func:`scenario_config`.
 SCALE_SCENARIOS: Dict[str, ScaleScenario] = {
     scenario.name: scenario
     for scenario in (

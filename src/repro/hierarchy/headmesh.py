@@ -406,37 +406,8 @@ class HeadMeshCoordinator:
 
     def _timers_phase(self, now: float) -> bool:
         """Fire timers main-side, ship node effects; returns the RanSub probe."""
-        mesh = self.mesh
-        engine = mesh._step_engine
-        epoch_payload = None
-        due_members: List[int] = []
-        if engine is None:
-            if mesh._epoch_timer.fire(now):
-                epoch_payload = self._begin_epoch_payload()
-            for node_id in mesh.active_members():
-                if mesh._refresh_timers[node_id].fire(now):
-                    due_members.append(node_id)
-        else:
-            due = engine.due_set(now)
-            if ("bullet", "epoch") in due:
-                if mesh._epoch_timer.fire(now):
-                    epoch_payload = self._begin_epoch_payload()
-                engine.arm_timer(("bullet", "epoch"), mesh._epoch_timer, now)
-            due_refresh = sorted(
-                key[2]
-                for key in due
-                if type(key) is tuple and len(key) == 3 and key[:2] == ("bullet", "refresh")
-            )
-            checked = 0
-            for node_id in due_refresh:
-                if node_id in mesh.failed or node_id not in mesh.nodes:
-                    continue
-                checked += 1
-                timer = mesh._refresh_timers[node_id]
-                if timer.fire(now):
-                    due_members.append(node_id)
-                engine.arm_timer(("bullet", "refresh", node_id), timer, now)
-            engine.note_skipped(len(mesh.nodes) - len(mesh.failed) - checked)
+        epoch_fired, due_members = self.mesh._fire_due_timers(now)
+        epoch_payload = self._begin_epoch_payload() if epoch_fired else None
         refresh_per_worker: Dict[int, List[int]] = {
             worker: [] for worker in range(self.executor.workers)
         }
@@ -531,7 +502,7 @@ class HeadMeshCoordinator:
     def _control_phase(self, now: float) -> None:
         mesh = self.mesh
         horizon = now + mesh.simulator.dt
-        if self._flush_pending(now) == 0 and mesh._step_engine is not None:
+        if self._flush_pending(now) == 0:
             due = mesh.control_channel.next_due()
             if due is None or due > horizon + 1e-12:
                 mesh._step_engine.note_skipped(1)

@@ -139,8 +139,7 @@ class ClusteredBullet:
         # Hierarchical systems skip the session's whole-overlay route warming
         # (the capability declaration opts out); only mesh members touch the
         # underlay, so warm exactly those.
-        if getattr(topology, "use_routing_engine", False):
-            topology.warm_routes(mesh_members)
+        topology.warm_routes(mesh_members)
 
         head_tree = build_random_tree(
             source,
@@ -417,8 +416,7 @@ class ClusteredBullet:
                 self._mesh_seen.pop(node)
                 self._dead_clusters[index] = True
                 return
-            if getattr(self.topology, "use_routing_engine", False):
-                self.topology.warm_routes([promoted])
+            self.topology.warm_routes([promoted])
             self._mesh_driver.fail_node(node)
             self._mesh_driver.add_node(promoted)
             self._executor.promote(index, promoted)
@@ -441,8 +439,7 @@ class ClusteredBullet:
                 estimator=self._estimator,
                 source=self.source,
             )
-            if getattr(self.topology, "use_routing_engine", False):
-                self.topology.warm_routes([successor])
+            self.topology.warm_routes([successor])
             self._mesh_driver.fail_node(node)
             self._mesh_driver.add_node(successor)
             self._mesh_seen.pop(node)

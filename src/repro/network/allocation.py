@@ -1,8 +1,8 @@
 """Incremental fair-share allocation over the simulator's flow set.
 
-The original simulator re-solved the whole max-min allocation from scratch at
-the top of every step — O(bottlenecks × flows × links) work even when nothing
-changed — which caps how large an overlay the fluid simulator can carry.  The
+Re-solving the whole max-min allocation at the top of every step is
+O(bottlenecks × flows × links) work even when nothing changed, which caps how
+large an overlay the fluid simulator can carry.  The
 :class:`AllocationEngine` makes the hot path incremental:
 
 * it tracks, per flow, the cached constrained-link index array and the last
@@ -18,11 +18,9 @@ changed — which caps how large an overlay the fluid simulator can carry.  The
 Exactness: the affected region is closed under link sharing, so solving it in
 isolation (all affected components in a single solver call, with flows in
 creation order) yields the same allocation the solver would produce over the
-whole problem — max-min allocations decompose across connected components.
-In particular, when every flow is dirty (e.g. TFRC updates every cap every
-step, or ``mark_all_dirty`` is used for from-scratch mode) the engine issues
-exactly the same solver call the original from-scratch code did, making the
-two modes byte-identical on such workloads.
+whole problem — max-min allocations decompose across connected components
+(``tests/network/test_allocation_engine.py`` checks this against a
+from-scratch solve over the whole flow population after every mutation).
 
 The solver itself is pluggable (:data:`repro.network.fairshare.SOLVERS`):
 ``max_min`` progressive filling by default, ``single_pass`` for the paper's
@@ -38,6 +36,7 @@ from repro.analysis.shakeout import tracked_set
 from repro.network.fairshare import (
     AllocationRequest,
     Solver,
+    VectorizedMaxMinSolver,
     max_min_allocation,
     resolve_solver,
 )
@@ -48,7 +47,7 @@ _EPSILON = 1e-9
 
 @dataclass
 class EngineStats:
-    """Counters describing how much work the incremental engine avoided."""
+    """Counters describing how much work the engine avoided."""
 
     #: Solve rounds driven (one per simulator step).
     steps: int = 0
@@ -112,10 +111,14 @@ class AllocationEngine:
     def __init__(
         self,
         capacities: Mapping[int, float],
-        solver: "str | Solver" = max_min_allocation,
+        solver: "str | Solver" = "max_min",
     ) -> None:
         self._capacities: Mapping[int, float] = capacities
         self._solver: Solver = resolve_solver(solver)
+        if self._solver is max_min_allocation:
+            # The default solver keeps its flow->link incidence between
+            # solves, so each engine owns an instance of it.
+            self._solver = VectorizedMaxMinSolver()
         self._state: Dict[int, _FlowState] = {}
         self._allocation: Dict[int, float] = {}
         self._link_flows: Dict[int, Set[int]] = {}
@@ -189,13 +192,6 @@ class AllocationEngine:
         if flow_key in self._state:
             self._dirty_flows.add(flow_key)
             self._mutated = True
-
-    def mark_all_dirty(self) -> None:
-        """Force a full from-scratch solve next round (reference mode)."""
-        self._mutated = True
-        for flow_key, state in self._state.items():
-            if state.participating:
-                self._dirty_flows.add(flow_key)
 
     def reset_capacities(self, capacities: Mapping[int, float]) -> None:
         """Swap the capacity map (topology changed); re-solves everything.

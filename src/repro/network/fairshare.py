@@ -13,13 +13,19 @@ of application demand and the TFRC allowed rate):
 
 The implementation freezes whole groups per iteration so the number of
 iterations is bounded by the number of distinct bottlenecks, not the number
-of flows.
+of flows.  It runs over flat numpy arrays; the scalar loop it was derived
+from is the oracle in ``tests/oracles/fairshare.py``, and every operation is
+an elementwise IEEE-754 float64 operation in the same order as there, so the
+two are bit-equal (``min`` over an array equals chained two-argument
+comparisons; ``+ - * /`` round identically in numpy and CPython).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
+
+import numpy as np
 
 #: Numerical slack used when deciding whether a link is saturated.
 _EPSILON = 1e-9
@@ -34,82 +40,253 @@ class AllocationRequest:
     cap_kbps: float
 
 
+class VectorizedMaxMinSolver:
+    """Max-min progressive filling over flat arrays, with memory.
+
+    The flow->link incidence is flattened once and reused while the request
+    set (and the capacity map object) stay the same — the common case under
+    the allocation engine, where the affected region's membership is stable
+    between steps and only the caps move.  One instance per allocation
+    engine.  Inline comments pair each block with the scalar oracle's.
+    """
+
+    #: Per-flow column caches are dropped wholesale past this size (flows
+    #: retire under churn; the map must not grow with the lifetime id space).
+    _FLOW_CACHE_MAX = 1 << 18
+
+    def __init__(self) -> None:
+        self._keys: object = None
+        self._caps_ref: object = None
+        self._e_flow: np.ndarray = np.zeros(0, dtype=np.intp)
+        self._e_link: np.ndarray = np.zeros(0, dtype=np.intp)
+        self._base_remaining: np.ndarray = np.zeros(0, dtype=np.float64)
+        self._flow_ptr: np.ndarray = np.zeros(1, dtype=np.intp)
+        self._link_rows: np.ndarray = np.zeros(0, dtype=np.intp)
+        self._link_ptr: np.ndarray = np.zeros(1, dtype=np.intp)
+        self._m = 0
+        #: link index -> column, shared by every request set under one
+        #: capacity map (columns only ever grow).
+        self._link_col: Dict[int, int] = {}
+        self._capacities: List[float] = []
+        #: flow key -> cached column array for its links (paths are fixed
+        #: for a flow's lifetime, so this never invalidates per flow).
+        self._flow_cols: Dict[object, np.ndarray] = {}
+        self.rebuilds = 0
+
+    def _columns_for(
+        self, request: AllocationRequest, link_capacity_kbps: Dict[int, float]
+    ) -> np.ndarray:
+        cols = self._flow_cols.get(request.flow_key)
+        if cols is None:
+            link_col = self._link_col
+            capacities = self._capacities
+            entries: List[int] = []
+            for link in request.link_indices:
+                if link in link_capacity_kbps:
+                    col = link_col.get(link)
+                    if col is None:
+                        col = len(link_col)
+                        link_col[link] = col
+                        capacities.append(link_capacity_kbps[link])
+                    entries.append(col)
+            cols = np.asarray(entries, dtype=np.intp)
+            if len(self._flow_cols) >= self._FLOW_CACHE_MAX:
+                self._flow_cols.clear()
+            self._flow_cols[request.flow_key] = cols
+        return cols
+
+    def _build(
+        self,
+        requests: Sequence[AllocationRequest],
+        link_capacity_kbps: Dict[int, float],
+    ) -> None:
+        """Assemble the flattened incidence from per-flow column caches.
+
+        The request *membership* changes nearly every step under the
+        incremental allocation engine, but each flow's own links never do —
+        so the per-request work is a dict lookup plus a concatenate, not a
+        Python loop over every link of every flow.
+        """
+        if link_capacity_kbps is not self._caps_ref:
+            # New capacity map: column numbering and caps are stale.
+            self._link_col = {}
+            self._capacities = []
+            self._flow_cols = {}
+        per_flow = [self._columns_for(request, link_capacity_kbps) for request in requests]
+        lengths = np.fromiter(
+            (len(cols) for cols in per_flow), dtype=np.intp, count=len(per_flow)
+        )
+        self._m = len(self._link_col)
+        self._e_flow = np.repeat(np.arange(len(per_flow), dtype=np.intp), lengths)
+        self._e_link = (
+            np.concatenate(per_flow) if per_flow else np.zeros(0, dtype=np.intp)
+        )
+        self._base_remaining = np.asarray(self._capacities, dtype=np.float64)
+        # Per-flow segment pointers into e_link, and the transposed (CSR by
+        # link) adjacency — freeze/saturate events touch single rows/columns,
+        # so the round loop walks adjacency lists instead of masking the
+        # whole incidence every round.
+        self._flow_ptr = np.zeros(len(per_flow) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=self._flow_ptr[1:])
+        order = np.argsort(self._e_link, kind="stable")
+        self._link_rows = self._e_flow[order]
+        self._link_ptr = np.zeros(self._m + 1, dtype=np.intp)
+        np.cumsum(
+            np.bincount(self._e_link, minlength=self._m), out=self._link_ptr[1:]
+        )
+        self.rebuilds += 1
+
+    def __call__(
+        self,
+        requests: Sequence[AllocationRequest],
+        link_capacity_kbps: Dict[int, float],
+        max_iterations: int = 10_000,
+    ) -> Dict[int, float]:
+        allocation: Dict[int, float] = {request.flow_key: 0.0 for request in requests}
+        if not requests:
+            return allocation
+        n = len(requests)
+        keys = tuple(request.flow_key for request in requests)
+        if keys != self._keys or link_capacity_kbps is not self._caps_ref:
+            self._build(requests, link_capacity_kbps)
+            self._keys = keys
+            self._caps_ref = link_capacity_kbps
+
+        caps = np.fromiter(
+            (request.cap_kbps for request in requests), dtype=np.float64, count=n
+        )
+        alloc = np.zeros(n, dtype=np.float64)
+        # Zero-cap flows get 0.0 and never contend — same as the scalar
+        # pre-filter; they simply start (and stay) frozen here.
+        alive = caps > _EPSILON
+        e_link = self._e_link
+        flow_ptr = self._flow_ptr
+        link_rows = self._link_rows
+        link_ptr = self._link_ptr
+
+        # Every active flow's allocation is the same running total ``fill``:
+        # all flows start at 0.0 and receive identical increments in
+        # identical order, so the scalar per-flow partial sums are bit-equal
+        # to fill's.  A flow's allocation materializes the moment it freezes.
+        fill = 0.0
+        # Flow-side mins come from a sorted-caps pointer: float subtraction
+        # is monotone, so min over active flows of fl(cap - fill) equals
+        # fl(min_cap - fill), and the at-cap set each round is a prefix of
+        # the sorted order.  Both are O(1) amortized instead of full passes.
+        order = np.argsort(caps, kind="stable")
+        caps_sorted = caps[order]
+        thresh_sorted = caps_sorted - _EPSILON
+        pointer = 0
+        counts = np.zeros(self._m, dtype=np.int64)
+        if len(e_link):
+            np.add.at(counts, e_link[alive[self._e_flow]], 1)
+        contended = counts > 0
+        # Retired links drop out via +inf sentinels (divisor pinned to 1),
+        # keeping the link-side share min a plain full-array pass.
+        remaining = np.where(contended, self._base_remaining, np.inf)
+        counts_f = np.where(contended, counts, 1).astype(np.float64)
+        shares = np.empty_like(remaining)
+
+        active_count = int(np.count_nonzero(alive))
+        iterations = 0
+        while active_count > 0 and iterations < max_iterations:
+            iterations += 1
+            while not alive[order[pointer]]:
+                pointer += 1
+            # increment = min over active flows of (cap - alloc), then over
+            # contended links of remaining / count — the same chained
+            # two-argument float mins as the scalar loop.
+            increment = float(caps_sorted[pointer]) - fill
+            if remaining.size:
+                np.divide(remaining, counts_f, out=shares)
+                increment = min(increment, float(shares.min()))
+            if increment < 0:
+                increment = 0.0
+            fill = fill + increment
+            # Sentinel links see inf - increment*1 == inf; live links see the
+            # exact scalar update fl(remaining - fl(increment * count)).  An
+            # infinite increment (every cap unbounded, no contended link)
+            # turns sentinels into NaN — harmless, as the scalar path also
+            # allocates inf then and every flow freezes this same round.
+            with np.errstate(invalid="ignore"):
+                remaining -= increment * counts_f
+
+            frozen_any = False
+            if remaining.size and float(remaining.min()) <= _EPSILON:
+                saturated = np.flatnonzero(remaining <= _EPSILON)
+                # Retire saturated links before freezing their flows, like
+                # the scalar map deletions.
+                remaining[saturated] = np.inf
+                counts_f[saturated] = 1.0
+                for link in saturated:
+                    for row in link_rows[link_ptr[link] : link_ptr[link + 1]]:
+                        if alive[row]:
+                            frozen_any = True
+                            self._freeze(row, fill, alive, alloc, counts, counts_f, remaining)
+                            active_count -= 1
+            while pointer < n:
+                row = order[pointer]
+                if alive[row]:
+                    if thresh_sorted[pointer] > fill:
+                        break
+                    frozen_any = True
+                    self._freeze(row, fill, alive, alloc, counts, counts_f, remaining)
+                    active_count -= 1
+                pointer += 1
+            if not frozen_any and increment <= _EPSILON:
+                # No progress possible (degenerate caps); stop, like the
+                # scalar no-progress break.
+                break
+
+        if active_count:
+            alloc[alive] = fill
+        for flow_idx, request in enumerate(requests):
+            allocation[request.flow_key] = float(alloc[flow_idx])
+        return allocation
+
+    def _freeze(
+        self,
+        row: int,
+        fill: float,
+        alive: np.ndarray,
+        alloc: np.ndarray,
+        counts: np.ndarray,
+        counts_f: np.ndarray,
+        remaining: np.ndarray,
+    ) -> None:
+        """Freeze one flow at the current fill level and release its links."""
+        alive[row] = False
+        alloc[row] = fill
+        links = self._e_link[self._flow_ptr[row] : self._flow_ptr[row + 1]]
+        # subtract.at, not fancy-index -=: a flow listing the same link twice
+        # must release both crossings, like the scalar per-occurrence loop.
+        np.subtract.at(counts, links, 1)
+        new_counts = counts[links]
+        emptied = links[new_counts == 0]
+        if len(emptied):
+            # A link whose last active flow froze leaves contention (the
+            # scalar count-0 skip); saturated links are already sentinels,
+            # and re-writing them is harmless.
+            remaining[emptied] = np.inf
+        # Retired links keep a harmless divisor of 1 (their remaining is
+        # +inf, so they never win the share min).
+        counts_f[links] = np.maximum(new_counts, 1)
+
+
 def max_min_allocation(
     requests: Sequence[AllocationRequest],
     link_capacity_kbps: Dict[int, float],
     max_iterations: int = 10_000,
 ) -> Dict[int, float]:
-    """Compute the max-min fair allocation for ``requests``.
+    """Compute the max-min fair allocation for ``requests`` in one shot.
 
     ``link_capacity_kbps`` maps a physical link index to its capacity.  Links
     a flow references but that are missing from the map are treated as
-    unconstrained.  Returns a map from ``flow_key`` to allocated Kbps.
+    unconstrained.  Returns a map from ``flow_key`` to allocated Kbps.  (A
+    fresh :class:`VectorizedMaxMinSolver` per call; the allocation engine
+    keeps one instance instead, to reuse its incidence between solves.)
     """
-    allocation: Dict[int, float] = {request.flow_key: 0.0 for request in requests}
-    if not requests:
-        return allocation
-
-    active: List[AllocationRequest] = []
-    for request in requests:
-        if request.cap_kbps <= _EPSILON:
-            allocation[request.flow_key] = 0.0
-        else:
-            active.append(request)
-
-    remaining: Dict[int, float] = {}
-    flows_on_link: Dict[int, int] = {}
-    for request in active:
-        for link in request.link_indices:
-            if link in link_capacity_kbps:
-                remaining.setdefault(link, link_capacity_kbps[link])
-                flows_on_link[link] = flows_on_link.get(link, 0) + 1
-
-    iterations = 0
-    while active and iterations < max_iterations:
-        iterations += 1
-        # The uniform rate increment every unfrozen flow can still absorb.
-        increment = min(request.cap_kbps - allocation[request.flow_key] for request in active)
-        for link, count in flows_on_link.items():
-            if count > 0:
-                increment = min(increment, remaining[link] / count)
-        if increment < 0:
-            increment = 0.0
-
-        saturated_links: List[int] = []
-        for request in active:
-            allocation[request.flow_key] += increment
-        for link, count in flows_on_link.items():
-            if count > 0:
-                remaining[link] -= increment * count
-                if remaining[link] <= _EPSILON:
-                    saturated_links.append(link)
-        # Retire saturated links from the working maps *before* freezing the
-        # flows that cross them.  Freezing then only decrements links still in
-        # play: a frozen flow can never drive a just-saturated link's count
-        # negative (every crossing flow freezes this round) and stale counts
-        # cannot leak into later rounds' increment computation.
-        saturated_set = set(saturated_links)
-        for link in saturated_links:
-            del flows_on_link[link]
-            del remaining[link]
-
-        still_active: List[AllocationRequest] = []
-        for request in active:
-            at_cap = allocation[request.flow_key] >= request.cap_kbps - _EPSILON
-            blocked = any(link in saturated_set for link in request.link_indices)
-            if at_cap or blocked:
-                for link in request.link_indices:
-                    count = flows_on_link.get(link)
-                    if count is not None:
-                        flows_on_link[link] = count - 1
-            else:
-                still_active.append(request)
-        if len(still_active) == len(active) and increment <= _EPSILON:
-            # No progress is possible (degenerate caps); stop to avoid looping.
-            break
-        active = still_active
-
-    return allocation
+    return VectorizedMaxMinSolver()(requests, link_capacity_kbps, max_iterations)
 
 
 def single_pass_allocation(
@@ -122,9 +299,9 @@ def single_pass_allocation(
     the offline bottleneck tree uses.  Exposed for the OMBT implementation and
     for cross-checking the max-min allocator in tests.
 
-    Flows whose cap is (numerically) zero receive 0.0 and — like in
-    :func:`max_min_allocation` — do not consume a share of any link, so both
-    solvers agree on which flows contend for capacity.
+    Flows whose cap is (numerically) zero receive 0.0 and — like in the
+    max-min solver — do not consume a share of any link, so both solvers
+    agree on which flows contend for capacity.
     """
     flows_on_link: Dict[int, int] = {}
     for request in requests:

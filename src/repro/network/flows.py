@@ -60,15 +60,11 @@ class Flow:
         self.dst = dst
         self.label = label or f"{src}->{dst}"
         self.packet_kbits = packet_kbits
-        #: True whenever this flow's rate cap may have changed since the
-        #: allocator last saw it (new flow, demand write, TFRC feedback).
-        #: The incremental allocation engine skips flows with a clean flag.
+        #: True when this flow's *effective* rate cap (min of demand and the
+        #: TFRC rate) changed since the allocator last saw it; a demand write
+        #: or feedback round that does not move the binding cap leaves the
+        #: flow clean, and the allocation engine skips clean flows.
         self.cap_dirty: bool = True
-        #: Step-engine mode: track the *effective* cap (min of demand and the
-        #: TFRC rate) exactly, so a demand write or feedback round that does
-        #: not move the binding cap leaves the flow clean.  Off by default —
-        #: legacy mode keeps the conservative always-dirty behaviour.
-        self.exact_dirty: bool = False
         self._demand_kbps = demand_kbps
         # One engine lookup per direction: the forward path carries the data,
         # the backward path only contributes its delay to the control RTT.
@@ -98,13 +94,12 @@ class Flow:
 
     @demand_kbps.setter
     def demand_kbps(self, value: float) -> None:
-        if self.exact_dirty and not self.cap_dirty:
-            before = self.rate_cap_kbps()
+        if self.cap_dirty:
             self._demand_kbps = value
-            if self.rate_cap_kbps() != before:
-                self.cap_dirty = True
-        else:
-            self._demand_kbps = value
+            return
+        before = self.rate_cap_kbps()
+        self._demand_kbps = value
+        if self.rate_cap_kbps() != before:
             self.cap_dirty = True
 
     def set_demand(self, demand_kbps: float) -> None:
@@ -171,11 +166,11 @@ class Flow:
         self.packets_lost += lost
         if self.tfrc is None:
             return
-        exact = self.exact_dirty and not self.cap_dirty
-        cap_before = self.rate_cap_kbps() if exact else 0.0
         # Feedback is about to mutate the TFRC allowed rate; the allocator
-        # must re-read this flow's cap next step (unless exact tracking shows
-        # the binding cap did not move).
+        # must re-read this flow's cap next step unless the binding cap did
+        # not move.
+        was_clean = not self.cap_dirty
+        cap_before = self.rate_cap_kbps() if was_clean else 0.0
         self.cap_dirty = True
         received = len(sequences)
         chunks = max(1, min(16, int(round(dt / self.rtt_s)))) if dt > 0 else 1
@@ -184,7 +179,7 @@ class Flow:
             chunk_received = received // chunks + (1 if index < received % chunks else 0)
             chunk_lost = lost // chunks + (1 if index < lost % chunks else 0)
             self.tfrc.on_feedback(received_packets=chunk_received, lost_packets=chunk_lost)
-        if exact and self.rate_cap_kbps() == cap_before:
+        if was_clean and self.rate_cap_kbps() == cap_before:
             self.cap_dirty = False
 
     def close(self) -> None:

@@ -9,28 +9,33 @@ packet, so thousand-node overlays run in pure Python.
 
 Each step proceeds in three phases driven by the experiment harness:
 
-1. :meth:`NetworkSimulator.begin_step` — flows whose cap may have changed
+1. :meth:`NetworkSimulator.begin_step` — flows whose effective cap changed
    (demand writes, TFRC feedback, creation/removal) are re-submitted to the
-   incremental :class:`~repro.network.allocation.AllocationEngine`, which
-   re-solves the max-min fair allocation for the affected region of the
-   flow/link constraint graph only; per-flow non-blocking send budgets are
-   refreshed from the result.
+   :class:`~repro.network.allocation.AllocationEngine`, which re-solves the
+   max-min fair allocation for the affected region of the flow/link
+   constraint graph only; per-flow non-blocking send budgets are refreshed
+   from the result.
 2. The protocol layer runs: it consumes packets delivered in the previous
    step and submits new packets through ``flow.try_send``.
 3. :meth:`NetworkSimulator.end_step` — packets accepted by each flow are
    subjected to path loss, surviving packets are handed to the destination
-   (visible next step), TFRC receives its feedback and the clock advances.
+   (visible next step), TFRC feedback and idle-flow rate evolution run as
+   numpy batches (:mod:`repro.sched.vectors`) and the clock advances.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping, Optional
 
+import numpy as np
+
 from repro.network.allocation import AllocationEngine, EngineStats
 from repro.network.fairshare import Solver
 from repro.network.flows import Flow
 from repro.network.stats import StatsCollector
+from repro.sched.vectors import evolve_idle_rates, feedback_rounds
 from repro.topology.graph import Topology
+from repro.transport.tfrc import MIN_RATE_KBPS
 from repro.util.rng import SeededRng
 from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
@@ -49,8 +54,6 @@ class NetworkSimulator:
         congestion_loss_rate: float = 0.03,
         congestion_threshold: float = 0.98,
         solver: "str | Solver" = "max_min",
-        incremental: bool = True,
-        step_engine: bool = False,
     ) -> None:
         """``congestion_loss_rate`` models drop-tail queue drops on saturated
         links: a physical link whose allocated traffic reaches
@@ -62,18 +65,7 @@ class NetworkSimulator:
         disable congestion losses.
 
         ``solver`` names the bandwidth solver (``max_min``, ``single_pass`` or
-        any callable/registered solver).  ``incremental=True`` (the default)
-        re-solves only flows affected by cap or membership changes each step;
-        ``incremental=False`` forces a from-scratch solve every step (the
-        original behaviour, kept as the reference mode for benchmarks and
-        equivalence tests).
-
-        ``step_engine=True`` enables the quiescence-aware fast paths from
-        :mod:`repro.sched`: flows track their *effective* cap exactly (so a
-        feedback round that does not move the binding cap stays clean), the
-        default max-min solver runs vectorized, and idle flows evolve their
-        TFRC state in one numpy batch instead of per-flow Python loops.  All
-        of it is bit-identical to the legacy per-flow path."""
+        any callable/registered solver)."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         if not 0.0 <= congestion_loss_rate < 1.0:
@@ -91,16 +83,6 @@ class NetworkSimulator:
         self.congestion_loss_rate = congestion_loss_rate
         self.congestion_threshold = congestion_threshold
         self._congested_links: set[int] = tracked_set("simulator.congested_links")
-        self.incremental = incremental
-        self.step_engine = step_engine
-        if step_engine and solver == "max_min":
-            # The vectorized solver is a bit-identical clone of the scalar
-            # reference; only the default solver is swapped (custom solvers
-            # keep whatever the caller registered).  The instance caches the
-            # flow->link incidence between solves with a stable request set.
-            from repro.sched.vectors import VectorizedMaxMinSolver
-
-            solver = VectorizedMaxMinSolver()
         self._engine = AllocationEngine(topology.capacity_map(), solver=solver)
         self._capacity_version = topology.capacity_version
         #: Cached equation-rate targets for idle (nothing-sent) TFRC flows;
@@ -126,7 +108,6 @@ class NetworkSimulator:
             demand_kbps=demand_kbps,
             use_tfrc=use_tfrc,
         )
-        flow.exact_dirty = self.step_engine
         self._flows[flow.flow_id] = flow
         return flow
 
@@ -150,27 +131,21 @@ class NetworkSimulator:
     def begin_step(self) -> None:
         """Allocate bandwidth to every active flow and refresh send budgets.
 
-        The allocation is incremental: only flows whose rate cap changed
-        since the previous step (``Flow.cap_dirty``), plus flows created or
-        removed, are re-submitted to the :class:`AllocationEngine`; the
-        engine re-solves just the affected region of the constraint graph.
+        Only flows whose effective rate cap changed since the previous step
+        (``Flow.cap_dirty``), plus flows created or removed, are re-submitted
+        to the :class:`AllocationEngine`; the engine re-solves just the
+        affected region of the constraint graph.
         """
         if self.topology.capacity_version != self._capacity_version:
             self._engine.reset_capacities(self.topology.capacity_map())
             self._capacity_version = self.topology.capacity_version
         engine = self._engine
-        incremental = self.incremental
         for flow in self._flows.values():
             if not flow.active:
                 engine.retire(flow.flow_id)
-            elif not incremental or flow.cap_dirty or not engine.tracks(flow.flow_id):
-                # From-scratch mode re-reads every cap unconditionally: it is
-                # the oracle the incremental mode is tested against, so it
-                # must not depend on the dirty flags being right.
+            elif flow.cap_dirty or not engine.tracks(flow.flow_id):
                 engine.submit(flow.flow_id, flow.link_indices, flow.rate_cap_kbps())
                 flow.cap_dirty = False
-        if not self.incremental:
-            engine.mark_all_dirty()
         changed = engine.solve()
         allocation = engine.allocation
         for flow in self._flows.values():
@@ -206,26 +181,21 @@ class NetworkSimulator:
 
     def end_step(self) -> None:
         """Apply loss, deliver surviving packets and advance the clock."""
-        idle: Optional[List[Flow]] = [] if self.step_engine else None
-        batch: Optional[List[tuple]] = [] if self.step_engine else None
+        idle: List[Flow] = []
+        batch: List[tuple] = []
         for flow in list(self._flows.values()):
             sent = flow.collect_sent()
             if not flow.active:
                 # A flow closed mid-step delivers nothing.
                 continue
             if not sent:
-                if idle is not None:
-                    # Step-engine mode: idle TFRC evolution runs as one numpy
-                    # batch after the loop.  Loss draws are unaffected — idle
-                    # flows consume no randomness — so the RNG stream stays
-                    # in flow-insertion order over the flows that did send.
-                    idle.append(flow)
-                else:
-                    flow.deliver([], 0, dt=self.dt)
+                # Idle TFRC evolution runs as one numpy batch after the loop.
+                # Idle flows consume no randomness, so the loss-draw stream
+                # stays in flow-insertion order over the flows that did send.
+                idle.append(flow)
                 continue
-            if idle is not None:
-                # Any delivery invalidates the cached idle equation target.
-                self._idle_targets.pop(flow.flow_id, None)
+            # Any delivery invalidates the cached idle equation target.
+            self._idle_targets.pop(flow.flow_id, None)
             survived: List[int] = []
             lost = 0
             p = flow.path_loss
@@ -246,23 +216,21 @@ class NetworkSimulator:
                         survived.append(sequence)
             for sequence in survived:
                 self.stats.record_link_transmission(sequence, flow.link_indices)
-            if batch is not None:
-                tfrc = flow.tfrc
-                if (
-                    tfrc is not None
-                    and tfrc.slow_start_gain == 2.0
-                    and tfrc.congestion_avoidance_gain == 0.25
-                    and tfrc.loss_history.max_intervals == 8
-                ):
-                    # Step-engine mode: Flow.deliver's bookkeeping happens
-                    # here, and its TFRC feedback chunks run as one numpy
-                    # batch after the loop (loss draws above already consumed
-                    # this flow's randomness, so the RNG stream is unchanged).
-                    flow._delivered.extend(survived)
-                    flow.packets_delivered += len(survived)
-                    flow.packets_lost += lost
-                    batch.append((flow, len(survived), lost))
-                    continue
+            tfrc = flow.tfrc
+            if (
+                tfrc is not None
+                and tfrc.slow_start_gain == 2.0
+                and tfrc.congestion_avoidance_gain == 0.25
+                and tfrc.loss_history.max_intervals == 8
+            ):
+                # Flow.deliver's bookkeeping happens here, and its TFRC
+                # feedback chunks run as one numpy batch after the loop (the
+                # loss draws above already consumed this flow's randomness).
+                flow._delivered.extend(survived)
+                flow.packets_delivered += len(survived)
+                flow.packets_lost += lost
+                batch.append((flow, len(survived), lost))
+                continue
             flow.deliver(survived, lost, dt=self.dt)
         if batch:
             self._apply_feedback_batch(batch)
@@ -282,11 +250,6 @@ class NetworkSimulator:
         including the exact effective-cap dirty tracking from
         :meth:`Flow.deliver`.
         """
-        import numpy as np
-
-        from repro.sched.vectors import feedback_rounds
-        from repro.transport.tfrc import MIN_RATE_KBPS
-
         n = len(batch)
         dt = self.dt
         rates: List[float] = []
@@ -322,7 +285,7 @@ class NetworkSimulator:
             rtt.append(flow.rtt_s)
             size_bytes.append(tfrc.packet_size_bytes)
             demand.append(flow.demand_kbps)
-            was_clean.append(flow.exact_dirty and not flow.cap_dirty)
+            was_clean.append(not flow.cap_dirty)
         rates_arr = np.asarray(rates, dtype=np.float64)
         demand_arr = np.asarray(demand, dtype=np.float64)
         new_rates, new_ss, new_seen, new_len, new_cur, history_dirty = feedback_rounds(
@@ -355,7 +318,7 @@ class NetworkSimulator:
                 flow.cap_dirty = True
 
     def _evolve_idle(self, idle: List[Flow]) -> None:
-        """Advance idle flows' TFRC state in one batch (step-engine mode).
+        """Advance idle flows' TFRC state in one batch.
 
         Bit-identical to calling ``flow.deliver([], 0, dt)`` on each flow:
         flows without TFRC are true no-ops and are skipped outright; standard
@@ -363,11 +326,6 @@ class NetworkSimulator:
         evolve_idle_rates`; anything unusual (non-default gains, a rate below
         the floor) falls back to the scalar path with exact dirty tracking.
         """
-        import numpy as np
-
-        from repro.sched.vectors import evolve_idle_rates
-        from repro.transport.tfrc import MIN_RATE_KBPS
-
         batch: List[Flow] = []
         rates: List[float] = []
         slow_start: List[bool] = []
@@ -387,8 +345,8 @@ class NetworkSimulator:
                 or tfrc.congestion_avoidance_gain != 0.25
                 or rate < MIN_RATE_KBPS
             ):
-                # Non-standard state: the scalar path already tracks the
-                # effective cap exactly through ``flow.exact_dirty``.
+                # Non-standard state: the scalar path tracks the effective
+                # cap exactly as well.
                 flow.deliver([], 0, dt=dt)
                 continue
             if tfrc.in_slow_start:
@@ -453,19 +411,14 @@ class NetworkSimulator:
         solve per source, amortized over every destination the source later
         talks to.  Protocol drivers call this ahead of discovery spikes
         (overlay construction, flash-crowd joins) so no Dijkstra runs inside
-        the step loop.  No-op in legacy routing mode.
+        the step loop.
         """
         return self.topology.warm_routes(sources, dsts)
 
     @property
     def allocation_stats(self) -> EngineStats:
-        """Counters from the incremental allocation engine (work avoided)."""
+        """Counters from the allocation engine (work avoided)."""
         return self._engine.stats
-
-    @property
-    def allocation_engine(self) -> AllocationEngine:
-        """The bandwidth allocation engine (read-mostly; used by benchmarks)."""
-        return self._engine
 
     def describe(self) -> Dict[str, float]:
         """Small status summary for logging and debugging."""

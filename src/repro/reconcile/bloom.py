@@ -19,9 +19,7 @@ produce that wire state, bit for bit the same:
   WorkingSet.bloom_snapshot`).
 * :class:`FifoBloomFilter` is the mutable form — per-bit *counters* beside
   the bit array, so evicting a key clears exactly the bits no live key still
-  sets.  It backs the ``antientropy`` baseline, the legacy-mode
-  :meth:`~repro.reconcile.working_set.WorkingSet.bloom_filter` rebuild and
-  the test oracles.
+  sets.  It backs the ``antientropy`` baseline and the test oracles.
 """
 
 from __future__ import annotations

@@ -23,8 +23,8 @@ Everything else is *derived* from that list when somebody asks:
   the most recent ``capacity`` entries on demand — a node reads its filter
   once per refresh period, so nothing is maintained per packet — and hands
   back the *same* frozen object for as long as that window's content stands;
-* the incremental summary ticket diffs the window against its previous
-  build and folds only the keys that entered it.
+* the summary ticket diffs the window against its previous build and folds
+  only the keys that entered it.
 
 Every observable mutation bumps :attr:`WorkingSet.version`.
 """
@@ -38,7 +38,7 @@ from typing import Iterable, List, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter, optimal_parameters
+from repro.reconcile.bloom import BloomSnapshot, optimal_parameters
 from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
 from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients
 
@@ -276,8 +276,7 @@ class WorkingSet:
 
     # ------------------------------------------------------------- summaries
     def summary_ticket(
-        self, window: Optional[int] = None, sample_stride: int = 1,
-        incremental: bool = False,
+        self, window: Optional[int] = None, sample_stride: int = 1
     ) -> SummaryTicket:
         """Build the node's current summary ticket.
 
@@ -290,13 +289,12 @@ class WorkingSet:
         samples the same universe subset and resemblance estimates between
         nodes remain comparable.
 
-        ``incremental`` reuses the previous build: min-wise entries are
-        monotone under inserts, so only keys that entered the window since
-        last time are folded in, and only entries whose minimum was achieved
-        by a key that *left* the window are re-sketched from scratch.  The
+        The previous build with the same parameters is reused: min-wise
+        entries are monotone under inserts, so only keys that entered the
+        window since last time are folded in, and only entries whose minimum
+        was achieved by a key that *left* the window are re-sketched.  The
         result is identical to a full rebuild (ties resolve to the smallest
-        key in both paths); the flag exists so the pre-incremental hot path
-        stays available for benchmarks.
+        key either way).
         """
         if sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
@@ -313,11 +311,7 @@ class WorkingSet:
             # thin to say anything (tiny working sets early in a run).
             if len(sampled) >= self.ticket_entries:
                 keys = sampled
-        if incremental:
-            return self._incremental_ticket(keys, (window, sample_stride))
-        ticket = SummaryTicket(num_entries=self.ticket_entries, seed=self.ticket_seed)
-        ticket.update(keys)
-        return ticket
+        return self._incremental_ticket(keys, (window, sample_stride))
 
     def _sketch(
         self, keys: List[int], entries: Optional[List[int]] = None
@@ -371,39 +365,19 @@ class WorkingSet:
             ticket._entries = minima.tolist()
         return ticket
 
-    def bloom_filter(
-        self, expected_items: Optional[int] = None, false_positive_rate: float = 0.01
-    ) -> FifoBloomFilter:
-        """Build a Bloom filter describing the *recent* working set.
-
-        Bullet's filters only ever describe the sequences a node still cares
-        about recovering (the paper prunes low sequence numbers from the
-        filter), so the filter is built over the most recent
-        ``expected_items`` sequences; everything older is implicitly treated
-        as already held (the FIFO filter's window floor).
-
-        This is the mutable from-scratch construction (legacy protocol mode,
-        tests); the protocol hot path uses :meth:`bloom_snapshot`, which
-        derives the same wire state without building a filter object.
-        """
-        population = max(len(self._sequences), 1)
-        capacity = expected_items if expected_items is not None else max(population, 128)
-        recent = self._sorted()[-capacity:]
-        bloom = FifoBloomFilter.with_capacity(capacity, false_positive_rate, window=capacity)
-        if recent:
-            bloom.advance_window(recent[0])
-        bloom.update(recent)
-        return bloom
-
     def bloom_snapshot(
         self, expected_items: Optional[int] = None, false_positive_rate: float = 0.01
     ) -> BloomSnapshot:
         """A frozen Bloom filter over the recent working set, built on demand.
 
-        Byte-identical to ``bloom_filter(...).snapshot()`` with the same
-        parameters.  Calls return the *same* snapshot object for as long as
-        the window's content is unchanged, which downstream code uses to
-        recognise "nothing changed since the last refresh".
+        Bullet's filters only ever describe the sequences a node still cares
+        about recovering (the paper prunes low sequence numbers from the
+        filter), so the filter covers the most recent ``expected_items``
+        sequences; everything older is implicitly treated as already held
+        (the snapshot's window floor).  Calls return the *same* snapshot
+        object for as long as the window's content is unchanged, which
+        downstream code uses to recognise "nothing changed since the last
+        refresh".
 
         The window is the top ``capacity`` entries of the ascending list, and
         its (first key, length) pair identifies its content: sequences only

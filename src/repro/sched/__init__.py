@@ -1,8 +1,8 @@
 """Quiescence-aware event-scheduled step core.
 
-The fixed-step driver historically visited every node and every flow each
-``dt`` regardless of whether anything was due.  This package hosts the
-wakeup-driven replacement:
+A fixed-step driver that visits every node and every flow each ``dt``
+regardless of whether anything is due wastes most of its visits.  This
+package hosts the wakeup-driven step core:
 
 * :class:`~repro.sched.wakeups.WakeupQueue` — an earliest-deadline index over
   opaque wakeup keys, built on the same lazy-heap pattern as
@@ -11,17 +11,12 @@ wakeup-driven replacement:
   systems register their wakeups with (periodic timers, pending control
   deliveries, dirty flows, injector events) and that answers "which keys are
   due this step?";
-* :mod:`~repro.sched.vectors` — numpy batch kernels for the per-flow work
-  that remains on an active step (the max-min solver and idle-flow TFRC
-  evolution), bit-identical to the scalar reference implementations.
-
-Everything here is gated behind ``ExperimentConfig.step_engine``: with the
-flag off the legacy every-node-every-step loop runs unchanged and exports
-byte-identical results.
+* :mod:`~repro.sched.vectors` — numpy batch kernels for the per-flow TFRC
+  work that remains at the end of every step (feedback rounds and idle-flow
+  rate evolution), bit-identical to the scalar ``TfrcFlowState``.
 """
 
 from repro.sched.engine import StepEngine
 from repro.sched.wakeups import WakeupQueue
-from repro.sched.vectors import max_min_allocation_vectorized
 
-__all__ = ["StepEngine", "WakeupQueue", "max_min_allocation_vectorized"]
+__all__ = ["StepEngine", "WakeupQueue"]

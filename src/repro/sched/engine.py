@@ -1,8 +1,8 @@
 """The per-session step engine: who needs to run this step?
 
 :class:`StepEngine` owns one :class:`~repro.sched.wakeups.WakeupQueue` shared
-by every subsystem in a session.  Systems arm wakeups for the things the
-fixed-step loop used to poll unconditionally:
+by every subsystem in a session.  Systems arm wakeups for the things a
+fixed-step loop would otherwise poll unconditionally:
 
 * periodic protocol timers, via :meth:`arm_timer` (which mirrors
   ``PeriodicTimer.time_to_next`` so a wakeup is never later than the timer);
@@ -17,8 +17,8 @@ The quiescence contract for system authors:
 1. arm a wakeup key for every independent source of periodic or deferred
    work you own, *before* the first step that could skip it;
 2. each step, fetch :meth:`due_set` and run only the owners of due keys —
-   but preserve your legacy iteration order over them (message sequence
-   numbers depend on send order);
+   in ascending owner order (message sequence numbers depend on send
+   order);
 3. re-arm after handling a wakeup;
 4. when in doubt, fire: an early wakeup hits the timer's own "not due yet"
    path and is a behavioural no-op, whereas a missed one diverges.
@@ -82,7 +82,7 @@ class StepEngine:
 
     # ------------------------------------------------------------- inspection
     def describe(self) -> Dict[str, int]:
-        """Counters for tests and the perf harness."""
+        """Counters for tests and the end-to-end benchmark's tracer."""
         return {
             "steps": self.steps,
             "armed": len(self.queue),

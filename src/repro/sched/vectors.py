@@ -1,34 +1,30 @@
-"""Numpy batch kernels for the step engine's per-flow work.
+"""Numpy batch kernels for the simulator's per-flow TFRC work.
 
-Two hot loops remain on an *active* step even after quiescence skipping:
+Two per-flow loops remain at the end of every step:
 
-* the max-min progressive-filling solver (every solve touches all affected
-  flows and links);
+* TFRC feedback rounds for the flows that sent (one per feedback chunk);
 * idle-flow TFRC evolution (every flow that sent nothing still advances its
   allowed rate once per feedback chunk).
 
-Both are re-implemented here over flat arrays.  Bit-identity with the scalar
-references is a hard requirement (the legacy mode must stay byte-identical),
-and holds because every operation below is an elementwise IEEE-754 float64
-operation in the same order as its scalar counterpart:
+Both run here over flat arrays.  Bit-identity with the scalar
+:class:`~repro.transport.tfrc.TfrcFlowState` (which flows with non-default
+gains still use, and which the hypothesis suites compare against) is a hard
+requirement, and holds because every operation below is an elementwise
+IEEE-754 float64 operation in the same order as its scalar counterpart:
 
 * ``min``/``max`` over arrays equal chained two-argument comparisons;
 * ``a + b``, ``a - b``, ``a * b``, ``a / b`` round identically in numpy and
   CPython (both are the platform's float64 ops);
 * slow-start doubling by ``2**k`` is exact (power-of-two multiply), equal to
   ``k`` sequential doublings including the overflow-to-inf case.
-
-The solver mirrors :func:`repro.network.fairshare.max_min_allocation` round
-for round — see the inline comments pairing each block with the scalar code.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from repro.network.fairshare import AllocationRequest, _EPSILON
 from repro.transport.tfrc import LOSS_INTERVAL_WEIGHTS
 
 #: ``sum(LOSS_INTERVAL_WEIGHTS[:k])`` for k = 0..8, accumulated in the same
@@ -37,249 +33,6 @@ _WEIGHT_TOTALS = np.zeros(len(LOSS_INTERVAL_WEIGHTS) + 1, dtype=np.float64)
 for _k, _w in enumerate(LOSS_INTERVAL_WEIGHTS):
     _WEIGHT_TOTALS[_k + 1] = _WEIGHT_TOTALS[_k] + _w
 del _k, _w
-
-
-class VectorizedMaxMinSolver:
-    """Bit-identical numpy clone of :func:`max_min_allocation`, with memory.
-
-    The flow->link incidence is flattened once and reused while the request
-    set (and the capacity map object) stay the same — the common case under
-    the incremental allocation engine, where the affected region's membership
-    is stable between steps and only the caps move.  One instance per
-    simulator; the scalar implementation stays the reference (and the
-    legacy-mode default).
-    """
-
-    #: Per-flow column caches are dropped wholesale past this size (flows
-    #: retire under churn; the map must not grow with the lifetime id space).
-    _FLOW_CACHE_MAX = 1 << 18
-
-    def __init__(self) -> None:
-        self._keys: object = None
-        self._caps_ref: object = None
-        self._e_flow: np.ndarray = np.zeros(0, dtype=np.intp)
-        self._e_link: np.ndarray = np.zeros(0, dtype=np.intp)
-        self._base_remaining: np.ndarray = np.zeros(0, dtype=np.float64)
-        self._flow_ptr: np.ndarray = np.zeros(1, dtype=np.intp)
-        self._link_rows: np.ndarray = np.zeros(0, dtype=np.intp)
-        self._link_ptr: np.ndarray = np.zeros(1, dtype=np.intp)
-        self._m = 0
-        #: link index -> column, shared by every request set under one
-        #: capacity map (columns only ever grow).
-        self._link_col: Dict[int, int] = {}
-        self._capacities: List[float] = []
-        #: flow key -> cached column array for its links (paths are fixed
-        #: for a flow's lifetime, so this never invalidates per flow).
-        self._flow_cols: Dict[object, np.ndarray] = {}
-        self.rebuilds = 0
-
-    def _columns_for(
-        self, request: AllocationRequest, link_capacity_kbps: Dict[int, float]
-    ) -> np.ndarray:
-        cols = self._flow_cols.get(request.flow_key)
-        if cols is None:
-            link_col = self._link_col
-            capacities = self._capacities
-            entries: List[int] = []
-            for link in request.link_indices:
-                if link in link_capacity_kbps:
-                    col = link_col.get(link)
-                    if col is None:
-                        col = len(link_col)
-                        link_col[link] = col
-                        capacities.append(link_capacity_kbps[link])
-                    entries.append(col)
-            cols = np.asarray(entries, dtype=np.intp)
-            if len(self._flow_cols) >= self._FLOW_CACHE_MAX:
-                self._flow_cols.clear()
-            self._flow_cols[request.flow_key] = cols
-        return cols
-
-    def _build(
-        self,
-        requests: Sequence[AllocationRequest],
-        link_capacity_kbps: Dict[int, float],
-    ) -> None:
-        """Assemble the flattened incidence from per-flow column caches.
-
-        The request *membership* changes nearly every step under the
-        incremental allocation engine, but each flow's own links never do —
-        so the per-request work is a dict lookup plus a concatenate, not a
-        Python loop over every link of every flow.
-        """
-        if link_capacity_kbps is not self._caps_ref:
-            # New capacity map: column numbering and caps are stale.
-            self._link_col = {}
-            self._capacities = []
-            self._flow_cols = {}
-        per_flow = [self._columns_for(request, link_capacity_kbps) for request in requests]
-        lengths = np.fromiter(
-            (len(cols) for cols in per_flow), dtype=np.intp, count=len(per_flow)
-        )
-        self._m = len(self._link_col)
-        self._e_flow = np.repeat(np.arange(len(per_flow), dtype=np.intp), lengths)
-        self._e_link = (
-            np.concatenate(per_flow) if per_flow else np.zeros(0, dtype=np.intp)
-        )
-        self._base_remaining = np.asarray(self._capacities, dtype=np.float64)
-        # Per-flow segment pointers into e_link, and the transposed (CSR by
-        # link) adjacency — freeze/saturate events touch single rows/columns,
-        # so the round loop walks adjacency lists instead of masking the
-        # whole incidence every round.
-        self._flow_ptr = np.zeros(len(per_flow) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=self._flow_ptr[1:])
-        order = np.argsort(self._e_link, kind="stable")
-        self._link_rows = self._e_flow[order]
-        self._link_ptr = np.zeros(self._m + 1, dtype=np.intp)
-        np.cumsum(
-            np.bincount(self._e_link, minlength=self._m), out=self._link_ptr[1:]
-        )
-        self.rebuilds += 1
-
-    def __call__(
-        self,
-        requests: Sequence[AllocationRequest],
-        link_capacity_kbps: Dict[int, float],
-        max_iterations: int = 10_000,
-    ) -> Dict[int, float]:
-        allocation: Dict[int, float] = {request.flow_key: 0.0 for request in requests}
-        if not requests:
-            return allocation
-        n = len(requests)
-        keys = tuple(request.flow_key for request in requests)
-        if keys != self._keys or link_capacity_kbps is not self._caps_ref:
-            self._build(requests, link_capacity_kbps)
-            self._keys = keys
-            self._caps_ref = link_capacity_kbps
-
-        caps = np.fromiter(
-            (request.cap_kbps for request in requests), dtype=np.float64, count=n
-        )
-        alloc = np.zeros(n, dtype=np.float64)
-        # Zero-cap flows get 0.0 and never contend — same as the scalar
-        # pre-filter; they simply start (and stay) frozen here.
-        alive = caps > _EPSILON
-        e_link = self._e_link
-        flow_ptr = self._flow_ptr
-        link_rows = self._link_rows
-        link_ptr = self._link_ptr
-
-        # Every active flow's allocation is the same running total ``fill``:
-        # all flows start at 0.0 and receive identical increments in
-        # identical order, so the scalar per-flow partial sums are bit-equal
-        # to fill's.  A flow's allocation materializes the moment it freezes.
-        fill = 0.0
-        # Flow-side mins come from a sorted-caps pointer: float subtraction
-        # is monotone, so min over active flows of fl(cap - fill) equals
-        # fl(min_cap - fill), and the at-cap set each round is a prefix of
-        # the sorted order.  Both are O(1) amortized instead of full passes.
-        order = np.argsort(caps, kind="stable")
-        caps_sorted = caps[order]
-        thresh_sorted = caps_sorted - _EPSILON
-        pointer = 0
-        counts = np.zeros(self._m, dtype=np.int64)
-        if len(e_link):
-            np.add.at(counts, e_link[alive[self._e_flow]], 1)
-        contended = counts > 0
-        # Retired links drop out via +inf sentinels (divisor pinned to 1),
-        # keeping the link-side share min a plain full-array pass.
-        remaining = np.where(contended, self._base_remaining, np.inf)
-        counts_f = np.where(contended, counts, 1).astype(np.float64)
-        shares = np.empty_like(remaining)
-
-        active_count = int(np.count_nonzero(alive))
-        iterations = 0
-        while active_count > 0 and iterations < max_iterations:
-            iterations += 1
-            while not alive[order[pointer]]:
-                pointer += 1
-            # increment = min over active flows of (cap - alloc), then over
-            # contended links of remaining / count — the same chained
-            # two-argument float mins as the scalar loop.
-            increment = float(caps_sorted[pointer]) - fill
-            if remaining.size:
-                np.divide(remaining, counts_f, out=shares)
-                increment = min(increment, float(shares.min()))
-            if increment < 0:
-                increment = 0.0
-            fill = fill + increment
-            # Sentinel links see inf - increment*1 == inf; live links see the
-            # exact scalar update fl(remaining - fl(increment * count)).  An
-            # infinite increment (every cap unbounded, no contended link)
-            # turns sentinels into NaN — harmless, as the scalar path also
-            # allocates inf then and every flow freezes this same round.
-            with np.errstate(invalid="ignore"):
-                remaining -= increment * counts_f
-
-            frozen_any = False
-            if remaining.size and float(remaining.min()) <= _EPSILON:
-                saturated = np.flatnonzero(remaining <= _EPSILON)
-                # Retire saturated links before freezing their flows, like
-                # the scalar map deletions.
-                remaining[saturated] = np.inf
-                counts_f[saturated] = 1.0
-                for link in saturated:
-                    for row in link_rows[link_ptr[link] : link_ptr[link + 1]]:
-                        if alive[row]:
-                            frozen_any = True
-                            self._freeze(row, fill, alive, alloc, counts, counts_f, remaining)
-                            active_count -= 1
-            while pointer < n:
-                row = order[pointer]
-                if alive[row]:
-                    if thresh_sorted[pointer] > fill:
-                        break
-                    frozen_any = True
-                    self._freeze(row, fill, alive, alloc, counts, counts_f, remaining)
-                    active_count -= 1
-                pointer += 1
-            if not frozen_any and increment <= _EPSILON:
-                # No progress possible (degenerate caps); stop, like the
-                # scalar no-progress break.
-                break
-
-        if active_count:
-            alloc[alive] = fill
-        for flow_idx, request in enumerate(requests):
-            allocation[request.flow_key] = float(alloc[flow_idx])
-        return allocation
-
-    def _freeze(
-        self,
-        row: int,
-        fill: float,
-        alive: np.ndarray,
-        alloc: np.ndarray,
-        counts: np.ndarray,
-        counts_f: np.ndarray,
-        remaining: np.ndarray,
-    ) -> None:
-        """Freeze one flow at the current fill level and release its links."""
-        alive[row] = False
-        alloc[row] = fill
-        links = self._e_link[self._flow_ptr[row] : self._flow_ptr[row + 1]]
-        # subtract.at, not fancy-index -=: a flow listing the same link twice
-        # must release both crossings, like the scalar per-occurrence loop.
-        np.subtract.at(counts, links, 1)
-        new_counts = counts[links]
-        emptied = links[new_counts == 0]
-        if len(emptied):
-            # A link whose last active flow froze leaves contention (the
-            # scalar count-0 skip); saturated links are already sentinels,
-            # and re-writing them is harmless.
-            remaining[emptied] = np.inf
-        # Retired links keep a harmless divisor of 1 (their remaining is
-        # +inf, so they never win the share min).
-        counts_f[links] = np.maximum(new_counts, 1)
-
-
-def max_min_allocation_vectorized(
-    requests: Sequence[AllocationRequest],
-    link_capacity_kbps: Dict[int, float],
-    max_iterations: int = 10_000,
-) -> Dict[int, float]:
-    """One-shot form of :class:`VectorizedMaxMinSolver` (fresh cache)."""
-    return VectorizedMaxMinSolver()(requests, link_capacity_kbps, max_iterations)
 
 
 def _loss_event_rate_vec(

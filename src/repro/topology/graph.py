@@ -8,11 +8,10 @@ paper's assumption 1 in Section 4.1: "the routing path between any two overlay
 participants is fixed") and exposes per-path aggregate loss and delay.
 
 Routing is served by the amortized :class:`~repro.topology.routing.
-RoutingEngine` by default (per-source shortest-path trees, split
-route/attribute caches, a batch ``warm`` API); setting
-:attr:`Topology.use_routing_engine` to False restores the legacy per-pair
-networkx resolution, kept as the byte-identical reference mode for
-benchmarks and equivalence tests.
+RoutingEngine` (per-source shortest-path trees, split route/attribute caches,
+a batch ``warm`` API); networkx is only the graph container.  The per-pair
+networkx resolution the engine is checked against lives in
+``tests/oracles/routing.py``.
 """
 
 from __future__ import annotations
@@ -109,14 +108,9 @@ class Topology:
         self._client_nodes: List[int] = []
         self._clients_view: Tuple[int, ...] = ()
         self._node_types: Dict[int, str] = {}
-        self._path_cache: Dict[Tuple[int, int], PathInfo] = {}
         self._capacity_map: Optional[Dict[int, float]] = None
         self._capacity_version: int = 0
         self._structure_version: int = 0
-        #: Route queries go through the amortized routing engine; False
-        #: restores the legacy per-pair networkx resolution (byte-identical
-        #: reference mode for benchmarks and equivalence tests).
-        self.use_routing_engine: bool = True
         self._routing = RoutingEngine(self, max_routes=max_cached_routes)
 
     # ------------------------------------------------------------------ build
@@ -160,8 +154,6 @@ class Topology:
         self._capacity_map = None
         self._capacity_version += 1
         self._structure_version += 1
-        # A new link can shorten existing routes; cached paths must go.
-        self._path_cache.clear()
         return link
 
     def add_duplex_link(
@@ -230,12 +222,10 @@ class Topology:
         Routes depend only on link delays, so the routing engine keeps every
         cached route and merely bumps its loss epoch — ``PathInfo.loss_rate``
         is lazily recomputed along the already-known links on next access.
-        The legacy per-pair cache (engine disabled) still drops wholesale.
         """
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError("loss rate must be in [0, 1)")
         self._links[index].loss_rate = loss_rate
-        self._path_cache.clear()
         self._routing.note_loss_change()
 
     def set_link_capacity(self, index: int, capacity_kbps: float) -> None:
@@ -243,13 +233,11 @@ class Topology:
 
         Bumps :attr:`capacity_version` so allocation engines caching the
         capacity map re-read it.  The routing engine keeps its routes and
-        lazily refreshes their ``bottleneck_kbps``; the legacy per-pair
-        cache is dropped (its snapshots embed the old capacity).
+        lazily refreshes their ``bottleneck_kbps``.
         """
         if capacity_kbps <= 0:
             raise ValueError("capacity must be positive")
         self._links[index].capacity_kbps = capacity_kbps
-        self._path_cache.clear()
         self._capacity_map = None
         self._capacity_version += 1
         self._routing.note_capacity_change()
@@ -260,12 +248,10 @@ class Topology:
         Routing stays pinned: per the paper's fixed-routing assumption
         (Section 4.1) the delay-weighted shortest paths are chosen once, at
         construction time, so a latency change never re-routes a pair — the
-        graph's edge ``weight`` keeps the construction-time routing metric
-        in both routing modes.  Only the *aggregate* latency of already
-        resolved paths changes: the routing engine bumps its delay epoch and
-        cached ``PathInfo.delay_s`` is lazily re-walked along the pinned
-        links on next access; the legacy per-pair cache drops wholesale and
-        recomputes over the unchanged routes.
+        graph's edge ``weight`` keeps the construction-time routing metric.
+        Only the *aggregate* latency of already resolved paths changes: the
+        routing engine bumps its delay epoch and cached ``PathInfo.delay_s``
+        is lazily re-walked along the pinned links on next access.
         """
         if delay_s <= 0:
             raise ValueError("delay must be positive")
@@ -273,7 +259,6 @@ class Topology:
         if link.routing_weight_s is None:
             link.routing_weight_s = link.delay_s
         link.delay_s = delay_s
-        self._path_cache.clear()
         self._routing.note_delay_change()
 
     @property
@@ -311,42 +296,13 @@ class Topology:
     def path(self, src: int, dst: int) -> PathInfo:
         """Return the fixed (delay-weighted shortest) routing path src -> dst.
 
-        Served by the amortized routing engine (one per-source Dijkstra
-        covers every destination, loss/capacity changes refresh attributes
-        without recomputing routes); with :attr:`use_routing_engine` False
-        the legacy per-pair networkx resolution runs instead, whose cache is
-        invalidated wholesale when loss or capacity rates change.
+        Served by the amortized routing engine: one per-source Dijkstra
+        covers every destination, and loss/capacity/delay changes refresh
+        attributes without recomputing routes.
         """
         if src == dst:
             return PathInfo(links=(), delay_s=0.0, loss_rate=0.0, bottleneck_kbps=float("inf"))
-        if self.use_routing_engine:
-            return self._routing.path_info(src, dst)
-        cached = self._path_cache.get((src, dst))
-        if cached is not None:
-            return cached
-        try:
-            node_path = nx.shortest_path(self._graph, src, dst, weight="weight")
-        except nx.NetworkXNoPath as exc:
-            raise ValueError(f"no route from {src} to {dst}") from exc
-        link_indices: List[int] = []
-        delay = 0.0
-        survive = 1.0
-        bottleneck = float("inf")
-        for a, b in zip(node_path, node_path[1:]):
-            index = self._link_index[(a, b)]
-            link = self._links[index]
-            link_indices.append(index)
-            delay += link.delay_s
-            survive *= 1.0 - link.loss_rate
-            bottleneck = min(bottleneck, link.capacity_kbps)
-        info = PathInfo(
-            links=tuple(link_indices),
-            delay_s=delay,
-            loss_rate=1.0 - survive,
-            bottleneck_kbps=bottleneck,
-        )
-        self._path_cache[(src, dst)] = info
-        return info
+        return self._routing.path_info(src, dst)
 
     def round_trip(self, a: int, b: int) -> Tuple[float, float]:
         """Return (rtt seconds, round-trip loss rate) between two hosts.
@@ -362,23 +318,20 @@ class Topology:
 
     def clear_path_cache(self) -> None:
         """Drop cached routes (call after structural changes)."""
-        self._path_cache.clear()
         self._routing.invalidate()
 
     def warm_routes(
         self, sources: Iterable[int], dsts: Optional[Sequence[int]] = None
     ) -> int:
-        """Batch pre-resolution of underlay routes (engine mode only).
+        """Batch pre-resolution of underlay routes.
 
         Builds each source's shortest-path tree once — amortizing one solve
         over every peer the source ever discovers — and, when ``dsts`` is
         given, materializes those routes into the cache.  The experiment
         session calls this at overlay construction and on every mid-run
         join, so flash-crowd discovery spikes resolve their paths outside
-        the hot step loop.  A no-op returning 0 in legacy mode.
+        the hot step loop.
         """
-        if not self.use_routing_engine:
-            return 0
         return self._routing.warm(sources, dsts)
 
     @property

@@ -12,9 +12,8 @@ This module implements the deterministic variant the reproduction needs:
 * Landmarks are a seeded sample of the participant hosts, so the same seed
   always picks the same landmarks.
 * A node's coordinate is its vector of RTTs to each landmark, computed from
-  the landmark side (``topology.path(landmark, node)``) so that in routing
-  engine mode every lookup is served by one of ``n_landmarks`` warm
-  shortest-path trees.  Duplex links carry the same delay both ways, so
+  the landmark side (``topology.path(landmark, node)``) so that every
+  lookup is served by one of ``n_landmarks`` warm shortest-path trees.  Duplex links carry the same delay both ways, so
   landmark→node delay equals node→landmark delay and the RTT is twice the
   one-way delay.
 * ``estimate_rtt(a, b)`` brackets the true RTT with the triangle

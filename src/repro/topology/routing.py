@@ -24,10 +24,10 @@ nodes, with the flash-crowd join spike as the worst case.
 
 Tie-breaking note: with the generators' continuous random link delays the
 delay-weighted shortest path between two hosts is unique, so the engine's
-Dijkstra and the legacy per-pair networkx resolution pick the same routes and
-the two modes export byte-identical results (gated in CI).  ``PathInfo``
-fields are computed by walking the chosen path in order, exactly as the
-legacy code does, so even float rounding matches.
+Dijkstra and a per-pair networkx resolution (the oracle in
+``tests/oracles/routing.py``) pick the same routes.  ``PathInfo`` fields are
+computed by walking the chosen path in order, exactly as the oracle does, so
+even float rounding matches.
 """
 
 from __future__ import annotations
@@ -333,8 +333,8 @@ class RoutingEngine:
     def _materialize(self, link_indices: Tuple[int, ...]) -> PathInfo:
         """Build a PathInfo by walking the links in path order.
 
-        The iteration order matches the legacy networkx-backed computation
-        exactly, so float accumulation is bit-identical for the same route.
+        The iteration order matches the networkx-backed oracle exactly, so
+        float accumulation is bit-identical for the same route.
         """
         links = self._links
         delay = 0.0

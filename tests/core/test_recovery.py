@@ -60,7 +60,7 @@ class TestBuildRecoveryRequests:
 class TestRecoveryRequestWants:
     def make_request(self, held, low=0, high=99, mod=0, total=2):
         ws = working_set_with(held)
-        bloom = ws.bloom_filter(expected_items=256)
+        bloom = ws.bloom_snapshot(expected_items=256)
         return RecoveryRequest(
             receiver=1, bloom=bloom, low=low, high=high, mod=mod, total_senders=total
         )
@@ -85,7 +85,7 @@ class TestSenderQueue:
     def make_request(self, held, mod=0, total=1, low=0, high=199):
         ws = working_set_with(held)
         return RecoveryRequest(
-            receiver=7, bloom=ws.bloom_filter(expected_items=256), low=low, high=high,
+            receiver=7, bloom=ws.bloom_snapshot(expected_items=256), low=low, high=high,
             mod=mod, total_senders=total,
         )
 

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (small, fast configurations)."""
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.harness import (
@@ -24,6 +26,19 @@ class TestExperimentConfig:
             ExperimentConfig(dt=0)
         with pytest.raises(ValueError):
             ExperimentConfig(sample_interval_s=0.1, dt=1.0)
+
+    @pytest.mark.parametrize(
+        "retired",
+        [dict(engines="legacy"), dict(step_engine=False)],
+        ids=lambda kwargs: next(iter(kwargs)),
+    )
+    def test_retired_engine_fields_fail_loudly(self, retired):
+        # sweep/batch overrides go through dataclasses.replace(base, **kw):
+        # a mode override must raise, never be silently ignored.
+        with pytest.raises(TypeError):
+            ExperimentConfig(**retired)
+        with pytest.raises(TypeError):
+            dataclasses.replace(ExperimentConfig(), **retired)
 
     def test_bullet_config_inherits_rate_and_seed(self):
         config = ExperimentConfig(stream_rate_kbps=900.0, seed=11)

@@ -1,7 +1,7 @@
 """Golden export digests: miniature runs and the CI determinism matrix.
 
-Byte-identity has so far been proven against the legacy twins; these
-literals make it rest on something that survives the twins.  Each digest is
+Byte-identity used to be proven against from-scratch engine twins; these
+literals are what it rests on now that the twins are gone.  Each digest is
 the sha256 of the canonical-JSON export (every series, the final CDF and
 the per-node map) of one small seeded run, computed once on the commit that
 introduced this file and committed as a literal: any change to simulated
@@ -40,13 +40,13 @@ FLAT_CHURN = "sha256:0f642c5cf86677d19256220dfc5465c038876aa5d9a2e7b6a5d59c5c569
 CLUSTERED = "sha256:7ad1f2b0a9f4b92311a0f79045c96ff295c727b6543cc29f43e4ac3ad6bdd916"
 
 
-def _flat_steady(**bullet) -> ExperimentConfig:
+def _flat_steady() -> ExperimentConfig:
     return ExperimentConfig(
         system="bullet",
         n_overlay=40,
         duration_s=50.0,
         seed=11,
-        bullet=BulletConfig(seed=11, working_set_window=768, **bullet),
+        bullet=BulletConfig(seed=11, working_set_window=768),
     )
 
 
@@ -96,9 +96,6 @@ def _digest(config: ExperimentConfig) -> str:
     "config, expected",
     [
         pytest.param(_flat_steady(), FLAT_STEADY, id="flat-steady"),
-        pytest.param(
-            _flat_steady(incremental_protocol=False), FLAT_STEADY, id="flat-steady-legacy-protocol"
-        ),
         pytest.param(_flat_churn(), FLAT_CHURN, id="flat-churn"),
         pytest.param(_clustered(0), CLUSTERED, id="clustered-serial"),
         pytest.param(_clustered(2), CLUSTERED, id="clustered-sharded"),
@@ -179,7 +176,8 @@ def test_three_level_churn_digest_matches_the_committed_literal(shard_workers):
 
 # ------------------------------------- what the engine twins used to vouch for
 # Literals computed on the last commit that still carried the from-scratch
-# twins, where each was also asserted equal under ``--engines legacy``.
+# twins (a6fb8ab), where each was also asserted equal under ``--engines
+# legacy``.
 BULLET = "sha256:5abca6e71e14f310992c1332200bd7faddfa392faec6dcff9d94dc23f823f208"
 STREAM = "sha256:3726fc68b599ad96035367a6e063e5d051018935c973d3a2649a437dc9ca7537"
 GOSSIP = "sha256:1e13b2b508415f4c80ab3b8048311532293013602104ccb09f5bdaa75c45e51b"
@@ -222,29 +220,14 @@ _MINIATURES = {
 }
 
 
-@pytest.mark.parametrize("engines", [None, "legacy"], ids=["default", "legacy"])
 @pytest.mark.parametrize("name", list(_MINIATURES))
-def test_miniature_digest_matches_the_committed_literal(name, engines):
+def test_miniature_digest_matches_the_committed_literal(name):
     overrides, expected = _MINIATURES[name]
-    assert _digest(_miniature(engines=engines, **overrides)) == expected
+    assert _digest(_miniature(**overrides)) == expected
 
 
 def test_planetlab_digest_matches_the_committed_literal():
     result = run_planetlab_experiment(duration_s=60.0)
-    assert _export_digest(result) == PLANETLAB
-
-
-def test_planetlab_legacy_engines_match_the_committed_literal():
-    from repro.experiments.workloads import build_planetlab_workload
-    from repro.topology.planetlab import PlanetLabConfig
-
-    workload = build_planetlab_workload(PlanetLabConfig(seed=7), seed=7)
-    workload.topology.use_routing_engine = False
-    config = ExperimentConfig(
-        system="bullet", n_overlay=len(workload.testbed.sites), stream_rate_kbps=1500.0,
-        duration_s=60.0, seed=7, engines="legacy",
-    )
-    result = ExperimentSession(config, workload=workload, tree=workload.random_tree).run()
     assert _export_digest(result) == PLANETLAB
 
 
@@ -285,10 +268,6 @@ _MATRIX_ROWS = [pytest.param(args, digest, id=name) for name, (args, digest) in 
 _MATRIX_ROWS += [
     pytest.param(MATRIX[name][0] + " --shard-workers 4", MATRIX[name][1], id=f"{name}-workers4")
     for name in ("clustered", "scale-100k")
-]
-_MATRIX_ROWS += [
-    pytest.param(args + " --engines legacy", digest, id=f"{name}-legacy")
-    for name, (args, digest) in MATRIX.items()
 ]
 
 

@@ -1,91 +1,36 @@
-"""Equivalence and invariant guards for the incremental protocol plane.
+"""Invariant guards for the protocol plane's refresh scheduling.
 
-Three properties back the CI ``perf-protocol`` job's verification step:
+That the protocol plane (derived Bloom snapshots, snapshot reuse,
+skip-unchanged refresh installs, diffed min-wise tickets) exports the right
+bytes is pinned by the literals in ``test_golden_digests.py``.  Two
+properties of the staggered refresh schedule are checked here directly:
 
-1. the incremental protocol plane (live Bloom filters, snapshot reuse,
-   skip-unchanged refresh installs, diffed min-wise tickets) exports
-   byte-identically to the pre-incremental from-scratch path;
-2. staggered per-node refresh timers spread refresh work across steps
-   instead of spiking every node on one step in every period;
-3. the recovery row-assignment keeps senders disjoint — and therefore the
+1. per-node refresh timers spread refresh work across steps instead of
+   spiking every node on one step in every period;
+2. the recovery row-assignment keeps senders disjoint — and therefore the
    duplicate rate bounded — with staggering and snapshot reuse in play.
 """
-
-import filecmp
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import BulletConfig
 from repro.core.mesh import BulletMesh
 from repro.core.recovery import SenderQueue, build_recovery_requests
-from repro.experiments.export import write_result_csv
 from repro.experiments.harness import ExperimentConfig, run_experiment
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
 from repro.reconcile.working_set import WorkingSet
 
 
-def _config(incremental: bool) -> ExperimentConfig:
-    return ExperimentConfig(
-        system="bullet",
-        n_overlay=16,
-        duration_s=40.0,
-        seed=5,
-        incremental_protocol=incremental,
-    )
-
-
-class TestModeEquivalence:
-    def test_incremental_protocol_exports_match_from_scratch(self, tmp_path):
-        incremental = run_experiment(_config(True))
-        from_scratch = run_experiment(_config(False))
-        inc_path = tmp_path / "incremental.csv"
-        ref_path = tmp_path / "from_scratch.csv"
-        write_result_csv(inc_path, incremental)
-        write_result_csv(ref_path, from_scratch)
-        assert filecmp.cmp(inc_path, ref_path, shallow=False)
-        assert incremental.duplicate_ratio == from_scratch.duplicate_ratio
-        assert incremental.bandwidth_cdf_final == from_scratch.bandwidth_cdf_final
-        assert (
-            incremental.control_overhead_kbps == from_scratch.control_overhead_kbps
-        )
-
-    def test_modes_match_under_joins_and_churn(self):
-        """Membership growth is where snapshot reuse could silently drift.
-
-        (Regression guard: the first implementation double-queued a packet
-        delivered in the same step as a skipped refresh install, which only
-        a join-heavy run exposed.)
-        """
-
-        def run(incremental: bool):
-            return run_experiment(
-                ExperimentConfig(
-                    system="bullet",
-                    n_overlay=12,
-                    duration_s=50.0,
-                    seed=4,
-                    churn_joins=8,
-                    churn_failures=2,
-                    join_start_s=8.0,
-                    join_duration_s=12.0,
-                    incremental_protocol=incremental,
-                )
-            )
-
-        incremental = run(True)
-        from_scratch = run(False)
-        assert incremental.useful_series == from_scratch.useful_series
-        assert incremental.raw_series == from_scratch.raw_series
-        assert incremental.duplicate_ratio == from_scratch.duplicate_ratio
-        assert incremental.bandwidth_cdf_final == from_scratch.bandwidth_cdf_final
+def _mesh(n_overlay: int, seed: int = 7) -> BulletMesh:
+    workload = build_workload(n_overlay=n_overlay, seed=seed)
+    simulator = NetworkSimulator(workload.topology, dt=1.0, seed=seed)
+    return BulletMesh(simulator, workload.tree, BulletConfig(seed=seed))
 
 
 class TestRefreshStagger:
     def test_refresh_timers_are_phase_offset(self):
-        workload = build_workload(n_overlay=20, seed=7)
-        simulator = NetworkSimulator(workload.topology, dt=1.0, seed=7)
-        mesh = BulletMesh(simulator, workload.tree)
+        mesh = _mesh(20)
         offsets = {
             timer.start_at for timer in mesh._refresh_timers.values()
         }
@@ -94,43 +39,39 @@ class TestRefreshStagger:
         assert len(offsets) > 1
         assert all(period <= offset < 2 * period for offset in offsets)
 
-    def test_stagger_disabled_keeps_common_phase(self):
-        workload = build_workload(n_overlay=10, seed=7)
-        simulator = NetworkSimulator(workload.topology, dt=1.0, seed=7)
-        mesh = BulletMesh(
-            simulator, workload.tree, BulletConfig(refresh_stagger=False)
-        )
-        assert all(
-            timer.start_at is None for timer in mesh._refresh_timers.values()
-        )
+    def test_refresh_work_is_spread_across_steps(self, monkeypatch):
+        mesh = _mesh(20)
+        refreshing_per_step = []
+        fire_due_timers = mesh._fire_due_timers
+
+        def recording(now):
+            epoch_fired, refreshing = fire_due_timers(now)
+            refreshing_per_step.append(len(refreshing))
+            return epoch_fired, refreshing
+
+        monkeypatch.setattr(mesh, "_fire_due_timers", recording)
+        mesh.run(40)
+        steady = refreshing_per_step[10:]
+        # Every member refreshes once per period...
+        assert sum(steady) == len(mesh.nodes) * len(steady) // mesh.config.bloom_refresh_s
+        # ...but no step carries even half of them, and most steps carry some.
+        assert max(steady) <= len(mesh.nodes) // 2
+        assert sum(1 for count in steady if count) >= 0.8 * len(steady)
 
     def test_stagger_preserves_duplicate_rate(self):
         """Staggering must not erode the row-assignment duplicate bound.
 
-        The paper's <10% duplicate rate holds at full scale (the
-        ``perf-protocol`` benchmark's 500-node steady state measures 9.8%
-        with staggering on); the reduced scale here runs hotter, so the
-        invariant checked is relative: the staggered protocol's duplicate
-        rate stays within noise of the unstaggered one, averaged over seeds.
+        The paper's <10% duplicate rate holds at full scale (a 500-node
+        steady state measures 9.8%); the reduced scale here runs hotter, so
+        the bound checked is looser, averaged over seeds.
         """
-
-        def mean_duplicate_ratio(stagger: bool) -> float:
-            ratios = []
-            for seed in (5, 7, 9):
-                config = ExperimentConfig(
-                    system="bullet",
-                    n_overlay=20,
-                    duration_s=100.0,
-                    seed=seed,
-                    bullet=BulletConfig(seed=seed, refresh_stagger=stagger),
-                )
-                ratios.append(run_experiment(config).duplicate_ratio)
-            return sum(ratios) / len(ratios)
-
-        staggered = mean_duplicate_ratio(True)
-        unstaggered = mean_duplicate_ratio(False)
-        assert staggered < 0.20
-        assert staggered <= unstaggered * 1.15
+        ratios = []
+        for seed in (5, 7, 9):
+            config = ExperimentConfig(
+                system="bullet", n_overlay=20, duration_s=100.0, seed=seed
+            )
+            ratios.append(run_experiment(config).duplicate_ratio)
+        assert sum(ratios) / len(ratios) < 0.20
 
 
 class TestRowDisjointnessUnderStagger:
@@ -146,15 +87,12 @@ class TestRowDisjointnessUnderStagger:
         """Whatever the refresh phase, senders queue pairwise-disjoint rows."""
         receiver_ws = WorkingSet()
         receiver_ws.update(held)
-        config = BulletConfig()
         senders = list(range(10, 10 + n_senders))
         requests = build_recovery_requests(
-            1, receiver_ws, senders, config, rotation=rotation,
-            bloom=receiver_ws.bloom_snapshot(
-                expected_items=max(config.recovery_span_packets, 128),
-                false_positive_rate=config.bloom_false_positive_rate,
-            ),
+            1, receiver_ws, senders, BulletConfig(), rotation=rotation
         )
+        # Every sender is handed the one snapshot the working set reuses.
+        assert len({id(request.bloom) for request in requests.values()}) == 1
         holdings = list(range(0, 400))
         queues = {}
         for sender in senders:

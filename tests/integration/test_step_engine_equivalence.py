@@ -1,87 +1,25 @@
-"""Equivalence guards for the quiescence-aware step core.
+"""Guards for the quiescence-aware step core.
 
-The contract backing the CI ``perf-step`` job: with ``step_engine=True``
-(the default) a session must export *byte-identically* to the legacy
-every-node-every-step loop — across Bullet, all three baselines, mid-run
-joins and failures — while actually skipping work (quiescence must engage,
-or the flag is a no-op and the speedup a fiction).
+That the step core exports the right bytes — across Bullet, all three
+baselines, mid-run joins and failures — is pinned by the literals in
+``test_golden_digests.py``.  What is checked here is that it actually skips
+work (quiescence must engage, or the wakeups are decoration), and that a
+system driven through bare sessions keeps its timers across them.
 """
 
-import filecmp
-
-from repro.experiments.export import write_result_csv
-from repro.experiments.harness import ExperimentConfig, run_experiment
+from repro.core.config import BulletConfig
+from repro.core.mesh import BulletMesh
+from repro.experiments.harness import ExperimentConfig
 from repro.experiments.session import ExperimentSession
-from repro.experiments.workloads import scenario_config
-
-
-def _config(engine: bool, **overrides) -> ExperimentConfig:
-    parameters = dict(
-        system="bullet", n_overlay=16, duration_s=40.0, seed=5, step_engine=engine
-    )
-    parameters.update(overrides)
-    return ExperimentConfig(**parameters)
-
-
-def _assert_runs_match(on, off):
-    assert on.useful_series == off.useful_series
-    assert on.raw_series == off.raw_series
-    assert on.control_series == off.control_series
-    assert on.duplicate_ratio == off.duplicate_ratio
-    assert on.control_overhead_kbps == off.control_overhead_kbps
-    assert on.bandwidth_cdf_final == off.bandwidth_cdf_final
-
-
-class TestModeEquivalence:
-    def test_engine_exports_match_legacy_byte_for_byte(self, tmp_path):
-        engine_on = run_experiment(_config(True))
-        engine_off = run_experiment(_config(False))
-        on_path = tmp_path / "engine.csv"
-        off_path = tmp_path / "legacy.csv"
-        write_result_csv(on_path, engine_on)
-        write_result_csv(off_path, engine_off)
-        assert filecmp.cmp(on_path, off_path, shallow=False)
-        _assert_runs_match(engine_on, engine_off)
-
-    def test_modes_match_under_flash_crowd_joins(self):
-        # Joins arm fresh refresh wakeups mid-run, with staggered start_at
-        # values that may lie in the past at attach time — the catch-up
-        # firing must land on the same step as the legacy poll's.
-        for engine in (True, False):
-            config = scenario_config(
-                "flash-crowd",
-                n_overlay=12,
-                churn_joins=10,
-                join_start_s=8.0,
-                join_duration_s=12.0,
-                duration_s=40.0,
-                sample_interval_s=4.0,
-                step_engine=engine,
-                seed=3,
-            )
-            if engine:
-                engine_on = run_experiment(config)
-            else:
-                engine_off = run_experiment(config)
-        _assert_runs_match(engine_on, engine_off)
-
-    def test_modes_match_under_failures(self):
-        # fail_node must disarm the dead node's refresh wakeup: a stale
-        # wakeup would fire a refresh the legacy loop never runs.
-        engine_on = run_experiment(_config(True, failure_at_s=20.0, duration_s=50.0))
-        engine_off = run_experiment(_config(False, failure_at_s=20.0, duration_s=50.0))
-        _assert_runs_match(engine_on, engine_off)
-
-    def test_baselines_match_in_both_modes(self):
-        for system in ("stream", "gossip", "antientropy"):
-            engine_on = run_experiment(_config(True, system=system))
-            engine_off = run_experiment(_config(False, system=system))
-            _assert_runs_match(engine_on, engine_off)
+from repro.experiments.workloads import build_workload
+from repro.network.simulator import NetworkSimulator
 
 
 class TestQuiescenceEngages:
     def test_engine_actually_skips_work(self):
-        session = ExperimentSession(_config(True))
+        session = ExperimentSession(
+            ExperimentConfig(system="bullet", n_overlay=16, duration_s=40.0, seed=5)
+        )
         for _ in range(40):
             session.step()
         described = session.step_engine.describe()
@@ -92,8 +30,35 @@ class TestQuiescenceEngages:
         assert described["wakeups_fired_total"] > 0
         assert described["armed"] > 0
 
-    def test_legacy_mode_has_no_engine(self):
-        session = ExperimentSession(_config(False))
-        assert session.step_engine is None
-        for _ in range(10):
-            session.step()
+    def test_bare_sessions_reattach_and_rearm(self):
+        """``mesh.run()`` twice == one long run, engine attached each time."""
+
+        def build():
+            workload = build_workload(n_overlay=14, seed=6)
+            simulator = NetworkSimulator(workload.topology, dt=1.0, seed=6)
+            return simulator, BulletMesh(simulator, workload.tree, BulletConfig(seed=6))
+
+        simulator, mesh = build()
+        private = mesh._step_engine
+        mesh.run(20)
+        first = mesh._step_engine
+        assert first is not private  # the bare session attached its own
+        assert first.describe()["wakeups_fired_total"] > 0
+        mesh.run(25)
+        second = mesh._step_engine
+        assert second is not first
+        # Every live member's refresh timer and the epoch timer were re-armed
+        # on the new engine, and kept firing.
+        assert second.describe()["armed"] == len(mesh.active_members()) + 1
+        assert second.describe()["wakeups_fired_total"] > 0
+
+        # Sampling restarts with each session, so compare what the protocol
+        # did, not where the samples fell.
+        reference_simulator, reference = build()
+        reference.run(45)
+        assert mesh.packets_generated == reference.packets_generated
+        for node in reference.nodes:
+            assert mesh.nodes[node].holdings() == reference.nodes[node].holdings()
+            assert simulator.stats.node_counters(node) == reference_simulator.stats.node_counters(
+                node
+            )

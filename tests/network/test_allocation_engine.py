@@ -2,22 +2,19 @@
 
 The engine's contract: after any sequence of flow creations, removals and
 cap changes, ``solve()`` leaves :attr:`AllocationEngine.allocation` equal to
-what a from-scratch ``max_min_allocation`` over the current flow population
-would produce (up to float associativity — the engine may solve affected
-regions in isolation), while touching only the affected region.
+what a from-scratch solve of the scalar max-min oracle over the current flow
+population would produce (up to float associativity — the engine may solve
+affected regions in isolation), while touching only the affected region.
 """
 
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.fairshare import max_min_allocation
 
 from repro.network.allocation import AllocationEngine
-from repro.network.fairshare import (
-    AllocationRequest,
-    max_min_allocation,
-    single_pass_allocation,
-)
+from repro.network.fairshare import AllocationRequest, single_pass_allocation
 
 
 def close(a, b):
@@ -89,16 +86,6 @@ class TestEngineBasics:
         engine.solve()
         assert close(engine.allocation[1], 500.0)
         assert close(engine.allocation[2], 500.0)
-
-    def test_mark_all_dirty_forces_full_solve(self):
-        engine = AllocationEngine({0: 1000.0, 1: 800.0})
-        engine.submit(1, (0,), float("inf"))
-        engine.submit(2, (1,), float("inf"))
-        engine.solve()
-        flows_solved = engine.stats.flows_solved
-        engine.mark_all_dirty()
-        assert engine.solve() is True
-        assert engine.stats.flows_solved == flows_solved + 2
 
     def test_reset_capacities_forgets_state(self):
         engine = AllocationEngine({0: 1000.0})

@@ -7,24 +7,13 @@ indistinguishable through every read the harness and the figures use.
 Floats are compared with ``==``: the series feed byte-compared exports.
 """
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles.stats import DictStatsCollector
 from repro.network.stats import NodeCounters, StatsCollector
-
-# ``tests/reconcile`` has an ``oracles`` module too and pytest imports test
-# helpers by bare name, so load this directory's by path under its own name.
-_spec = importlib.util.spec_from_file_location(
-    "network_oracles", Path(__file__).with_name("oracles.py")
-)
-_oracles = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_oracles)
-DictStatsCollector = _oracles.DictStatsCollector
 
 #: Small ids collide often; the odd large one forces the columns to grow.
 NODES = st.one_of(st.integers(0, 12), st.integers(0, 12), st.integers(13, 400))

@@ -1,0 +1,8 @@
+"""Reference implementations the fast paths in ``src/`` are tested against.
+
+One module per layer — the sort-everything working set and per-packet loops
+(:mod:`oracles.reconcile`), the dict-of-counters stats collector
+(:mod:`oracles.stats`), the scalar max-min solver (:mod:`oracles.fairshare`)
+and per-pair networkx routing (:mod:`oracles.routing`).  Nothing here is
+imported from ``src/``; the root ``conftest.py`` puts ``tests/`` on the path.
+"""

@@ -3,13 +3,17 @@
 The fast :class:`WorkingSet` (sorted window, derived Bloom snapshots,
 vectorised sketch) and the batch entry points built on it must be
 indistinguishable, after every single operation, from the sort-everything
-reference and the per-packet loops in :mod:`oracles` — with windows small
-enough that pruning, Bloom eviction and the "prune window undercuts the
-filter window" regime all happen within a few dozen operations.
+reference and the per-packet loops in :mod:`oracles.reconcile` — with windows
+small enough that pruning, Bloom eviction and the "prune window undercuts
+the filter window" regime all happen within a few dozen operations.
 """
 
 from hypothesis import given, settings, strategies as st
-from oracles import SortEverythingWorkingSet, offer_new_packet_loop, on_packet_loop
+from oracles.reconcile import (
+    SortEverythingWorkingSet,
+    offer_new_packet_loop,
+    on_packet_loop,
+)
 
 from repro.core.bullet_node import BulletNode
 from repro.core.config import BulletConfig
@@ -72,7 +76,7 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
                 views.append((view, list(view)))
             elif kind == "snapshot":
                 snapshot = fast.bloom_snapshot(expected_items=argument)
-                rebuilt = fast.bloom_filter(expected_items=argument).snapshot()
+                rebuilt = oracle.bloom_filter(expected_items=argument).snapshot()
                 assert wire_state(snapshot) == wire_state(rebuilt)
                 # The live insert-by-insert filter exports the same bytes.
                 assert wire_state(snapshot) == wire_state(
@@ -85,7 +89,7 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
                 last_snapshot, last_described = snapshot, described
             else:
                 window, stride = argument
-                ticket = fast.summary_ticket(window, stride, incremental=True)
+                ticket = fast.summary_ticket(window, stride)
                 diffed = oracle.summary_ticket(window, stride, incremental=True)
                 rebuilt = oracle.summary_ticket(window, stride)
                 assert ticket.entries == diffed.entries == rebuilt.entries

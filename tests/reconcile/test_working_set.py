@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.reconcile import SortEverythingWorkingSet
 
 from repro.reconcile.working_set import WorkingSet
 
@@ -166,7 +167,7 @@ class TestWorkingSet:
     def test_bloom_filter_covers_recent(self):
         ws = WorkingSet()
         ws.update(range(500))
-        bloom = ws.bloom_filter(expected_items=200)
+        bloom = ws.bloom_snapshot(expected_items=200)
         assert all(seq in bloom for seq in range(300, 500))
 
     @settings(max_examples=30, deadline=None)
@@ -227,7 +228,7 @@ class TestBloomSnapshotEquivalence:
         """The derived snapshot == the from-scratch filter build."""
         incremental = WorkingSet(prune_window=64)
         incremental.bloom_snapshot(expected_items=48)  # an early read must not pin later ones
-        reference = WorkingSet(prune_window=64)
+        reference = SortEverythingWorkingSet(prune_window=64)
         for sequence in sequences:
             incremental.add(sequence)
             reference.add(sequence)
@@ -253,18 +254,24 @@ class TestIncrementalTicketEquivalence:
     def test_incremental_ticket_equals_rebuild_each_round(self, rounds):
         """Diffed min-wise sketches match full rebuilds after every round."""
         ws = WorkingSet(prune_window=96)
+        reference = SortEverythingWorkingSet(prune_window=96)
         for batch in rounds:
             ws.update(batch)
-            fast = ws.summary_ticket(window=48, sample_stride=2, incremental=True)
-            slow = ws.summary_ticket(window=48, sample_stride=2)
+            reference.update(batch)
+            fast = ws.summary_ticket(window=48, sample_stride=2)
+            slow = reference.summary_ticket(window=48, sample_stride=2)
             assert fast.entries == slow.entries
 
     def test_incremental_ticket_survives_pruning(self):
         ws = WorkingSet(prune_window=64)
+        reference = SortEverythingWorkingSet(prune_window=64)
         ws.update(range(100))
-        ws.summary_ticket(window=32, sample_stride=2, incremental=True)
+        reference.update(range(100))
+        ws.summary_ticket(window=32, sample_stride=2)
         ws.prune_below(80)
+        reference.prune_below(80)
         ws.update(range(100, 140))
-        fast = ws.summary_ticket(window=32, sample_stride=2, incremental=True)
-        slow = ws.summary_ticket(window=32, sample_stride=2)
+        reference.update(range(100, 140))
+        fast = ws.summary_ticket(window=32, sample_stride=2)
+        slow = reference.summary_ticket(window=32, sample_stride=2)
         assert fast.entries == slow.entries

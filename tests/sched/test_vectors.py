@@ -1,22 +1,23 @@
-"""Bit-identity property suite for the step engine's numpy batch kernels.
+"""Bit-identity property suite for the simulator's numpy batch kernels.
 
-The legacy mode must stay byte-identical to the engine mode, so "close
-enough" is not good enough here: every kernel is compared against its
-scalar reference with exact float64 equality, under hypothesis-generated
-problems designed to hit freezes, saturations, loss events, slow-start
-exits and degenerate (zero/inf) inputs.
+Exports are byte-compared against committed digests, so "close enough" is
+not good enough here: every kernel is compared against its scalar reference
+(the max-min oracle in ``tests/oracles``, ``TfrcFlowState`` for the TFRC
+kernels) with exact float64 equality, under hypothesis-generated problems
+designed to hit freezes, saturations, loss events, slow-start exits and
+degenerate (zero/inf) inputs.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles.fairshare import max_min_allocation as scalar_max_min_allocation
 
-from repro.network.fairshare import AllocationRequest, max_min_allocation
-from repro.sched.vectors import (
+from repro.network.fairshare import (
+    AllocationRequest,
     VectorizedMaxMinSolver,
-    evolve_idle_rates,
-    feedback_rounds,
-    max_min_allocation_vectorized,
+    max_min_allocation,
 )
+from repro.sched.vectors import evolve_idle_rates, feedback_rounds
 from repro.transport.tfrc import MIN_RATE_KBPS, TfrcFlowState
 
 # ----------------------------------------------------------------- max-min
@@ -58,8 +59,8 @@ class TestMaxMinBitIdentity:
     @given(allocation_problems())
     def test_matches_scalar_reference_exactly(self, problem):
         requests, capacities = problem
-        scalar = max_min_allocation(requests, capacities)
-        vector = max_min_allocation_vectorized(requests, capacities)
+        scalar = scalar_max_min_allocation(requests, capacities)
+        vector = max_min_allocation(requests, capacities)
         assert vector == scalar  # exact float equality, key by key
 
     @settings(max_examples=20, deadline=None)
@@ -69,17 +70,17 @@ class TestMaxMinBitIdentity:
         # stable; moving caps must not desynchronize it from the reference.
         requests, capacities = problem
         solver = VectorizedMaxMinSolver()
-        assert solver(requests, capacities) == max_min_allocation(requests, capacities)
+        assert solver(requests, capacities) == scalar_max_min_allocation(requests, capacities)
         moved = [
             AllocationRequest(r.flow_key, r.link_indices, r.cap_kbps + bump * 7.5)
             for r in requests
         ]
-        assert solver(moved, capacities) == max_min_allocation(moved, capacities)
+        assert solver(moved, capacities) == scalar_max_min_allocation(moved, capacities)
         if requests:  # empty request sets early-return before building
             assert solver.rebuilds == 1  # same keys + same cap map: no rebuild
 
     def test_empty_request_set(self):
-        assert max_min_allocation_vectorized([], {0: 100.0}) == {}
+        assert max_min_allocation([], {0: 100.0}) == {}
 
 
 # ----------------------------------------------------------------- TFRC

@@ -1,6 +1,7 @@
 """Route-cache bounds (LRU eviction) and per-link delay mutation semantics."""
 
 import pytest
+from oracles.routing import networkx_path
 
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.graph import Topology
@@ -126,15 +127,12 @@ class TestSetLinkDelay:
         assert link.index in path.links  # still routed over 2->3
         assert path.delay_s > 60.0  # but the aggregate reflects the mutation
 
-    def test_legacy_mode_sees_identical_aggregates(self):
-        engine_topo = line_topology()
-        legacy_topo = line_topology()
-        legacy_topo.use_routing_engine = False
-        for topo in (engine_topo, legacy_topo):
-            topo.path(0, 4)
-            topo.set_link_delay(topo.link_between(1, 2).index, 0.25)
-        a = engine_topo.path(0, 4)
-        b = legacy_topo.path(0, 4)
+    def test_networkx_oracle_sees_identical_aggregates(self):
+        topology = line_topology()
+        topology.path(0, 4)
+        topology.set_link_delay(topology.link_between(1, 2).index, 0.25)
+        a = topology.path(0, 4)
+        b = networkx_path(topology, 0, 4)
         assert a.links == b.links
         assert a.delay_s == b.delay_s
         assert a.loss_rate == b.loss_rate

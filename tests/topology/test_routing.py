@@ -1,6 +1,7 @@
 """Unit tests for the amortized routing engine (per-source trees + caches)."""
 
 import pytest
+from oracles.routing import networkx_path
 
 from repro.topology.generator import (
     TopologyConfig,
@@ -55,18 +56,19 @@ def assert_same_path(a, b):
 
 class TestEngineMatchesNetworkx:
     def test_paths_match_reference_on_generated_topology(self):
-        engine_topo = generate_topology(SMALL)
-        legacy_topo = generate_topology(SMALL)
-        legacy_topo.use_routing_engine = False
-        for src, dst in sample_pairs(engine_topo, 200):
-            assert_same_path(engine_topo.path(src, dst), legacy_topo.path(src, dst))
+        topo = generate_topology(SMALL)
+        for src, dst in sample_pairs(topo, 200):
+            assert_same_path(topo.path(src, dst), networkx_path(topo, src, dst))
 
     def test_round_trip_matches_reference(self):
-        engine_topo = generate_topology(SMALL)
-        legacy_topo = generate_topology(SMALL)
-        legacy_topo.use_routing_engine = False
-        for src, dst in sample_pairs(engine_topo, 50):
-            assert engine_topo.round_trip(src, dst) == legacy_topo.round_trip(src, dst)
+        topo = generate_topology(SMALL)
+        for src, dst in sample_pairs(topo, 50):
+            forward = networkx_path(topo, src, dst)
+            backward = networkx_path(topo, dst, src)
+            assert topo.round_trip(src, dst) == (
+                forward.delay_s + backward.delay_s,
+                1.0 - (1.0 - forward.loss_rate) * (1.0 - backward.loss_rate),
+            )
 
     def test_self_path_is_empty(self):
         topo = line_topology()
@@ -127,14 +129,10 @@ class TestSplitRouteAttributeCaches:
         topo = line_topology()
         long_way = topo.path(0, 4)
         assert len(long_way.links) == 4
-        # A direct shortcut must be picked up by both modes.
+        # A direct shortcut must be picked up.
         topo.add_duplex_link(1, 3, LinkType.STUB_STUB, 900.0, 0.001)
         assert len(topo.path(0, 4).links) == 3
-        legacy = line_topology()
-        legacy.use_routing_engine = False
-        legacy.path(0, 4)
-        legacy.add_duplex_link(1, 3, LinkType.STUB_STUB, 900.0, 0.001)
-        assert legacy.path(0, 4).links == topo.path(0, 4).links
+        assert topo.path(0, 4).links == networkx_path(topo, 0, 4).links
 
 
 class TestWarmBatchApi:
@@ -165,12 +163,6 @@ class TestWarmBatchApi:
         topo.add_node(0, "client")
         topo.add_node(1, "client")
         assert topo.warm_routes([0], [1]) == 0
-
-    def test_warm_is_noop_in_legacy_mode(self):
-        topo = generate_topology(SMALL)
-        topo.use_routing_engine = False
-        assert topo.warm_routes(list(topo.client_nodes)) == 0
-        assert topo.routing_stats.dijkstra_runs == 0
 
 
 class TestEngineQueriesAvoidDijkstraAfterWarm:

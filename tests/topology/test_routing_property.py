@@ -1,15 +1,18 @@
-"""Hypothesis property suite: RoutingEngine == networkx reference.
+"""Hypothesis property suite: RoutingEngine == networkx oracle.
 
-Two topologies are generated identically; one routes through the engine,
-the other through the legacy per-pair networkx resolution.  Whatever
-interleaving of loss/capacity mutations and structural growth hypothesis
-picks, every queried pair must agree on links, delay, loss and bottleneck —
-and attribute mutations must never trigger route re-solves in the engine.
+Every query is answered twice over one topology: by the engine (cached
+trees, cached routes, lazily refreshed attributes) and by the cache-free
+per-pair networkx resolution in :mod:`oracles.routing`.  Whatever
+interleaving of loss/capacity/delay mutations and structural growth
+hypothesis picks, every queried pair must agree on links, delay, loss and
+bottleneck — and attribute mutations must never trigger route re-solves in
+the engine.
 """
 
 import heapq
 
 from hypothesis import given, settings, strategies as st
+from oracles.routing import networkx_path
 
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.graph import Topology
@@ -17,40 +20,37 @@ from repro.topology.links import LinkType
 from repro.util.rng import SeededRng
 
 
-def build_pair(seed: int, stub_domains: int):
-    config = TopologyConfig(
-        transit_routers=3,
-        stub_domains=stub_domains,
-        routers_per_stub=3,
-        clients_per_stub=3,
-        extra_stub_stub_links=2,
-        seed=seed,
+def build(seed: int, stub_domains: int) -> Topology:
+    return generate_topology(
+        TopologyConfig(
+            transit_routers=3,
+            stub_domains=stub_domains,
+            routers_per_stub=3,
+            clients_per_stub=3,
+            extra_stub_stub_links=2,
+            seed=seed,
+        )
     )
-    engine_topo = generate_topology(config)
-    legacy_topo = generate_topology(config)
-    legacy_topo.use_routing_engine = False
-    return engine_topo, legacy_topo
 
 
-def assert_equivalent(engine_topo, legacy_topo, seed: int, queries: int = 40):
-    clients = list(engine_topo.client_nodes)
+def assert_matches_oracle(topology: Topology, seed: int, queries: int = 40):
+    clients = list(topology.client_nodes)
     rng = SeededRng(seed, "queries")
     for _ in range(queries):
         src, dst = rng.sample(clients, 2)
-        a = engine_topo.path(src, dst)
-        b = legacy_topo.path(src, dst)
+        a = topology.path(src, dst)
+        b = networkx_path(topology, src, dst)
         assert a.links == b.links
         assert a.delay_s == b.delay_s
         assert a.loss_rate == b.loss_rate
         assert a.bottleneck_kbps == b.bottleneck_kbps
-        assert engine_topo.round_trip(src, dst) == legacy_topo.round_trip(src, dst)
 
 
 #: One mutation: ("loss", link_fraction, rate) | ("capacity", link_fraction,
-#: kbps) | ("grow", attach_fraction, _) — applied identically to both modes.
+#: kbps) | ("delay", link_fraction, seconds) | ("grow", attach_fraction, _).
 mutations = st.lists(
     st.tuples(
-        st.sampled_from(["loss", "capacity", "grow"]),
+        st.sampled_from(["loss", "capacity", "delay", "grow"]),
         st.floats(min_value=0.0, max_value=0.999),
         st.floats(min_value=0.001, max_value=0.3),
     ),
@@ -65,32 +65,30 @@ mutations = st.lists(
     steps=mutations,
 )
 def test_engine_equivalent_to_networkx_under_mutations(seed, stub_domains, steps):
-    engine_topo, legacy_topo = build_pair(seed, stub_domains)
-    assert_equivalent(engine_topo, legacy_topo, seed)
-    next_node = engine_topo.num_nodes
+    topology = build(seed, stub_domains)
+    assert_matches_oracle(topology, seed)
+    next_node = topology.num_nodes
     for kind, position, magnitude in steps:
+        index = int(position * topology.num_links) % topology.num_links
         if kind == "loss":
-            index = int(position * engine_topo.num_links) % engine_topo.num_links
-            engine_topo.set_link_loss(index, magnitude)
-            legacy_topo.set_link_loss(index, magnitude)
+            topology.set_link_loss(index, magnitude)
         elif kind == "capacity":
-            index = int(position * engine_topo.num_links) % engine_topo.num_links
-            engine_topo.set_link_capacity(index, 100.0 + 5000.0 * magnitude)
-            legacy_topo.set_link_capacity(index, 100.0 + 5000.0 * magnitude)
+            topology.set_link_capacity(index, 100.0 + 5000.0 * magnitude)
+        elif kind == "delay":
+            topology.set_link_delay(index, magnitude)
         else:  # grow: attach a fresh client host to an existing stub router
             stubs = [
                 node
-                for node in range(engine_topo.num_nodes)
-                if engine_topo.node_role(node) == "stub"
+                for node in range(topology.num_nodes)
+                if topology.node_role(node) == "stub"
             ]
             attach = stubs[int(position * len(stubs)) % len(stubs)]
-            for topo in (engine_topo, legacy_topo):
-                topo.add_node(next_node, "client")
-                topo.add_duplex_link(
-                    next_node, attach, LinkType.CLIENT_STUB, 1000.0, 0.001 + magnitude / 100.0
-                )
+            topology.add_node(next_node, "client")
+            topology.add_duplex_link(
+                next_node, attach, LinkType.CLIENT_STUB, 1000.0, 0.001 + magnitude / 100.0
+            )
             next_node += 1
-        assert_equivalent(engine_topo, legacy_topo, seed + next_node, queries=15)
+        assert_matches_oracle(topology, seed + next_node, queries=15)
 
 
 @settings(max_examples=10, deadline=None)
@@ -100,7 +98,7 @@ def test_engine_equivalent_to_networkx_under_mutations(seed, stub_domains, steps
 )
 def test_attribute_mutations_never_resolve_routes(seed, loss_rounds):
     """Property form of the split-cache regression guard."""
-    engine_topo, _ = build_pair(seed, 4)
+    engine_topo = build(seed, 4)
     clients = list(engine_topo.client_nodes)
     rng = SeededRng(seed, "pairs")
     pairs = [tuple(rng.sample(clients, 2)) for _ in range(25)]
