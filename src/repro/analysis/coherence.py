@@ -13,7 +13,7 @@ would catch.  Each module owning such a cache declares a module-level
             "attrs": {                # attribute (or item of it) stored -> bumps
                 "loss_rate": ["note_loss_change"],
             },
-            "calls": {                # "receiver.method" mutating call -> bumps
+            "calls": {                # "receiver.method" call (or on an item of it) -> bumps
                 "_links.append": ["_structure_version"],
             },
             "exempt": ["_helper"],    # functions whose *callers* bump
@@ -209,6 +209,9 @@ class CoherenceChecker:
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             method = node.func.attr
             receiver = node.func.value
+            # ``obj.attr[i].append(x)`` mutates what ``obj.attr`` holds too.
+            while isinstance(receiver, ast.Subscript):
+                receiver = receiver.value
             receiver_name = None
             if isinstance(receiver, ast.Name):
                 receiver_name = receiver.id

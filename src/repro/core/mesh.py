@@ -356,7 +356,7 @@ class BulletMesh:
         check, otherwise one dead leaf would cut off its entire live
         ancestor chain (every node shares the same per-epoch deadline).
         This mirrors the deepest-first force-finalize of the synchronous
-        RanSub facade.
+        RanSub driver in ``tests/oracles/ransub.py``.
         """
         for node_id in self.active_members():
             self.nodes[node_id].poll_pending_requests(now)

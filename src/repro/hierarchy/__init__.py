@@ -8,25 +8,21 @@ This package implements the CliqueStream-style split:
   participants (by access router), capacity-based head election, promotion
   candidates and nearest-cluster lookup for mid-run joins;
 * :mod:`~repro.hierarchy.interior` — :class:`InteriorCluster`, the cheap
-  count-based intra-cluster dissemination model with a scalar reference
-  stepper and a byte-identical vectorized batch stepper;
+  count-based intra-cluster dissemination model, and :class:`ClusterShard`,
+  the one fused stepper every cluster steps through;
 * :mod:`~repro.hierarchy.system` — :class:`ClusteredBullet`, registered as
   ``bullet-clustered``: heads run the full Bullet mesh/RanSub/recovery
   machinery, interiors ride the cluster trees, with head-failure promotion
   and join-to-nearest-cluster;
-* :mod:`~repro.hierarchy.sharding` — :class:`ShardedSession` plus the serial
-  and multiprocess shard executors that step cluster interiors in parallel
-  worker processes between head-boundary step barriers, byte-identical to
-  the serial mode.
+* :mod:`~repro.hierarchy.sharding` — :class:`ShardedSession` plus
+  :class:`ShardExecutor`, which steps cluster interiors between
+  head-boundary step barriers in one in-process shard or, byte-identically,
+  in forked worker processes.
 """
 
 from repro.hierarchy.clustering import ClusterPlan, nearest_head, plan_clusters
 from repro.hierarchy.interior import ClusterShard, InteriorCluster
-from repro.hierarchy.sharding import (
-    ProcessShardExecutor,
-    SerialShardExecutor,
-    ShardedSession,
-)
+from repro.hierarchy.sharding import ShardExecutor, ShardedSession
 from repro.hierarchy.system import ClusteredBullet
 
 __all__ = [
@@ -34,8 +30,7 @@ __all__ = [
     "ClusterShard",
     "ClusteredBullet",
     "InteriorCluster",
-    "ProcessShardExecutor",
-    "SerialShardExecutor",
+    "ShardExecutor",
     "ShardedSession",
     "nearest_head",
     "plan_clusters",

@@ -79,10 +79,10 @@ class HierarchyPlan:
 
 def access_router(topology: Topology, node: int) -> int:
     """The client's single uplink router (its proximity fingerprint)."""
-    successors = list(topology.graph.successors(node))
-    if not successors:
+    uplinks = topology.out_links(node)
+    if not uplinks:
         raise ValueError(f"node {node} has no uplink; is it a client host?")
-    return min(successors)
+    return min(topology.link(index).dst for index in uplinks)
 
 
 def access_capacity_kbps(topology: Topology, node: int) -> float:

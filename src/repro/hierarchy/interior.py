@@ -12,15 +12,17 @@ deterministic fractional-carry update:
   accumulates fractional packets-per-step without drift or RNG;
 * loss carry: ``loss_carry += taken * loss_rate; lost = floor(loss_carry)``
   applies the expected loss deterministically, so serial and sharded runs
-  (and both steppers below) are byte-identical.
+  are byte-identical.
 
-Two steppers share this state.  :meth:`step` is the scalar reference: plain
-Python, one edge at a time, run every simulation step by the serial mode.
-:meth:`step_batch` is the sharded mode's stepper: it replays a whole barrier
-window of head deltas with numpy-vectorized per-level updates.  Both perform
-the *same* IEEE-754 float64 operations in the same per-edge order (edges
-within a tree level are independent), so their counts match exactly — the
-equivalence suite asserts it and the determinism matrix byte-diffs it.
+There is one stepper: :meth:`ClusterShard.step_window` fuses any number of
+clusters into dense per-depth arrays and replays a ``steps x clusters``
+window of head deltas with one elementwise op sequence per tree depth.  Leaf
+interiors (in-process or in forked workers) and the three-level mid clusters
+(one-row windows) all step through it.  :class:`InteriorCluster` itself holds
+structure, membership mutations and the at-rest state a shard exports from
+and writes back into around those mutations.  The scalar edge-at-a-time
+update the fused stepper must reproduce bit for bit lives in
+``tests/oracles/interior.py``; the equivalence suites compare against it.
 
 No randomness, no wall clock, no set iteration: every structure is a list or
 an int-keyed dict mutated deterministically.
@@ -28,8 +30,7 @@ an int-keyed dict mutated deterministically.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -71,7 +72,7 @@ class InteriorCluster:
         self.counts: List[int] = [0] * len(self.members)
         #: Members that have failed (frozen counts, no edges).
         self.failed: List[bool] = [False] * len(self.members)
-        #: Packets delivered since the last window flush, per member.
+        #: Packets delivered and not yet drained by a flush, per member.
         self.window: List[int] = [0] * len(self.members)
         self._index: Dict[int, int] = {
             node: position for position, node in enumerate(self.members)
@@ -95,8 +96,6 @@ class InteriorCluster:
         #: Position of the current root in ``members`` (``_rebuild_tree`` sets it).
         self._root_idx = 0
         self._rebuild_tree(self.members[0], self.members[1:])
-        #: Cached numpy views per level, rebuilt after membership changes.
-        self._level_arrays: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
 
     # ------------------------------------------------------------- structure
     def _edge_cap_per_step(self, cap_kbps: float) -> float:
@@ -145,7 +144,6 @@ class InteriorCluster:
                     levels[d - 1].append(idx)
                     changed = True
         self._levels: List[List[int]] = [sorted(level) for level in levels]
-        self._level_arrays = None
 
     @property
     def root(self) -> int:
@@ -181,96 +179,6 @@ class InteriorCluster:
             total += 1
             stack.extend(children.get(current, ()))
         return total
-
-    # -------------------------------------------------------------- stepping
-    def step(self, head_delta: int) -> None:
-        """Scalar reference step: advance the root, then every level's edges.
-
-        This is the serial mode's stepper.  The arithmetic per edge — carry
-        add, floor, min, loss multiply-accumulate, floor — is exactly the
-        elementwise sequence :meth:`step_batch` runs over level arrays, so
-        the two produce bit-identical counts.
-        """
-        if head_delta < 0:
-            raise ValueError("head_delta must be non-negative")
-        counts = self.counts
-        counts[self._root_idx] += head_delta
-        for level in self._levels:
-            for idx in level:
-                parent = self._parent[idx]
-                avail = counts[parent] - counts[idx]
-                capf = self._cap_carry[idx] + self._cap_step[idx]
-                grant = math.floor(capf)
-                self._cap_carry[idx] = capf - grant
-                taken = avail if avail < grant else grant
-                if taken < 0:
-                    taken = 0
-                lossf = self._loss_carry[idx] + taken * self._loss_rate[idx]
-                lost = math.floor(lossf)
-                self._loss_carry[idx] = lossf - lost
-                delivered = taken - lost
-                if delivered < 0:
-                    delivered = 0
-                counts[idx] += delivered
-                self.window[idx] += delivered
-
-    def step_batch(self, head_deltas: Sequence[int]) -> None:
-        """Vectorized window replay: the sharded mode's stepper.
-
-        Each step still runs level by level (a child reads its parent's
-        post-update count), but all edges within a level update as numpy
-        float64/int64 array operations — elementwise identical to
-        :meth:`step`, orders of magnitude fewer interpreter dispatches.
-        """
-        if not head_deltas:
-            return
-        if self._level_arrays is None:
-            self._level_arrays = [
-                (
-                    np.array(level, dtype=np.int64),
-                    np.array([self._parent[idx] for idx in level], dtype=np.int64),
-                )
-                for level in self._levels
-            ]
-        counts = np.array(self.counts, dtype=np.int64)
-        window = np.array(self.window, dtype=np.int64)
-        cap_step = np.array(self._cap_step, dtype=np.float64)
-        cap_carry = np.array(self._cap_carry, dtype=np.float64)
-        loss_rate = np.array(self._loss_rate, dtype=np.float64)
-        loss_carry = np.array(self._loss_carry, dtype=np.float64)
-        root_idx = self._root_idx
-        zero = np.int64(0)
-        for head_delta in head_deltas:
-            if head_delta < 0:
-                raise ValueError("head_delta must be non-negative")
-            counts[root_idx] += head_delta
-            for idx, parent in self._level_arrays:
-                avail = counts[parent] - counts[idx]
-                capf = cap_carry[idx] + cap_step[idx]
-                grant = np.floor(capf)
-                cap_carry[idx] = capf - grant
-                taken = np.minimum(avail, grant.astype(np.int64))
-                taken = np.maximum(taken, zero)
-                lossf = loss_carry[idx] + taken * loss_rate[idx]
-                lost = np.floor(lossf)
-                loss_carry[idx] = lossf - lost
-                delivered = np.maximum(taken - lost.astype(np.int64), zero)
-                counts[idx] += delivered
-                window[idx] += delivered
-        self.counts = [int(value) for value in counts]
-        self.window = [int(value) for value in window]
-        self._cap_carry = [float(value) for value in cap_carry]
-        self._loss_carry = [float(value) for value in loss_carry]
-
-    def take_window(self) -> List[Tuple[int, int]]:
-        """Drain (node, packets delivered since last flush) in member order."""
-        report: List[Tuple[int, int]] = []
-        for position, node in enumerate(self.members):
-            delivered = self.window[position]
-            if delivered:
-                report.append((node, delivered))
-                self.window[position] = 0
-        return report
 
     # ------------------------------------------------------------ membership
     def fail_interior(self, node: int) -> None:
@@ -408,13 +316,13 @@ class InteriorCluster:
 
 
 class ClusterShard:
-    """Fused vectorized stepping for one worker's set of clusters.
+    """Fused vectorized stepping for a set of clusters: the interior stepper.
 
-    Per-cluster :meth:`InteriorCluster.step_batch` pays numpy dispatch
-    overhead per cluster per level — ruinous when clusters are ~100 members
-    and levels are a few dozen edges.  A shard fuses all owned clusters into
-    dense per-depth arrays, so each simulation step runs one elementwise op
-    sequence per tree depth regardless of how many clusters the worker owns:
+    Stepping cluster by cluster would pay numpy dispatch overhead per cluster
+    per level — ruinous when clusters are ~100 members and levels are a few
+    dozen edges.  A shard fuses all owned clusters into dense per-depth
+    arrays, so each simulation step runs one elementwise op sequence per tree
+    depth regardless of how many clusters the shard owns:
 
     * a level's children are stored densely (counts, windows, carries and
       the static per-edge parameters each occupy one contiguous array), so
@@ -423,10 +331,10 @@ class ClusterShard:
     * everything is float64.  All quantities are exact small integers (or
       fractional carries in [0, 1)), far below 2**53, so float64 holds them
       exactly and comparisons, ``floor`` and add/subtract reproduce the
-      scalar stepper's integer arithmetic bit for bit — without the
+      scalar oracle's integer arithmetic bit for bit — without the
       int64/float64 ``astype`` round trips per level per step.
 
-    Values are bit-identical to the scalar stepper: edges within a level
+    Values are bit-identical to the scalar oracle: edges within a level
     never alias (each child has one parent, one level up), so grouping
     changes the array shapes, never the IEEE-754 operations an edge sees.
 

@@ -21,16 +21,20 @@ Control flow per step: the head mesh runs its normal ``protocol_phase``;
 each mesh member's fresh useful packets this step (straight from the stats
 counters — or from the source's generation counter) feed its mid cluster
 (levels=3) and its own leaf cluster; mid deliveries feed the remaining leaf
-clusters.  The serial executor steps leaf interiors immediately; the process
-executor buffers deltas and replays them at the next barrier
-(:meth:`ClusteredBullet.receivers`, which the session calls at every
-sampling point, and every membership event).  Mid clusters are always
-stepped on the main process — there are only ~mesh-member-count of them.
-A barrier drains each shard's delivery window as two arrays (node ids,
-packet counts) and hands them whole to the shared
+clusters.  Every count-model tree steps through the one fused stepper,
+:meth:`~repro.hierarchy.interior.ClusterShard.step_window`.  The
+:class:`~repro.hierarchy.sharding.ShardExecutor` buffers the leaf deltas and
+replays them at the next barrier (:meth:`ClusteredBullet.receivers`, which
+the session calls at every sampling point, and every membership event) —
+in one in-process shard ("serial") or in forked workers, over the same
+command stream.  Mid clusters feed the same step's leaf deltas, so they step
+every step as a one-row window on a main-side shard — there are only
+~mesh-member-count of them.  A drained delivery window is two arrays (node
+ids, packet counts) handed whole to the shared
 :class:`~repro.network.stats.StatsCollector`
 (``record_receive_counts_many``: one call per shard, not one per node) —
-the same counts in both modes, so every export is byte-identical.
+the same counts however the clusters are partitioned, so every export is
+byte-identical.
 
 ``receivers()`` is that barrier *and* the membership query, but only the
 barrier is paid every time: the sorted membership is cached and dropped
@@ -59,6 +63,8 @@ from __future__ import annotations
 import sys
 from typing import Dict, List, Optional
 
+import numpy as np
+
 from repro.core.mesh import BulletMesh
 from repro.experiments.registry import BuildContext, register_system
 from repro.hierarchy.clustering import (
@@ -69,15 +75,15 @@ from repro.hierarchy.clustering import (
     promotion_candidate,
 )
 from repro.hierarchy.headmesh import HeadHost, HeadMeshCoordinator
-from repro.hierarchy.interior import InteriorCluster
-from repro.hierarchy.sharding import ProcessShardExecutor, SerialShardExecutor
+from repro.hierarchy.interior import ClusterShard, InteriorCluster
+from repro.hierarchy.sharding import ShardExecutor
 from repro.network.simulator import NetworkSimulator
 from repro.topology.landmarks import build_estimator
 from repro.trees.random_tree import build_random_tree
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
 #: ``_receivers`` caches the sorted live membership; everything that changes
-#: who is a live receiver — the executor's and the mid clusters' membership
+#: who is a live receiver — the executor's and the mid shard's membership
 #: mutations, the mesh's, a cluster or head group dying — must drop it.
 CACHE_INVARIANTS = {
     "ClusteredBullet": {
@@ -92,9 +98,9 @@ CACHE_INVARIANTS = {
             "_executor.add_interior": ["_receivers"],
             "_mesh_driver.fail_node": ["_receivers"],
             "_mesh_driver.add_node": ["_receivers"],
-            "mid.fail_interior": ["_receivers"],
-            "mid.promote": ["_receivers"],
-            "mid.add_interior": ["_receivers"],
+            "_mid_shard.fail_interior": ["_receivers"],
+            "_mid_shard.promote": ["_receivers"],
+            "_mid_shard.add_interior": ["_receivers"],
         },
     },
 }
@@ -180,7 +186,7 @@ class ClusteredBullet:
         # Mid clusters (levels=3 only): count-model trees fanning the stream
         # from each mesh super-head to the other leaf heads of its group.
         # There are only ~mesh-member-count of these, so they always step on
-        # the main process, in both serial and sharded modes.
+        # the main process, fused into one shard of their own.
         self._mids: List[InteriorCluster] = []
         #: leaf head -> index of its mid cluster (levels=3 only).
         self._mid_of: Dict[int, int] = {}
@@ -205,7 +211,8 @@ class ClusteredBullet:
             for node in members:
                 self._mid_of[node] = mid_index
 
-        self._executor = SerialShardExecutor(self._clusters)
+        self._mid_shard = ClusterShard(dict(enumerate(self._mids)))
+        self._executor = ShardExecutor(self._clusters)
         self._coordinator: Optional[HeadMeshCoordinator] = None
         #: Useful-packet totals already consumed from each mesh member.
         self._mesh_seen: Dict[int, int] = {member: 0 for member in mesh_members}
@@ -228,7 +235,7 @@ class ClusteredBullet:
     @property
     def sharded(self) -> bool:
         """Whether interiors currently step in worker processes."""
-        return isinstance(self._executor, ProcessShardExecutor)
+        return self._coordinator is not None
 
     @property
     def _mesh_driver(self):
@@ -244,15 +251,15 @@ class ClusteredBullet:
         them.  The main process keeps the order-defining shared resources
         (channel, flows, timers, stats) and drives the workers through the
         :class:`~repro.hierarchy.headmesh.HeadMeshCoordinator`.  On
-        platforms without the fork start method this degrades to the
-        (byte-identical) serial executor with a warning rather than failing
-        the run.
+        platforms without the fork start method this stays on the
+        (byte-identical) in-process shard with a warning rather than
+        failing the run.
         """
         if self._stepped:
             raise RuntimeError("enable_sharding must run before the first step")
         if self.sharded:
             raise RuntimeError("sharding is already enabled")
-        effective = ProcessShardExecutor.effective_workers(
+        effective = ShardExecutor.effective_workers(
             len(self._clusters), workers
         )
         owner_of = {
@@ -276,13 +283,11 @@ class ClusteredBullet:
                 )
             )
         try:
-            executor = ProcessShardExecutor(
-                self._clusters, workers, head_hosts=hosts
-            )
+            executor = ShardExecutor(self._clusters, workers, head_hosts=hosts)
         except RuntimeError as error:
             print(
                 f"warning: process sharding unavailable ({error}); "
-                "falling back to serial interior stepping",
+                "falling back to in-process interior stepping",
                 file=sys.stderr,
             )
             return False
@@ -312,15 +317,16 @@ class ClusteredBullet:
             mesh_fresh[member] = total - self._mesh_seen[member]
             self._mesh_seen[member] = total
         # Mid clusters drain every step (they feed the same step's leaf
-        # deltas), directly into the stats counters.
+        # deltas), directly into the stats counters.  A dead group's root
+        # left ``_mesh_seen`` and it has no live edge, so its column is 0.
         mid_delivered: Dict[int, int] = {}
-        for mid_index, mid in enumerate(self._mids):
-            if self._mid_dead[mid_index]:
-                continue
-            mid.step(mesh_fresh.get(mid.root, 0))
-            for node, useful in mid.take_window():
-                self.stats.record_receive_counts(node, useful, from_parent=True)
-                mid_delivered[node] = mid_delivered.get(node, 0) + useful
+        if self._mids:
+            self._mid_shard.step_window(
+                np.array([[mesh_fresh.get(mid.root, 0) for mid in self._mids]])
+            )
+            nodes, useful = self._mid_shard.take_windows()
+            self.stats.record_receive_counts_many(nodes, useful)
+            mid_delivered = dict(zip(nodes.tolist(), useful.tolist()))
         deltas: List[int] = []
         for index, cluster in enumerate(self._clusters):
             if self._dead_clusters[index]:
@@ -337,9 +343,9 @@ class ClusteredBullet:
     def _flush_interiors(self) -> None:
         """Barrier: drain interior delivery windows into the stats counters.
 
-        Serial and sharded executors return identical windows at identical
-        barriers, so the stats stream — and every export derived from it —
-        is byte-identical across modes.
+        The executor returns the same (node, count) pairs at the same
+        barriers however many shards it runs, so the stats stream — and
+        every export derived from it — is byte-identical across modes.
         """
         for nodes, useful in self._executor.flush():
             self.stats.record_receive_counts_many(nodes, useful)
@@ -446,7 +452,7 @@ class ClusteredBullet:
             self._mesh_seen[successor] = self.stats.node_counters(
                 successor
             ).useful_packets
-            mid.promote(successor)
+            self._mid_shard.promote(mid_index, successor)
         else:
             # No other leaf head in the group: the group starves with its
             # super-head (the paper's unrepaired-tree behaviour).
@@ -459,7 +465,8 @@ class ClusteredBullet:
             return
         self._executor.promote(index, promoted)
         if not self._mid_dead[mid_index]:
-            mid.add_interior(
+            self._mid_shard.add_interior(
+                mid_index,
                 promoted,
                 access_capacity_kbps(self.topology, promoted),
                 access_loss_rate(self.topology, promoted),
@@ -474,14 +481,14 @@ class ClusteredBullet:
         mid_index = self._mid_of.get(node)
         if mid_index is None:  # pragma: no cover - membership invariant guard
             raise ValueError(f"leaf head {node} belongs to no head group")
-        mid = self._mids[mid_index]
-        mid.fail_interior(node)
+        self._mid_shard.fail_interior(mid_index, node)
         self._mid_of.pop(node)
         if promoted is None:
             self._dead_clusters[index] = True
             return
         self._executor.promote(index, promoted)
-        mid.add_interior(
+        self._mid_shard.add_interior(
+            mid_index,
             promoted,
             access_capacity_kbps(self.topology, promoted),
             access_loss_rate(self.topology, promoted),

@@ -3,11 +3,9 @@ global state over an overlay tree (collect/distribute with Compact)."""
 
 from repro.ransub.compact import compact
 from repro.ransub.protocol import (
-    EpochResult,
     RanSubCollect,
     RanSubDistribute,
     RanSubNodeState,
-    RanSubProtocol,
 )
 from repro.ransub.state import (
     CollectSet,
@@ -21,12 +19,10 @@ __all__ = [
     "CollectSet",
     "DEFAULT_SET_SIZE",
     "DistributeSet",
-    "EpochResult",
     "MemberSummary",
     "RanSubCollect",
     "RanSubDistribute",
     "RanSubNodeState",
-    "RanSubProtocol",
     "RanSubView",
     "compact",
 ]

@@ -9,17 +9,15 @@ participants is fixed") and exposes per-path aggregate loss and delay.
 
 Routing is served by the amortized :class:`~repro.topology.routing.
 RoutingEngine` (per-source shortest-path trees, split route/attribute caches,
-a batch ``warm`` API); networkx is only the graph container.  The per-pair
-networkx resolution the engine is checked against lives in
-``tests/oracles/routing.py``.
+a batch ``warm`` API).  The graph itself is the link list plus per-node
+out-link index lists; the per-pair networkx resolution the engine is checked
+against lives in ``tests/oracles/routing.py`` and builds its own graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
 
 from repro.topology.links import LinkSpec, LinkType
 
@@ -38,8 +36,8 @@ CACHE_INVARIANTS = {
         },
         "calls": {
             "_links.append": ["_structure_version"],
-            "_graph.add_node": ["_structure_version"],
-            "_graph.add_edge": ["_structure_version"],
+            "_out_links.setdefault": ["_structure_version"],
+            "_out_links.append": ["_structure_version"],
         },
     },
 }
@@ -58,9 +56,10 @@ class Link:
     loss_rate: float = 0.0
     #: Frozen routing metric, set the first time ``set_link_delay`` mutates
     #: the live delay.  ``None`` means the live delay *is* the metric (the
-    #: common case: the delay never changed).  Routing — nx edge weights and
-    #: the routing engine's Dijkstra — always uses the metric, so latency
-    #: jitter never re-routes a pair (fixed-routing assumption).
+    #: common case: the delay never changed).  Routing — the engine's
+    #: Dijkstra and the networkx oracle's edge weights — always uses the
+    #: metric, so latency jitter never re-routes a pair (fixed-routing
+    #: assumption).
     routing_weight_s: Optional[float] = None
 
     @property
@@ -102,8 +101,10 @@ class Topology:
     def __init__(self, max_cached_routes: Optional[int] = None) -> None:
         from repro.topology.routing import RoutingEngine  # deferred: cycle
 
-        self._graph = nx.DiGraph()
         self._links: List[Link] = []
+        #: node -> indices of the links leaving it, in insertion order; its
+        #: keys are the node set.
+        self._out_links: Dict[int, List[int]] = {}
         self._link_index: Dict[Tuple[int, int], int] = {}
         self._client_nodes: List[int] = []
         self._clients_view: Tuple[int, ...] = ()
@@ -118,7 +119,7 @@ class Topology:
         """Add a node with a role: ``transit``, ``stub`` or ``client``."""
         if role not in ("transit", "stub", "client"):
             raise ValueError(f"unknown node role: {role!r}")
-        self._graph.add_node(node)
+        self._out_links.setdefault(node, [])
         self._node_types[node] = role
         if role == "client":
             self._client_nodes.append(node)
@@ -135,7 +136,7 @@ class Topology:
     ) -> Link:
         """Add one directed link.  Raises if the endpoints are unknown."""
         for node in (src, dst):
-            if node not in self._graph:
+            if node not in self._out_links:
                 raise KeyError(f"node {node} not in topology")
         if (src, dst) in self._link_index:
             raise ValueError(f"duplicate link {src}->{dst}")
@@ -150,7 +151,7 @@ class Topology:
         )
         self._links.append(link)
         self._link_index[(src, dst)] = link.index
-        self._graph.add_edge(src, dst, weight=delay_s, index=link.index)
+        self._out_links[src].append(link.index)
         self._capacity_map = None
         self._capacity_version += 1
         self._structure_version += 1
@@ -172,11 +173,6 @@ class Topology:
 
     # ---------------------------------------------------------------- queries
     @property
-    def graph(self) -> nx.DiGraph:
-        """The underlying networkx graph (read-mostly)."""
-        return self._graph
-
-    @property
     def links(self) -> Sequence[Link]:
         """All directed links, indexable by ``Link.index``."""
         return self._links
@@ -196,7 +192,7 @@ class Topology:
     @property
     def num_nodes(self) -> int:
         """Total number of physical nodes (routers + clients)."""
-        return self._graph.number_of_nodes()
+        return len(self._out_links)
 
     @property
     def num_links(self) -> int:
@@ -210,6 +206,10 @@ class Topology:
     def link(self, index: int) -> Link:
         """Look a link up by index."""
         return self._links[index]
+
+    def out_links(self, node: int) -> Sequence[int]:
+        """Indices of the links leaving ``node``, in insertion order."""
+        return self._out_links[node]
 
     def link_between(self, src: int, dst: int) -> Optional[Link]:
         """Return the directed link src->dst, or ``None`` if absent."""
@@ -248,7 +248,7 @@ class Topology:
         Routing stays pinned: per the paper's fixed-routing assumption
         (Section 4.1) the delay-weighted shortest paths are chosen once, at
         construction time, so a latency change never re-routes a pair — the
-        graph's edge ``weight`` keeps the construction-time routing metric.
+        link's ``routing_metric_s`` keeps the construction-time metric.
         Only the *aggregate* latency of already resolved paths changes: the
         routing engine bumps its delay epoch and cached ``PathInfo.delay_s``
         is lazily re-walked along the pinned links on next access.
@@ -361,10 +361,22 @@ class Topology:
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
         for client in self._client_nodes:
-            out_degree = self._graph.out_degree(client)
+            out_degree = len(self._out_links[client])
             if out_degree != 1:
                 raise ValueError(f"client {client} must have exactly one uplink, has {out_degree}")
-        if self._graph.number_of_nodes() > 1 and not nx.is_weakly_connected(self._graph):
+        # Weak connectivity: one search over the links read in both directions.
+        neighbours: Dict[int, List[int]] = {node: [] for node in self._out_links}
+        for link in self._links:
+            neighbours[link.src].append(link.dst)
+            neighbours[link.dst].append(link.src)
+        frontier = list(neighbours)[:1]
+        reached = set(frontier)
+        while frontier:
+            for peer in neighbours[frontier.pop()]:
+                if peer not in reached:
+                    reached.add(peer)
+                    frontier.append(peer)
+        if len(reached) != len(neighbours):
             raise ValueError("topology is not connected")
 
 

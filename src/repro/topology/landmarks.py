@@ -12,8 +12,9 @@ This module implements the deterministic variant the reproduction needs:
 * Landmarks are a seeded sample of the participant hosts, so the same seed
   always picks the same landmarks.
 * A node's coordinate is its vector of RTTs to each landmark, computed from
-  the landmark side (``topology.path(landmark, node)``) so that every
-  lookup is served by one of ``n_landmarks`` warm shortest-path trees.  Duplex links carry the same delay both ways, so
+  the landmark side (``routing.path_delay(landmark, node)``) so that every
+  lookup is a walk up one of ``n_landmarks`` warm shortest-path trees and
+  caches nothing.  Duplex links carry the same delay both ways, so
   landmark→node delay equals node→landmark delay and the RTT is twice the
   one-way delay.
 * ``estimate_rtt(a, b)`` brackets the true RTT with the triangle
@@ -74,9 +75,11 @@ class LandmarkLatencyEstimator:
         """The node's RTT-to-each-landmark vector (memoized, pure)."""
         cached = self._coordinates.get(node)
         if cached is None:
+            # Each pair is read once, here: probe the delay without leaving
+            # a route per (landmark, node) in the routing cache.
+            path_delay = self.topology.routing.path_delay
             cached = tuple(
-                2.0 * self.topology.path(landmark, node).delay_s
-                for landmark in self.landmarks
+                2.0 * path_delay(landmark, node) for landmark in self.landmarks
             )
             self._coordinates[node] = cached
         return cached

@@ -297,13 +297,42 @@ class RoutingEngine:
             ):
                 self._refresh(route)
             return route.info
+        info = self._materialize(tuple(self._walk(src, dst)))
+        if len(routes) >= self.max_routes:
+            self._lru_active = True
+            del routes[next(iter(routes))]
+            self.stats.route_evictions += 1
+        routes[key] = _CachedRoute(
+            info, self.loss_epoch, self.capacity_epoch, self.delay_epoch
+        )
+        self.stats.paths_extracted += 1
+        return info
+
+    def path_delay(self, src: int, dst: int) -> float:
+        """Live one-way delay ``src -> dst``, leaving the route cache alone.
+
+        For one-shot probes (landmark coordinates read each pair once): the
+        same links summed in the same ``src -> dst`` order as
+        ``path_info(src, dst).delay_s``, so the value is bit-equal, but
+        nothing is materialized.
+        """
+        if src == dst:
+            return 0.0
+        links = self._links
+        delay = 0.0
+        for index in self._walk(src, dst):
+            delay += links[index].delay_s
+        return delay
+
+    def _walk(self, src: int, dst: int) -> List[int]:
+        """Link indices of the route ``src -> dst``, read off ``src``'s tree."""
         tree = self.shortest_path_tree(src)
         links = self._links
         chain: List[int] = []
         append = chain.append
         node = dst
-        # Walk the tree inline (one bounds check up front, none per hop:
-        # every predecessor the walk visits is a known link endpoint).
+        # One bounds check up front, none per hop: every predecessor the
+        # walk visits is a known link endpoint.
         if isinstance(tree, dict):
             while node != src:
                 index = tree.get(node, -1)
@@ -319,16 +348,7 @@ class RoutingEngine:
                 append(index)
                 node = links[index].src
         chain.reverse()
-        info = self._materialize(tuple(chain))
-        if len(routes) >= self.max_routes:
-            self._lru_active = True
-            del routes[next(iter(routes))]
-            self.stats.route_evictions += 1
-        routes[key] = _CachedRoute(
-            info, self.loss_epoch, self.capacity_epoch, self.delay_epoch
-        )
-        self.stats.paths_extracted += 1
-        return info
+        return chain
 
     def _materialize(self, link_indices: Tuple[int, ...]) -> PathInfo:
         """Build a PathInfo by walking the links in path order.

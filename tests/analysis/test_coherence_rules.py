@@ -142,6 +142,21 @@ class TestCoh001Calls:
         """)})
         assert findings == []
 
+    def test_call_on_an_item_of_the_receiver_is_a_call_on_it(self, analyze):
+        # ``self._items[key].append(x)`` grows what ``_items`` holds just as
+        # ``self._items.append(x)`` does (Topology's per-node out-link lists).
+        findings = analyze({"mod.py": guarded("""
+            class Cache:
+                def push(self, key, value):
+                    self._items[key].append(value)
+
+                def push_and_bump(self, key, value):
+                    self._items[key].append(value)
+                    self.version += 1
+        """)})
+        assert rules_of(findings) == ["COH001"]
+        assert "in push()" in findings[0].message
+
 
 class TestClusteredBulletMembershipCache:
     """The real table: ``receivers()``' cached membership in hierarchy/system.py."""
@@ -161,15 +176,19 @@ class TestClusteredBulletMembershipCache:
                     "_mesh_driver.fail_node()",
                     "_mesh_driver.add_node()",
                     "_executor.promote()",
-                    "mid.promote()",
-                    "mid.add_interior()",
+                    "_mid_shard.promote()",
+                    "_mid_shard.add_interior()",
                     "._dead_clusters",
                     "._mid_dead",
                 ],
             ),
             (
                 "_fail_group_head",
-                ["mid.fail_interior()", "_executor.promote()", "._dead_clusters"],
+                [
+                    "_mid_shard.fail_interior()",
+                    "_executor.promote()",
+                    "._dead_clusters",
+                ],
             ),
             ("add_node", ["_executor.add_interior()"]),
         ],
@@ -187,6 +206,22 @@ class TestClusteredBulletMembershipCache:
         assert all("_receivers" in finding.message for finding in findings)
         for mutation in unguarded:
             assert any(mutation in finding.message for finding in findings), mutation
+
+    def test_new_mid_shard_mutation_without_invalidation_is_flagged(self, analyze):
+        # Mid clusters mutate through the main-side shard; a new caller that
+        # forgets to drop the cached membership must not slip through.
+        source = SYSTEM_PY.read_text()
+        end_of_class = source.index("\n\n@register_system(")
+        broken = (
+            source[:end_of_class]
+            + "\n    def evict_leaf_head(self, mid_index, node):\n"
+            + "        self._mid_shard.fail_interior(mid_index, node)\n"
+            + source[end_of_class:]
+        )
+        findings = analyze({"system.py": broken})
+        assert rules_of(findings) == ["COH001"]
+        assert "_mid_shard.fail_interior()" in findings[0].message
+        assert "in evict_leaf_head()" in findings[0].message
 
 
 class TestTreeScope:

@@ -206,3 +206,23 @@ class TestRetiredEngineFlags:
             main(["run", "--system", "bullet", "--nodes", "10", "--duration", "30", *extra])
         assert excinfo.value.code == 2
         assert flag in capsys.readouterr().err
+
+
+def test_cli_start_does_not_import_networkx():
+    # networkx is a test-side oracle dependency; importing it cost a third
+    # of every CLI start.  A fresh interpreter, because pytest's own process
+    # has long since imported it for the routing oracle.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+    completed = subprocess.run(
+        [sys.executable, "-c", "import repro.cli, sys; assert 'networkx' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert completed.returncode == 0, completed.stderr

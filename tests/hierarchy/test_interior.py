@@ -1,27 +1,31 @@
-"""InteriorCluster: scalar/batch stepper equivalence and membership events.
+"""Interior clusters: fused-stepper/oracle equivalence and membership events.
 
-The load-bearing property is byte-identity: the vectorized
-:meth:`InteriorCluster.step_batch` must reproduce the scalar
-:meth:`InteriorCluster.step` *exactly* — counts, delivery windows and both
-fractional carries — because the sharded session's exports are byte-diffed
-against the serial session's in CI.  Hypothesis drives that comparison over
-random capacities, loss rates, fanouts and head-delta streams.
+The load-bearing property is byte-identity: the fused
+:meth:`ClusterShard.step_window` — the only interior stepper in ``src/`` —
+must reproduce the scalar oracle in ``tests/oracles/interior.py`` *exactly*:
+counts, delivery windows and both fractional carries.  Hypothesis drives that
+comparison over random capacities, loss rates, fanouts and head-delta
+streams.  The behaviour tests below step through a one-cluster
+:class:`ClusterShard`, one-row windows, as the mid clusters do in production.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-import pytest
+from oracles.interior import ScalarInteriorCluster
 
-from repro.hierarchy.interior import InteriorCluster
+from repro.hierarchy.interior import ClusterShard, InteriorCluster
 
 
 def make_cluster(
-    n=12, fanout=3, caps=None, loss=None, rate_kbps=600.0, dt=0.5, packet_kbits=12.0
+    n=12, fanout=3, caps=None, loss=None, rate_kbps=600.0, dt=0.5, packet_kbits=12.0,
+    cluster_class=InteriorCluster,
 ):
     members = list(range(1, n + 1))
     caps = caps or {node: 300.0 + 40.0 * (node % 7) for node in members}
     loss = loss or {node: 0.004 * (node % 5) for node in members}
-    return InteriorCluster(
+    return cluster_class(
         members[0],
         members[1:],
         caps,
@@ -33,11 +37,47 @@ def make_cluster(
     )
 
 
-def assert_identical(scalar, batch):
-    assert scalar.counts == batch.counts
-    assert scalar.window == batch.window
-    assert scalar._cap_carry == batch._cap_carry
-    assert scalar._loss_carry == batch._loss_carry
+class Stepped:
+    """One cluster on the production path: a single-cluster shard.
+
+    ``step`` replays head deltas as one-row windows and writes the fused
+    state back, so ``cluster`` always shows the at-rest counts and carries.
+    Membership mutations go through the shard, as they do in ``src/``.
+    """
+
+    def __init__(self, cluster):
+        self.cluster = cluster
+        self.shard = ClusterShard({0: cluster})
+
+    def step(self, *deltas):
+        for delta in deltas:
+            self.shard.step_window(np.array([[delta]]))
+        self.shard._sync_back()
+
+    def window(self, deltas):
+        self.shard.step_window(np.array(deltas).reshape(-1, 1))
+        self.shard._sync_back()
+
+    def take_window(self):
+        nodes, delivered = self.shard.take_windows()
+        self.shard._sync_back()
+        return list(zip(nodes.tolist(), delivered.tolist()))
+
+    def fail_interior(self, node):
+        self.shard.fail_interior(0, node)
+
+    def promote(self, new_head):
+        self.shard.promote(0, new_head)
+
+    def add_interior(self, node, cap_kbps, loss_rate):
+        return self.shard.add_interior(0, node, cap_kbps, loss_rate)
+
+
+def assert_identical(scalar, fused):
+    assert scalar.counts == fused.counts
+    assert scalar.window == fused.window
+    assert scalar._cap_carry == fused._cap_carry
+    assert scalar._loss_carry == fused._loss_carry
 
 
 class TestStepperEquivalence:
@@ -57,69 +97,56 @@ class TestStepperEquivalence:
         caps = {node: cap_scale * (1 + (node * seed) % 5) for node in members}
         loss = {node: loss_scale * ((node + seed) % 3) / 3 for node in members}
 
-        def build():
-            return InteriorCluster(
+        def build(cluster_class):
+            return cluster_class(
                 members[0], members[1:], caps, loss,
                 rate_kbps=600.0, dt=0.5, packet_kbits=12.0, fanout=fanout,
             )
 
-        scalar, batch = build(), build()
+        scalar, fused = build(ScalarInteriorCluster), Stepped(build(InteriorCluster))
         for delta in deltas:
             scalar.step(delta)
-        batch.step_batch(deltas)
-        assert_identical(scalar, batch)
-        assert scalar.take_window() == batch.take_window()
+        fused.window(deltas)
+        assert_identical(scalar, fused.cluster)
+        assert scalar.take_window() == fused.take_window()
 
     def test_batch_split_invariance(self):
         # Replaying a window in two halves (two barriers) must equal one
         # replay: carries round-trip exactly through the numpy arrays.
         deltas = [(i * 11) % 7 for i in range(90)]
-        whole, split = make_cluster(), make_cluster()
-        whole.step_batch(deltas)
-        split.step_batch(deltas[:37])
+        whole, split = Stepped(make_cluster()), Stepped(make_cluster())
+        whole.window(deltas)
+        split.window(deltas[:37])
         split.take_window()
-        split.step_batch(deltas[37:])
-        assert whole.counts == split.counts
-        assert whole._cap_carry == split._cap_carry
-        assert whole._loss_carry == split._loss_carry
+        split.window(deltas[37:])
+        assert whole.cluster.counts == split.cluster.counts
+        assert whole.cluster._cap_carry == split.cluster._cap_carry
+        assert whole.cluster._loss_carry == split.cluster._loss_carry
 
     def test_equivalence_survives_membership_events(self):
-        scalar, batch = make_cluster(n=20), make_cluster(n=20)
+        scalar = make_cluster(n=20, cluster_class=ScalarInteriorCluster)
+        fused = Stepped(make_cluster(n=20))
         first = [(i * 13) % 6 for i in range(40)]
         for delta in first:
             scalar.step(delta)
-        batch.step_batch(first)
-        scalar.take_window(), batch.take_window()
-        for cluster in (scalar, batch):
+        fused.window(first)
+        scalar.take_window(), fused.take_window()
+        for cluster in (scalar, fused):
             cluster.fail_interior(7)
             cluster.promote(3)
             cluster.add_interior(99, 280.0, 0.006)
         second = [(i * 5) % 4 for i in range(40)]
         for delta in second:
             scalar.step(delta)
-        batch.step_batch(second)
-        assert_identical(scalar, batch)
-        assert scalar.take_window() == batch.take_window()
-
-    def test_empty_batch_is_a_no_op(self):
-        cluster = make_cluster()
-        before = list(cluster.counts)
-        cluster.step_batch([])
-        assert cluster.counts == before
-
-    def test_negative_delta_rejected(self):
-        cluster = make_cluster()
-        with pytest.raises(ValueError, match="non-negative"):
-            cluster.step(-1)
-        with pytest.raises(ValueError, match="non-negative"):
-            cluster.step_batch([1, -1])
+        fused.window(second)
+        assert_identical(scalar, fused.cluster)
+        assert scalar.take_window() == fused.take_window()
 
 
 class TestDissemination:
     def test_counts_flow_down_the_tree(self):
         cluster = make_cluster(n=10, loss={node: 0.0 for node in range(1, 11)})
-        for _ in range(60):
-            cluster.step(3)
+        Stepped(cluster).step(*[3] * 60)
         root_count = cluster.count_of(cluster.root)
         assert root_count == 180
         for node in cluster.live_interiors():
@@ -127,8 +154,7 @@ class TestDissemination:
 
     def test_child_never_exceeds_parent_before_mutations(self):
         cluster = make_cluster(n=15)
-        for index in range(100):
-            cluster.step((index * 7) % 5)
+        Stepped(cluster).step(*[(index * 7) % 5 for index in range(100)])
         for level in cluster._levels:
             for idx in level:
                 assert cluster.counts[idx] <= cluster.counts[cluster._parent[idx]]
@@ -141,8 +167,7 @@ class TestDissemination:
             1, [2], {1: 900.0, 2: 60.0}, {1: 0.0, 2: 0.0},
             rate_kbps=600.0, dt=0.5, packet_kbits=12.0,
         )
-        for _ in range(40):
-            cluster.step(20)
+        Stepped(cluster).step(*[20] * 40)
         assert cluster.count_of(2) == 100  # 40 steps * 2.5 packets/step
         assert cluster.count_of(1) == 800
         assert members  # silence unused warning
@@ -156,9 +181,8 @@ class TestDissemination:
             1, [2], {1: 900.0, 2: 900.0}, {1: 0.0, 2: 0.1},
             rate_kbps=600.0, dt=0.5, packet_kbits=12.0,
         )
-        for _ in range(100):
-            lossless.step(10)
-            lossy.step(10)
+        Stepped(lossless).step(*[10] * 100)
+        Stepped(lossy).step(*[10] * 100)
         assert lossy.count_of(2) < lossless.count_of(2)
         # Expected loss is exact over a long window: 10% of taken packets.
         taken = lossless.count_of(2)
@@ -166,26 +190,25 @@ class TestDissemination:
 
     def test_window_reports_only_nonzero_in_member_order(self):
         cluster = make_cluster(n=8)
-        for _ in range(20):
-            cluster.step(4)
-        report = cluster.take_window()
+        stepped = Stepped(cluster)
+        stepped.step(*[4] * 20)
+        report = stepped.take_window()
         nodes = [node for node, _ in report]
         assert nodes == [node for node in cluster.members if node in nodes]
         assert all(useful > 0 for _, useful in report)
-        assert cluster.take_window() == []
+        assert stepped.take_window() == []
 
 
 class TestMembership:
     def test_fail_interior_freezes_node_and_starves_subtree(self):
         cluster = make_cluster(n=10, loss={node: 0.0 for node in range(1, 11)})
-        for _ in range(30):
-            cluster.step(2)
+        stepped = Stepped(cluster)
+        stepped.step(*[2] * 30)
         victim = cluster.members[1]  # a first-level child with descendants
         frozen = cluster.count_of(victim)
-        cluster.fail_interior(victim)
+        stepped.fail_interior(victim)
         assert victim not in cluster.live_interiors()
-        for _ in range(50):
-            cluster.step(2)
+        stepped.step(*[2] * 50)
         assert cluster.count_of(victim) == frozen
         # Its children drain up to the frozen count, then starve.
         children = [
@@ -209,14 +232,14 @@ class TestMembership:
 
     def test_promote_rehangs_survivors_and_keeps_counts(self):
         cluster = make_cluster(n=12)
-        for _ in range(40):
-            cluster.step(3)
-        cluster.take_window()
+        stepped = Stepped(cluster)
+        stepped.step(*[3] * 40)
+        stepped.take_window()
         counts_before = {
             node: cluster.count_of(node) for node in cluster.live_interiors()
         }
         old_head = cluster.root
-        cluster.promote(5)
+        stepped.promote(5)
         assert cluster.root == 5
         assert old_head not in cluster.members
         for node, count in counts_before.items():
@@ -225,8 +248,7 @@ class TestMembership:
         assert cluster._cap_carry == [0.0] * len(cluster.members)
         # The cluster keeps disseminating under the new head; a child whose
         # count exceeds its new parent simply waits (take clamps at zero).
-        for _ in range(30):
-            cluster.step(3)
+        stepped.step(*[3] * 30)
         assert cluster.count_of(5) >= counts_before[5] + 90 - 1
 
     def test_promote_drops_failed_members(self):
@@ -245,9 +267,9 @@ class TestMembership:
 
     def test_add_interior_primes_at_parent_count(self):
         cluster = make_cluster(n=6)
-        for _ in range(30):
-            cluster.step(4)
-        parent = cluster.add_interior(50, 400.0, 0.0)
+        stepped = Stepped(cluster)
+        stepped.step(*[4] * 30)
+        parent = stepped.add_interior(50, 400.0, 0.0)
         assert cluster.count_of(50) == cluster.count_of(parent)
         assert 50 in cluster.live_interiors()
 

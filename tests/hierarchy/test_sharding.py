@@ -1,18 +1,19 @@
-"""Shard executors: serial vs process equality, barriers and lifecycle."""
+"""The shard executor: in-process vs forked equality, barriers and lifecycle."""
+
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles.interior import ScalarInteriorCluster
 
 from repro.experiments.harness import ExperimentConfig
 from repro.hierarchy.interior import ClusterShard, InteriorCluster
-from repro.hierarchy.sharding import (
-    ProcessShardExecutor,
-    SerialShardExecutor,
-    ShardedSession,
-)
+from repro.hierarchy.sharding import ShardExecutor, ShardedSession
 
 
-def make_clusters(count=5, size=9):
+def make_clusters(count=5, size=9, cluster_class=InteriorCluster):
     clusters = []
     base = 1
     for cluster_index in range(count):
@@ -21,7 +22,7 @@ def make_clusters(count=5, size=9):
         caps = {node: 250.0 + 30.0 * (node % 6) for node in members}
         loss = {node: 0.005 * (node % 4) for node in members}
         clusters.append(
-            InteriorCluster(
+            cluster_class(
                 members[0], members[1:], caps, loss,
                 rate_kbps=600.0, dt=0.5, packet_kbits=12.0, fanout=3,
             )
@@ -37,27 +38,32 @@ def report_pairs(report):
     return list(zip(nodes.tolist(), delivered.tolist()))
 
 
+def make_scalar_clusters(count=5):
+    return make_clusters(count, cluster_class=ScalarInteriorCluster)
+
+
 def scalar_pairs(clusters, order=None):
-    """Concatenated scalar ``take_window()`` of ``clusters`` (drains them)."""
+    """Concatenated oracle ``take_window()`` of ``clusters`` (drains them)."""
     order = range(len(clusters)) if order is None else order
     return [pair for index in order for pair in clusters[index].take_window()]
 
 
 class Reference:
-    """Scalar clusters stepped alongside an executor, one step at a time."""
+    """Oracle clusters stepped alongside an executor, one step at a time."""
 
     def __init__(self):
-        self.clusters = make_clusters()
+        self.clusters = make_scalar_clusters()
 
     def step(self, deltas):
         for cluster, delta in zip(self.clusters, deltas):
             cluster.step(delta)
 
     def expected_reports(self, executor):
-        """What ``executor.flush()`` must return at this barrier, as pairs."""
-        if isinstance(executor, SerialShardExecutor):
-            return [scalar_pairs(self.clusters)]
-        # One report per worker: its round-robin clusters, ascending.
+        """What ``executor.flush()`` must return at this barrier, as pairs.
+
+        One report per shard: its round-robin clusters, ascending (the
+        in-process executor is one shard owning every cluster).
+        """
         return [
             scalar_pairs(self.clusters, range(worker, len(self.clusters), executor.workers))
             for worker in range(executor.workers)
@@ -66,14 +72,15 @@ class Reference:
 
 @pytest.fixture
 def executors():
-    serial = SerialShardExecutor(make_clusters())
-    process = ProcessShardExecutor(make_clusters(), workers=2)
+    serial = ShardExecutor(make_clusters())
+    process = ShardExecutor(make_clusters(), workers=2)
     yield serial, process
+    serial.shutdown()
     process.shutdown()
 
 
 class TestExecutorEquality:
-    """Both executors' array reports equal concatenated scalar windows."""
+    """In-process and forked array reports equal concatenated oracle windows."""
 
     def test_windows_identical_across_barriers(self, executors):
         for executor in executors:
@@ -119,8 +126,20 @@ class TestExecutorEquality:
             assert len(reports) == shards
             assert [report_pairs(report) for report in reports] == [[]] * shards
 
+    def test_in_process_shard_steps_the_clusters_it_was_given(self):
+        # No mirror: a mutation lands once, on the objects main queries.
+        clusters = make_clusters()
+        serial = ShardExecutor(clusters)
+        assert serial.workers == 1
+        assert all(mine is given for mine, given in zip(serial.clusters, clusters))
+        victim = clusters[1].members[2]
+        serial.fail_interior(1, victim)
+        assert victim not in clusters[1].live_interiors()
+        with pytest.raises(ValueError, match="already failed"):
+            serial.fail_interior(1, victim)
+
     def test_mirror_structure_tracks_worker(self):
-        process = ProcessShardExecutor(make_clusters(), workers=2)
+        process = ShardExecutor(make_clusters(), workers=2)
         try:
             victim = process.clusters[1].members[2]
             process.fail_interior(1, victim)
@@ -131,8 +150,91 @@ class TestExecutorEquality:
             process.shutdown()
 
 
+def in_process_state(executor):
+    """(counts, cap carries, loss carries) per cluster of an in-process shard."""
+    executor._shards[0]._shard._sync_back()
+    return [
+        (list(cluster.counts), list(cluster._cap_carry), list(cluster._loss_carry))
+        for cluster in executor.clusters
+    ]
+
+
+#: One barrier-to-barrier operation.  ``window`` rows are per-cluster head
+#: deltas (zero rows = an empty flush, one row = the mid-cluster usage);
+#: membership picks are reduced modulo what is live when they are applied.
+OPERATIONS = st.one_of(
+    st.tuples(
+        st.just("window"),
+        st.lists(
+            st.lists(st.integers(min_value=0, max_value=9), min_size=3, max_size=3),
+            max_size=6,
+        ),
+    ),
+    st.tuples(st.just("fail_interior"), st.integers(0, 2), st.integers(0, 50)),
+    st.tuples(st.just("promote"), st.integers(0, 2), st.integers(0, 50)),
+    st.tuples(
+        st.just("add_interior"),
+        st.integers(0, 2),
+        st.floats(min_value=40.0, max_value=900.0),
+        st.floats(min_value=0.0, max_value=0.05),
+    ),
+)
+
+
+class TestInterleavings:
+    """In-process shard == forked workers == scalar oracle, barrier by barrier."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(operations=st.lists(OPERATIONS, min_size=1, max_size=14))
+    def test_any_interleaving_of_windows_and_mutations(self, operations):
+        oracle = make_scalar_clusters(count=3)
+        serial = ShardExecutor(make_clusters(count=3))
+        forked = ShardExecutor(make_clusters(count=3), workers=2)
+        joiner = 1000
+        try:
+            for kind, *arguments in operations:
+                if kind == "window":
+                    for deltas in arguments[0]:
+                        for cluster, delta in zip(oracle, deltas):
+                            cluster.step(delta)
+                        serial.enqueue_step(deltas)
+                        forked.enqueue_step(deltas)
+                else:
+                    index, *rest = arguments
+                    live = oracle[index].live_interiors()
+                    if kind == "add_interior":
+                        joiner += 1
+                        rest = [joiner, *rest]
+                    elif live:
+                        rest = [live[rest[0] % len(live)]]
+                    else:
+                        continue
+                    expected = getattr(oracle[index], kind)(*rest)
+                    assert getattr(serial, kind)(index, *rest) == expected
+                    assert getattr(forked, kind)(index, *rest) == expected
+                stepped = kind == "window" and arguments[0]
+                serial_reports = [report_pairs(report) for report in serial.flush()]
+                forked_reports = [report_pairs(report) for report in forked.flush()]
+                assert len(serial_reports) == (1 if stepped else 0)
+                assert len(forked_reports) == (2 if stepped else 0)
+                if stepped:
+                    # Worker 0 owns clusters 0 and 2, worker 1 cluster 1.
+                    windows = [cluster.take_window() for cluster in oracle]
+                    assert serial_reports == [windows[0] + windows[1] + windows[2]]
+                    assert forked_reports == [windows[0] + windows[2], windows[1]]
+                assert in_process_state(serial) == [
+                    (cluster.counts, cluster._cap_carry, cluster._loss_carry)
+                    for cluster in oracle
+                ]
+                assert [c.members for c in serial.clusters] == [c.members for c in oracle]
+                assert [c.members for c in forked.clusters] == [c.members for c in oracle]
+        finally:
+            serial.shutdown()
+            forked.shutdown()
+
+
 class TestClusterShard:
-    """The fused multi-cluster stepper is byte-identical to scalar steps."""
+    """The fused multi-cluster stepper is byte-identical to oracle steps."""
 
     @staticmethod
     def _state(cluster):
@@ -143,7 +245,7 @@ class TestClusterShard:
         )
 
     def test_fused_window_matches_scalar(self):
-        scalar = make_clusters()
+        scalar = make_scalar_clusters()
         shard = ClusterShard(dict(enumerate(make_clusters())))
         for barrier in range(3):
             window = np.array(
@@ -163,7 +265,7 @@ class TestClusterShard:
     def test_owned_subset_reports_in_ascending_cluster_order(self):
         # A worker's shard owns a round-robin subset; its window's columns
         # and its report both follow ascending cluster index.
-        scalar = make_clusters()
+        scalar = make_scalar_clusters()
         owned = [3, 1]
         shard = ClusterShard({index: make_clusters()[index] for index in owned})
         window = np.array([[2 + step % 3, 1 + step % 2] for step in range(19)])
@@ -174,7 +276,7 @@ class TestClusterShard:
         assert report_pairs(shard.take_windows()) == scalar_pairs(scalar, [1, 3])
 
     def test_fused_state_survives_mutations(self):
-        scalar = make_clusters()
+        scalar = make_scalar_clusters()
         fused = make_clusters()
         shard = ClusterShard(dict(enumerate(fused)))
         window = np.array([[(index + step) % 4 for index in range(5)] for step in range(15)])
@@ -216,32 +318,39 @@ class TestClusterShard:
             shard.step_window(np.array([[1, 1], [-1, 1]]))
 
 
+@contextmanager
+def running(workers):
+    executor = ShardExecutor(make_clusters(), workers=workers)
+    try:
+        yield executor
+    finally:
+        executor.shutdown()
+
+
 class TestProcessExecutorLifecycle:
+    """Barrier rules hold for the in-process shard (0) and forked workers (2)."""
+
     def test_empty_flush_skips_round_trip(self):
-        process = ProcessShardExecutor(make_clusters(), workers=2)
-        try:
-            assert process.flush() == []
-            # ... and again right after a real barrier.
-            process.enqueue_step([1, 2, 3, 4, 5])
-            assert len(process.flush()) == 2
-            assert process.flush() == []
-        finally:
-            process.shutdown()
+        for workers in (0, 2):
+            with running(workers) as executor:
+                assert executor.flush() == []
+                # ... and again right after a real barrier.
+                executor.enqueue_step([1, 2, 3, 4, 5])
+                assert len(executor.flush()) == executor.workers
+                assert executor.flush() == []
 
     def test_mutation_with_pending_steps_rejected(self):
-        process = ProcessShardExecutor(make_clusters(), workers=2)
-        try:
-            process.enqueue_step([1, 1, 1, 1, 1])
-            with pytest.raises(RuntimeError, match="flush"):
-                process.fail_interior(0, process.clusters[0].members[1])
-        finally:
-            process.shutdown()
+        for workers in (0, 2):
+            with running(workers) as executor:
+                executor.enqueue_step([1, 1, 1, 1, 1])
+                with pytest.raises(RuntimeError, match="flush"):
+                    executor.fail_interior(0, executor.clusters[0].members[1])
 
     def test_rejected_mutation_leaves_workers_alive(self):
         # The structure mirror validates first: a mutation it refuses must
         # not reach the worker, whose loop would die on the same error and
         # take the next barrier down with a reset pipe.
-        process = ProcessShardExecutor(make_clusters(), workers=2)
+        process = ShardExecutor(make_clusters(), workers=2)
         reference = Reference()
         try:
             victim = process.clusters[1].members[3]
@@ -263,22 +372,24 @@ class TestProcessExecutorLifecycle:
             process.shutdown()
 
     def test_wrong_delta_length_rejected(self):
-        process = ProcessShardExecutor(make_clusters(), workers=2)
-        try:
-            with pytest.raises(ValueError, match="per cluster"):
-                process.enqueue_step([1, 2])
-        finally:
-            process.shutdown()
+        for workers in (0, 2):
+            with running(workers) as executor:
+                with pytest.raises(ValueError, match="per cluster"):
+                    executor.enqueue_step([1, 2])
 
     def test_shutdown_idempotent(self):
-        process = ProcessShardExecutor(make_clusters(), workers=2)
-        process.shutdown()
-        process.shutdown()
+        for workers in (0, 2):
+            executor = ShardExecutor(make_clusters(), workers=workers)
+            executor.shutdown()
+            executor.shutdown()
 
     def test_worker_cap_and_validation(self):
-        with pytest.raises(ValueError, match="at least 2"):
-            ProcessShardExecutor(make_clusters(), workers=1)
-        process = ProcessShardExecutor(make_clusters(count=3), workers=8)
+        # Fewer than two workers is the in-process shard, whatever the count.
+        for workers in (-1, 0, 1):
+            assert ShardExecutor(make_clusters(), workers=workers).workers == 1
+        with pytest.raises(ValueError, match="expected 1 head hosts"):
+            ShardExecutor(make_clusters(), head_hosts=[None, None])
+        process = ShardExecutor(make_clusters(count=3), workers=8)
         try:
             assert process.workers == 3  # capped at cluster count
         finally:

@@ -2,7 +2,9 @@
 
 One module per layer — the sort-everything working set and per-packet loops
 (:mod:`oracles.reconcile`), the dict-of-counters stats collector
-(:mod:`oracles.stats`), the scalar max-min solver (:mod:`oracles.fairshare`)
-and per-pair networkx routing (:mod:`oracles.routing`).  Nothing here is
-imported from ``src/``; the root ``conftest.py`` puts ``tests/`` on the path.
+(:mod:`oracles.stats`), the scalar max-min solver (:mod:`oracles.fairshare`),
+per-pair networkx routing (:mod:`oracles.routing`), the scalar interior
+stepper (:mod:`oracles.interior`) and the synchronous RanSub driver
+(:mod:`oracles.ransub`).  Nothing here is imported from ``src/``; the root
+``conftest.py`` puts ``tests/`` on the path.
 """

@@ -1,8 +1,8 @@
 """Tests for the RanSub collect/distribute protocol."""
 
 import pytest
+from oracles.ransub import RanSubProtocol
 
-from repro.ransub.protocol import RanSubProtocol
 from repro.ransub.state import MemberSummary
 from repro.reconcile.summary_ticket import SummaryTicket
 from repro.trees.random_tree import build_balanced_tree

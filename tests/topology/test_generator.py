@@ -56,7 +56,7 @@ class TestGenerateTopology:
     def test_every_client_has_single_uplink(self):
         topo = generate_topology(SMALL)
         for client in topo.client_nodes:
-            assert topo.graph.out_degree(client) == 1
+            assert len(topo.out_links(client)) == 1
 
     def test_all_link_types_present(self):
         topo = generate_topology(SMALL)

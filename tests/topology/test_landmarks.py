@@ -100,6 +100,23 @@ def test_same_seed_is_deterministic_and_query_order_free(seed):
     assert forward == backward
 
 
+def test_probes_leave_the_route_cache_alone_and_match_path_delay():
+    # A coordinate reads each (landmark, node) pair once; materializing a
+    # cached route per probe held 240k never-read routes at 30k nodes.
+    topology = build_topology(11)
+    clients = list(topology.client_nodes)
+    estimator = build_landmark_estimator(topology, seed=11)
+    topology.set_link_delay(0, 2.0 * topology.link(0).delay_s)  # live delay, pinned routes
+    before = topology.routing.cached_route_count()
+    coordinates = {node: estimator.coordinates(node) for node in clients}
+    assert topology.routing.cached_route_count() == before
+    for node, coordinate in coordinates.items():
+        assert coordinate == tuple(
+            2.0 * topology.path(landmark, node).delay_s
+            for landmark in estimator.landmarks
+        )
+
+
 def test_different_seeds_can_pick_different_landmarks():
     topology = build_topology(7)
     picks = {
