@@ -29,8 +29,9 @@ and not if it only appears in a different branch.  ``__init__``/``__new__``
 are exempt by construction (no cache can predate construction).
 
 A bump is either an assignment/augmented assignment to an attribute of the
-required name (``self._capacity_version += 1``) or a call whose terminal
-name matches (``self._routing.note_loss_change()``).
+required name (``self._capacity_version += 1``) or to an item of it
+(``self._owner_of[node] = host``), or a call whose terminal name matches
+(``self._routing.note_loss_change()``).
 """
 
 from __future__ import annotations
@@ -314,6 +315,9 @@ def _contains_bump(stmt: ast.stmt, bump: str) -> bool:
                 node.targets if isinstance(node, ast.Assign) else [node.target]
             )
             for target in targets:
+                # ``obj.bump[key] = x`` writes the guarded bookkeeping too.
+                while isinstance(target, ast.Subscript):
+                    target = target.value
                 if isinstance(target, ast.Attribute) and target.attr == bump:
                     return True
                 if isinstance(target, ast.Name) and target.id == bump:

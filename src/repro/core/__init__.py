@@ -1,5 +1,6 @@
-"""The Bullet mesh: configuration, per-node state, the disjoint send routine,
-peer management, recovery and the mesh orchestrator."""
+"""The Bullet mesh: configuration, per-node state and the hosts that own it,
+the disjoint send routine, peer management, recovery and the mesh
+orchestrator."""
 
 from repro.core.bullet_node import BulletNode, ControlPlaneServices, ReceiveOutcome
 from repro.core.config import BulletConfig
@@ -11,6 +12,7 @@ from repro.core.control_messages import (
 )
 from repro.core.disjoint import ChildSendState, DisjointSender
 from repro.core.mesh import BulletMesh, MeshStatus
+from repro.core.node_host import NodeHost
 from repro.core.peering import PeerManager, ReceiverRecord, SenderRecord
 from repro.core.recovery import RecoveryRequest, SenderQueue, build_recovery_requests
 
@@ -22,6 +24,7 @@ __all__ = [
     "ControlPlaneServices",
     "DisjointSender",
     "MeshStatus",
+    "NodeHost",
     "PeerManager",
     "PeeringReply",
     "PeeringRequest",

@@ -252,9 +252,9 @@ class BulletNode:
     def ransub_due(self, now: float) -> bool:
         """Whether :meth:`poll_ransub` would fire at ``now``, without firing it.
 
-        A pure probe over the RanSub deadline condition; the sharded
-        head-mesh coordinator uses it to skip the deepest-first poll cascade
-        on the (overwhelmingly common) steps where no deadline is due.
+        A pure probe over the RanSub deadline condition; the mesh uses it
+        to skip the deepest-first poll cascade on the (overwhelmingly
+        common) steps where no deadline is due.
         """
         return self.ransub.deadline_due(now)
 

@@ -2,27 +2,42 @@
 
 :class:`BulletMesh` wires a set of :class:`~repro.core.bullet_node.BulletNode`
 participants to the fluid network simulator and an underlying overlay tree,
-and drives the whole protocol once per simulation step:
+and drives the whole protocol once per simulation step as four exchanges
+with the :class:`~repro.core.node_host.NodeHost` (s) that own the nodes:
 
-1. deliver packets that arrived over tree and mesh flows into working sets;
-2. fire the protocol timers (RanSub epochs, Bloom refreshes, peer
-   re-evaluation) — these only *queue* control messages on the nodes;
-3. pump the control plane: drain node outboxes into the simulated
-   :class:`~repro.network.control.ControlChannel` and dispatch delivered
-   messages to the destination nodes' handlers;
-4. generate new stream packets at the root;
-5. forward freshly received packets down the tree with the disjoint send
-   routine (Figure 5);
-6. serve peer receivers from the per-receiver recovery queues (Figure 4).
+1. **deliver** — packets that arrived over tree and mesh flows go to the
+   receivers' hosts, which add them to the working sets and answer with
+   (useful, duplicate) counts for the stats collector;
+2. **timers** — the mesh fires the protocol timers (RanSub epochs, Bloom
+   refreshes, peer re-evaluation) and ships their node effects; the hosts
+   only *queue* control messages, and say whether a RanSub collect deadline
+   is due — if so the deepest-first poll cascade follows;
+3. **control** — the mesh pumps the simulated
+   :class:`~repro.network.control.ControlChannel`: queued messages out,
+   every arrival dispatched to its destination's host, whose handlers queue
+   the replies for the pump's next round;
+4. **data** — the mesh generates new stream packets at the root and ships
+   send budgets; the hosts forward fresh packets down the tree with the
+   disjoint send routine (Figure 5), serve peer receivers from the recovery
+   queues (Figure 4) and answer with the accepted sends, which the mesh
+   replays on the flows before setting next step's demands.
 
-The mesh is deliberately a *thin scheduler*: every cross-node interaction —
-peering requests and replies, recovery refreshes, teardowns, RanSub
-collect/distribute — travels through the control channel with real path
-latency and loss, and all protocol decisions live in the node handlers
-(:meth:`BulletNode.handle_control`).  The mesh never mutates another node's
-peer or queue state directly; its only cross-cutting powers are the
-:class:`~repro.core.bullet_node.ControlPlaneServices` it exposes to handlers
-(open/close mesh data flows, name the nodes that must not be peered with).
+The mesh is deliberately a *thin scheduler*, and the system of record for
+everything whose order defines the run: the control channel, the flows, the
+timers and step engine, the stats, the tree, the failed set and the source's
+sequence counter.  The hosts own all node state, and all protocol decisions
+live in the node handlers (:meth:`BulletNode.handle_control`); every
+cross-node interaction — peering requests and replies, recovery refreshes,
+teardowns, RanSub collect/distribute — travels through the control channel
+with real path latency and loss.  A handler's only cross-cutting powers are
+the :class:`~repro.core.bullet_node.ControlPlaneServices` (open/close mesh
+data flows, name the nodes that must not be peered with), which the host
+records and the mesh replays.
+
+A mesh is born with one in-process host holding every node, reached by a
+direct call; :meth:`BulletMesh.partition` re-homes the nodes onto several
+hosts and :attr:`BulletMesh.exchange` is the transport to them (the clustered
+system points it at its forked shard workers) — no phase knows which.
 
 The orchestrator also implements node failure (Section 4.6): a failed node
 stops sending and receiving, its control messages are dropped by the
@@ -35,10 +50,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.bullet_node import BulletNode
 from repro.core.config import BulletConfig
+from repro.core.node_host import DeliveryEntry, NodeHost, ServiceCall
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
 from repro.network.events import PeriodicTimer
@@ -52,12 +68,13 @@ from repro.analysis.shakeout import tracked_set
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
 #: The per-depth node levels are derived from the overlay tree; growing the
-#: tree without rebuilding them leaves the RanSub epoch walking stale levels.
+#: tree without rebuilding them leaves the RanSub epoch walking stale levels,
+#: and a member without an owner host is one no exchange ever reaches.
 CACHE_INVARIANTS = {
     "BulletMesh": {
         "scope": "module",
         "calls": {
-            "tree.add_leaf": ["_rebuild_depth_levels"],
+            "tree.add_leaf": ["_rebuild_depth_levels", "_owner_of"],
         },
     },
 }
@@ -88,7 +105,6 @@ class BulletMesh:
         self.tree = tree
         self.config = config or BulletConfig()
         self.stats = simulator.stats
-        self._rng = SeededRng(self.config.seed, "bullet-mesh")
         self.failed: Set[int] = tracked_set("mesh.failed")
         self._epoch_count = 0
         self._next_sequence = 0
@@ -96,8 +112,6 @@ class BulletMesh:
         self._trace_sample_stride = max(1, trace_sample_stride)
         #: Smoothed fresh-packet production rate per node (packets per step).
         self._fresh_rate: Dict[int, float] = {}
-        #: Packets pushed to each mesh peering during the current step.
-        self._sent_this_step: Dict[Tuple[int, int], int] = {}
 
         #: All control-plane traffic rides this channel (latency + loss).
         self.control_channel = ControlChannel(
@@ -106,12 +120,17 @@ class BulletMesh:
             seed=self.config.seed,
             extra_loss_rate=self.config.control_loss_rate,
         )
+        #: Control messages drained from the hosts, awaiting a channel flush.
+        self._pending_out: Dict[int, List[ControlMessage]] = {}
 
         self._ransub_rng = SeededRng(self.config.seed, "ransub")
+        #: Optional latency estimator shared by every node's peer scoring
+        #: (see :meth:`set_latency_estimator`).
+        self._latency_estimator = None
         members = tree.members()
-        self.nodes: Dict[int, BulletNode] = {}
+        nodes: Dict[int, BulletNode] = {}
         for member in members:
-            self.nodes[member] = BulletNode(
+            nodes[member] = BulletNode(
                 node=member,
                 config=self.config,
                 children=tree.children(member),
@@ -119,7 +138,19 @@ class BulletMesh:
                 is_root=(member == tree.root),
                 ransub_rng=self._ransub_rng,
             )
-            self.nodes[member].refresh_ticket()
+            nodes[member].refresh_ticket()
+        #: The transport: takes ``{host index: command}`` to the node hosts,
+        #: returns ``{host index: reply}``.  A direct call while the hosts
+        #: live in this process; whoever moves them points it at the route.
+        self.exchange: Callable[[Dict[int, Tuple]], Dict[int, Dict]] = self._call_hosts
+        # Born with one in-process host holding every node.
+        self._hosts: List[NodeHost] = [
+            NodeHost(nodes, self.config, tree.root, self._ransub_rng)
+        ]
+        #: member -> index of the host that owns its node.
+        self._owner_of: Dict[int, int] = dict.fromkeys(nodes, 0)
+        #: Where a mid-run joiner's node will live.
+        self._owner_for: Callable[[int], int] = lambda node_id: 0
 
         # One TFRC flow per tree edge (the baseline parent stream).
         self.tree_flows: Dict[Tuple[int, int], Flow] = {}
@@ -151,13 +182,40 @@ class BulletMesh:
             "deliver": 0.0, "timers": 0.0, "control": 0.0, "data_out": 0.0
         }
 
-        #: Optional latency estimator shared by every node's peer scoring
-        #: (see :meth:`set_latency_estimator`).
-        self._latency_estimator = None
-
         self._rebuild_depth_levels()
         # A private engine until a session attaches its own.
         self.attach_step_engine(StepEngine())
+
+    @property
+    def nodes(self) -> Dict[int, BulletNode]:
+        """Every member's node object, as held by the hosts in this process:
+        live state, or the pristine pre-fork mirrors once the hosts moved."""
+        merged: Dict[int, BulletNode] = {}
+        for host in self._hosts:
+            merged.update(host.nodes)
+        return merged
+
+    def partition(self, hosts: int, owner_for: Callable[[int], int]) -> List[NodeHost]:
+        """Re-home the nodes onto ``hosts`` in-process hosts; returns them.
+
+        ``owner_for(node_id)`` names the host index of every member, present
+        or yet to join.  The run is byte-identical whatever the partition.
+        To move the hosts out of this process, hand them to the workers and
+        point :attr:`exchange` at the route to them — before the first step,
+        while the nodes are pristine.
+        """
+        self._owner_for = owner_for
+        owned: List[Dict[int, BulletNode]] = [{} for _ in range(hosts)]
+        for node_id, node in self.nodes.items():
+            self._owner_of[node_id] = owner_for(node_id)
+            owned[self._owner_of[node_id]][node_id] = node
+        self._hosts = [
+            NodeHost(nodes, self.config, self.root, self._ransub_rng, self._latency_estimator)
+            for nodes in owned
+        ]
+        for host in self._hosts:
+            host.failed.update(self.failed)
+        return self._hosts
 
     def set_latency_estimator(self, estimator) -> None:
         """Attach a latency estimator to every node's peer manager.
@@ -168,8 +226,8 @@ class BulletMesh:
         restores the historical pure-divergence scoring.
         """
         self._latency_estimator = estimator
-        for node in self.nodes.values():
-            node.peers.latency_estimator = estimator
+        for host in self._hosts:
+            host.set_latency_estimator(estimator)
 
     def _make_refresh_timer(self, node: int) -> PeriodicTimer:
         period = self.config.bloom_refresh_s
@@ -180,9 +238,9 @@ class BulletMesh:
 
     def _rebuild_depth_levels(self) -> None:
         """Group members by tree depth, deepest first, for the RanSub
-        timeout cascade (see _poll_timers)."""
+        timeout cascade (see _poll_cascade)."""
         by_depth: Dict[int, List[int]] = {}
-        for member in self.nodes:
+        for member in self._owner_of:
             by_depth.setdefault(self.tree.depth(member), []).append(member)
         self._members_deepest_first: List[List[int]] = [
             sorted(by_depth[depth]) for depth in sorted(by_depth, reverse=True)
@@ -206,11 +264,11 @@ class BulletMesh:
 
     def members(self) -> List[int]:
         """All overlay participants (including failed ones)."""
-        return sorted(self.nodes)
+        return sorted(self._owner_of)
 
     def active_members(self) -> List[int]:
         """Participants that have not failed."""
-        return [node for node in sorted(self.nodes) if node not in self.failed]
+        return [node for node in sorted(self._owner_of) if node not in self.failed]
 
     def receivers(self) -> List[int]:
         """Participants other than the root that have not failed."""
@@ -226,32 +284,6 @@ class BulletMesh:
             tree_flows=len(self.tree_flows),
             total_peerings=peerings,
         )
-
-    # ----------------------------------------------- control-plane services
-    # These three methods are the ControlPlaneServices interface node
-    # handlers call back into; they touch only orchestration state (data
-    # flows), never another node's protocol state.
-    def open_mesh_flow(self, sender: int, receiver: int) -> None:
-        """Create the mesh data flow behind an accepted peering."""
-        if (sender, receiver) in self.mesh_flows:
-            return
-        self.mesh_flows[(sender, receiver)] = self.simulator.create_flow(
-            sender, receiver, label=f"mesh:{sender}->{receiver}", demand_kbps=0.0
-        )
-
-    def close_mesh_flow(self, sender: int, receiver: int) -> None:
-        """Remove the data flow of a dissolved peering."""
-        flow = self.mesh_flows.pop((sender, receiver), None)
-        if flow is not None:
-            self.simulator.remove_flow(flow)
-
-    def peer_exclusions(self, node: int) -> Set[int]:
-        """Nodes no participant may peer with: failed nodes, and the source
-        unless it is configured to serve peers."""
-        exclusions = set(self.failed)
-        if not self.config.source_serves_peers:
-            exclusions.add(self.root)
-        return exclusions
 
     # ----------------------------------------------------------- step engine
     def attach_step_engine(self, engine) -> None:
@@ -296,41 +328,29 @@ class BulletMesh:
         checked = 0
         refreshing: List[int] = []
         for node_id in due_members:
-            if node_id in self.failed or node_id not in self.nodes:
+            if node_id in self.failed or node_id not in self._owner_of:
                 continue
             checked += 1
             timer = self._refresh_timers[node_id]
             if timer.fire(now):
                 refreshing.append(node_id)
             engine.arm_timer(("bullet", "refresh", node_id), timer, now)
-        engine.note_skipped(len(self.nodes) - len(self.failed) - checked)
+        engine.note_skipped(len(self._owner_of) - len(self.failed) - checked)
         return epoch_fired, refreshing
-
-    def _fire_timers(self, now: float) -> None:
-        """Begin a RanSub epoch / send recovery refreshes where due."""
-        epoch_fired, refreshing = self._fire_due_timers(now)
-        if epoch_fired:
-            self._begin_ransub_epoch(now)
-        for node_id in refreshing:
-            self.nodes[node_id].send_recovery_refreshes()
 
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
         """One full protocol pass; call between simulator begin/end step."""
         clock = time.perf_counter  # det: ok(phase timing accounting only; never feeds simulated state)
         t0 = clock()
-        self._sent_this_step = {}
-        self._deliver_phase()
+        self._deliver_exchange()
         t1 = clock()
-        self._fire_timers(now)
-        self._poll_timers(now)
+        if self._timers_exchange(now):
+            self._poll_cascade(now)
         t2 = clock()
-        self._control_phase(now)
+        self._control_pump(now)
         t3 = clock()
-        self._source_phase()
-        self._forward_phase()
-        self._serve_peers_phase()
-        self._update_flow_demands()
+        self._data_exchange()
         t4 = clock()
         phases = self.phase_seconds
         phases["deliver"] += t1 - t0
@@ -346,44 +366,125 @@ class BulletMesh:
             simulator=self.simulator, system=self, sample_interval_s=sample_interval_s
         ).drive(duration_s)
 
-    # ---------------------------------------------------------- control plane
-    def _poll_timers(self, now: float) -> None:
-        """Fire node-local timeouts (peering-request expiry, RanSub deadline).
+    def _call_hosts(self, commands: Dict[int, Tuple]) -> Dict[int, Dict]:
+        """The in-process transport: hand each host its command directly."""
+        return {host: self._hosts[host].handle(commands[host]) for host in sorted(commands)}
 
-        RanSub deadlines are polled deepest-first with a channel pump between
-        depth levels: when a node times a dead child out, its late partial
-        collect must reach its parent *before* the parent's own deadline
-        check, otherwise one dead leaf would cut off its entire live
-        ancestor chain (every node shares the same per-epoch deadline).
-        This mirrors the deepest-first force-finalize of the synchronous
-        RanSub driver in ``tests/oracles/ransub.py``.
-        """
-        for node_id in self.active_members():
-            self.nodes[node_id].poll_pending_requests(now)
-        for level in self._members_deepest_first:
-            fired = False
-            for node_id in level:
-                if node_id in self.failed:
+    # --------------------------------------------------------------- delivery
+    def _deliver_exchange(self) -> None:
+        """Ship what the flows delivered to the receivers' hosts; record the
+        (useful, duplicate) counts they reply with."""
+        owner_of = self._owner_of
+        failed = self.failed
+        batches: Dict[int, List[DeliveryEntry]] = {}
+        for flows, via_peer in ((self.tree_flows, False), (self.mesh_flows, True)):
+            for (sender, receiver), flow in flows.items():
+                delivered = flow.take_delivered()
+                if not delivered or receiver in failed:
                     continue
-                fired = self.nodes[node_id].poll_ransub(now) or fired
-            if fired:
-                self._control_phase(now)
-
-    def _dispatch_control(self, message: ControlMessage) -> None:
-        node = self.nodes.get(message.dst)
-        if node is None or node.failed:
+                batches.setdefault(owner_of[receiver], []).append(
+                    (receiver, sender, via_peer, delivered)
+                )
+        if not batches:
             return
-        node.handle_control(message, self, self.simulator.time)
+        replies = self.exchange(
+            {host: ("mesh_deliver", batch) for host, batch in batches.items()}
+        )
+        record = self.stats.record_receive_counts
+        for host, batch in batches.items():
+            for (receiver, _sender, via_peer, _sequences), (useful, duplicates) in zip(
+                batch, replies[host]["counts"]
+            ):
+                record(receiver, useful, duplicates, from_parent=not via_peer)
 
-    def _flush_outboxes(self, now: float) -> int:
+    # ----------------------------------------------------------------- timers
+    def _timers_exchange(self, now: float) -> bool:
+        """Fire the due timers here, ship their node effects to the hosts.
+
+        Returns whether any node's RanSub collect deadline is due — the
+        probe that gates :meth:`_poll_cascade`.
+        """
+        epoch_fired, refreshing = self._fire_due_timers(now)
+        epoch = None
+        if epoch_fired:
+            self._epoch_count += 1
+            epoch = (
+                self._epoch_count,
+                self.config.effective_collect_timeout_s,
+                self._epoch_count % self.config.eviction_period_epochs == 0,
+            )
+        refresh: List[List[int]] = [[] for _ in self._hosts]
+        for node_id in refreshing:
+            refresh[self._owner_of[node_id]].append(node_id)
+        replies = self.exchange(
+            {
+                host: ("mesh_timers", now, epoch, owned)
+                for host, owned in enumerate(refresh)
+            }
+        )
+        self._absorb(replies)
+        return any(reply["ransub_due"] for reply in replies.values())
+
+    def _poll_cascade(self, now: float) -> None:
+        """Deepest-first RanSub deadline polls with inter-level channel pumps.
+
+        When a node times a dead child out, its late partial collect must
+        reach its parent *before* the parent's own deadline check, otherwise
+        one dead leaf would cut off its entire live ancestor chain (every
+        node shares the same per-epoch deadline).  This mirrors the
+        deepest-first force-finalize of the synchronous RanSub driver in
+        ``tests/oracles/ransub.py``.
+        """
+        for level in self._members_deepest_first:
+            polls: Dict[int, List[int]] = {}
+            for node_id in level:
+                if node_id not in self.failed:
+                    polls.setdefault(self._owner_of[node_id], []).append(node_id)
+            if not polls:
+                continue
+            replies = self.exchange(
+                {host: ("mesh_poll", now, node_ids) for host, node_ids in polls.items()}
+            )
+            self._absorb(replies)
+            if any(reply["fired"] for reply in replies.values()):
+                self._control_pump(now)
+
+    # ---------------------------------------------------------- control plane
+    def _absorb(self, replies: Dict[int, Dict]) -> None:
+        """Buffer the replies' drained outboxes; replay the mesh-flow calls
+        (the ``ControlPlaneServices`` side effects) their handlers recorded.
+
+        Sorting the merged call records restores one global order (handling
+        node, or pump index) whatever the partition.
+        """
+        calls: List[ServiceCall] = []
+        for host in sorted(replies):
+            reply = replies[host]
+            calls.extend(reply.get("calls", ()))
+            for node_id, messages in reply["outboxes"].items():
+                self._pending_out.setdefault(node_id, []).extend(messages)
+        for _key, _seq, op, sender, receiver in sorted(calls):
+            key = (sender, receiver)
+            if op == "close":  # a dissolved peering
+                flow = self.mesh_flows.pop(key, None)
+                if flow is not None:
+                    self.simulator.remove_flow(flow)
+            elif key not in self.mesh_flows:  # an accepted peering
+                self.mesh_flows[key] = self.simulator.create_flow(
+                    sender, receiver, label=f"mesh:{sender}->{receiver}", demand_kbps=0.0
+                )
+
+    def _flush_pending(self, now: float) -> int:
+        """Send the buffered node messages, in ascending node order."""
+        pending, self._pending_out = self._pending_out, {}
         flushed = 0
-        for node_id in self.active_members():
-            for message in self.nodes[node_id].take_outbox():
+        for node_id in sorted(pending):
+            for message in pending[node_id]:
                 self.control_channel.send(message, now)
                 flushed += 1
         return flushed
 
-    def _control_phase(self, now: float) -> None:
+    def _control_pump(self, now: float) -> None:
         """Transmit queued messages and dispatch everything that arrives.
 
         The pump horizon is the end of the current step, so control
@@ -393,7 +494,7 @@ class BulletMesh:
         multiple steps.
         """
         horizon = now + self.simulator.dt
-        if self._flush_outboxes(now) == 0:
+        if self._flush_pending(now) == 0:
             # Nothing left the nodes this pass; if nothing already in flight
             # arrives within the pump horizon either, the pump is a no-op —
             # no dispatch can run, so no outbox can refill.  Skip it.
@@ -402,27 +503,30 @@ class BulletMesh:
                 self._step_engine.note_skipped(1)
                 return
         while True:
-            delivered = self.control_channel.pump(horizon, self._dispatch_control)
-            if self._flush_outboxes(now) == 0 and delivered == 0:
+            batch: List[ControlMessage] = []
+            delivered = self.control_channel.pump(horizon, batch.append)
+            dispatch: Dict[int, List[Tuple[int, ControlMessage]]] = {}
+            for index, message in enumerate(batch):
+                host = self._owner_of.get(message.dst)
+                if host is not None:
+                    dispatch.setdefault(host, []).append((index, message))
+            if dispatch:
+                self._absorb(
+                    self.exchange(
+                        {
+                            host: ("mesh_dispatch", now, tagged)
+                            for host, tagged in dispatch.items()
+                        }
+                    )
+                )
+            if self._flush_pending(now) == 0 and delivered == 0:
                 break
 
-    # --------------------------------------------------------------- delivery
-    def _deliver_phase(self) -> None:
-        for flows, via_peer in ((self.tree_flows, False), (self.mesh_flows, True)):
-            for (sender, receiver), flow in flows.items():
-                delivered = flow.take_delivered()
-                if not delivered or receiver in self.failed:
-                    continue
-                useful, duplicates = self.nodes[receiver].on_packets(
-                    delivered, from_node=sender, via_peer=via_peer
-                )
-                self.stats.record_receive_counts(
-                    receiver, useful, duplicates, from_parent=not via_peer
-                )
-
-    def _source_phase(self) -> None:
+    # ------------------------------------------------------------- data plane
+    def _source_packets(self) -> range:
+        """Generate this step's new stream packets at the root."""
         if self.root in self.failed:
-            return
+            return range(0)
         packets = (
             self.config.stream_rate_kbps * self.simulator.dt / self.config.packet_kbits
             + self._source_carry
@@ -433,77 +537,70 @@ class BulletMesh:
         self._next_sequence = sequences.stop
         stride = self._trace_sample_stride
         self.stats.trace_sequences(s for s in sequences if s % stride == 0)
-        self.nodes[self.root].on_packets(sequences, from_node=None, via_peer=False)
+        return sequences
 
-    def _forward_phase(self) -> None:
+    def _data_exchange(self) -> None:
+        """Source, tree forwarding and peer serving, then next step's demands.
+
+        Each host gets the send budgets of its nodes' outgoing flows — only
+        those that can send this step — and answers with the sends it
+        accepted against them, which are replayed on the real flows in bulk.
+        """
+        owner_of = self._owner_of
+        hosts = range(len(self._hosts))
+        #: Per host: (tree budgets, mesh budgets), each (sender, receiver) -> packets.
+        budgets: List[Tuple[Dict, Dict]] = [({}, {}) for _ in hosts]
+        for index, flows in enumerate((self.tree_flows, self.mesh_flows)):
+            for key, flow in flows.items():
+                budget = flow.send_budget()
+                if budget > 0 and flow.active:
+                    budgets[owner_of[key[0]]][index][key] = budget
+        source = self._source_packets()
+        root_host = owner_of[self.root]
+        replies = self.exchange(
+            {
+                host: (
+                    "mesh_data",
+                    source if host == root_host else (),
+                    budgets[host][0],
+                    budgets[host][1],
+                )
+                for host in hosts
+            }
+        )
+        fresh: Dict[int, int] = {}
+        pending: Dict[Tuple[int, int], int] = {}
+        sent: Dict[Tuple[int, int], List[int]] = {}
+        for reply in replies.values():
+            fresh.update(reply["fresh"])
+            pending.update(reply["pending"])
+            sent.update(reply["mesh"])
+            for key, sequences in reply["tree"].items():
+                self.tree_flows[key].send_many(sequences)
+        for key, sequences in sent.items():
+            self.mesh_flows[key].send_many(sequences)
+        self._set_flow_demands(fresh, pending, sent)
+
+    def _set_flow_demands(
+        self,
+        fresh: Dict[int, int],
+        pending: Dict[Tuple[int, int], int],
+        sent: Dict[Tuple[int, int], List[int]],
+    ) -> None:
+        """Next step's flow demands, from what this step's data phase saw:
+        fresh packets per node, recovery backlog and sends per peering."""
+        dt = self.simulator.dt
         for node_id in self.active_members():
-            node = self.nodes[node_id]
-            fresh = node.take_newly_received()
             # Smoothed estimate of how much fresh data this node produces per
             # step; drives the demand of its child tree flows so idle claims
             # do not starve mesh flows sharing the same uplink.
             previous = self._fresh_rate.get(node_id, 0.0)
-            self._fresh_rate[node_id] = 0.7 * previous + 0.3 * len(fresh)
-            if not fresh:
-                continue
-            # Offer fresh packets to the recovery queues of our receivers so
-            # peers can pull them without waiting for the next Bloom refresh.
-            for record in node.peers.receivers.values():
-                record.queue.offer_new_packets(fresh)
-            if not node.disjoint.children:
-                continue
-
-            def try_send(child: int, sequence: int, _parent: int = node_id) -> bool:
-                if child in self.failed:
-                    return False
-                flow = self.tree_flows.get((_parent, child))
-                if flow is None:
-                    return False
-                return flow.try_send(sequence)
-
-            node.disjoint.send_batch(fresh, try_send)
-
-    def _serve_peers_phase(self) -> None:
-        for node_id in self.active_members():
-            node = self.nodes[node_id]
-            for receiver_id, record in list(node.peers.receivers.items()):
-                if receiver_id in self.failed:
-                    continue
-                flow = self.mesh_flows.get((node_id, receiver_id))
-                if flow is None:
-                    continue
-                budget = flow.send_budget()
-                if budget <= 0:
-                    continue
-                batch = record.queue.take_for_send(budget)
-                sent = 0
-                for sequence in batch:
-                    if flow.try_send(sequence):
-                        record.period_sent += 1
-                        sent += 1
-                if sent:
-                    self._sent_this_step[(node_id, receiver_id)] = sent
-
-    # ----------------------------------------------------------------- timers
-    def _begin_ransub_epoch(self, now: float) -> None:
-        self._epoch_count += 1
-        timeout_s = self.config.effective_collect_timeout_s
-        for node_id in self.active_members():
-            self.nodes[node_id].begin_ransub_epoch(self._epoch_count, now, timeout_s)
-        if self._epoch_count % self.config.eviction_period_epochs == 0:
-            for node_id in self.active_members():
-                self.nodes[node_id].evaluate_peers(self, self._epoch_count)
-
-    def _update_flow_demands(self) -> None:
-        dt = self.simulator.dt
-        for (sender, receiver), flow in self.mesh_flows.items():
-            record = self.nodes[sender].peers.receivers.get(receiver)
-            pending = record.queue.pending_count() if record is not None else 0
+            self._fresh_rate[node_id] = 0.7 * previous + 0.3 * fresh.get(node_id, 0)
+        for key, flow in self.mesh_flows.items():
             # Demand covers the backlog plus the rate we just sustained, so a
             # queue fully drained this step does not zero out next step's
             # allocation (which would halve mesh throughput by oscillating).
-            recent = self._sent_this_step.get((sender, receiver), 0)
-            total = pending + recent
+            total = pending.get(key, 0) + len(sent.get(key, ()))
             if total <= 0:
                 flow.set_demand(0.0)
             else:
@@ -537,28 +634,17 @@ class BulletMesh:
         recovery asks peers for current data rather than long-expired
         sequences.
         """
-        if node_id in self.nodes:
+        if node_id in self._owner_of:
             raise ValueError(f"node {node_id} is already an overlay member")
         if parent is None:
-            parent = self._choose_join_parent()
-        if parent not in self.nodes or parent in self.failed:
+            parent = self.tree.best_join_parent(exclude=self.failed)
+        if parent not in self._owner_of or parent in self.failed:
             raise ValueError(f"join parent {parent} is not a live overlay member")
         self.tree.add_leaf(node_id, parent)
-        node = BulletNode(
-            node=node_id,
-            config=self.config,
-            children=(),
-            parent=parent,
-            is_root=False,
-            ransub_rng=self._ransub_rng,
-        )
-        head = int(self._next_sequence) - self.config.recovery_span_packets
-        if head > 0:
-            node.working_set.prune_below(head)
-        node.refresh_ticket()
-        node.peers.latency_estimator = self._latency_estimator
-        self.nodes[node_id] = node
-        self.nodes[parent].add_child(node_id)
+        owner = self._owner_of[node_id] = self._owner_for(node_id)
+        prune_head = self._next_sequence - self.config.recovery_span_packets
+        self.exchange({owner: ("mesh_add", node_id, parent, prune_head)})
+        self.exchange({self._owner_of[parent]: ("mesh_add_child", parent, node_id)})
         self.tree_flows[(parent, node_id)] = self.simulator.create_flow(
             parent, node_id, label=f"tree:{parent}->{node_id}",
             demand_kbps=self.config.stream_rate_kbps,
@@ -572,9 +658,6 @@ class BulletMesh:
         self._rebuild_depth_levels()
         return parent
 
-    def _choose_join_parent(self) -> int:
-        return self.tree.best_join_parent(exclude=self.failed)
-
     # ---------------------------------------------------------------- failure
     def fail_node(self, node_id: int) -> None:
         """Fail one participant: it stops sending, receiving and responding.
@@ -586,13 +669,11 @@ class BulletMesh:
         """
         if node_id == self.root:
             raise ValueError("failing the source is not part of the evaluation")
-        if node_id not in self.nodes:
+        if node_id not in self._owner_of:
             raise KeyError(f"unknown node {node_id}")
         self.failed.add(node_id)
-        node = self.nodes[node_id]
-        node.failed = True
-        node.outbox.clear()
-        node.pending_requests.clear()
+        # Every host tracks the failure (peer exclusions); the owner mutes it.
+        self.exchange({host: ("mesh_fail", node_id) for host in range(len(self._hosts))})
         self.control_channel.mark_down(node_id)
         self._step_engine.disarm(("bullet", "refresh", node_id))
         for key, flow in list(self.tree_flows.items()):

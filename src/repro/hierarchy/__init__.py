@@ -18,6 +18,11 @@ This package implements the CliqueStream-style split:
   :class:`ShardExecutor`, which steps cluster interiors between
   head-boundary step barriers in one in-process shard or, byte-identically,
   in forked worker processes.
+
+There is one head mesh (:class:`~repro.core.mesh.BulletMesh`) over N node
+hosts (:class:`~repro.core.node_host.NodeHost`): one in-process host by
+default; with forked workers each worker's host owns the heads whose leaf
+clusters it simulates and the executor's pipes carry the mesh's exchanges.
 """
 
 from repro.hierarchy.clustering import ClusterPlan, nearest_head, plan_clusters

@@ -7,7 +7,7 @@ cluster consumes nothing but its per-step head deltas, so interiors are
 embarrassingly shardable — and nothing reads them between barriers either.
 
 A *shard* is a :class:`~repro.hierarchy.interior.ClusterShard` (plus, when
-the head mesh is sharded too, the :class:`~repro.hierarchy.headmesh.HeadHost`
+the head mesh is sharded too, the :class:`~repro.core.node_host.NodeHost`
 of the heads it co-locates) behind one command interpreter,
 :func:`_execute`.  :class:`ShardExecutor` buffers each step's head deltas on
 the main process and, at a barrier, hands every shard its columns of the
@@ -39,9 +39,10 @@ afterwards; ``run_experiment`` dispatches to it for configs with
 from __future__ import annotations
 
 import multiprocessing
+import traceback
 from collections import deque
-from functools import partial
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Deque, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,7 +62,7 @@ def _execute(shard: ClusterShard, head_host, command: Tuple):
 
     ``run`` replays a barrier window and drains the delivery window; a
     membership command lands between windows exactly where the main process
-    issued it.  With a :class:`~repro.hierarchy.headmesh.HeadHost` attached
+    issued it.  With a :class:`~repro.core.node_host.NodeHost` attached
     the shard also owns its heads' Bullet protocol state and every
     ``mesh_*`` command is a request/reply handled by the host.  Commands
     arrive strictly ordered, so the interior and mesh planes never race.
@@ -79,6 +80,14 @@ def _execute(shard: ClusterShard, head_host, command: Tuple):
     raise ValueError(f"unknown shard command {kind!r}")  # pragma: no cover
 
 
+class _WorkerFailure(NamedTuple):
+    """What a forked shard sends back in place of a reply when a command
+    raised: the command kind and the worker-side formatted traceback."""
+
+    kind: str
+    traceback: str
+
+
 def _worker_loop(conn, clusters: Dict[int, InteriorCluster], head_host) -> None:
     """A forked shard: the interpreter fed from a pipe until ``stop``."""
     shard = ClusterShard(clusters)
@@ -87,7 +96,11 @@ def _worker_loop(conn, clusters: Dict[int, InteriorCluster], head_host) -> None:
             command = conn.recv()
             if command[0] == "stop":
                 return
-            reply = _execute(shard, head_host, command)
+            try:
+                reply = _execute(shard, head_host, command)
+            except Exception:  # noqa: BLE001 - reported to the main process, which raises
+                conn.send(_WorkerFailure(command[0], traceback.format_exc()))
+                return
             # Membership commands are one-way: the main-side mirror already
             # produced their result, and the pipe's order does the rest.
             if command[0] not in _MUTATIONS:
@@ -102,9 +115,15 @@ class _LocalShard:
     """A shard in this process, over the executor's own cluster objects."""
 
     def __init__(self, clusters: Dict[int, InteriorCluster], head_host) -> None:
-        self._shard = ClusterShard(clusters)
+        self._clusters = clusters
         self._head_host = head_host
         self._replies: Deque = deque()
+
+    @cached_property
+    def _shard(self) -> ClusterShard:
+        # Built on first use: a system that moves onto forked workers before
+        # its first step never pays for the in-process arrays.
+        return ClusterShard(self._clusters)
 
     def send(self, command: Tuple) -> None:
         self._replies.append(_execute(self._shard, self._head_host, command))
@@ -115,8 +134,10 @@ class _LocalShard:
     def mutate(self, command: Tuple):
         return _execute(self._shard, self._head_host, command)
 
-    def close(self) -> None:
+    def stop(self) -> None:
         """Nothing to tear down."""
+
+    join = stop
 
 
 class _ForkedShard:
@@ -128,7 +149,10 @@ class _ForkedShard:
     worker (the mirror's counts go stale and are never read).
     """
 
-    def __init__(self, context, clusters: Dict[int, InteriorCluster], head_host) -> None:
+    def __init__(
+        self, context, worker: int, clusters: Dict[int, InteriorCluster], head_host
+    ) -> None:
+        self._worker = worker
         self._mirror = clusters
         self._connection, child_conn = context.Pipe(duplex=True)
         self._process = context.Process(
@@ -138,13 +162,25 @@ class _ForkedShard:
         child_conn.close()
 
     def send(self, command: Tuple) -> None:
-        self._connection.send(command)
+        try:
+            self._connection.send(command)
+        except (BrokenPipeError, ConnectionResetError):
+            # The worker is gone; if a one-way command killed it, its own
+            # account of why is still waiting in the pipe.
+            self.recv()
+            raise
 
     def recv(self):
         try:
-            return self._connection.recv()
-        except EOFError as error:  # pragma: no cover - worker crash guard
-            raise RuntimeError("shard worker died mid-run") from error
+            reply = self._connection.recv()
+        except (EOFError, ConnectionResetError) as error:
+            raise RuntimeError(f"shard worker {self._worker} died mid-run") from error
+        if isinstance(reply, _WorkerFailure):
+            raise RuntimeError(
+                f"shard worker {self._worker} failed executing"
+                f" {reply.kind!r}:\n{reply.traceback}"
+            )
+        return reply
 
     def mutate(self, command: Tuple):
         """Apply a membership command to the mirror, then to the worker.
@@ -152,18 +188,21 @@ class _ForkedShard:
         The mirror validates it, so a mutation it rejects raises here and
         never reaches (and kills) the worker.  Its deterministic join-parent
         choice matches the worker's (it depends on tree structure only,
-        which the two sides share), so no reply is awaited.
+        which the two sides share), so no reply is awaited — should the
+        worker fail on it all the same, the next reply read raises.
         """
         kind, cluster_index, *arguments = command
         result = getattr(self._mirror[cluster_index], kind)(*arguments)
-        self._connection.send(command)
+        self.send(command)
         return result
 
-    def close(self) -> None:
+    def stop(self) -> None:
         try:
             self._connection.send(("stop",))
-        except (BrokenPipeError, OSError):  # pragma: no cover
-            pass
+        except (BrokenPipeError, OSError):
+            pass  # already gone (it reported why, or was killed)
+
+    def join(self) -> None:
         self._process.join(timeout=5.0)
         if self._process.is_alive():  # pragma: no cover - stuck worker guard
             self._process.terminate()
@@ -197,26 +236,30 @@ class ShardExecutor:
                 f"expected {self.workers} head hosts, got {len(head_hosts)}"
             )
         self._pending: List[List[int]] = []
-        if workers >= 2:
-            if "fork" not in multiprocessing.get_all_start_methods():
-                raise RuntimeError(
-                    "process sharding requires the fork start method; use"
-                    " the in-process shard on this platform"
-                )
-            spawn = partial(_ForkedShard, multiprocessing.get_context("fork"))
-        else:
-            spawn = _LocalShard
-        # Round-robin partition: shard w owns clusters w, w + workers, ...
-        self._shards = [
-            spawn(
-                {
-                    index: self.clusters[index]
-                    for index in range(worker, len(self.clusters), self.workers)
-                },
-                head_hosts[worker] if head_hosts is not None else None,
+        #: Whether the shards run in forked workers (vs. in this process).
+        self.forked = workers >= 2
+        if self.forked and "fork" not in multiprocessing.get_all_start_methods():
+            raise RuntimeError(
+                "process sharding requires the fork start method; use"
+                " the in-process shard on this platform"
             )
+        # Round-robin partition: shard w owns clusters w, w + workers, ...
+        owned = [
+            {
+                index: self.clusters[index]
+                for index in range(worker, len(self.clusters), self.workers)
+            }
             for worker in range(self.workers)
         ]
+        hosts = head_hosts if head_hosts is not None else [None] * self.workers
+        if self.forked:
+            context = multiprocessing.get_context("fork")
+            self._shards = [
+                _ForkedShard(context, worker, owned[worker], hosts[worker])
+                for worker in range(self.workers)
+            ]
+        else:
+            self._shards = [_LocalShard(owned[0], hosts[0])]
         self._alive = True
 
     def enqueue_step(self, deltas: Sequence[int]) -> None:
@@ -239,25 +282,17 @@ class ShardExecutor:
         return [shard.recv() for shard in self._shards]
 
     # --------------------------------------------------------- head-mesh RPCs
-    # Synchronous request/reply exchanges for shard-owned head meshes.  Each
-    # helper sends first, then collects every reply, so a barrier costs one
-    # round-trip regardless of worker count.  The command stream's FIFO
-    # ordering keeps mesh exchanges strictly serialized against interior
-    # commands.
+    # The request/reply transport of a sharded head mesh (the forked form of
+    # ``BulletMesh.exchange``).  Every command goes out before any reply is
+    # read, so an exchange costs one round-trip regardless of worker count,
+    # and the command stream's FIFO ordering keeps mesh exchanges strictly
+    # serialized against interior commands.
     def mesh_scatter(self, commands: Dict[int, Tuple]) -> Dict[int, Dict]:
         """Send per-worker commands, gather per-worker replies."""
         targets = sorted(commands)
         for worker in targets:
             self._shards[worker].send(commands[worker])
         return {worker: self._shards[worker].recv() for worker in targets}
-
-    def mesh_broadcast(self, command: Tuple) -> Dict[int, Dict]:
-        """Send one command to every worker, gather every reply."""
-        return self.mesh_scatter({worker: command for worker in range(self.workers)})
-
-    def mesh_call(self, worker: int, command: Tuple) -> Dict:
-        """Send one command to one worker and await its reply."""
-        return self.mesh_scatter({worker: command})[worker]
 
     # ------------------------------------------------------------- membership
     def _mutate(self, kind: str, cluster_index: int, *arguments):
@@ -286,8 +321,11 @@ class ShardExecutor:
         if not self._alive:
             return
         self._alive = False
+        # Every stop goes out before any join, so the workers exit together.
         for shard in self._shards:
-            shard.close()
+            shard.stop()
+        for shard in self._shards:
+            shard.join()
 
 
 class ShardedSession(ExperimentSession):

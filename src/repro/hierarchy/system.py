@@ -42,11 +42,12 @@ only by what changes it — ``fail_node``, ``add_node`` and the promotions
 they trigger (declared in ``CACHE_INVARIANTS`` below, so
 ``python -m repro.analysis`` flags a mutation that forgets to).
 
-With ``shard_workers >= 2`` the head mesh itself also shards: each worker's
-:class:`~repro.hierarchy.headmesh.HeadHost` owns the Bullet nodes whose leaf
-cluster it simulates, and the main process drives the barrier-coordinated
-:class:`~repro.hierarchy.headmesh.HeadMeshCoordinator` instead of the serial
-mesh — byte-identical by construction and checked by the equivalence suite.
+There is one head mesh and it always runs the same exchange-structured
+protocol phase against its :class:`~repro.core.node_host.NodeHost` (s): born
+with one in-process host holding every head, and with ``shard_workers >= 2``
+re-partitioned so each worker's host owns the Bullet nodes whose leaf
+cluster it simulates, reached over the executor's pipes — byte-identical
+whatever the partition, checked by the equivalence suite.
 
 Failure handling is hierarchical: a failed interior simply freezes (its
 in-cluster subtree drains and starves, mirroring the paper's unrepaired-tree
@@ -74,7 +75,6 @@ from repro.hierarchy.clustering import (
     plan_hierarchy,
     promotion_candidate,
 )
-from repro.hierarchy.headmesh import HeadHost, HeadMeshCoordinator
 from repro.hierarchy.interior import ClusterShard, InteriorCluster
 from repro.hierarchy.sharding import ShardExecutor
 from repro.network.simulator import NetworkSimulator
@@ -96,8 +96,8 @@ CACHE_INVARIANTS = {
             "_executor.fail_interior": ["_receivers"],
             "_executor.promote": ["_receivers"],
             "_executor.add_interior": ["_receivers"],
-            "_mesh_driver.fail_node": ["_receivers"],
-            "_mesh_driver.add_node": ["_receivers"],
+            "mesh.fail_node": ["_receivers"],
+            "mesh.add_node": ["_receivers"],
             "_mid_shard.fail_interior": ["_receivers"],
             "_mid_shard.promote": ["_receivers"],
             "_mid_shard.add_interior": ["_receivers"],
@@ -213,7 +213,6 @@ class ClusteredBullet:
 
         self._mid_shard = ClusterShard(dict(enumerate(self._mids)))
         self._executor = ShardExecutor(self._clusters)
-        self._coordinator: Optional[HeadMeshCoordinator] = None
         #: Useful-packet totals already consumed from each mesh member.
         self._mesh_seen: Dict[int, int] = {member: 0 for member in mesh_members}
         #: Leaf clusters whose head died with no survivor to promote.
@@ -235,12 +234,13 @@ class ClusteredBullet:
     @property
     def sharded(self) -> bool:
         """Whether interiors currently step in worker processes."""
-        return self._coordinator is not None
+        return self._executor.forked
 
     @property
     def _mesh_driver(self):
-        """Whatever currently drives the head mesh's protocol and membership."""
-        return self._coordinator if self._coordinator is not None else self.mesh
+        """The head mesh (the end-to-end benchmark's tracer wraps its
+        ``protocol_phase`` through this name)."""
+        return self.mesh
 
     def enable_sharding(self, workers: int) -> bool:
         """Swap in forked workers for interiors *and* mesh; returns success.
@@ -249,11 +249,11 @@ class ClusteredBullet:
         cluster state — and the pristine Bullet node objects, each owned by
         the worker that simulates its leaf cluster — and from then on own
         them.  The main process keeps the order-defining shared resources
-        (channel, flows, timers, stats) and drives the workers through the
-        :class:`~repro.hierarchy.headmesh.HeadMeshCoordinator`.  On
-        platforms without the fork start method this stays on the
-        (byte-identical) in-process shard with a warning rather than
-        failing the run.
+        (channel, flows, timers, stats) in the mesh, whose exchanges now
+        travel over the executor's pipes.  On platforms without the fork
+        start method this stays in-process (byte-identical, the mesh merely
+        partitioned over several in-process hosts) with a warning rather
+        than failing the run.
         """
         if self._stepped:
             raise RuntimeError("enable_sharding must run before the first step")
@@ -262,28 +262,11 @@ class ClusteredBullet:
         effective = ShardExecutor.effective_workers(
             len(self._clusters), workers
         )
-        owner_of = {
-            node_id: self._cluster_of[node_id] % effective
-            for node_id in self.mesh.nodes
-        }
-        hosts = []
-        for worker in range(effective):
-            owned = {
-                node_id: node
-                for node_id, node in self.mesh.nodes.items()
-                if owner_of[node_id] == worker
-            }
-            hosts.append(
-                HeadHost(
-                    owned,
-                    self.mesh.config,
-                    self.mesh.root,
-                    self.mesh._ransub_rng,
-                    estimator=self._estimator,
-                )
-            )
+        hosts = self.mesh.partition(
+            effective, lambda node_id: self._cluster_of[node_id] % effective
+        )
         try:
-            executor = ShardExecutor(self._clusters, workers, head_hosts=hosts)
+            self._executor = ShardExecutor(self._clusters, workers, head_hosts=hosts)
         except RuntimeError as error:
             print(
                 f"warning: process sharding unavailable ({error}); "
@@ -291,13 +274,9 @@ class ClusteredBullet:
                 file=sys.stderr,
             )
             return False
-        self._executor = executor
-        self._coordinator = HeadMeshCoordinator(
-            self.mesh,
-            executor,
-            owner_of,
-            owner_for=lambda node_id: self._cluster_of[node_id] % executor.workers,
-        )
+        # Looked up per call: the benchmark's tracer wraps the method on the
+        # executor instance after this runs.
+        self.mesh.exchange = lambda commands: self._executor.mesh_scatter(commands)
         return True
 
     def shutdown_sharding(self) -> None:
@@ -307,7 +286,7 @@ class ClusteredBullet:
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
         """One head-mesh phase, then feed fresh packets down the hierarchy."""
-        self._mesh_driver.protocol_phase(now)
+        self.mesh.protocol_phase(now)
         mesh_fresh: Dict[int, int] = {}
         for member in list(self._mesh_seen):
             if member == self.source:
@@ -418,13 +397,13 @@ class ClusteredBullet:
             if promoted is None:
                 # Singleton (or fully failed) cluster: the head just leaves
                 # the mesh and the cluster dies with it.
-                self._mesh_driver.fail_node(node)
+                self.mesh.fail_node(node)
                 self._mesh_seen.pop(node)
                 self._dead_clusters[index] = True
                 return
             self.topology.warm_routes([promoted])
-            self._mesh_driver.fail_node(node)
-            self._mesh_driver.add_node(promoted)
+            self.mesh.fail_node(node)
+            self.mesh.add_node(promoted)
             self._executor.promote(index, promoted)
             # The promoted head keeps its interior deliveries in its stats
             # counters; baseline the mesh feed there so interiors only ever
@@ -446,8 +425,8 @@ class ClusteredBullet:
                 source=self.source,
             )
             self.topology.warm_routes([successor])
-            self._mesh_driver.fail_node(node)
-            self._mesh_driver.add_node(successor)
+            self.mesh.fail_node(node)
+            self.mesh.add_node(successor)
             self._mesh_seen.pop(node)
             self._mesh_seen[successor] = self.stats.node_counters(
                 successor
@@ -456,7 +435,7 @@ class ClusteredBullet:
         else:
             # No other leaf head in the group: the group starves with its
             # super-head (the paper's unrepaired-tree behaviour).
-            self._mesh_driver.fail_node(node)
+            self.mesh.fail_node(node)
             self._mesh_seen.pop(node)
             self._mid_dead[mid_index] = True
         self._mid_of.pop(node)

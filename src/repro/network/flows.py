@@ -122,6 +122,24 @@ class Flow:
             return False
         return self.sender.try_send(sequence)
 
+    def send_many(self, sequences: List[int]) -> None:
+        """Submit packets already counted against :meth:`send_budget`.
+
+        One bulk accept in place of ``len(sequences)`` :meth:`try_send` calls
+        that would all succeed, for a caller that consumed the budget itself
+        (the mesh replaying a node host's accepted sends); raises if that
+        count diverged from the flow budget instead of dropping the excess.
+        """
+        sender, count = self.sender, len(sequences)
+        if not self.active or count > sender.budget:
+            raise RuntimeError(
+                f"{count} sends on {self.label} diverged from the flow budget"
+                f" ({sender.budget if self.active else 'closed'})"
+            )
+        sender.budget -= count
+        sender.accepted.extend(sequences)
+        sender.total_accepted += count
+
     def send_budget(self) -> int:
         """Packets the transport will still accept this step."""
         return self.sender.budget

@@ -22,6 +22,7 @@ machinery uses.
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -195,6 +196,10 @@ def run_reproduction(
                 )
                 continue
         say(f"[{position:>2}/{len(selected)}] {entry.id}: running ({entry.title})")
+        # A finished session is one cyclic blob (topology <-> routing engine,
+        # session <-> control-channel tap) only a full collection frees, and
+        # only this boundary knows the previous experiment's heap is dead.
+        gc.collect()
         started = time.perf_counter()
         try:
             export = _run_one(entry, plan, base_seed)

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 SYSTEM_PY = Path(__file__).resolve().parents[2] / "src/repro/hierarchy/system.py"
+MESH_PY = Path(__file__).resolve().parents[2] / "src/repro/core/mesh.py"
 
 
 def rules_of(findings):
@@ -158,6 +159,18 @@ class TestCoh001Calls:
         assert "in push()" in findings[0].message
 
 
+    def test_store_to_an_item_of_the_bump_attribute_is_a_bump(self, analyze):
+        # ``self.version[key] = x`` updates the guarded bookkeeping just as
+        # ``self.version = x`` does (BulletMesh's member -> owner-host map).
+        findings = analyze({"mod.py": guarded("""
+            class Cache:
+                def push(self, key, value):
+                    self._items.append(value)
+                    self.version[key] = value
+        """)})
+        assert findings == []
+
+
 class TestClusteredBulletMembershipCache:
     """The real table: ``receivers()``' cached membership in hierarchy/system.py."""
 
@@ -173,8 +186,8 @@ class TestClusteredBulletMembershipCache:
             (
                 "_fail_mesh_member",
                 [
-                    "_mesh_driver.fail_node()",
-                    "_mesh_driver.add_node()",
+                    "mesh.fail_node()",
+                    "mesh.add_node()",
                     "_executor.promote()",
                     "_mid_shard.promote()",
                     "_mid_shard.add_interior()",
@@ -222,6 +235,36 @@ class TestClusteredBulletMembershipCache:
         assert rules_of(findings) == ["COH001"]
         assert "_mid_shard.fail_interior()" in findings[0].message
         assert "in evict_leaf_head()" in findings[0].message
+
+
+class TestBulletMeshJoin:
+    """The real table in core/mesh.py: a join rebuilds the depth levels
+    *and* gives the new member an owner host."""
+
+    def test_shipped_module_is_clean(self, analyze):
+        assert analyze({"mesh.py": MESH_PY.read_text()}) == []
+
+    @pytest.mark.parametrize(
+        "statement, missing",
+        [
+            ("        self._rebuild_depth_levels()\n", "_rebuild_depth_levels"),
+            (
+                "        owner = self._owner_of[node_id] = self._owner_for(node_id)\n",
+                "_owner_of",
+            ),
+        ],
+    )
+    def test_join_that_forgets_a_step_is_flagged(self, analyze, statement, missing):
+        source = MESH_PY.read_text()
+        start = source.index("    def add_node(")
+        drop = source.index(statement, start)
+        assert "\n    def " not in source[start + 1 : drop]
+        replacement = "        owner = self._owner_for(node_id)\n" if "owner" in statement else ""
+        broken = source[:drop] + replacement + source[drop + len(statement) :]
+        findings = analyze({"mesh.py": broken})
+        assert rules_of(findings) == ["COH001"]
+        assert "tree.add_leaf() call in add_node()" in findings[0].message
+        assert f"without bumping {missing} " in findings[0].message
 
 
 class TestTreeScope:

@@ -31,7 +31,7 @@ class TestSelfGate:
 
         mesh = tmp_path / "src" / "repro" / "core" / "mesh.py"
         source = mesh.read_text()
-        marker = "        self._sent_this_step = {}"
+        marker = "        self._deliver_exchange()"
         assert marker in source
         mesh.write_text(
             source.replace(

@@ -11,6 +11,7 @@ lost.
 import inspect
 
 import repro.core.mesh as mesh_module
+import repro.core.node_host as host_module
 from repro.core.bullet_node import BulletNode
 from repro.core.config import BulletConfig
 from repro.core.control_messages import (
@@ -77,7 +78,8 @@ class TestMeshIsAThinScheduler:
     )
 
     def test_mesh_source_never_touches_remote_peer_state(self):
-        source = inspect.getsource(mesh_module)
+        # The mesh and the node-side half of its exchanges alike.
+        source = inspect.getsource(mesh_module) + inspect.getsource(host_module)
         # The one legitimate offer site iterates the *local* node's records.
         source = source.replace("record.queue.offer_new_packets(fresh)", "")
         for token in self.FORBIDDEN:

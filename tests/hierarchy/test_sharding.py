@@ -1,5 +1,6 @@
 """The shard executor: in-process vs forked equality, barriers and lifecycle."""
 
+import signal
 from contextlib import contextmanager
 
 import numpy as np
@@ -319,6 +320,22 @@ class TestClusterShard:
 
 
 @contextmanager
+def time_limit(seconds):
+    """Fail (rather than hang the suite) if the block outlives ``seconds``."""
+
+    def expired(_signum, _frame):
+        raise TimeoutError(f"still blocked after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@contextmanager
 def running(workers):
     executor = ShardExecutor(make_clusters(), workers=workers)
     try:
@@ -370,6 +387,44 @@ class TestProcessExecutorLifecycle:
             assert [report_pairs(report) for report in process.flush()] == expected
         finally:
             process.shutdown()
+
+    def test_dying_worker_says_why(self):
+        # A command that raises inside a forked worker comes back as a
+        # RuntimeError naming the worker, the command and the worker-side
+        # traceback -- not as a bare EOF -- and shutdown still joins.
+        with time_limit(20), running(2) as executor:
+            executor.enqueue_step([1, -1, 1, 1, 1])  # cluster 1 -> worker 1
+            with pytest.raises(RuntimeError) as failure:
+                executor.flush()
+            message = str(failure.value)
+            assert "shard worker 1 failed executing 'run'" in message
+            assert "ValueError: head deltas must be non-negative" in message
+            assert "step_window" in message  # the worker's own traceback
+            executor.shutdown()
+            for shard in executor._shards:
+                assert not shard._process.is_alive()
+
+    def test_one_way_mutation_failure_surfaces_at_the_next_reply(self):
+        # Mutations await no reply; desynchronise mirror and worker so only
+        # the worker rejects one, then read the next reply.
+        with time_limit(20), running(2) as executor:
+            victim = executor.clusters[0].members[2]
+            executor._shards[0]._connection.send(("fail_interior", 0, victim))
+            executor.fail_interior(0, victim)  # fine on the mirror, fatal there
+            executor.enqueue_step([1, 1, 1, 1, 1])
+            with pytest.raises(RuntimeError) as failure:
+                executor.flush()
+            message = str(failure.value)
+            assert "shard worker 0 failed executing 'fail_interior'" in message
+            assert "already failed" in message
+
+    def test_killed_worker_is_reported(self):
+        with time_limit(20), running(2) as executor:
+            executor._shards[1]._process.kill()
+            executor._shards[1]._process.join(timeout=5.0)
+            executor.enqueue_step([1, 1, 1, 1, 1])
+            with pytest.raises(RuntimeError, match="shard worker 1 died mid-run"):
+                executor.flush()
 
     def test_wrong_delta_length_rejected(self):
         for workers in (0, 2):

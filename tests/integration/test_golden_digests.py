@@ -105,6 +105,20 @@ def test_export_digest_matches_the_committed_literal(config, expected):
     assert _digest(config) == expected
 
 
+@pytest.mark.parametrize("hosts", [2, 3])
+def test_flat_churn_digest_is_partition_invariant(hosts):
+    """The flat mesh over several in-process node hosts (round-robin): joins
+    land on, failures are replicated to and lossy control crosses every
+    host, and the export is still the one-host literal."""
+    session = ExperimentSession(_flat_churn())
+    mesh = session.system
+    assert len(mesh.partition(hosts, lambda node_id: node_id % hosts)) == hosts
+    result = session.run()
+    assert mesh.failed and len(mesh.members()) > 30  # churn really happened
+    assert {mesh._owner_of[node] for node in mesh.members()} == set(range(hosts))
+    assert _export_digest(result) == FLAT_CHURN
+
+
 # ------------------------------------------------- three-level churn miniature
 THREE_LEVEL_CHURN = "sha256:3498b702a5369063c35d11ac253495ed1c542955858a44e4c444692022859ec2"
 

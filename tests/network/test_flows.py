@@ -44,6 +44,40 @@ class TestFlow:
         assert flow.try_send(1)
         assert not flow.try_send(2)
 
+    def test_send_many_is_the_bulk_form_of_try_send(self):
+        topo = two_host_topology()
+        bulk, single = Flow(topo, 0, 2), Flow(topo, 0, 2)
+        # 1.9 packets/step: the float carry (0.9, 0.8, ..., then a sum a hair
+        # under an integer) must not lose a packet in the bulk form either.
+        sent_bulk = sent_single = 0
+        for _ in range(200):
+            for flow in (bulk, single):
+                flow.begin_step(allocated_kbps=1.9 * flow.packet_kbits, dt=1.0)
+            budget = bulk.send_budget()
+            bulk.send_many(list(range(sent_bulk, sent_bulk + budget)))
+            sent_bulk += budget
+            assert bulk.send_budget() == 0
+            while single.try_send(sent_single):
+                sent_single += 1
+            assert bulk.collect_sent() == single.collect_sent()
+        assert sent_bulk == sent_single == 380
+        assert bulk.packets_sent == 380
+        assert bulk.sender.total_accepted == single.sender.total_accepted
+
+    def test_send_many_beyond_the_budget_raises(self):
+        topo = two_host_topology()
+        flow = Flow(topo, 0, 2)
+        flow.begin_step(allocated_kbps=24.0, dt=1.0)
+        with pytest.raises(RuntimeError, match="diverged from the flow budget"):
+            flow.send_many([0, 1, 2])
+        # Nothing was half-accepted.
+        assert flow.send_budget() == 2
+        assert flow.collect_sent() == []
+        flow.begin_step(allocated_kbps=24.0, dt=1.0)
+        flow.close()
+        with pytest.raises(RuntimeError, match="diverged from the flow budget"):
+            flow.send_many([0])
+
     def test_delivery_round_trip(self):
         topo = two_host_topology()
         flow = Flow(topo, 0, 2)

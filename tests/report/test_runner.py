@@ -7,6 +7,7 @@ integration suite runs the real catalog end to end.
 """
 
 import json
+import weakref
 
 import pytest
 
@@ -130,6 +131,33 @@ class TestPipeline:
         assert manifest.experiments["bad"].error == "RuntimeError: synthetic failure"
         failures = expectation_failures(manifest)
         assert any("bad" in line for line in failures)
+
+    def test_finished_simulators_are_dead_before_the_next_experiment(
+        self, tmp_path, monkeypatch
+    ):
+        # A finished session is cyclic garbage (topology <-> routing engine,
+        # session <-> control tap), so refcounts alone never free it.
+        from repro.experiments.harness import ExperimentConfig
+        from repro.experiments.session import ExperimentSession
+
+        simulators = []
+        alive_at_start = []
+
+        def runner(ctx):
+            alive_at_start.append([ref() is not None for ref in simulators])
+            session = ExperimentSession(
+                ExperimentConfig(system="bullet", n_overlay=10, duration_s=10.0)
+            )
+            simulators.append(weakref.ref(session.simulator))
+            return {"value": session.run().average_useful_kbps}
+
+        _patch_catalog(
+            monkeypatch,
+            [_entry(name, runner, number=index) for index, name in enumerate("abc")],
+        )
+        run = run_reproduction(ReproducePlan(tier="smoke", out_dir=tmp_path))
+        assert run.completed == ["a", "b", "c"]
+        assert alive_at_start == [[], [False], [False, False]]
 
     def test_stability_aggregates_across_seeds(self, tmp_path, monkeypatch):
         def runner(ctx):
