@@ -14,7 +14,7 @@ would catch.  Each module owning such a cache declares a module-level
                 "loss_rate": ["note_loss_change"],
             },
             "calls": {                # "receiver.method" call (or on an item of it) -> bumps
-                "_links.append": ["_structure_version"],
+                "src.frombytes": ["structure_version"],
             },
             "exempt": ["_helper"],    # functions whose *callers* bump
         },

@@ -127,7 +127,9 @@ class ExperimentSession:
         self.workload = workload
         if self.workload is None:
             if simulator is None:
-                self.workload = build_workload_for(config)
+                self.workload = build_workload_for(
+                    config, with_tree=self.spec is None or self.spec.uses_tree
+                )
             elif system is None:
                 # A foreign simulator with no workload gives the registry
                 # builder nothing to build from (no tree/participants).

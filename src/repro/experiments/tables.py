@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.topology.generator import TopologyConfig, generate_topology
-from repro.topology.links import TABLE_1_RANGES, BandwidthClass, LinkType
+from repro.topology.links import LINK_TYPES, TABLE_1_RANGES, BandwidthClass
 
 
 def table1_bandwidth_ranges(seed: int = 1) -> Dict[str, object]:
@@ -38,16 +38,21 @@ def table1_bandwidth_ranges(seed: int = 1) -> Dict[str, object]:
             )
         )
         rows: Dict[str, Dict[str, object]] = {}
-        for link_type in LinkType:
+        links = topology.links
+        for code, link_type in enumerate(LINK_TYPES):
             low, high = TABLE_1_RANGES[bandwidth_class][link_type]
-            links = topology.links_of_type(link_type)
-            mean = sum(link.capacity_kbps for link in links) / len(links)
-            within = all(low <= link.capacity_kbps <= high for link in links)
+            capacities = [
+                capacity
+                for capacity, kind in zip(links.capacity_kbps, links.link_type)
+                if kind == code
+            ]
+            mean = sum(capacities) / len(capacities)
+            within = all(low <= capacity <= high for capacity in capacities)
             all_ok = all_ok and within and low <= mean <= high
             rows[link_type.value] = {
                 "range_kbps": [low, high],
                 "mean_kbps": mean,
-                "n_links": len(links),
+                "n_links": len(capacities),
                 "within_range": within,
             }
         by_class[bandwidth_class.value] = rows

@@ -43,7 +43,8 @@ class Workload:
     topology: Topology
     participants: List[int]
     source: int
-    tree: OverlayTree
+    #: ``None`` when built for a system that runs without an overlay tree.
+    tree: Optional[OverlayTree]
     bandwidth_class: BandwidthClass
     lossy: bool
 
@@ -92,8 +93,14 @@ def build_workload(
     seed: int = 1,
     max_fanout: int = 4,
     topology_config: Optional[TopologyConfig] = None,
+    with_tree: bool = True,
 ) -> Workload:
-    """Prepare a transit-stub scenario: topology, placement, source and tree."""
+    """Prepare a transit-stub scenario: topology, placement, source and tree.
+
+    ``with_tree=False`` skips the overlay tree (``Workload.tree`` is
+    ``None``): a system that runs without one would only throw it away.  The
+    tree draws from its own seeded stream, so nothing else changes.
+    """
     if tree_kind not in TREE_KINDS:
         raise ValueError(f"tree_kind must be one of {TREE_KINDS}")
     config = topology_config or scaled_topology_config(n_overlay, bandwidth_class, seed)
@@ -104,12 +111,16 @@ def build_workload(
     rng = SeededRng(seed, "workload")
     source = rng.choice(participants)
 
-    if tree_kind == "random":
-        tree = build_random_tree(source, participants, max_fanout=max_fanout, seed=seed)
-    elif tree_kind == "bottleneck":
-        tree = build_bottleneck_tree(topology, source, participants, max_fanout=max_fanout)
-    else:
-        tree = build_overcast_tree(topology, source, participants, max_fanout=max_fanout, seed=seed)
+    tree: Optional[OverlayTree] = None
+    if with_tree:
+        if tree_kind == "random":
+            tree = build_random_tree(source, participants, max_fanout=max_fanout, seed=seed)
+        elif tree_kind == "bottleneck":
+            tree = build_bottleneck_tree(topology, source, participants, max_fanout=max_fanout)
+        else:
+            tree = build_overcast_tree(
+                topology, source, participants, max_fanout=max_fanout, seed=seed
+            )
 
     return Workload(
         topology=topology,
@@ -121,7 +132,7 @@ def build_workload(
     )
 
 
-def build_workload_for(config) -> Workload:
+def build_workload_for(config, with_tree: bool = True) -> Workload:
     """Build the transit-stub workload an ExperimentConfig describes.
 
     ``config`` is duck-typed: anything carrying ``n_overlay``,
@@ -130,7 +141,7 @@ def build_workload_for(config) -> Workload:
     A config that schedules mid-run joins (``churn_joins``) gets a topology
     sized for the *grown* overlay, so the joiners have spare client hosts to
     occupy and the contention level at full size matches a from-the-start
-    run of the same total.
+    run of the same total.  ``with_tree`` is passed to :func:`build_workload`.
     """
     joins = int(getattr(config, "churn_joins", 0) or 0)
     topology_config = None
@@ -146,6 +157,7 @@ def build_workload_for(config) -> Workload:
         seed=config.seed,
         max_fanout=config.max_fanout,
         topology_config=topology_config,
+        with_tree=with_tree,
     )
 
 

@@ -20,7 +20,7 @@ head), kept for apples-to-apples comparisons.
 
 Latency-aware decisions (nearest-cluster join routing, proximity tiebreaks
 in head election) take an optional estimator — any object with
-``estimate_rtt(a, b)``, see :mod:`repro.topology.landmarks` — so
+``estimate_rtts(a, nodes)``, see :mod:`repro.topology.landmarks` — so
 million-pair workloads avoid exact per-pair underlay resolution.  With no
 estimator every function behaves byte-identically to the historical exact
 mode.
@@ -28,13 +28,18 @@ mode.
 Everything here is O(n) or O(n log n) in the overlay size: at the
 ``scale-100000`` scenario there are a hundred thousand participants, ~800
 leaf heads and ~10 mesh members, and only mesh members ever touch underlay
-routing.
+routing.  Access-link attributes are gathers over the topology's link
+columns, and election keys for every member are computed in one vectorised
+pass: elementwise the same IEEE operations as the scalar key, so the same
+heads win.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.topology.graph import Topology
 
@@ -77,32 +82,55 @@ class HierarchyPlan:
         return self.leaf_heads()
 
 
-def access_router(topology: Topology, node: int) -> int:
-    """The client's single uplink router (its proximity fingerprint)."""
-    uplinks = topology.out_links(node)
-    if not uplinks:
-        raise ValueError(f"node {node} has no uplink; is it a client host?")
-    return min(topology.link(index).dst for index in uplinks)
+def access_uplinks(topology: Topology, nodes: Sequence[int]) -> np.ndarray:
+    """Each client's access uplink: its out-link to its lowest-id neighbour,
+    the access router (a client has exactly one).  One gather for all."""
+    nodes = np.asarray(nodes, dtype=np.int64)
+    keys, order = topology.links.sorted_rows()
+    # A node's out-links are sorted by destination: its first link is the one.
+    first = np.searchsorted(keys, nodes << 32)
+    bare = np.searchsorted(keys, (nodes + 1) << 32) == first
+    if bare.any():
+        raise ValueError(f"node {nodes[bare][0]} has no uplink; is it a client host?")
+    return order[first]
 
 
-def access_capacity_kbps(topology: Topology, node: int) -> float:
-    """Capacity of the client's access uplink."""
-    link = topology.link_between(node, access_router(topology, node))
-    if link is None:
-        raise ValueError(f"node {node} has no access link")
-    return link.capacity_kbps
+def access_capacities_kbps(topology: Topology, nodes: Sequence[int]) -> np.ndarray:
+    """Capacity of each client's access uplink."""
+    return topology.links.view("capacity_kbps")[access_uplinks(topology, nodes)]
 
 
-def access_loss_rate(topology: Topology, node: int) -> float:
-    """Loss rate on the client's *downlink* (router -> client).
+def access_loss_rates(topology: Topology, nodes: Sequence[int]) -> np.ndarray:
+    """Loss rate on each client's *downlink* (router -> client).
 
     Interior deliveries traverse the child's access link last; under the
     Section 4.5 loss model that is where a client's loss lives.
     """
-    link = topology.link_between(access_router(topology, node), node)
-    if link is None:
-        raise ValueError(f"node {node} has no access downlink")
-    return link.loss_rate
+    links = topology.links
+    routers = links.view("dst")[access_uplinks(topology, nodes)]
+    downlinks = links.find(routers, nodes)
+    if (downlinks < 0).any():
+        missing = np.asarray(nodes)[downlinks < 0][0]
+        raise ValueError(f"node {missing} has no access downlink")
+    return links.view("loss_rate")[downlinks]
+
+
+def access_capacity_kbps(topology: Topology, node: int) -> float:
+    """Capacity of the client's access uplink."""
+    return float(access_capacities_kbps(topology, [node])[0])
+
+
+def access_loss_rate(topology: Topology, node: int) -> float:
+    """Loss rate on the client's access downlink (see :func:`access_loss_rates`)."""
+    return float(access_loss_rates(topology, [node])[0])
+
+
+def _election_winner(
+    nodes: np.ndarray, capacities: np.ndarray, rtts: Optional[np.ndarray]
+) -> int:
+    """Position of the smallest ``(-capacity, [rtt,] node)`` key."""
+    keys = (nodes, -capacities) if rtts is None else (nodes, rtts, -capacities)
+    return int(np.lexsort(keys)[0])
 
 
 def elect_head(
@@ -117,20 +145,17 @@ def elect_head(
     proximity to the source before falling back to node id — the head is the
     node that both can feed its cluster and sits closest to the stream.
     Without an estimator the historical ``(-capacity, node)`` rule applies
-    unchanged.
+    unchanged.  The keys of all members come from one gather (and one
+    ``estimator.estimate_rtts`` call).
     """
-    if not members:
+    if not len(members):
         raise ValueError("cannot elect a head from an empty cluster")
+    nodes = np.asarray(members, dtype=np.int64)
+    rtts = None
     if estimator is not None and source is not None:
-        return min(
-            members,
-            key=lambda node: (
-                -access_capacity_kbps(topology, node),
-                estimator.estimate_rtt(source, node),
-                node,
-            ),
-        )
-    return min(members, key=lambda node: (-access_capacity_kbps(topology, node), node))
+        rtts = estimator.estimate_rtts(source, nodes)
+    winner = _election_winner(nodes, access_capacities_kbps(topology, nodes), rtts)
+    return int(nodes[winner])
 
 
 def plan_clusters(
@@ -152,14 +177,27 @@ def plan_clusters(
         raise ValueError("cluster_size must be at least 1")
     if source not in participants:
         raise ValueError("the source must be a participant")
-    others = sorted(node for node in participants if node != source)
+    others = np.array(sorted(node for node in participants if node != source), dtype=np.int64)
     if len(others) != len(participants) - 1:
         raise ValueError("participants must be unique")
-    by_proximity = sorted(others, key=lambda node: (access_router(topology, node), node))
+    # One gather and (with an estimator) one estimate pass for every member,
+    # then one election per chunk over slices of those keys.
+    uplinks = access_uplinks(topology, others)
+    order = np.lexsort((others, topology.links.view("dst")[uplinks]))
+    by_proximity = others[order]
+    capacities = topology.links.view("capacity_kbps")[uplinks[order]]
+    rtts = None
+    if estimator is not None:
+        rtts = estimator.estimate_rtts(source, by_proximity)
     plans: List[ClusterPlan] = [ClusterPlan(head=source, interiors=())]
     for start in range(0, len(by_proximity), cluster_size):
-        group = by_proximity[start : start + cluster_size]
-        head = elect_head(topology, group, estimator=estimator, source=source)
+        chunk = slice(start, start + cluster_size)
+        group = by_proximity[chunk].tolist()
+        head = group[
+            _election_winner(
+                by_proximity[chunk], capacities[chunk], None if rtts is None else rtts[chunk]
+            )
+        ]
         interiors = tuple(node for node in group if node != head)
         plans.append(ClusterPlan(head=head, interiors=interiors))
     return plans
@@ -231,11 +269,12 @@ def nearest_head(
     """
     if not heads:
         raise ValueError("no live cluster heads to join")
-    scored: List[Tuple[float, int]] = []
     if estimator is not None:
-        for head in heads:
-            scored.append((estimator.estimate_rtt(head, node), head))
-        return min(scored)[1]
+        # The estimate is symmetric bit for bit: |x - y| and x + y commute.
+        candidates = np.asarray(heads, dtype=np.int64)
+        rtts = estimator.estimate_rtts(node, candidates)
+        return int(candidates[np.lexsort((candidates, rtts))[0]])
+    scored: List[Tuple[float, int]] = []
     for head in heads:
         rtt, _loss = topology.round_trip(head, node)
         scored.append((rtt, head))

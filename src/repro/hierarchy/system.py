@@ -69,8 +69,10 @@ import numpy as np
 from repro.core.mesh import BulletMesh
 from repro.experiments.registry import BuildContext, register_system
 from repro.hierarchy.clustering import (
+    access_capacities_kbps,
     access_capacity_kbps,
     access_loss_rate,
+    access_loss_rates,
     nearest_head,
     plan_hierarchy,
     promotion_candidate,
@@ -161,13 +163,15 @@ class ClusteredBullet:
         rate_kbps = self.mesh.config.stream_rate_kbps
         packet_kbits = self.mesh.config.packet_kbits
         fanout = getattr(config, "max_fanout", 4)
+        # Access-link columns of every participant, gathered once; each
+        # cluster reads its own members out of them.
+        caps = dict(zip(participants, access_capacities_kbps(topology, participants).tolist()))
+        loss = dict(zip(participants, access_loss_rates(topology, participants).tolist()))
         self._clusters: List[InteriorCluster] = []
         #: node -> index of its leaf cluster, heads included.
         self._cluster_of: Dict[int, int] = {}
         for index, plan in enumerate(self.plans):
             members = plan.members()
-            caps = {node: access_capacity_kbps(topology, node) for node in members}
-            loss = {node: access_loss_rate(topology, node) for node in members}
             self._clusters.append(
                 InteriorCluster(
                     plan.head,
@@ -193,8 +197,6 @@ class ClusteredBullet:
         self._mid_dead: List[bool] = []
         for mid_index, plan in enumerate(self.hierarchy.group_plans):
             members = plan.members()
-            caps = {node: access_capacity_kbps(topology, node) for node in members}
-            loss = {node: access_loss_rate(topology, node) for node in members}
             self._mids.append(
                 InteriorCluster(
                     plan.head,

@@ -30,7 +30,7 @@ cheaper c/n estimate, or any registered callable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set, Tuple
 
 from repro.analysis.shakeout import tracked_set
 from repro.network.fairshare import (
@@ -187,12 +187,6 @@ class AllocationEngine:
         self._allocation.pop(flow_key, None)
         self._dirty_flows.discard(flow_key)
 
-    def mark_flow_dirty(self, flow_key: int) -> None:
-        """Force ``flow_key``'s region to re-solve next round."""
-        if flow_key in self._state:
-            self._dirty_flows.add(flow_key)
-            self._mutated = True
-
     def reset_capacities(self, capacities: Mapping[int, float]) -> None:
         """Swap the capacity map (topology changed); re-solves everything.
 
@@ -295,14 +289,6 @@ class AllocationEngine:
         return affected
 
     # ------------------------------------------------------------------ debug
-    def participating_flows(self) -> Iterable[int]:
-        """Flow keys currently contending for bandwidth (insertion order)."""
-        return [
-            flow_key
-            for flow_key, state in self._state.items()
-            if state.participating
-        ]
-
     def describe(self) -> Dict[str, float]:
         """Small status snapshot for logging."""
         summary = self.stats.as_dict()

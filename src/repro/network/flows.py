@@ -108,14 +108,6 @@ class Flow:
             raise ValueError("demand must be non-negative")
         self.demand_kbps = demand_kbps
 
-    def mark_cap_dirty(self) -> None:
-        """Tell the allocator this flow's cap changed through a side channel.
-
-        ``set_demand`` and TFRC feedback flag the flow automatically; call
-        this only after mutating :attr:`tfrc` (or other cap inputs) directly.
-        """
-        self.cap_dirty = True
-
     def try_send(self, sequence: int) -> bool:
         """Submit one packet to the transport; False means it would block."""
         if not self.active:

@@ -2,7 +2,7 @@
 classes, the Section 4.5 loss model and the synthetic PlanetLab testbed."""
 
 from repro.topology.generator import TopologyConfig, generate_topology, place_overlay_participants
-from repro.topology.graph import Link, PathInfo, Topology
+from repro.topology.graph import LinkTable, PathInfo, Topology
 from repro.topology.links import (
     BandwidthClass,
     LinkSpec,
@@ -25,8 +25,8 @@ from repro.topology.routing import RoutingEngine, RoutingStats
 
 __all__ = [
     "BandwidthClass",
-    "Link",
     "LinkSpec",
+    "LinkTable",
     "LinkType",
     "LossConfig",
     "PathInfo",

@@ -13,7 +13,7 @@ client hosts hanging off stub routers — at a configurable scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Set, Tuple
 
 from repro.topology.graph import Topology
 from repro.topology.links import (
@@ -77,6 +77,10 @@ def generate_topology(config: TopologyConfig) -> Topology:
       random peering links join distinct stub domains (Stub-Stub links);
     * each client host hangs off one stub router (Client-Stub links) — these
       are the one-degree nodes overlay participants are placed on.
+
+    The cables are drawn in order into plain lists (capacity, then delay,
+    per cable) and enter the topology in one :meth:`Topology.add_links`
+    call, each cable as its ``a -> b`` row followed by its ``b -> a`` row.
     """
     rng = SeededRng(config.seed, "topology")
     structure_rng = rng.child("structure")
@@ -93,10 +97,22 @@ def generate_topology(config: TopologyConfig) -> Topology:
         next_node += 1
         return node
 
+    ends: List[int] = []
+    link_types: List[LinkType] = []
+    capacities: List[float] = []
+    delays: List[float] = []
+    #: Router pairs already cabled, either way round (chords skip them).
+    cabled: Set[Tuple[int, int]] = set()
+
     def connect(a: int, b: int, link_type: LinkType) -> None:
         capacity = sample_capacity(config.bandwidth_class, link_type, capacity_rng)
         delay = sample_delay(link_type, delay_rng)
-        topology.add_duplex_link(a, b, link_type, capacity, delay)
+        ends.extend((a, b, b, a))
+        link_types.extend((link_type, link_type))
+        capacities.extend((capacity, capacity))
+        delays.extend((delay, delay))
+        if link_type != LinkType.CLIENT_STUB:
+            cabled.update(((a, b), (b, a)))
 
     # Transit core: ring + random chords.
     transit = [new_node("transit") for _ in range(config.transit_routers)]
@@ -106,7 +122,7 @@ def generate_topology(config: TopologyConfig) -> Topology:
         chords = max(0, len(transit) // 2)
         for _ in range(chords):
             a, b = structure_rng.sample(transit, 2)
-            if topology.link_between(a, b) is None:
+            if (a, b) not in cabled:
                 connect(a, b, LinkType.TRANSIT_TRANSIT)
 
     # Stub domains.
@@ -120,7 +136,7 @@ def generate_topology(config: TopologyConfig) -> Topology:
         # A random chord for domains with >3 routers.
         if len(routers) > 3:
             a, b = structure_rng.sample(routers, 2)
-            if topology.link_between(a, b) is None:
+            if (a, b) not in cabled:
                 connect(a, b, LinkType.STUB_STUB)
         # Home the domain's gateway (first router) on a transit router.
         gateway = routers[0]
@@ -138,9 +154,10 @@ def generate_topology(config: TopologyConfig) -> Topology:
             domain_a, domain_b = structure_rng.sample(range(config.stub_domains), 2)
             a = structure_rng.choice(stub_routers_by_domain[domain_a])
             b = structure_rng.choice(stub_routers_by_domain[domain_b])
-            if topology.link_between(a, b) is None:
+            if (a, b) not in cabled:
                 connect(a, b, LinkType.STUB_STUB)
 
+    topology.add_links(ends[0::2], ends[1::2], link_types, capacities, delays)
     topology.validate()
     return topology
 

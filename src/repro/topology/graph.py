@@ -7,25 +7,44 @@ topologies.  The topology owns routing (fixed shortest paths, matching the
 paper's assumption 1 in Section 4.1: "the routing path between any two overlay
 participants is fixed") and exposes per-path aggregate loss and delay.
 
-Routing is served by the amortized :class:`~repro.topology.routing.
-RoutingEngine` (per-source shortest-path trees, split route/attribute caches,
-a batch ``warm`` API).  The graph itself is the link list plus per-node
-out-link index lists; the per-pair networkx resolution the engine is checked
-against lives in ``tests/oracles/routing.py`` and builds its own graph.
+Storage is one columnar link table, :class:`LinkTable`: a row per directed
+link (its index), with ``array`` columns for the endpoints, link class,
+capacity, live delay, loss and the pinned routing metric, plus the node-slot
+count and a structure version.  Per-link scalar reads — the routing engine's
+path walks — index those ``array`` columns at list speed; bulk readers (ingest
+checks, the routing engine's adjacency build, landmark coordinates,
+clustering's access-link gathers) take zero-copy numpy views of the same
+buffers.  A cached sort of the rows by ``(src, dst)`` serves pair lookups and
+access-link gathers; rows appended since it was last read are merged into it
+in linear time.
+
+Every link enters through :meth:`Topology.add_links`, which checks endpoints,
+value ranges and duplicates; every later change goes through a
+``set_link_*`` method, which bumps the epoch the routing and allocation caches
+hang off.  Routing is served by the amortized
+:class:`~repro.topology.routing.RoutingEngine`, which holds the link table and
+not the topology, so a finished topology is freed by reference counting
+alone.  The per-pair networkx resolution the engine is checked against lives
+in ``tests/oracles/routing.py`` and builds its own graph.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.topology.links import LinkSpec, LinkType
+import numpy as np
+
+from repro.topology.links import LINK_TYPES, LinkSpec, LinkType, check_link_values
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
 #: The routing engine and the allocator hang caches off these epochs, so every
-#: mutation of a guarded link attribute — anywhere in the tree, hence the
-#: ``tree`` scope — must bump the matching counter on the same control-flow
-#: path.  See the README's "Determinism invariants" section.
+#: write to a guarded link column — anywhere in the tree, hence the ``tree``
+#: scope — must bump the matching counter on the same control-flow path:
+#: a store into a value column its epoch, and appended rows (or a rewritten
+#: routing metric or node-slot count) the structure version.  See the
+#: README's "Determinism invariants" section.
 CACHE_INVARIANTS = {
     "Topology": {
         "scope": "tree",
@@ -33,50 +52,23 @@ CACHE_INVARIANTS = {
             "loss_rate": ["note_loss_change"],
             "capacity_kbps": ["note_capacity_change", "_capacity_version"],
             "delay_s": ["note_delay_change"],
+            "metric_s": ["structure_version"],
+            "node_slots": ["structure_version"],
         },
         "calls": {
-            "_links.append": ["_structure_version"],
-            "_out_links.setdefault": ["_structure_version"],
-            "_out_links.append": ["_structure_version"],
+            "src.frombytes": ["structure_version"],
+            "dst.frombytes": ["structure_version"],
+            "link_type.frombytes": ["structure_version"],
+            "capacity_kbps.frombytes": ["structure_version", "_capacity_version"],
+            "delay_s.frombytes": ["structure_version"],
+            "loss_rate.frombytes": ["structure_version"],
+            "metric_s.frombytes": ["structure_version"],
         },
     },
 }
 
-
-@dataclass
-class Link:
-    """A directed physical link with mutable loss (Section 4.5 modifies it)."""
-
-    index: int
-    src: int
-    dst: int
-    link_type: LinkType
-    capacity_kbps: float
-    delay_s: float
-    loss_rate: float = 0.0
-    #: Frozen routing metric, set the first time ``set_link_delay`` mutates
-    #: the live delay.  ``None`` means the live delay *is* the metric (the
-    #: common case: the delay never changed).  Routing — the engine's
-    #: Dijkstra and the networkx oracle's edge weights — always uses the
-    #: metric, so latency jitter never re-routes a pair (fixed-routing
-    #: assumption).
-    routing_weight_s: Optional[float] = None
-
-    @property
-    def routing_metric_s(self) -> float:
-        """The delay weight routing decisions are pinned to."""
-        return self.delay_s if self.routing_weight_s is None else self.routing_weight_s
-
-    def as_spec(self) -> LinkSpec:
-        """Snapshot this link as an immutable spec."""
-        return LinkSpec(
-            src=self.src,
-            dst=self.dst,
-            link_type=self.link_type,
-            capacity_kbps=self.capacity_kbps,
-            delay_s=self.delay_s,
-            loss_rate=self.loss_rate,
-        )
+#: Node roles, by their code (1 + position) in the per-slot role column.
+ROLES = ("transit", "stub", "client")
 
 
 @dataclass
@@ -89,41 +81,179 @@ class PathInfo:
     bottleneck_kbps: float
 
 
+class LinkTable:
+    """The directed links of a topology as columns, one row per link index.
+
+    Node ids index per-node arrays (here and in the routing engine), so ids
+    should be dense from zero: ``node_slots`` is one past the largest id.
+    Columns are plain ``array`` objects; :meth:`view` hands out numpy views
+    of their buffers.  A view pins its buffer, so take views inside one call
+    and never keep one across an append.
+    """
+
+    def __init__(self) -> None:
+        self.src = array("i")
+        self.dst = array("i")
+        #: Position of the link's class in :data:`~repro.topology.links.LINK_TYPES`.
+        self.link_type = array("b")
+        self.capacity_kbps = array("d")
+        #: Live one-way delay: ``set_link_delay`` moves it.
+        self.delay_s = array("d")
+        self.loss_rate = array("d")
+        #: The delay at ingest.  Routing is pinned to it (the fixed-routing
+        #: assumption), so delay jitter never re-routes a pair.
+        self.metric_s = array("d")
+        self.node_slots = 0
+        #: Bumped whenever a node or link is added; derived structures (the
+        #: routing engine's adjacency) rebuild on it.
+        self.structure_version = 0
+        self._sorted = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def view(self, column: str) -> np.ndarray:
+        """A zero-copy numpy view of one column (see the class note)."""
+        values = getattr(self, column)
+        return np.frombuffer(values, dtype=values.typecode)
+
+    def sorted_rows(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(keys, order)``: the rows sorted by ``(src, dst)``.
+
+        ``keys`` holds ``src << 32 | dst`` in ascending order and ``order``
+        the link index of each sorted row, so the links leaving ``u`` are the
+        rows keyed in ``[u << 32, (u + 1) << 32)``, by ascending ``dst``.
+        Rows are only ever appended: the ones added since the last call join
+        the sorted ones, and the stable sort (a timsort for int64 keys) merges
+        the two runs in linear time, so one-at-a-time builders never pay a
+        full re-sort per link.
+        """
+        keys, order = self._sorted
+        covered = order.size
+        if covered < len(self):
+            src = self.view("src")[covered:].astype(np.int64)
+            keys = np.concatenate((keys, (src << 32) | self.view("dst")[covered:]))
+            order = np.concatenate((order, np.arange(covered, len(self))))
+            by_key = np.argsort(keys, kind="stable")
+            self._sorted = (keys[by_key], order[by_key])
+        return self._sorted
+
+    def find(self, src, dst) -> np.ndarray:
+        """Index of the link ``src[i] -> dst[i]`` for each pair; -1 if absent
+        (also for ids outside ``[0, node_slots)``)."""
+        keys, order = self.sorted_rows()
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        known = (src >= 0) & (src < self.node_slots) & (dst >= 0) & (dst < self.node_slots)
+        if not len(keys):
+            return np.full(known.shape, -1, dtype=np.int64)
+        wanted = (src << 32) | dst
+        position = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+        return np.where(known & (keys[position] == wanted), order[position], -1)
+
+
 class Topology:
     """A physical network graph with fixed shortest-path routing.
 
-    Nodes are integers.  ``client_nodes`` are the hosts overlay participants
-    may be placed on.  Links are directed; an undirected physical cable is two
-    ``Link`` objects sharing capacity independently (full duplex), which is
-    how ModelNet emulates links as well.
+    Nodes are non-negative integers.  ``client_nodes`` are the hosts overlay
+    participants may be placed on.  Links are directed; an undirected
+    physical cable is two rows sharing capacity independently (full duplex),
+    which is how ModelNet emulates links as well.
     """
 
     def __init__(self, max_cached_routes: Optional[int] = None) -> None:
         from repro.topology.routing import RoutingEngine  # deferred: cycle
 
-        self._links: List[Link] = []
-        #: node -> indices of the links leaving it, in insertion order; its
-        #: keys are the node set.
-        self._out_links: Dict[int, List[int]] = {}
-        self._link_index: Dict[Tuple[int, int], int] = {}
+        self.links = LinkTable()
+        #: Role code per node slot: 0 = no such node, else 1 + its ROLES index.
+        self._roles = bytearray()
+        self._num_nodes = 0
         self._client_nodes: List[int] = []
         self._clients_view: Tuple[int, ...] = ()
-        self._node_types: Dict[int, str] = {}
         self._capacity_map: Optional[Dict[int, float]] = None
         self._capacity_version: int = 0
-        self._structure_version: int = 0
-        self._routing = RoutingEngine(self, max_routes=max_cached_routes)
+        self._routing = RoutingEngine(self.links, max_routes=max_cached_routes)
 
     # ------------------------------------------------------------------ build
     def add_node(self, node: int, role: str) -> None:
         """Add a node with a role: ``transit``, ``stub`` or ``client``."""
-        if role not in ("transit", "stub", "client"):
+        if role not in ROLES:
             raise ValueError(f"unknown node role: {role!r}")
-        self._out_links.setdefault(node, [])
-        self._node_types[node] = role
+        if node < 0:
+            raise ValueError(f"node ids must be non-negative, got {node}")
+        roles = self._roles
+        if node >= len(roles):
+            roles.extend(bytes(node + 1 - len(roles)))
+        if not roles[node]:
+            self._num_nodes += 1
+        roles[node] = 1 + ROLES.index(role)
         if role == "client":
             self._client_nodes.append(node)
-        self._structure_version += 1
+        links = self.links
+        links.node_slots = len(roles)
+        links.structure_version += 1
+
+    def add_links(
+        self,
+        src: Sequence[int],
+        dst: Sequence[int],
+        link_types: Sequence[LinkType],
+        capacity_kbps: Sequence[float],
+        delay_s: Sequence[float],
+        loss_rate: Optional[Sequence[float]] = None,
+    ) -> range:
+        """Add directed links, row ``i`` being ``src[i] -> dst[i]``.
+
+        The one way links enter a topology, in bulk or (through
+        :meth:`add_link`) one at a time.  Nothing is added unless every row
+        passes: both endpoints must be known nodes (``KeyError``), capacity
+        and delay positive and loss in ``[0, 1)``, and no pair may repeat an
+        existing link or another row (``ValueError``).  Returns the new
+        links' indices.
+        """
+        src_ids = np.asarray(src, dtype=np.int64)
+        dst_ids = np.asarray(dst, dtype=np.int64)
+        count = src_ids.size
+        columns = {
+            "capacity_kbps": np.asarray(capacity_kbps, dtype=np.float64),
+            "delay_s": np.asarray(delay_s, dtype=np.float64),
+            "loss_rate": (
+                np.zeros(count) if loss_rate is None
+                else np.asarray(loss_rate, dtype=np.float64)
+            ),
+        }
+        codes = np.array([LINK_TYPES.index(kind) for kind in link_types], dtype=np.int8)
+        if any(values.shape != (count,) for values in (dst_ids, codes, *columns.values())):
+            raise ValueError("add_links needs one value per link in every column")
+        ends = np.concatenate((src_ids, dst_ids))
+        known = (ends >= 0) & (ends < len(self._roles))
+        known[known] = np.frombuffer(self._roles, dtype=np.uint8)[ends[known]] > 0
+        if not known.all():
+            raise KeyError(f"node {int(ends[~known][0])} not in topology")
+        for column, values in columns.items():
+            check_link_values(column, values)
+        links = self.links
+        existing = links.find(src_ids, dst_ids) >= 0
+        keys = src_ids * links.node_slots + dst_ids
+        _, first = np.unique(keys, return_index=True)
+        repeated = np.ones(count, dtype=bool)
+        repeated[first] = False
+        duplicate = existing | repeated
+        if duplicate.any():
+            at = int(np.flatnonzero(duplicate)[0])
+            raise ValueError(f"duplicate link {int(src_ids[at])}->{int(dst_ids[at])}")
+        start = len(links)
+        links.src.frombytes(src_ids.astype(np.int32).tobytes())
+        links.dst.frombytes(dst_ids.astype(np.int32).tobytes())
+        links.link_type.frombytes(codes.tobytes())
+        links.capacity_kbps.frombytes(columns["capacity_kbps"].tobytes())
+        links.delay_s.frombytes(columns["delay_s"].tobytes())
+        links.loss_rate.frombytes(columns["loss_rate"].tobytes())
+        links.metric_s.frombytes(columns["delay_s"].tobytes())
+        links.structure_version += 1
+        self._capacity_map = None
+        self._capacity_version += 1
+        return range(start, start + count)
 
     def add_link(
         self,
@@ -133,29 +263,11 @@ class Topology:
         capacity_kbps: float,
         delay_s: float,
         loss_rate: float = 0.0,
-    ) -> Link:
-        """Add one directed link.  Raises if the endpoints are unknown."""
-        for node in (src, dst):
-            if node not in self._out_links:
-                raise KeyError(f"node {node} not in topology")
-        if (src, dst) in self._link_index:
-            raise ValueError(f"duplicate link {src}->{dst}")
-        link = Link(
-            index=len(self._links),
-            src=src,
-            dst=dst,
-            link_type=link_type,
-            capacity_kbps=capacity_kbps,
-            delay_s=delay_s,
-            loss_rate=loss_rate,
-        )
-        self._links.append(link)
-        self._link_index[(src, dst)] = link.index
-        self._out_links[src].append(link.index)
-        self._capacity_map = None
-        self._capacity_version += 1
-        self._structure_version += 1
-        return link
+    ) -> int:
+        """Add one directed link; returns its index (see :meth:`add_links`)."""
+        return self.add_links(
+            [src], [dst], [link_type], [capacity_kbps], [delay_s], [loss_rate]
+        )[0]
 
     def add_duplex_link(
         self,
@@ -165,18 +277,20 @@ class Topology:
         capacity_kbps: float,
         delay_s: float,
         loss_rate: float = 0.0,
-    ) -> Tuple[Link, Link]:
-        """Add both directions of a physical cable with identical parameters."""
-        forward = self.add_link(a, b, link_type, capacity_kbps, delay_s, loss_rate)
-        backward = self.add_link(b, a, link_type, capacity_kbps, delay_s, loss_rate)
+    ) -> Tuple[int, int]:
+        """Add both directions of a physical cable with identical parameters;
+        returns the ``a -> b`` and ``b -> a`` link indices."""
+        forward, backward = self.add_links(
+            [a, b],
+            [b, a],
+            [link_type] * 2,
+            [capacity_kbps] * 2,
+            [delay_s] * 2,
+            [loss_rate] * 2,
+        )
         return forward, backward
 
     # ---------------------------------------------------------------- queries
-    @property
-    def links(self) -> Sequence[Link]:
-        """All directed links, indexable by ``Link.index``."""
-        return self._links
-
     @property
     def client_nodes(self) -> Sequence[int]:
         """Hosts eligible to run overlay participants (read-only view).
@@ -192,29 +306,36 @@ class Topology:
     @property
     def num_nodes(self) -> int:
         """Total number of physical nodes (routers + clients)."""
-        return len(self._out_links)
+        return self._num_nodes
 
     @property
     def num_links(self) -> int:
         """Total number of directed links."""
-        return len(self._links)
+        return len(self.links)
 
     def node_role(self, node: int) -> str:
         """Return ``transit``, ``stub`` or ``client`` for a node."""
-        return self._node_types[node]
+        code = self._roles[node] if 0 <= node < len(self._roles) else 0
+        if not code:
+            raise KeyError(node)
+        return ROLES[code - 1]
 
-    def link(self, index: int) -> Link:
-        """Look a link up by index."""
-        return self._links[index]
+    def link(self, index: int) -> LinkSpec:
+        """A snapshot of one link's current values."""
+        links = self.links
+        return LinkSpec(
+            src=links.src[index],
+            dst=links.dst[index],
+            link_type=LINK_TYPES[links.link_type[index]],
+            capacity_kbps=links.capacity_kbps[index],
+            delay_s=links.delay_s[index],
+            loss_rate=links.loss_rate[index],
+        )
 
-    def out_links(self, node: int) -> Sequence[int]:
-        """Indices of the links leaving ``node``, in insertion order."""
-        return self._out_links[node]
-
-    def link_between(self, src: int, dst: int) -> Optional[Link]:
-        """Return the directed link src->dst, or ``None`` if absent."""
-        index = self._link_index.get((src, dst))
-        return None if index is None else self._links[index]
+    def link_between(self, src: int, dst: int) -> Optional[int]:
+        """Index of the directed link src->dst, or ``None`` if absent."""
+        index = int(self.links.find([src], [dst])[0])
+        return None if index < 0 else index
 
     def set_link_loss(self, index: int, loss_rate: float) -> None:
         """Set a link's loss rate (used by the lossy-network experiments).
@@ -223,9 +344,8 @@ class Topology:
         cached route and merely bumps its loss epoch — ``PathInfo.loss_rate``
         is lazily recomputed along the already-known links on next access.
         """
-        if not 0.0 <= loss_rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
-        self._links[index].loss_rate = loss_rate
+        check_link_values("loss_rate", loss_rate)
+        self.links.loss_rate[index] = loss_rate
         self._routing.note_loss_change()
 
     def set_link_capacity(self, index: int, capacity_kbps: float) -> None:
@@ -235,9 +355,8 @@ class Topology:
         capacity map re-read it.  The routing engine keeps its routes and
         lazily refreshes their ``bottleneck_kbps``.
         """
-        if capacity_kbps <= 0:
-            raise ValueError("capacity must be positive")
-        self._links[index].capacity_kbps = capacity_kbps
+        check_link_values("capacity_kbps", capacity_kbps)
+        self.links.capacity_kbps[index] = capacity_kbps
         self._capacity_map = None
         self._capacity_version += 1
         self._routing.note_capacity_change()
@@ -246,34 +365,21 @@ class Topology:
         """Change a link's live one-way delay (latency-jitter scenarios).
 
         Routing stays pinned: per the paper's fixed-routing assumption
-        (Section 4.1) the delay-weighted shortest paths are chosen once, at
-        construction time, so a latency change never re-routes a pair — the
-        link's ``routing_metric_s`` keeps the construction-time metric.
-        Only the *aggregate* latency of already resolved paths changes: the
-        routing engine bumps its delay epoch and cached ``PathInfo.delay_s``
-        is lazily re-walked along the pinned links on next access.
+        (Section 4.1) the delay-weighted shortest paths are chosen once, over
+        the ingest-time ``metric_s`` column, so a latency change never
+        re-routes a pair.  Only the *aggregate* latency of already resolved
+        paths changes: the routing engine bumps its delay epoch and cached
+        ``PathInfo.delay_s`` is lazily re-walked along the pinned links on
+        next access.
         """
-        if delay_s <= 0:
-            raise ValueError("delay must be positive")
-        link = self._links[index]
-        if link.routing_weight_s is None:
-            link.routing_weight_s = link.delay_s
-        link.delay_s = delay_s
+        check_link_values("delay_s", delay_s)
+        self.links.delay_s[index] = delay_s
         self._routing.note_delay_change()
 
     @property
     def capacity_version(self) -> int:
         """Monotonic counter bumped whenever any link capacity may change."""
         return self._capacity_version
-
-    @property
-    def structure_version(self) -> int:
-        """Monotonic counter bumped on structural changes (nodes/links added).
-
-        The routing engine rebuilds its adjacency and drops its trees and
-        routes when this moves; loss/capacity changes do *not* bump it.
-        """
-        return self._structure_version
 
     def capacity_map(self) -> Dict[int, float]:
         """Cached ``link index -> capacity`` map for the bandwidth allocator.
@@ -283,14 +389,8 @@ class Topology:
         invalidation instead of copying it every step.
         """
         if self._capacity_map is None:
-            self._capacity_map = {
-                link.index: link.capacity_kbps for link in self._links
-            }
+            self._capacity_map = dict(enumerate(self.links.capacity_kbps))
         return self._capacity_map
-
-    def links_of_type(self, link_type: LinkType) -> List[Link]:
-        """All links of a given class."""
-        return [link for link in self._links if link.link_type == link_type]
 
     # ---------------------------------------------------------------- routing
     def path(self, src: int, dst: int) -> PathInfo:
@@ -315,10 +415,6 @@ class Topology:
         rtt = forward.delay_s + backward.delay_s
         loss = 1.0 - (1.0 - forward.loss_rate) * (1.0 - backward.loss_rate)
         return rtt, loss
-
-    def clear_path_cache(self) -> None:
-        """Drop cached routes (call after structural changes)."""
-        self._routing.invalidate()
 
     def warm_routes(
         self, sources: Iterable[int], dsts: Optional[Sequence[int]] = None
@@ -347,41 +443,42 @@ class Topology:
     # ------------------------------------------------------------------ debug
     def describe(self) -> Dict[str, int]:
         """Return a small summary dictionary (node/link counts by class)."""
-        by_type: Dict[str, int] = {}
-        for link in self._links:
-            by_type[link.link_type.value] = by_type.get(link.link_type.value, 0) + 1
+        codes = self.links.view("link_type")
+        present, first = np.unique(codes, return_index=True)
+        counts = np.bincount(codes, minlength=len(LINK_TYPES))
         summary = {
             "nodes": self.num_nodes,
             "clients": len(self._client_nodes),
             "links": self.num_links,
         }
-        summary.update({f"links[{key}]": value for key, value in by_type.items()})
+        for code in present[np.argsort(first)].tolist():
+            summary[f"links[{LINK_TYPES[code].value}]"] = int(counts[code])
         return summary
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation."""
-        for client in self._client_nodes:
-            out_degree = len(self._out_links[client])
-            if out_degree != 1:
-                raise ValueError(f"client {client} must have exactly one uplink, has {out_degree}")
-        # Weak connectivity: one search over the links read in both directions.
-        neighbours: Dict[int, List[int]] = {node: [] for node in self._out_links}
-        for link in self._links:
-            neighbours[link.src].append(link.dst)
-            neighbours[link.dst].append(link.src)
-        frontier = list(neighbours)[:1]
-        reached = set(frontier)
-        while frontier:
-            for peer in neighbours[frontier.pop()]:
-                if peer not in reached:
-                    reached.add(peer)
-                    frontier.append(peer)
-        if len(reached) != len(neighbours):
+        links = self.links
+        src, dst = links.view("src"), links.view("dst")
+        out_degree = np.bincount(src, minlength=links.node_slots)
+        clients = np.asarray(self._client_nodes, dtype=np.int64)
+        wrong = np.flatnonzero(out_degree[clients] != 1)
+        if wrong.size:
+            client = int(clients[wrong[0]])
+            raise ValueError(
+                f"client {client} must have exactly one uplink, has {out_degree[client]}"
+            )
+        # Weak connectivity: every node takes the smallest label among its
+        # neighbours (links read both ways) and its label's label, until
+        # nothing moves; then each component carries one label.
+        label = np.arange(links.node_slots)
+        while True:
+            lowest = label.copy()
+            np.minimum.at(lowest, src, label[dst])
+            np.minimum.at(lowest, dst, label[src])
+            lowest = lowest[lowest]
+            if np.array_equal(lowest, label):
+                break
+            label = lowest
+        nodes = np.flatnonzero(np.frombuffer(self._roles, dtype=np.uint8))
+        if nodes.size and (label[nodes] != label[nodes[0]]).any():
             raise ValueError("topology is not connected")
-
-
-def iter_path_links(topology: Topology, src: int, dst: int) -> Iterable[Link]:
-    """Yield the Link objects along the routing path from src to dst."""
-    info = topology.path(src, dst)
-    for index in info.links:
-        yield topology.link(index)

@@ -11,27 +11,36 @@ This module implements the deterministic variant the reproduction needs:
 
 * Landmarks are a seeded sample of the participant hosts, so the same seed
   always picks the same landmarks.
-* A node's coordinate is its vector of RTTs to each landmark, computed from
-  the landmark side (``routing.path_delay(landmark, node)``) so that every
-  lookup is a walk up one of ``n_landmarks`` warm shortest-path trees and
-  caches nothing.  Duplex links carry the same delay both ways, so
-  landmark→node delay equals node→landmark delay and the RTT is twice the
-  one-way delay.
-* ``estimate_rtt(a, b)`` brackets the true RTT with the triangle
+* A node's coordinate is its vector of RTTs to each landmark, read off the
+  landmarks' own shortest-path trees: one
+  :meth:`~repro.topology.routing.RoutingEngine.delays_from` pass per landmark
+  accumulates the live one-way delay outward along its tree — the same sum,
+  in the same order, as the route's ``PathInfo.delay_s`` — and fills that
+  landmark's column of one float64 table (nodes x landmarks) with twice it.
+  Duplex links carry the same delay both ways, so landmark→node delay equals
+  node→landmark delay and the RTT is twice the one-way delay.  Nothing enters
+  the route cache.  When the routing delay epoch moves (``set_link_delay``)
+  the table is rebuilt along the same pinned trees.
+* ``estimate_rtts(a, nodes)`` brackets each true RTT with the triangle
   inequality — ``lower = max_i |c_i(a) - c_i(b)|`` and
-  ``upper = min_i (c_i(a) + c_i(b))`` — and returns the bracket midpoint.
-  Because shortest-path delay over symmetric links is a metric, the true
-  RTT always lies inside ``[lower, upper]``; the hypothesis suite in
-  ``tests/topology/test_landmarks.py`` asserts exactly that bound.
+  ``upper = min_i (c_i(a) + c_i(b))`` — and returns the bracket midpoints,
+  for all of ``nodes`` in one vectorised pass (``brackets``).  Because
+  shortest-path delay over symmetric links is a metric, the true RTT always
+  lies inside ``[lower, upper]``; the hypothesis suite in
+  ``tests/topology/test_landmarks.py`` asserts exactly that bound.  The
+  per-pair ``estimate_rtt(a, b)`` / ``bracket(a, b)`` are that pass over one
+  node.
 
 The estimator is deliberately side-effect free with respect to determinism:
 estimates are pure functions of (topology, seed, pair), independent of query
-order, and the per-node coordinate cache only memoizes those pure values.
+order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.topology.graph import Topology
 from repro.util.rng import spawn_rng
@@ -61,43 +70,71 @@ class LandmarkLatencyEstimator:
             raise ValueError("n_landmarks must be at least 1")
         if not candidates:
             raise ValueError("landmark estimator needs at least one candidate host")
-        self.topology = topology
         self.seed = seed
         rng = spawn_rng(seed, "landmarks")
         self.landmarks: Tuple[int, ...] = tuple(
             sorted(rng.sample(sorted(set(candidates)), n_landmarks))
         )
-        # One shortest-path tree per landmark serves every coordinate probe.
-        topology.warm_routes(self.landmarks)
-        self._coordinates: Dict[int, Tuple[float, ...]] = {}
+        self._routing = topology.routing
+        self._stamp: Optional[Tuple[int, int]] = None
+        self._table: Optional[np.ndarray] = None
+        self._current_table()
+
+    def _current_table(self) -> np.ndarray:
+        """The coordinate table (row = node, column = landmark), rebuilt when
+        the structure or a live delay moved since it was filled."""
+        routing = self._routing
+        stamp = (routing.structure_version, routing.delay_epoch)
+        if stamp != self._stamp:
+            table = None
+            for column, landmark in enumerate(self.landmarks):
+                # Each landmark's delay array lives only until it is copied.
+                delays = routing.delays_from(landmark)
+                if table is None:
+                    table = np.empty((delays.size, len(self.landmarks)))
+                np.multiply(delays, 2.0, out=table[:, column])
+            self._table = table
+            self._stamp = stamp
+        return self._table
+
+    def _rows(self, nodes) -> np.ndarray:
+        """The coordinates of ``nodes``, one row each."""
+        rows = self._current_table()[np.asarray(nodes, dtype=np.int64)]
+        if not np.isfinite(rows).all():
+            unreachable = np.asarray(nodes)[~np.isfinite(rows).all(axis=1)][0]
+            raise ValueError(f"no route between the landmarks and node {unreachable}")
+        return rows
 
     def coordinates(self, node: int) -> Tuple[float, ...]:
-        """The node's RTT-to-each-landmark vector (memoized, pure)."""
-        cached = self._coordinates.get(node)
-        if cached is None:
-            # Each pair is read once, here: probe the delay without leaving
-            # a route per (landmark, node) in the routing cache.
-            path_delay = self.topology.routing.path_delay
-            cached = tuple(
-                2.0 * path_delay(landmark, node) for landmark in self.landmarks
-            )
-            self._coordinates[node] = cached
-        return cached
+        """The node's RTT-to-each-landmark vector."""
+        return tuple(self._rows([node])[0].tolist())
+
+    def brackets(self, a: int, nodes: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Triangle-inequality bounds ``(lower, upper)`` on rtt(a, node) for
+        every node of ``nodes``, in one pass; ``(0, 0)`` where node == a."""
+        rows = self._rows(nodes)
+        ca = self._rows([a])
+        lower = np.abs(ca - rows).max(axis=1)
+        upper = (ca + rows).min(axis=1)
+        same = np.asarray(nodes) == a
+        lower[same] = 0.0
+        upper[same] = 0.0
+        return lower, upper
 
     def bracket(self, a: int, b: int) -> Tuple[float, float]:
         """Triangle-inequality bounds ``(lower, upper)`` on rtt(a, b)."""
-        if a == b:
-            return 0.0, 0.0
-        ca = self.coordinates(a)
-        cb = self.coordinates(b)
-        lower = max(abs(x - y) for x, y in zip(ca, cb))
-        upper = min(x + y for x, y in zip(ca, cb))
-        return lower, upper
+        lower, upper = self.brackets(a, [b])
+        return float(lower[0]), float(upper[0])
+
+    def estimate_rtts(self, a: int, nodes: Sequence[int]) -> np.ndarray:
+        """Estimated RTT in seconds from ``a`` to every node of ``nodes``: the
+        midpoint of each triangle bracket."""
+        lower, upper = self.brackets(a, nodes)
+        return 0.5 * (lower + upper)
 
     def estimate_rtt(self, a: int, b: int) -> float:
-        """Estimated RTT in seconds: the midpoint of the triangle bracket."""
-        lower, upper = self.bracket(a, b)
-        return 0.5 * (lower + upper)
+        """Estimated RTT in seconds between ``a`` and ``b``."""
+        return float(self.estimate_rtts(a, [b])[0])
 
 
 def build_estimator(

@@ -13,6 +13,8 @@ import enum
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
+import numpy as np
+
 from repro.util.rng import SeededRng
 
 
@@ -23,6 +25,10 @@ class LinkType(enum.Enum):
     STUB_STUB = "stub-stub"
     TRANSIT_STUB = "transit-stub"
     TRANSIT_TRANSIT = "transit-transit"
+
+
+#: Link classes by the code a topology's ``link_type`` column stores.
+LINK_TYPES = tuple(LinkType)
 
 
 class BandwidthClass(enum.Enum):
@@ -68,7 +74,8 @@ DEFAULT_DELAYS: Dict[LinkType, Tuple[float, float]] = {
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Static description of one directed physical link."""
+    """Immutable description of one directed physical link (what
+    ``Topology.link`` returns: a snapshot of the link's current values)."""
 
     src: int
     dst: int
@@ -78,12 +85,35 @@ class LinkSpec:
     loss_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.capacity_kbps <= 0:
-            raise ValueError("link capacity must be positive")
-        if self.delay_s < 0:
-            raise ValueError("link delay must be non-negative")
-        if not 0.0 <= self.loss_rate < 1.0:
-            raise ValueError("loss rate must be in [0, 1)")
+        for column in LINK_RANGES:
+            check_link_values(column, getattr(self, column))
+
+
+#: What a link attribute may hold: ``column -> (test, range as errors state
+#: it)``.  The tests work elementwise on numpy arrays and on plain floats, and
+#: reject NaN.  A negative delay would also break shortest-path routing.
+LINK_RANGES = {
+    "capacity_kbps": (lambda value: value > 0, "> 0"),
+    "delay_s": (lambda value: value > 0, "> 0"),
+    "loss_rate": (lambda value: (value >= 0.0) & (value < 1.0), "in [0, 1)"),
+}
+
+
+def check_link_values(column: str, values) -> None:
+    """Raise ``ValueError`` naming the valid range unless every value of
+    ``column`` (a float or an array) lies in it."""
+    test, valid = LINK_RANGES[column]
+    if isinstance(values, (int, float)):
+        # A plain scalar (the ``set_link_*`` path) skips the numpy round trip.
+        if test(values):
+            return
+        bad = values
+    else:
+        ok = np.asarray(test(values)).reshape(-1)
+        if ok.all():
+            return
+        bad = np.asarray(values, dtype=float).reshape(-1)[~ok][0]
+    raise ValueError(f"link {column} must be {valid}, got {float(bad)!r}")
 
 
 def bandwidth_range(bandwidth_class: BandwidthClass, link_type: LinkType) -> Tuple[float, float]:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.topology.graph import Topology
-from repro.topology.links import LinkType
+from repro.topology.links import LINK_TYPES, LinkType
 from repro.util.rng import SeededRng
 
 
@@ -51,17 +51,18 @@ def apply_loss_model(topology: Topology, config: LossConfig | None = None) -> No
     n_overloaded = int(round(config.overloaded_fraction * n_links))
     overloaded = set(overload_rng.sample(range(n_links), n_overloaded))
 
-    for link in topology.links:
-        if link.index in overloaded:
+    transit = LINK_TYPES.index(LinkType.TRANSIT_TRANSIT)
+    for index, code in enumerate(topology.links.link_type):
+        if index in overloaded:
             loss = overload_rng.uniform(config.overloaded_min, config.overloaded_max)
-        elif link.link_type == LinkType.TRANSIT_TRANSIT:
+        elif code == transit:
             loss = baseline_rng.uniform(0.0, config.transit_max)
         else:
             loss = baseline_rng.uniform(0.0, config.non_transit_max)
-        topology.set_link_loss(link.index, loss)
+        topology.set_link_loss(index, loss)
 
 
 def clear_loss(topology: Topology) -> None:
     """Remove all loss from a topology (back to the loss-free baseline)."""
-    for link in topology.links:
-        topology.set_link_loss(link.index, 0.0)
+    for index in range(topology.num_links):
+        topology.set_link_loss(index, 0.0)

@@ -13,21 +13,31 @@ nodes, with the flash-crowd join spike as the worst case.
   computes the tree from one source *once*; the path to every destination a
   node ever discovers is then an O(hops) walk up the tree, instead of one
   bidirectional solve per pair;
-* **split route / attribute caches** — routes depend only on link *delays*,
-  so ``set_link_loss`` / ``set_link_capacity`` no longer invalidate routes at
-  all: they bump loss/capacity epoch counters and cached routes lazily
-  recompute ``PathInfo.loss_rate`` / ``bottleneck_kbps`` along the
-  already-known links on next access;
+* **split route / attribute caches** — routes depend only on the pinned
+  routing metric, so ``set_link_loss`` / ``set_link_capacity`` /
+  ``set_link_delay`` never invalidate routes: they bump loss/capacity/delay
+  epoch counters and cached routes lazily recompute ``PathInfo.loss_rate`` /
+  ``bottleneck_kbps`` / ``delay_s`` along the already-known links on next
+  access;
 * **a ``warm(sources, dsts)`` batch API** — the experiment session calls it
   at overlay construction and on every mid-run join, so the flash-crowd
   discovery spike resolves its paths outside the hot step loop.
+
+The engine reads the topology's :class:`~repro.topology.graph.LinkTable`
+(never the topology itself, so the two form no reference cycle).  When the
+table's structure version moves it rebuilds, in bulk, an adjacency over
+*routers* only.  A stub host — one out-link and one in-link, both to the same
+neighbour — is never an intermediate hop, so the heap loop skips it.  After
+the loop, one vectorised pass hangs every stub host whose router was reached
+off that router's tree.  A stub-host source starts the heap at its router.
 
 Tie-breaking note: with the generators' continuous random link delays the
 delay-weighted shortest path between two hosts is unique, so the engine's
 Dijkstra and a per-pair networkx resolution (the oracle in
 ``tests/oracles/routing.py``) pick the same routes.  ``PathInfo`` fields are
 computed by walking the chosen path in order, exactly as the oracle does, so
-even float rounding matches.
+even float rounding matches; :meth:`RoutingEngine.delays_from` accumulates
+along the tree in the same order, so its per-node delays match too.
 """
 
 from __future__ import annotations
@@ -35,9 +45,11 @@ from __future__ import annotations
 import heapq
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.topology.graph import PathInfo
+import numpy as np
+
+from repro.topology.graph import LinkTable, PathInfo
 
 
 @dataclass
@@ -91,39 +103,40 @@ class _CachedRoute:
 
 #: A shortest-path tree: ``tree[node]`` is the index of the link that enters
 #: ``node`` on the shortest path from the tree's source (-1 when unreachable
-#: or when ``node`` is the source itself).  Dense node ids use a compact
-#: ``array``; sparse ids fall back to a dict.
-ShortestPathTree = Union[array, Dict[int, int]]
+#: or when ``node`` is the source itself), one ``array('i')`` slot per node.
+ShortestPathTree = array
 
 
 class RoutingEngine:
-    """Amortized shortest-path routing over a :class:`Topology`'s links.
+    """Amortized shortest-path routing over a :class:`LinkTable`.
 
-    The engine reads the topology's live link list and its structural
-    version; it never touches networkx.  All state is rebuilt lazily when
-    the structure version moves (nodes/links added), which only happens
-    during topology construction in practice.
+    All derived state is rebuilt lazily when the table's structure version
+    moves (nodes/links added), which only happens during topology
+    construction in practice.
     """
 
     #: Default bound on materialized routes (~1M pairs covers a 1000-host
     #: full mesh; beyond that the cache evicts least-recently-used routes).
     DEFAULT_MAX_ROUTES = 1 << 20
 
-    def __init__(self, topology, max_routes: Optional[int] = None) -> None:
+    def __init__(self, links: LinkTable, max_routes: Optional[int] = None) -> None:
         if max_routes is None:
             max_routes = self.DEFAULT_MAX_ROUTES
         if max_routes < 1:
             raise ValueError("max_routes must be positive")
-        self._topology = topology
-        self._links = topology.links  # the live list the topology appends to
+        self._links = links
         self._built_version = -1
-        self._dense = True
         self._n = 0
-        self._adjacency: Union[
-            List[List[Tuple[int, float, int]]], Dict[int, List[Tuple[int, float, int]]]
-        ] = []
-        #: Dense mode only: ``_stub[node]`` marks hosts a solve never queues.
-        self._stub = bytearray()
+        #: Per node: the ``(router, metric, link)`` triples a solve relaxes.
+        #: Links into and out of stub hosts are left out; a stub host's row
+        #: is empty.
+        self._adjacency: List[Tuple[Tuple[int, float, int], ...]] = []
+        #: Per node: a stub host's one out-link, -1 for every other node.
+        self._uplink = array("i")
+        #: Stub hosts, each one's router and the link router -> host.
+        self._hosts = np.empty(0, dtype=np.int32)
+        self._host_router = np.empty(0, dtype=np.int32)
+        self._host_link = np.empty(0, dtype=np.int32)
         self._trees: Dict[int, ShortestPathTree] = {}
         #: Route cache in recency order (python dicts preserve insertion
         #: order; hits re-insert once the bound has been reached, making the
@@ -155,6 +168,11 @@ class RoutingEngine:
         routing metric, cached ``PathInfo.delay_s`` refreshes lazily."""
         self.delay_epoch += 1
 
+    @property
+    def structure_version(self) -> int:
+        """The link table's structure version (moves when nodes/links are added)."""
+        return self._links.structure_version
+
     def invalidate(self) -> None:
         """Drop all trees and routes (structural change or explicit clear)."""
         self._trees.clear()
@@ -163,51 +181,45 @@ class RoutingEngine:
         self._built_version = -1
 
     def _ensure_current(self) -> None:
-        version = self._topology.structure_version
+        links = self._links
+        version = links.structure_version
         if version == self._built_version:
             return
-        links = self._links
-        max_node = -1
-        for link in links:
-            if link.src > max_node:
-                max_node = link.src
-            if link.dst > max_node:
-                max_node = link.dst
-        n = max_node + 1
-        # Generators number nodes densely from zero; guard against a caller
-        # with huge sparse ids blowing up the per-source arrays.
-        dense = n <= 4 * len(links) + 1024
-        # Dijkstra weights use the frozen routing metric, not the live delay:
+        n = links.node_slots
+        src, dst = links.view("src"), links.view("dst")
+        rows = np.arange(len(src), dtype=np.int32)
+        # Each node's only out-link / in-link, where it has exactly one.
+        out_link = np.full(n, -1, dtype=np.int32)
+        out_link[src] = rows
+        in_link = np.full(n, -1, dtype=np.int32)
+        in_link[dst] = rows
+        single = np.flatnonzero(
+            (np.bincount(src, minlength=n) == 1) & (np.bincount(dst, minlength=n) == 1)
+        )
+        up, down = out_link[single], in_link[single]
+        hosts = dst[up] == src[down]
+        self._hosts = single[hosts].astype(np.int32)
+        self._host_router = dst[up[hosts]]
+        self._host_link = down[hosts]
+        uplink = np.full(n, -1, dtype=np.int32)
+        uplink[self._hosts] = up[hosts]
+        self._uplink = array("i", uplink.tobytes())
+        # Dijkstra weights use the pinned routing metric, not the live delay:
         # set_link_delay jitter must never change route choice, even across
         # a structural rebuild (the nx reference keeps its original weights
         # the same way).
-        if dense:
-            adjacency_list: List[List[Tuple[int, float, int]]] = [[] for _ in range(n)]
-            in_links = bytearray(n)  # saturates at 2: only "exactly one" matters
-            for link in links:
-                adjacency_list[link.src].append(
-                    (link.dst, link.routing_metric_s, link.index)
-                )
-                if in_links[link.dst] < 2:
-                    in_links[link.dst] += 1
-            self._adjacency = adjacency_list
-            # Stub hosts: one out-link and one in-link, both to the same
-            # router.  Such a node is reached from that router only and its
-            # own link leads straight back, so a solve settles it on sight.
-            stub = bytearray(n)
-            for link in links:
-                out = adjacency_list[link.dst]
-                if in_links[link.dst] == 1 and len(out) == 1 and out[0][0] == link.src:
-                    stub[link.dst] = 1
-            self._stub = stub
-        else:
-            adjacency_dict: Dict[int, List[Tuple[int, float, int]]] = {}
-            for link in links:
-                adjacency_dict.setdefault(link.src, []).append(
-                    (link.dst, link.routing_metric_s, link.index)
-                )
-            self._adjacency = adjacency_dict
-        self._dense = dense
+        stub = uplink >= 0
+        keep = np.flatnonzero(~stub[src] & ~stub[dst])
+        keep = keep[np.argsort(src[keep], kind="stable")]
+        bounds = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src[keep], minlength=n), out=bounds[1:])
+        triples = list(
+            zip(dst[keep].tolist(), links.view("metric_s")[keep].tolist(), keep.tolist())
+        )
+        bounds = bounds.tolist()
+        self._adjacency = [
+            tuple(triples[start:stop]) for start, stop in zip(bounds, bounds[1:])
+        ]
         self._n = n
         self._trees.clear()
         self._routes.clear()
@@ -225,48 +237,70 @@ class RoutingEngine:
         return tree
 
     def _solve(self, src: int) -> ShortestPathTree:
-        """Binary-heap Dijkstra from ``src`` over the link-delay weights."""
+        """Binary-heap Dijkstra from ``src`` over the routing metric."""
         self.stats.dijkstra_runs += 1
         push, pop = heapq.heappush, heapq.heappop
-        if self._dense:
-            n = self._n
-            parent = array("l", [-1]) * n
-            if not 0 <= src < n:
-                return parent
-            infinity = float("inf")
-            dist = [infinity] * n
-            dist[src] = 0.0
-            adjacency = self._adjacency
-            stub = self._stub
-            heap: List[Tuple[float, int]] = [(0.0, src)]
-            while heap:
-                d, u = pop(heap)
-                if d > dist[u]:
-                    continue  # stale heap entry
-                for v, weight, index in adjacency[u]:
-                    nd = d + weight
-                    if nd < dist[v]:
-                        dist[v] = nd
-                        parent[v] = index
-                        if not stub[v]:  # popping a stub host relaxes nothing
-                            push(heap, (nd, v))
+        n = self._n
+        parent = array("i", [-1]) * n
+        if not 0 <= src < n:
             return parent
-        parent_map: Dict[int, int] = {src: -1}
-        dist_map: Dict[int, float] = {src: 0.0}
+        dist = [float("inf")] * n
+        dist[src] = 0.0
+        uplink = self._uplink[src]
+        if uplink >= 0:
+            # A stub host's only way out is its uplink: start at its router.
+            router = self._links.dst[uplink]
+            weight = self._links.metric_s[uplink]
+            dist[router] = weight
+            parent[router] = uplink
+            heap: List[Tuple[float, int]] = [(weight, router)]
+        else:
+            heap = [(0.0, src)]
         adjacency = self._adjacency
-        heap = [(0.0, src)]
         while heap:
             d, u = pop(heap)
-            if d > dist_map.get(u, d):
-                continue
-            for v, weight, index in adjacency.get(u, ()):  # type: ignore[union-attr]
+            if d > dist[u]:
+                continue  # stale heap entry
+            for v, weight, index in adjacency[u]:
                 nd = d + weight
-                known = dist_map.get(v)
-                if known is None or nd < known:
-                    dist_map[v] = nd
-                    parent_map[v] = index
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = index
                     push(heap, (nd, v))
-        return parent_map
+        # Stub hosts: each hangs off its router, if the solve reached it.
+        tree = np.frombuffer(parent, dtype=np.int32)
+        routers = self._host_router
+        reached = (tree[routers] >= 0) | (routers == src)
+        reached &= self._hosts != src
+        tree[self._hosts[reached]] = self._host_link[reached]
+        return parent
+
+    def delays_from(self, src: int) -> np.ndarray:
+        """Live one-way delay of the route from ``src`` to every node.
+
+        Accumulated outward along ``src``'s tree from ``0.0`` — each node's
+        value is its parent's plus the live delay of the link between them —
+        which is the sum :meth:`path_info` forms walking the same links in
+        ``src -> dst`` order, so every entry is bit-equal to
+        ``path_info(src, node).delay_s``.  ``inf`` where ``src`` has no
+        route; nothing enters the route cache.
+        """
+        tree = np.frombuffer(self.shortest_path_tree(src), dtype=np.int32)
+        delays = np.full(self._n, np.inf)
+        if not 0 <= src < self._n:
+            return delays
+        delays[src] = 0.0
+        pending = np.flatnonzero(tree >= 0)
+        entering = tree[pending]
+        above = self._links.view("src")[entering]
+        weight = self._links.view("delay_s")[entering]
+        # One tree level per round: a node is done once the node above it is.
+        while pending.size:
+            ready = np.isfinite(delays[above])
+            delays[pending[ready]] = delays[above[ready]] + weight[ready]
+            waiting = ~ready
+            pending, above, weight = pending[waiting], above[waiting], weight[waiting]
+        return delays
 
     # ---------------------------------------------------------------- queries
     def path_info(self, src: int, dst: int) -> PathInfo:
@@ -308,45 +342,21 @@ class RoutingEngine:
         self.stats.paths_extracted += 1
         return info
 
-    def path_delay(self, src: int, dst: int) -> float:
-        """Live one-way delay ``src -> dst``, leaving the route cache alone.
-
-        For one-shot probes (landmark coordinates read each pair once): the
-        same links summed in the same ``src -> dst`` order as
-        ``path_info(src, dst).delay_s``, so the value is bit-equal, but
-        nothing is materialized.
-        """
-        if src == dst:
-            return 0.0
-        links = self._links
-        delay = 0.0
-        for index in self._walk(src, dst):
-            delay += links[index].delay_s
-        return delay
-
     def _walk(self, src: int, dst: int) -> List[int]:
         """Link indices of the route ``src -> dst``, read off ``src``'s tree."""
         tree = self.shortest_path_tree(src)
-        links = self._links
+        link_src = self._links.src
         chain: List[int] = []
         append = chain.append
         node = dst
         # One bounds check up front, none per hop: every predecessor the
         # walk visits is a known link endpoint.
-        if isinstance(tree, dict):
-            while node != src:
-                index = tree.get(node, -1)
-                if index < 0:
-                    raise ValueError(f"no route from {src} to {dst}")
-                append(index)
-                node = links[index].src
-        else:
-            if not 0 <= node < len(tree) or tree[node] < 0:
-                raise ValueError(f"no route from {src} to {dst}")
-            while node != src:
-                index = tree[node]
-                append(index)
-                node = links[index].src
+        if not 0 <= node < len(tree) or tree[node] < 0:
+            raise ValueError(f"no route from {src} to {dst}")
+        while node != src:
+            index = tree[node]
+            append(index)
+            node = link_src[index]
         chain.reverse()
         return chain
 
@@ -357,15 +367,16 @@ class RoutingEngine:
         float accumulation is bit-identical for the same route.
         """
         links = self._links
+        delays, losses, capacities = links.delay_s, links.loss_rate, links.capacity_kbps
         delay = 0.0
         survive = 1.0
         bottleneck = float("inf")
         for index in link_indices:
-            link = links[index]
-            delay += link.delay_s
-            survive *= 1.0 - link.loss_rate
-            if link.capacity_kbps < bottleneck:
-                bottleneck = link.capacity_kbps
+            delay += delays[index]
+            survive *= 1.0 - losses[index]
+            capacity = capacities[index]
+            if capacity < bottleneck:
+                bottleneck = capacity
         return PathInfo(
             links=link_indices,
             delay_s=delay,
@@ -410,15 +421,11 @@ class RoutingEngine:
             tree = self.shortest_path_tree(src)
             if targets is None:
                 continue
-            is_dict = isinstance(tree, dict)
             size = len(tree)
             for dst in targets:
                 if dst == src or (src, dst) in routes:
                     continue
-                if is_dict:
-                    if tree.get(dst, -1) < 0:
-                        continue
-                elif not 0 <= dst < size or tree[dst] < 0:
+                if not 0 <= dst < size or tree[dst] < 0:
                     continue
                 self.path_info(src, dst)
                 materialized += 1

@@ -52,11 +52,10 @@ def estimate_overlay_link_throughput(
     rtt, loss = topology.round_trip(src, dst)
     formula_rate = tcp_throughput_kbps(max(rtt, 1e-3), loss)
     rate = min(formula_rate, max_fanout_rate_kbps)
-    path = topology.path(src, dst)
-    for link_index in path.links:
-        link = topology.link(link_index)
+    capacities = topology.links.capacity_kbps
+    for link_index in topology.path(src, dst).links:
         competing = link_flow_counts.get(link_index, 0) + 1
-        rate = min(rate, link.capacity_kbps / competing)
+        rate = min(rate, capacities[link_index] / competing)
     return rate
 
 
@@ -128,12 +127,12 @@ def tree_bottleneck_estimate(
             link_flow_counts[link_index] = link_flow_counts.get(link_index, 0) + 1
 
     per_edge: Dict[Tuple[int, int], float] = {}
+    capacities = topology.links.capacity_kbps
     for parent, child in tree.edges():
         rtt, loss = topology.round_trip(parent, child)
         rate = tcp_throughput_kbps(max(rtt, 1e-3), loss)
         for link_index in topology.path(parent, child).links:
-            link = topology.link(link_index)
-            rate = min(rate, link.capacity_kbps / link_flow_counts[link_index])
+            rate = min(rate, capacities[link_index] / link_flow_counts[link_index])
         per_edge[(parent, child)] = rate
     bottleneck = min(per_edge.values()) if per_edge else float("inf")
     return bottleneck, per_edge

@@ -41,8 +41,8 @@ class TestBuildWorkload:
     def test_lossy_flag_adds_loss(self):
         clean = build_workload(n_overlay=12, seed=4, lossy=False)
         lossy = build_workload(n_overlay=12, seed=4, lossy=True)
-        assert all(link.loss_rate == 0.0 for link in clean.topology.links)
-        assert any(link.loss_rate > 0.0 for link in lossy.topology.links)
+        assert all(loss == 0.0 for loss in clean.topology.links.loss_rate)
+        assert any(loss > 0.0 for loss in lossy.topology.links.loss_rate)
 
     def test_deterministic_for_seed(self):
         a = build_workload(n_overlay=12, seed=5)
@@ -59,7 +59,7 @@ class TestBuildWorkload:
     def test_bandwidth_class_propagates(self):
         low = build_workload(n_overlay=10, seed=7, bandwidth_class=BandwidthClass.LOW)
         assert low.bandwidth_class == BandwidthClass.LOW
-        max_capacity = max(link.capacity_kbps for link in low.topology.links)
+        max_capacity = max(low.topology.links.capacity_kbps)
         assert max_capacity <= 4000.0  # Table 1: low transit-transit upper bound
 
 

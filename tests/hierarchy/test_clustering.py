@@ -1,16 +1,21 @@
 """Proximity clustering, head election and nearest-cluster lookup."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.clustering import scalar_elect_head
+from oracles.routing import landmark_estimate
 
 from repro.experiments.workloads import build_workload
 from repro.hierarchy.clustering import (
     access_capacity_kbps,
-    access_router,
+    access_uplinks,
     elect_head,
     nearest_head,
     plan_clusters,
     promotion_candidate,
 )
+from repro.topology.landmarks import LandmarkLatencyEstimator
+from repro.util.rng import SeededRng
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +73,8 @@ class TestPlanClusters:
         )
         previous_max = None
         for plan in plans[1:]:
-            routers = sorted(
-                access_router(workload.topology, node) for node in plan.members()
-            )
+            uplinks = access_uplinks(workload.topology, plan.members())
+            routers = sorted(workload.topology.links.view("dst")[uplinks].tolist())
             if previous_max is not None:
                 assert routers[0] >= previous_max
             previous_max = routers[-1]
@@ -118,3 +122,38 @@ class TestNearestHead:
     def test_no_heads_rejected(self, workload):
         with pytest.raises(ValueError, match="heads"):
             nearest_head(workload.topology, [], workload.source)
+
+
+# ------------------------------------------ vectorised keys == scalar keys
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=1, max_value=2**16),
+    size=st.integers(min_value=1, max_value=24),
+    tied=st.integers(min_value=0, max_value=6),
+    with_estimator=st.booleans(),
+)
+def test_vectorised_election_equals_the_scalar_key_rule(seed, size, tied, with_estimator):
+    """``elect_head`` (one gather + one ``estimate_rtts`` pass) picks the
+    ``min (-capacity, [rtt,] node)`` member the per-member oracle picks,
+    including when uplink capacities tie."""
+    topology = build_workload(n_overlay=30, seed=seed, with_tree=False).topology
+    clients = list(topology.client_nodes)
+    rng = SeededRng(seed, "election")
+    members = rng.sample(clients, min(size, len(clients) - 1))
+    source = rng.choice([node for node in clients if node not in members])
+    for node in members[:tied]:  # equal uplinks: the tie-breaks decide
+        topology.set_link_capacity(int(access_uplinks(topology, [node])[0]), 1500.0)
+    estimator = (
+        LandmarkLatencyEstimator(topology, clients, seed, n_landmarks=3)
+        if with_estimator else None
+    )
+    assert elect_head(topology, members, estimator, source) == scalar_elect_head(
+        topology, members, estimator, source
+    )
+    for plan in plan_clusters(topology, source, [source, *members], 5, estimator=estimator):
+        members_of_plan = plan.members()
+        assert plan.head == scalar_elect_head(topology, members_of_plan, estimator, source)
+    if estimator is not None:
+        heads = members[:5]
+        expected = min((landmark_estimate(estimator, head, source), head) for head in heads)[1]
+        assert nearest_head(topology, heads, source, estimator=estimator) == expected

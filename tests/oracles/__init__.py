@@ -3,8 +3,10 @@
 One module per layer — the sort-everything working set and per-packet loops
 (:mod:`oracles.reconcile`), the dict-of-counters stats collector
 (:mod:`oracles.stats`), the scalar max-min solver (:mod:`oracles.fairshare`),
-per-pair networkx routing (:mod:`oracles.routing`), the scalar interior
-stepper (:mod:`oracles.interior`) and the synchronous RanSub driver
+per-pair networkx routing and per-pair landmark probes
+(:mod:`oracles.routing`), the per-member head-election key
+(:mod:`oracles.clustering`), the scalar interior stepper
+(:mod:`oracles.interior`) and the synchronous RanSub driver
 (:mod:`oracles.ransub`).  Nothing here is imported from ``src/``; the root
 ``conftest.py`` puts ``tests/`` on the path.
 """

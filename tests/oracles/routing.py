@@ -1,13 +1,20 @@
-"""Per-pair networkx route resolution, kept as the routing engine's oracle.
+"""Per-pair route resolution, kept as the routing engine's oracles.
 
-Lifted from ``Topology.path`` when the routing engine became the only route
-resolver in ``src/``: one ``nx.shortest_path`` per query over a graph built
-from ``topology.links`` (weight = the pinned ``routing_metric_s``),
-attributes walked from the live links, nothing cached — so it cannot go stale
-under ``set_link_*`` mutations.  This is the only place networkx is imported.
+``networkx_path`` was lifted from ``Topology.path`` when the routing engine
+became the only route resolver in ``src/``: one ``nx.shortest_path`` per
+query over a graph built from the link table (weight = the pinned
+``metric_s`` column), attributes walked from the live columns, nothing
+cached — so it cannot go stale under ``set_link_*`` mutations.  This is the
+only place networkx is imported.
+
+``landmark_coordinates`` is the per-pair coordinate probe the landmark
+estimator's table replaced: one route walk per (landmark, node) pair, summing
+live delays in ``landmark -> node`` order.  ``landmark_estimate`` is the
+per-pair triangle-bracket midpoint the estimator computes for many nodes at
+once.
 """
 
-from typing import List
+from typing import List, Tuple
 
 import networkx as nx
 
@@ -16,8 +23,9 @@ from repro.topology.graph import PathInfo, Topology
 
 def _graph(topology: Topology) -> nx.DiGraph:
     graph = nx.DiGraph()
-    for link in topology.links:
-        graph.add_edge(link.src, link.dst, weight=link.routing_metric_s)
+    links = topology.links
+    for src, dst, metric in zip(links.src, links.dst, links.metric_s):
+        graph.add_edge(src, dst, weight=metric)
     return graph
 
 
@@ -34,8 +42,9 @@ def networkx_path(topology: Topology, src: int, dst: int) -> PathInfo:
     survive = 1.0
     bottleneck = float("inf")
     for a, b in zip(node_path, node_path[1:]):
-        link = topology.link_between(a, b)
-        link_indices.append(link.index)
+        index = topology.link_between(a, b)
+        link = topology.link(index)
+        link_indices.append(index)
         delay += link.delay_s
         survive *= 1.0 - link.loss_rate
         bottleneck = min(bottleneck, link.capacity_kbps)
@@ -45,3 +54,27 @@ def networkx_path(topology: Topology, src: int, dst: int) -> PathInfo:
         loss_rate=1.0 - survive,
         bottleneck_kbps=bottleneck,
     )
+
+
+def path_delay(topology: Topology, src: int, dst: int) -> float:
+    """Live one-way delay ``src -> dst``: the route's links summed in order."""
+    delay = 0.0
+    for index in topology.path(src, dst).links:
+        delay += topology.links.delay_s[index]
+    return delay
+
+
+def landmark_coordinates(topology: Topology, landmarks, node: int) -> Tuple[float, ...]:
+    """A node's RTT to each landmark, one route walk per pair."""
+    return tuple(2.0 * path_delay(topology, landmark, node) for landmark in landmarks)
+
+
+def landmark_estimate(estimator, a: int, b: int) -> float:
+    """The landmark RTT estimate for one pair, from the two coordinate tuples:
+    the midpoint of ``max |c(a) - c(b)|`` and ``min (c(a) + c(b))``."""
+    if a == b:
+        return 0.0
+    ca, cb = estimator.coordinates(a), estimator.coordinates(b)
+    lower = max(abs(x - y) for x, y in zip(ca, cb))
+    upper = min(x + y for x, y in zip(ca, cb))
+    return 0.5 * (lower + upper)

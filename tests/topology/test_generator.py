@@ -7,7 +7,7 @@ from repro.topology.generator import (
     generate_topology,
     place_overlay_participants,
 )
-from repro.topology.links import BandwidthClass, LinkType, TABLE_1_RANGES
+from repro.topology.links import LINK_TYPES, BandwidthClass, LinkType, TABLE_1_RANGES
 
 
 SMALL = TopologyConfig(
@@ -55,18 +55,20 @@ class TestGenerateTopology:
 
     def test_every_client_has_single_uplink(self):
         topo = generate_topology(SMALL)
+        sources = list(topo.links.src)
         for client in topo.client_nodes:
-            assert len(topo.out_links(client)) == 1
+            assert sources.count(client) == 1
 
     def test_all_link_types_present(self):
         topo = generate_topology(SMALL)
-        present = {link.link_type for link in topo.links}
+        present = {LINK_TYPES[code] for code in topo.links.link_type}
         assert present == set(LinkType)
 
     def test_capacities_within_table1(self):
         topo = generate_topology(SMALL)
         ranges = TABLE_1_RANGES[SMALL.bandwidth_class]
-        for link in topo.links:
+        for index in range(topo.num_links):
+            link = topo.link(index)
             low, high = ranges[link.link_type]
             assert low <= link.capacity_kbps <= high
 
@@ -74,9 +76,7 @@ class TestGenerateTopology:
         a = generate_topology(SMALL)
         b = generate_topology(SMALL)
         assert a.num_nodes == b.num_nodes
-        assert [round(l.capacity_kbps, 6) for l in a.links] == [
-            round(l.capacity_kbps, 6) for l in b.links
-        ]
+        assert list(a.links.capacity_kbps) == list(b.links.capacity_kbps)
 
     def test_different_seed_changes_capacities(self):
         other = TopologyConfig(
@@ -84,7 +84,7 @@ class TestGenerateTopology:
         )
         a = generate_topology(SMALL)
         b = generate_topology(other)
-        assert [l.capacity_kbps for l in a.links] != [l.capacity_kbps for l in b.links]
+        assert list(a.links.capacity_kbps) != list(b.links.capacity_kbps)
 
     def test_client_routes_cross_topology(self):
         topo = generate_topology(SMALL)
@@ -99,8 +99,8 @@ class TestGenerateTopology:
         )
         low_topo = generate_topology(low_config)
         medium_topo = generate_topology(SMALL)
-        low_avg = sum(l.capacity_kbps for l in low_topo.links) / low_topo.num_links
-        medium_avg = sum(l.capacity_kbps for l in medium_topo.links) / medium_topo.num_links
+        low_avg = sum(low_topo.links.capacity_kbps) / low_topo.num_links
+        medium_avg = sum(medium_topo.links.capacity_kbps) / medium_topo.num_links
         assert low_avg < medium_avg
 
 

@@ -1,9 +1,12 @@
 """Tests for the Topology graph, routing and path properties."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.topology.graph import Topology, iter_path_links
-from repro.topology.links import LinkType
+from repro.topology.graph import Topology
+from repro.topology.links import LinkSpec, LinkType
 
 
 def build_line_topology():
@@ -50,6 +53,39 @@ class TestTopologyBuild:
         assert topo.link_between(0, 1) is not None
         assert topo.link_between(0, 4) is None
 
+    def test_link_between_ids_out_of_range(self):
+        # A lookup packs (src, dst) into one key; an id outside the node
+        # slots must miss rather than land on another pair's key (1 -> 0).
+        topo = build_line_topology()
+        slots = topo.links.node_slots
+        for src, dst in ((0, slots), (0, 1 << 32), (0, -1), (-1, 0), (slots, 0)):
+            assert topo.link_between(src, dst) is None
+        assert topo.links.find([0, 1, 0], [slots, 0, 1 << 32]).tolist() == [
+            -1, topo.link_between(1, 0), -1
+        ]
+
+    def test_pair_index_follows_one_at_a_time_builds(self):
+        # Rows appended between lookups (one by one, interleaved with new
+        # nodes, and in bulk) are merged into the sorted index; every lookup
+        # still equals a scan of the columns.
+        topo = Topology()
+        for node in range(24):
+            topo.add_node(node, "stub")
+            for other in range(node % 5, node, 5):
+                topo.add_duplex_link(node, other, LinkType.STUB_STUB, 100.0, 0.01)
+        topo.links.sorted_rows()
+        topo.add_links([3, 7, 20], [1, 21, 2], [LinkType.STUB_STUB] * 3, [1.0] * 3, [0.01] * 3)
+        scanned = {
+            (src, dst): index
+            for index, (src, dst) in enumerate(zip(topo.links.src, topo.links.dst))
+        }
+        for src in range(24):
+            for dst in range(24):
+                assert topo.links.find([src], [dst])[0] == scanned.get((src, dst), -1)
+        keys, order = topo.links.sorted_rows()
+        assert sorted(keys.tolist()) == keys.tolist()
+        assert sorted(order.tolist()) == list(range(topo.num_links))
+
     def test_describe_counts(self):
         topo = build_line_topology()
         summary = topo.describe()
@@ -65,6 +101,94 @@ class TestTopologyBuild:
         topo.add_duplex_link(0, 3, LinkType.CLIENT_STUB, 100.0, 0.001)
         with pytest.raises(ValueError):
             topo.validate()
+
+    def test_validate_rejects_disconnected(self):
+        topo = build_line_topology()
+        topo.add_node(5, "stub")
+        topo.add_node(6, "client")
+        topo.add_duplex_link(5, 6, LinkType.CLIENT_STUB, 100.0, 0.001)
+        with pytest.raises(ValueError, match="not connected"):
+            topo.validate()
+
+    def test_link_is_an_immutable_snapshot(self):
+        topo = build_line_topology()
+        index = topo.link_between(1, 2)
+        before = topo.link(index)
+        assert before == LinkSpec(1, 2, LinkType.TRANSIT_STUB, 2000.0, 0.01)
+        topo.set_link_loss(index, 0.25)
+        assert before.loss_rate == 0.0
+        assert topo.link(index).loss_rate == 0.25
+        with pytest.raises(AttributeError):
+            before.loss_rate = 0.5  # type: ignore[misc]
+
+
+class TestIngestRanges:
+    """Every link enters through ``add_links``, which rejects what the
+    ``set_link_*`` mutators reject — and adds nothing when one row fails."""
+
+    def topo(self):
+        topo = Topology()
+        for node in range(3):
+            topo.add_node(node, "stub")
+        return topo
+
+    @pytest.mark.parametrize("capacity", [0.0, -5.0, float("nan")])
+    def test_capacity_must_be_positive(self, capacity):
+        topo = self.topo()
+        with pytest.raises(ValueError, match=r"capacity_kbps must be > 0"):
+            topo.add_link(0, 1, LinkType.STUB_STUB, capacity, 0.01)
+        assert topo.num_links == 0
+
+    @pytest.mark.parametrize("delay", [0.0, -0.1, float("nan")])
+    def test_delay_must_be_positive(self, delay):
+        topo = self.topo()
+        with pytest.raises(ValueError, match=r"delay_s must be > 0"):
+            topo.add_link(0, 1, LinkType.STUB_STUB, 100.0, delay)
+        assert topo.num_links == 0
+
+    @pytest.mark.parametrize("loss", [-0.01, 1.0, 1.5])
+    def test_loss_must_be_in_unit_interval(self, loss):
+        topo = self.topo()
+        with pytest.raises(ValueError, match=r"loss_rate must be in \[0, 1\)"):
+            topo.add_link(0, 1, LinkType.STUB_STUB, 100.0, 0.01, loss)
+        assert topo.num_links == 0
+
+    def test_one_bad_row_rejects_the_batch(self):
+        topo = self.topo()
+        with pytest.raises(ValueError, match="duplicate link 1->2"):
+            topo.add_links(
+                [0, 1, 1], [1, 2, 2], [LinkType.STUB_STUB] * 3, [100.0] * 3, [0.01] * 3
+            )
+        assert topo.num_links == 0
+        assert list(topo.add_links([0, 1], [1, 2], [LinkType.STUB_STUB] * 2,
+                                   [100.0] * 2, [0.01] * 2)) == [0, 1]
+
+    def test_mutators_share_the_ranges(self):
+        topo = build_line_topology()
+        with pytest.raises(ValueError, match=r"loss_rate must be in \[0, 1\)"):
+            topo.set_link_loss(0, 1.5)
+        with pytest.raises(ValueError, match=r"delay_s must be > 0"):
+            topo.set_link_delay(0, -0.1)
+
+
+class TestReclaim:
+    def test_warmed_topology_is_freed_by_refcount_alone(self):
+        # The routing engine holds the link table, not the topology: no
+        # reference cycle, so no collector pass is needed to free a session's
+        # underlay.
+        topo = build_line_topology()
+        topo.warm_routes([0, 4], [0, 4])
+        topo.path(0, 4)
+        topo.links.sorted_rows()
+        ref = weakref.ref(topo)
+        engine = weakref.ref(topo.routing)
+        gc.disable()
+        try:
+            del topo
+            assert ref() is None
+            assert engine() is None
+        finally:
+            gc.enable()
 
 
 class TestRouting:
@@ -92,8 +216,8 @@ class TestRouting:
 
     def test_path_loss_composes(self):
         topo = build_line_topology()
-        topo.set_link_loss(topo.link_between(0, 1).index, 0.1)
-        topo.set_link_loss(topo.link_between(1, 2).index, 0.1)
+        topo.set_link_loss(topo.link_between(0, 1), 0.1)
+        topo.set_link_loss(topo.link_between(1, 2), 0.1)
         info = topo.path(0, 4)
         assert info.loss_rate == pytest.approx(1 - 0.9 * 0.9)
 
@@ -106,7 +230,7 @@ class TestRouting:
     def test_set_link_loss_invalidates_cache(self):
         topo = build_line_topology()
         before = topo.path(0, 4).loss_rate
-        topo.set_link_loss(topo.link_between(2, 3).index, 0.2)
+        topo.set_link_loss(topo.link_between(2, 3), 0.2)
         after = topo.path(0, 4).loss_rate
         assert before == 0.0 and after == pytest.approx(0.2)
 
@@ -117,9 +241,9 @@ class TestRouting:
         with pytest.raises(ValueError):
             topo.path(0, 1)
 
-    def test_iter_path_links(self):
+    def test_reverse_path_links_walk_back(self):
         topo = build_line_topology()
-        links = list(iter_path_links(topo, 4, 0))
+        links = [topo.link(index) for index in topo.path(4, 0).links]
         assert [link.src for link in links] == [4, 3, 2, 1]
 
 
@@ -128,8 +252,8 @@ class TestCapacityMap:
         topo = build_line_topology()
         capacities = topo.capacity_map()
         assert len(capacities) == topo.num_links
-        for link in topo.links:
-            assert capacities[link.index] == link.capacity_kbps
+        for index in range(topo.num_links):
+            assert capacities[index] == topo.link(index).capacity_kbps
 
     def test_capacity_map_is_cached(self):
         topo = build_line_topology()
@@ -144,11 +268,11 @@ class TestCapacityMap:
         assert topo.capacity_version > version
         second = topo.capacity_map()
         assert second is not first
-        assert second[topo.link_between(99, 0).index] == 777.0
+        assert second[topo.link_between(99, 0)] == 777.0
 
     def test_set_link_capacity(self):
         topo = build_line_topology()
-        index = topo.link_between(0, 1).index
+        index = topo.link_between(0, 1)
         bottleneck_before = topo.path(0, 2).bottleneck_kbps
         version = topo.capacity_version
         topo.set_link_capacity(index, 123.0)

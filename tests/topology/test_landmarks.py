@@ -10,6 +10,7 @@ seed, same landmarks, same estimates, independent of query order) and the
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.routing import landmark_coordinates, landmark_estimate
 
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.landmarks import (
@@ -146,3 +147,47 @@ def test_estimator_rejects_degenerate_inputs():
         LandmarkLatencyEstimator(topology, clients, seed=3, n_landmarks=0)
     with pytest.raises(ValueError):
         LandmarkLatencyEstimator(topology, [], seed=3)
+
+
+#: Live-delay jitter: (link position, new one-way delay).
+jitters = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=0.999), st.floats(min_value=0.001, max_value=0.2)),
+    max_size=3,
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(min_value=1, max_value=2**20),
+    n_landmarks=st.integers(min_value=1, max_value=5),
+    before=jitters,
+    after=jitters,
+)
+def test_table_coordinates_equal_per_pair_walks(seed, n_landmarks, before, after):
+    """The table read off the landmark trees == one route walk per pair
+    (``oracles.routing.landmark_coordinates``), bit for bit, for every node,
+    with latency jitter before and after construction; and the vectorised
+    estimates == the per-pair bracket midpoints
+    (``oracles.routing.landmark_estimate``)."""
+    topology = build_topology(seed)
+
+    def jitter(changes):
+        for position, delay in changes:
+            topology.set_link_delay(int(position * topology.num_links), delay)
+
+    def assert_table_matches():
+        for node in range(topology.num_nodes):
+            assert estimator.coordinates(node) == landmark_coordinates(
+                topology, estimator.landmarks, node
+            )
+        clients = list(topology.client_nodes)
+        source = clients[seed % len(clients)]
+        assert estimator.estimate_rtts(source, clients).tolist() == [
+            landmark_estimate(estimator, source, node) for node in clients
+        ]
+
+    jitter(before)
+    estimator = build_landmark_estimator(topology, seed, n_landmarks)
+    assert_table_matches()
+    jitter(after)
+    assert_table_matches()

@@ -15,6 +15,10 @@ def make_topology(seed=5):
     )
 
 
+def snapshots(topology):
+    return [topology.link(index) for index in range(topology.num_links)]
+
+
 class TestLossConfig:
     def test_defaults_match_paper(self):
         config = LossConfig()
@@ -37,15 +41,15 @@ class TestApplyLossModel:
     def test_all_losses_within_bounds(self):
         topo = make_topology()
         apply_loss_model(topo, LossConfig(seed=1))
-        for link in topo.links:
+        for link in snapshots(topo):
             assert 0.0 <= link.loss_rate <= 0.10 + 1e-9
 
     def test_non_overloaded_links_respect_class_caps(self):
         topo = make_topology()
         config = LossConfig(seed=1)
         apply_loss_model(topo, config)
-        overloaded = [link for link in topo.links if link.loss_rate >= config.overloaded_min]
-        normal = [link for link in topo.links if link.loss_rate < config.overloaded_min]
+        overloaded = [link for link in snapshots(topo) if link.loss_rate >= config.overloaded_min]
+        normal = [link for link in snapshots(topo) if link.loss_rate < config.overloaded_min]
         for link in normal:
             cap = (
                 config.transit_max
@@ -58,7 +62,7 @@ class TestApplyLossModel:
         topo = make_topology()
         config = LossConfig(seed=1)
         apply_loss_model(topo, config)
-        overloaded = sum(1 for link in topo.links if link.loss_rate >= config.overloaded_min)
+        overloaded = sum(1 for link in snapshots(topo) if link.loss_rate >= config.overloaded_min)
         expected = round(config.overloaded_fraction * topo.num_links)
         assert abs(overloaded - expected) <= max(2, expected // 2)
 
@@ -66,13 +70,13 @@ class TestApplyLossModel:
         a, b = make_topology(), make_topology()
         apply_loss_model(a, LossConfig(seed=9))
         apply_loss_model(b, LossConfig(seed=9))
-        assert [l.loss_rate for l in a.links] == [l.loss_rate for l in b.links]
+        assert [l.loss_rate for l in snapshots(a)] == [l.loss_rate for l in snapshots(b)]
 
     def test_clear_loss(self):
         topo = make_topology()
         apply_loss_model(topo, LossConfig(seed=2))
         clear_loss(topo)
-        assert all(link.loss_rate == 0.0 for link in topo.links)
+        assert all(link.loss_rate == 0.0 for link in snapshots(topo))
 
     def test_paths_become_lossy(self):
         topo = make_topology()

@@ -98,39 +98,37 @@ class TestSetLinkDelay:
         topology = line_topology()
         before = topology.path(0, 4)
         link = topology.link_between(1, 2)
-        topology.set_link_delay(link.index, 0.5)
+        topology.set_link_delay(link, 0.5)
         after = topology.path(0, 4)
         assert after.links == before.links  # fixed-routing: no re-route
         assert after.delay_s == pytest.approx(before.delay_s - 0.01 + 0.5)
         assert topology.routing_stats.delay_refreshes >= 1
 
-    def test_routing_metric_frozen_at_first_mutation(self):
+    def test_routing_metric_frozen_at_ingest(self):
         topology = line_topology()
         link = topology.link_between(1, 2)
-        assert link.routing_weight_s is None
-        assert link.routing_metric_s == 0.01
-        topology.set_link_delay(link.index, 0.5)
-        topology.set_link_delay(link.index, 0.9)
-        assert link.routing_weight_s == 0.01  # construction-time metric
-        assert link.routing_metric_s == 0.01
-        assert link.delay_s == 0.9
+        assert topology.links.metric_s[link] == 0.01
+        topology.set_link_delay(link, 0.5)
+        topology.set_link_delay(link, 0.9)
+        assert topology.links.metric_s[link] == 0.01  # construction-time metric
+        assert topology.link(link).delay_s == 0.9
 
     def test_structural_growth_keeps_mutated_metric(self):
         # A structural rebuild re-runs Dijkstra; it must use the frozen
         # metric, not the mutated live delay, so routes stay stable.
         topology = line_topology()
         link = topology.link_between(2, 3)
-        topology.set_link_delay(link.index, 60.0)  # huge live latency
+        topology.set_link_delay(link, 60.0)  # huge live latency
         topology.add_node(5, "client")
         topology.add_duplex_link(3, 5, LinkType.CLIENT_STUB, 500.0, 0.002)
         path = topology.path(0, 5)
-        assert link.index in path.links  # still routed over 2->3
+        assert link in path.links  # still routed over 2->3
         assert path.delay_s > 60.0  # but the aggregate reflects the mutation
 
     def test_networkx_oracle_sees_identical_aggregates(self):
         topology = line_topology()
         topology.path(0, 4)
-        topology.set_link_delay(topology.link_between(1, 2).index, 0.25)
+        topology.set_link_delay(topology.link_between(1, 2), 0.25)
         a = topology.path(0, 4)
         b = networkx_path(topology, 0, 4)
         assert a.links == b.links
@@ -142,4 +140,4 @@ class TestSetLinkDelay:
         topology = line_topology()
         link = topology.link_between(0, 1)
         with pytest.raises(ValueError):
-            topology.set_link_delay(link.index, 0.0)
+            topology.set_link_delay(link, 0.0)

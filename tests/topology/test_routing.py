@@ -104,14 +104,14 @@ class TestSplitRouteAttributeCaches:
     def test_loss_values_refresh_lazily(self):
         topo = line_topology()
         assert topo.path(0, 4).loss_rate == 0.0
-        topo.set_link_loss(topo.link_between(2, 3).index, 0.25)
+        topo.set_link_loss(topo.link_between(2, 3), 0.25)
         assert topo.path(0, 4).loss_rate == pytest.approx(0.25)
 
     def test_capacity_change_refreshes_bottleneck_without_resolve(self):
         topo = line_topology()
         assert topo.path(0, 4).bottleneck_kbps == 500.0
         solves = topo.routing_stats.dijkstra_runs
-        topo.set_link_capacity(topo.link_between(3, 4).index, 80.0)
+        topo.set_link_capacity(topo.link_between(3, 4), 80.0)
         assert topo.path(0, 4).bottleneck_kbps == 80.0
         assert topo.routing_stats.dijkstra_runs == solves
 
@@ -119,7 +119,7 @@ class TestSplitRouteAttributeCaches:
         """Snapshots held by flows must not change under later refreshes."""
         topo = line_topology()
         before = topo.path(0, 4)
-        topo.set_link_loss(topo.link_between(0, 1).index, 0.5)
+        topo.set_link_loss(topo.link_between(0, 1), 0.5)
         after = topo.path(0, 4)
         assert before.loss_rate == 0.0
         assert after.loss_rate == pytest.approx(0.5)
@@ -177,10 +177,10 @@ class TestEngineQueriesAvoidDijkstraAfterWarm:
                     topo.path(src, dst)
         assert topo.routing_stats.dijkstra_runs == solves
 
-    def test_clear_path_cache_resets_engine(self):
+    def test_invalidate_resets_engine(self):
         topo = line_topology()
         topo.path(0, 4)
-        topo.clear_path_cache()
+        topo.routing.invalidate()
         assert topo.routing.cached_route_count() == 0
         assert topo.routing.cached_tree_count() == 0
         assert_same_path(topo.path(0, 4), topo.path(0, 4))
