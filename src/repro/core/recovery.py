@@ -154,8 +154,12 @@ class SenderQueue:
     def _unsent_wanted(self, sequences: Iterable[int]) -> List[int]:
         """The ``sequences`` the installed request wants and we never pushed.
 
-        Row and range are cheap arithmetic; they run before the Bloom probe
-        so the k-hash membership test only sees this sender's row.
+        The one selection both :meth:`install_request` and
+        :meth:`offer_new_packets` use.  The Bloom filter is not probed key by
+        key: :meth:`BloomSnapshot.missing_flags` tests the whole request range
+        in one vector pass, shared by every sender the snapshot is installed
+        at and by every later offer, and each key reads its flag.  The result
+        holds the caller's own int objects, in the caller's order.
         """
         request = self.request
         sent = self.already_sent
@@ -163,13 +167,14 @@ class SenderQueue:
         high = request.high
         total = request.total_senders
         mod = request.mod
+        missing = request.bloom.missing_flags(low, high)
         if total > 1:
-            candidates = [
-                s for s in sequences if low <= s <= high and s % total == mod and s not in sent
+            return [
+                s
+                for s in sequences
+                if low <= s <= high and s % total == mod and missing[s - low] and s not in sent
             ]
-        else:
-            candidates = [s for s in sequences if low <= s <= high and s not in sent]
-        return request.bloom.missing(candidates) if candidates else candidates
+        return [s for s in sequences if low <= s <= high and missing[s - low] and s not in sent]
 
     def install_request(self, request: RecoveryRequest, holdings: Iterable[int]) -> None:
         """Install a fresh recovery request and rebuild the pending queue.

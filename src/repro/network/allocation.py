@@ -30,7 +30,7 @@ cheaper c/n estimate, or any registered callable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, Sequence, Set
 
 from repro.analysis.shakeout import tracked_set
 from repro.network.fairshare import (
@@ -86,11 +86,10 @@ class EngineStats:
 
 
 @dataclass
-class _FlowState:
-    """Per-flow cached view: constrained links and the last submitted cap."""
+class _FlowState(AllocationRequest):
+    """Per-flow cached view: the solver request for the flow (its constrained
+    links and last submitted cap) plus its membership in the link graph."""
 
-    links: Tuple[int, ...]
-    cap_kbps: float
     participating: bool = field(default=False)
 
 
@@ -154,7 +153,7 @@ class AllocationEngine:
             links = tuple(
                 link for link in link_indices if link in self._capacities
             )
-            state = _FlowState(links=links, cap_kbps=cap_kbps)
+            state = _FlowState(flow_key, links, cap_kbps)
             self._state[flow_key] = state
             self._mutated = True
             if cap_kbps > _EPSILON:
@@ -223,13 +222,7 @@ class AllocationEngine:
         self._dirty_links.clear()
         if affected:
             requests: List[AllocationRequest] = [
-                AllocationRequest(
-                    flow_key=flow_key,
-                    link_indices=state.links,
-                    cap_kbps=state.cap_kbps,
-                )
-                for flow_key, state in self._state.items()
-                if flow_key in affected
+                state for flow_key, state in self._state.items() if flow_key in affected
             ]
             solved = self._solver(requests, self._capacities)
             self._allocation.update(solved)
@@ -241,7 +234,7 @@ class AllocationEngine:
     def _join(self, flow_key: int, state: _FlowState) -> None:
         state.participating = True
         link_flows = self._link_flows
-        for link in state.links:
+        for link in state.link_indices:
             members = link_flows.get(link)
             if members is None:
                 members = set()
@@ -253,7 +246,7 @@ class AllocationEngine:
         state.participating = False
         dirty_links = self._dirty_links
         link_flows = self._link_flows
-        for link in state.links:
+        for link in state.link_indices:
             members = link_flows.get(link)
             if members is not None:
                 members.discard(flow_key)
@@ -278,7 +271,7 @@ class AllocationEngine:
                     stack.append(flow_key)
         while stack:
             flow_key = stack.pop()
-            for link in state_map[flow_key].links:
+            for link in state_map[flow_key].link_indices:
                 if link in seen_links:
                     continue
                 seen_links.add(link)

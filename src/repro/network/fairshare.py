@@ -13,15 +13,23 @@ of application demand and the TFRC allowed rate):
 
 The implementation freezes whole groups per iteration so the number of
 iterations is bounded by the number of distinct bottlenecks, not the number
-of flows.  It runs over flat numpy arrays; the scalar loop it was derived
-from is the oracle in ``tests/oracles/fairshare.py``, and every operation is
-an elementwise IEEE-754 float64 operation in the same order as there, so the
-two are bit-equal (``min`` over an array equals chained two-argument
-comparisons; ``+ - * /`` round identically in numpy and CPython).
+of flows, and the cost of an iteration by a fixed handful of numpy calls:
+the round's group (every flow at its cap plus every flow crossing a link
+that saturated) is frozen with one ``alive``/``alloc`` write, one
+``np.subtract.at`` over the group's concatenated links and one scan for links
+left without an active flow.  It runs over flat numpy arrays; the scalar
+loop it was derived from is the oracle in ``tests/oracles/fairshare.py``,
+and every operation is an elementwise IEEE-754 float64 operation in the same
+order as there, so the two are bit-equal (``min`` over an array equals
+chained two-argument comparisons; ``+ - * /`` round identically in numpy and
+CPython; a round's freezes all happen at the same fill level, and the
+integer count updates commute, so freezing them as one group equals the
+scalar's flow-by-flow loop).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence
 
@@ -60,9 +68,9 @@ class VectorizedMaxMinSolver:
         self._e_flow: np.ndarray = np.zeros(0, dtype=np.intp)
         self._e_link: np.ndarray = np.zeros(0, dtype=np.intp)
         self._base_remaining: np.ndarray = np.zeros(0, dtype=np.float64)
-        self._flow_ptr: np.ndarray = np.zeros(1, dtype=np.intp)
+        self._flow_links: List[np.ndarray] = []
         self._link_rows: np.ndarray = np.zeros(0, dtype=np.intp)
-        self._link_ptr: np.ndarray = np.zeros(1, dtype=np.intp)
+        self._link_ptr: List[int] = [0]
         self._m = 0
         #: link index -> column, shared by every request set under one
         #: capacity map (columns only ever grow).
@@ -122,18 +130,15 @@ class VectorizedMaxMinSolver:
             np.concatenate(per_flow) if per_flow else np.zeros(0, dtype=np.intp)
         )
         self._base_remaining = np.asarray(self._capacities, dtype=np.float64)
-        # Per-flow segment pointers into e_link, and the transposed (CSR by
-        # link) adjacency — freeze/saturate events touch single rows/columns,
-        # so the round loop walks adjacency lists instead of masking the
-        # whole incidence every round.
-        self._flow_ptr = np.zeros(len(per_flow) + 1, dtype=np.intp)
-        np.cumsum(lengths, out=self._flow_ptr[1:])
+        # Each flow's links, and the transposed (CSR by link) adjacency: a
+        # round's freezes touch a few rows and columns, so the loop gathers
+        # those instead of masking the whole incidence every round.
+        self._flow_links = per_flow
         order = np.argsort(self._e_link, kind="stable")
         self._link_rows = self._e_flow[order]
-        self._link_ptr = np.zeros(self._m + 1, dtype=np.intp)
-        np.cumsum(
-            np.bincount(self._e_link, minlength=self._m), out=self._link_ptr[1:]
-        )
+        self._link_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(self._e_link, minlength=self._m)))
+        ).tolist()
         self.rebuilds += 1
 
     def __call__(
@@ -142,9 +147,8 @@ class VectorizedMaxMinSolver:
         link_capacity_kbps: Dict[int, float],
         max_iterations: int = 10_000,
     ) -> Dict[int, float]:
-        allocation: Dict[int, float] = {request.flow_key: 0.0 for request in requests}
         if not requests:
-            return allocation
+            return {}
         n = len(requests)
         keys = tuple(request.flow_key for request in requests)
         if keys != self._keys or link_capacity_kbps is not self._caps_ref:
@@ -160,7 +164,7 @@ class VectorizedMaxMinSolver:
         # pre-filter; they simply start (and stay) frozen here.
         alive = caps > _EPSILON
         e_link = self._e_link
-        flow_ptr = self._flow_ptr
+        flow_links = self._flow_links
         link_rows = self._link_rows
         link_ptr = self._link_ptr
 
@@ -174,8 +178,9 @@ class VectorizedMaxMinSolver:
         # fl(min_cap - fill), and the at-cap set each round is a prefix of
         # the sorted order.  Both are O(1) amortized instead of full passes.
         order = np.argsort(caps, kind="stable")
-        caps_sorted = caps[order]
-        thresh_sorted = caps_sorted - _EPSILON
+        caps_sorted = caps[order].tolist()
+        thresh_sorted = (caps[order] - _EPSILON).tolist()
+        order = order.tolist()
         pointer = 0
         counts = np.zeros(self._m, dtype=np.int64)
         if len(e_link):
@@ -189,88 +194,69 @@ class VectorizedMaxMinSolver:
 
         active_count = int(np.count_nonzero(alive))
         iterations = 0
-        while active_count > 0 and iterations < max_iterations:
-            iterations += 1
-            while not alive[order[pointer]]:
-                pointer += 1
-            # increment = min over active flows of (cap - alloc), then over
-            # contended links of remaining / count — the same chained
-            # two-argument float mins as the scalar loop.
-            increment = float(caps_sorted[pointer]) - fill
-            if remaining.size:
-                np.divide(remaining, counts_f, out=shares)
-                increment = min(increment, float(shares.min()))
-            if increment < 0:
-                increment = 0.0
-            fill = fill + increment
-            # Sentinel links see inf - increment*1 == inf; live links see the
-            # exact scalar update fl(remaining - fl(increment * count)).  An
-            # infinite increment (every cap unbounded, no contended link)
-            # turns sentinels into NaN — harmless, as the scalar path also
-            # allocates inf then and every flow freezes this same round.
-            with np.errstate(invalid="ignore"):
+        # Sentinel links see inf - increment*1 == inf; live links see the
+        # exact scalar update fl(remaining - fl(increment * count)).  An
+        # infinite increment (every cap unbounded, no contended link) turns
+        # sentinels into NaN — harmless, as the scalar path also allocates
+        # inf then and every flow freezes that same round.
+        with np.errstate(invalid="ignore"):
+            while active_count > 0 and iterations < max_iterations:
+                iterations += 1
+                while not alive[order[pointer]]:
+                    pointer += 1
+                # increment = min over active flows of (cap - alloc), then
+                # over contended links of remaining / count — the same
+                # chained two-argument float mins as the scalar loop.
+                increment = caps_sorted[pointer] - fill
+                if remaining.size:
+                    np.divide(remaining, counts_f, out=shares)
+                    increment = min(increment, float(shares.min()))
+                if increment < 0:
+                    increment = 0.0
+                fill = fill + increment
                 remaining -= increment * counts_f
 
-            frozen_any = False
-            if remaining.size and float(remaining.min()) <= _EPSILON:
-                saturated = np.flatnonzero(remaining <= _EPSILON)
-                # Retire saturated links before freezing their flows, like
-                # the scalar map deletions.
-                remaining[saturated] = np.inf
-                counts_f[saturated] = 1.0
-                for link in saturated:
-                    for row in link_rows[link_ptr[link] : link_ptr[link + 1]]:
-                        if alive[row]:
-                            frozen_any = True
-                            self._freeze(row, fill, alive, alloc, counts, counts_f, remaining)
-                            active_count -= 1
-            while pointer < n:
-                row = order[pointer]
-                if alive[row]:
-                    if thresh_sorted[pointer] > fill:
-                        break
-                    frozen_any = True
-                    self._freeze(row, fill, alive, alloc, counts, counts_f, remaining)
-                    active_count -= 1
-                pointer += 1
-            if not frozen_any and increment <= _EPSILON:
-                # No progress possible (degenerate caps); stop, like the
-                # scalar no-progress break.
-                break
+                # The round's freezes, as one group: every flow at its cap
+                # (the sorted-order prefix up to ``fill``) and every flow
+                # crossing a link that saturated.
+                capped = bisect_right(thresh_sorted, fill, pointer)
+                candidates = order[pointer:capped]
+                pointer = capped
+                saturated = (remaining <= _EPSILON).nonzero()[0]
+                if len(saturated):
+                    # Retire saturated links before freezing their flows,
+                    # like the scalar map deletions.
+                    remaining[saturated] = np.inf
+                    counts_f[saturated] = 1.0
+                    for link in saturated.tolist():
+                        candidates += link_rows[link_ptr[link] : link_ptr[link + 1]].tolist()
+                rows = [row for row in dict.fromkeys(candidates) if alive[row]]
+                if rows:
+                    # All of them freeze at the same ``fill``, and the count
+                    # updates commute, so one group equals the scalar's
+                    # flow-by-flow freezes.
+                    active_count -= len(rows)
+                    links = np.concatenate([flow_links[row] for row in rows])
+                    rows = np.array(rows)
+                    alive[rows] = False
+                    alloc[rows] = fill
+                    # subtract.at, not fancy-index -=: a link crossed twice
+                    # (by two flows, or twice by one) releases both crossings.
+                    np.subtract.at(counts, links, 1)
+                    left = counts[links]
+                    # A link whose last active flow froze leaves contention
+                    # (the scalar count-0 skip); retired links keep a
+                    # harmless divisor of 1, as their remaining is +inf.
+                    remaining[links[left == 0]] = np.inf
+                    counts_f[links] = np.maximum(left, 1)
+                elif increment <= _EPSILON:
+                    # No progress possible (degenerate caps); stop, like the
+                    # scalar no-progress break.
+                    break
 
         if active_count:
             alloc[alive] = fill
-        for flow_idx, request in enumerate(requests):
-            allocation[request.flow_key] = float(alloc[flow_idx])
-        return allocation
-
-    def _freeze(
-        self,
-        row: int,
-        fill: float,
-        alive: np.ndarray,
-        alloc: np.ndarray,
-        counts: np.ndarray,
-        counts_f: np.ndarray,
-        remaining: np.ndarray,
-    ) -> None:
-        """Freeze one flow at the current fill level and release its links."""
-        alive[row] = False
-        alloc[row] = fill
-        links = self._e_link[self._flow_ptr[row] : self._flow_ptr[row + 1]]
-        # subtract.at, not fancy-index -=: a flow listing the same link twice
-        # must release both crossings, like the scalar per-occurrence loop.
-        np.subtract.at(counts, links, 1)
-        new_counts = counts[links]
-        emptied = links[new_counts == 0]
-        if len(emptied):
-            # A link whose last active flow froze leaves contention (the
-            # scalar count-0 skip); saturated links are already sentinels,
-            # and re-writing them is harmless.
-            remaining[emptied] = np.inf
-        # Retired links keep a harmless divisor of 1 (their remaining is
-        # +inf, so they never win the share min).
-        counts_f[links] = np.maximum(new_counts, 1)
+        return dict(zip(keys, alloc.tolist()))
 
 
 def max_min_allocation(

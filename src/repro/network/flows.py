@@ -15,7 +15,7 @@ from typing import List, Optional, Tuple
 
 from repro.topology.graph import PathInfo, Topology
 from repro.transport.socket import NonBlockingSender
-from repro.transport.tfrc import TfrcFlowState
+from repro.transport.tfrc import TfrcFlowState, feedback_chunks
 from repro.util.units import PACKET_SIZE_KBITS
 
 _flow_ids = itertools.count()
@@ -183,8 +183,7 @@ class Flow:
         cap_before = self.rate_cap_kbps() if was_clean else 0.0
         self.cap_dirty = True
         received = len(sequences)
-        chunks = max(1, min(16, int(round(dt / self.rtt_s)))) if dt > 0 else 1
-        chunks = min(chunks, max(lost, 1)) if lost > 0 else chunks
+        chunks = int(feedback_chunks(dt, self.rtt_s, lost))
         for index in range(chunks):
             chunk_received = received // chunks + (1 if index < received % chunks else 0)
             chunk_lost = lost // chunks + (1 if index < lost % chunks else 0)

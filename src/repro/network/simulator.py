@@ -19,8 +19,16 @@ Each step proceeds in three phases driven by the experiment harness:
    step and submits new packets through ``flow.try_send``.
 3. :meth:`NetworkSimulator.end_step` — packets accepted by each flow are
    subjected to path loss, surviving packets are handed to the destination
-   (visible next step), TFRC feedback and idle-flow rate evolution run as
-   numpy batches (:mod:`repro.sched.vectors`) and the clock advances.
+   (visible next step), and the clock advances.  The step's TFRC feedback
+   rounds run as two numpy batches, one for the flows that sent and one for
+   the idle ones (:func:`~repro.transport.tfrc.feedback_rounds`,
+   :func:`~repro.transport.tfrc.evolve_idle_rates`): each flow's state is
+   read once, every flow and round is evolved in a fixed number of numpy
+   calls, and only the state that moved is written back.
+
+Flows leave the simulator through :meth:`NetworkSimulator.remove_flow`, or by
+:meth:`Flow.close`, after which the next :meth:`~NetworkSimulator.begin_step`
+drops them.
 """
 
 from __future__ import annotations
@@ -33,12 +41,41 @@ from repro.network.allocation import AllocationEngine, EngineStats
 from repro.network.fairshare import Solver
 from repro.network.flows import Flow
 from repro.network.stats import StatsCollector
-from repro.sched.vectors import evolve_idle_rates, feedback_rounds
 from repro.topology.graph import Topology
-from repro.transport.tfrc import MIN_RATE_KBPS
+from repro.transport.tfrc import (
+    HISTORY_DEPTH,
+    evolve_idle_rates,
+    feedback_chunks,
+    feedback_rounds,
+)
 from repro.util.rng import SeededRng
 from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
+
+
+#: ``[0] * (8 - k)``: pads a ``k``-interval loss history to a full row.
+_PADDING = [[0] * (HISTORY_DEPTH - length) for length in range(HISTORY_DEPTH + 1)]
+_FEEDBACK_COLUMNS = (
+    np.float64, np.bool_, np.bool_, np.int64, np.int64, np.int64, np.int64,
+    np.float64, np.int64, np.float64,
+)
+_IDLE_COLUMNS = (np.float64, np.bool_, np.float64, np.float64, np.float64)
+
+
+def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
+    """Per-flow state tuples as one array per field."""
+    return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), dtypes)]
+
+
+def _write_rates(
+    flows: List[Flow], rates: np.ndarray, new_rates: np.ndarray, demand: np.ndarray
+) -> None:
+    """Store evolved TFRC rates; a flow whose effective cap moved turns dirty."""
+    moved = np.minimum(demand, new_rates) != np.minimum(demand, rates)
+    for flow, rate, cap_moved in zip(flows, new_rates.tolist(), moved.tolist()):
+        flow.tfrc.allowed_rate_kbps = rate
+        if cap_moved:
+            flow.cap_dirty = True
 
 
 class NetworkSimulator:
@@ -134,18 +171,24 @@ class NetworkSimulator:
         Only flows whose effective rate cap changed since the previous step
         (``Flow.cap_dirty``), plus flows created or removed, are re-submitted
         to the :class:`AllocationEngine`; the engine re-solves just the
-        affected region of the constraint graph.
+        affected region of the constraint graph.  Flows closed since the
+        previous step leave the simulator here.
         """
         if self.topology.capacity_version != self._capacity_version:
             self._engine.reset_capacities(self.topology.capacity_map())
             self._capacity_version = self.topology.capacity_version
         engine = self._engine
+        closed: List[int] = []
         for flow in self._flows.values():
             if not flow.active:
-                engine.retire(flow.flow_id)
+                closed.append(flow.flow_id)
             elif flow.cap_dirty or not engine.tracks(flow.flow_id):
                 engine.submit(flow.flow_id, flow.link_indices, flow.rate_cap_kbps())
                 flow.cap_dirty = False
+        for flow_id in closed:
+            del self._flows[flow_id]
+            engine.retire(flow_id)
+            self._idle_targets.pop(flow_id, None)
         changed = engine.solve()
         allocation = engine.allocation
         for flow in self._flows.values():
@@ -217,14 +260,9 @@ class NetworkSimulator:
             for sequence in survived:
                 self.stats.record_link_transmission(sequence, flow.link_indices)
             tfrc = flow.tfrc
-            if (
-                tfrc is not None
-                and tfrc.slow_start_gain == 2.0
-                and tfrc.congestion_avoidance_gain == 0.25
-                and tfrc.loss_history.max_intervals == 8
-            ):
+            if tfrc is not None and tfrc.batchable:
                 # Flow.deliver's bookkeeping happens here, and its TFRC
-                # feedback chunks run as one numpy batch after the loop (the
+                # feedback rounds run as one numpy batch after the loop (the
                 # loss draws above already consumed this flow's randomness).
                 flow._delivered.extend(survived)
                 flow.packets_delivered += len(survived)
@@ -243,146 +281,96 @@ class NetworkSimulator:
         """Run the TFRC feedback rounds for all sending flows in one batch.
 
         Bit-identical to calling ``flow.deliver(survived, lost, dt)`` on each
-        flow (minus the delivery bookkeeping, already done in the loop):
-        state is gathered out of the authoritative ``TfrcFlowState`` /
-        ``LossHistory`` objects, evolved through
-        :func:`~repro.sched.vectors.feedback_rounds`, and scattered back —
-        including the exact effective-cap dirty tracking from
-        :meth:`Flow.deliver`.
+        flow (minus the delivery bookkeeping, already done in the loop): each
+        flow's ``TfrcFlowState`` / ``LossHistory`` is read once, evolved
+        through :func:`~repro.transport.tfrc.feedback_rounds`, and written
+        back where it moved: the rate, the open interval of flows that
+        received, the history and slow-start flag of lossy flows, and
+        ``cap_dirty`` wherever the effective cap moved (the dirty tracking of
+        :meth:`Flow.deliver`).
         """
-        n = len(batch)
-        dt = self.dt
-        rates: List[float] = []
-        slow_start: List[bool] = []
-        seen_loss: List[bool] = []
-        lengths: List[int] = []
-        current: List[int] = []
-        received: List[int] = []
-        lost: List[int] = []
-        chunks: List[int] = []
-        rtt: List[float] = []
-        size_bytes: List[int] = []
-        demand: List[float] = []
-        was_clean: List[bool] = []
-        intervals = np.zeros((n, 8), dtype=np.float64)
-        for index, (flow, flow_received, flow_lost) in enumerate(batch):
+        rows = []
+        padded: List[int] = []
+        for flow, received, lost in batch:
             tfrc = flow.tfrc
             history = tfrc.loss_history
-            rates.append(tfrc.allowed_rate_kbps)
-            slow_start.append(tfrc.in_slow_start)
-            seen_loss.append(history._seen_loss)
             closed = history.intervals
-            if closed:
-                intervals[index, : len(closed)] = closed
-            lengths.append(len(closed))
-            current.append(history._current)
-            received.append(flow_received)
-            lost.append(flow_lost)
-            count = max(1, min(16, int(round(dt / flow.rtt_s)))) if dt > 0 else 1
-            if flow_lost > 0:
-                count = min(count, max(flow_lost, 1))
-            chunks.append(count)
-            rtt.append(flow.rtt_s)
-            size_bytes.append(tfrc.packet_size_bytes)
-            demand.append(flow.demand_kbps)
-            was_clean.append(not flow.cap_dirty)
-        rates_arr = np.asarray(rates, dtype=np.float64)
-        demand_arr = np.asarray(demand, dtype=np.float64)
-        new_rates, new_ss, new_seen, new_len, new_cur, history_dirty = feedback_rounds(
-            rates_arr.copy(),
-            np.asarray(slow_start, dtype=bool),
-            np.asarray(seen_loss, dtype=bool),
-            intervals,
-            np.asarray(lengths, dtype=np.int64),
-            np.asarray(current, dtype=np.int64),
-            np.asarray(received, dtype=np.int64),
-            np.asarray(lost, dtype=np.int64),
-            np.asarray(chunks, dtype=np.int64),
-            np.asarray(rtt, dtype=np.float64),
-            np.asarray(size_bytes, dtype=np.float64),
-            MIN_RATE_KBPS,
+            padded += closed
+            padded += _PADDING[len(closed)]
+            rows.append(
+                (
+                    tfrc.allowed_rate_kbps,
+                    tfrc._in_slow_start,
+                    history._seen_loss,
+                    len(closed),
+                    history._current,
+                    received,
+                    lost,
+                    flow.rtt_s,
+                    tfrc.packet_size_bytes,
+                    flow.demand_kbps,
+                )
+            )
+        rates, slow_start, seen_loss, lengths, current, received, lost, rtt_s, size, demand = (
+            _columns(rows, _FEEDBACK_COLUMNS)
         )
-        cap_same = np.minimum(demand_arr, new_rates) == np.minimum(demand_arr, rates_arr)
-        for index, (flow, _, _) in enumerate(batch):
-            tfrc = flow.tfrc
-            tfrc.allowed_rate_kbps = float(new_rates[index])
-            tfrc._in_slow_start = bool(new_ss[index])
+        new_rates, _, intervals, lengths, _ = feedback_rounds(
+            rates,
+            slow_start,
+            seen_loss,
+            np.array(padded, dtype=np.int64).reshape(len(batch), HISTORY_DEPTH),
+            lengths,
+            current,
+            received,
+            lost,
+            feedback_chunks(self.dt, rtt_s, lost),
+            rtt_s,
+            size,
+        )
+        _write_rates([flow for flow, _, _ in batch], rates, new_rates, demand)
+        for flow, flow_received, _ in batch:
+            if flow_received:
+                flow.tfrc.loss_history._current += flow_received
+        for index in np.flatnonzero(lost).tolist():
+            tfrc = batch[index][0].tfrc
+            tfrc._in_slow_start = False
             history = tfrc.loss_history
-            history._current = int(new_cur[index])
-            if history_dirty[index]:
-                history._seen_loss = True
-                history.intervals = [
-                    int(value) for value in intervals[index, : int(new_len[index])]
-                ]
-            if not (was_clean[index] and cap_same[index]):
-                flow.cap_dirty = True
+            history._seen_loss = True
+            history._current = 0
+            history.intervals = intervals[index, : lengths[index]].tolist()
 
     def _evolve_idle(self, idle: List[Flow]) -> None:
         """Advance idle flows' TFRC state in one batch.
 
         Bit-identical to calling ``flow.deliver([], 0, dt)`` on each flow:
-        flows without TFRC are true no-ops and are skipped outright; standard
-        TFRC flows evolve through :func:`~repro.sched.vectors.
-        evolve_idle_rates`; anything unusual (non-default gains, a rate below
-        the floor) falls back to the scalar path with exact dirty tracking.
+        flows without TFRC are true no-ops and are skipped outright; flows
+        the kernels model evolve through
+        :func:`~repro.transport.tfrc.evolve_idle_rates` against their cached
+        equation rate; any other (non-default gains) takes the scalar path.
         """
         batch: List[Flow] = []
-        rates: List[float] = []
-        slow_start: List[bool] = []
-        chunks: List[int] = []
-        targets: List[float] = []
-        demands: List[float] = []
-        was_dirty: List[bool] = []
+        rows = []
         idle_targets = self._idle_targets
-        dt = self.dt
         for flow in idle:
             tfrc = flow.tfrc
             if tfrc is None:
                 continue
-            rate = tfrc.allowed_rate_kbps
-            if (
-                tfrc.slow_start_gain != 2.0
-                or tfrc.congestion_avoidance_gain != 0.25
-                or rate < MIN_RATE_KBPS
-            ):
-                # Non-standard state: the scalar path tracks the effective
-                # cap exactly as well.
-                flow.deliver([], 0, dt=dt)
+            if not tfrc.batchable:
+                flow.deliver([], 0, dt=self.dt)
                 continue
-            if tfrc.in_slow_start:
-                target = 0.0
-            else:
-                fid = flow.flow_id
-                target = idle_targets.get(fid)
-                if target is None:
-                    target = tfrc.equation_rate_kbps()
-                    idle_targets[fid] = target
+            slow = tfrc._in_slow_start
+            target = 0.0 if slow else idle_targets.get(flow.flow_id)
+            if target is None:
+                target = idle_targets[flow.flow_id] = tfrc.equation_rate_kbps()
             batch.append(flow)
-            rates.append(rate)
-            slow_start.append(tfrc.in_slow_start)
-            chunks.append(max(1, min(16, int(round(dt / flow.rtt_s)))))
-            targets.append(target)
-            demands.append(flow.demand_kbps)
-            was_dirty.append(flow.cap_dirty)
+            rows.append((tfrc.allowed_rate_kbps, slow, flow.rtt_s, target, flow.demand_kbps))
         if not batch:
             return
-        rates_arr = np.asarray(rates, dtype=np.float64)
-        demand_arr = np.asarray(demands, dtype=np.float64)
+        rates, slow_start, rtt_s, targets, demand = _columns(rows, _IDLE_COLUMNS)
         new_rates = evolve_idle_rates(
-            rates_arr,
-            np.asarray(slow_start, dtype=bool),
-            np.asarray(chunks, dtype=np.int64),
-            np.asarray(targets, dtype=np.float64),
-            MIN_RATE_KBPS,
-            0.25,
+            rates, slow_start, feedback_chunks(self.dt, rtt_s), targets
         )
-        rate_changed = new_rates != rates_arr
-        cap_changed = np.minimum(demand_arr, new_rates) != np.minimum(demand_arr, rates_arr)
-        for index, flow in enumerate(batch):
-            if rate_changed[index]:
-                flow.tfrc.allowed_rate_kbps = float(new_rates[index])
-            if cap_changed[index] and not was_dirty[index]:
-                flow.cap_dirty = True
+        _write_rates(batch, rates, new_rates, demand)
 
     def run_steps(
         self, n_steps: int, protocol_phase: Optional[Callable[[float], None]] = None

@@ -139,11 +139,10 @@ def _position_rows(keys: Iterable[int], num_bits: int, num_hashes: int) -> np.nd
     return np.array(rows, dtype=np.int32).reshape(len(rows), num_hashes)
 
 
-def _window_positions(keys: Sequence[int], num_bits: int, num_hashes: int) -> np.ndarray:
-    """Bit positions of the ascending ``keys``, read from the shared table."""
-    needed = keys[-1] + 1
+def _position_table(needed: int, num_bits: int, num_hashes: int) -> Optional[np.ndarray]:
+    """The shared table grown to cover keys below ``needed`` (None past the cap)."""
     if needed > _POSITION_TABLE_MAX_KEYS:
-        return _position_rows(keys, num_bits, num_hashes)
+        return None
     geometry = (num_bits, num_hashes)
     table = _POSITION_TABLES.get(geometry)
     if table is None:
@@ -153,6 +152,14 @@ def _window_positions(keys: Sequence[int], num_bits: int, num_hashes: int) -> np
             range(len(table), needed + _POSITION_TABLE_GROWTH), num_bits, num_hashes
         )
         table = _POSITION_TABLES[geometry] = np.concatenate((table, grown))
+    return table
+
+
+def _window_positions(keys: Sequence[int], num_bits: int, num_hashes: int) -> np.ndarray:
+    """Bit positions of the ascending ``keys``, read from the shared table."""
+    table = _position_table(keys[-1] + 1, num_bits, num_hashes)
+    if table is None:
+        return _position_rows(keys, num_bits, num_hashes)
     return table[np.array(keys, dtype=np.int64)]
 
 
@@ -225,26 +232,6 @@ class BloomFilter:
         self.count = 0
 
 
-def _rebuild_snapshot(
-    num_bits: int,
-    num_hashes: int,
-    bits: bytes,
-    low_sequence: int,
-    count: int,
-    coefficients: Optional[Sequence[Tuple[int, int]]],
-) -> "BloomSnapshot":
-    """Unpickle helper: re-derive the hash family instead of shipping it.
-
-    ``coefficients=None`` marks a snapshot built from the shared
-    deterministic family, which every process derives identically — the
-    rebuilt snapshot re-attaches the *local* position cache rather than
-    dragging the sender's across the pipe.
-    """
-    if coefficients is None:
-        coefficients = _hash_coefficients(num_hashes)
-    return BloomSnapshot(num_bits, num_hashes, bits, low_sequence, count, coefficients)
-
-
 class BloomSnapshot:
     """A frozen, read-only view of a FIFO Bloom filter at one instant.
 
@@ -252,7 +239,8 @@ class BloomSnapshot:
     bit array plus the window floor, detached from the owner's state so later
     receptions there do not mutate what the sender already installed.
     Membership semantics match :class:`FifoBloomFilter` (keys below the floor
-    report present).
+    report present).  Every snapshot uses the shared hash family of its
+    geometry, so the process-wide position caches above apply to it.
     """
 
     __slots__ = (
@@ -263,32 +251,21 @@ class BloomSnapshot:
         "_bits",
         "_coefficients",
         "_family",
+        "_missing",
     )
 
     def __init__(
-        self,
-        num_bits: int,
-        num_hashes: int,
-        bits: bytes,
-        low_sequence: int,
-        count: int,
-        coefficients: Sequence[Tuple[int, int]],
+        self, num_bits: int, num_hashes: int, bits: bytes, low_sequence: int, count: int
     ) -> None:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self.low_sequence = low_sequence
         self.count = count
         self._bits = bits
-        # Snapshots of working sets and filters carry the shared deterministic
-        # family, so cached positions apply; a hand-rolled coefficient list
-        # (tests) bypasses the cache.
-        if coefficients is _hash_coefficients(num_hashes):
-            self._family: Optional[Dict[int, Tuple[int, ...]]] = _position_family(
-                num_bits, num_hashes
-            )
-        else:
-            self._family = None
-        self._coefficients = list(coefficients)
+        self._coefficients = _hash_coefficients(num_hashes)
+        self._family = _position_family(num_bits, num_hashes)
+        #: ``(low, high, flags)`` of the last :meth:`missing_flags` call.
+        self._missing: Optional[Tuple[int, int, bytes]] = None
 
     @classmethod
     def from_keys(cls, keys: Sequence[int], num_bits: int, num_hashes: int) -> "BloomSnapshot":
@@ -309,46 +286,47 @@ class BloomSnapshot:
             bits=np.packbits(bits, bitorder="little").tobytes(),
             low_sequence=keys[0] if keys else 0,
             count=len(keys),
-            coefficients=_hash_coefficients(num_hashes),
         )
 
     def __contains__(self, key: int) -> bool:
         if key < self.low_sequence:
             return True
         bits = self._bits
-        family = self._family
-        positions = family.get(key) if family is not None else None
+        positions = self._family.get(key)
         if positions is None:
-            positions = _hash_key(key, self.num_bits, self._coefficients, family)
+            positions = _hash_key(key, self.num_bits, self._coefficients, self._family)
         for position in positions:
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True
 
-    def missing(self, keys: Iterable[int]) -> List[int]:
-        """The subset of ``keys`` the filter does *not* describe.
+    def missing_flags(self, low: int, high: int) -> bytes:
+        """One byte per key of ``[low, high]``: 1 where the filter does not
+        describe the key, 0 where it does (keys below the floor included).
 
-        One tight loop instead of a Python call per key — this is the
-        sender-side hot path when a recovery request is installed.
+        One vector pass: the keys' rows of the shared position table, tested
+        against the unpacked bit array.  A recovery request carries one
+        snapshot and one range to every sender of a refresh, and a sender
+        selects against it on every install and offer, so the last range's
+        flags are kept.
         """
-        bits = self._bits
-        num_bits = self.num_bits
-        low = self.low_sequence
-        coefficients = self._coefficients
-        family = self._family
-        out: List[int] = []
-        append = out.append
-        for key in keys:
-            if key < low:
-                continue
-            positions = family.get(key) if family is not None else None
-            if positions is None:
-                positions = _hash_key(key, num_bits, coefficients, family)
-            for position in positions:
-                if not bits[position >> 3] & (1 << (position & 7)):
-                    append(key)
-                    break
-        return out
+        cached = self._missing
+        if cached is None or cached[0] != low or cached[1] != high:
+            flags = bytearray(max(high - low + 1, 0))
+            start = max(low, self.low_sequence)
+            if start <= high:
+                table = _position_table(high + 1, self.num_bits, self.num_hashes)
+                if table is None:
+                    positions = _position_rows(
+                        range(start, high + 1), self.num_bits, self.num_hashes
+                    )
+                else:
+                    positions = table[start : high + 1]
+                bits = np.unpackbits(np.frombuffer(self._bits, dtype=np.uint8), bitorder="little")
+                described = bits.view(np.bool_).take(positions).all(axis=1)
+                flags[start - low :] = (~described).tobytes()
+            cached = self._missing = (low, high, bytes(flags))
+        return cached[2]
 
     def size_bytes(self) -> int:
         """Wire size of the bit array."""
@@ -363,21 +341,13 @@ class BloomSnapshot:
 
     def __reduce__(self):
         # Snapshots cross process pipes inside recovery/peering messages
-        # (sharded head meshes).  Ship only the wire state: the hash family
-        # and the position cache are process-local and re-derived on load —
-        # the default slots pickling would serialize the whole shared
-        # position cache with every message.
-        coefficients = None if self._family is not None else self._coefficients
+        # (sharded head meshes).  Ship only the wire state: the hash family,
+        # the position cache and the flags are process-local and re-derived
+        # on load — the default slots pickling would serialize the whole
+        # shared position cache with every message.
         return (
-            _rebuild_snapshot,
-            (
-                self.num_bits,
-                self.num_hashes,
-                self._bits,
-                self.low_sequence,
-                self.count,
-                coefficients,
-            ),
+            BloomSnapshot,
+            (self.num_bits, self.num_hashes, self._bits, self.low_sequence, self.count),
         )
 
 
@@ -509,27 +479,6 @@ class FifoBloomFilter:
                 return False
         return True
 
-    def missing(self, keys: Iterable[int]) -> List[int]:
-        """The subset of ``keys`` the filter does not describe (batch probe)."""
-        bits = self._bits
-        num_bits = self._num_bits
-        low = self.low_sequence
-        coefficients = self._coefficients
-        family = self._family
-        out: List[int] = []
-        append = out.append
-        for key in keys:
-            if key < low:
-                continue
-            positions = family.get(key)
-            if positions is None:
-                positions = _hash_key(key, num_bits, coefficients, family)
-            for position in positions:
-                if not bits[position >> 3] & (1 << (position & 7)):
-                    append(key)
-                    break
-        return out
-
     def min_key(self) -> int | None:
         """The lowest live key, or ``None`` when the window is empty."""
         return self._heap[0] if self._heap else None
@@ -582,5 +531,4 @@ class FifoBloomFilter:
             bits=bytes(self._bits),
             low_sequence=low,
             count=len(self._heap),
-            coefficients=self._coefficients,
         )

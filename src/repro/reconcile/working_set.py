@@ -110,9 +110,7 @@ class SortedRangeView(SequenceABC):
         return self._data[self._start + index]
 
     def __iter__(self):
-        data = self._data
-        for position in range(self._start, self._stop):
-            yield data[position]
+        return iter(self._data[self._start : self._stop])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (list, tuple, SortedRangeView)):

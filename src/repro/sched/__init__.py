@@ -10,10 +10,10 @@ package hosts the wakeup-driven step core:
 * :class:`~repro.sched.engine.StepEngine` — the per-session coordinator that
   systems register their wakeups with (periodic timers, pending control
   deliveries, dirty flows, injector events) and that answers "which keys are
-  due this step?";
-* :mod:`~repro.sched.vectors` — numpy batch kernels for the per-flow TFRC
-  work that remains at the end of every step (feedback rounds and idle-flow
-  rate evolution), bit-identical to the scalar ``TfrcFlowState``.
+  due this step?".
+
+The per-flow TFRC batch kernels that run at the end of every step live
+beside the scalar model they must equal, in :mod:`repro.transport.tfrc`.
 """
 
 from repro.sched.engine import StepEngine

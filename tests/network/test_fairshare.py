@@ -2,10 +2,12 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles.fairshare import max_min_allocation as scalar_max_min_allocation
 
 from repro.network.fairshare import (
     SOLVERS,
     AllocationRequest,
+    VectorizedMaxMinSolver,
     max_min_allocation,
     register_solver,
     resolve_solver,
@@ -119,6 +121,72 @@ class TestMaxMinAllocation:
         better = max_min_allocation(requests, capacities)
         simple = single_pass_allocation(requests, capacities)
         assert sum(better.values()) >= sum(simple.values()) - 1e-6
+
+
+@st.composite
+def allocation_problems(draw, capacity=st.floats(min_value=10.0, max_value=5000.0),
+                        cap=st.one_of(st.just(0.0), st.just(float("inf")),
+                                      st.floats(min_value=0.1, max_value=3000.0)),
+                        max_flows=12):
+    capacities = dict(enumerate(draw(st.lists(capacity, min_size=1, max_size=8))))
+    n_links = len(capacities)
+    requests = []
+    for flow in range(draw(st.integers(min_value=0, max_value=max_flows))):
+        links = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=n_links),  # may miss the map
+                min_size=0,
+                max_size=4,
+            )
+        )
+        if links and draw(st.booleans()):
+            links.append(links[0])  # a link listed twice
+        requests.append(AllocationRequest(flow, links, draw(cap)))
+    return requests, capacities
+
+
+#: A few values only, so several links saturate, and flows reach their caps,
+#: in the same fill round (the group-freeze case).
+tie_values = st.sampled_from([0.0, 100.0, 200.0, float("inf")])
+
+
+class TestMaxMinBitIdentity:
+    """The vectorized solver against the scalar oracle, exact float equality."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(allocation_problems())
+    def test_matches_scalar_reference_exactly(self, problem):
+        requests, capacities = problem
+        scalar = scalar_max_min_allocation(requests, capacities)
+        vector = max_min_allocation(requests, capacities)
+        assert vector == scalar  # exact float equality, key by key
+
+    @settings(max_examples=200, deadline=None)
+    @given(allocation_problems(capacity=tie_values, cap=tie_values, max_flows=30))
+    def test_tie_heavy_rounds_match_exactly(self, problem):
+        requests, capacities = problem
+        assert max_min_allocation(requests, capacities) == scalar_max_min_allocation(
+            requests, capacities
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(allocation_problems(), st.integers(min_value=0, max_value=3))
+    def test_cached_incidence_stays_exact_across_cap_changes(self, problem, bump):
+        # The solver reuses its flattened incidence while the request set is
+        # stable; moving caps must not desynchronize it from the reference.
+        requests, capacities = problem
+        solver = VectorizedMaxMinSolver()
+        assert solver(requests, capacities) == scalar_max_min_allocation(requests, capacities)
+        moved = [
+            AllocationRequest(r.flow_key, r.link_indices, r.cap_kbps + bump * 7.5)
+            for r in requests
+        ]
+        assert solver(moved, capacities) == scalar_max_min_allocation(moved, capacities)
+        if requests:  # empty request sets early-return before building
+            assert solver.rebuilds == 1  # same keys + same cap map: no rebuild
+
+    def test_empty_request_set(self):
+        assert max_min_allocation([], {0: 100.0}) == {}
 
 
 class TestFrozenFlowBookkeepingRegression:

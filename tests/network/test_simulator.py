@@ -128,6 +128,21 @@ class TestNetworkSimulator:
         assert len(sim.flows) == 0
         sim.run_steps(2)  # must not raise
 
+    def test_closed_flow_leaves_on_the_next_step(self):
+        sim = NetworkSimulator(star_topology(), dt=1.0)
+        kept = sim.create_flow(1, 2)
+        closed = sim.create_flow(1, 3)
+        closed.tfrc._in_slow_start = False
+        sim.run_steps(2)  # idle past slow start: its equation rate is cached
+        assert closed.flow_id in sim._idle_targets
+        closed.close()
+        sim.run_steps(3)
+        assert sim.flows == [kept]
+        assert sim.active_flow_count() == 1
+        assert sim.describe()["flows"] == 1.0
+        assert closed.flow_id not in sim._idle_targets
+        assert not sim._engine.tracks(closed.flow_id)
+
     def test_describe(self):
         sim = NetworkSimulator(star_topology(), dt=1.0)
         sim.create_flow(1, 2, demand_kbps=100.0)

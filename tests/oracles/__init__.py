@@ -1,6 +1,7 @@
 """Reference implementations the fast paths in ``src/`` are tested against.
 
-One module per layer — the sort-everything working set and per-packet loops
+One module per layer — the sort-everything working set, the per-packet
+loops and the per-key Bloom probe and recovery selection
 (:mod:`oracles.reconcile`), the dict-of-counters stats collector
 (:mod:`oracles.stats`), the scalar max-min solver (:mod:`oracles.fairshare`),
 per-pair networkx routing and per-pair landmark probes

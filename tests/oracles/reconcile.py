@@ -4,9 +4,11 @@
 verbatim as the reference the fast one is checked against: a bare membership
 set re-sorted after every mutation (and rebuilt on every prune), a *live*
 counting Bloom filter fed insert by insert with snapshots exported from it,
-and the scalar generator-fed min-wise sketch.  The two free functions are
-the per-packet forms of ``BulletNode.on_packets`` and
-``SenderQueue.offer_new_packets`` as the delivery loops used to spell them.
+and the scalar generator-fed min-wise sketch.  The free functions are the
+per-packet forms of ``BulletNode.on_packets`` and
+``SenderQueue.offer_new_packets`` as the delivery loops used to spell them,
+and the per-key Bloom probe and recovery selection that
+``BloomSnapshot.missing_flags`` replaced.
 """
 
 from __future__ import annotations
@@ -352,3 +354,20 @@ def offer_new_packet_loop(queue, sequences) -> None:
             if index < len(queue.pending) and queue.pending[index] == sequence:
                 continue
             queue.pending.insert(index, sequence)
+
+
+def bloom_missing(bloom, keys) -> List[int]:
+    """The ``keys`` a Bloom filter does not describe, probed one at a time
+    (the ``missing`` loop the filters used to carry)."""
+    return [key for key in keys if key not in bloom]
+
+
+def install_request_loop(queue, request, holdings) -> None:
+    """``SenderQueue.install_request`` key by key: ``RecoveryRequest.wants``
+    on every holding the queue never pushed."""
+    queue.request = request
+    queue.pending = sorted(
+        sequence
+        for sequence in holdings
+        if sequence not in queue.already_sent and request.wants(sequence)
+    )

@@ -7,6 +7,7 @@ inserts and window advances against a reference model.
 """
 
 from hypothesis import given, settings, strategies as st
+from oracles.reconcile import bloom_missing
 
 from repro.reconcile.bloom import BloomFilter, FifoBloomFilter
 
@@ -86,12 +87,16 @@ class TestObservationEquivalence:
             assert (probe in snapshot) == expected
 
     @settings(max_examples=60, deadline=None)
-    @given(_ops, st.lists(st.integers(min_value=0, max_value=420), max_size=30))
-    def test_missing_is_batch_negation_of_contains(self, ops, probes):
-        bloom = _apply(ops)
-        snapshot = bloom.snapshot()
-        assert bloom.missing(probes) == [p for p in probes if p not in bloom]
-        assert snapshot.missing(probes) == [p for p in probes if p not in snapshot]
+    @given(_ops, st.integers(min_value=0, max_value=420), st.integers(min_value=-1, max_value=60))
+    def test_missing_is_batch_negation_of_contains(self, ops, low, span):
+        """The vector flags over a key range equal the per-key probe."""
+        snapshot = _apply(ops).snapshot()
+        high = low + span
+        flags = snapshot.missing_flags(low, high)
+        assert len(flags) == max(span + 1, 0)
+        keys = range(low, high + 1)
+        assert [key for key in keys if flags[key - low]] == bloom_missing(snapshot, keys)
+        assert snapshot.missing_flags(low, high) is flags  # kept for the range
 
 
 class TestVersioning:

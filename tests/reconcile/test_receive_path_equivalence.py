@@ -11,6 +11,7 @@ the filter window" regime all happen within a few dozen operations.
 from hypothesis import given, settings, strategies as st
 from oracles.reconcile import (
     SortEverythingWorkingSet,
+    install_request_loop,
     offer_new_packet_loop,
     on_packet_loop,
 )
@@ -216,3 +217,55 @@ class TestOfferNewPacketsMatchesThePerPacketLoop:
         queue = SenderQueue(receiver=9)
         queue.offer_new_packets([1, 2, 3])
         assert queue.pending == []
+
+
+#: Sequence numbers past CPython's small-int cache, so object identity means
+#: "the working set's own int", not "the interpreter's shared constant".
+big_keys = st.integers(min_value=1000, max_value=1150)
+rows = st.integers(min_value=1, max_value=4).flatmap(
+    lambda total: st.tuples(st.integers(min_value=0, max_value=total - 1), st.just(total))
+)
+
+
+class TestRecoverySelectionMatchesThePerKeyOracle:
+    """Install and offer select exactly what the per-key probe selects."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        receiver_holds=st.lists(big_keys, max_size=80),
+        capacity=st.sampled_from([8, 32, 128]),  # small windows raise the floor
+        sender_holds=st.lists(big_keys, max_size=80),
+        bounds=st.tuples(big_keys, big_keys),
+        row=rows,
+        sent=st.lists(big_keys, max_size=20),
+        offers=st.lists(st.lists(big_keys, max_size=30), max_size=4),
+    )
+    def test_install_then_offers(
+        self, receiver_holds, capacity, sender_holds, bounds, row, sent, offers
+    ):
+        receiver = WorkingSet()
+        receiver.update(receiver_holds)
+        low, high = min(bounds), max(bounds)
+        mod, total = row
+        request = RecoveryRequest(
+            receiver=9,
+            bloom=receiver.bloom_snapshot(expected_items=capacity),
+            low=low,
+            high=high,
+            mod=mod,
+            total_senders=total,
+        )
+        sender = WorkingSet()
+        sender.update(sender_holds)
+        batch, loop = SenderQueue(receiver=9), SenderQueue(receiver=9)
+        batch.already_sent, loop.already_sent = set(sent), set(sent)
+        batch.install_request(request, sender.sequences_in_range_view(low, high))
+        install_request_loop(loop, request, sender.sequences_in_range(low, high))
+        assert batch.pending == loop.pending
+        for fresh in offers:
+            fresh = sender.add_many(fresh)
+            batch.offer_new_packets(fresh)
+            offer_new_packet_loop(loop, fresh)
+            assert batch.pending == loop.pending
+        held = {id(sequence) for sequence in sender.sequences()}
+        assert all(id(sequence) in held for sequence in batch.pending)
