@@ -16,7 +16,6 @@ The package is organized around the systems described in the SOSP 2003 paper:
 * :mod:`repro.ransub` -- the RanSub collect/distribute protocol.
 * :mod:`repro.reconcile` -- working sets, min-wise summary tickets and Bloom
   filters (informed content delivery).
-* :mod:`repro.encoding` -- Tornado-style, LT, MDC and null encodings.
 * :mod:`repro.core` -- the Bullet mesh itself (disjoint send, peering,
   recovery, mesh improvement).
 * :mod:`repro.baselines` -- tree streaming, push gossiping and anti-entropy

@@ -70,7 +70,6 @@ class AntiEntropyStreaming(TreeStreaming):
             simulator,
             tree,
             stream_rate_kbps=stream_rate_kbps,
-            transport="tfrc",
             packet_kbits=packet_kbits,
         )
         if recovery_peers < 1:
@@ -231,5 +230,5 @@ def _build_antientropy(ctx: BuildContext) -> AntiEntropyStreaming:
         ctx.tree,
         stream_rate_kbps=ctx.config.stream_rate_kbps,
         seed=ctx.config.seed,
-        control_loss_rate=getattr(ctx.config, "control_loss_rate", 0.0),
+        control_loss_rate=ctx.config.control_loss_rate,
     )

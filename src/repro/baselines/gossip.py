@@ -282,5 +282,5 @@ def _build_gossip(ctx: BuildContext) -> PushGossip:
         members=ctx.participants,
         stream_rate_kbps=ctx.config.stream_rate_kbps,
         seed=ctx.config.seed,
-        control_loss_rate=getattr(ctx.config, "control_loss_rate", 0.0),
+        control_loss_rate=ctx.config.control_loss_rate,
     )

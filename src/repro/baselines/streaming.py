@@ -3,11 +3,12 @@
 "We have implemented a simple streaming application that is capable of
 streaming data over any specified tree ... using UDP, TFRC, or TCP."
 
-Every node forwards every packet it receives to each of its children, subject
-to what the per-edge transport accepts; data a child's transport cannot
-accept is simply lost (for the unreliable transports) or queued (for the
-TCP-like mode).  Bandwidth is therefore monotonically non-increasing down the
-tree — the property Bullet's mesh is designed to escape.
+Every figure reproduced here streams over TFRC, so that is the one transport
+this baseline implements: every node forwards every packet it receives to
+each of its children, subject to what the per-edge TFRC flow accepts, and
+data a child's flow cannot accept is simply lost.  Bandwidth is therefore
+monotonically non-increasing down the tree — the property Bullet's mesh is
+designed to escape.
 """
 
 from __future__ import annotations
@@ -17,13 +18,9 @@ from typing import Dict, List, Tuple
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
-from repro.transport.socket import ReliableQueue
 from repro.trees.tree import OverlayTree
 from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
-
-#: Supported transport modes for the streaming baseline.
-TRANSPORTS = ("tfrc", "udp", "tcp")
 
 
 class TreeStreaming:
@@ -34,17 +31,13 @@ class TreeStreaming:
         simulator: NetworkSimulator,
         tree: OverlayTree,
         stream_rate_kbps: float = 600.0,
-        transport: str = "tfrc",
         packet_kbits: float = PACKET_SIZE_KBITS,
     ) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(f"transport must be one of {TRANSPORTS}")
         if stream_rate_kbps <= 0:
             raise ValueError("stream_rate_kbps must be positive")
         self.simulator = simulator
         self.tree = tree
         self.stream_rate_kbps = stream_rate_kbps
-        self.transport = transport
         self.packet_kbits = packet_kbits
         self.stats = simulator.stats
         self.failed: set[int] = tracked_set("streaming.failed")
@@ -55,22 +48,15 @@ class TreeStreaming:
         self._received: Dict[int, set] = {node: set() for node in tree.members()}
         #: Packets awaiting forwarding, per node (filled on delivery).
         self._fresh: Dict[int, List[int]] = {node: [] for node in tree.members()}
-        #: TCP-mode per-edge retransmission queues.
-        self._queues: Dict[Tuple[int, int], ReliableQueue] = {}
 
         self.flows: Dict[Tuple[int, int], Flow] = {}
-        use_tfrc = transport != "udp"
         for parent, child in tree.edges():
-            flow = simulator.create_flow(
+            self.flows[(parent, child)] = simulator.create_flow(
                 parent,
                 child,
                 label=f"stream:{parent}->{child}",
                 demand_kbps=stream_rate_kbps,
-                use_tfrc=use_tfrc,
             )
-            self.flows[(parent, child)] = flow
-            if transport == "tcp":
-                self._queues[(parent, child)] = ReliableQueue(max_queue=4096)
 
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
@@ -138,18 +124,10 @@ class TreeStreaming:
                 flow = self.flows.get((node, child))
                 if flow is None:
                     continue
-                if self.transport == "tcp":
-                    queue = self._queues[(node, child)]
-                    for sequence in fresh:
-                        queue.offer(sequence)
-                    for sequence in queue.take(flow.send_budget()):
-                        flow.try_send(sequence)
-                else:
-                    for sequence in fresh:
-                        if not flow.try_send(sequence):
-                            # Unreliable transport: the packet is lost for this
-                            # subtree (no retransmission).
-                            pass
+                # A packet the flow does not accept is lost for this subtree
+                # (no retransmission).
+                for sequence in fresh:
+                    flow.try_send(sequence)
 
     # ------------------------------------------------------------- membership
     def add_node(self, node: int, parent: int | None = None) -> int:
@@ -169,16 +147,12 @@ class TreeStreaming:
         self.tree.add_leaf(node, parent)
         self._received[node] = set()
         self._fresh[node] = []
-        flow = self.simulator.create_flow(
+        self.flows[(parent, node)] = self.simulator.create_flow(
             parent,
             node,
             label=f"stream:{parent}->{node}",
             demand_kbps=self.stream_rate_kbps,
-            use_tfrc=self.transport != "udp",
         )
-        self.flows[(parent, node)] = flow
-        if self.transport == "tcp":
-            self._queues[(parent, node)] = ReliableQueue(max_queue=4096)
         return parent
 
     def _choose_join_parent(self) -> int:
@@ -204,8 +178,5 @@ class TreeStreaming:
 )
 def _build_stream(ctx: BuildContext) -> TreeStreaming:
     return TreeStreaming(
-        ctx.simulator,
-        ctx.tree,
-        stream_rate_kbps=ctx.config.stream_rate_kbps,
-        transport=getattr(ctx.config, "transport", "tfrc"),
+        ctx.simulator, ctx.tree, stream_rate_kbps=ctx.config.stream_rate_kbps
     )

@@ -15,8 +15,10 @@ third-party code are runnable from here without CLI changes.
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
+import typing
 from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.batch import sweep
@@ -88,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--scenario", choices=scale_scenario_names(), default=None,
                      help="start from a scale-scenario preset (see the"
                      " 'scenarios' command); --nodes/--duration/--seed/"
-                     "--churn/--solver override preset values, other base"
+                     "--churn override preset values, other base"
                      " flags are rejected")
     run.add_argument("--tree", choices=["random", "bottleneck", "overcast"], default=None,
                      help="overlay tree construction (default random)")
@@ -106,7 +108,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="fail this many random receivers spread over the run")
     run.add_argument("--joins", type=int, default=None,
                      help="join this many new receivers mid-run (flash crowd)")
-    run.add_argument("--solver", choices=["max_min", "single_pass"], default="max_min")
     run.add_argument("--cluster-size", type=int, default=None,
                      help="target cluster size for hierarchical systems"
                      " (e.g. bullet-clustered; default 50)")
@@ -264,11 +265,11 @@ def _command_run(args: argparse.Namespace) -> int:
         if conflicts:
             raise SystemExit(
                 f"--scenario presets fix {', '.join(conflicts)}; only"
-                " --nodes/--duration/--seed/--churn/--joins/--solver/"
+                " --nodes/--duration/--seed/--churn/--joins/"
                 "--cluster-size/--shard-workers/--hierarchy-levels/"
                 "--latency-estimator can override a preset"
             )
-        overrides: Dict[str, object] = {"solver": args.solver}
+        overrides: Dict[str, object] = {}
         if args.nodes is not None:
             overrides["n_overlay"] = args.nodes
         if args.duration is not None:
@@ -300,7 +301,6 @@ def _command_run(args: argparse.Namespace) -> int:
             failure_at_s=args.fail_at,
             churn_failures=args.churn if args.churn is not None else 0,
             churn_joins=args.joins if args.joins is not None else 0,
-            solver=args.solver,
             cluster_size=args.cluster_size if args.cluster_size is not None else 50,
             shard_workers=args.shard_workers if args.shard_workers is not None else 0,
             hierarchy_levels=(
@@ -344,28 +344,36 @@ def _command_figure(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coerce_value(name: str, text: str) -> object:
-    """Parse a swept parameter value with sensible typing."""
-    if name == "bandwidth_class":
+def _coerce_value(name: str, text: str, declared: object) -> object:
+    """Parse one swept value as ``ExperimentConfig.<name>``'s declared type.
+
+    ``Optional[T]`` fields also take ``none``.  A value that does not parse,
+    or a field whose type has no text form, is a usage error naming the
+    field and its type.
+    """
+    if typing.get_origin(declared) is typing.Union:
+        if text.lower() == "none":
+            return None
+        (declared,) = [arg for arg in typing.get_args(declared) if arg is not type(None)]
+    type_name = getattr(declared, "__name__", str(declared))
+    is_enum = isinstance(declared, type) and issubclass(declared, enum.Enum)
+    if declared is bool:
+        if text.lower() in ("true", "false"):
+            return text.lower() == "true"
+    elif is_enum or declared in (int, float, str):
         try:
-            return BandwidthClass(text)
+            return declared(text)
         except ValueError:
-            choices = ", ".join(cls.value for cls in BandwidthClass)
-            raise SystemExit(
-                f"unknown bandwidth class {text!r}; choose from: {choices}"
-            )
-    lowered = text.lower()
-    if lowered in ("true", "false"):
-        return lowered == "true"
-    for caster in (int, float):
-        try:
-            return caster(text)
-        except ValueError:
-            continue
-    return text
+            pass
+    else:
+        raise ValueError(f"--param cannot sweep {name!r} (type {type_name})")
+    if is_enum:
+        type_name += f" ({', '.join(member.value for member in declared)})"
+    raise ValueError(f"--param {name} expects {type_name}; got {text!r}")
 
 
 def _parse_params(specs: Sequence[str]) -> Dict[str, List[object]]:
+    field_types = typing.get_type_hints(ExperimentConfig)
     parameters: Dict[str, List[object]] = {}
     for spec in specs:
         name, separator, values = spec.partition("=")
@@ -376,8 +384,11 @@ def _parse_params(specs: Sequence[str]) -> Dict[str, List[object]]:
             raise SystemExit(
                 f"--param cannot sweep {name!r}; use --systems / --seeds instead"
             )
+        if name not in field_types:
+            raise ValueError(f"--param: ExperimentConfig has no field {name!r}")
         parameters[name] = [
-            _coerce_value(name, value.strip()) for value in values.split(",")
+            _coerce_value(name, value.strip(), field_types[name])
+            for value in values.split(",")
         ]
     return parameters
 

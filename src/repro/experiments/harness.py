@@ -21,7 +21,6 @@ from repro.experiments.metrics import SeriesSummary, steady_state_average
 from repro.experiments.registry import available_systems, system_known
 from repro.experiments.session import ExperimentSession
 from repro.experiments.workloads import PlanetLabWorkload, build_planetlab_workload
-from repro.network.fairshare import SOLVERS
 from repro.network.simulator import NetworkSimulator
 from repro.topology.links import BandwidthClass
 from repro.topology.planetlab import PlanetLabConfig
@@ -59,10 +58,6 @@ class ExperimentConfig:
     #: the routing path's own loss (lossy-control-plane scenarios).  Reaches
     #: every system that routes control traffic over the ControlChannel.
     control_loss_rate: float = 0.0
-    #: Bandwidth solver the simulator runs: ``max_min`` (the paper's fairness
-    #: model) or ``single_pass`` (the cheaper c/n estimate), or any name
-    #: registered via :func:`repro.network.fairshare.register_solver`.
-    solver: str = "max_min"
     #: Churn-heavy dissemination: fail this many random non-source overlay
     #: participants, spread evenly across the run (0 disables churn).  The
     #: system under test must support ``fail_node``.
@@ -90,8 +85,6 @@ class ExperimentConfig:
     join_duration_s: float = 30.0
     #: Bullet-specific overrides (peer counts, epochs, disjointness, ...).
     bullet: Optional[BulletConfig] = None
-    #: Transport for the plain streaming baseline.
-    transport: str = "tfrc"
     #: Target cluster size for hierarchical (clustered) systems: interiors
     #: are grouped into clusters of roughly this many members, each led by
     #: an elected head.  Ignored by flat systems.
@@ -135,11 +128,6 @@ class ExperimentConfig:
             raise ValueError("sample_interval_s must be >= dt")
         if not 0.0 <= self.control_loss_rate < 1.0:
             raise ValueError("control_loss_rate must be in [0, 1)")
-        if self.solver not in SOLVERS:
-            raise ValueError(
-                f"solver must be one of {tuple(sorted(SOLVERS))}"
-                " (or registered via repro.network.fairshare.register_solver)"
-            )
         if self.churn_failures < 0:
             raise ValueError("churn_failures must be non-negative")
         if self.churn_strategy not in ("uniform", "targeted"):
@@ -234,7 +222,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     byte-identical to the serial session; everything else takes the plain
     :class:`ExperimentSession`.
     """
-    if getattr(config, "shard_workers", 0) >= 2:
+    if config.shard_workers >= 2:
         from repro.hierarchy.sharding import ShardedSession
 
         return ShardedSession(config).run()

@@ -46,6 +46,7 @@ from typing import (
 )
 
 if TYPE_CHECKING:  # annotation-only: keep this module import-light
+    from repro.experiments.harness import ExperimentConfig
     from repro.network.simulator import NetworkSimulator
     from repro.trees.tree import OverlayTree
 
@@ -67,14 +68,12 @@ class DisseminationSystem(Protocol):
 class BuildContext:
     """Everything a system builder may need to instantiate its system.
 
-    ``config`` is the :class:`~repro.experiments.harness.ExperimentConfig`
-    (duck-typed: builders read only the attributes they care about, so custom
-    configs work as long as they carry the same fields).  ``tree`` is ``None``
-    for systems registered with ``uses_tree=False``.
+    ``config`` is the run's :class:`~repro.experiments.harness.ExperimentConfig`.
+    ``tree`` is ``None`` for systems registered with ``uses_tree=False``.
     """
 
     simulator: NetworkSimulator
-    config: object
+    config: ExperimentConfig
     tree: Optional[OverlayTree]
     source: int
     participants: List[int]

@@ -143,7 +143,6 @@ class ExperimentSession:
                 self.workload.topology,
                 dt=config.dt,
                 seed=config.seed,
-                solver=getattr(config, "solver", "max_min"),
             )
         self.simulator = simulator
 
@@ -197,9 +196,9 @@ class ExperimentSession:
             else:
                 raise ValueError("failure injection requires a tree-based system")
             self.failure_time = config.failure_at_s
-        if config is not None and getattr(config, "churn_failures", 0):
+        if config is not None and config.churn_failures:
             self._schedule_churn(config)
-        if config is not None and getattr(config, "churn_joins", 0):
+        if config is not None and config.churn_joins:
             self._schedule_joins(config)
 
     # ----------------------------------------------------------------- setup
@@ -278,8 +277,7 @@ class ExperimentSession:
         if not victims_pool:
             raise ValueError("churn_failures needs at least one non-source participant")
         count = min(config.churn_failures, len(victims_pool))
-        strategy = getattr(config, "churn_strategy", "uniform")
-        if strategy == "targeted":
+        if config.churn_strategy == "targeted":
             # Adversarial churn: fail the most-depended-upon members first,
             # deterministically — no sampling involved.  Flat systems rank by
             # dissemination-tree subtree size; hierarchical systems expose
@@ -294,7 +292,7 @@ class ExperimentSession:
             rng = SeededRng(config.seed, "churn")
             victims = rng.sample(victims_pool, count)
         end = 0.9 * config.duration_s
-        start = min(getattr(config, "churn_start_s", 30.0), 0.5 * end)
+        start = min(config.churn_start_s, 0.5 * end)
         if self._injector is None:
             self._injector = FailureInjector(self.system)
         for index, victim in enumerate(victims):
@@ -339,8 +337,8 @@ class ExperimentSession:
         rng = SeededRng(config.seed, "joins")
         joiners = rng.sample(pool, count)
         end_cap = 0.9 * config.duration_s
-        start = min(getattr(config, "join_start_s", 20.0), 0.5 * end_cap)
-        end = min(start + getattr(config, "join_duration_s", 30.0), end_cap)
+        start = min(config.join_start_s, 0.5 * end_cap)
+        end = min(start + config.join_duration_s, end_cap)
         if self._injector is None:
             self._injector = FailureInjector(self.system)
         for index, joiner in enumerate(joiners):

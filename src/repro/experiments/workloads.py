@@ -135,15 +135,12 @@ def build_workload(
 def build_workload_for(config, with_tree: bool = True) -> Workload:
     """Build the transit-stub workload an ExperimentConfig describes.
 
-    ``config`` is duck-typed: anything carrying ``n_overlay``,
-    ``bandwidth_class``, ``tree_kind``, ``lossy``, ``seed`` and ``max_fanout``
-    works, so custom config objects can reuse the standard workload pipeline.
     A config that schedules mid-run joins (``churn_joins``) gets a topology
     sized for the *grown* overlay, so the joiners have spare client hosts to
     occupy and the contention level at full size matches a from-the-start
     run of the same total.  ``with_tree`` is passed to :func:`build_workload`.
     """
-    joins = int(getattr(config, "churn_joins", 0) or 0)
+    joins = config.churn_joins
     topology_config = None
     if joins > 0:
         topology_config = scaled_topology_config(

@@ -29,13 +29,6 @@ class SupportsFailNode(Protocol):
         ...
 
 
-class SupportsAddNode(Protocol):
-    """Any protocol driver that can grow its membership mid-run."""
-
-    def add_node(self, node: int) -> int:  # pragma: no cover - protocol definition
-        ...
-
-
 @dataclass
 class FailureEvent:
     """One scheduled failure."""
@@ -129,7 +122,7 @@ class FailureInjector:
     ) -> JoinEvent:
         """Join ``node`` once the simulation clock reaches ``at_time_s``.
 
-        The driver must implement ``add_node`` (see :class:`SupportsAddNode`).
+        The driver must implement ``add_node(node)``.
         ``prepare``, when given, runs immediately before the join fires —
         the session uses it to pre-warm the joiner's underlay routes so the
         join itself never computes paths inside the step loop.

@@ -341,7 +341,7 @@ class ShardedSession(ExperimentSession):
 
     def __init__(self, config=None, **kwargs) -> None:
         super().__init__(config, **kwargs)
-        workers = getattr(config, "shard_workers", 0) if config is not None else 0
+        workers = config.shard_workers if config is not None else 0
         enable = getattr(self.system, "enable_sharding", None)
         if enable is None:
             raise ValueError(

@@ -124,10 +124,8 @@ class ClusteredBullet:
         topology = simulator.topology
         self.topology = topology
 
-        cluster_size = getattr(config, "cluster_size", 50)
-        levels = getattr(config, "hierarchy_levels", 2)
         self._estimator = build_estimator(
-            getattr(config, "latency_estimator", "exact"),
+            config.latency_estimator,
             topology,
             participants,
             seed=config.seed,
@@ -136,8 +134,8 @@ class ClusteredBullet:
             topology,
             source,
             participants,
-            cluster_size,
-            levels=levels,
+            config.cluster_size,
+            levels=config.hierarchy_levels,
             estimator=self._estimator,
         )
         #: Leaf cluster plans, kept under the historical name for callers.
@@ -152,7 +150,7 @@ class ClusteredBullet:
         head_tree = build_random_tree(
             source,
             mesh_members,
-            max_fanout=getattr(config, "max_fanout", 4),
+            max_fanout=config.max_fanout,
             seed=config.seed,
         )
         self.mesh = BulletMesh(simulator, head_tree, config.bullet_config())
@@ -162,7 +160,7 @@ class ClusteredBullet:
 
         rate_kbps = self.mesh.config.stream_rate_kbps
         packet_kbits = self.mesh.config.packet_kbits
-        fanout = getattr(config, "max_fanout", 4)
+        fanout = config.max_fanout
         # Access-link columns of every participant, gathered once; each
         # cluster reads its own members out of them.
         caps = dict(zip(participants, access_capacities_kbps(topology, participants).tolist()))

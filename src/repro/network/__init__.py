@@ -4,20 +4,12 @@ statistics collection."""
 from repro.network.allocation import AllocationEngine, EngineStats
 from repro.network.control import ControlChannel, ControlMessage
 from repro.network.events import EventScheduler, PeriodicTimer
-from repro.network.fairshare import (
-    SOLVERS,
-    AllocationRequest,
-    max_min_allocation,
-    register_solver,
-    resolve_solver,
-    single_pass_allocation,
-)
-from repro.network.flows import Flow, Packet
+from repro.network.fairshare import AllocationRequest, max_min_allocation
+from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import NodeCounters, StatsCollector
 
 __all__ = [
-    "SOLVERS",
     "AllocationEngine",
     "AllocationRequest",
     "ControlChannel",
@@ -27,11 +19,7 @@ __all__ = [
     "Flow",
     "NetworkSimulator",
     "NodeCounters",
-    "Packet",
     "PeriodicTimer",
     "StatsCollector",
     "max_min_allocation",
-    "register_solver",
-    "resolve_solver",
-    "single_pass_allocation",
 ]

@@ -22,9 +22,9 @@ whole problem — max-min allocations decompose across connected components
 (``tests/network/test_allocation_engine.py`` checks this against a
 from-scratch solve over the whole flow population after every mutation).
 
-The solver itself is pluggable (:data:`repro.network.fairshare.SOLVERS`):
-``max_min`` progressive filling by default, ``single_pass`` for the paper's
-cheaper c/n estimate, or any registered callable.
+The solver is max-min progressive filling: each engine owns one
+:class:`~repro.network.fairshare.VectorizedMaxMinSolver`, which keeps its
+flow->link incidence between solves.
 """
 
 from __future__ import annotations
@@ -33,15 +33,9 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Sequence, Set
 
 from repro.analysis.shakeout import tracked_set
-from repro.network.fairshare import (
-    AllocationRequest,
-    Solver,
-    VectorizedMaxMinSolver,
-    max_min_allocation,
-    resolve_solver,
-)
+from repro.network.fairshare import AllocationRequest, VectorizedMaxMinSolver
 
-#: A cap at or below this is treated as "not sending" (matches the solvers).
+#: A cap at or below this is treated as "not sending" (matches the solver).
 _EPSILON = 1e-9
 
 
@@ -107,17 +101,9 @@ class AllocationEngine:
     only flows' links present in the map join the constraint graph.
     """
 
-    def __init__(
-        self,
-        capacities: Mapping[int, float],
-        solver: "str | Solver" = "max_min",
-    ) -> None:
+    def __init__(self, capacities: Mapping[int, float]) -> None:
         self._capacities: Mapping[int, float] = capacities
-        self._solver: Solver = resolve_solver(solver)
-        if self._solver is max_min_allocation:
-            # The default solver keeps its flow->link incidence between
-            # solves, so each engine owns an instance of it.
-            self._solver = VectorizedMaxMinSolver()
+        self._solver = VectorizedMaxMinSolver()
         self._state: Dict[int, _FlowState] = {}
         self._allocation: Dict[int, float] = {}
         self._link_flows: Dict[int, Set[int]] = {}

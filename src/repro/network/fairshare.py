@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -273,72 +273,3 @@ def max_min_allocation(
     keeps one instance instead, to reuse its incidence between solves.)
     """
     return VectorizedMaxMinSolver()(requests, link_capacity_kbps, max_iterations)
-
-
-def single_pass_allocation(
-    requests: Sequence[AllocationRequest],
-    link_capacity_kbps: Dict[int, float],
-) -> Dict[int, float]:
-    """The paper's simpler estimate: rate = min over path links of c/n, capped.
-
-    This is the "each flow can achieve throughput of at most c/n" assumption
-    the offline bottleneck tree uses.  Exposed for the OMBT implementation and
-    for cross-checking the max-min allocator in tests.
-
-    Flows whose cap is (numerically) zero receive 0.0 and — like in the
-    max-min solver — do not consume a share of any link, so both solvers
-    agree on which flows contend for capacity.
-    """
-    flows_on_link: Dict[int, int] = {}
-    for request in requests:
-        if request.cap_kbps <= _EPSILON:
-            continue
-        for link in request.link_indices:
-            if link in link_capacity_kbps:
-                flows_on_link[link] = flows_on_link.get(link, 0) + 1
-
-    allocation: Dict[int, float] = {}
-    for request in requests:
-        if request.cap_kbps <= _EPSILON:
-            allocation[request.flow_key] = 0.0
-            continue
-        rate = request.cap_kbps
-        for link in request.link_indices:
-            if link in link_capacity_kbps:
-                rate = min(rate, link_capacity_kbps[link] / flows_on_link[link])
-        allocation[request.flow_key] = max(rate, 0.0)
-    return allocation
-
-
-#: A bandwidth solver: (requests, link capacities) -> per-flow Kbps.
-Solver = Callable[[Sequence[AllocationRequest], Dict[int, float]], Dict[int, float]]
-
-#: Named solvers selectable through ``NetworkSimulator(solver=...)`` and
-#: ``ExperimentConfig.solver``.  ``max_min`` is the default (and the paper's
-#: fairness model); ``single_pass`` is the cheaper c/n estimate.
-SOLVERS: Dict[str, Solver] = {
-    "max_min": max_min_allocation,
-    "single_pass": single_pass_allocation,
-}
-
-
-def register_solver(name: str, solver: Solver, replace: bool = False) -> Solver:
-    """Register a bandwidth solver under ``name`` for use by the simulator."""
-    if not name or not isinstance(name, str):
-        raise ValueError("solver name must be a non-empty string")
-    if name in SOLVERS and not replace:
-        raise ValueError(f"solver {name!r} is already registered")
-    SOLVERS[name] = solver
-    return solver
-
-
-def resolve_solver(solver: "str | Solver") -> Solver:
-    """Turn a solver name (or an already-callable solver) into a callable."""
-    if callable(solver):
-        return solver
-    try:
-        return SOLVERS[solver]
-    except KeyError:
-        raise ValueError(
-            f"unknown solver {solver!r}; available: {', '.join(sorted(SOLVERS))}"
-        ) from None

@@ -10,7 +10,6 @@ budget exposed through the non-blocking sender the protocols use.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.topology.graph import PathInfo, Topology
@@ -19,17 +18,6 @@ from repro.transport.tfrc import TfrcFlowState, feedback_chunks
 from repro.util.units import PACKET_SIZE_KBITS
 
 _flow_ids = itertools.count()
-
-
-@dataclass
-class Packet:
-    """One data packet in flight: a sequence number plus bookkeeping."""
-
-    sequence: int
-    origin: int
-    hop_src: int
-    hop_dst: int
-    sent_at: float
 
 
 class Flow:

@@ -38,7 +38,6 @@ from typing import Callable, Dict, List, Mapping, Optional
 import numpy as np
 
 from repro.network.allocation import AllocationEngine, EngineStats
-from repro.network.fairshare import Solver
 from repro.network.flows import Flow
 from repro.network.stats import StatsCollector
 from repro.topology.graph import Topology
@@ -90,7 +89,6 @@ class NetworkSimulator:
         stats: Optional[StatsCollector] = None,
         congestion_loss_rate: float = 0.03,
         congestion_threshold: float = 0.98,
-        solver: "str | Solver" = "max_min",
     ) -> None:
         """``congestion_loss_rate`` models drop-tail queue drops on saturated
         links: a physical link whose allocated traffic reaches
@@ -99,10 +97,7 @@ class NetworkSimulator:
         substrate) emulates exactly such queues, and the resulting losses —
         which compound hop-by-hop down a streaming tree and which TFRC reacts
         to — are central to the tree-vs-mesh comparison.  Set the rate to 0 to
-        disable congestion losses.
-
-        ``solver`` names the bandwidth solver (``max_min``, ``single_pass`` or
-        any callable/registered solver)."""
+        disable congestion losses."""
         if dt <= 0:
             raise ValueError("dt must be positive")
         if not 0.0 <= congestion_loss_rate < 1.0:
@@ -120,7 +115,7 @@ class NetworkSimulator:
         self.congestion_loss_rate = congestion_loss_rate
         self.congestion_threshold = congestion_threshold
         self._congested_links: set[int] = tracked_set("simulator.congested_links")
-        self._engine = AllocationEngine(topology.capacity_map(), solver=solver)
+        self._engine = AllocationEngine(topology.capacity_map())
         self._capacity_version = topology.capacity_version
         #: Cached equation-rate targets for idle (nothing-sent) TFRC flows;
         #: constant while a flow stays idle, invalidated on any delivery.
@@ -387,11 +382,6 @@ class NetworkSimulator:
             self.end_step()
 
     # ------------------------------------------------------------------ misc
-    def path_rtt(self, a: int, b: int) -> float:
-        """Round-trip time between two hosts on the fixed routes."""
-        rtt, _ = self.topology.round_trip(a, b)
-        return rtt
-
     def warm_routes(self, sources, dsts=None) -> int:
         """Pre-resolve underlay routes for a set of hosts (batch API).
 

@@ -1,13 +1,8 @@
 """Informed content delivery primitives: working sets, min-wise summary
-tickets, Bloom filters and resemblance estimation."""
+tickets, Bloom filters and resemblance-ranked peering."""
 
 from repro.reconcile.bloom import BloomFilter, FifoBloomFilter, optimal_parameters
-from repro.reconcile.resemblance import (
-    estimated_resemblance,
-    expected_useful_fraction,
-    jaccard_similarity,
-    rank_peers_by_divergence,
-)
+from repro.reconcile.resemblance import rank_peers_by_divergence
 from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
 from repro.reconcile.working_set import WorkingSet
 
@@ -17,9 +12,6 @@ __all__ = [
     "FifoBloomFilter",
     "SummaryTicket",
     "WorkingSet",
-    "estimated_resemblance",
-    "expected_useful_fraction",
-    "jaccard_similarity",
     "optimal_parameters",
     "rank_peers_by_divergence",
 ]

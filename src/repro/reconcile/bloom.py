@@ -479,10 +479,6 @@ class FifoBloomFilter:
                 return False
         return True
 
-    def min_key(self) -> int | None:
-        """The lowest live key, or ``None`` when the window is empty."""
-        return self._heap[0] if self._heap else None
-
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -1,34 +1,16 @@
-"""Resemblance computation between working sets (Section 2.3).
+"""Peer ranking by working-set resemblance (Section 2.3).
 
 Bullet receivers "choose to peer with the node having the lowest similarity
 ratio when compared to its own summary ticket", i.e. the candidate whose
-content diverges most.  This module provides both the exact Jaccard
-similarity (for tests and analysis) and the ticket-based estimate the
-protocol actually uses, plus the peer-ranking helper.
+content diverges most.  The ranking reads the ticket-based (min-wise)
+resemblance estimate the protocol actually uses.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.reconcile.summary_ticket import SummaryTicket
-
-
-def jaccard_similarity(a: Iterable[int], b: Iterable[int]) -> float:
-    """Exact Jaccard similarity of two key sets."""
-    set_a: Set[int] = set(a)
-    set_b: Set[int] = set(b)
-    if not set_a and not set_b:
-        return 1.0
-    union = set_a | set_b
-    if not union:
-        return 1.0
-    return len(set_a & set_b) / len(union)
-
-
-def estimated_resemblance(ticket_a: SummaryTicket, ticket_b: SummaryTicket) -> float:
-    """Min-wise estimate of the Jaccard similarity between two working sets."""
-    return ticket_a.resemblance(ticket_b)
 
 
 def rank_peers_by_divergence(
@@ -41,19 +23,6 @@ def rank_peers_by_divergence(
     are broken by peer id for determinism.
     """
     scored = [
-        (peer, estimated_resemblance(own_ticket, ticket)) for peer, ticket in candidates.items()
+        (peer, own_ticket.resemblance(ticket)) for peer, ticket in candidates.items()
     ]
     return sorted(scored, key=lambda item: (item[1], item[0]))
-
-
-def expected_useful_fraction(own: Sequence[int], remote: Sequence[int]) -> float:
-    """Fraction of the remote node's content that would be new to us.
-
-    Used in analysis/tests to validate that low resemblance really does
-    correspond to a high fraction of useful (non-duplicate) packets.
-    """
-    remote_set = set(remote)
-    if not remote_set:
-        return 0.0
-    own_set = set(own)
-    return len(remote_set - own_set) / len(remote_set)

@@ -16,15 +16,7 @@ exhausted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
-
-
-@dataclass
-class SendResult:
-    """Outcome of one send attempt."""
-
-    accepted: bool
-    sequence: int
+from typing import List
 
 
 @dataclass
@@ -71,33 +63,3 @@ class NonBlockingSender:
         """Return and clear the packets accepted this step (delivery hand-off)."""
         accepted, self.accepted = self.accepted, []
         return accepted
-
-
-@dataclass
-class ReliableQueue:
-    """A simple FIFO send queue for transports that do not drop on overflow.
-
-    Used by the TCP-like baseline streaming mode: packets that exceed the
-    current budget are queued and sent in later steps rather than dropped.
-    """
-
-    pending: List[int] = field(default_factory=list)
-    max_queue: Optional[int] = None
-    dropped_overflow: int = 0
-
-    def offer(self, sequence: int) -> None:
-        """Enqueue a packet, dropping the oldest if the queue is bounded and full."""
-        if self.max_queue is not None and len(self.pending) >= self.max_queue:
-            self.pending.pop(0)
-            self.dropped_overflow += 1
-        self.pending.append(sequence)
-
-    def take(self, budget: int) -> List[int]:
-        """Dequeue up to ``budget`` packets."""
-        if budget <= 0:
-            return []
-        taken, self.pending = self.pending[:budget], self.pending[budget:]
-        return taken
-
-    def __len__(self) -> int:
-        return len(self.pending)

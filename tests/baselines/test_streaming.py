@@ -7,19 +7,14 @@ from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
 
 
-def build(n=12, seed=3, transport="tfrc", tree_kind="random"):
+def build(n=12, seed=3, tree_kind="random"):
     workload = build_workload(n_overlay=n, tree_kind=tree_kind, seed=seed)
     simulator = NetworkSimulator(workload.topology, dt=1.0, seed=seed)
-    streaming = TreeStreaming(simulator, workload.tree, stream_rate_kbps=600.0, transport=transport)
+    streaming = TreeStreaming(simulator, workload.tree, stream_rate_kbps=600.0)
     return workload, simulator, streaming
 
 
 class TestTreeStreaming:
-    def test_rejects_unknown_transport(self):
-        workload, simulator, _ = build()
-        with pytest.raises(ValueError):
-            TreeStreaming(simulator, workload.tree, transport="carrier-pigeon")
-
     def test_rejects_bad_rate(self):
         workload, simulator, _ = build()
         with pytest.raises(ValueError):
@@ -48,21 +43,6 @@ class TestTreeStreaming:
             node_useful = simulator.stats.node_counters(node).useful_packets
             parent_useful = simulator.stats.node_counters(parent).useful_packets
             assert node_useful <= parent_useful + 60  # small slack for timing
-
-    def test_tcp_transport_queues_instead_of_dropping(self):
-        _, sim_tfrc, tfrc_streaming = build(transport="tfrc", seed=9)
-        tfrc_streaming.run(40)
-        _, sim_tcp, tcp_streaming = build(transport="tcp", seed=9)
-        tcp_streaming.run(40)
-        # Both deliver data; the TCP mode must not deliver less than half of
-        # TFRC's (queuing should not lose data outright).
-        tfrc_total = sum(
-            sim_tfrc.stats.node_counters(n).useful_packets for n in tfrc_streaming.receivers()
-        )
-        tcp_total = sum(
-            sim_tcp.stats.node_counters(n).useful_packets for n in tcp_streaming.receivers()
-        )
-        assert tcp_total > 0.5 * tfrc_total
 
     def test_failure_cuts_off_subtree(self):
         workload, simulator, streaming = build(n=16, seed=5)

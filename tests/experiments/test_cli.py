@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _parse_params, main
+from repro.topology.links import BandwidthClass
 
 
 class TestRunCommand:
@@ -93,6 +94,35 @@ class TestSweepCommand:
     def test_sweep_rejects_malformed_param(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--systems", "stream", "--param", "oops"])
+
+    def test_sweep_param_values_take_the_field_type(self):
+        parameters = _parse_params(
+            ["duration_s=60", "lossy=True,false", "failure_at_s=none,25",
+             "bandwidth_class=low", "tree_kind=bottleneck"]
+        )
+        assert parameters == {
+            "duration_s": [60.0],
+            "lossy": [True, False],
+            "failure_at_s": [None, 25.0],
+            "bandwidth_class": [BandwidthClass.LOW],
+            "tree_kind": ["bottleneck"],
+        }
+        assert type(parameters["duration_s"][0]) is float
+
+    @pytest.mark.parametrize(
+        "spec, named",
+        [
+            ("n_overlay=abc", "n_overlay expects int"),
+            ("lossy=maybe", "lossy expects bool"),
+            ("bandwidth_class=huge", "bandwidth_class expects BandwidthClass"),
+            ("bullet=x", "cannot sweep 'bullet' (type BulletConfig)"),
+            ("fanout=4", "no field 'fanout'"),
+        ],
+    )
+    def test_sweep_rejects_values_that_do_not_parse(self, capsys, spec, named):
+        exit_code = main(["sweep", "--systems", "stream", "--param", spec, *self.FAST])
+        assert exit_code == 2
+        assert named in capsys.readouterr().err
 
     def test_sweep_rejects_system_and_seed_params(self):
         with pytest.raises(SystemExit, match="--systems"):
@@ -196,12 +226,13 @@ class TestRetiredEngineFlags:
     # retired flags stays empty.
     @pytest.mark.parametrize(
         "flag",
-        ["--engines"]
+        ["--engines", "--solver"]
         + ["--no-" + engine for engine in
            ("incremental", "incremental-protocol", "routing-engine", "step-engine")],
     )
     def test_retired_engine_flags_are_usage_errors(self, capsys, flag):
-        extra = [flag, "legacy"] if flag == "--engines" else [flag]
+        valued = {"--engines": "legacy", "--solver": "single_pass"}
+        extra = [flag, valued[flag]] if flag in valued else [flag]
         with pytest.raises(SystemExit) as excinfo:
             main(["run", "--system", "bullet", "--nodes", "10", "--duration", "30", *extra])
         assert excinfo.value.code == 2

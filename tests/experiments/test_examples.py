@@ -18,14 +18,13 @@ class TestExampleFiles:
         names = {path.name for path in EXAMPLES_DIR.glob("*.py")}
         assert "quickstart.py" in names
         assert "video_streaming_failure.py" in names
-        assert "file_distribution_erasure.py" in names
         assert "bandwidth_comparison.py" in names
         assert "scale_scenarios.py" in names
 
     @pytest.mark.parametrize(
         "script",
-        ["quickstart.py", "video_streaming_failure.py", "file_distribution_erasure.py",
-         "bandwidth_comparison.py", "scale_scenarios.py"],
+        ["quickstart.py", "video_streaming_failure.py", "bandwidth_comparison.py",
+         "scale_scenarios.py"],
     )
     def test_examples_compile(self, script):
         source = (EXAMPLES_DIR / script).read_text()
@@ -49,23 +48,6 @@ class TestVideoStreamingScenario:
             result = example.run_with_failure("stream", seed=3)
             assert result["before_kbps"] > 0
             assert result["subtree_size"] >= 1
-        finally:
-            sys.path.remove(str(EXAMPLES_DIR))
-
-
-class TestFileDistributionScenario:
-    def test_make_file_and_codec_round_trip(self):
-        sys.path.insert(0, str(EXAMPLES_DIR))
-        try:
-            import file_distribution_erasure as example
-            from repro.encoding import TornadoCodec, join_blocks, split_into_blocks
-
-            data = example.make_file(50_000)
-            blocks = split_into_blocks(data, example.BLOCK_SIZE_BYTES)
-            codec = TornadoCodec(stretch_factor=1.4, seed=7)
-            packets = codec.encode(blocks)
-            decoded = codec.decode(packets, len(blocks))
-            assert join_blocks(decoded, 50_000) == data
         finally:
             sys.path.remove(str(EXAMPLES_DIR))
 

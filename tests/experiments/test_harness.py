@@ -29,7 +29,12 @@ class TestExperimentConfig:
 
     @pytest.mark.parametrize(
         "retired",
-        [dict(engines="legacy"), dict(step_engine=False)],
+        [
+            dict(engines="legacy"),
+            dict(step_engine=False),
+            dict(solver="single_pass"),
+            dict(transport="tcp"),
+        ],
         ids=lambda kwargs: next(iter(kwargs)),
     )
     def test_retired_engine_fields_fail_loudly(self, retired):

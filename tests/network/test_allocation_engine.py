@@ -9,12 +9,11 @@ affected regions in isolation), while touching only the affected region.
 
 import math
 
-import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.fairshare import max_min_allocation
 
 from repro.network.allocation import AllocationEngine
-from repro.network.fairshare import AllocationRequest, single_pass_allocation
+from repro.network.fairshare import AllocationRequest
 
 
 def close(a, b):
@@ -96,25 +95,6 @@ class TestEngineBasics:
         engine.submit(1, (0,), float("inf"))
         engine.solve()
         assert close(engine.allocation[1], 200.0)
-
-    def test_single_pass_solver_pluggable(self):
-        engine = AllocationEngine({0: 1000.0}, solver="single_pass")
-        engine.submit(1, (0,), float("inf"))
-        engine.submit(2, (0,), 100.0)
-        engine.solve()
-        reference = single_pass_allocation(
-            [
-                AllocationRequest(1, (0,), float("inf")),
-                AllocationRequest(2, (0,), 100.0),
-            ],
-            {0: 1000.0},
-        )
-        assert engine.allocation[1] == reference[1]
-        assert engine.allocation[2] == reference[2]
-
-    def test_unknown_solver_rejected(self):
-        with pytest.raises(ValueError, match="unknown solver"):
-            AllocationEngine({}, solver="magic")
 
 
 # --------------------------------------------------------------- property

@@ -2,16 +2,15 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.fairshare import max_min_allocation as scalar_max_min_allocation
+from oracles.fairshare import (
+    max_min_allocation as scalar_max_min_allocation,
+    single_pass_allocation,
+)
 
 from repro.network.fairshare import (
-    SOLVERS,
     AllocationRequest,
     VectorizedMaxMinSolver,
     max_min_allocation,
-    register_solver,
-    resolve_solver,
-    single_pass_allocation,
 )
 
 
@@ -260,35 +259,6 @@ class TestFrozenFlowBookkeepingRegression:
         first = max_min_allocation(requests, capacities)
         for _ in range(3):
             assert max_min_allocation(requests, capacities) == first
-
-
-class TestSolverRegistry:
-    def test_builtin_names(self):
-        assert resolve_solver("max_min") is max_min_allocation
-        assert resolve_solver("single_pass") is single_pass_allocation
-
-    def test_callable_passthrough(self):
-        def toy(requests, capacities):
-            return {request.flow_key: 1.0 for request in requests}
-
-        assert resolve_solver(toy) is toy
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown solver"):
-            resolve_solver("nope")
-
-    def test_register_and_replace_guard(self):
-        def toy(requests, capacities):
-            return {}
-
-        register_solver("toy-solver", toy)
-        try:
-            assert resolve_solver("toy-solver") is toy
-            with pytest.raises(ValueError, match="already registered"):
-                register_solver("toy-solver", toy)
-            register_solver("toy-solver", toy, replace=True)
-        finally:
-            SOLVERS.pop("toy-solver", None)
 
 
 class TestSinglePassAllocation:

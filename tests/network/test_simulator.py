@@ -208,18 +208,6 @@ class TestIncrementalAllocation:
         sim.end_step()
         assert flow_a.allocated_kbps == pytest.approx(1200.0, rel=0.01)
 
-    def test_single_pass_solver_selectable(self):
-        sim = NetworkSimulator(
-            star_topology(capacity=900.0), dt=1.0, solver="single_pass",
-            congestion_loss_rate=0.0,
-        )
-        flow_a = sim.create_flow(1, 3, demand_kbps=10_000.0, use_tfrc=False)
-        flow_b = sim.create_flow(2, 3, demand_kbps=100.0, use_tfrc=False)
-        sim.begin_step()
-        # single_pass gives c/n = 450 even though flow_b only wants 100.
-        assert flow_a.allocated_kbps == pytest.approx(450.0)
-        assert flow_b.allocated_kbps == pytest.approx(100.0)
-
     def test_capacity_change_is_picked_up(self):
         topo = star_topology(capacity=1000.0)
         sim = NetworkSimulator(topo, dt=1.0, congestion_loss_rate=0.0)

@@ -4,6 +4,9 @@ Moved verbatim out of ``repro.network.fairshare`` when the vectorized solver
 became the only implementation in ``src/``: every round of
 :class:`~repro.network.fairshare.VectorizedMaxMinSolver` is paired with a
 block of this loop, and the hypothesis suites require bit-equal allocations.
+
+:func:`single_pass_allocation` is the paper's cheaper c/n estimate, the lower
+bound the max-min allocation is checked to dominate.
 """
 
 from typing import Dict, List, Sequence
@@ -86,4 +89,36 @@ def max_min_allocation(
             break
         active = still_active
 
+    return allocation
+
+
+def single_pass_allocation(
+    requests: Sequence[AllocationRequest],
+    link_capacity_kbps: Dict[int, float],
+) -> Dict[int, float]:
+    """The paper's simpler estimate: rate = min over path links of c/n, capped.
+
+    This is the "each flow can achieve throughput of at most c/n" assumption
+    the offline bottleneck tree uses.  Flows whose cap is (numerically) zero
+    receive 0.0 and — as in the max-min solver — do not consume a share of
+    any link, so both agree on which flows contend for capacity.
+    """
+    flows_on_link: Dict[int, int] = {}
+    for request in requests:
+        if request.cap_kbps <= _EPSILON:
+            continue
+        for link in request.link_indices:
+            if link in link_capacity_kbps:
+                flows_on_link[link] = flows_on_link.get(link, 0) + 1
+
+    allocation: Dict[int, float] = {}
+    for request in requests:
+        if request.cap_kbps <= _EPSILON:
+            allocation[request.flow_key] = 0.0
+            continue
+        rate = request.cap_kbps
+        for link in request.link_indices:
+            if link in link_capacity_kbps:
+                rate = min(rate, link_capacity_kbps[link] / flows_on_link[link])
+        allocation[request.flow_key] = max(rate, 0.0)
     return allocation

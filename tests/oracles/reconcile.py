@@ -8,17 +8,37 @@ and the scalar generator-fed min-wise sketch.  The free functions are the
 per-packet forms of ``BulletNode.on_packets`` and
 ``SenderQueue.offer_new_packets`` as the delivery loops used to spell them,
 and the per-key Bloom probe and recovery selection that
-``BloomSnapshot.missing_flags`` replaced.
+``BloomSnapshot.missing_flags`` replaced.  :func:`jaccard_similarity` and
+:func:`expected_useful_fraction` are the exact set measures the min-wise
+resemblance estimate is checked against.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter
 from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
 from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients
+
+
+def jaccard_similarity(a: Iterable[int], b: Iterable[int]) -> float:
+    """Exact Jaccard similarity of two key sets (1.0 for two empty sets)."""
+    set_a: Set[int] = set(a)
+    set_b: Set[int] = set(b)
+    union = set_a | set_b
+    if not union:
+        return 1.0
+    return len(set_a & set_b) / len(union)
+
+
+def expected_useful_fraction(own: Sequence[int], remote: Sequence[int]) -> float:
+    """Fraction of the remote node's content that would be new to us."""
+    remote_set = set(remote)
+    if not remote_set:
+        return 0.0
+    return len(remote_set - set(own)) / len(remote_set)
 
 
 class SortEverythingWorkingSet:

@@ -2,13 +2,9 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles.reconcile import expected_useful_fraction, jaccard_similarity
 
-from repro.reconcile.resemblance import (
-    estimated_resemblance,
-    expected_useful_fraction,
-    jaccard_similarity,
-    rank_peers_by_divergence,
-)
+from repro.reconcile.resemblance import rank_peers_by_divergence
 from repro.reconcile.summary_ticket import SummaryTicket
 
 
@@ -54,11 +50,6 @@ class TestRanking:
         own = SummaryTicket.from_working_set(range(10), seed=1)
         assert rank_peers_by_divergence(own, {}) == []
 
-    def test_estimated_resemblance_matches_ticket_method(self):
-        a = SummaryTicket.from_working_set(range(50), seed=3)
-        b = SummaryTicket.from_working_set(range(25, 75), seed=3)
-        assert estimated_resemblance(a, b) == a.resemblance(b)
-
 
 class TestExpectedUsefulFraction:
     def test_all_useful(self):
@@ -78,8 +69,8 @@ class TestExpectedUsefulFraction:
         own_ticket = SummaryTicket.from_working_set(own, seed=5)
         similar_ticket = SummaryTicket.from_working_set(similar_remote, seed=5)
         divergent_ticket = SummaryTicket.from_working_set(divergent_remote, seed=5)
-        assert estimated_resemblance(own_ticket, divergent_ticket) < estimated_resemblance(
-            own_ticket, similar_ticket
+        assert own_ticket.resemblance(divergent_ticket) < own_ticket.resemblance(
+            similar_ticket
         )
         assert expected_useful_fraction(own, divergent_remote) > expected_useful_fraction(
             own, similar_remote

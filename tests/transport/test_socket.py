@@ -1,9 +1,9 @@
-"""Tests for the non-blocking sender and the reliable queue."""
+"""Tests for the non-blocking sender."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.socket import NonBlockingSender, ReliableQueue
+from repro.transport.socket import NonBlockingSender
 
 
 class TestNonBlockingSender:
@@ -59,27 +59,3 @@ class TestNonBlockingSender:
             while sender.try_send(accepted):
                 accepted += 1
         assert accepted == int(rate * steps) or abs(accepted - rate * steps) < 1.0
-
-
-class TestReliableQueue:
-    def test_fifo_order(self):
-        queue = ReliableQueue()
-        for i in range(5):
-            queue.offer(i)
-        assert queue.take(3) == [0, 1, 2]
-        assert queue.take(3) == [3, 4]
-
-    def test_take_zero_or_negative(self):
-        queue = ReliableQueue()
-        queue.offer(1)
-        assert queue.take(0) == []
-        assert queue.take(-1) == []
-        assert len(queue) == 1
-
-    def test_bounded_queue_drops_oldest(self):
-        queue = ReliableQueue(max_queue=3)
-        for i in range(5):
-            queue.offer(i)
-        assert len(queue) == 3
-        assert queue.dropped_overflow == 2
-        assert queue.take(3) == [2, 3, 4]
