@@ -23,20 +23,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.experiments.batch import sweep
 from repro.experiments.export import plain_value, write_aggregate_csv, write_result_csv
-from repro.experiments.figures import (
-    FigureScale,
-    figure6_tree_streaming,
-    figure7_bullet_random_tree,
-    figure8_bandwidth_cdf,
-    figure9_bandwidth_sweep,
-    figure10_nondisjoint,
-    figure11_epidemic,
-    figure12_lossy,
-    figure13_failure_no_recovery,
-    figure14_failure_with_recovery,
-    figure15_planetlab,
-    headline_metrics,
-)
 from repro.experiments.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.experiments.registry import available_systems
 from repro.experiments.workloads import (
@@ -49,26 +35,20 @@ from repro.report import (
     TIER_NAMES,
     TIERS,
     ReproducePlan,
+    RunContext,
+    Tier,
     expectation_failures,
+    get_experiment,
     run_reproduction,
 )
-from repro.report.docs import DEFAULT_DOC, refresh_timing_table
+from repro.report.docs import DEFAULT_DOC, check_timing_doc, refresh_timing_table
 from repro.report.manifest import load_timing
 from repro.topology.links import BandwidthClass
 
-_FIGURES = {
-    "6": figure6_tree_streaming,
-    "7": figure7_bullet_random_tree,
-    "8": figure8_bandwidth_cdf,
-    "9": figure9_bandwidth_sweep,
-    "10": figure10_nondisjoint,
-    "11": figure11_epidemic,
-    "12": figure12_lossy,
-    "13": figure13_failure_no_recovery,
-    "14": figure14_failure_with_recovery,
-    "15": figure15_planetlab,
-    "headline": headline_metrics,
-}
+#: ``figure N`` runs catalog entry ``figN``; ``figure headline`` runs ``headline``.
+_FIGURE_NUMBERS = tuple(
+    entry.id.removeprefix("fig") for entry in CATALOG if entry.section == "figures"
+) + ("headline",)
 
 _EPILOG = (
     "The full experiment catalog, expected wall-clock per tier and how to"
@@ -133,7 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scenarios.add_argument("--json", action="store_true")
 
     figure = sub.add_parser("figure", help="regenerate one paper figure", epilog=_EPILOG)
-    figure.add_argument("number", choices=list(_FIGURES), help="figure number (or 'headline')")
+    figure.add_argument("number", choices=_FIGURE_NUMBERS, help="figure number (or 'headline')")
     figure.add_argument("--nodes", type=int, default=40,
                         help="overlay size (ignored by figure 15, which uses"
                         " the PlanetLab-style fixed topology)")
@@ -331,14 +311,15 @@ def _summarize(value: object) -> object:
 
 
 def _command_figure(args: argparse.Namespace) -> int:
-    runner = _FIGURES[args.number]
-    if args.number == "15":
-        # Figure 15 replays the PlanetLab-style run on its fixed topology;
-        # it has no overlay-size knob.
-        data = runner(duration_s=args.duration, seed=args.seed)
-    else:
-        scale = FigureScale(n_overlay=args.nodes, duration_s=args.duration, seed=args.seed)
-        data = runner(scale)
+    experiment_id = "headline" if args.number == "headline" else f"fig{args.number}"
+    tier = Tier(
+        name="figure",
+        n_overlay=args.nodes,
+        duration_s=args.duration,
+        seed=args.seed,
+        description="the figure command's --nodes/--duration/--seed",
+    )
+    data = get_experiment(experiment_id).runner(RunContext(tier=tier, seed=args.seed))
     printable = {key: _summarize(value) for key, value in data.items() if key != "result"}
     print(json.dumps(printable, indent=2))
     return 0
@@ -499,6 +480,9 @@ def _command_reproduce(args: argparse.Namespace) -> int:
         seed=args.seed,
         resume=not args.no_resume,
     )
+    if args.refresh_docs:
+        # Fail before the first experiment, not after the last one.
+        check_timing_doc(DEFAULT_DOC)
     tier = TIERS[args.tier]
     say = (lambda _line: None) if args.json else print
     say(f"reproduce: tier {tier.name} ({tier.description})"

@@ -5,9 +5,9 @@ the benchmark suite as test functions; reproducing them meant running pytest
 and reading captured stdout.  Each ablation is now an ordinary function —
 same shape as the ``figureNN`` runners in :mod:`repro.experiments.figures` —
 that builds its configs, runs them through :func:`run_batch` and returns a
-structured, JSON-friendly dictionary.  The benchmark tests call these
-functions and keep their shape assertions; the reproduction pipeline
-(``python -m repro.cli reproduce``) exports their results directly.
+structured, JSON-friendly dictionary.  The reproduction pipeline
+(``python -m repro.cli reproduce``) exports their results directly and
+checks them against the catalog's expectations.
 """
 
 from __future__ import annotations

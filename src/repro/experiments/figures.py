@@ -3,9 +3,10 @@
 Each ``figureNN`` function reproduces one figure of the paper's evaluation
 section: it runs the systems the figure compares, at a configurable (reduced
 by default) scale, and returns a dictionary holding exactly the series /
-numbers the paper plots.  The benchmark suite calls these functions and
-prints the same rows, so ``pytest benchmarks/ --benchmark-only`` regenerates
-the whole evaluation.
+numbers the paper plots.  The reproduction catalog
+(:mod:`repro.report.catalog`) calls these functions, so ``python -m repro.cli
+reproduce --tier paper`` regenerates the whole evaluation and checks it
+against the paper's expected relationships.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ class FigureScale:
     """Common scale knobs shared by every figure runner.
 
     The paper uses 1000 overlay nodes, 20,000-node topologies and ~400-500
-    second runs; the defaults here are sized so the full benchmark suite runs
-    on a laptop in minutes.  Pass a larger scale to approach the paper's.
+    second runs; the defaults here are sized so a figure runs on a laptop in
+    minutes.  Pass a larger scale to approach the paper's.
     """
 
     n_overlay: int = 50

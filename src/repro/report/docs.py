@@ -5,13 +5,13 @@ The measured wall-clock table in REPRODUCTION.md lives between the
 ``python -m repro.cli reproduce --refresh-docs``: the row for the tier that
 just ran is rewritten with the measured totals, other tiers' rows are kept.
 The experiment catalog itself is checked against the registered experiments
-by ``scripts/check_reproduction_docs.py`` (CI fails on drift).
+by ``tests/report/test_docs.py`` (tier-1 fails on drift).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Mapping, Union
+from typing import Dict, List, Mapping, Tuple, Union
 
 from repro.report.catalog import EXPERIMENTS, TIER_NAMES
 from repro.report.manifest import Manifest
@@ -52,15 +52,14 @@ def timing_row(manifest: Manifest, timing: Mapping[str, object]) -> str:
     return f"| {manifest.tier} | {complete}/{len(EXPERIMENTS)} | {measured} |"
 
 
-def refresh_timing_table(
-    doc_path: PathLike, manifest: Manifest, timing: Mapping[str, object]
-) -> bool:
-    """Rewrite the run's tier row in the doc's timing table.
-
-    Returns True when the file changed.  Raises ValueError when the doc has
-    no (or malformed) ``repro:timing`` markers.
-    """
-    path = Path(doc_path)
+def _timing_span(path: Path) -> Tuple[str, int, int]:
+    """The doc's text and the offsets of its two timing markers."""
+    if not path.is_file():
+        raise ValueError(
+            f"{path}: no such file under {Path.cwd()}; --refresh-docs rewrites"
+            " the repository's docs/REPRODUCTION.md, so run it from the"
+            " repository root"
+        )
     text = path.read_text()
     begin = text.find(TIMING_BEGIN)
     end = text.find(TIMING_END)
@@ -69,6 +68,24 @@ def refresh_timing_table(
             f"{path}: missing {TIMING_BEGIN} / {TIMING_END} markers; cannot"
             " refresh the timing table"
         )
+    return text, begin, end
+
+
+def check_timing_doc(doc_path: PathLike) -> None:
+    """Raise ValueError unless ``doc_path`` exists and has both timing markers."""
+    _timing_span(Path(doc_path))
+
+
+def refresh_timing_table(
+    doc_path: PathLike, manifest: Manifest, timing: Mapping[str, object]
+) -> bool:
+    """Rewrite the run's tier row in the doc's timing table.
+
+    Returns True when the file changed.  Raises ValueError when the doc is
+    missing or has no (or malformed) ``repro:timing`` markers.
+    """
+    path = Path(doc_path)
+    text, begin, end = _timing_span(path)
     block = text[begin + len(TIMING_BEGIN): end]
     rows = _existing_rows(block)
     rows[manifest.tier] = timing_row(manifest, timing)

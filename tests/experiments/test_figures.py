@@ -1,8 +1,10 @@
 """Smoke tests for the per-figure runners at a tiny scale.
 
-These exercise the exact code paths the benchmark suite uses, checking result
-structure and basic sanity (series exist, numbers are positive); the
-full-scale shape checks live in ``benchmarks/``.
+These exercise the exact code paths the reproduction catalog uses, checking
+result structure and basic sanity (series exist, numbers are positive); the
+paper's shape checks are the catalog's expectations, which
+``benchmarks/test_catalog.py`` holds at the smoke tier and ``python -m
+repro.cli reproduce --tier paper`` reports at paper scale.
 """
 
 import pytest
@@ -14,6 +16,7 @@ from repro.experiments.figures import (
     figure8_bandwidth_cdf,
     figure10_nondisjoint,
     figure13_failure_no_recovery,
+    figure15_unconstrained_root,
     headline_metrics,
 )
 
@@ -68,3 +71,10 @@ class TestFigureRunners:
         assert config.n_overlay == 12
         assert config.system == "stream"
         assert config.tree_kind == "bottleneck"
+
+    def test_figure15_unconstrained_root(self):
+        data = figure15_unconstrained_root(duration_s=120.0)
+        # With ample source bandwidth both approaches deliver far more than the
+        # constrained-source scenario; Bullet does not sacrifice performance.
+        assert data["bullet_kbps"] >= 0.5 * 1500.0
+        assert data["good_tree_kbps"] >= 0.5 * 1500.0

@@ -2,7 +2,8 @@
 
 These are the cross-module invariants the paper's evaluation rests on; each
 runs a short simulation (tens of seconds, a dozen nodes) so the whole suite
-stays fast.  The full-scale reproductions live in ``benchmarks/``.
+stays fast.  The paper's figures are reproduced by the experiment catalog:
+``python -m repro.cli reproduce --tier paper``.
 """
 
 import pytest

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments.ablations import PEER_COUNT_SEEDS
 from repro.experiments.registry import available_systems
 from repro.report.catalog import (
     CATALOG,
@@ -10,6 +11,7 @@ from repro.report.catalog import (
     TIER_NAMES,
     TIERS,
     Expectation,
+    RunContext,
     flatten_export,
     experiment_ids,
     get_experiment,
@@ -42,6 +44,25 @@ class TestCatalogShape:
         for entry in CATALOG:
             for expectation in entry.expectations:
                 assert set(expectation.tiers) <= set(TIER_NAMES), entry.id
+
+    def test_expectation_kinds_are_ge_or_le(self):
+        # evaluate() reads any other kind as "le".
+        for entry in CATALOG:
+            for expectation in entry.expectations:
+                assert expectation.kind in ("ge", "le"), (entry.id, expectation.name)
+
+    def test_peer_ablation_averages_peer_count_seeds_above_smoke(self, monkeypatch):
+        calls = []
+
+        def fake_ablation(scale, workers, n_seeds):
+            calls.append(n_seeds)
+            return {"n_seeds": n_seeds}
+
+        monkeypatch.setattr("repro.report.catalog.ablation_peer_count", fake_ablation)
+        runner = get_experiment("abl-peers").runner
+        for tier in ("smoke", "paper", "scale"):
+            runner(RunContext(tier=TIERS[tier], seed=1))
+        assert calls == [1, PEER_COUNT_SEEDS, PEER_COUNT_SEEDS]
 
     def test_tiers(self):
         assert tuple(TIERS) == TIER_NAMES

@@ -102,6 +102,18 @@ class TestReproduceRun:
         assert code == 0
         assert "| smoke | 1/" in doc.read_text()
 
+    def test_refresh_docs_outside_the_repo_root_exits_2_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)  # no docs/REPRODUCTION.md here
+        results = tmp_path / "results"
+        code = main(
+            ["reproduce", "--only", "table1", "--out", str(results), "--refresh-docs"]
+        )
+        assert code == 2
+        assert "REPRODUCTION.md" in capsys.readouterr().err
+        assert not results.exists()  # failed before the first experiment
+
     def test_figure_15_runs_from_cli(self, capsys):
         assert main(["figure", "15", "--duration", "5", "--seed", "1"]) == 0
         payload = json.loads(capsys.readouterr().out)

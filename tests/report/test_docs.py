@@ -1,15 +1,16 @@
 """REPRODUCTION.md maintenance: timing-table refresh and drift checking."""
 
-import subprocess
-import sys
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.report.catalog import experiment_ids
 from repro.report.docs import (
+    DEFAULT_DOC,
     TIMING_BEGIN,
     TIMING_END,
+    check_timing_doc,
     refresh_timing_table,
     timing_row,
 )
@@ -89,11 +90,15 @@ class TestRefreshTimingTable:
 
 
 class TestDriftChecker:
+    """docs/REPRODUCTION.md documents the registered catalog, row by row."""
+
+    #: Experiment ids are documented as table rows: | 7 | `fig12` | ... |
+    ROW_ID = re.compile(r"^\|\s*\d+\s*\|\s*`([a-z0-9-]+)`\s*\|", re.MULTILINE)
+
     def test_committed_doc_matches_catalog(self):
-        completed = subprocess.run(
-            [sys.executable, str(REPO_ROOT / "scripts" / "check_reproduction_docs.py")],
-            capture_output=True,
-            text=True,
-            cwd=REPO_ROOT,
-        )
-        assert completed.returncode == 0, completed.stdout + completed.stderr
+        documented = self.ROW_ID.findall((REPO_ROOT / DEFAULT_DOC).read_text())
+        # Every registered id once, nothing stale, in `reproduce --list` order.
+        assert documented == experiment_ids()
+
+    def test_committed_doc_has_timing_markers(self):
+        check_timing_doc(REPO_ROOT / DEFAULT_DOC)
