@@ -23,7 +23,8 @@ from typing import Callable, Dict, Mapping
 
 import pytest
 
-from repro.experiments.figures import FigureScale, figure9_bandwidth_sweep
+from repro.experiments.figures import figure9_bandwidth_sweep
+from repro.experiments.harness import RunContext
 from repro.experiments.metrics import fraction_below, steady_state_average
 from repro.report.catalog import experiment_ids, get_experiment
 from repro.report.runner import ReproducePlan, run_reproduction
@@ -211,6 +212,5 @@ def test_experiment(smoke, experiment_id):
 
 
 def test_figure9_bullet_overtakes_the_tree_at_low_bandwidth():
-    scale = FigureScale(n_overlay=40, duration_s=200.0, seed=1)
-    rows = figure9_bandwidth_sweep(scale, workers=2)
+    rows = figure9_bandwidth_sweep(RunContext(n_overlay=40, duration_s=200.0, seed=1, workers=2))
     assert rows["low"]["bullet_kbps"] >= rows["low"]["bottleneck_tree_kbps"]

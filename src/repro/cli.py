@@ -15,11 +15,12 @@ third-party code are runnable from here without CLI changes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import enum
 import json
 import sys
 import typing
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.experiments.batch import sweep
 from repro.experiments.export import plain_value, write_aggregate_csv, write_result_csv
@@ -36,7 +37,6 @@ from repro.report import (
     TIERS,
     ReproducePlan,
     RunContext,
-    Tier,
     expectation_failures,
     get_experiment,
     run_reproduction,
@@ -56,6 +56,86 @@ _EPILOG = (
 )
 
 
+#: argparse dest -> the ExperimentConfig field it sets, for every flag of
+#: ``run`` and ``sweep`` that sets one.  A flag left off the command line
+#: sets nothing: the base config's value stands.
+_CONFIG_FIELDS = {
+    "system": "system",
+    "tree": "tree_kind",
+    "nodes": "n_overlay",
+    "duration": "duration_s",
+    "seed": "seed",
+    "rate": "stream_rate_kbps",
+    "bandwidth": "bandwidth_class",
+    "lossy": "lossy",
+    "fail_at": "failure_at_s",
+    "churn": "churn_failures",
+    "joins": "churn_joins",
+    "cluster_size": "cluster_size",
+    "shard_workers": "shard_workers",
+    "hierarchy_levels": "hierarchy_levels",
+    "latency_estimator": "latency_estimator",
+}
+#: The flags a ``--scenario`` preset fixes: giving one with a preset is a
+#: usage error.
+_FIXED_BY_PRESET = ("system", "tree", "rate", "bandwidth", "lossy", "fail_at")
+#: Each command's config flags, and the base its flags apply to when no
+#: ``--scenario`` preset is given.
+_RUN_FLAGS = tuple(_CONFIG_FIELDS)
+_SWEEP_FLAGS = ("tree", "nodes", "duration", "rate", "bandwidth", "lossy")
+_RUN_BASE = {"n_overlay": 50, "duration_s": 200.0}
+_SWEEP_BASE = {"n_overlay": 30, "duration_s": 120.0}
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
+def _with_default(text: str, field: str, base: Mapping[str, object] = {}) -> str:
+    """``text`` plus the value ``field`` takes when its flag is left off."""
+    return f"{text} (default {plain_value(base.get(field, getattr(ExperimentConfig, field)))})"
+
+
+def _overridable(flags: Sequence[str]) -> str:
+    """The ``flags`` that may override a ``--scenario`` preset's values."""
+    return "/".join(_flag(dest) for dest in flags if dest not in _FIXED_BY_PRESET)
+
+
+def _add_config_flags(parser: argparse.ArgumentParser, base: Mapping[str, object]) -> None:
+    """The flags ``run`` and ``sweep`` share, with the command's ``base``."""
+    parser.add_argument("--tree", choices=["random", "bottleneck", "overcast"], default=None,
+                        help=_with_default("overlay tree construction", "tree_kind"))
+    parser.add_argument("--nodes", type=int, default=None,
+                        help=_with_default("overlay size", "n_overlay", base))
+    parser.add_argument("--duration", type=float, default=None,
+                        help=_with_default("simulated seconds", "duration_s", base))
+    parser.add_argument("--rate", type=float, default=None,
+                        help=_with_default("stream rate in Kbps", "stream_rate_kbps"))
+    parser.add_argument("--bandwidth", type=BandwidthClass, choices=list(BandwidthClass),
+                        default=None, metavar="{low,medium,high}",
+                        help=_with_default("Table 1 bandwidth class", "bandwidth_class"))
+    parser.add_argument("--lossy", action="store_true", default=None,
+                        help="apply the Section 4.5 loss model")
+
+
+def _build_config(
+    args: argparse.Namespace, flags: Sequence[str], base: Mapping[str, object]
+) -> ExperimentConfig:
+    """The config a ``run``/``sweep`` command line names: the ``flags``
+    given, applied to the ``--scenario`` preset or else to ``base``."""
+    given = {dest: getattr(args, dest) for dest in flags if getattr(args, dest) is not None}
+    overrides = {_CONFIG_FIELDS[dest]: value for dest, value in given.items()}
+    if args.scenario is None:
+        return ExperimentConfig(**{**base, **overrides})
+    conflicts = [_flag(dest) for dest in _FIXED_BY_PRESET if dest in given]
+    if conflicts:
+        raise ValueError(
+            f"--scenario presets fix {', '.join(conflicts)}; only"
+            f" {_overridable(flags)} can override a preset"
+        )
+    return scenario_config(args.scenario, **overrides)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -66,22 +146,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one experiment scenario")
     run.add_argument("--system", choices=available_systems(), default=None,
-                     help="system under test (default bullet)")
+                     help=_with_default("system under test", "system"))
     run.add_argument("--scenario", choices=scale_scenario_names(), default=None,
                      help="start from a scale-scenario preset (see the"
-                     " 'scenarios' command); --nodes/--duration/--seed/"
-                     "--churn override preset values, other base"
-                     " flags are rejected")
-    run.add_argument("--tree", choices=["random", "bottleneck", "overcast"], default=None,
-                     help="overlay tree construction (default random)")
-    run.add_argument("--nodes", type=int, default=None, help="overlay size (default 50)")
-    run.add_argument("--duration", type=float, default=None,
-                     help="simulated seconds (default 200)")
-    run.add_argument("--rate", type=float, default=None,
-                     help="stream rate in Kbps (default 600)")
-    run.add_argument("--bandwidth", choices=["low", "medium", "high"], default=None,
-                     help="Table 1 bandwidth class (default medium)")
-    run.add_argument("--lossy", action="store_true", help="apply the Section 4.5 loss model")
+                     " 'scenarios' command); " + _overridable(_RUN_FLAGS)
+                     + " override preset values, other base flags are rejected")
+    _add_config_flags(run, _RUN_BASE)
     run.add_argument("--fail-at", type=float, default=None,
                      help="fail the worst-case node at this time (seconds)")
     run.add_argument("--churn", type=int, default=None,
@@ -89,23 +159,25 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--joins", type=int, default=None,
                      help="join this many new receivers mid-run (flash crowd)")
     run.add_argument("--cluster-size", type=int, default=None,
-                     help="target cluster size for hierarchical systems"
-                     " (e.g. bullet-clustered; default 50)")
+                     help=_with_default("target cluster size for hierarchical"
+                                        " systems (e.g. bullet-clustered)", "cluster_size"))
     run.add_argument("--shard-workers", type=int, default=None,
                      help="step cluster interiors and their heads' mesh state"
                      " in this many parallel worker processes (hierarchical"
                      " systems; 1 = serial, byte-identical to sharded)")
     run.add_argument("--hierarchy-levels", type=int, default=None,
-                     help="clustering depth for hierarchical systems: 1 (flat"
-                     " mesh), 2 (leaf clusters under mesh heads; default) or"
-                     " 3 (head groups of leaf clusters, for 100k-node runs)")
+                     help=_with_default("clustering depth for hierarchical systems:"
+                                        " 1 (flat mesh), 2 (leaf clusters under mesh"
+                                        " heads) or 3 (head groups of leaf clusters,"
+                                        " for 100k-node runs)", "hierarchy_levels"))
     run.add_argument("--latency-estimator", choices=["exact", "landmark"],
                      default=None,
-                     help="RTT source for head election, join routing and"
-                     " mesh peer scoring: 'exact' underlay routing (default)"
-                     " or seeded 'landmark' coordinates (O(landmarks) per"
-                     " pair instead of O(pairs))")
-    run.add_argument("--seed", type=int, default=None, help="root seed (default 1)")
+                     help=_with_default("RTT source for head election, join routing and"
+                                        " mesh peer scoring: 'exact' underlay routing"
+                                        " or seeded 'landmark' coordinates"
+                                        " (O(landmarks) per pair instead of O(pairs))",
+                                        "latency_estimator"))
+    run.add_argument("--seed", type=int, default=None, help=_with_default("root seed", "seed"))
     run.add_argument("--csv", type=str, default=None, help="write bandwidth series to this CSV")
     run.add_argument("--json", action="store_true", help="print a JSON summary instead of text")
 
@@ -117,8 +189,8 @@ def _build_parser() -> argparse.ArgumentParser:
     figure.add_argument("--nodes", type=int, default=40,
                         help="overlay size (ignored by figure 15, which uses"
                         " the PlanetLab-style fixed topology)")
-    figure.add_argument("--duration", type=float, default=200.0)
-    figure.add_argument("--seed", type=int, default=1)
+    figure.add_argument("--duration", type=float, default=RunContext.duration_s)
+    figure.add_argument("--seed", type=int, default=RunContext.seed)
 
     reproduce = sub.add_parser(
         "reproduce",
@@ -164,8 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", help="run a systems × parameters × seeds batch and aggregate"
     )
     sweep_cmd.add_argument(
-        "--systems", default="bullet",
-        help="comma-separated system names (any registered system)",
+        "--systems", default=None,
+        help="comma-separated system names (any registered system; default"
+        " the base config's system)",
     )
     sweep_cmd.add_argument(
         "--seeds", default="1",
@@ -177,15 +250,11 @@ def _build_parser() -> argparse.ArgumentParser:
         " (repeatable)",
     )
     sweep_cmd.add_argument("--scenario", choices=scale_scenario_names(), default=None,
-                           help="use a scale-scenario preset as the sweep's"
-                           " base config (other base flags are ignored)")
-    sweep_cmd.add_argument("--tree", choices=["random", "bottleneck", "overcast"],
-                           default="random")
-    sweep_cmd.add_argument("--nodes", type=int, default=30)
-    sweep_cmd.add_argument("--duration", type=float, default=120.0)
-    sweep_cmd.add_argument("--rate", type=float, default=600.0)
-    sweep_cmd.add_argument("--bandwidth", choices=["low", "medium", "high"], default="medium")
-    sweep_cmd.add_argument("--lossy", action="store_true")
+                           help="use a scale-scenario preset as the sweep's base"
+                           " config (--systems then defaults to the preset's"
+                           " system); " + _overridable(_SWEEP_FLAGS)
+                           + " override preset values, other base flags are rejected")
+    _add_config_flags(sweep_cmd, _SWEEP_BASE)
     sweep_cmd.add_argument("--workers", type=int, default=1,
                            help="fan runs out over this many processes")
     sweep_cmd.add_argument("--metric", default="average_useful_kbps",
@@ -232,65 +301,7 @@ def _validate_hierarchy_flags(args: argparse.Namespace) -> None:
 
 def _command_run(args: argparse.Namespace) -> int:
     _validate_hierarchy_flags(args)
-    if args.scenario is not None:
-        fixed_by_preset = [
-            ("--system", args.system is not None),
-            ("--tree", args.tree is not None),
-            ("--rate", args.rate is not None),
-            ("--bandwidth", args.bandwidth is not None),
-            ("--lossy", args.lossy),
-            ("--fail-at", args.fail_at is not None),
-        ]
-        conflicts = [flag for flag, given in fixed_by_preset if given]
-        if conflicts:
-            raise SystemExit(
-                f"--scenario presets fix {', '.join(conflicts)}; only"
-                " --nodes/--duration/--seed/--churn/--joins/"
-                "--cluster-size/--shard-workers/--hierarchy-levels/"
-                "--latency-estimator can override a preset"
-            )
-        overrides: Dict[str, object] = {}
-        if args.nodes is not None:
-            overrides["n_overlay"] = args.nodes
-        if args.duration is not None:
-            overrides["duration_s"] = args.duration
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.churn is not None:
-            overrides["churn_failures"] = args.churn
-        if args.joins is not None:
-            overrides["churn_joins"] = args.joins
-        if args.cluster_size is not None:
-            overrides["cluster_size"] = args.cluster_size
-        if args.shard_workers is not None:
-            overrides["shard_workers"] = args.shard_workers
-        if args.hierarchy_levels is not None:
-            overrides["hierarchy_levels"] = args.hierarchy_levels
-        if args.latency_estimator is not None:
-            overrides["latency_estimator"] = args.latency_estimator
-        config = scenario_config(args.scenario, **overrides)
-    else:
-        config = ExperimentConfig(
-            system=args.system if args.system is not None else "bullet",
-            tree_kind=args.tree if args.tree is not None else "random",
-            n_overlay=args.nodes if args.nodes is not None else 50,
-            duration_s=args.duration if args.duration is not None else 200.0,
-            stream_rate_kbps=args.rate if args.rate is not None else 600.0,
-            bandwidth_class=BandwidthClass(args.bandwidth or "medium"),
-            lossy=args.lossy,
-            failure_at_s=args.fail_at,
-            churn_failures=args.churn if args.churn is not None else 0,
-            churn_joins=args.joins if args.joins is not None else 0,
-            cluster_size=args.cluster_size if args.cluster_size is not None else 50,
-            shard_workers=args.shard_workers if args.shard_workers is not None else 0,
-            hierarchy_levels=(
-                args.hierarchy_levels if args.hierarchy_levels is not None else 2
-            ),
-            latency_estimator=(
-                args.latency_estimator if args.latency_estimator is not None else "exact"
-            ),
-            seed=args.seed if args.seed is not None else 1,
-        )
+    config = _build_config(args, _RUN_FLAGS, _RUN_BASE)
     result = run_experiment(config)
     _print_result(result, as_json=args.json)
     if args.csv:
@@ -312,14 +323,8 @@ def _summarize(value: object) -> object:
 
 def _command_figure(args: argparse.Namespace) -> int:
     experiment_id = "headline" if args.number == "headline" else f"fig{args.number}"
-    tier = Tier(
-        name="figure",
-        n_overlay=args.nodes,
-        duration_s=args.duration,
-        seed=args.seed,
-        description="the figure command's --nodes/--duration/--seed",
-    )
-    data = get_experiment(experiment_id).runner(RunContext(tier=tier, seed=args.seed))
+    ctx = RunContext(n_overlay=args.nodes, duration_s=args.duration, seed=args.seed)
+    data = get_experiment(experiment_id).runner(ctx)
     printable = {key: _summarize(value) for key, value in data.items() if key != "result"}
     print(json.dumps(printable, indent=2))
     return 0
@@ -360,9 +365,9 @@ def _parse_params(specs: Sequence[str]) -> Dict[str, List[object]]:
         name, separator, values = spec.partition("=")
         name = name.strip()
         if not separator or not name or not values:
-            raise SystemExit(f"--param expects NAME=V1,V2,... (got {spec!r})")
+            raise ValueError(f"--param expects NAME=V1,V2,... (got {spec!r})")
         if name in ("system", "seed"):
-            raise SystemExit(
+            raise ValueError(
                 f"--param cannot sweep {name!r}; use --systems / --seeds instead"
             )
         if name not in field_types:
@@ -395,37 +400,24 @@ def _command_scenarios(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    systems = [name.strip() for name in args.systems.split(",") if name.strip()]
-    if not systems:
-        raise SystemExit("--systems needs at least one system name")
+    base = _build_config(args, _SWEEP_FLAGS, _SWEEP_BASE)
+    if args.systems is None:
+        systems = [base.system]
+    else:
+        systems = [name.strip() for name in args.systems.split(",") if name.strip()]
+        if not systems:
+            raise ValueError("--systems needs at least one system name")
     seeds = [int(value) for value in args.seeds.split(",") if value.strip()]
     parameters: Dict[str, List[object]] = {"system": systems}
     parameters.update(_parse_params(args.param))
-
-    if args.scenario is not None:
-        base = scenario_config(args.scenario, seed=seeds[0] if seeds else 1)
-    else:
-        base = ExperimentConfig(
-            system=systems[0],
-            tree_kind=args.tree,
-            n_overlay=args.nodes,
-            duration_s=args.duration,
-            stream_rate_kbps=args.rate,
-            bandwidth_class=BandwidthClass(args.bandwidth),
-            lossy=args.lossy,
-            seed=seeds[0] if seeds else 1,
-        )
-    try:
-        results = sweep(base, parameters, seeds=seeds, workers=args.workers)
-        rows = results.aggregate(args.metric, by=tuple(parameters))
-    except ValueError as error:
-        raise SystemExit(f"sweep failed: {error}")
-    except AttributeError:
-        raise SystemExit(
+    if args.metric not in {field.name for field in dataclasses.fields(ExperimentResult)}:
+        raise ValueError(
             f"unknown metric {args.metric!r}; use an ExperimentResult attribute"
             " such as average_useful_kbps, duplicate_ratio or"
             " control_overhead_kbps"
         )
+    results = sweep(base, parameters, seeds=seeds, workers=args.workers)
+    rows = results.aggregate(args.metric, by=tuple(parameters))
 
     if args.json:
         payload = [
@@ -469,7 +461,7 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     if args.only is not None:
         only = [token.strip() for token in args.only.split(",") if token.strip()]
         if not only:
-            raise SystemExit("--only expects a comma-separated list of experiment ids")
+            raise ValueError("--only expects a comma-separated list of experiment ids")
     plan = ReproducePlan(
         tier=args.tier,
         out_dir=args.out,

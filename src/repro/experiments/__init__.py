@@ -8,7 +8,8 @@ The layering (see the top-level README for the architecture map):
 * :mod:`~repro.experiments.session` — :class:`ExperimentSession`, the one
   simulate–sample–inject loop with observer hooks;
 * :mod:`~repro.experiments.harness` — :class:`ExperimentConfig` /
-  :class:`ExperimentResult` and the classic ``run_experiment`` entry points;
+  :class:`ExperimentResult`, the classic ``run_experiment`` entry points and
+  the :class:`RunContext` every figure, table and ablation runner takes;
 * :mod:`~repro.experiments.batch` — ``run_batch`` / ``sweep`` returning a
   :class:`ResultSet` with multi-seed aggregation and process fan-out;
 * :mod:`~repro.experiments.figures` — the paper's figures on top of all that.
@@ -21,7 +22,6 @@ from repro.experiments.batch import (
     sweep,
 )
 from repro.experiments.figures import (
-    FigureScale,
     figure6_tree_streaming,
     figure7_bullet_random_tree,
     figure8_bandwidth_cdf,
@@ -32,7 +32,6 @@ from repro.experiments.figures import (
     figure13_failure_no_recovery,
     figure14_failure_with_recovery,
     figure15_planetlab,
-    figure15_unconstrained_root,
     headline_metrics,
 )
 from repro.experiments.export import (
@@ -45,6 +44,7 @@ from repro.experiments.export import (
 from repro.experiments.harness import (
     ExperimentConfig,
     ExperimentResult,
+    RunContext,
     collect_result,
     run_experiment,
     run_planetlab_experiment,
@@ -82,9 +82,9 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSession",
-    "FigureScale",
     "PlanetLabWorkload",
     "ResultSet",
+    "RunContext",
     "SeriesSummary",
     "SessionObserver",
     "SystemSpec",
@@ -105,7 +105,6 @@ __all__ = [
     "figure13_failure_no_recovery",
     "figure14_failure_with_recovery",
     "figure15_planetlab",
-    "figure15_unconstrained_root",
     "get_system",
     "headline_metrics",
     "improvement_factor",

@@ -12,12 +12,10 @@ checks them against the catalog's expectations.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.core.config import BulletConfig
 from repro.experiments.batch import run_batch
-from repro.experiments.figures import FigureScale
-from repro.experiments.harness import ExperimentConfig, ExperimentResult
+from repro.experiments.harness import ExperimentResult, RunContext
 from repro.topology.links import BandwidthClass
 
 #: Peer limits swept by :func:`ablation_peer_count` (paper default: 10).
@@ -55,37 +53,29 @@ def _summary(result: ExperimentResult) -> Dict[str, float]:
 
 
 # ------------------------------------------------------------ peer count
-def ablation_peer_count(
-    scale: Optional[FigureScale] = None, workers: int = 1, n_seeds: int = PEER_COUNT_SEEDS
-) -> Dict[str, object]:
+def ablation_peer_count(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Sweep the per-node sender/receiver limit (paper default: 10).
 
     Returns per-limit mean useful bandwidth and duplicate ratio, averaged
-    over ``n_seeds`` consecutive seeds starting at ``scale.seed``.
+    over :data:`PEER_COUNT_SEEDS` consecutive seeds starting at ``ctx.seed``
+    (one seed on the smoke tier, which checks the plumbing, not the trend).
     """
-    scale = scale or FigureScale()
-    duration = min(scale.duration_s, 160.0)
-    seeds = [scale.seed + offset for offset in range(n_seeds)]
+    n_seeds = 1 if ctx.tier == "smoke" else PEER_COUNT_SEEDS
+    seeds = [ctx.seed + offset for offset in range(n_seeds)]
     configs = [
-        ExperimentConfig(
-            system="bullet",
-            tree_kind="random",
-            n_overlay=scale.n_overlay,
-            duration_s=duration,
+        ctx.config(
+            duration_s=min(ctx.duration_s, 160.0),
             seed=seed,
             bandwidth_class=BandwidthClass.LOW,
-            bullet=BulletConfig(
-                stream_rate_kbps=600.0, seed=seed,
-                max_senders=limit, max_receivers=limit,
-            ),
+            bullet={"max_senders": limit, "max_receivers": limit},
         )
         for limit in PEER_LIMITS
         for seed in seeds
     ]
-    results = run_batch(configs, workers=workers)
+    results = run_batch(configs, workers=ctx.workers)
     grouped: Dict[int, List[ExperimentResult]] = {}
     for config, result in zip(configs, results):
-        grouped.setdefault(config.bullet.max_senders, []).append(result)
+        grouped.setdefault(config.bullet["max_senders"], []).append(result)
     rows: Dict[str, Dict[str, float]] = {}
     for limit, runs in grouped.items():
         rows[str(limit)] = {
@@ -96,27 +86,13 @@ def ablation_peer_count(
 
 
 # ---------------------------------------------------------- epoch length
-def ablation_epoch_length(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def ablation_epoch_length(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Sweep the RanSub epoch length (paper default: 5 seconds)."""
-    scale = scale or FigureScale()
-    duration = min(scale.duration_s, 160.0)
     configs = [
-        ExperimentConfig(
-            system="bullet",
-            tree_kind="random",
-            n_overlay=scale.n_overlay,
-            duration_s=duration,
-            seed=scale.seed,
-            bandwidth_class=BandwidthClass.MEDIUM,
-            bullet=BulletConfig(
-                stream_rate_kbps=600.0, seed=scale.seed, ransub_epoch_s=epoch_s
-            ),
-        )
+        ctx.config(duration_s=min(ctx.duration_s, 160.0), bullet={"ransub_epoch_s": epoch_s})
         for epoch_s in EPOCH_LENGTHS_S
     ]
-    results = run_batch(configs, workers=workers)
+    results = run_batch(configs, workers=ctx.workers)
     rows = {
         f"{epoch_s:g}": _summary(result)
         for epoch_s, result in zip(EPOCH_LENGTHS_S, results)
@@ -125,30 +101,16 @@ def ablation_epoch_length(
 
 
 # --------------------------------------------------- disjoint / lookahead
-def ablation_disjoint_lookahead(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def ablation_disjoint_lookahead(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Sweep disjoint transmission and the recovery-range lookahead."""
-    scale = scale or FigureScale()
-    duration = min(scale.duration_s, 160.0)
     configs = [
-        ExperimentConfig(
-            system="bullet",
-            tree_kind="random",
-            n_overlay=scale.n_overlay,
-            duration_s=duration,
-            seed=scale.seed,
-            bandwidth_class=BandwidthClass.MEDIUM,
-            bullet=BulletConfig(
-                stream_rate_kbps=600.0,
-                seed=scale.seed,
-                disjoint_send=disjoint,
-                recovery_lookahead_s=lookahead_s,
-            ),
+        ctx.config(
+            duration_s=min(ctx.duration_s, 160.0),
+            bullet={"disjoint_send": disjoint, "recovery_lookahead_s": lookahead_s},
         )
         for _, _, lookahead_s, disjoint in DISJOINT_VARIANTS
     ]
-    results = run_batch(configs, workers=workers)
+    results = run_batch(configs, workers=ctx.workers)
     rows = {
         key: _summary(result)
         for (key, _, _, _), result in zip(DISJOINT_VARIANTS, results)
@@ -160,28 +122,17 @@ def ablation_disjoint_lookahead(
 
 
 # --------------------------------------------------------------- eviction
-def ablation_eviction(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def ablation_eviction(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Compare periodic sender eviction (Section 3.4) against no eviction."""
-    scale = scale or FigureScale()
-    duration = min(scale.duration_s, 200.0)
     configs = [
-        ExperimentConfig(
-            system="bullet",
-            tree_kind="random",
-            n_overlay=scale.n_overlay,
-            duration_s=duration,
-            seed=scale.seed,
+        ctx.config(
+            duration_s=min(ctx.duration_s, 200.0),
             bandwidth_class=BandwidthClass.LOW,
-            bullet=BulletConfig(
-                stream_rate_kbps=600.0, seed=scale.seed,
-                eviction_period_epochs=period,
-            ),
+            bullet={"eviction_period_epochs": period},
         )
         for _, _, period in EVICTION_VARIANTS
     ]
-    results = run_batch(configs, workers=workers)
+    results = run_batch(configs, workers=ctx.workers)
     rows = {
         key: _summary(result)
         for (key, _, _), result in zip(EVICTION_VARIANTS, results)

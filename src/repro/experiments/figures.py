@@ -1,73 +1,39 @@
 """Per-figure experiment runners.
 
 Each ``figureNN`` function reproduces one figure of the paper's evaluation
-section: it runs the systems the figure compares, at a configurable (reduced
-by default) scale, and returns a dictionary holding exactly the series /
+section: it runs the systems the figure compares at the size, seed and
+process fan-out of one :class:`~repro.experiments.harness.RunContext`
+(reduced by default), and returns a dictionary holding exactly the series /
 numbers the paper plots.  The reproduction catalog
-(:mod:`repro.report.catalog`) calls these functions, so ``python -m repro.cli
-reproduce --tier paper`` regenerates the whole evaluation and checks it
-against the paper's expected relationships.
+(:mod:`repro.report.catalog`) uses these functions as its runners, so
+``python -m repro.cli reproduce --tier paper`` regenerates the whole
+evaluation and checks it against the paper's expected relationships.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import BulletConfig
 from repro.experiments.batch import run_batch
 from repro.experiments.harness import (
-    ExperimentConfig,
     ExperimentResult,
+    RunContext,
     run_experiment,
     run_planetlab_experiment,
 )
 from repro.experiments.metrics import steady_state_average
 from repro.topology.links import BandwidthClass
 
-TimeSeries = List[Tuple[float, float]]
-
-
-@dataclass
-class FigureScale:
-    """Common scale knobs shared by every figure runner.
-
-    The paper uses 1000 overlay nodes, 20,000-node topologies and ~400-500
-    second runs; the defaults here are sized so a figure runs on a laptop in
-    minutes.  Pass a larger scale to approach the paper's.
-    """
-
-    n_overlay: int = 50
-    duration_s: float = 200.0
-    dt: float = 1.0
-    sample_interval_s: float = 5.0
-    seed: int = 1
-
-    def config(self, **overrides) -> ExperimentConfig:
-        """Build an ExperimentConfig pre-filled with this scale."""
-        base = dict(
-            n_overlay=self.n_overlay,
-            duration_s=self.duration_s,
-            dt=self.dt,
-            sample_interval_s=self.sample_interval_s,
-            seed=self.seed,
-        )
-        base.update(overrides)
-        return ExperimentConfig(**base)
-
 
 # --------------------------------------------------------------------- Fig 6
-def figure6_tree_streaming(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def figure6_tree_streaming(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """TFRC streaming over the bottleneck-bandwidth tree vs a random tree."""
-    scale = scale or FigureScale()
     bottleneck, random_tree = run_batch(
         [
-            scale.config(system="stream", tree_kind="bottleneck"),
-            scale.config(system="stream", tree_kind="random"),
+            ctx.config(system="stream", tree_kind="bottleneck"),
+            ctx.config(system="stream", tree_kind="random"),
         ],
-        workers=workers,
+        workers=ctx.workers,
     )
     return {
         "bottleneck_tree_series": bottleneck.useful_series,
@@ -78,10 +44,9 @@ def figure6_tree_streaming(
 
 
 # --------------------------------------------------------------------- Fig 7
-def figure7_bullet_random_tree(scale: Optional[FigureScale] = None) -> Dict[str, object]:
+def figure7_bullet_random_tree(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Bullet over a random tree: raw total, useful total and from-parent."""
-    scale = scale or FigureScale()
-    result = run_experiment(scale.config(system="bullet", tree_kind="random"))
+    result = run_experiment(ctx.config(system="bullet", tree_kind="random"))
     return {
         "raw_series": result.raw_series,
         "useful_series": result.useful_series,
@@ -99,12 +64,11 @@ def figure7_bullet_random_tree(scale: Optional[FigureScale] = None) -> Dict[str,
 
 # --------------------------------------------------------------------- Fig 8
 def figure8_bandwidth_cdf(
-    scale: Optional[FigureScale] = None, result: Optional[ExperimentResult] = None
+    ctx: RunContext = RunContext(), result: Optional[ExperimentResult] = None
 ) -> Dict[str, object]:
     """CDF of instantaneous per-node bandwidth near the end of a Bullet run."""
-    scale = scale or FigureScale()
     if result is None:
-        result = run_experiment(scale.config(system="bullet", tree_kind="random"))
+        result = run_experiment(ctx.config(system="bullet", tree_kind="random"))
     return {
         "cdf": result.bandwidth_cdf_final,
         "per_node_kbps": result.per_node_bandwidth_final,
@@ -121,23 +85,18 @@ def _median(cdf: List[Tuple[float, float]]) -> float:
 
 
 # --------------------------------------------------------------------- Fig 9
-def figure9_bandwidth_sweep(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def figure9_bandwidth_sweep(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Bullet vs the bottleneck tree for high, medium and low bandwidth."""
-    return _bandwidth_class_comparison(scale, lossy=False, workers=workers)
+    return _bandwidth_class_comparison(ctx, lossy=False)
 
 
-def _bandwidth_class_comparison(
-    scale: Optional[FigureScale], lossy: bool, workers: int
-) -> Dict[str, object]:
+def _bandwidth_class_comparison(ctx: RunContext, lossy: bool) -> Dict[str, object]:
     """Shared batch for Figures 9 and 12: two systems × three bandwidths."""
-    scale = scale or FigureScale()
     classes = (BandwidthClass.HIGH, BandwidthClass.MEDIUM, BandwidthClass.LOW)
     configs = []
     for bandwidth_class in classes:
         configs.append(
-            scale.config(
+            ctx.config(
                 system="bullet",
                 tree_kind="random",
                 bandwidth_class=bandwidth_class,
@@ -145,14 +104,14 @@ def _bandwidth_class_comparison(
             )
         )
         configs.append(
-            scale.config(
+            ctx.config(
                 system="stream",
                 tree_kind="bottleneck",
                 bandwidth_class=bandwidth_class,
                 lossy=lossy,
             )
         )
-    results = run_batch(configs, workers=workers)
+    results = run_batch(configs, workers=ctx.workers)
     rows: Dict[str, Dict[str, object]] = {}
     for bandwidth_class in classes:
         bullet = results.where(system="bullet", bandwidth_class=bandwidth_class)[0]
@@ -167,19 +126,14 @@ def _bandwidth_class_comparison(
 
 
 # -------------------------------------------------------------------- Fig 10
-def figure10_nondisjoint(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def figure10_nondisjoint(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Bullet with the disjoint-transmission strategy disabled (ablation)."""
-    scale = scale or FigureScale()
-    disjoint_cfg = BulletConfig(stream_rate_kbps=600.0, seed=scale.seed)
-    nondisjoint_cfg = BulletConfig(stream_rate_kbps=600.0, seed=scale.seed, disjoint_send=False)
     disjoint, nondisjoint = run_batch(
         [
-            scale.config(system="bullet", tree_kind="random", bullet=disjoint_cfg),
-            scale.config(system="bullet", tree_kind="random", bullet=nondisjoint_cfg),
+            ctx.config(system="bullet", tree_kind="random"),
+            ctx.config(system="bullet", tree_kind="random", bullet={"disjoint_send": False}),
         ],
-        workers=workers,
+        workers=ctx.workers,
     )
     return {
         "disjoint_series": disjoint.useful_series,
@@ -192,21 +146,16 @@ def figure10_nondisjoint(
 
 
 # -------------------------------------------------------------------- Fig 11
-def figure11_epidemic(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def figure11_epidemic(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Bullet vs push gossiping vs streaming with anti-entropy at 900 Kbps."""
-    scale = scale or FigureScale()
     rate = 900.0
     bullet, gossip, antientropy = run_batch(
         [
-            scale.config(system="bullet", tree_kind="random", stream_rate_kbps=rate),
-            scale.config(system="gossip", stream_rate_kbps=rate),
-            scale.config(
-                system="antientropy", tree_kind="bottleneck", stream_rate_kbps=rate
-            ),
+            ctx.config(system="bullet", tree_kind="random", stream_rate_kbps=rate),
+            ctx.config(system="gossip", stream_rate_kbps=rate),
+            ctx.config(system="antientropy", tree_kind="bottleneck", stream_rate_kbps=rate),
         ],
-        workers=workers,
+        workers=ctx.workers,
     )
     return {
         "bullet_useful_series": bullet.useful_series,
@@ -222,31 +171,26 @@ def figure11_epidemic(
 
 
 # -------------------------------------------------------------------- Fig 12
-def figure12_lossy(
-    scale: Optional[FigureScale] = None, workers: int = 1
-) -> Dict[str, object]:
+def figure12_lossy(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Bullet vs bottleneck tree on lossy topologies (Section 4.5)."""
-    return _bandwidth_class_comparison(scale, lossy=True, workers=workers)
+    return _bandwidth_class_comparison(ctx, lossy=True)
 
 
 # --------------------------------------------------------------- Figs 13 / 14
-def figure13_failure_no_recovery(scale: Optional[FigureScale] = None) -> Dict[str, object]:
+def figure13_failure_no_recovery(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Worst-case root-child failure with RanSub failure detection disabled."""
-    return _failure_run(scale, ransub_failure_detection=False)
+    return _failure_run(ctx, ransub_failure_detection=False)
 
 
-def figure14_failure_with_recovery(scale: Optional[FigureScale] = None) -> Dict[str, object]:
+def figure14_failure_with_recovery(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Worst-case root-child failure with RanSub failure detection enabled."""
-    return _failure_run(scale, ransub_failure_detection=True)
+    return _failure_run(ctx, ransub_failure_detection=True)
 
 
-def _failure_run(
-    scale: Optional[FigureScale], ransub_failure_detection: bool
-) -> Dict[str, object]:
-    scale = scale or FigureScale()
-    failure_at = scale.duration_s * 0.5
+def _failure_run(ctx: RunContext, ransub_failure_detection: bool) -> Dict[str, object]:
+    failure_at = ctx.duration_s * 0.5
     result = run_experiment(
-        scale.config(
+        ctx.config(
             system="bullet",
             tree_kind="random",
             failure_at_s=failure_at,
@@ -267,21 +211,17 @@ def _failure_run(
 
 
 # -------------------------------------------------------------------- Fig 15
-def figure15_planetlab(
-    duration_s: float = 200.0, seed: int = 7, stream_rate_kbps: float = 1500.0
-) -> Dict[str, object]:
-    """Bullet vs good and worst hand-crafted trees with a constrained source."""
-    bullet = run_planetlab_experiment(
-        system="bullet", tree_kind="random", duration_s=duration_s, seed=seed,
-        stream_rate_kbps=stream_rate_kbps,
-    )
-    good = run_planetlab_experiment(
-        system="stream", tree_kind="good", duration_s=duration_s, seed=seed,
-        stream_rate_kbps=stream_rate_kbps,
-    )
-    worst = run_planetlab_experiment(
-        system="stream", tree_kind="worst", duration_s=duration_s, seed=seed,
-        stream_rate_kbps=stream_rate_kbps,
+def figure15_planetlab(ctx: RunContext = RunContext()) -> Dict[str, object]:
+    """Bullet vs good and worst hand-crafted trees with a constrained source.
+
+    The PlanetLab-style testbed has a fixed site population: only
+    ``ctx.duration_s`` and ``ctx.seed`` apply.
+    """
+    bullet, good, worst = (
+        run_planetlab_experiment(
+            system=system, tree_kind=tree_kind, duration_s=ctx.duration_s, seed=ctx.seed
+        )
+        for system, tree_kind in (("bullet", "random"), ("stream", "good"), ("stream", "worst"))
     )
     return {
         "bullet_series": bullet.useful_series,
@@ -293,30 +233,10 @@ def figure15_planetlab(
     }
 
 
-def figure15_unconstrained_root(
-    duration_s: float = 200.0, seed: int = 7, stream_rate_kbps: float = 1500.0
-) -> Dict[str, object]:
-    """The paper's follow-up: all-US topology with an unconstrained source."""
-    bullet = run_planetlab_experiment(
-        system="bullet", tree_kind="random", duration_s=duration_s, seed=seed,
-        stream_rate_kbps=stream_rate_kbps, unconstrained_root=True,
-    )
-    good = run_planetlab_experiment(
-        system="stream", tree_kind="good", duration_s=duration_s, seed=seed,
-        stream_rate_kbps=stream_rate_kbps, unconstrained_root=True,
-    )
-    return {
-        "bullet_kbps": bullet.average_useful_kbps,
-        "good_tree_kbps": good.average_useful_kbps,
-        "bullet_series": bullet.useful_series,
-        "good_tree_series": good.useful_series,
-    }
-
-
 # ------------------------------------------------------------ headline claims
-def headline_metrics(scale: Optional[FigureScale] = None) -> Dict[str, float]:
+def headline_metrics(ctx: RunContext = RunContext()) -> Dict[str, float]:
     """Control overhead, duplicate ratio and link stress from a Bullet run."""
-    data = figure7_bullet_random_tree(scale)
+    data = figure7_bullet_random_tree(ctx)
     return {
         "control_overhead_kbps": data["control_overhead_kbps"],
         "duplicate_ratio": data["duplicate_ratio"],

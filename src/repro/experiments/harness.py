@@ -13,8 +13,8 @@ here, in batch sweeps and from the CLI without touching this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.core.config import BulletConfig
 from repro.experiments.metrics import SeriesSummary, steady_state_average
@@ -24,6 +24,12 @@ from repro.experiments.workloads import PlanetLabWorkload, build_planetlab_workl
 from repro.network.simulator import NetworkSimulator
 from repro.topology.links import BandwidthClass
 from repro.topology.planetlab import PlanetLabConfig
+
+
+#: The fields an :class:`ExperimentConfig` and a :class:`BulletConfig` share:
+#: stated once, on the experiment config, and handed down to Bullet.
+_SHARED_WITH_BULLET = ("seed", "stream_rate_kbps", "ransub_failure_detection", "control_loss_rate")
+_BULLET_FIELDS = frozenset(spec.name for spec in fields(BulletConfig))
 
 
 @dataclass
@@ -83,8 +89,12 @@ class ExperimentConfig:
     #: Window the joins are spread over, in seconds: a small value models a
     #: flash crowd, a large one steady growth.
     join_duration_s: float = 30.0
-    #: Bullet-specific overrides (peer counts, epochs, disjointness, ...).
-    bullet: Optional[BulletConfig] = None
+    #: Bullet-only knobs: :class:`BulletConfig` field name -> value (peer
+    #: limits, epoch length, disjointness, working-set window, ...).  The
+    #: fields Bullet shares with this config (``seed``, ``stream_rate_kbps``,
+    #: ``ransub_failure_detection``, ``control_loss_rate``) are set here, on
+    #: the config, and rejected in the mapping.
+    bullet: Mapping[str, object] = field(default_factory=dict)
     #: Target cluster size for hierarchical (clustered) systems: interiors
     #: are grouped into clusters of roughly this many members, each led by
     #: an elected head.  Ignored by flat systems.
@@ -120,6 +130,8 @@ class ExperimentConfig:
                 f"system must be one of {tuple(available_systems())}"
                 " (or registered via repro.experiments.registry.register_system)"
             )
+        if self.stream_rate_kbps <= 0:
+            raise ValueError("stream_rate_kbps must be positive")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if self.dt <= 0:
@@ -148,17 +160,43 @@ class ExperimentConfig:
             raise ValueError("hierarchy_levels must be between 1 and 3")
         if self.latency_estimator not in ("exact", "landmark"):
             raise ValueError("latency_estimator must be 'exact' or 'landmark'")
+        for name in self.bullet:
+            if name in _SHARED_WITH_BULLET:
+                raise ValueError(
+                    f"bullet[{name!r}] shadows ExperimentConfig.{name}; set {name}= on"
+                    " the ExperimentConfig instead"
+                )
+            if name not in _BULLET_FIELDS:
+                raise ValueError(f"bullet: BulletConfig has no field {name!r}")
 
     def bullet_config(self) -> BulletConfig:
-        """The Bullet configuration for this run (stream rate kept in sync)."""
-        if self.bullet is not None:
-            return self.bullet
+        """The Bullet configuration for this run: the shared fields from this
+        config, everything else from the ``bullet`` overrides."""
         return BulletConfig(
-            stream_rate_kbps=self.stream_rate_kbps,
-            ransub_failure_detection=self.ransub_failure_detection,
-            control_loss_rate=self.control_loss_rate,
-            seed=self.seed,
+            **self.bullet, **{name: getattr(self, name) for name in _SHARED_WITH_BULLET}
         )
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """Everything a catalog runner needs for one invocation.
+
+    The paper runs 1000 overlay nodes for ~400-500 s; the defaults here are
+    sized so a figure runs on a laptop in minutes.  ``tier`` names the
+    reproduction tier the run belongs to (``None`` outside the pipeline).
+    """
+
+    n_overlay: int = 50
+    duration_s: float = 200.0
+    seed: int = 1
+    workers: int = 1
+    tier: Optional[str] = None
+
+    def config(self, **overrides: object) -> ExperimentConfig:
+        """An :class:`ExperimentConfig` at this context's size and seed;
+        ``overrides`` replace any field."""
+        base = {"n_overlay": self.n_overlay, "duration_s": self.duration_s, "seed": self.seed}
+        return ExperimentConfig(**{**base, **overrides})
 
 
 @dataclass

@@ -12,17 +12,19 @@ from __future__ import annotations
 
 from typing import Dict
 
+from repro.experiments.harness import RunContext
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.links import LINK_TYPES, TABLE_1_RANGES, BandwidthClass
 
 
-def table1_bandwidth_ranges(seed: int = 1) -> Dict[str, object]:
+def table1_bandwidth_ranges(ctx: RunContext = RunContext()) -> Dict[str, object]:
     """Verify generated topologies against Table 1's published ranges.
 
     Returns, per bandwidth class and link type: the published (low, high)
     range, the generated mean capacity, and whether every individual link of
     that type fell inside the range.  ``all_within_ranges`` aggregates the
-    verdict over the whole table.
+    verdict over the whole table.  The topologies have a fixed size: only
+    ``ctx.seed`` applies.
     """
     by_class: Dict[str, Dict[str, Dict[str, object]]] = {}
     all_ok = True
@@ -34,7 +36,7 @@ def table1_bandwidth_ranges(seed: int = 1) -> Dict[str, object]:
                 routers_per_stub=3,
                 clients_per_stub=6,
                 bandwidth_class=bandwidth_class,
-                seed=seed,
+                seed=ctx.seed,
             )
         )
         rows: Dict[str, Dict[str, object]] = {}

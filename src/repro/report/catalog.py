@@ -23,14 +23,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.experiments.ablations import (
-    PEER_COUNT_SEEDS,
     ablation_disjoint_lookahead,
     ablation_epoch_length,
     ablation_eviction,
     ablation_peer_count,
 )
 from repro.experiments.figures import (
-    FigureScale,
     figure6_tree_streaming,
     figure7_bullet_random_tree,
     figure8_bandwidth_cdf,
@@ -43,7 +41,7 @@ from repro.experiments.figures import (
     figure15_planetlab,
     headline_metrics,
 )
-from repro.experiments.harness import ExperimentConfig, ExperimentResult, run_experiment
+from repro.experiments.harness import ExperimentResult, RunContext, run_experiment
 from repro.experiments.batch import run_batch
 from repro.experiments.registry import get_system
 from repro.experiments.tables import table1_bandwidth_ranges
@@ -88,23 +86,6 @@ TIERS: Dict[str, Tier] = {
         description="figures at 500 nodes; scenario pack at full presets",
     ),
 }
-
-
-@dataclass(frozen=True)
-class RunContext:
-    """Everything a catalog runner needs for one invocation."""
-
-    tier: Tier
-    seed: int
-    workers: int = 1
-
-    def scale(self) -> FigureScale:
-        """The FigureScale the figure-style runners receive."""
-        return FigureScale(
-            n_overlay=self.tier.n_overlay,
-            duration_s=self.tier.duration_s,
-            seed=self.seed,
-        )
 
 
 @dataclass(frozen=True)
@@ -242,17 +223,6 @@ def _result_payload(result: ExperimentResult) -> Dict[str, object]:
     }
 
 
-# ----------------------------------------------------------- special runners
-def _run_figure15(ctx: RunContext) -> Dict[str, object]:
-    # The PlanetLab testbed has a fixed site population; only duration and
-    # seed scale with the tier.
-    return figure15_planetlab(duration_s=ctx.tier.duration_s, seed=ctx.seed)
-
-
-def _run_table1(ctx: RunContext) -> Dict[str, object]:
-    return table1_bandwidth_ranges(seed=ctx.seed)
-
-
 #: The cross-system comparison matrix: every registered built-in system under
 #: steady, lossy and churn conditions.  ``tree_kind`` follows each system's
 #: natural configuration (the one the paper's comparisons use).
@@ -278,13 +248,13 @@ def system_supports_churn(system: str) -> bool:
 
 def _run_systems_matrix(ctx: RunContext) -> Dict[str, object]:
     """All four systems x {steady, lossy, churn}: the report's spine."""
-    churn = max(2, ctx.tier.n_overlay // 8)
+    churn = max(2, ctx.n_overlay // 8)
     conditions: Dict[str, Dict[str, object]] = {
         "steady": {},
         "lossy": {"lossy": True},
         "churn": {
             "churn_failures": churn,
-            "churn_start_s": min(30.0, ctx.tier.duration_s / 3),
+            "churn_start_s": min(30.0, ctx.duration_s / 3),
         },
     }
     configs = []
@@ -293,16 +263,8 @@ def _run_systems_matrix(ctx: RunContext) -> Dict[str, object]:
         for condition in MATRIX_CONDITIONS:
             if condition == "churn" and not system_supports_churn(system):
                 continue
-            overrides = conditions[condition]
             configs.append(
-                ExperimentConfig(
-                    system=system,
-                    tree_kind=tree_kind,
-                    n_overlay=ctx.tier.n_overlay,
-                    duration_s=ctx.tier.duration_s,
-                    seed=ctx.seed,
-                    **overrides,
-                )
+                ctx.config(system=system, tree_kind=tree_kind, **conditions[condition])
             )
             keys.append((system, condition))
     results = run_batch(configs, workers=ctx.workers)
@@ -322,38 +284,12 @@ def _scenario_runner(
     """A runner for one scale-scenario preset with per-tier size overrides."""
 
     def run(ctx: RunContext) -> Dict[str, object]:
-        overrides = dict(tier_overrides.get(ctx.tier.name, {}))
+        overrides = dict(tier_overrides.get(ctx.tier, {}))
         overrides["seed"] = ctx.seed
         config = scenario_config(name, **overrides)
         return _result_payload(run_experiment(config))
 
     return run
-
-
-def _figure_runner(
-    figure: Callable[..., Dict[str, object]], takes_workers: bool = False
-) -> Callable[[RunContext], Dict[str, object]]:
-    def run(ctx: RunContext) -> Dict[str, object]:
-        if takes_workers:
-            return figure(ctx.scale(), workers=ctx.workers)
-        return figure(ctx.scale())
-
-    return run
-
-
-def _ablation_runner(
-    ablation: Callable[..., Dict[str, object]]
-) -> Callable[[RunContext], Dict[str, object]]:
-    def run(ctx: RunContext) -> Dict[str, object]:
-        return ablation(ctx.scale(), workers=ctx.workers)
-
-    return run
-
-
-def _smoke_peer_ablation(ctx: RunContext) -> Dict[str, object]:
-    # One seed per limit at smoke keeps CI fast.
-    n_seeds = 1 if ctx.tier.name == "smoke" else PEER_COUNT_SEEDS
-    return ablation_peer_count(ctx.scale(), workers=ctx.workers, n_seeds=n_seeds)
 
 
 # -------------------------------------------------------------- the catalog
@@ -383,7 +319,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 6",
         description="Baseline tree streaming: the offline bottleneck-bandwidth"
         " tree against a random tree at 600 Kbps.",
-        runner=_figure_runner(figure6_tree_streaming, takes_workers=True),
+        runner=figure6_tree_streaming,
         headline=("bottleneck_tree_kbps", "random_tree_kbps"),
         expectations=(
             Expectation(
@@ -405,7 +341,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 7",
         description="Bullet's raw, useful and from-parent bandwidth over a"
         " random tree: the mesh recovers what the tree cannot carry.",
-        runner=_figure_runner(figure7_bullet_random_tree),
+        runner=figure7_bullet_random_tree,
         headline=("useful_kbps", "from_parent_kbps", "duplicate_ratio"),
         expectations=(
             Expectation(
@@ -433,7 +369,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 8",
         description="CDF of instantaneous per-node useful bandwidth near the"
         " end of a Bullet run: most nodes cluster near the stream rate.",
-        runner=_figure_runner(figure8_bandwidth_cdf),
+        runner=figure8_bandwidth_cdf,
         headline=("median_kbps",),
         expectations=(
             Expectation(
@@ -453,7 +389,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 9",
         description="Bullet against the best tree at high, medium and low"
         " Table 1 bandwidth settings.",
-        runner=_figure_runner(figure9_bandwidth_sweep, takes_workers=True),
+        runner=figure9_bandwidth_sweep,
         headline=(
             "high.bullet_kbps", "medium.bullet_kbps", "low.bullet_kbps",
             "low.bottleneck_tree_kbps",
@@ -498,7 +434,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 10",
         description="Ablating the disjoint-transmission strategy: without it"
         " parents push duplicate data and useful bandwidth drops.",
-        runner=_figure_runner(figure10_nondisjoint, takes_workers=True),
+        runner=figure10_nondisjoint,
         headline=("disjoint_kbps", "nondisjoint_kbps"),
         expectations=(
             Expectation(
@@ -519,7 +455,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 11",
         description="Bullet against push gossiping and streaming with"
         " anti-entropy at 900 Kbps.",
-        runner=_figure_runner(figure11_epidemic, takes_workers=True),
+        runner=figure11_epidemic,
         headline=(
             "bullet_useful_kbps", "gossip_useful_kbps", "antientropy_useful_kbps",
         ),
@@ -549,7 +485,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 12",
         description="The Section 4.5 loss model applied across bandwidth"
         " classes: Bullet's mesh routes around lossy links.",
-        runner=_figure_runner(figure12_lossy, takes_workers=True),
+        runner=figure12_lossy,
         headline=("medium.bullet_kbps", "medium.bottleneck_tree_kbps"),
         expectations=(
             *_bandwidth_class_expectations(0.9, "paper: the gap widens under loss"),
@@ -570,7 +506,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 13",
         description="The root child with the largest subtree fails mid-run"
         " with RanSub failure detection disabled: bandwidth stays degraded.",
-        runner=_figure_runner(figure13_failure_no_recovery),
+        runner=figure13_failure_no_recovery,
         headline=("before_failure_kbps", "after_failure_kbps"),
         expectations=(
             Expectation(
@@ -598,7 +534,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Figure 14",
         description="The same failure with RanSub failure detection enabled:"
         " children re-peer and bandwidth recovers.",
-        runner=_figure_runner(figure14_failure_with_recovery),
+        runner=figure14_failure_with_recovery,
         headline=("before_failure_kbps", "after_failure_kbps"),
         expectations=(
             Expectation(
@@ -620,7 +556,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         description="The Section 4.7 testbed: Bullet over a random tree"
         " against good and worst hand-crafted trees with a constrained"
         " source.",
-        runner=_run_figure15,
+        runner=figure15_planetlab,
         headline=("bullet_kbps", "good_tree_kbps", "worst_tree_kbps"),
         expectations=(
             Expectation(
@@ -647,7 +583,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Table 1",
         description="Generated topologies honour the published per-link-class"
         " bandwidth ranges for all three bandwidth settings.",
-        runner=_run_table1,
+        runner=table1_bandwidth_ranges,
         headline=("all_within_ranges",),
         expectations=(
             Expectation(
@@ -667,7 +603,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Sections 1 and 4.2",
         description="Control overhead (~30 Kbps), duplicate ratio (<10%) and"
         " link stress (~1.5 avg) from the Figure 7 configuration.",
-        runner=_figure_runner(headline_metrics),
+        runner=headline_metrics,
         headline=(
             "control_overhead_kbps", "duplicate_ratio", "link_stress_avg",
         ),
@@ -700,7 +636,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Section 4 (peer limit 10)",
         description="Sweeping the per-node sender/receiver limit: too few"
         " peers starve recovery.",
-        runner=_smoke_peer_ablation,
+        runner=ablation_peer_count,
         headline=(
             "by_limit.2.useful_kbps", "by_limit.5.useful_kbps",
             "by_limit.10.useful_kbps",
@@ -730,7 +666,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Section 3.2 (5 s epochs)",
         description="5-second vs 20-second epochs: longer epochs slow peer"
         " discovery and save control traffic.",
-        runner=_ablation_runner(ablation_epoch_length),
+        runner=ablation_epoch_length,
         headline=("by_epoch.5.useful_kbps", "by_epoch.20.useful_kbps"),
         expectations=(
             Expectation(
@@ -757,7 +693,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Section 3.3 / Figure 10",
         description="Disjoint transmission with and without recovery-range"
         " lookahead, against the non-disjoint strategy.",
-        runner=_ablation_runner(ablation_disjoint_lookahead),
+        runner=ablation_disjoint_lookahead,
         headline=(
             "by_variant.disjoint.useful_kbps",
             "by_variant.nondisjoint.useful_kbps",
@@ -780,7 +716,7 @@ CATALOG: Tuple[ReproExperiment, ...] = (
         paper_ref="Section 3.4",
         description="Periodic least-useful-sender eviction against a mesh"
         " that never re-evaluates its peers.",
-        runner=_ablation_runner(ablation_eviction),
+        runner=ablation_eviction,
         headline=(
             "by_variant.eviction.useful_kbps",
             "by_variant.disabled.useful_kbps",

@@ -134,7 +134,13 @@ def _run_one(
     seeds = [base_seed + offset for offset in range(plan.stability)]
     exports = []
     for seed in seeds:
-        ctx = RunContext(tier=tier, seed=seed, workers=plan.workers)
+        ctx = RunContext(
+            n_overlay=tier.n_overlay,
+            duration_s=tier.duration_s,
+            seed=seed,
+            workers=plan.workers,
+            tier=tier.name,
+        )
         exports.append(flatten_export(entry.runner(ctx)))
     export: Dict[str, object] = {
         "experiment": entry.id,

@@ -70,6 +70,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="seed"):
             sweep(fast_config(), {}, seeds=[])
 
+    def test_bullet_override_follows_swept_seed_and_rate(self, monkeypatch):
+        # Config level only: the batch is captured, never simulated.
+        captured = []
+        monkeypatch.setattr(
+            "repro.experiments.batch.run_batch",
+            lambda configs, workers: captured.extend(configs) or ResultSet([]),
+        )
+        base = fast_config(system="bullet", bullet={"max_senders": 5})
+        sweep(base, {"stream_rate_kbps": [300.0, 900.0]}, seeds=[1, 2])
+        bullets = [config.bullet_config() for config in captured]
+        assert {(bullet.seed, bullet.stream_rate_kbps) for bullet in bullets} == {
+            (1, 300.0), (2, 300.0), (1, 900.0), (2, 900.0)
+        }
+        assert {bullet.max_senders for bullet in bullets} == {5}
+
 
 class TestResultSet:
     @pytest.fixture(scope="class")

@@ -39,8 +39,15 @@ class TestRunCommand:
         assert exit_code == 0
 
     def test_rejects_unknown_system(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["run", "--system", "carrier-pigeon"])
+        assert excinfo.value.code == 2
+
+    def test_scenario_rejects_flags_the_preset_fixes(self, capsys):
+        exit_code = main(["run", "--scenario", "flash-crowd", "--tree", "bottleneck"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "error: --scenario presets fix --tree; only --nodes/--duration/" in err
 
 
 class TestSweepCommand:
@@ -91,9 +98,9 @@ class TestSweepCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload[0]["n"] == 2
 
-    def test_sweep_rejects_malformed_param(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--systems", "stream", "--param", "oops"])
+    def test_sweep_rejects_malformed_param(self, capsys):
+        assert main(["sweep", "--systems", "stream", "--param", "oops"]) == 2
+        assert "error: --param expects NAME=V1,V2,..." in capsys.readouterr().err
 
     def test_sweep_param_values_take_the_field_type(self):
         parameters = _parse_params(
@@ -115,7 +122,7 @@ class TestSweepCommand:
             ("n_overlay=abc", "n_overlay expects int"),
             ("lossy=maybe", "lossy expects bool"),
             ("bandwidth_class=huge", "bandwidth_class expects BandwidthClass"),
-            ("bullet=x", "cannot sweep 'bullet' (type BulletConfig)"),
+            ("bullet=x", "cannot sweep 'bullet' (type Mapping)"),
             ("fanout=4", "no field 'fanout'"),
         ],
     )
@@ -124,11 +131,46 @@ class TestSweepCommand:
         assert exit_code == 2
         assert named in capsys.readouterr().err
 
-    def test_sweep_rejects_system_and_seed_params(self):
-        with pytest.raises(SystemExit, match="--systems"):
-            main(["sweep", "--systems", "bullet", "--param", "system=stream,gossip"])
-        with pytest.raises(SystemExit, match="--seeds"):
-            main(["sweep", "--systems", "stream", "--param", "seed=1,2"])
+    def test_sweep_rejects_system_and_seed_params(self, capsys):
+        assert main(["sweep", "--systems", "bullet", "--param", "system=stream,gossip"]) == 2
+        assert "use --systems" in capsys.readouterr().err
+        assert main(["sweep", "--systems", "stream", "--param", "seed=1,2"]) == 2
+        assert "--seeds" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, named",
+        [
+            (["--param", "cluster_size=0"], "error: cluster_size must be at least 1"),
+            (["--param", "stream_rate_kbps=0"], "error: stream_rate_kbps must be positive"),
+            (["--metric", "goodput"], "error: unknown metric 'goodput'"),
+            (["--systems", ","], "error: --systems needs at least one system name"),
+            (["--scenario", "flash-crowd", "--rate", "900"],
+             "error: --scenario presets fix --rate; only --nodes/--duration can override"),
+        ],
+        ids=["config-value", "stream-rate", "metric", "no-systems", "preset-flag"],
+    )
+    def test_sweep_usage_errors_exit_2(self, capsys, args, named):
+        # All fail before a single run is simulated.
+        assert main(["sweep", "--systems", "gossip", *self.FAST, *args]) == 2
+        captured = capsys.readouterr()
+        assert named in captured.err
+        assert captured.out == ""
+
+    def test_sweep_scenario_keeps_preset_system_and_honours_size(self, monkeypatch):
+        # Config level only: the batch is captured, never simulated.
+        from repro.experiments.batch import ResultSet
+
+        captured = []
+        monkeypatch.setattr(
+            "repro.experiments.batch.run_batch",
+            lambda configs, workers: captured.extend(configs) or ResultSet([]),
+        )
+        assert main(["sweep", "--scenario", "scale-10000", "--nodes", "40",
+                     "--duration", "30", "--seeds", "1,2"]) == 0
+        assert [(c.system, c.n_overlay, c.duration_s, c.seed) for c in captured] == [
+            ("bullet-clustered", 40, 30.0, 1), ("bullet-clustered", 40, 30.0, 2)
+        ]
+        assert {config.cluster_size for config in captured} == {125}
 
     def test_sweep_rejects_unknown_system(self, capsys):
         exit_code = main(["sweep", "--systems", "carrier-pigeon", *self.FAST])
@@ -152,8 +194,9 @@ class TestFigureCommand:
         assert "duplicate_ratio" in payload
 
     def test_rejects_unknown_figure(self):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["figure", "99"])
+        assert excinfo.value.code == 2
 
 
 class TestHierarchyFlagValidation:

@@ -10,17 +10,16 @@ repro.cli reproduce --tier paper`` reports at paper scale.
 import pytest
 
 from repro.experiments.figures import (
-    FigureScale,
     figure6_tree_streaming,
     figure7_bullet_random_tree,
     figure8_bandwidth_cdf,
     figure10_nondisjoint,
     figure13_failure_no_recovery,
-    figure15_unconstrained_root,
     headline_metrics,
 )
+from repro.experiments.harness import RunContext, run_planetlab_experiment
 
-TINY = FigureScale(n_overlay=12, duration_s=50.0, seed=3)
+TINY = RunContext(n_overlay=12, duration_s=50.0, seed=3)
 
 
 class TestFigureRunners:
@@ -66,15 +65,22 @@ class TestFigureRunners:
             "useful_kbps",
         }
 
-    def test_figure_scale_config_overrides(self):
+    def test_run_context_config_overrides(self):
         config = TINY.config(system="stream", tree_kind="bottleneck")
-        assert config.n_overlay == 12
+        assert (config.n_overlay, config.duration_s, config.seed) == (12, 50.0, 3)
         assert config.system == "stream"
         assert config.tree_kind == "bottleneck"
+        assert TINY.config(seed=9, n_overlay=20).seed == 9
 
     def test_figure15_unconstrained_root(self):
-        data = figure15_unconstrained_root(duration_s=120.0)
+        # The paper's follow-up: an all-US topology with an unconstrained source.
+        bullet, good = (
+            run_planetlab_experiment(
+                system=system, tree_kind=tree_kind, duration_s=120.0, unconstrained_root=True
+            )
+            for system, tree_kind in (("bullet", "random"), ("stream", "good"))
+        )
         # With ample source bandwidth both approaches deliver far more than the
         # constrained-source scenario; Bullet does not sacrifice performance.
-        assert data["bullet_kbps"] >= 0.5 * 1500.0
-        assert data["good_tree_kbps"] >= 0.5 * 1500.0
+        assert bullet.average_useful_kbps >= 0.5 * 1500.0
+        assert good.average_useful_kbps >= 0.5 * 1500.0

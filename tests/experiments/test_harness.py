@@ -51,6 +51,35 @@ class TestExperimentConfig:
         assert bullet.stream_rate_kbps == 900.0
         assert bullet.seed == 11
 
+    def test_bullet_override_sets_only_bullet_knobs(self):
+        config = ExperimentConfig(
+            stream_rate_kbps=900.0,
+            seed=4,
+            control_loss_rate=0.1,
+            ransub_failure_detection=False,
+            bullet={"max_senders": 3, "ransub_epoch_s": 20.0},
+        )
+        bullet = config.bullet_config()
+        assert (bullet.max_senders, bullet.ransub_epoch_s) == (3, 20.0)
+        assert (bullet.stream_rate_kbps, bullet.seed) == (900.0, 4)
+        assert (bullet.control_loss_rate, bullet.ransub_failure_detection) == (0.1, False)
+
+    @pytest.mark.parametrize(
+        "name", ["seed", "stream_rate_kbps", "ransub_failure_detection", "control_loss_rate"]
+    )
+    def test_bullet_override_rejects_shared_fields(self, name):
+        with pytest.raises(ValueError, match=rf"ExperimentConfig\.{name}"):
+            ExperimentConfig(bullet={name: 3})
+
+    def test_bullet_override_rejects_unknown_fields(self):
+        with pytest.raises(ValueError, match="BulletConfig has no field 'max_peers'"):
+            ExperimentConfig(bullet={"max_peers": 3})
+
+    @pytest.mark.parametrize("rate", [0.0, -600.0])
+    def test_rejects_unusable_stream_rate(self, rate):
+        with pytest.raises(ValueError, match="stream_rate_kbps must be positive"):
+            ExperimentConfig(system="gossip", stream_rate_kbps=rate)
+
     def test_rejects_bad_control_loss_rate(self):
         with pytest.raises(ValueError):
             ExperimentConfig(control_loss_rate=1.0)

@@ -8,7 +8,6 @@ stays fast.  The paper's figures are reproduced by the experiment catalog:
 
 import pytest
 
-from repro.core.config import BulletConfig
 from repro.experiments.harness import ExperimentConfig, run_experiment
 from repro.topology.links import BandwidthClass
 
@@ -96,11 +95,11 @@ class TestAblation:
     def test_disjoint_strategy_does_not_hurt(self):
         scale = dict(n_overlay=16, duration_s=80.0, seed=11, bandwidth_class=BandwidthClass.LOW)
         disjoint = run_experiment(
-            ExperimentConfig(system="bullet", bullet=BulletConfig(seed=11), **scale)
+            ExperimentConfig(system="bullet", **scale)
         )
         nondisjoint = run_experiment(
             ExperimentConfig(
-                system="bullet", bullet=BulletConfig(seed=11, disjoint_send=False), **scale
+                system="bullet", bullet={"disjoint_send": False}, **scale
             )
         )
         # The disjoint strategy should never be substantially worse, and the

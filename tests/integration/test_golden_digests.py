@@ -24,7 +24,6 @@ import hashlib
 import pytest
 
 from repro import cli
-from repro.core.config import BulletConfig
 from repro.experiments.harness import (
     ExperimentConfig,
     run_experiment,
@@ -46,7 +45,7 @@ def _flat_steady() -> ExperimentConfig:
         n_overlay=40,
         duration_s=50.0,
         seed=11,
-        bullet=BulletConfig(seed=11, working_set_window=768),
+        bullet={"working_set_window": 768},
     )
 
 
@@ -63,7 +62,7 @@ def _flat_churn() -> ExperimentConfig:
         sample_interval_s=2.0,
         control_loss_rate=0.05,
         seed=12,
-        bullet=BulletConfig(seed=12, working_set_window=512, control_loss_rate=0.05),
+        bullet={"working_set_window": 512},
     )
 
 
@@ -75,7 +74,7 @@ def _clustered(shard_workers: int) -> ExperimentConfig:
         duration_s=30.0,
         seed=5,
         shard_workers=shard_workers,
-        bullet=BulletConfig(seed=5, working_set_window=768),
+        bullet={"working_set_window": 768},
     )
 
 
@@ -144,7 +143,7 @@ def _three_level_churn_digest(shard_workers: int) -> str:
         sample_interval_s=2.0,
         seed=3,
         shard_workers=shard_workers,
-        bullet=BulletConfig(seed=3, working_set_window=768),
+        bullet={"working_set_window": 768},
     )
     session = (ShardedSession if shard_workers >= 2 else ExperimentSession)(config)
     system = session.system

@@ -1,8 +1,10 @@
 """Catalog invariants, expectation evaluation and export shaping."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.experiments.ablations import PEER_COUNT_SEEDS
+from repro.experiments.ablations import PEER_COUNT_SEEDS, PEER_LIMITS
 from repro.experiments.registry import available_systems
 from repro.report.catalog import (
     CATALOG,
@@ -52,17 +54,24 @@ class TestCatalogShape:
                 assert expectation.kind in ("ge", "le"), (entry.id, expectation.name)
 
     def test_peer_ablation_averages_peer_count_seeds_above_smoke(self, monkeypatch):
-        calls = []
+        batches = []
 
-        def fake_ablation(scale, workers, n_seeds):
-            calls.append(n_seeds)
-            return {"n_seeds": n_seeds}
+        def fake_batch(configs, workers):
+            batches.append([config.seed for config in configs])
+            return [
+                SimpleNamespace(average_useful_kbps=1.0, duplicate_ratio=0.0)
+                for _ in configs
+            ]
 
-        monkeypatch.setattr("repro.report.catalog.ablation_peer_count", fake_ablation)
+        monkeypatch.setattr("repro.experiments.ablations.run_batch", fake_batch)
         runner = get_experiment("abl-peers").runner
-        for tier in ("smoke", "paper", "scale"):
-            runner(RunContext(tier=TIERS[tier], seed=1))
-        assert calls == [1, PEER_COUNT_SEEDS, PEER_COUNT_SEEDS]
+        for tier in ("smoke", "paper", "scale", None):
+            assert runner(RunContext(seed=4, tier=tier))["n_seeds"] == (
+                1 if tier == "smoke" else PEER_COUNT_SEEDS
+            )
+        smoke, *larger = batches
+        assert smoke == [4] * len(PEER_LIMITS)
+        assert all(len(seeds) == PEER_COUNT_SEEDS * len(PEER_LIMITS) for seeds in larger)
 
     def test_tiers(self):
         assert tuple(TIERS) == TIER_NAMES

@@ -50,9 +50,14 @@ class TestUsageErrors:
         assert code == 2
         assert "stability" in capsys.readouterr().err
 
+    def test_empty_only_exits_2(self, capsys):
+        assert main(["reproduce", "--only", ","]) == 2
+        assert "error: --only expects" in capsys.readouterr().err
+
     def test_help_mentions_reproduction_doc(self, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main(["reproduce", "--help"])
+        assert excinfo.value.code == 0
         assert "REPRODUCTION.md" in capsys.readouterr().out
 
 
