@@ -325,7 +325,7 @@ def _command_figure(args: argparse.Namespace) -> int:
     experiment_id = "headline" if args.number == "headline" else f"fig{args.number}"
     ctx = RunContext(n_overlay=args.nodes, duration_s=args.duration, seed=args.seed)
     data = get_experiment(experiment_id).runner(ctx)
-    printable = {key: _summarize(value) for key, value in data.items() if key != "result"}
+    printable = {key: _summarize(value) for key, value in data.items()}
     print(json.dumps(printable, indent=2))
     return 0
 

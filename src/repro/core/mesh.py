@@ -36,8 +36,9 @@ records and the mesh replays.
 
 A mesh is born with one in-process host holding every node, reached by a
 direct call; :meth:`BulletMesh.partition` re-homes the nodes onto several
-hosts and :attr:`BulletMesh.exchange` is the transport to them (the clustered
-system points it at its forked shard workers) — no phase knows which.
+hosts and :meth:`BulletMesh.exchange` is the transport to them (the clustered
+system shadows it with a route to its forked shard workers) — no phase knows
+which.
 
 The orchestrator also implements node failure (Section 4.6): a failed node
 stops sending and receiving, its control messages are dropped by the
@@ -139,10 +140,6 @@ class BulletMesh:
                 ransub_rng=self._ransub_rng,
             )
             nodes[member].refresh_ticket()
-        #: The transport: takes ``{host index: command}`` to the node hosts,
-        #: returns ``{host index: reply}``.  A direct call while the hosts
-        #: live in this process; whoever moves them points it at the route.
-        self.exchange: Callable[[Dict[int, Tuple]], Dict[int, Dict]] = self._call_hosts
         # Born with one in-process host holding every node.
         self._hosts: List[NodeHost] = [
             NodeHost(nodes, self.config, tree.root, self._ransub_rng)
@@ -201,8 +198,8 @@ class BulletMesh:
         ``owner_for(node_id)`` names the host index of every member, present
         or yet to join.  The run is byte-identical whatever the partition.
         To move the hosts out of this process, hand them to the workers and
-        point :attr:`exchange` at the route to them — before the first step,
-        while the nodes are pristine.
+        shadow :meth:`exchange` with the route to them — before the first
+        step, while the nodes are pristine.
         """
         self._owner_for = owner_for
         owned: List[Dict[int, BulletNode]] = [{} for _ in range(hosts)]
@@ -366,8 +363,14 @@ class BulletMesh:
             simulator=self.simulator, system=self, sample_interval_s=sample_interval_s
         ).drive(duration_s)
 
-    def _call_hosts(self, commands: Dict[int, Tuple]) -> Dict[int, Dict]:
-        """The in-process transport: hand each host its command directly."""
+    def exchange(self, commands: Dict[int, Tuple]) -> Dict[int, Dict]:
+        """The transport: takes ``{host index: command}`` to the node hosts,
+        returns ``{host index: reply}``.
+
+        This in-process form hands each host its command directly; whoever
+        moves the hosts shadows it with an instance attribute that routes to
+        them.
+        """
         return {host: self._hosts[host].handle(commands[host]) for host in sorted(commands)}
 
     # --------------------------------------------------------------- delivery

@@ -36,9 +36,7 @@ from repro.experiments.figures import (
 )
 from repro.experiments.export import (
     write_aggregate_csv,
-    write_cdf_csv,
     write_result_csv,
-    write_summary_csv,
     write_time_series_csv,
 )
 from repro.experiments.harness import (
@@ -51,8 +49,6 @@ from repro.experiments.harness import (
 )
 from repro.experiments.metrics import (
     SeriesSummary,
-    cdf_from_values,
-    improvement_factor,
     steady_state_average,
 )
 from repro.experiments.registry import (
@@ -93,7 +89,6 @@ __all__ = [
     "build_planetlab_workload",
     "build_workload",
     "build_workload_for",
-    "cdf_from_values",
     "collect_result",
     "figure6_tree_streaming",
     "figure7_bullet_random_tree",
@@ -107,7 +102,6 @@ __all__ = [
     "figure15_planetlab",
     "get_system",
     "headline_metrics",
-    "improvement_factor",
     "register_system",
     "run_batch",
     "run_experiment",
@@ -118,8 +112,6 @@ __all__ = [
     "system_known",
     "unregister_system",
     "write_aggregate_csv",
-    "write_cdf_csv",
     "write_result_csv",
-    "write_summary_csv",
     "write_time_series_csv",
 ]

@@ -4,7 +4,7 @@ The four design-choice ablations of the evaluation used to live only inside
 the benchmark suite as test functions; reproducing them meant running pytest
 and reading captured stdout.  Each ablation is now an ordinary function —
 same shape as the ``figureNN`` runners in :mod:`repro.experiments.figures` —
-that builds its configs, runs them through :func:`run_batch` and returns a
+that builds its configs, runs them through ``ctx.run`` and returns a
 structured, JSON-friendly dictionary.  The reproduction pipeline
 (``python -m repro.cli reproduce``) exports their results directly and
 checks them against the catalog's expectations.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.experiments.batch import run_batch
 from repro.experiments.harness import ExperimentResult, RunContext
 from repro.topology.links import BandwidthClass
 
@@ -43,8 +42,8 @@ EVICTION_VARIANTS = (
 )
 
 
-def _summary(result: ExperimentResult) -> Dict[str, float]:
-    """The scalar row every ablation reports per configuration."""
+def summary_row(result: ExperimentResult) -> Dict[str, float]:
+    """The scalar row every ablation variant and systems-matrix cell reports."""
     return {
         "useful_kbps": result.average_useful_kbps,
         "duplicate_ratio": result.duplicate_ratio,
@@ -53,7 +52,7 @@ def _summary(result: ExperimentResult) -> Dict[str, float]:
 
 
 # ------------------------------------------------------------ peer count
-def ablation_peer_count(ctx: RunContext = RunContext()) -> Dict[str, object]:
+def ablation_peer_count(ctx: RunContext) -> Dict[str, object]:
     """Sweep the per-node sender/receiver limit (paper default: 10).
 
     Returns per-limit mean useful bandwidth and duplicate ratio, averaged
@@ -72,7 +71,7 @@ def ablation_peer_count(ctx: RunContext = RunContext()) -> Dict[str, object]:
         for limit in PEER_LIMITS
         for seed in seeds
     ]
-    results = run_batch(configs, workers=ctx.workers)
+    results = ctx.run(*configs)
     grouped: Dict[int, List[ExperimentResult]] = {}
     for config, result in zip(configs, results):
         grouped.setdefault(config.bullet["max_senders"], []).append(result)
@@ -86,22 +85,22 @@ def ablation_peer_count(ctx: RunContext = RunContext()) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------- epoch length
-def ablation_epoch_length(ctx: RunContext = RunContext()) -> Dict[str, object]:
+def ablation_epoch_length(ctx: RunContext) -> Dict[str, object]:
     """Sweep the RanSub epoch length (paper default: 5 seconds)."""
     configs = [
         ctx.config(duration_s=min(ctx.duration_s, 160.0), bullet={"ransub_epoch_s": epoch_s})
         for epoch_s in EPOCH_LENGTHS_S
     ]
-    results = run_batch(configs, workers=ctx.workers)
+    results = ctx.run(*configs)
     rows = {
-        f"{epoch_s:g}": _summary(result)
+        f"{epoch_s:g}": summary_row(result)
         for epoch_s, result in zip(EPOCH_LENGTHS_S, results)
     }
     return {"epoch_lengths_s": list(EPOCH_LENGTHS_S), "by_epoch": rows}
 
 
 # --------------------------------------------------- disjoint / lookahead
-def ablation_disjoint_lookahead(ctx: RunContext = RunContext()) -> Dict[str, object]:
+def ablation_disjoint_lookahead(ctx: RunContext) -> Dict[str, object]:
     """Sweep disjoint transmission and the recovery-range lookahead."""
     configs = [
         ctx.config(
@@ -110,9 +109,9 @@ def ablation_disjoint_lookahead(ctx: RunContext = RunContext()) -> Dict[str, obj
         )
         for _, _, lookahead_s, disjoint in DISJOINT_VARIANTS
     ]
-    results = run_batch(configs, workers=ctx.workers)
+    results = ctx.run(*configs)
     rows = {
-        key: _summary(result)
+        key: summary_row(result)
         for (key, _, _, _), result in zip(DISJOINT_VARIANTS, results)
     }
     return {
@@ -122,7 +121,7 @@ def ablation_disjoint_lookahead(ctx: RunContext = RunContext()) -> Dict[str, obj
 
 
 # --------------------------------------------------------------- eviction
-def ablation_eviction(ctx: RunContext = RunContext()) -> Dict[str, object]:
+def ablation_eviction(ctx: RunContext) -> Dict[str, object]:
     """Compare periodic sender eviction (Section 3.4) against no eviction."""
     configs = [
         ctx.config(
@@ -132,9 +131,9 @@ def ablation_eviction(ctx: RunContext = RunContext()) -> Dict[str, object]:
         )
         for _, _, period in EVICTION_VARIANTS
     ]
-    results = run_batch(configs, workers=ctx.workers)
+    results = ctx.run(*configs)
     rows = {
-        key: _summary(result)
+        key: summary_row(result)
         for (key, _, _), result in zip(EVICTION_VARIANTS, results)
     }
     return {

@@ -1,10 +1,10 @@
 """Export experiment results to CSV for external plotting.
 
-The paper's figures are bandwidth-versus-time curves and one CDF; this module
-writes :class:`~repro.experiments.harness.ExperimentResult` objects (or the
-dictionaries returned by the per-figure runners) into plain CSV files so they
-can be plotted with any tool (gnuplot, matplotlib, a spreadsheet) without the
-library taking a plotting dependency.
+The paper's figures are mostly bandwidth-versus-time curves; this module
+writes :class:`~repro.experiments.harness.ExperimentResult` series and sweep
+aggregates into plain CSV files so they can be plotted with any tool
+(gnuplot, matplotlib, a spreadsheet) without the library taking a plotting
+dependency.
 """
 
 from __future__ import annotations
@@ -44,17 +44,6 @@ def write_time_series_csv(
                 value = lookup[name].get(t)
                 row.append("" if value is None else value)
             writer.writerow(row)
-    return path
-
-
-def write_cdf_csv(path: PathLike, cdf: Sequence[Tuple[float, float]]) -> Path:
-    """Write CDF points (value, cumulative fraction) to CSV."""
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["bandwidth_kbps", "fraction_of_nodes"])
-        for value, fraction in cdf:
-            writer.writerow([value, fraction])
     return path
 
 
@@ -101,33 +90,3 @@ def plain_value(value: object) -> object:
     """Plain (CSV/JSON-friendly) rendering for enum-like config values."""
     return getattr(value, "value", value)
 
-
-def write_summary_csv(path: PathLike, results: Mapping[str, ExperimentResult]) -> Path:
-    """Write one summary row per named result (the table-style comparisons)."""
-    if not results:
-        raise ValueError("need at least one result to export")
-    path = Path(path)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            [
-                "name",
-                "average_useful_kbps",
-                "duplicate_ratio",
-                "control_overhead_kbps",
-                "link_stress_avg",
-                "link_stress_max",
-            ]
-        )
-        for name, result in results.items():
-            writer.writerow(
-                [
-                    name,
-                    result.average_useful_kbps,
-                    result.duplicate_ratio,
-                    result.control_overhead_kbps,
-                    result.link_stress_avg,
-                    result.link_stress_max,
-                ]
-            )
-    return path

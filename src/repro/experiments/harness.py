@@ -184,6 +184,11 @@ class RunContext:
     The paper runs 1000 overlay nodes for ~400-500 s; the defaults here are
     sized so a figure runs on a laptop in minutes.  ``tier`` names the
     reproduction tier the run belongs to (``None`` outside the pipeline).
+
+    :meth:`run` is how a runner gets simulation results.  The pipeline hands
+    one context per seed to every entry it runs, so a config that several
+    entries ask for (Figure 8 and the headline numbers read Figure 7's run)
+    is simulated once.
     """
 
     n_overlay: int = 50
@@ -191,12 +196,38 @@ class RunContext:
     seed: int = 1
     workers: int = 1
     tier: Optional[str] = None
+    #: (config, result) for every run this context made.  Every run is
+    #: seeded only from its config, so an equal config has an equal result.
+    _done: List[Tuple[ExperimentConfig, ExperimentResult]] = field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     def config(self, **overrides: object) -> ExperimentConfig:
         """An :class:`ExperimentConfig` at this context's size and seed;
         ``overrides`` replace any field."""
         base = {"n_overlay": self.n_overlay, "duration_s": self.duration_s, "seed": self.seed}
         return ExperimentConfig(**{**base, **overrides})
+
+    def run(self, *configs: ExperimentConfig) -> List[ExperimentResult]:
+        """The result of every config, in input order.
+
+        Configs this context has not run yet fan out over ``workers``
+        processes through :func:`~repro.experiments.batch.run_batch`; the
+        rest, and repeats within the call, get the earlier result object,
+        which callers therefore must not mutate.
+        """
+        from repro.experiments.batch import run_batch  # batch imports this module
+
+        fresh: List[ExperimentConfig] = []
+        for config in configs:
+            if self._result_of(config) is None and config not in fresh:
+                fresh.append(config)
+        if fresh:
+            self._done.extend(zip(fresh, run_batch(fresh, workers=self.workers)))
+        return [self._result_of(config) for config in configs]
+
+    def _result_of(self, config: ExperimentConfig) -> Optional[ExperimentResult]:
+        return next((result for done, result in self._done if done == config), None)
 
 
 @dataclass

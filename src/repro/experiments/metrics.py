@@ -4,14 +4,13 @@ The paper's figures are all derived from a handful of quantities: per-node
 bandwidth over time (raw / useful / from-parent), steady-state averages, the
 CDF of instantaneous bandwidth, duplicate ratios, control overhead and link
 stress.  The helpers here turn the :class:`~repro.network.stats.StatsCollector`
-series into those quantities and into the comparison ratios the paper quotes
-("up to a factor of two", "25% higher", "60% more").
+series into those quantities.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 TimeSeries = List[Tuple[float, float]]
 
@@ -35,49 +34,6 @@ def steady_state_average(series: TimeSeries, tail_fraction: float = 0.5) -> floa
 def peak_value(series: TimeSeries) -> float:
     """Maximum value reached by a series."""
     return max((value for _, value in series), default=0.0)
-
-
-def value_at(series: TimeSeries, time_s: float) -> float:
-    """The series value at the sample closest to ``time_s``."""
-    if not series:
-        return 0.0
-    closest = min(series, key=lambda entry: abs(entry[0] - time_s))
-    return closest[1]
-
-
-def window_average(series: TimeSeries, start_s: float, end_s: float) -> float:
-    """Average of the samples with timestamps inside ``[start_s, end_s]``."""
-    window = [value for time_s, value in series if start_s <= time_s <= end_s]
-    if not window:
-        return 0.0
-    return sum(window) / len(window)
-
-
-def improvement_factor(candidate: float, baseline: float) -> float:
-    """``candidate / baseline`` guarding against a zero baseline."""
-    if baseline <= 0:
-        return float("inf") if candidate > 0 else 1.0
-    return candidate / baseline
-
-
-def cdf_from_values(values: Sequence[float]) -> List[Tuple[float, float]]:
-    """Empirical CDF points (value, fraction <= value) from raw samples."""
-    if not values:
-        return []
-    ordered = sorted(values)
-    n = len(ordered)
-    return [(value, (index + 1) / n) for index, value in enumerate(ordered)]
-
-
-def fraction_below(cdf: Sequence[Tuple[float, float]], threshold: float) -> float:
-    """Fraction of nodes whose value is strictly below ``threshold``."""
-    fraction = 0.0
-    for value, cumulative in cdf:
-        if value < threshold:
-            fraction = cumulative
-        else:
-            break
-    return fraction
 
 
 def median_from_cdf(cdf: Sequence[Tuple[float, float]]) -> float:
@@ -106,7 +62,3 @@ class SeriesSummary:
             final_kbps=final,
         )
 
-
-def summarize_many(series_by_name: Dict[str, TimeSeries]) -> Dict[str, SeriesSummary]:
-    """Summarize several named series at once."""
-    return {name: SeriesSummary.from_series(series) for name, series in series_by_name.items()}

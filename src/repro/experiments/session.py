@@ -166,11 +166,12 @@ class ExperimentSession:
         # as ``control_channel``; tap it so observers can watch the control
         # plane without forking the loop.  Only the most recent session's tap
         # stays installed, so re-driving the same system (e.g. repeated
-        # ``mesh.run()`` calls) neither duplicates notifications nor pins
-        # finished sessions in memory.
+        # ``mesh.run()`` calls) never duplicates notifications.  A session
+        # without observers installs none: the tap would point the system
+        # back at the session, a cycle only a full collection frees.
         channel = getattr(self.system, "control_channel", None)
         if channel is not None:
-            channel.set_exclusive_tap(self._notify_control)
+            channel.set_exclusive_tap(self._notify_control if self.observers else None)
 
         if sample_interval_s is None:
             sample_interval_s = config.sample_interval_s if config is not None else 5.0
@@ -361,11 +362,6 @@ class ExperimentSession:
             source=source,
             participants=list(participants),
         )
-
-    def add_observer(self, observer: SessionObserver) -> "ExperimentSession":
-        """Attach an observer; returns the session for chaining."""
-        self.observers.append(observer)
-        return self
 
     def _notify_control(self, event: str, time_s: float, message) -> None:
         for observer in self.observers:

@@ -17,7 +17,7 @@ from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.links import LINK_TYPES, TABLE_1_RANGES, BandwidthClass
 
 
-def table1_bandwidth_ranges(ctx: RunContext = RunContext()) -> Dict[str, object]:
+def table1_bandwidth_ranges(ctx: RunContext) -> Dict[str, object]:
     """Verify generated topologies against Table 1's published ranges.
 
     Returns, per bandwidth class and link type: the published (low, high)

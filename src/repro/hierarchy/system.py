@@ -262,9 +262,11 @@ class ClusteredBullet:
         effective = ShardExecutor.effective_workers(
             len(self._clusters), workers
         )
-        hosts = self.mesh.partition(
-            effective, lambda node_id: self._cluster_of[node_id] % effective
-        )
+        # The closures below hold what they read, not ``self``: the mesh
+        # keeps them, and one pointing back at this system would make a
+        # finished run a cycle only a full collection frees.
+        cluster_of = self._cluster_of
+        hosts = self.mesh.partition(effective, lambda node_id: cluster_of[node_id] % effective)
         try:
             self._executor = ShardExecutor(self._clusters, workers, head_hosts=hosts)
         except RuntimeError as error:
@@ -276,7 +278,8 @@ class ClusteredBullet:
             return False
         # Looked up per call: the benchmark's tracer wraps the method on the
         # executor instance after this runs.
-        self.mesh.exchange = lambda commands: self._executor.mesh_scatter(commands)
+        executor = self._executor
+        self.mesh.exchange = lambda commands: executor.mesh_scatter(commands)
         return True
 
     def shutdown_sharding(self) -> None:

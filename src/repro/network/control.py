@@ -183,17 +183,19 @@ class ControlChannel:
         return delivered
 
     # ------------------------------------------------------------------ taps
-    def set_exclusive_tap(self, tap: ChannelTap) -> None:
-        """Install a tap that replaces any previous exclusive tap.
+    def set_exclusive_tap(self, tap: Optional[ChannelTap]) -> None:
+        """Install a tap that replaces any previous exclusive tap (``None``
+        just removes it).
 
-        Exactly one exclusive tap is live at a time — used by the experiment
+        At most one exclusive tap is live at a time — used by the experiment
         session so that re-driving the same system never stacks stale
         observers.  Taps appended directly to :attr:`taps` are untouched.
         """
         if self._exclusive_tap is not None and self._exclusive_tap in self.taps:
             self.taps.remove(self._exclusive_tap)
         self._exclusive_tap = tap
-        self.taps.append(tap)
+        if tap is not None:
+            self.taps.append(tap)
 
     # ----------------------------------------------------------------- hosts
     def mark_down(self, node: int) -> None:

@@ -27,6 +27,7 @@ from repro.experiments.ablations import (
     ablation_epoch_length,
     ablation_eviction,
     ablation_peer_count,
+    summary_row,
 )
 from repro.experiments.figures import (
     figure6_tree_streaming,
@@ -41,8 +42,7 @@ from repro.experiments.figures import (
     figure15_planetlab,
     headline_metrics,
 )
-from repro.experiments.harness import ExperimentResult, RunContext, run_experiment
-from repro.experiments.batch import run_batch
+from repro.experiments.harness import ExperimentResult, RunContext
 from repro.experiments.registry import get_system
 from repro.experiments.tables import table1_bandwidth_ranges
 from repro.experiments.workloads import scenario_config
@@ -154,7 +154,6 @@ class ReproExperiment:
     runner: Callable[[RunContext], Dict[str, object]]
     headline: Tuple[str, ...] = ()
     expectations: Tuple[Expectation, ...] = ()
-    systems: Tuple[str, ...] = ("bullet",)
 
 
 # ------------------------------------------------------------ export shaping
@@ -164,8 +163,7 @@ def flatten_export(raw: Mapping[str, object]) -> Dict[str, object]:
     * scalars (int/float/bool) land in ``metrics`` under dotted paths;
     * lists of (x, y) pairs land in ``series`` (the figures' curves/CDFs);
     * everything else — including dicts with non-string keys, like per-node
-      bandwidth maps — lands in ``data``;
-    * ``result`` keys (live ExperimentResult objects) are dropped.
+      bandwidth maps — lands in ``data``.
     """
     metrics: Dict[str, float] = {}
     series: Dict[str, List[List[float]]] = {}
@@ -182,15 +180,11 @@ def flatten_export(raw: Mapping[str, object]) -> Dict[str, object]:
             isinstance(key, str) for key in value
         ):
             for key, inner in value.items():
-                if key == "result":
-                    continue
                 walk(f"{prefix}.{key}" if prefix else key, inner)
         else:
             data[prefix] = value
 
     for key, value in raw.items():
-        if key == "result":
-            continue
         walk(key, value)
     return {"metrics": metrics, "series": series, "data": data}
 
@@ -211,9 +205,7 @@ def _is_point_series(value: object) -> bool:
 def _result_payload(result: ExperimentResult) -> Dict[str, object]:
     """The standard scalar + series payload for a single-run scenario."""
     return {
-        "useful_kbps": result.average_useful_kbps,
-        "duplicate_ratio": result.duplicate_ratio,
-        "control_overhead_kbps": result.control_overhead_kbps,
+        **summary_row(result),
         "link_stress_avg": result.link_stress_avg,
         "link_stress_max": float(result.link_stress_max),
         "useful_series": result.useful_series,
@@ -257,24 +249,21 @@ def _run_systems_matrix(ctx: RunContext) -> Dict[str, object]:
             "churn_start_s": min(30.0, ctx.duration_s / 3),
         },
     }
-    configs = []
-    keys = []
-    for system, tree_kind in MATRIX_SYSTEMS:
-        for condition in MATRIX_CONDITIONS:
-            if condition == "churn" and not system_supports_churn(system):
-                continue
-            configs.append(
-                ctx.config(system=system, tree_kind=tree_kind, **conditions[condition])
-            )
-            keys.append((system, condition))
-    results = run_batch(configs, workers=ctx.workers)
+    cells = [
+        (system, tree_kind, condition)
+        for system, tree_kind in MATRIX_SYSTEMS
+        for condition in MATRIX_CONDITIONS
+        if condition != "churn" or system_supports_churn(system)
+    ]
+    results = ctx.run(
+        *(
+            ctx.config(system=system, tree_kind=tree_kind, **conditions[condition])
+            for system, tree_kind, condition in cells
+        )
+    )
     payload: Dict[str, Dict[str, Dict[str, float]]] = {}
-    for (system, condition), result in zip(keys, results):
-        payload.setdefault(system, {})[condition] = {
-            "useful_kbps": result.average_useful_kbps,
-            "duplicate_ratio": result.duplicate_ratio,
-            "control_overhead_kbps": result.control_overhead_kbps,
-        }
+    for (system, _, condition), result in zip(cells, results):
+        payload.setdefault(system, {})[condition] = summary_row(result)
     return payload
 
 
@@ -286,8 +275,8 @@ def _scenario_runner(
     def run(ctx: RunContext) -> Dict[str, object]:
         overrides = dict(tier_overrides.get(ctx.tier, {}))
         overrides["seed"] = ctx.seed
-        config = scenario_config(name, **overrides)
-        return _result_payload(run_experiment(config))
+        (result,) = ctx.run(scenario_config(name, **overrides))
+        return _result_payload(result)
 
     return run
 
@@ -331,7 +320,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 note="paper: offline bottleneck tree is the strongest tree",
             ),
         ),
-        systems=("stream",),
     ),
     ReproExperiment(
         id="fig7",
@@ -424,7 +412,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 right="low.bullet_kbps",
             ),
         ),
-        systems=("bullet", "stream"),
     ),
     ReproExperiment(
         id="fig10",
@@ -475,7 +462,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 factor=0.95,
             ),
         ),
-        systems=("bullet", "gossip", "antientropy"),
     ),
     ReproExperiment(
         id="fig12",
@@ -496,7 +482,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 right="low.bottleneck_tree_kbps",
             ),
         ),
-        systems=("bullet", "stream"),
     ),
     ReproExperiment(
         id="fig13",
@@ -573,7 +558,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 right="worst_tree_kbps",
             ),
         ),
-        systems=("bullet", "stream"),
     ),
     ReproExperiment(
         id="table1",
@@ -593,7 +577,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 factor=1.0,
             ),
         ),
-        systems=(),
     ),
     ReproExperiment(
         id="headline",
@@ -765,7 +748,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
                 factor=0.9,
             ),
         ),
-        systems=("bullet", "stream", "gossip", "antientropy"),
     ),
     ReproExperiment(
         id="scale-500",

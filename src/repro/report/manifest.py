@@ -188,13 +188,16 @@ class Manifest:
 
     @classmethod
     def load(cls, results_dir: PathLike) -> Optional["Manifest"]:
-        """Load a manifest from a results directory, or None if absent/corrupt."""
+        """Load a manifest from a results directory, or None if absent,
+        corrupt, not a JSON object or of another schema."""
         path = Path(results_dir) / MANIFEST_NAME
         if not path.exists():
             return None
         try:
             payload = json.loads(path.read_text())
         except (OSError, json.JSONDecodeError):
+            return None
+        if not isinstance(payload, dict) or payload.get("schema") != SCHEMA:
             return None
         return cls.from_json(payload)
 

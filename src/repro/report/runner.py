@@ -14,7 +14,13 @@ structured results directory::
 Runs are resumable: an experiment whose manifest entry is complete (and
 whose export file still matches its digest) is skipped, so an interrupted
 ``reproduce`` picks up where it stopped and ``--only`` can backfill a
-subset into an existing run.  ``stability > 1`` re-runs every experiment
+subset into an existing run.  A manifest of another tier, base seed or
+stability count starts the run fresh.
+
+One :class:`RunContext` per seed is shared by every experiment of the run,
+so a simulation two entries ask for (Figure 8 and the headline numbers read
+Figure 7's run) happens once and its time is charged to the first entry that
+asks for it.  ``stability > 1`` re-runs every experiment
 across that many consecutive seeds and adds mean / sample std / Student-t
 95% CI columns per scalar metric, via the same aggregation the sweep
 machinery uses.
@@ -22,7 +28,6 @@ machinery uses.
 
 from __future__ import annotations
 
-import gc
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -127,27 +132,16 @@ def _aggregate_stability(
 
 
 def _run_one(
-    entry: ReproExperiment, plan: ReproducePlan, base_seed: int
+    entry: ReproExperiment, plan: ReproducePlan, contexts: List[RunContext]
 ) -> Dict[str, object]:
-    """Run one experiment (across stability seeds) into its export payload."""
-    tier = TIERS[plan.tier]
-    seeds = [base_seed + offset for offset in range(plan.stability)]
-    exports = []
-    for seed in seeds:
-        ctx = RunContext(
-            n_overlay=tier.n_overlay,
-            duration_s=tier.duration_s,
-            seed=seed,
-            workers=plan.workers,
-            tier=tier.name,
-        )
-        exports.append(flatten_export(entry.runner(ctx)))
+    """Run one experiment (one context per stability seed) into its export payload."""
+    exports = [flatten_export(entry.runner(ctx)) for ctx in contexts]
     export: Dict[str, object] = {
         "experiment": entry.id,
         "title": entry.title,
         "paper_ref": entry.paper_ref,
         "tier": plan.tier,
-        "seeds": seeds,
+        "seeds": [ctx.seed for ctx in contexts],
         # Metrics/series of the first seed are the canonical single-run view;
         # stability aggregates sit alongside when more than one seed ran.
         "metrics": exports[0]["metrics"],
@@ -179,7 +173,9 @@ def run_reproduction(
     results_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = Manifest.load(results_dir) if plan.resume else None
-    if manifest is None or manifest.tier != plan.tier:
+    if manifest is None or (manifest.tier, manifest.seed, manifest.stability) != (
+        plan.tier, base_seed, plan.stability
+    ):
         manifest = Manifest(
             run_id=results_dir.name,
             tier=plan.tier,
@@ -189,6 +185,17 @@ def run_reproduction(
         )
     timing = load_timing(results_dir)
     per_experiment_timing = dict(timing.get("experiments", {}))
+    seeds = [base_seed + offset for offset in range(plan.stability)]
+    contexts = [
+        RunContext(
+            n_overlay=tier.n_overlay,
+            duration_s=tier.duration_s,
+            seed=seed,
+            workers=plan.workers,
+            tier=tier.name,
+        )
+        for seed in seeds
+    ]
 
     run = ReproductionRun(results_dir=results_dir, manifest=manifest)
     for position, entry in enumerate(selected, start=1):
@@ -202,13 +209,9 @@ def run_reproduction(
                 )
                 continue
         say(f"[{position:>2}/{len(selected)}] {entry.id}: running ({entry.title})")
-        # A finished session is one cyclic blob (topology <-> routing engine,
-        # session <-> control-channel tap) only a full collection frees, and
-        # only this boundary knows the previous experiment's heap is dead.
-        gc.collect()
         started = time.perf_counter()
         try:
-            export = _run_one(entry, plan, base_seed)
+            export = _run_one(entry, plan, contexts)
         except Exception as error:  # noqa: BLE001 - one failure must not kill the run
             wall = time.perf_counter() - started
             say(f"    failed after {wall:.1f}s: {error}")
@@ -218,7 +221,7 @@ def run_reproduction(
                     status="failed",
                     export=export_path.name,
                     digest="",
-                    seeds=[base_seed + offset for offset in range(plan.stability)],
+                    seeds=list(seeds),
                     metrics={},
                     error=f"{type(error).__name__}: {error}",
                 )

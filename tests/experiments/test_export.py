@@ -4,12 +4,7 @@ import csv
 
 import pytest
 
-from repro.experiments.export import (
-    write_cdf_csv,
-    write_result_csv,
-    write_summary_csv,
-    write_time_series_csv,
-)
+from repro.experiments.export import write_result_csv, write_time_series_csv
 from repro.experiments.harness import ExperimentConfig, run_experiment
 
 
@@ -35,14 +30,6 @@ class TestTimeSeriesCsv:
             write_time_series_csv(tmp_path / "x.csv", {})
 
 
-class TestCdfCsv:
-    def test_rows_written(self, tmp_path):
-        path = write_cdf_csv(tmp_path / "cdf.csv", [(100.0, 0.5), (200.0, 1.0)])
-        rows = read_csv(path)
-        assert rows[0] == ["bandwidth_kbps", "fraction_of_nodes"]
-        assert len(rows) == 3
-
-
 class TestResultCsv:
     @pytest.fixture(scope="class")
     def result(self):
@@ -56,13 +43,3 @@ class TestResultCsv:
         assert rows[0] == ["time_s", "useful_kbps", "raw_kbps", "from_parent_kbps", "control_kbps"]
         assert len(rows) > 3
 
-    def test_summary_csv(self, tmp_path, result):
-        path = write_summary_csv(tmp_path / "summary.csv", {"stream": result})
-        rows = read_csv(path)
-        assert rows[0][0] == "name"
-        assert rows[1][0] == "stream"
-        assert float(rows[1][1]) == pytest.approx(result.average_useful_kbps)
-
-    def test_summary_rejects_empty(self, tmp_path):
-        with pytest.raises(ValueError):
-            write_summary_csv(tmp_path / "empty.csv", {})

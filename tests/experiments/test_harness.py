@@ -1,11 +1,13 @@
 """Tests for the experiment harness (small, fast configurations)."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import pytest
 
 from repro.experiments.harness import (
     ExperimentConfig,
+    RunContext,
     run_experiment,
     run_planetlab_experiment,
 )
@@ -130,6 +132,48 @@ class TestRunExperiment:
         result = run_experiment(ExperimentConfig(system="stream", **FAST))
         summary = result.summary()
         assert summary.peak_kbps >= summary.steady_state_kbps * 0.5
+
+
+class TestRunContext:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        """Every batch ``RunContext.run`` hands to ``run_batch``; each result
+        is a stand-in that records its config."""
+        batches = []
+
+        def fake_batch(configs, workers):
+            batches.append((list(configs), workers))
+            return [SimpleNamespace(config=config) for config in configs]
+
+        monkeypatch.setattr("repro.experiments.batch.run_batch", fake_batch)
+        return batches
+
+    def test_results_in_input_order_each_config_run_once(self, batches):
+        ctx = RunContext(n_overlay=12, duration_s=50.0, workers=2)
+        bullet, stream = ctx.config(system="bullet"), ctx.config(system="stream")
+        first = ctx.run(stream, bullet, ctx.config(system="stream"))
+        assert [result.config for result in first] == [stream, bullet, stream]
+        assert first[0] is first[2]
+        again = ctx.run(ctx.config(system="bullet"), ctx.config(system="gossip"))
+        assert again[0] is first[1]
+        assert batches == [([stream, bullet], 2), ([ctx.config(system="gossip")], 2)]
+        assert ctx.run(bullet) == [first[1]]
+        assert len(batches) == 2
+
+    def test_contexts_do_not_share_runs(self, batches):
+        config = RunContext().config(system="stream")
+        RunContext().run(config)
+        RunContext().run(config)
+        assert len(batches) == 2
+
+    def test_runs_are_not_a_parameter_or_part_of_equality(self, batches):
+        with pytest.raises(TypeError):
+            RunContext(_done=[])
+        ran = RunContext(seed=4)
+        ran.run(ran.config())
+        assert ran == RunContext(seed=4)
+        assert hash(ran) == hash(RunContext(seed=4))
+        assert "_done" not in repr(ran)
 
 
 class TestPlanetLabExperiment:

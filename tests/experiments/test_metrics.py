@@ -1,19 +1,12 @@
 """Tests for metric helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.experiments.metrics import (
     SeriesSummary,
-    cdf_from_values,
-    fraction_below,
-    improvement_factor,
     median_from_cdf,
     peak_value,
     steady_state_average,
-    summarize_many,
-    value_at,
-    window_average,
 )
 
 
@@ -32,19 +25,8 @@ class TestSeriesHelpers:
         with pytest.raises(ValueError):
             steady_state_average(SERIES, tail_fraction=0.0)
 
-    def test_peak_and_value_at(self):
+    def test_peak_value(self):
         assert peak_value(SERIES) == 400.0
-        assert value_at(SERIES, 9.0) == 200.0
-        assert value_at([], 5.0) == 0.0
-
-    def test_window_average(self):
-        assert window_average(SERIES, 5.0, 10.0) == pytest.approx(150.0)
-        assert window_average(SERIES, 100.0, 200.0) == 0.0
-
-    def test_improvement_factor(self):
-        assert improvement_factor(400.0, 200.0) == pytest.approx(2.0)
-        assert improvement_factor(100.0, 0.0) == float("inf")
-        assert improvement_factor(0.0, 0.0) == 1.0
 
     def test_series_summary(self):
         summary = SeriesSummary.from_series(SERIES)
@@ -52,35 +34,9 @@ class TestSeriesHelpers:
         assert summary.final_kbps == 400.0
         assert summary.steady_state_kbps > 0
 
-    def test_summarize_many(self):
-        summaries = summarize_many({"a": SERIES, "b": []})
-        assert set(summaries) == {"a", "b"}
-        assert summaries["b"].peak_kbps == 0.0
-
 
 class TestCdfHelpers:
-    def test_cdf_from_values(self):
-        cdf = cdf_from_values([300.0, 100.0, 200.0])
-        assert cdf == [(100.0, pytest.approx(1 / 3)), (200.0, pytest.approx(2 / 3)), (300.0, 1.0)]
-
-    def test_cdf_empty(self):
-        assert cdf_from_values([]) == []
-
-    def test_fraction_below(self):
-        cdf = cdf_from_values([100.0, 200.0, 300.0, 400.0])
-        assert fraction_below(cdf, 250.0) == pytest.approx(0.5)
-        assert fraction_below(cdf, 50.0) == 0.0
-
     def test_median(self):
-        cdf = cdf_from_values([10.0, 20.0, 30.0, 40.0, 50.0])
+        cdf = [(10.0, 0.2), (20.0, 0.4), (30.0, 0.6), (40.0, 0.8), (50.0, 1.0)]
         assert median_from_cdf(cdf) == 30.0
         assert median_from_cdf([]) == 0.0
-
-    @given(st.lists(st.floats(min_value=0, max_value=1e6), min_size=1, max_size=100))
-    def test_cdf_monotone_property(self, values):
-        cdf = cdf_from_values(values)
-        fractions = [fraction for _, fraction in cdf]
-        assert fractions == sorted(fractions)
-        assert fractions[-1] == pytest.approx(1.0)
-        points = [value for value, _ in cdf]
-        assert points == sorted(points)

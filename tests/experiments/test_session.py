@@ -1,5 +1,8 @@
 """Tests for the unified ExperimentSession drive loop and its observer API."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.experiments.harness import ExperimentConfig
@@ -91,7 +94,7 @@ class TestObservers:
     def test_on_failure_reports_time_and_node(self):
         observer = RecordingObserver()
         config = ExperimentConfig(system="stream", failure_at_s=20.0, **FAST)
-        session = ExperimentSession(config).add_observer(observer)
+        session = ExperimentSession(config, observers=[observer])
         result = session.run()
         assert result.failure_time_s == 20.0
         assert len(observer.failures) == 1
@@ -124,9 +127,15 @@ class TestObservers:
         workload = build_workload(n_overlay=10, seed=3)
         simulator = NetworkSimulator(workload.topology, dt=1.0, seed=3)
         mesh = BulletMesh(simulator, workload.tree)
+        for _ in range(2):
+            observed = ExperimentSession(
+                simulator=simulator, system=mesh, observers=[SessionObserver()]
+            )
+            observed.drive(10)
+            assert mesh.control_channel.taps == [observed._notify_control]
+        # A session without observers installs no tap and removes the last.
         mesh.run(10)
-        mesh.run(10)  # each run() wraps a fresh internal session
-        assert len(mesh.control_channel.taps) == 1
+        assert mesh.control_channel.taps == []
 
     def test_on_control_silent_for_systems_without_a_channel(self):
         class ControlProbe(SessionObserver):
@@ -191,3 +200,32 @@ class TestDrive:
         wrapped = run_experiment(config)
         assert direct.average_useful_kbps == pytest.approx(wrapped.average_useful_kbps)
         assert direct.useful_series == wrapped.useful_series
+
+
+class TestRelease:
+    @pytest.mark.parametrize(
+        "system, overrides",
+        [
+            ("bullet", {}),
+            ("gossip", {}),
+            ("antientropy", {"tree_kind": "bottleneck"}),
+            ("bullet-clustered", {"cluster_size": 4}),
+            ("bullet-clustered", {"cluster_size": 4, "shard_workers": 2}),
+        ],
+    )
+    def test_finished_session_is_freed_by_refcount(self, system, overrides):
+        """No cycle through a finished run: dropping the session frees it
+        without the cyclic collector."""
+        from repro.hierarchy.sharding import ShardedSession
+
+        config = ExperimentConfig(system=system, **FAST, **overrides)
+        session = (ShardedSession if config.shard_workers else ExperimentSession)(config)
+        gc.collect()
+        gc.disable()
+        try:
+            session.run()
+            refs = [weakref.ref(part) for part in (session, session.simulator, session.system)]
+            del session
+            assert [ref() for ref in refs] == [None, None, None]
+        finally:
+            gc.enable()

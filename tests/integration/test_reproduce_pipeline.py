@@ -20,14 +20,14 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 SUBSET = "fig6,fig14,table1"
 
 
-def _reproduce(out_dir, hashseed, extra=()):
+def _reproduce(out_dir, hashseed, extra=(), only=SUBSET):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src")
     env["PYTHONHASHSEED"] = str(hashseed)
     return subprocess.run(
         [
             sys.executable, "-m", "repro.cli", "reproduce",
-            "--tier", "smoke", "--only", SUBSET, "--out", str(out_dir),
+            "--tier", "smoke", "--only", only, "--out", str(out_dir),
             *extra,
         ],
         capture_output=True,
@@ -100,3 +100,14 @@ class TestReproducePipeline:
         assert sorted(manifest["experiments"]) == sorted(
             SUBSET.split(",") + ["headline"]
         )
+
+    def test_fig8_alone_matches_fig8_inside_the_shared_run(self, tmp_path):
+        # Inside the five-entry run Figure 8 reads the result Figure 7's entry
+        # simulated; alone it simulates that config itself.
+        shared = _reproduce(tmp_path / "shared", hashseed=1, only="fig7,fig8,headline,fig9,fig10")
+        assert shared.returncode == 0, shared.stdout + shared.stderr
+        alone = _reproduce(tmp_path / "alone", hashseed=1, only="fig8")
+        assert alone.returncode == 0, alone.stdout + alone.stderr
+        assert (tmp_path / "alone" / "smoke" / "fig8.json").read_bytes() == (
+            tmp_path / "shared" / "smoke" / "fig8.json"
+        ).read_bytes()

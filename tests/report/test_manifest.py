@@ -4,6 +4,7 @@ import json
 
 from repro.report.manifest import (
     MANIFEST_NAME,
+    SCHEMA,
     TIMING_NAME,
     ExpectationOutcome,
     ExperimentRecord,
@@ -99,6 +100,18 @@ class TestManifestRoundtrip:
         assert Manifest.load(tmp_path) is None
         (tmp_path / MANIFEST_NAME).write_text("{not json")
         assert Manifest.load(tmp_path) is None
+
+    def test_load_non_object_is_none(self, tmp_path):
+        (tmp_path / MANIFEST_NAME).write_text("[1, 2]\n")
+        assert Manifest.load(tmp_path) is None
+
+    def test_load_other_schema_is_none(self, tmp_path):
+        manifest = Manifest(run_id="r", tier="smoke", seed=1, stability=1, git_sha="x")
+        payload = manifest.to_json()
+        for schema in (SCHEMA + 1, None):
+            payload["schema"] = schema
+            (tmp_path / MANIFEST_NAME).write_text(json.dumps(payload))
+            assert Manifest.load(tmp_path) is None
 
     def test_manifest_bytes_are_deterministic(self, tmp_path):
         manifest = Manifest(run_id="r", tier="smoke", seed=1, stability=1, git_sha="x")

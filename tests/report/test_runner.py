@@ -104,6 +104,33 @@ class TestPipeline:
         assert second.completed == ["one"]
         assert calls == [1, 1]
 
+    @pytest.mark.parametrize("change", [{"seed": 2}, {"stability": 2}])
+    def test_changed_seed_or_stability_starts_fresh(self, tmp_path, monkeypatch, change):
+        calls = []
+
+        def runner(ctx):
+            calls.append(ctx.seed)
+            return {"value": float(ctx.seed)}
+
+        _patch_catalog(monkeypatch, [_entry("one", runner)])
+        run_reproduction(ReproducePlan(tier="smoke", out_dir=tmp_path))
+        second = run_reproduction(ReproducePlan(tier="smoke", out_dir=tmp_path, **change))
+        assert second.completed == ["one"]
+        manifest = Manifest.load(second.results_dir)
+        assert (manifest.seed, manifest.stability) == (
+            change.get("seed", 1), change.get("stability", 1)
+        )
+        assert manifest.experiments["one"].seeds == calls[1:]
+
+    def test_non_object_manifest_starts_fresh(self, tmp_path, monkeypatch):
+        _patch_catalog(monkeypatch, [_entry("one", lambda ctx: {"value": 1.0})])
+        plan = ReproducePlan(tier="smoke", out_dir=tmp_path)
+        plan.results_dir.mkdir(parents=True)
+        (plan.results_dir / MANIFEST_NAME).write_text("[1, 2]\n")
+        run = run_reproduction(plan)
+        assert run.completed == ["one"]
+        assert Manifest.load(run.results_dir).is_complete("one")
+
     def test_no_resume_reruns(self, tmp_path, monkeypatch):
         calls = []
         _patch_catalog(
@@ -135,8 +162,8 @@ class TestPipeline:
     def test_finished_simulators_are_dead_before_the_next_experiment(
         self, tmp_path, monkeypatch
     ):
-        # A finished session is cyclic garbage (topology <-> routing engine,
-        # session <-> control tap), so refcounts alone never free it.
+        # Nothing holds a finished session: refcounts free it as soon as the
+        # runner returns.
         from repro.experiments.harness import ExperimentConfig
         from repro.experiments.session import ExperimentSession
 
@@ -202,6 +229,52 @@ class TestPipeline:
         manifest_text = (run.results_dir / MANIFEST_NAME).read_text()
         assert "wall" not in manifest_text
         assert "timing" not in manifest_text
+
+
+class TestSharedRuns:
+    def test_entries_reading_figure7_share_its_one_simulation(self, tmp_path, monkeypatch):
+        """Figures 7, 8, 9 (medium row) and 10 (disjoint curve) and the
+        headline all read one Bullet config: a pipeline run simulates it once,
+        and no config twice."""
+        from repro.experiments.harness import ExperimentResult, RunContext
+        from repro.report.catalog import TIERS
+
+        built = []
+
+        class StubSession:
+            """Records the config it was built for and simulates nothing."""
+
+            def __init__(self, config, **_):
+                built.append(config)
+                self.config = config
+
+            def run(self):
+                series = [(0.0, 1.0), (5.0, 1.0)]
+                return ExperimentResult(
+                    config=self.config,
+                    useful_series=series,
+                    raw_series=series,
+                    from_parent_series=series,
+                    control_series=series,
+                    average_useful_kbps=1.0,
+                    duplicate_ratio=0.0,
+                    control_overhead_kbps=0.0,
+                    link_stress_avg=1.0,
+                    link_stress_max=1,
+                    per_node_bandwidth_final={1: 1.0},
+                    bandwidth_cdf_final=[(1.0, 1.0)],
+                )
+
+        monkeypatch.setattr("repro.experiments.harness.ExperimentSession", StubSession)
+        ids = ["fig7", "fig8", "headline", "fig9", "fig10"]
+        run = run_reproduction(ReproducePlan(tier="smoke", out_dir=tmp_path, only=ids))
+        assert sorted(run.completed) == sorted(ids)
+        smoke = TIERS["smoke"]
+        figure7 = RunContext(
+            n_overlay=smoke.n_overlay, duration_s=smoke.duration_s, seed=smoke.seed
+        ).config(system="bullet", tree_kind="random")
+        assert built.count(figure7) == 1
+        assert all(built.count(config) == 1 for config in built)
 
 
 class TestAggregateStability:
