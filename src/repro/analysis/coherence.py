@@ -2,10 +2,10 @@
 
 Every incremental engine in this repo hangs caches off monotonic counters —
 ``Topology``'s loss/capacity/delay epochs and structure version,
-``WorkingSet.version``, ``FifoBloomFilter.version`` — and a mutation that
-forgets its bump produces a stale cache that only a determinism-matrix flake
-would catch.  Each module owning such a cache declares a module-level
-``CACHE_INVARIANTS`` table *next to the cache*:
+``WorkingSet.version`` — and a mutation that forgets its bump produces a
+stale cache that only a determinism-matrix flake would catch.  Each module
+owning such a cache declares a module-level ``CACHE_INVARIANTS`` table
+*next to the cache*:
 
     CACHE_INVARIANTS = {
         "Topology": {

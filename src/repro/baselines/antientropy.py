@@ -29,7 +29,7 @@ from repro.network.control import ControlChannel, ControlMessage
 from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
-from repro.reconcile.bloom import FifoBloomFilter
+from repro.reconcile.bloom import BloomSnapshot, optimal_parameters
 from repro.sched.engine import StepEngine
 from repro.trees.tree import OverlayTree
 from repro.util.rng import SeededRng
@@ -37,13 +37,25 @@ from repro.util.units import PACKET_SIZE_KBITS
 
 #: Approximate header bytes of an anti-entropy digest message.
 DIGEST_HEADER_BYTES: int = 32
+#: Random peers each node sends its digest to per round (the paper: 5).
+RECOVERY_PEERS: int = 5
+#: Seconds between anti-entropy rounds (the paper: 20 s).
+ANTI_ENTROPY_EPOCH_S: float = 20.0
+#: A digest describes a node's most recent this-many packets, and a helper
+#: offers from its own most recent this-many.
+RECOVERY_WINDOW: int = 600
+#: ``(num_bits, num_hashes)`` of a digest: sized for a full window at a 1%
+#: false-positive rate.
+DIGEST_GEOMETRY = optimal_parameters(RECOVERY_WINDOW, 0.01)
 
 
 @dataclass
 class AntiEntropyDigest(ControlMessage):
-    """Requester -> helper: a FIFO Bloom filter over the requester's holdings."""
+    """Requester -> helper: a Bloom filter over the requester's recent holdings."""
 
-    digest: FifoBloomFilter = field(default_factory=lambda: FifoBloomFilter.with_capacity(128))
+    digest: BloomSnapshot = field(
+        default_factory=lambda: BloomSnapshot.from_keys((), *DIGEST_GEOMETRY)
+    )
 
     kind = "ae-digest"
 
@@ -59,24 +71,12 @@ class AntiEntropyStreaming(TreeStreaming):
         simulator: NetworkSimulator,
         tree: OverlayTree,
         stream_rate_kbps: float = 900.0,
-        recovery_peers: int = 5,
-        anti_entropy_epoch_s: float = 20.0,
-        recovery_window: int = 600,
-        packet_kbits: float = PACKET_SIZE_KBITS,
         seed: int = 1,
         control_loss_rate: float = 0.0,
     ) -> None:
-        super().__init__(
-            simulator,
-            tree,
-            stream_rate_kbps=stream_rate_kbps,
-            packet_kbits=packet_kbits,
-        )
-        if recovery_peers < 1:
-            raise ValueError("recovery_peers must be at least 1")
-        self.recovery_peers = min(recovery_peers, len(tree.members()) - 1)
-        self.recovery_window = recovery_window
-        self._ae_timer = PeriodicTimer(anti_entropy_epoch_s)
+        super().__init__(simulator, tree, stream_rate_kbps=stream_rate_kbps)
+        self.recovery_peers = min(RECOVERY_PEERS, len(tree.members()) - 1)
+        self._ae_timer = PeriodicTimer(ANTI_ENTROPY_EPOCH_S)
         self._rng = SeededRng(seed, "anti-entropy")
         self.control_channel = ControlChannel(
             simulator.topology,
@@ -172,19 +172,18 @@ class AntiEntropyStreaming(TreeStreaming):
         # Last-in, first-out response, as in pbcast.
         self._recovery_pending[key].extend(sorted(missing, reverse=True))
 
-    def _build_digest(self, requester: int) -> FifoBloomFilter:
-        """The requester's FIFO Bloom filter over its recent holdings."""
-        holdings = sorted(self._received[requester])[-self.recovery_window :]
-        digest = FifoBloomFilter.with_capacity(
-            max(self.recovery_window, 128), false_positive_rate=0.01,
-            window=max(self.recovery_window, 128),
-        )
-        digest.update(holdings)
-        return digest
+    def _build_digest(self, requester: int) -> BloomSnapshot:
+        """A Bloom filter over the requester's recent holdings.
 
-    def _missing_at(self, helper: int, digest: FifoBloomFilter) -> List[int]:
+        Its floor stays at zero: a helper checks every key it offers against
+        the bits, including keys older than the requester's window.
+        """
+        holdings = sorted(self._received[requester])[-RECOVERY_WINDOW:]
+        return BloomSnapshot.from_keys(holdings, *DIGEST_GEOMETRY, low_sequence=0)
+
+    def _missing_at(self, helper: int, digest: BloomSnapshot) -> List[int]:
         """Packets the helper holds that the digest does not describe."""
-        recent = sorted(self._received[helper])[-self.recovery_window :]
+        recent = sorted(self._received[helper])[-RECOVERY_WINDOW:]
         return [sequence for sequence in recent if sequence not in digest]
 
     def _drain_recovery_queues(self) -> None:
@@ -204,7 +203,7 @@ class AntiEntropyStreaming(TreeStreaming):
         dt = self.simulator.dt
         for key, flow in self.recovery_flows.items():
             pending = len(self._recovery_pending.get(key, []))
-            flow.set_demand((pending + 2) * self.packet_kbits / dt if pending else 0.0)
+            flow.set_demand((pending + 2) * PACKET_SIZE_KBITS / dt if pending else 0.0)
 
     # ---------------------------------------------------------------- failure
     def fail_node(self, node: int) -> None:

@@ -8,7 +8,7 @@ as they arrive."
 To keep the comparison conservative (as the paper does) every node is given
 full group membership.  The source pushes new packets to randomly chosen
 nodes at the target stream rate; every other node forwards each *new* packet
-it receives to ``fanout`` random peers.  All transfers ride TFRC flows; the
+it receives to :data:`FANOUT` random peers.  All transfers ride TFRC flows; the
 flow targets are re-drawn periodically so the push pattern keeps changing
 without creating a new flow per packet.
 
@@ -35,6 +35,11 @@ from repro.sched.engine import StepEngine
 from repro.util.rng import SeededRng
 from repro.util.units import PACKET_SIZE_KBITS
 
+#: Gossip targets each node pushes to (capped at the other members).
+FANOUT: int = 5
+#: Seconds between re-draws of a node's gossip targets.
+VIEW_REFRESH_S: float = 10.0
+
 
 @dataclass
 class GossipViewNotice(ControlMessage):
@@ -58,26 +63,19 @@ class PushGossip:
         source: int,
         members: Sequence[int],
         stream_rate_kbps: float = 900.0,
-        fanout: int = 5,
-        view_refresh_s: float = 10.0,
-        packet_kbits: float = PACKET_SIZE_KBITS,
         seed: int = 1,
         control_loss_rate: float = 0.0,
     ) -> None:
         if source not in members:
             raise ValueError("source must be a member")
-        if fanout < 1:
-            raise ValueError("fanout must be at least 1")
         self.simulator = simulator
         self.source = source
         self.members = list(dict.fromkeys(members))
         self.stream_rate_kbps = stream_rate_kbps
-        self._requested_fanout = fanout
-        self.fanout = min(fanout, len(self.members) - 1)
-        self.packet_kbits = packet_kbits
+        self.fanout = min(FANOUT, len(self.members) - 1)
         self.stats = simulator.stats
         self._rng = SeededRng(seed, "push-gossip")
-        self._view_timer = PeriodicTimer(view_refresh_s)
+        self._view_timer = PeriodicTimer(VIEW_REFRESH_S)
         self.control_channel = ControlChannel(
             simulator.topology,
             stats=simulator.stats,
@@ -197,9 +195,9 @@ class PushGossip:
         if node in self._received:
             raise ValueError(f"node {node} is already a gossip member")
         self.members.append(node)
-        # A membership that was too small to honour the requested fanout may
-        # now be large enough.
-        self.fanout = min(self._requested_fanout, len(self.members) - 1)
+        # A membership that was too small to honour the fanout may now be
+        # large enough.
+        self.fanout = min(FANOUT, len(self.members) - 1)
         self._received[node] = set()
         self._fresh[node] = []
         self._reselect_targets(node)
@@ -221,7 +219,7 @@ class PushGossip:
 
     def _source_phase(self) -> None:
         packets = (
-            self.stream_rate_kbps * self.simulator.dt / self.packet_kbits + self._source_carry
+            self.stream_rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS + self._source_carry
         )
         count = int(packets)
         self._source_carry = packets - count
@@ -263,7 +261,7 @@ class PushGossip:
         dt = self.simulator.dt
         for (node, target), flow in self.flows.items():
             pending = len(self._pending.get((node, target), []))
-            flow.set_demand((pending + 2) * self.packet_kbits / dt if pending else 0.0)
+            flow.set_demand((pending + 2) * PACKET_SIZE_KBITS / dt if pending else 0.0)
 
 
 @register_system(

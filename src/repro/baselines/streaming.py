@@ -31,14 +31,12 @@ class TreeStreaming:
         simulator: NetworkSimulator,
         tree: OverlayTree,
         stream_rate_kbps: float = 600.0,
-        packet_kbits: float = PACKET_SIZE_KBITS,
     ) -> None:
         if stream_rate_kbps <= 0:
             raise ValueError("stream_rate_kbps must be positive")
         self.simulator = simulator
         self.tree = tree
         self.stream_rate_kbps = stream_rate_kbps
-        self.packet_kbits = packet_kbits
         self.stats = simulator.stats
         self.failed: set[int] = tracked_set("streaming.failed")
 
@@ -99,7 +97,7 @@ class TreeStreaming:
         if self.tree.root in self.failed:
             return
         packets = (
-            self.stream_rate_kbps * self.simulator.dt / self.packet_kbits + self._source_carry
+            self.stream_rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS + self._source_carry
         )
         count = int(packets)
         self._source_carry = packets - count

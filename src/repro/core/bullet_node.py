@@ -20,7 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
-from repro.core.config import BulletConfig
+from repro.core.config import (
+    BLOOM_REFRESH_S,
+    PEERING_TIMEOUT_S,
+    RANSUB_SET_SIZE,
+    RECOVERY_SPAN_PACKETS,
+    TICKET_SAMPLE_STRIDE,
+    TICKET_WINDOW,
+    BulletConfig,
+)
 from repro.core.control_messages import (
     PeeringReply,
     PeeringRequest,
@@ -40,6 +48,7 @@ from repro.ransub.state import MemberSummary
 from repro.reconcile.summary_ticket import SummaryTicket
 from repro.reconcile.working_set import WorkingSet
 from repro.util.rng import SeededRng
+from repro.util.units import PACKET_SIZE_KBITS
 
 if TYPE_CHECKING:
     from repro.ransub.state import RanSubView
@@ -57,8 +66,8 @@ class ControlPlaneServices(Protocol):
         ...  # pragma: no cover - protocol definition
 
     def peer_exclusions(self, node: int) -> Set[int]:
-        """Nodes this participant must not peer with (failed nodes, the
-        source when it declines peers, ...)."""
+        """Nodes this participant must not peer with (failed nodes and the
+        source)."""
         ...  # pragma: no cover - protocol definition
 
 
@@ -86,17 +95,14 @@ class BulletNode:
         self.config = config
         self.parent = parent
         self.is_root = is_root
-        self.working_set = WorkingSet(
-            prune_window=config.working_set_window,
-            ticket_entries=config.ticket_entries,
-        )
+        self.working_set = WorkingSet(prune_window=config.working_set_window)
         self.disjoint = DisjointSender(config, children)
         self.peers = PeerManager(node, config)
         self.ransub = RanSubNodeState(
             node=node,
             parent=parent,
             children=children,
-            set_size=config.ransub_set_size,
+            set_size=RANSUB_SET_SIZE,
             rng=ransub_rng if ransub_rng is not None else SeededRng(config.seed, "ransub"),
             failure_detection=config.ransub_failure_detection,
         )
@@ -121,9 +127,7 @@ class BulletNode:
         #: resend-verbatim path, valid for one sender set.
         self._refresh_cache: Dict[int, tuple] = {}
         self._refresh_cache_senders: tuple = ()
-        self._cached_ticket: SummaryTicket = SummaryTicket(
-            num_entries=config.ticket_entries
-        )
+        self._cached_ticket: SummaryTicket = SummaryTicket()
 
     # ------------------------------------------------------------- reception
     def on_packets(
@@ -162,8 +166,7 @@ class BulletNode:
     def refresh_ticket(self) -> SummaryTicket:
         """Rebuild the cached summary ticket over the recent working set."""
         self._cached_ticket = self.working_set.summary_ticket(
-            window=self.config.ticket_window,
-            sample_stride=self.config.ticket_sample_stride,
+            window=TICKET_WINDOW, sample_stride=TICKET_SAMPLE_STRIDE
         )
         return self._cached_ticket
 
@@ -260,11 +263,10 @@ class BulletNode:
 
     def poll_pending_requests(self, now: float) -> None:
         """Expire peering requests that never got a reply."""
-        timeout = self.config.peering_timeout_s
         expired = [
             candidate
             for candidate, sent_at in self.pending_requests.items()
-            if now - sent_at >= timeout
+            if now - sent_at >= PEERING_TIMEOUT_S
         ]
         for candidate in expired:
             # No reply (lost message or dead candidate): free the trial slot.
@@ -287,8 +289,8 @@ class BulletNode:
             return
         exclude: Set[int] = set(services.peer_exclusions(self.node))
         exclude.update(self.pending_requests)
-        if not self.config.peer_with_parent and self.parent is not None:
-            exclude.add(self.parent)
+        if self.parent is not None:
+            exclude.add(self.parent)  # it already streams to us
         candidate = self.peers.choose_candidate(
             view, self.current_ticket(), exclude=sorted(exclude)
         )
@@ -322,17 +324,14 @@ class BulletNode:
             working_set=self.working_set,
             senders=[candidate],
             config=self.config,
-            reported_bandwidth_kbps=self.reported_bandwidth_kbps(
-                self.config.bloom_refresh_s
-            ),
+            reported_bandwidth_kbps=self.reported_bandwidth_kbps(),
         )[candidate]
 
     # ------------------------------------------------------------- handlers
     def _handle_peering_request(
         self, message: PeeringRequest, services: ControlPlaneServices
     ) -> None:
-        serves = not self.is_root or self.config.source_serves_peers
-        accepted = serves and (
+        accepted = not self.is_root and (
             self.peers.has_receiver_space() or message.src in self.peers.receivers
         )
         if accepted:
@@ -406,20 +405,19 @@ class BulletNode:
             self.pending_requests.pop(message.src, None)
 
     # --------------------------------------------------------------- recovery
-    def reported_bandwidth_kbps(self, period_s: float) -> float:
-        """Useful bandwidth received during the current reporting period."""
-        if period_s <= 0:
-            return 0.0
-        return self._period_useful_packets * self.config.packet_kbits / period_s
+    def reported_bandwidth_kbps(self) -> float:
+        """Useful bandwidth received during the current reporting period
+        (one Bloom-refresh period)."""
+        return self._period_useful_packets * PACKET_SIZE_KBITS / BLOOM_REFRESH_S
 
-    def build_recovery_requests(self, period_s: float) -> Dict[int, RecoveryRequest]:
+    def build_recovery_requests(self) -> Dict[int, RecoveryRequest]:
         """Build this period's recovery requests for all sending peers."""
         requests = build_recovery_requests(
             receiver=self.node,
             working_set=self.working_set,
             senders=self.peers.sender_ids(),
             config=self.config,
-            reported_bandwidth_kbps=self.reported_bandwidth_kbps(period_s),
+            reported_bandwidth_kbps=self.reported_bandwidth_kbps(),
             rotation=self._refresh_round,
         )
         self._period_useful_packets = 0
@@ -451,7 +449,7 @@ class BulletNode:
         """
         senders = tuple(self.peers.sender_ids())
         total = len(senders)
-        low, high = self.working_set.recovery_range(self.config.recovery_span_packets)
+        low, high = self.working_set.recovery_range(RECOVERY_SPAN_PACKETS)
         high += self.config.recovery_lookahead_packets
         if senders != self._refresh_cache_senders:
             # The sender set changed: every phase's entry is stale (and a
@@ -462,15 +460,15 @@ class BulletNode:
         key = (
             low,
             high,
-            recovery_bloom(self.working_set, self.config),
-            self.reported_bandwidth_kbps(self.config.bloom_refresh_s),
+            recovery_bloom(self.working_set),
+            self.reported_bandwidth_kbps(),
         )
         cached = self._refresh_cache.get(phase)
         if cached is not None and cached[0] == key:
             self._period_useful_packets = 0
             self._refresh_round += 1
             return cached[1]
-        requests = self.build_recovery_requests(self.config.bloom_refresh_s)
+        requests = self.build_recovery_requests()
         self._refresh_cache[phase] = (key, requests)
         return requests
 

@@ -1,36 +1,87 @@
 """Configuration of the Bullet mesh.
 
-Every default mirrors the value the paper states (or implies) for its
-prototype: a 600 Kbps stream, 5-second RanSub epochs carrying 10 summary
-tickets, up to 10 sending and 10 receiving peers, Bloom filter refreshes
-every 5 seconds, and sender eviction when more than 50% of a peer's packets
-are duplicates.  Knobs with no paper-stated value (window sizes, simulation
-sampling strides) are documented as such.
+:class:`BulletConfig` holds what an experiment varies: the stream rate, the
+RanSub epoch and its failure detection, the peer limits, the eviction
+period, control-plane loss, the working-set window, the recovery lookahead,
+disjoint sending and the seed.  Every default mirrors the value the paper
+states (or implies) for its prototype.
+
+The rest of the protocol is fixed, as the paper fixes it; these are module
+constants, not options:
+
+* :data:`RANSUB_SET_SIZE` -- 10 summary tickets per collect/distribute set
+  (Section 2.2).
+* :data:`~repro.reconcile.summary_ticket.DEFAULT_TICKET_ENTRIES` --
+  120-byte summary tickets of 30 entries (Section 2.3);
+  :data:`TICKET_WINDOW` and :data:`TICKET_SAMPLE_STRIDE` bound what a
+  ticket is built over (not stated in the paper).
+* :data:`BLOOM_REFRESH_S` -- Bloom filter / recovery-range refreshes every
+  5 s (Section 3.2); :data:`BLOOM_FALSE_POSITIVE_RATE` sizes those filters.
+* :data:`RECOVERY_SPAN_PACKETS` -- the width of the Figure 4 (Low, High)
+  recovery range (Section 3.2; sized here, not stated in the paper).
+* :data:`PEERING_TIMEOUT_S` -- how long a receiver waits for a peering
+  reply (Section 3.1; not stated in the paper).
+* :data:`LIMITING_FACTOR_INITIAL` and :data:`LIMITING_FACTOR_MIN` -- the
+  Figure 5 limiting factor's start and floor (Section 3.3).
+* :data:`DUPLICATE_THRESHOLD` -- a sender is evicted above 50% duplicates
+  (Section 3.4).
+
+Packets are the paper's 1500-byte packets
+(:data:`~repro.util.units.PACKET_SIZE_KBITS`).  A node never peers with its
+tree parent (the parent already streams to it), and the source serves no
+peers: at the reduced simulation scale every receiver discovers the source
+within a few epochs, and mesh flows out of the source would crowd out the
+tree flows that inject fresh data into the system (at the paper's 1000-node
+scale the source's 10 receiver slots are a negligible fraction, so this
+contention does not arise there).  The RanSub collect timeout is half the
+epoch (Section 4.6).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.util.units import PACKET_SIZE_KBITS
+
+#: Summary tickets per RanSub collect/distribute set (Section 2.2: 10).
+RANSUB_SET_SIZE: int = 10
+#: Tickets describe this many recent packets of the working set.
+TICKET_WINDOW: int = 600
+#: Sub-sampling stride when building tickets (simulation performance).
+TICKET_SAMPLE_STRIDE: int = 4
+#: Seconds between Bloom filter / recovery-range refreshes (Section 3.2: 5 s).
+BLOOM_REFRESH_S: float = 5.0
+#: Target false-positive rate when sizing Bloom filters.
+BLOOM_FALSE_POSITIVE_RATE: float = 0.01
+#: Width of the (Low, High) recovery window, in packets.  Not stated in the
+#: paper ("a node will attempt to recover packets for a finite amount of
+#: time"); sized to roughly ten seconds of the stream so a packet gets
+#: several Bloom-refresh rounds of recovery opportunity before the Figure 4
+#: sliding range moves past it.
+RECOVERY_SPAN_PACKETS: int = 600
+#: Seconds a receiver waits for a peering reply before freeing the trial
+#: slot (lost requests/replies and dead candidates time out here).
+PEERING_TIMEOUT_S: float = 10.0
+#: Initial per-child limiting factor (Section 3.3: the fraction of the
+#: parent stream a child receives beyond the packets it owns).
+LIMITING_FACTOR_INITIAL: float = 1.0
+#: Smallest value the limiting factor may decay to.
+LIMITING_FACTOR_MIN: float = 0.05
+#: Duplicate fraction above which a sender is dropped (Section 3.4: 50%).
+DUPLICATE_THRESHOLD: float = 0.5
 
 
 @dataclass
 class BulletConfig:
-    """Tunable parameters of a Bullet deployment."""
+    """What an experiment may vary about a Bullet deployment."""
 
     # ----------------------------------------------------------------- stream
     #: Source streaming rate (paper: 600 Kbps for ModelNet runs).
     stream_rate_kbps: float = 600.0
-    #: Packet size in kilobits (1500-byte packets).
-    packet_kbits: float = PACKET_SIZE_KBITS
 
     # ----------------------------------------------------------------- ransub
     #: RanSub epoch length in seconds (paper default: 5 s).
     ransub_epoch_s: float = 5.0
-    #: Summary tickets per collect/distribute set (paper default: 10).
-    ransub_set_size: int = 10
     #: Whether the root times out a stalled epoch and keeps distributing
     #: (Section 4.6 failure detection).
     ransub_failure_detection: bool = True
@@ -40,44 +91,16 @@ class BulletConfig:
     max_senders: int = 10
     #: Maximum number of peers a node is willing to send to (paper default: 10).
     max_receivers: int = 10
-    #: Do not peer with the tree parent (it already streams to us).
-    peer_with_parent: bool = False
-    #: Whether the source accepts peering requests.  Off by default: at the
-    #: reduced simulation scale every receiver discovers the source within a
-    #: few epochs, and mesh flows out of the source would crowd out the tree
-    #: flows that inject fresh data into the system (at the paper's 1000-node
-    #: scale the source's 10 receiver slots are a negligible fraction, so this
-    #: contention does not arise there).
-    source_serves_peers: bool = False
-    #: Seconds between Bloom filter / recovery-range refreshes (paper: 5 s).
-    bloom_refresh_s: float = 5.0
-    #: Target false-positive rate when sizing Bloom filters.
-    bloom_false_positive_rate: float = 0.01
     #: Number of RanSub epochs between peer-set re-evaluations
     #: (paper: "every few RanSub epochs").
     eviction_period_epochs: int = 3
-    #: Duplicate fraction above which a sender is dropped (paper: 50%).
-    duplicate_threshold: float = 0.5
 
     # ------------------------------------------------------------ control plane
     #: Extra Bernoulli loss applied to every control message, on top of the
     #: routing path's own loss (scenario knob: lossy control planes).
     control_loss_rate: float = 0.0
-    #: Seconds a receiver waits for a peering reply before freeing the trial
-    #: slot (lost requests/replies and dead candidates time out here).
-    peering_timeout_s: float = 10.0
-    #: Seconds a node waits for its children's RanSub collect sets before
-    #: proceeding without them (only with ``ransub_failure_detection``).
-    #: ``None`` defaults to half the epoch.
-    ransub_collect_timeout_s: Optional[float] = None
 
     # --------------------------------------------------------------- recovery
-    #: Width of the (Low, High) recovery window, in packets.  Not stated in
-    #: the paper ("a node will attempt to recover packets for a finite amount
-    #: of time"); sized to roughly ten seconds of the stream so a packet gets
-    #: several Bloom-refresh rounds of recovery opportunity before the
-    #: Figure 4 sliding range moves past it.
-    recovery_span_packets: int = 600
     #: Maximum packets kept in the working set before pruning old ones.
     working_set_window: int = 4096
     #: How far beyond the receiver's highest-seen sequence the advertised
@@ -93,19 +116,6 @@ class BulletConfig:
     #: Enable the Figure 5 disjoint ownership strategy.  Disabling it gives
     #: the non-disjoint baseline of Figure 10.
     disjoint_send: bool = True
-    #: Initial per-child limiting factor (fraction of the parent stream a
-    #: child receives beyond the packets it owns).
-    limiting_factor_initial: float = 1.0
-    #: Smallest value the limiting factor may decay to.
-    limiting_factor_min: float = 0.05
-
-    # ---------------------------------------------------------- summary ticket
-    #: Entries per summary ticket (paper: 120-byte tickets ~= 30 entries).
-    ticket_entries: int = 30
-    #: Restrict tickets to this many recent packets (None = whole working set).
-    ticket_window: int = 600
-    #: Sub-sampling stride when building tickets (simulation performance knob).
-    ticket_sample_stride: int = 4
 
     # ------------------------------------------------------------------- misc
     #: Root seed for all of Bullet's random choices.
@@ -114,42 +124,24 @@ class BulletConfig:
     def __post_init__(self) -> None:
         if self.stream_rate_kbps <= 0:
             raise ValueError("stream_rate_kbps must be positive")
-        if self.packet_kbits <= 0:
-            raise ValueError("packet_kbits must be positive")
         if self.ransub_epoch_s <= 0:
             raise ValueError("ransub_epoch_s must be positive")
-        if self.ransub_set_size <= 0:
-            raise ValueError("ransub_set_size must be positive")
         if self.max_senders < 1 or self.max_receivers < 1:
             raise ValueError("peer limits must be at least 1")
-        if not 0.0 < self.duplicate_threshold <= 1.0:
-            raise ValueError("duplicate_threshold must be in (0, 1]")
-        if self.recovery_span_packets <= 0:
-            raise ValueError("recovery_span_packets must be positive")
         if self.working_set_window <= 0:
             raise ValueError("working_set_window must be positive")
-        if not 0.0 < self.limiting_factor_initial <= 1.0:
-            raise ValueError("limiting_factor_initial must be in (0, 1]")
-        if not 0.0 < self.limiting_factor_min <= 1.0:
-            raise ValueError("limiting_factor_min must be in (0, 1]")
+        if self.recovery_lookahead_s < 0:
+            raise ValueError("recovery_lookahead_s must be non-negative")
         if self.eviction_period_epochs < 1:
             raise ValueError("eviction_period_epochs must be at least 1")
-        if self.ticket_entries <= 0:
-            raise ValueError("ticket_entries must be positive")
-        if self.ticket_sample_stride < 1:
-            raise ValueError("ticket_sample_stride must be >= 1")
         if not 0.0 <= self.control_loss_rate < 1.0:
             raise ValueError("control_loss_rate must be in [0, 1)")
-        if self.peering_timeout_s <= 0:
-            raise ValueError("peering_timeout_s must be positive")
-        if self.ransub_collect_timeout_s is not None and self.ransub_collect_timeout_s <= 0:
-            raise ValueError("ransub_collect_timeout_s must be positive")
 
     # ------------------------------------------------------------ derived knobs
     @property
     def stream_packets_per_second(self) -> float:
         """Packets per second the source emits at the configured rate."""
-        return self.stream_rate_kbps / self.packet_kbits
+        return self.stream_rate_kbps / PACKET_SIZE_KBITS
 
     @property
     def packets_per_epoch(self) -> float:
@@ -162,10 +154,9 @@ class BulletConfig:
         return int(self.stream_packets_per_second * self.recovery_lookahead_s)
 
     @property
-    def effective_collect_timeout_s(self) -> float:
-        """The RanSub collect timeout (defaults to half an epoch)."""
-        if self.ransub_collect_timeout_s is not None:
-            return self.ransub_collect_timeout_s
+    def collect_timeout_s(self) -> float:
+        """How long a node waits for its children's RanSub collect sets
+        before proceeding without them: half an epoch."""
         return self.ransub_epoch_s / 2.0
 
     @property

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Sequence, Set
 
-from repro.core.config import BulletConfig
+from repro.core.config import LIMITING_FACTOR_INITIAL, LIMITING_FACTOR_MIN, BulletConfig
 
 #: Signature of the transport callback: (child, sequence) -> accepted?
 TrySend = Callable[[int, int], bool]
@@ -54,7 +54,7 @@ class DisjointSender:
     def __init__(self, config: BulletConfig, children: Sequence[int]) -> None:
         self.config = config
         self._children: Dict[int, ChildSendState] = {
-            child: ChildSendState(child=child, limiting_factor=config.limiting_factor_initial)
+            child: ChildSendState(child=child, limiting_factor=LIMITING_FACTOR_INITIAL)
             for child in children
         }
         self._epoch_packets: int = 0
@@ -89,7 +89,7 @@ class DisjointSender:
         if child in self._children:
             return
         self._children[child] = ChildSendState(
-            child=child, limiting_factor=self.config.limiting_factor_initial
+            child=child, limiting_factor=LIMITING_FACTOR_INITIAL
         )
         self._ordered = None
         self.update_sending_factors({})
@@ -194,7 +194,7 @@ class DisjointSender:
                 else:
                     state.lifetime_rejected += 1
                     state.limiting_factor = max(
-                        self.config.limiting_factor_min, state.limiting_factor - step
+                        LIMITING_FACTOR_MIN, state.limiting_factor - step
                     )
         return recipients
 
@@ -243,7 +243,7 @@ class DisjointSender:
         lf = state.limiting_factor
         if lf >= 1.0:
             return True
-        stride = max(2, int(round(1.0 / max(lf, self.config.limiting_factor_min))))
+        stride = max(2, int(round(1.0 / max(lf, LIMITING_FACTOR_MIN))))
         return sequence % stride == 0
 
     def _record_send(self, state: ChildSendState, sequence: int, owned: bool) -> None:

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.bullet_node import BulletNode
-from repro.core.config import BulletConfig
+from repro.core.config import BLOOM_REFRESH_S, RECOVERY_SPAN_PACKETS, BulletConfig
 from repro.core.node_host import DeliveryEntry, NodeHost, ServiceCall
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
@@ -65,7 +65,12 @@ from repro.sched.engine import StepEngine
 from repro.trees.tree import OverlayTree
 from repro.util.hashing import stable_hash
 from repro.util.rng import SeededRng
+from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
+
+#: Every this-many-th stream packet has its link-level transmissions traced,
+#: the sample the link-stress statistics are computed over.
+TRACE_SAMPLE_STRIDE: int = 200
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
 #: The per-depth node levels are derived from the overlay tree; growing the
@@ -100,7 +105,6 @@ class BulletMesh:
         simulator: NetworkSimulator,
         tree: OverlayTree,
         config: Optional[BulletConfig] = None,
-        trace_sample_stride: int = 200,
     ) -> None:
         self.simulator = simulator
         self.tree = tree
@@ -110,7 +114,6 @@ class BulletMesh:
         self._epoch_count = 0
         self._next_sequence = 0
         self._source_carry = 0.0
-        self._trace_sample_stride = max(1, trace_sample_stride)
         #: Smoothed fresh-packet production rate per node (packets per step).
         self._fresh_rate: Dict[int, float] = {}
 
@@ -227,7 +230,7 @@ class BulletMesh:
             host.set_latency_estimator(estimator)
 
     def _make_refresh_timer(self, node: int) -> PeriodicTimer:
-        period = self.config.bloom_refresh_s
+        period = BLOOM_REFRESH_S
         dt = self.simulator.dt
         slots = max(1, int(round(period / dt)))
         offset = (stable_hash(f"refresh-phase-{node}", self.config.seed) % slots) * dt
@@ -413,7 +416,7 @@ class BulletMesh:
             self._epoch_count += 1
             epoch = (
                 self._epoch_count,
-                self.config.effective_collect_timeout_s,
+                self.config.collect_timeout_s,
                 self._epoch_count % self.config.eviction_period_epochs == 0,
             )
         refresh: List[List[int]] = [[] for _ in self._hosts]
@@ -531,15 +534,14 @@ class BulletMesh:
         if self.root in self.failed:
             return range(0)
         packets = (
-            self.config.stream_rate_kbps * self.simulator.dt / self.config.packet_kbits
+            self.config.stream_rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS
             + self._source_carry
         )
         count = int(packets)
         self._source_carry = packets - count
         sequences = range(self._next_sequence, self._next_sequence + count)
         self._next_sequence = sequences.stop
-        stride = self._trace_sample_stride
-        self.stats.trace_sequences(s for s in sequences if s % stride == 0)
+        self.stats.trace_sequences(s for s in sequences if s % TRACE_SAMPLE_STRIDE == 0)
         return sequences
 
     def _data_exchange(self) -> None:
@@ -607,7 +609,7 @@ class BulletMesh:
             if total <= 0:
                 flow.set_demand(0.0)
             else:
-                flow.set_demand((total + 1) * self.config.packet_kbits / dt)
+                flow.set_demand((total + 1) * PACKET_SIZE_KBITS / dt)
         for (parent, child), flow in self.tree_flows.items():
             if parent in self.failed or child in self.failed:
                 flow.set_demand(0.0)
@@ -616,11 +618,11 @@ class BulletMesh:
                 flow.set_demand(self.config.stream_rate_kbps)
                 continue
             fresh_rate_kbps = (
-                self._fresh_rate.get(parent, 0.0) * self.config.packet_kbits / dt
+                self._fresh_rate.get(parent, 0.0) * PACKET_SIZE_KBITS / dt
             )
             demand = min(
                 self.config.stream_rate_kbps,
-                max(1.25 * fresh_rate_kbps, 4 * self.config.packet_kbits / dt),
+                max(1.25 * fresh_rate_kbps, 4 * PACKET_SIZE_KBITS / dt),
             )
             flow.set_demand(demand)
 
@@ -645,7 +647,7 @@ class BulletMesh:
             raise ValueError(f"join parent {parent} is not a live overlay member")
         self.tree.add_leaf(node_id, parent)
         owner = self._owner_of[node_id] = self._owner_for(node_id)
-        prune_head = self._next_sequence - self.config.recovery_span_packets
+        prune_head = self._next_sequence - RECOVERY_SPAN_PACKETS
         self.exchange({owner: ("mesh_add", node_id, parent, prune_head)})
         self.exchange({self._owner_of[parent]: ("mesh_add_child", parent, node_id)})
         self.tree_flows[(parent, node_id)] = self.simulator.create_flow(

@@ -113,11 +113,8 @@ class NodeHost:
 
     def exclusions(self) -> Set[int]:
         """Nodes no participant may peer with: failed nodes, and the source
-        unless it is configured to serve peers."""
-        excluded = set(self.failed)
-        if not self.config.source_serves_peers:
-            excluded.add(self.root)
-        return excluded
+        (it serves no peers; see :mod:`repro.core.config`)."""
+        return self.failed | {self.root}
 
     def _active(self) -> List[int]:
         return [node for node in sorted(self.nodes) if node not in self.failed]

@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set
 
-from repro.core.config import BulletConfig
+from repro.core.config import DUPLICATE_THRESHOLD, BulletConfig
 from repro.core.recovery import SenderQueue
 from repro.ransub.state import RanSubView
 from repro.reconcile.resemblance import rank_peers_by_divergence
 from repro.reconcile.summary_ticket import SummaryTicket
+from repro.util.units import PACKET_SIZE_KBITS
 
 
 @dataclass
@@ -189,7 +190,7 @@ class PeerManager:
             return None
         candidates = [record for record in self.senders.values() if record.period_total() > 0]
         for record in sorted(candidates, key=lambda r: r.sender):
-            if record.period_duplicate_ratio() > self.config.duplicate_threshold:
+            if record.period_duplicate_ratio() > DUPLICATE_THRESHOLD:
                 return record.sender
         if len(self.senders) >= max(3, self.config.max_senders // 2) and candidates:
             worst = min(candidates, key=lambda r: (r.period_useful, -r.sender))
@@ -207,7 +208,7 @@ class PeerManager:
         if self.has_receiver_space() or not self.receivers:
             return None
         def benefit(record: ReceiverRecord) -> float:
-            sent_kbps = record.period_sent * self.config.packet_kbits
+            sent_kbps = record.period_sent * PACKET_SIZE_KBITS
             reported = max(record.reported_bandwidth_kbps, 1e-6)
             return sent_kbps / reported
 

@@ -18,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from repro.core.config import BulletConfig
+from repro.core.config import BLOOM_FALSE_POSITIVE_RATE, RECOVERY_SPAN_PACKETS, BulletConfig
 from repro.reconcile.bloom import BloomSnapshot
 from repro.reconcile.working_set import WorkingSet
 
@@ -70,7 +70,7 @@ class RecoveryRequest:
         )
 
 
-def recovery_bloom(working_set: WorkingSet, config: BulletConfig) -> BloomSnapshot:
+def recovery_bloom(working_set: WorkingSet) -> BloomSnapshot:
     """The filter a node's recovery requests carry this refresh round.
 
     A frozen snapshot of the working set's recent window: the same object is
@@ -78,8 +78,8 @@ def recovery_bloom(working_set: WorkingSet, config: BulletConfig) -> BloomSnapsh
     unchanged selections.
     """
     return working_set.bloom_snapshot(
-        expected_items=max(config.recovery_span_packets, 128),
-        false_positive_rate=config.bloom_false_positive_rate,
+        expected_items=max(RECOVERY_SPAN_PACKETS, 128),
+        false_positive_rate=BLOOM_FALSE_POSITIVE_RATE,
     )
 
 
@@ -105,9 +105,9 @@ def build_recovery_requests(
     total = len(ordered)
     if total == 0:
         return {}
-    low, high = working_set.recovery_range(config.recovery_span_packets)
+    low, high = working_set.recovery_range(RECOVERY_SPAN_PACKETS)
     high += config.recovery_lookahead_packets
-    bloom = recovery_bloom(working_set, config)
+    bloom = recovery_bloom(working_set)
     requests: Dict[int, RecoveryRequest] = {}
     for index, sender in enumerate(ordered):
         requests[sender] = RecoveryRequest(

@@ -21,7 +21,7 @@ from repro.experiments.metrics import SeriesSummary, steady_state_average
 from repro.experiments.registry import available_systems, system_known
 from repro.experiments.session import ExperimentSession
 from repro.experiments.workloads import PlanetLabWorkload, build_planetlab_workload
-from repro.network.simulator import NetworkSimulator
+from repro.network.simulator import STEP_S, NetworkSimulator
 from repro.topology.links import BandwidthClass
 from repro.topology.planetlab import PlanetLabConfig
 
@@ -50,8 +50,6 @@ class ExperimentConfig:
     stream_rate_kbps: float = 600.0
     #: Simulated duration in seconds.
     duration_s: float = 240.0
-    #: Simulation step in seconds.
-    dt: float = 1.0
     #: Interval between bandwidth samples (the figures' x-axis granularity).
     sample_interval_s: float = 5.0
     #: Apply the Section 4.5 loss model.
@@ -121,8 +119,6 @@ class ExperimentConfig:
     latency_estimator: str = "exact"
     #: Root seed for every stochastic component of the run.
     seed: int = 1
-    #: Overlay tree fanout limit used by the tree constructions.
-    max_fanout: int = 4
 
     def __post_init__(self) -> None:
         if not system_known(self.system):
@@ -134,10 +130,8 @@ class ExperimentConfig:
             raise ValueError("stream_rate_kbps must be positive")
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.sample_interval_s < self.dt:
-            raise ValueError("sample_interval_s must be >= dt")
+        if self.sample_interval_s < STEP_S:
+            raise ValueError(f"sample_interval_s must be >= the {STEP_S:g} s step")
         if not 0.0 <= self.control_loss_rate < 1.0:
             raise ValueError("control_loss_rate must be in [0, 1)")
         if self.churn_failures < 0:
@@ -168,6 +162,7 @@ class ExperimentConfig:
                 )
             if name not in _BULLET_FIELDS:
                 raise ValueError(f"bullet: BulletConfig has no field {name!r}")
+        self.bullet_config()  # BulletConfig checks the overrides' values
 
     def bullet_config(self) -> BulletConfig:
         """The Bullet configuration for this run: the shared fields from this
@@ -303,7 +298,6 @@ def run_planetlab_experiment(
     tree_kind: str = "random",
     stream_rate_kbps: float = 1500.0,
     duration_s: float = 240.0,
-    dt: float = 1.0,
     sample_interval_s: float = 5.0,
     seed: int = 7,
     unconstrained_root: bool = False,
@@ -335,7 +329,6 @@ def run_planetlab_experiment(
         n_overlay=len(workload.testbed.sites),
         stream_rate_kbps=stream_rate_kbps,
         duration_s=duration_s,
-        dt=dt,
         sample_interval_s=sample_interval_s,
         seed=seed,
     )

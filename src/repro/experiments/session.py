@@ -139,11 +139,7 @@ class ExperimentSession:
                 )
 
         if simulator is None:
-            simulator = NetworkSimulator(
-                self.workload.topology,
-                dt=config.dt,
-                seed=config.seed,
-            )
+            simulator = NetworkSimulator(self.workload.topology, seed=config.seed)
         self.simulator = simulator
 
         if tree is _UNSET:

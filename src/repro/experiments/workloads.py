@@ -35,6 +35,10 @@ from repro.util.rng import SeededRng
 #: Overlay tree kinds the harness knows how to build.
 TREE_KINDS = ("random", "bottleneck", "overcast")
 
+#: Fanout limit of every overlay tree an experiment builds (and of the
+#: clustered hierarchy's head tree and interior trees).
+TREE_FANOUT: int = 4
+
 
 @dataclass
 class Workload:
@@ -91,7 +95,6 @@ def build_workload(
     lossy: bool = False,
     loss_config: Optional[LossConfig] = None,
     seed: int = 1,
-    max_fanout: int = 4,
     topology_config: Optional[TopologyConfig] = None,
     with_tree: bool = True,
 ) -> Workload:
@@ -114,12 +117,12 @@ def build_workload(
     tree: Optional[OverlayTree] = None
     if with_tree:
         if tree_kind == "random":
-            tree = build_random_tree(source, participants, max_fanout=max_fanout, seed=seed)
+            tree = build_random_tree(source, participants, max_fanout=TREE_FANOUT, seed=seed)
         elif tree_kind == "bottleneck":
-            tree = build_bottleneck_tree(topology, source, participants, max_fanout=max_fanout)
+            tree = build_bottleneck_tree(topology, source, participants, max_fanout=TREE_FANOUT)
         else:
             tree = build_overcast_tree(
-                topology, source, participants, max_fanout=max_fanout, seed=seed
+                topology, source, participants, max_fanout=TREE_FANOUT, seed=seed
             )
 
     return Workload(
@@ -152,7 +155,6 @@ def build_workload_for(config, with_tree: bool = True) -> Workload:
         tree_kind=config.tree_kind,
         lossy=config.lossy,
         seed=config.seed,
-        max_fanout=config.max_fanout,
         topology_config=topology_config,
         with_tree=with_tree,
     )

@@ -68,6 +68,7 @@ import numpy as np
 
 from repro.core.mesh import BulletMesh
 from repro.experiments.registry import BuildContext, register_system
+from repro.experiments.workloads import TREE_FANOUT
 from repro.hierarchy.clustering import (
     access_capacities_kbps,
     access_capacity_kbps,
@@ -82,6 +83,7 @@ from repro.hierarchy.sharding import ShardExecutor
 from repro.network.simulator import NetworkSimulator
 from repro.topology.landmarks import build_estimator
 from repro.trees.random_tree import build_random_tree
+from repro.util.units import PACKET_SIZE_KBITS
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
 #: ``_receivers`` caches the sorted live membership; everything that changes
@@ -150,7 +152,7 @@ class ClusteredBullet:
         head_tree = build_random_tree(
             source,
             mesh_members,
-            max_fanout=config.max_fanout,
+            max_fanout=TREE_FANOUT,
             seed=config.seed,
         )
         self.mesh = BulletMesh(simulator, head_tree, config.bullet_config())
@@ -159,8 +161,6 @@ class ClusteredBullet:
         self.stats = simulator.stats
 
         rate_kbps = self.mesh.config.stream_rate_kbps
-        packet_kbits = self.mesh.config.packet_kbits
-        fanout = config.max_fanout
         # Access-link columns of every participant, gathered once; each
         # cluster reads its own members out of them.
         caps = dict(zip(participants, access_capacities_kbps(topology, participants).tolist()))
@@ -178,8 +178,8 @@ class ClusteredBullet:
                     loss,
                     rate_kbps=rate_kbps,
                     dt=simulator.dt,
-                    packet_kbits=packet_kbits,
-                    fanout=fanout,
+                    packet_kbits=PACKET_SIZE_KBITS,
+                    fanout=TREE_FANOUT,
                 )
             )
             for node in members:
@@ -203,8 +203,8 @@ class ClusteredBullet:
                     loss,
                     rate_kbps=rate_kbps,
                     dt=simulator.dt,
-                    packet_kbits=packet_kbits,
-                    fanout=fanout,
+                    packet_kbits=PACKET_SIZE_KBITS,
+                    fanout=TREE_FANOUT,
                 )
             )
             self._mid_dead.append(False)

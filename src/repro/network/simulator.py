@@ -77,13 +77,17 @@ def _write_rates(
             flow.cap_dirty = True
 
 
+#: The simulation step, in seconds, every experiment runs at.
+STEP_S: float = 1.0
+
+
 class NetworkSimulator:
     """Owns the clock, the active flows and the bandwidth allocation."""
 
     def __init__(
         self,
         topology: Topology,
-        dt: float = 1.0,
+        dt: float = STEP_S,
         seed: int = 1,
         packet_kbits: float = PACKET_SIZE_KBITS,
         stats: Optional[StatsCollector] = None,

@@ -9,22 +9,16 @@ exactly the trade-off the paper wants.
 
 Bullet additionally bounds the filter population by periodically removing
 low sequence numbers (Section 3.1), so what a request carries describes a
-*window*: the most recent ``capacity`` sequences a node holds.  Two builders
-produce that wire state, bit for bit the same:
-
-* :meth:`BloomSnapshot.from_keys` derives a frozen snapshot from the window's
-  keys in one vectorised pass over a per-process position table.  This is the
-  protocol path: a node reads its filter once per refresh, so nothing is
-  maintained between reads (see :meth:`~repro.reconcile.working_set.
-  WorkingSet.bloom_snapshot`).
-* :class:`FifoBloomFilter` is the mutable form — per-bit *counters* beside
-  the bit array, so evicting a key clears exactly the bits no live key still
-  sets.  It backs the ``antientropy`` baseline and the test oracles.
+*window*: the most recent ``capacity`` sequences a node holds.
+:meth:`BloomSnapshot.from_keys` derives that frozen wire state from the
+window's keys in one vectorised pass over a per-process position table: a
+node reads its filter once per refresh, so nothing is maintained between
+reads (see :meth:`~repro.reconcile.working_set.WorkingSet.bloom_snapshot`).
+The ``antientropy`` baseline builds its digests the same way.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from functools import lru_cache
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -32,24 +26,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.util.hashing import stable_hash
-
-#: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
-#: Exported snapshots are reused while :attr:`FifoBloomFilter.version` stands
-#: still, so every observable mutation — inserting a key, moving the window
-#: floor — must bump it on the same control-flow path.  ``_remove_lowest`` is
-#: a decrement helper whose callers own the bump.
-CACHE_INVARIANTS = {
-    "FifoBloomFilter": {
-        "scope": "module",
-        "attrs": {
-            "low_sequence": ["version"],
-        },
-        "calls": {
-            "heapq.heappush": ["version"],
-        },
-        "exempt": ["_remove_lowest"],
-    },
-}
 
 #: Large Mersenne prime used by the integer hash family below.
 _HASH_PRIME = (1 << 61) - 1
@@ -163,84 +139,16 @@ def _window_positions(keys: Sequence[int], num_bits: int, num_hashes: int) -> np
     return table[np.array(keys, dtype=np.int64)]
 
 
-class BloomFilter:
-    """A classic bit-array Bloom filter over integer keys."""
-
-    def __init__(self, num_bits: int, num_hashes: int) -> None:
-        if num_bits <= 0:
-            raise ValueError("num_bits must be positive")
-        if num_hashes <= 0:
-            raise ValueError("num_hashes must be positive")
-        self.num_bits = num_bits
-        self.num_hashes = num_hashes
-        self._bits = bytearray((num_bits + 7) // 8)
-        self.count = 0
-        # Pairwise-independent integer hash family; integer arithmetic keeps
-        # membership checks cheap on the simulator's hot path.
-        self._coefficients = _hash_coefficients(num_hashes)
-
-    @classmethod
-    def with_capacity(cls, expected_items: int, false_positive_rate: float = 0.01) -> "BloomFilter":
-        """Build a filter sized for ``expected_items`` at the target FP rate."""
-        bits, hashes = optimal_parameters(expected_items, false_positive_rate)
-        return cls(bits, hashes)
-
-    def _positions(self, key: int) -> Iterable[int]:
-        x = (key * _MIX_MULT + _MIX_ADD) & _MASK64
-        for a, b in self._coefficients:
-            yield ((a * x + b) % _HASH_PRIME) % self.num_bits
-
-    def add(self, key: int) -> None:
-        """Insert an integer key."""
-        bits = self._bits
-        x = (key * _MIX_MULT + _MIX_ADD) & _MASK64
-        num_bits = self.num_bits
-        for a, b in self._coefficients:
-            position = ((a * x + b) % _HASH_PRIME) % num_bits
-            bits[position >> 3] |= 1 << (position & 7)
-        self.count += 1
-
-    def update(self, keys: Iterable[int]) -> None:
-        """Insert many keys."""
-        for key in keys:
-            self.add(key)
-
-    def __contains__(self, key: int) -> bool:
-        bits = self._bits
-        x = (key * _MIX_MULT + _MIX_ADD) & _MASK64
-        num_bits = self.num_bits
-        for a, b in self._coefficients:
-            position = ((a * x + b) % _HASH_PRIME) % num_bits
-            if not bits[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-    def false_positive_rate(self) -> float:
-        """Expected FP rate for the current population: ``(1 - e^{-kn/m})^k``."""
-        if self.count == 0:
-            return 0.0
-        exponent = -self.num_hashes * self.count / self.num_bits
-        return (1.0 - math.exp(exponent)) ** self.num_hashes
-
-    def size_bytes(self) -> int:
-        """Wire size of the filter (used for control-overhead accounting)."""
-        return len(self._bits)
-
-    def clear(self) -> None:
-        """Remove all keys."""
-        self._bits = bytearray(len(self._bits))
-        self.count = 0
-
-
 class BloomSnapshot:
     """A frozen, read-only view of a FIFO Bloom filter at one instant.
 
     This is what actually travels inside a recovery request: the wire-format
     bit array plus the window floor, detached from the owner's state so later
     receptions there do not mutate what the sender already installed.
-    Membership semantics match :class:`FifoBloomFilter` (keys below the floor
-    report present).  Every snapshot uses the shared hash family of its
-    geometry, so the process-wide position caches above apply to it.
+    Keys below the floor report present: the receiver no longer cares about
+    them, so senders do not waste bandwidth on them.  Every snapshot uses the
+    shared hash family of its geometry, so the process-wide position caches
+    above apply to it.
     """
 
     __slots__ = (
@@ -268,15 +176,22 @@ class BloomSnapshot:
         self._missing: Optional[Tuple[int, int, bytes]] = None
 
     @classmethod
-    def from_keys(cls, keys: Sequence[int], num_bits: int, num_hashes: int) -> "BloomSnapshot":
+    def from_keys(
+        cls,
+        keys: Sequence[int],
+        num_bits: int,
+        num_hashes: int,
+        low_sequence: Optional[int] = None,
+    ) -> "BloomSnapshot":
         """The snapshot of a filter holding exactly the ascending ``keys``.
 
-        Byte- and behaviour-identical to inserting ``keys`` into a fresh
-        :class:`FifoBloomFilter` of the same geometry and taking its
-        :meth:`~FifoBloomFilter.snapshot` (floor at the lowest key, zero for
-        an empty window), but built in one pass: gather the keys' rows from
-        the shared position table, set those bits, pack little-endian.
+        The floor is ``low_sequence`` when given, else the lowest key (zero
+        for an empty window): the snapshot of a FIFO filter whose window
+        holds exactly ``keys``.  Built in one pass: gather the keys' rows
+        from the shared position table, set those bits, pack little-endian.
         """
+        if low_sequence is None:
+            low_sequence = keys[0] if keys else 0
         bits = np.zeros(num_bits, dtype=bool)
         if keys:
             bits[_window_positions(keys, num_bits, num_hashes).ravel()] = True
@@ -284,7 +199,7 @@ class BloomSnapshot:
             num_bits=num_bits,
             num_hashes=num_hashes,
             bits=np.packbits(bits, bitorder="little").tobytes(),
-            low_sequence=keys[0] if keys else 0,
+            low_sequence=low_sequence,
             count=len(keys),
         )
 
@@ -348,183 +263,4 @@ class BloomSnapshot:
         return (
             BloomSnapshot,
             (self.num_bits, self.num_hashes, self._bits, self.low_sequence, self.count),
-        )
-
-
-class FifoBloomFilter:
-    """A Bloom filter over a sliding window of sequence numbers.
-
-    Bullet "periodically cleans up the Bloom filter by removing lower
-    sequence numbers from it" so the population (and therefore the false
-    positive rate) stays bounded.  Eviction is incremental: per-bit counters
-    track how many live keys set each bit, so dropping the lowest keys
-    decrements counters and clears only the bits whose count reaches zero —
-    observationally identical to the historical rebuild-over-the-window but
-    without re-hashing every surviving key.
-
-    :attr:`version` increments on every observable mutation (an accepted
-    insert, an eviction, a window advance); callers use it to detect that
-    the filter content is unchanged since their last look.
-    """
-
-    def __init__(self, num_bits: int, num_hashes: int, window: int = 2048) -> None:
-        if window <= 0:
-            raise ValueError("window must be positive")
-        self.window = window
-        self._num_bits = num_bits
-        self._num_hashes = num_hashes
-        self._coefficients = _hash_coefficients(num_hashes)
-        self._family = _position_family(num_bits, num_hashes)
-        #: Live keys as a min-heap (duplicates allowed, as with the historical
-        #: key list): the heap root is always the lowest key in the window.
-        self._heap: List[int] = []
-        self._counts: List[int] = [0] * num_bits
-        self._bits = bytearray((num_bits + 7) // 8)
-        self.low_sequence = 0
-        #: Bumped on every observable mutation.
-        self.version = 0
-
-    # Exposed for sizing parity with the classic filter.
-    @property
-    def num_bits(self) -> int:
-        """Bit-array width (wire size × 8)."""
-        return self._num_bits
-
-    @property
-    def num_hashes(self) -> int:
-        """Hash functions per key."""
-        return self._num_hashes
-
-    @property
-    def count(self) -> int:
-        """Live keys in the window (duplicates counted, as inserted)."""
-        return len(self._heap)
-
-    @classmethod
-    def with_capacity(
-        cls, expected_items: int, false_positive_rate: float = 0.01, window: int | None = None
-    ) -> "FifoBloomFilter":
-        """Size the underlying filter for the window population."""
-        bits, hashes = optimal_parameters(expected_items, false_positive_rate)
-        return cls(bits, hashes, window=window if window is not None else expected_items)
-
-    # ------------------------------------------------------------- mutation
-    def _positions(self, key: int) -> Tuple[int, ...]:
-        positions = self._family.get(key)
-        if positions is None:
-            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
-        return positions
-
-    def add(self, key: int) -> None:
-        """Insert a sequence number (ignored if below the current window)."""
-        if key < self.low_sequence:
-            return
-        heapq.heappush(self._heap, key)
-        counts = self._counts
-        bits = self._bits
-        positions = self._family.get(key)
-        if positions is None:
-            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
-        for position in positions:
-            counts[position] += 1
-            bits[position >> 3] |= 1 << (position & 7)
-        self.version += 1
-        if len(self._heap) > self.window:
-            self._evict()
-
-    def update(self, keys: Iterable[int]) -> None:
-        """Insert many sequence numbers."""
-        for key in keys:
-            self.add(key)
-
-    def _remove_lowest(self) -> None:
-        key = heapq.heappop(self._heap)
-        counts = self._counts
-        bits = self._bits
-        for position in self._positions(key):
-            remaining = counts[position] - 1
-            counts[position] = remaining
-            if remaining == 0:
-                bits[position >> 3] &= ~(1 << (position & 7))
-
-    def _evict(self) -> None:
-        """Drop the lowest sequence numbers beyond the window."""
-        while len(self._heap) > self.window:
-            self._remove_lowest()
-        self.low_sequence = self._heap[0] if self._heap else 0
-        self.version += 1
-
-    def advance_window(self, low_sequence: int) -> None:
-        """Explicitly drop every key below ``low_sequence``."""
-        if low_sequence <= self.low_sequence:
-            return
-        self.low_sequence = low_sequence
-        heap = self._heap
-        while heap and heap[0] < low_sequence:
-            self._remove_lowest()
-        self.version += 1
-
-    # -------------------------------------------------------------- queries
-    def __contains__(self, key: int) -> bool:
-        if key < self.low_sequence:
-            # Below the window the receiver no longer cares; report present so
-            # senders do not waste bandwidth on stale packets.
-            return True
-        bits = self._bits
-        positions = self._family.get(key)
-        if positions is None:
-            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
-        for position in positions:
-            if not bits[position >> 3] & (1 << (position & 7)):
-                return False
-        return True
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def size_bytes(self) -> int:
-        """Wire size of the underlying bit array."""
-        return len(self._bits)
-
-    def false_positive_rate(self) -> float:
-        """Expected FP rate of the underlying filter."""
-        if not self._heap:
-            return 0.0
-        exponent = -self._num_hashes * len(self._heap) / self._num_bits
-        return (1.0 - math.exp(exponent)) ** self._num_hashes
-
-    # -------------------------------------------------------------- pickling
-    def __getstate__(self):
-        # Live filters can ride peering requests across process pipes
-        # (sharded head meshes).  The coefficient family and the position
-        # cache are process-local derived state: shipping them would drag
-        # the whole shared cache along with every message.
-        state = dict(self.__dict__)
-        del state["_coefficients"]
-        del state["_family"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._coefficients = _hash_coefficients(self._num_hashes)
-        self._family = _position_family(self._num_bits, self._num_hashes)
-
-    # ------------------------------------------------------------- snapshot
-    def snapshot(self) -> BloomSnapshot:
-        """A frozen copy of the current wire state.
-
-        The snapshot's window floor is the lowest *live* key — what a
-        from-scratch build over the current content would advance to — so a
-        snapshot is byte- and behaviour-identical to rebuilding a fresh
-        filter from the window's keys.  An empty window therefore exports no
-        floor at all (a rebuild of nothing starts at zero), even when the
-        live filter's own floor has advanced past old keys.
-        """
-        low = self._heap[0] if self._heap else 0
-        return BloomSnapshot(
-            num_bits=self._num_bits,
-            num_hashes=self._num_hashes,
-            bits=bytes(self._bits),
-            low_sequence=low,
-            count=len(self._heap),
         )

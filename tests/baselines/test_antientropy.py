@@ -1,15 +1,14 @@
 """Tests for the streaming-with-anti-entropy baseline."""
 
-import pytest
-
-from repro.baselines.antientropy import AntiEntropyStreaming
+from oracles.reconcile import FifoBloomFilter
+from repro.baselines.antientropy import RECOVERY_WINDOW, AntiEntropyStreaming
 from repro.baselines.streaming import TreeStreaming
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
 from repro.topology.links import BandwidthClass
 
 
-def build(n=12, seed=6, bandwidth_class=BandwidthClass.LOW, epoch=10.0):
+def build(n=12, seed=6, bandwidth_class=BandwidthClass.LOW):
     workload = build_workload(
         n_overlay=n, tree_kind="random", seed=seed, bandwidth_class=bandwidth_class
     )
@@ -18,19 +17,12 @@ def build(n=12, seed=6, bandwidth_class=BandwidthClass.LOW, epoch=10.0):
         simulator,
         workload.tree,
         stream_rate_kbps=600.0,
-        recovery_peers=3,
-        anti_entropy_epoch_s=epoch,
         seed=seed,
     )
     return workload, simulator, system
 
 
 class TestAntiEntropyStreaming:
-    def test_rejects_bad_peer_count(self):
-        workload, simulator, _ = build()
-        with pytest.raises(ValueError):
-            AntiEntropyStreaming(simulator, workload.tree, recovery_peers=0)
-
     def test_recovery_flows_created_after_an_epoch(self):
         _, _, system = build()
         system.run(30)
@@ -66,3 +58,19 @@ class TestAntiEntropyStreaming:
         _, simulator, system = build(seed=10)
         system.run(80)
         assert simulator.stats.duplicate_ratio(system.receivers()) >= 0.0
+
+    def test_digest_matches_a_fifo_filter_fed_the_same_holdings(self):
+        """The digest is the counting FIFO filter it replaced, bit for bit:
+        same bytes, floor zero, same answer for every key a helper offers."""
+        _, _, system = build()
+        system.run(40)
+        for requester in system.receivers()[:4]:
+            holdings = sorted(system._received[requester])[-RECOVERY_WINDOW:]
+            reference = FifoBloomFilter.with_capacity(RECOVERY_WINDOW, 0.01, window=RECOVERY_WINDOW)
+            reference.update(holdings)
+            digest = system._build_digest(requester)
+            assert digest.low_sequence == reference.low_sequence == 0
+            assert digest.size_bytes() == reference.size_bytes()
+            assert digest._bits == bytes(reference._bits)
+            probes = range(max(holdings[-1], 0) + RECOVERY_WINDOW)
+            assert [key in digest for key in probes] == [key in reference for key in probes]

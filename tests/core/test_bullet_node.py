@@ -66,7 +66,7 @@ class TestRecoveryRequests:
         node.peers.add_sender(8, epoch=1)
         for seq in range(50):
             node.on_packet(seq, from_node=0, via_peer=False)
-        requests = node.build_recovery_requests(period_s=5.0)
+        requests = node.build_recovery_requests()
         assert set(requests) == {7, 8}
 
     def test_reported_bandwidth_resets_each_period(self):
@@ -74,9 +74,9 @@ class TestRecoveryRequests:
         node.peers.add_sender(7, epoch=1)
         for seq in range(50):
             node.on_packet(seq, from_node=0, via_peer=False)
-        assert node.reported_bandwidth_kbps(period_s=5.0) > 0
-        node.build_recovery_requests(period_s=5.0)
-        assert node.reported_bandwidth_kbps(period_s=5.0) == 0.0
+        assert node.reported_bandwidth_kbps() > 0
+        node.build_recovery_requests()
+        assert node.reported_bandwidth_kbps() == 0.0
 
     def test_rotation_advances_each_build(self):
         node = make_node()
@@ -84,8 +84,8 @@ class TestRecoveryRequests:
         node.peers.add_sender(8, epoch=1)
         for seq in range(20):
             node.on_packet(seq, from_node=0, via_peer=False)
-        first = node.build_recovery_requests(period_s=5.0)
-        second = node.build_recovery_requests(period_s=5.0)
+        first = node.build_recovery_requests()
+        second = node.build_recovery_requests()
         assert first[7].mod != second[7].mod
 
     def test_describe(self):

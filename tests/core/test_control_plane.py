@@ -13,7 +13,7 @@ import inspect
 import repro.core.mesh as mesh_module
 import repro.core.node_host as host_module
 from repro.core.bullet_node import BulletNode
-from repro.core.config import BulletConfig
+from repro.core.config import PEERING_TIMEOUT_S, BulletConfig
 from repro.core.control_messages import (
     PeeringReply,
     PeeringRequest,
@@ -177,9 +177,9 @@ class TestPeeringHandshake:
         receiver = make_node(1)
         receiver.request_peering(2, now=0.0)
         receiver.take_outbox()
-        receiver.poll_control(now=receiver.config.peering_timeout_s - 1.0)
+        receiver.poll_control(now=PEERING_TIMEOUT_S - 1.0)
         assert 2 in receiver.pending_requests
-        receiver.poll_control(now=receiver.config.peering_timeout_s)
+        receiver.poll_control(now=PEERING_TIMEOUT_S)
         assert 2 not in receiver.pending_requests
 
     def test_refresh_from_stranger_is_answered_with_teardown(self):

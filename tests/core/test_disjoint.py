@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import BulletConfig
+from repro.core.config import LIMITING_FACTOR_MIN, BulletConfig
 from repro.core.disjoint import DisjointSender
 
 
@@ -128,7 +128,7 @@ class TestLimitingFactor:
         transport = BudgetedTransport({1: 10_000, 2: 0})
         for sequence in range(2000):
             sender.send_packet(sequence, transport)
-        assert sender.child_state(2).limiting_factor >= config.limiting_factor_min
+        assert sender.child_state(2).limiting_factor >= LIMITING_FACTOR_MIN
 
 
 class TestDisjointness:

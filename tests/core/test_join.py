@@ -5,6 +5,7 @@ import pytest
 from repro.baselines.antientropy import AntiEntropyStreaming
 from repro.baselines.gossip import PushGossip
 from repro.baselines.streaming import TreeStreaming
+from repro.core.config import RECOVERY_SPAN_PACKETS
 from repro.core.mesh import BulletMesh
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
@@ -57,9 +58,7 @@ class TestBulletMeshJoin:
         joiner = spare[0]
         mesh.add_node(joiner)
         node = mesh.nodes[joiner]
-        low, high = node.working_set.recovery_range(
-            mesh.config.recovery_span_packets
-        )
+        low, high = node.working_set.recovery_range(RECOVERY_SPAN_PACKETS)
         # The advertised range must not start at sequence 0: the stream has
         # long moved on, and peers no longer hold expired data.
         assert low > 0

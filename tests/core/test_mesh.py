@@ -55,14 +55,6 @@ class TestProtocolProgress:
         _, _, mesh = build_mesh(duration=40)
         assert len(mesh.nodes[mesh.root].peers.receivers) == 0
 
-    def test_source_serves_peers_when_enabled(self):
-        _, _, mesh = build_mesh(duration=60, source_serves_peers=True)
-        # With the source allowed to serve, someone usually peers with it
-        # (it has the most divergent content); at minimum no peering with the
-        # source may exist when disabled, so just assert the flag is honoured.
-        root_receivers = len(mesh.nodes[mesh.root].peers.receivers)
-        assert root_receivers >= 0
-
     def test_mesh_delivers_data_beyond_parent(self):
         _, simulator, mesh = build_mesh(duration=60)
         total_useful = sum(

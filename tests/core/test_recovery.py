@@ -1,7 +1,7 @@
 """Tests for peer recovery requests and sender-side queues (Figure 4)."""
 
 
-from repro.core.config import BulletConfig
+from repro.core.config import RECOVERY_SPAN_PACKETS, BulletConfig
 from repro.core.recovery import RecoveryRequest, SenderQueue, build_recovery_requests
 from repro.reconcile.working_set import WorkingSet
 
@@ -34,16 +34,17 @@ class TestBuildRecoveryRequests:
         assert first[11].mod != second[11].mod
 
     def test_range_tracks_working_set(self):
-        config = BulletConfig(recovery_span_packets=100)
-        ws = working_set_with(range(500, 700))
-        requests = build_recovery_requests(9, ws, [11], config)
-        request = requests[11]
-        assert request.high >= 699
-        assert request.low == 600
+        config = BulletConfig()
+        top = 699 + RECOVERY_SPAN_PACKETS
+        ws = working_set_with(range(500, top + 1))
+        request = build_recovery_requests(9, ws, [11], config)[11]
+        assert request.high >= top
+        assert request.low == top - RECOVERY_SPAN_PACKETS + 1
+        assert ws.recovery_range(100) == (top - 99, top)
 
     def test_lookahead_extends_high(self):
-        base = BulletConfig(recovery_span_packets=100, recovery_lookahead_s=0.0)
-        ahead = BulletConfig(recovery_span_packets=100, recovery_lookahead_s=2.0)
+        base = BulletConfig(recovery_lookahead_s=0.0)
+        ahead = BulletConfig(recovery_lookahead_s=2.0)
         ws = working_set_with(range(200))
         low_high = build_recovery_requests(9, ws, [11], base)[11].high
         with_lookahead = build_recovery_requests(9, ws, [11], ahead)[11].high

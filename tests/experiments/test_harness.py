@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.cli import main as cli_main
 from repro.experiments.harness import (
     ExperimentConfig,
     RunContext,
@@ -14,6 +15,25 @@ from repro.experiments.harness import (
 from repro.topology.planetlab import PlanetLabConfig
 
 FAST = dict(n_overlay=12, duration_s=50.0, sample_interval_s=5.0, seed=3)
+
+#: BulletConfig fields that became constants of repro.core.config.
+REMOVED_BULLET_KNOBS = (
+    "packet_kbits",
+    "ransub_set_size",
+    "peer_with_parent",
+    "source_serves_peers",
+    "bloom_refresh_s",
+    "bloom_false_positive_rate",
+    "duplicate_threshold",
+    "peering_timeout_s",
+    "ransub_collect_timeout_s",
+    "recovery_span_packets",
+    "limiting_factor_initial",
+    "limiting_factor_min",
+    "ticket_entries",
+    "ticket_window",
+    "ticket_sample_stride",
+)
 
 
 class TestExperimentConfig:
@@ -25,9 +45,7 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(duration_s=0)
         with pytest.raises(ValueError):
-            ExperimentConfig(dt=0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(sample_interval_s=0.1, dt=1.0)
+            ExperimentConfig(sample_interval_s=0.1)
 
     @pytest.mark.parametrize(
         "retired",
@@ -73,9 +91,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=rf"ExperimentConfig\.{name}"):
             ExperimentConfig(bullet={name: 3})
 
-    def test_bullet_override_rejects_unknown_fields(self):
-        with pytest.raises(ValueError, match="BulletConfig has no field 'max_peers'"):
-            ExperimentConfig(bullet={"max_peers": 3})
+    def test_bullet_override_rejects_unknown_fields(self, capsys):
+        # Protocol constants are not options: every removed knob is as
+        # unknown as a name that never existed.
+        for name in ("max_peers",) + REMOVED_BULLET_KNOBS:
+            with pytest.raises(ValueError, match=f"BulletConfig has no field '{name}'"):
+                ExperimentConfig(bullet={name: 3})
+        for name in ("dt", "max_fanout"):
+            with pytest.raises(TypeError, match=name):
+                ExperimentConfig(**{name: 1})
+            assert cli_main(["sweep", "--systems", "stream", "--param", f"{name}=2"]) == 2
+            assert f"ExperimentConfig has no field '{name}'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rate", [0.0, -600.0])
     def test_rejects_unusable_stream_rate(self, rate):

@@ -13,7 +13,7 @@ properties of the staggered refresh schedule are checked here directly:
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import BulletConfig
+from repro.core.config import BLOOM_REFRESH_S, BulletConfig
 from repro.core.mesh import BulletMesh
 from repro.core.recovery import SenderQueue, build_recovery_requests
 from repro.experiments.harness import ExperimentConfig, run_experiment
@@ -34,7 +34,7 @@ class TestRefreshStagger:
         offsets = {
             timer.start_at for timer in mesh._refresh_timers.values()
         }
-        period = mesh.config.bloom_refresh_s
+        period = BLOOM_REFRESH_S
         # More than one phase in use, all within one period of the first fire.
         assert len(offsets) > 1
         assert all(period <= offset < 2 * period for offset in offsets)
@@ -53,7 +53,7 @@ class TestRefreshStagger:
         mesh.run(40)
         steady = refreshing_per_step[10:]
         # Every member refreshes once per period...
-        assert sum(steady) == len(mesh.nodes) * len(steady) // mesh.config.bloom_refresh_s
+        assert sum(steady) == len(mesh.nodes) * len(steady) // BLOOM_REFRESH_S
         # ...but no step carries even half of them, and most steps carry some.
         assert max(steady) <= len(mesh.nodes) // 2
         assert sum(1 for count in steady if count) >= 0.8 * len(steady)

@@ -4,7 +4,10 @@
 verbatim as the reference the fast one is checked against: a bare membership
 set re-sorted after every mutation (and rebuilt on every prune), a *live*
 counting Bloom filter fed insert by insert with snapshots exported from it,
-and the scalar generator-fed min-wise sketch.  The free functions are the
+and the scalar generator-fed min-wise sketch.  :class:`BloomFilter` (a
+classic bit array) and :class:`FifoBloomFilter` (the mutable, counting
+window filter that live set fed) are the filters
+``BloomSnapshot.from_keys`` is checked against.  The free functions are the
 per-packet forms of ``BulletNode.on_packets`` and
 ``SenderQueue.offer_new_packets`` as the delivery loops used to spell them,
 and the per-key Bloom probe and recovery selection that
@@ -15,10 +18,22 @@ resemblance estimate is checked against.
 
 from __future__ import annotations
 
+import heapq
+import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.reconcile.bloom import BloomSnapshot, FifoBloomFilter
+from repro.reconcile.bloom import (
+    _HASH_PRIME,
+    _MASK64,
+    _MIX_ADD,
+    _MIX_MULT,
+    BloomSnapshot,
+    _hash_coefficients,
+    _hash_key,
+    _position_family,
+    optimal_parameters,
+)
 from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
 from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients
 
@@ -39,6 +54,256 @@ def expected_useful_fraction(own: Sequence[int], remote: Sequence[int]) -> float
     if not remote_set:
         return 0.0
     return len(remote_set - set(own)) / len(remote_set)
+
+
+class BloomFilter:
+    """A classic bit-array Bloom filter over integer keys."""
+
+    def __init__(self, num_bits: int, num_hashes: int) -> None:
+        if num_bits <= 0:
+            raise ValueError("num_bits must be positive")
+        if num_hashes <= 0:
+            raise ValueError("num_hashes must be positive")
+        self.num_bits = num_bits
+        self.num_hashes = num_hashes
+        self._bits = bytearray((num_bits + 7) // 8)
+        self.count = 0
+        # Pairwise-independent integer hash family; integer arithmetic keeps
+        # membership checks cheap on the simulator's hot path.
+        self._coefficients = _hash_coefficients(num_hashes)
+
+    @classmethod
+    def with_capacity(cls, expected_items: int, false_positive_rate: float = 0.01) -> "BloomFilter":
+        """Build a filter sized for ``expected_items`` at the target FP rate."""
+        bits, hashes = optimal_parameters(expected_items, false_positive_rate)
+        return cls(bits, hashes)
+
+    def _positions(self, key: int) -> Iterable[int]:
+        x = (key * _MIX_MULT + _MIX_ADD) & _MASK64
+        for a, b in self._coefficients:
+            yield ((a * x + b) % _HASH_PRIME) % self.num_bits
+
+    def add(self, key: int) -> None:
+        """Insert an integer key."""
+        bits = self._bits
+        x = (key * _MIX_MULT + _MIX_ADD) & _MASK64
+        num_bits = self.num_bits
+        for a, b in self._coefficients:
+            position = ((a * x + b) % _HASH_PRIME) % num_bits
+            bits[position >> 3] |= 1 << (position & 7)
+        self.count += 1
+
+    def update(self, keys: Iterable[int]) -> None:
+        """Insert many keys."""
+        for key in keys:
+            self.add(key)
+
+    def __contains__(self, key: int) -> bool:
+        bits = self._bits
+        x = (key * _MIX_MULT + _MIX_ADD) & _MASK64
+        num_bits = self.num_bits
+        for a, b in self._coefficients:
+            position = ((a * x + b) % _HASH_PRIME) % num_bits
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
+
+    def false_positive_rate(self) -> float:
+        """Expected FP rate for the current population: ``(1 - e^{-kn/m})^k``."""
+        if self.count == 0:
+            return 0.0
+        exponent = -self.num_hashes * self.count / self.num_bits
+        return (1.0 - math.exp(exponent)) ** self.num_hashes
+
+    def size_bytes(self) -> int:
+        """Wire size of the filter (used for control-overhead accounting)."""
+        return len(self._bits)
+
+    def clear(self) -> None:
+        """Remove all keys."""
+        self._bits = bytearray(len(self._bits))
+        self.count = 0
+
+
+
+
+class FifoBloomFilter:
+    """A Bloom filter over a sliding window of sequence numbers.
+
+    Bullet "periodically cleans up the Bloom filter by removing lower
+    sequence numbers from it" so the population (and therefore the false
+    positive rate) stays bounded.  Eviction is incremental: per-bit counters
+    track how many live keys set each bit, so dropping the lowest keys
+    decrements counters and clears only the bits whose count reaches zero —
+    observationally identical to the historical rebuild-over-the-window but
+    without re-hashing every surviving key.
+
+    :attr:`version` increments on every observable mutation (an accepted
+    insert, an eviction, a window advance); callers use it to detect that
+    the filter content is unchanged since their last look.
+    """
+
+    def __init__(self, num_bits: int, num_hashes: int, window: int = 2048) -> None:
+        if window <= 0:
+            raise ValueError("window must be positive")
+        self.window = window
+        self._num_bits = num_bits
+        self._num_hashes = num_hashes
+        self._coefficients = _hash_coefficients(num_hashes)
+        self._family = _position_family(num_bits, num_hashes)
+        #: Live keys as a min-heap (duplicates allowed, as with the historical
+        #: key list): the heap root is always the lowest key in the window.
+        self._heap: List[int] = []
+        self._counts: List[int] = [0] * num_bits
+        self._bits = bytearray((num_bits + 7) // 8)
+        self.low_sequence = 0
+        #: Bumped on every observable mutation.
+        self.version = 0
+
+    # Exposed for sizing parity with the classic filter.
+    @property
+    def num_bits(self) -> int:
+        """Bit-array width (wire size × 8)."""
+        return self._num_bits
+
+    @property
+    def num_hashes(self) -> int:
+        """Hash functions per key."""
+        return self._num_hashes
+
+    @property
+    def count(self) -> int:
+        """Live keys in the window (duplicates counted, as inserted)."""
+        return len(self._heap)
+
+    @classmethod
+    def with_capacity(
+        cls, expected_items: int, false_positive_rate: float = 0.01, window: int | None = None
+    ) -> "FifoBloomFilter":
+        """Size the underlying filter for the window population."""
+        bits, hashes = optimal_parameters(expected_items, false_positive_rate)
+        return cls(bits, hashes, window=window if window is not None else expected_items)
+
+    # ------------------------------------------------------------- mutation
+    def _positions(self, key: int) -> Tuple[int, ...]:
+        positions = self._family.get(key)
+        if positions is None:
+            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
+        return positions
+
+    def add(self, key: int) -> None:
+        """Insert a sequence number (ignored if below the current window)."""
+        if key < self.low_sequence:
+            return
+        heapq.heappush(self._heap, key)
+        counts = self._counts
+        bits = self._bits
+        positions = self._family.get(key)
+        if positions is None:
+            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
+        for position in positions:
+            counts[position] += 1
+            bits[position >> 3] |= 1 << (position & 7)
+        self.version += 1
+        if len(self._heap) > self.window:
+            self._evict()
+
+    def update(self, keys: Iterable[int]) -> None:
+        """Insert many sequence numbers."""
+        for key in keys:
+            self.add(key)
+
+    def _remove_lowest(self) -> None:
+        key = heapq.heappop(self._heap)
+        counts = self._counts
+        bits = self._bits
+        for position in self._positions(key):
+            remaining = counts[position] - 1
+            counts[position] = remaining
+            if remaining == 0:
+                bits[position >> 3] &= ~(1 << (position & 7))
+
+    def _evict(self) -> None:
+        """Drop the lowest sequence numbers beyond the window."""
+        while len(self._heap) > self.window:
+            self._remove_lowest()
+        self.low_sequence = self._heap[0] if self._heap else 0
+        self.version += 1
+
+    def advance_window(self, low_sequence: int) -> None:
+        """Explicitly drop every key below ``low_sequence``."""
+        if low_sequence <= self.low_sequence:
+            return
+        self.low_sequence = low_sequence
+        heap = self._heap
+        while heap and heap[0] < low_sequence:
+            self._remove_lowest()
+        self.version += 1
+
+    # -------------------------------------------------------------- queries
+    def __contains__(self, key: int) -> bool:
+        if key < self.low_sequence:
+            # Below the window the receiver no longer cares; report present so
+            # senders do not waste bandwidth on stale packets.
+            return True
+        bits = self._bits
+        positions = self._family.get(key)
+        if positions is None:
+            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
+        for position in positions:
+            if not bits[position >> 3] & (1 << (position & 7)):
+                return False
+        return True
+
+    def __len__(self) -> int:
+        return len(self._heap)
+
+    def size_bytes(self) -> int:
+        """Wire size of the underlying bit array."""
+        return len(self._bits)
+
+    def false_positive_rate(self) -> float:
+        """Expected FP rate of the underlying filter."""
+        if not self._heap:
+            return 0.0
+        exponent = -self._num_hashes * len(self._heap) / self._num_bits
+        return (1.0 - math.exp(exponent)) ** self._num_hashes
+
+    # -------------------------------------------------------------- pickling
+    def __getstate__(self):
+        # Live filters can ride peering requests across process pipes
+        # (sharded head meshes).  The coefficient family and the position
+        # cache are process-local derived state: shipping them would drag
+        # the whole shared cache along with every message.
+        state = dict(self.__dict__)
+        del state["_coefficients"]
+        del state["_family"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._coefficients = _hash_coefficients(self._num_hashes)
+        self._family = _position_family(self._num_bits, self._num_hashes)
+
+    # ------------------------------------------------------------- snapshot
+    def snapshot(self) -> BloomSnapshot:
+        """A frozen copy of the current wire state.
+
+        The snapshot's window floor is the lowest *live* key — what a
+        from-scratch build over the current content would advance to — so a
+        snapshot is byte- and behaviour-identical to rebuilding a fresh
+        filter from the window's keys.  An empty window therefore exports no
+        floor at all (a rebuild of nothing starts at zero), even when the
+        live filter's own floor has advanced past old keys.
+        """
+        low = self._heap[0] if self._heap else 0
+        return BloomSnapshot(
+            num_bits=self._num_bits,
+            num_hashes=self._num_hashes,
+            bits=bytes(self._bits),
+            low_sequence=low,
+            count=len(self._heap),
+        )
 
 
 class SortEverythingWorkingSet:

@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.reconcile.bloom import BloomFilter, FifoBloomFilter, optimal_parameters
+from oracles.reconcile import BloomFilter, FifoBloomFilter
+from repro.reconcile.bloom import optimal_parameters
 
 
 class TestOptimalParameters:

@@ -7,9 +7,8 @@ inserts and window advances against a reference model.
 """
 
 from hypothesis import given, settings, strategies as st
-from oracles.reconcile import bloom_missing
+from oracles.reconcile import BloomFilter, FifoBloomFilter, bloom_missing
 
-from repro.reconcile.bloom import BloomFilter, FifoBloomFilter
 
 #: Filter geometry small enough for fast runs, big enough to be meaningful.
 NUM_BITS = 512
