@@ -1,37 +1,38 @@
 """Cache-coherence rule (COH001): guarded mutations must bump their version.
 
-Every incremental engine in this repo hangs caches off monotonic counters —
-``Topology``'s loss/capacity/delay epochs and structure version,
-``WorkingSet.version`` — and a mutation that forgets its bump produces a
-stale cache that only a determinism-matrix flake would catch.  Each module
-owning such a cache declares a module-level ``CACHE_INVARIANTS`` table
-*next to the cache*:
+Incremental state in this repo hangs caches off monotonic counters or
+derived fields — ``WorkingSet.version``, ``BulletMesh``'s depth levels,
+``ClusteredBullet``'s receivers list — and a mutation that forgets its bump
+produces a stale cache that only a determinism-matrix flake would catch.
+Each module owning such a cache declares a module-level ``CACHE_INVARIANTS``
+table *next to the cache*:
 
     CACHE_INVARIANTS = {
-        "Topology": {
-            "scope": "tree",          # enforce across the whole scanned tree
+        "WorkingSet": {
+            "scope": "module",        # the only scope: the declaring module
             "attrs": {                # attribute (or item of it) stored -> bumps
-                "loss_rate": ["note_loss_change"],
+                "_sequences": ["version"],
             },
             "calls": {                # "receiver.method" call (or on an item of it) -> bumps
-                "src.frombytes": ["structure_version"],
+                "_ordered.append": ["version", "_writable"],
             },
-            "exempt": ["_helper"],    # functions whose *callers* bump
+            "exempt": ["_writable"],  # functions whose *callers* bump
         },
     }
 
 The analyzer literal-evals the table (it must be a pure literal) and then
-verifies, for every function in scope, that each guarded mutation has every
-required bump **on the same control-flow path**: a bump statement counts if
-it sits in the mutation's own statement list or any enclosing statement list
-of the same function — i.e. it unconditionally executes with the mutation —
-and not if it only appears in a different branch.  ``__init__``/``__new__``
+verifies, for every function of the declaring module, that each guarded
+mutation has every required bump **on the same control-flow path**: a bump
+statement counts if it sits in the mutation's own statement list or any
+enclosing statement list of the same function — i.e. it unconditionally
+executes with the mutation — and not if it only appears in a different
+branch.  ``__init__``/``__new__``
 are exempt by construction (no cache can predate construction).
 
 A bump is either an assignment/augmented assignment to an attribute of the
-required name (``self._capacity_version += 1``) or to an item of it
+required name (``self.version += 1``) or to an item of it
 (``self._owner_of[node] = host``), or a call whose terminal name matches
-(``self._routing.note_loss_change()``).
+(``self._rebuild_depth_levels()``).
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ class GuardTable:
 
     owner: str
     source_path: str
-    scope: str = "module"
     attrs: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     calls: Dict[Tuple[str, str], Tuple[str, ...]] = field(default_factory=dict)
     exempt: Tuple[str, ...] = ()
@@ -97,9 +97,8 @@ def _validate(raw: object, path: str) -> List[GuardTable]:
         unknown = sorted(set(spec) - {"scope", "attrs", "calls", "exempt"})
         if unknown:
             raise ValueError(f"{owner}: unknown spec keys {unknown}")
-        scope = spec.get("scope", "module")
-        if scope not in ("module", "tree"):
-            raise ValueError(f"{owner}: scope must be 'module' or 'tree'")
+        if spec.get("scope", "module") != "module":
+            raise ValueError(f"{owner}: scope must be 'module'")
         attrs: Dict[str, Tuple[str, ...]] = {}
         for name, bumps in sorted(spec.get("attrs", {}).items()):
             attrs[str(name)] = _bump_tuple(owner, name, bumps)
@@ -115,7 +114,6 @@ def _validate(raw: object, path: str) -> List[GuardTable]:
             GuardTable(
                 owner=owner,
                 source_path=path,
-                scope=scope,
                 attrs=attrs,
                 calls=calls,
                 exempt=tuple(str(name) for name in spec.get("exempt", [])),

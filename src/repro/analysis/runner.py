@@ -1,34 +1,23 @@
-"""Analyzer driver: file discovery, two-phase scan, pragma filtering.
+"""Analyzer driver: file discovery, per-file scan, pragma filtering.
 
-Phase one parses every file and collects ``CACHE_INVARIANTS`` declarations
-(tree-scoped tables apply everywhere, module-scoped ones only at home).
-Phase two runs the determinism and coherence rules per file, drops findings
-suppressed by a same-line ``# det: ok(reason)`` pragma, then appends pragma
-hygiene findings (missing reasons always; stale pragmas under strict).
+Each file is parsed once and checked on its own: its ``CACHE_INVARIANTS``
+declaration guards that module alone.  The determinism and coherence rules
+run per file, findings suppressed by a same-line ``# det: ok(reason)`` pragma
+are dropped, then pragma hygiene findings are appended (missing reasons
+always; stale pragmas under strict).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.coherence import CoherenceChecker, GuardTable, load_tables
+from repro.analysis.coherence import CoherenceChecker, load_tables
 from repro.analysis.config import AnalysisConfig, load_config
 from repro.analysis.determinism import DeterminismChecker
 from repro.analysis.findings import Finding, sort_findings
 from repro.analysis.pragmas import PragmaMap
-
-
-@dataclass
-class _ParsedFile:
-    path: Path
-    display: str
-    tree: Optional[ast.Module]
-    pragmas: PragmaMap
-    tables: List[GuardTable]
-    findings: List[Finding]
 
 
 def discover_files(paths: List[Path], config: AnalysisConfig) -> List[Path]:
@@ -58,8 +47,7 @@ def run_paths(
         config = load_config(root)
     files = discover_files([path.resolve() for path in paths], config)
 
-    parsed: List[_ParsedFile] = []
-    tree_tables: List[GuardTable] = []
+    findings: List[Finding] = []
     for file in files:
         display = _display_path(file, root)
         source = file.read_text(encoding="utf-8")
@@ -67,57 +55,24 @@ def run_paths(
         try:
             tree = ast.parse(source, filename=str(file))
         except SyntaxError as exc:
-            parsed.append(
-                _ParsedFile(
-                    path=file,
-                    display=display,
-                    tree=None,
-                    pragmas=pragmas,
-                    tables=[],
-                    findings=[
-                        Finding(
-                            rule="PAR001",
-                            path=display,
-                            line=exc.lineno or 1,
-                            message=f"syntax error: {exc.msg}",
-                        )
-                    ],
+            findings.append(
+                Finding(
+                    rule="PAR001",
+                    path=display,
+                    line=exc.lineno or 1,
+                    message=f"syntax error: {exc.msg}",
                 )
             )
             continue
         tables, table_findings = load_tables(tree, display)
-        tree_tables.extend(table for table in tables if table.scope == "tree")
-        parsed.append(
-            _ParsedFile(
-                path=file,
-                display=display,
-                tree=tree,
-                pragmas=pragmas,
-                tables=tables,
-                findings=table_findings,
-            )
-        )
-
-    findings: List[Finding] = []
-    for entry in parsed:
-        findings.extend(entry.findings)
-        if entry.tree is None:
-            continue
-        disabled = config.disabled_rules(entry.path)
+        findings.extend(table_findings)
+        disabled = config.disabled_rules(file)
         raw: List[Finding] = []
-        raw.extend(DeterminismChecker(entry.tree, entry.display, disabled).run())
+        raw.extend(DeterminismChecker(tree, display, disabled).run())
         if "COH001" not in disabled:
-            applicable = list(entry.tables)
-            applicable.extend(
-                table
-                for table in tree_tables
-                if table.source_path != entry.display
-            )
-            raw.extend(CoherenceChecker(entry.tree, entry.display, applicable).run())
-        findings.extend(
-            finding for finding in raw if not entry.pragmas.suppresses(finding.line)
-        )
-        findings.extend(entry.pragmas.lint(strict))
+            raw.extend(CoherenceChecker(tree, display, tables).run())
+        findings.extend(finding for finding in raw if not pragmas.suppresses(finding.line))
+        findings.extend(pragmas.lint(strict))
     return sort_findings(findings)
 
 

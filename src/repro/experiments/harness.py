@@ -132,6 +132,12 @@ class ExperimentConfig:
             raise ValueError("duration_s must be positive")
         if self.sample_interval_s < STEP_S:
             raise ValueError(f"sample_interval_s must be >= the {STEP_S:g} s step")
+        if self.sample_interval_s > self.duration_s:
+            raise ValueError(
+                f"sample_interval_s ({self.sample_interval_s:g} s) must not exceed"
+                f" duration_s ({self.duration_s:g} s): the run would end before its"
+                " first sample"
+            )
         if not 0.0 <= self.control_loss_rate < 1.0:
             raise ValueError("control_loss_rate must be in [0, 1)")
         if self.churn_failures < 0:

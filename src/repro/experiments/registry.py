@@ -19,7 +19,7 @@ A system is anything satisfying :class:`DisseminationSystem`: it exposes
 ``receivers()`` (the nodes whose bandwidth the figures average).  What else a
 system can do is *declared*, not probed: every registration carries a
 :class:`SystemCapabilities` record (``supports_fail_node``, ``supports_join``,
-``supports_multi_source``, ``hierarchical``), and the session's churn/join
+``hierarchical``), and the session's churn/join
 injectors, the reproduction catalog's cross-system matrix and the report
 renderer all consult the spec instead of ``hasattr``-sniffing the instance.
 A system declaring ``supports_fail_node`` must implement ``fail_node(node)``;
@@ -87,7 +87,7 @@ class SystemCapabilities:
     """What a registered system declares it can do.
 
     The defaults describe the common case for this repo's systems (churn and
-    mid-run joins supported, single source, flat overlay); registrations
+    mid-run joins supported, flat overlay); registrations
     override individual fields via the ``supports_*`` / ``hierarchical``
     keywords of :func:`register_system`.
     """
@@ -96,8 +96,6 @@ class SystemCapabilities:
     supports_fail_node: bool = True
     #: The system implements ``add_node(node)`` (mid-run membership growth).
     supports_join: bool = True
-    #: The system can disseminate from several concurrent sources.
-    supports_multi_source: bool = False
     #: Two-level (clustered) overlay: the session skips whole-overlay route
     #: warming (the builder warms what it needs, e.g. cluster heads only),
     #: and targeted churn consults the system's own impact ordering.
@@ -137,7 +135,6 @@ def register_system(
     replace: bool = False,
     supports_fail_node: bool = True,
     supports_join: bool = True,
-    supports_multi_source: bool = False,
     hierarchical: bool = False,
 ) -> Callable[[SystemBuilder], SystemBuilder]:
     """Class/function decorator registering a system builder under ``name``.
@@ -151,7 +148,6 @@ def register_system(
     capabilities = SystemCapabilities(
         supports_fail_node=supports_fail_node,
         supports_join=supports_join,
-        supports_multi_source=supports_multi_source,
         hierarchical=hierarchical,
     )
 

@@ -172,22 +172,6 @@ class AllocationEngine:
         self._allocation.pop(flow_key, None)
         self._dirty_flows.discard(flow_key)
 
-    def reset_capacities(self, capacities: Mapping[int, float]) -> None:
-        """Swap the capacity map (topology changed); re-solves everything.
-
-        All engine state — cached link arrays, caps and the allocation map —
-        is dropped: constrained-link subsets depend on the capacity map, so
-        the caller must re-submit every flow (and :attr:`allocation` is empty
-        until the next :meth:`solve`).
-        """
-        self._capacities = capacities
-        self._state.clear()
-        self._link_flows.clear()
-        self._dirty_flows.clear()
-        self._dirty_links.clear()
-        self._allocation.clear()
-        self._mutated = True
-
     # ------------------------------------------------------------------ solve
     def solve(self) -> bool:
         """Re-solve the dirty region; True if any allocation may have changed.

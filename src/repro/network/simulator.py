@@ -120,7 +120,6 @@ class NetworkSimulator:
         self.congestion_threshold = congestion_threshold
         self._congested_links: set[int] = tracked_set("simulator.congested_links")
         self._engine = AllocationEngine(topology.capacity_map())
-        self._capacity_version = topology.capacity_version
         #: Cached equation-rate targets for idle (nothing-sent) TFRC flows;
         #: constant while a flow stays idle, invalidated on any delivery.
         self._idle_targets: Dict[int, float] = {}
@@ -173,9 +172,6 @@ class NetworkSimulator:
         affected region of the constraint graph.  Flows closed since the
         previous step leave the simulator here.
         """
-        if self.topology.capacity_version != self._capacity_version:
-            self._engine.reset_capacities(self.topology.capacity_map())
-            self._capacity_version = self.topology.capacity_version
         engine = self._engine
         closed: List[int] = []
         for flow in self._flows.values():

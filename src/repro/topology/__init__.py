@@ -12,7 +12,7 @@ from repro.topology.links import (
     sample_capacity,
     sample_delay,
 )
-from repro.topology.loss import LossConfig, apply_loss_model, clear_loss
+from repro.topology.loss import LossConfig, apply_loss_model
 from repro.topology.planetlab import (
     PlanetLabConfig,
     PlanetLabTopology,
@@ -41,7 +41,6 @@ __all__ = [
     "bandwidth_range",
     "build_good_tree",
     "build_worst_tree",
-    "clear_loss",
     "generate_planetlab",
     "generate_topology",
     "measure_available_bandwidth",

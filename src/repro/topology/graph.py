@@ -9,19 +9,22 @@ participants is fixed") and exposes per-path aggregate loss and delay.
 
 Storage is one columnar link table, :class:`LinkTable`: a row per directed
 link (its index), with ``array`` columns for the endpoints, link class,
-capacity, live delay, loss and the pinned routing metric, plus the node-slot
-count and a structure version.  Per-link scalar reads — the routing engine's
-path walks — index those ``array`` columns at list speed; bulk readers (ingest
-checks, the routing engine's adjacency build, landmark coordinates,
-clustering's access-link gathers) take zero-copy numpy views of the same
-buffers.  A cached sort of the rows by ``(src, dst)`` serves pair lookups and
-access-link gathers; rows appended since it was last read are merged into it
-in linear time.
+capacity, delay and loss, plus the node-slot count.  Per-link scalar reads —
+the routing engine's path walks — index those ``array`` columns at list
+speed; bulk readers (ingest checks, the routing engine's adjacency build,
+landmark coordinates, clustering's access-link gathers) take zero-copy numpy
+views of the same buffers.  A cached sort of the rows by ``(src, dst)``
+serves pair lookups and access-link gathers; rows appended since it was last
+read are merged into it in linear time.
 
-Every link enters through :meth:`Topology.add_links`, which checks endpoints,
-value ranges and duplicates; every later change goes through a
-``set_link_*`` method, which bumps the epoch the routing and allocation caches
-hang off.  Routing is served by the amortized
+The underlay is fixed once it is routed.  A topology takes nodes, links and
+loss rates while it is being built — every link through
+:meth:`Topology.add_links`, which checks endpoints, value ranges and
+duplicates — and freezes the first time something derives state from it: the
+routing engine building its adjacency, or :meth:`Topology.capacity_map`
+handing the allocator its capacities.  From then on every mutator raises
+``RuntimeError``, so no route, path attribute or capacity read can go stale.
+Routing is served by the amortized
 :class:`~repro.topology.routing.RoutingEngine`, which holds the link table and
 not the topology, so a finished topology is freed by reference counting
 alone.  The per-pair networkx resolution the engine is checked against lives
@@ -37,35 +40,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.topology.links import LINK_TYPES, LinkSpec, LinkType, check_link_values
-
-#: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
-#: The routing engine and the allocator hang caches off these epochs, so every
-#: write to a guarded link column — anywhere in the tree, hence the ``tree``
-#: scope — must bump the matching counter on the same control-flow path:
-#: a store into a value column its epoch, and appended rows (or a rewritten
-#: routing metric or node-slot count) the structure version.  See the
-#: README's "Determinism invariants" section.
-CACHE_INVARIANTS = {
-    "Topology": {
-        "scope": "tree",
-        "attrs": {
-            "loss_rate": ["note_loss_change"],
-            "capacity_kbps": ["note_capacity_change", "_capacity_version"],
-            "delay_s": ["note_delay_change"],
-            "metric_s": ["structure_version"],
-            "node_slots": ["structure_version"],
-        },
-        "calls": {
-            "src.frombytes": ["structure_version"],
-            "dst.frombytes": ["structure_version"],
-            "link_type.frombytes": ["structure_version"],
-            "capacity_kbps.frombytes": ["structure_version", "_capacity_version"],
-            "delay_s.frombytes": ["structure_version"],
-            "loss_rate.frombytes": ["structure_version"],
-            "metric_s.frombytes": ["structure_version"],
-        },
-    },
-}
 
 #: Node roles, by their code (1 + position) in the per-slot role column.
 ROLES = ("transit", "stub", "client")
@@ -97,16 +71,14 @@ class LinkTable:
         #: Position of the link's class in :data:`~repro.topology.links.LINK_TYPES`.
         self.link_type = array("b")
         self.capacity_kbps = array("d")
-        #: Live one-way delay: ``set_link_delay`` moves it.
+        #: One-way delay, also the routing metric.
         self.delay_s = array("d")
         self.loss_rate = array("d")
-        #: The delay at ingest.  Routing is pinned to it (the fixed-routing
-        #: assumption), so delay jitter never re-routes a pair.
-        self.metric_s = array("d")
         self.node_slots = 0
-        #: Bumped whenever a node or link is added; derived structures (the
-        #: routing engine's adjacency) rebuild on it.
-        self.structure_version = 0
+        #: Set by the first reader that derives state from the table (the
+        #: routing engine's adjacency, the allocator's capacity map); the
+        #: topology refuses every change from then on.
+        self.frozen = False
         self._sorted = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
 
     def __len__(self) -> int:
@@ -161,7 +133,7 @@ class Topology:
     which is how ModelNet emulates links as well.
     """
 
-    def __init__(self, max_cached_routes: Optional[int] = None) -> None:
+    def __init__(self) -> None:
         from repro.topology.routing import RoutingEngine  # deferred: cycle
 
         self.links = LinkTable()
@@ -171,12 +143,20 @@ class Topology:
         self._client_nodes: List[int] = []
         self._clients_view: Tuple[int, ...] = ()
         self._capacity_map: Optional[Dict[int, float]] = None
-        self._capacity_version: int = 0
-        self._routing = RoutingEngine(self.links, max_routes=max_cached_routes)
+        self._routing = RoutingEngine(self.links)
 
     # ------------------------------------------------------------------ build
+    def _check_building(self, change: str) -> None:
+        """Refuse ``change`` once the topology is frozen (see the module note)."""
+        if self.links.frozen:
+            raise RuntimeError(
+                f"cannot {change}: the underlay is fixed once it is routed "
+                "(a route was resolved or the capacity map handed out)"
+            )
+
     def add_node(self, node: int, role: str) -> None:
         """Add a node with a role: ``transit``, ``stub`` or ``client``."""
+        self._check_building("add a node")
         if role not in ROLES:
             raise ValueError(f"unknown node role: {role!r}")
         if node < 0:
@@ -184,14 +164,13 @@ class Topology:
         roles = self._roles
         if node >= len(roles):
             roles.extend(bytes(node + 1 - len(roles)))
-        if not roles[node]:
-            self._num_nodes += 1
+        if roles[node]:
+            raise ValueError(f"duplicate node {node}")
+        self._num_nodes += 1
         roles[node] = 1 + ROLES.index(role)
         if role == "client":
             self._client_nodes.append(node)
-        links = self.links
-        links.node_slots = len(roles)
-        links.structure_version += 1
+        self.links.node_slots = len(roles)
 
     def add_links(
         self,
@@ -211,6 +190,7 @@ class Topology:
         existing link or another row (``ValueError``).  Returns the new
         links' indices.
         """
+        self._check_building("add links")
         src_ids = np.asarray(src, dtype=np.int64)
         dst_ids = np.asarray(dst, dtype=np.int64)
         count = src_ids.size
@@ -249,10 +229,6 @@ class Topology:
         links.capacity_kbps.frombytes(columns["capacity_kbps"].tobytes())
         links.delay_s.frombytes(columns["delay_s"].tobytes())
         links.loss_rate.frombytes(columns["loss_rate"].tobytes())
-        links.metric_s.frombytes(columns["delay_s"].tobytes())
-        links.structure_version += 1
-        self._capacity_map = None
-        self._capacity_version += 1
         return range(start, start + count)
 
     def add_link(
@@ -338,57 +314,20 @@ class Topology:
         return None if index < 0 else index
 
     def set_link_loss(self, index: int, loss_rate: float) -> None:
-        """Set a link's loss rate (used by the lossy-network experiments).
-
-        Routes depend only on link delays, so the routing engine keeps every
-        cached route and merely bumps its loss epoch — ``PathInfo.loss_rate``
-        is lazily recomputed along the already-known links on next access.
-        """
+        """Set a link's loss rate while the topology is being built (the
+        Section 4.5 loss model, :func:`~repro.topology.loss.apply_loss_model`)."""
+        self._check_building("set a link's loss")
         check_link_values("loss_rate", loss_rate)
         self.links.loss_rate[index] = loss_rate
-        self._routing.note_loss_change()
-
-    def set_link_capacity(self, index: int, capacity_kbps: float) -> None:
-        """Change a link's capacity (bandwidth re-provisioning scenarios).
-
-        Bumps :attr:`capacity_version` so allocation engines caching the
-        capacity map re-read it.  The routing engine keeps its routes and
-        lazily refreshes their ``bottleneck_kbps``.
-        """
-        check_link_values("capacity_kbps", capacity_kbps)
-        self.links.capacity_kbps[index] = capacity_kbps
-        self._capacity_map = None
-        self._capacity_version += 1
-        self._routing.note_capacity_change()
-
-    def set_link_delay(self, index: int, delay_s: float) -> None:
-        """Change a link's live one-way delay (latency-jitter scenarios).
-
-        Routing stays pinned: per the paper's fixed-routing assumption
-        (Section 4.1) the delay-weighted shortest paths are chosen once, over
-        the ingest-time ``metric_s`` column, so a latency change never
-        re-routes a pair.  Only the *aggregate* latency of already resolved
-        paths changes: the routing engine bumps its delay epoch and cached
-        ``PathInfo.delay_s`` is lazily re-walked along the pinned links on
-        next access.
-        """
-        check_link_values("delay_s", delay_s)
-        self.links.delay_s[index] = delay_s
-        self._routing.note_delay_change()
-
-    @property
-    def capacity_version(self) -> int:
-        """Monotonic counter bumped whenever any link capacity may change."""
-        return self._capacity_version
 
     def capacity_map(self) -> Dict[int, float]:
-        """Cached ``link index -> capacity`` map for the bandwidth allocator.
+        """``link index -> capacity`` for the bandwidth allocator, built once.
 
-        Rebuilt lazily after structural changes; callers must treat the
-        returned mapping as read-only and watch :attr:`capacity_version` for
-        invalidation instead of copying it every step.
+        Handing it out freezes the topology, so the mapping never goes
+        stale; callers must treat it as read-only.
         """
         if self._capacity_map is None:
+            self.links.frozen = True
             self._capacity_map = dict(enumerate(self.links.capacity_kbps))
         return self._capacity_map
 
@@ -397,8 +336,7 @@ class Topology:
         """Return the fixed (delay-weighted shortest) routing path src -> dst.
 
         Served by the amortized routing engine: one per-source Dijkstra
-        covers every destination, and loss/capacity/delay changes refresh
-        attributes without recomputing routes.
+        covers every destination.  The first query freezes the topology.
         """
         if src == dst:
             return PathInfo(links=(), delay_s=0.0, loss_rate=0.0, bottleneck_kbps=float("inf"))

@@ -14,13 +14,13 @@ This module implements the deterministic variant the reproduction needs:
 * A node's coordinate is its vector of RTTs to each landmark, read off the
   landmarks' own shortest-path trees: one
   :meth:`~repro.topology.routing.RoutingEngine.delays_from` pass per landmark
-  accumulates the live one-way delay outward along its tree — the same sum,
-  in the same order, as the route's ``PathInfo.delay_s`` — and fills that
+  accumulates the one-way delay outward along its tree — the same sum, in
+  the same order, as the route's ``PathInfo.delay_s`` — and fills that
   landmark's column of one float64 table (nodes x landmarks) with twice it.
   Duplex links carry the same delay both ways, so landmark→node delay equals
   node→landmark delay and the RTT is twice the one-way delay.  Nothing enters
-  the route cache.  When the routing delay epoch moves (``set_link_delay``)
-  the table is rebuilt along the same pinned trees.
+  the route cache.  The underlay is fixed once routed, so the table is built
+  once, at construction.
 * ``estimate_rtts(a, nodes)`` brackets each true RTT with the triangle
   inequality — ``lower = max_i |c_i(a) - c_i(b)|`` and
   ``upper = min_i (c_i(a) + c_i(b))`` — and returns the bracket midpoints,
@@ -75,31 +75,19 @@ class LandmarkLatencyEstimator:
         self.landmarks: Tuple[int, ...] = tuple(
             sorted(rng.sample(sorted(set(candidates)), n_landmarks))
         )
-        self._routing = topology.routing
-        self._stamp: Optional[Tuple[int, int]] = None
-        self._table: Optional[np.ndarray] = None
-        self._current_table()
-
-    def _current_table(self) -> np.ndarray:
-        """The coordinate table (row = node, column = landmark), rebuilt when
-        the structure or a live delay moved since it was filled."""
-        routing = self._routing
-        stamp = (routing.structure_version, routing.delay_epoch)
-        if stamp != self._stamp:
-            table = None
-            for column, landmark in enumerate(self.landmarks):
-                # Each landmark's delay array lives only until it is copied.
-                delays = routing.delays_from(landmark)
-                if table is None:
-                    table = np.empty((delays.size, len(self.landmarks)))
-                np.multiply(delays, 2.0, out=table[:, column])
-            self._table = table
-            self._stamp = stamp
-        return self._table
+        table = None
+        for column, landmark in enumerate(self.landmarks):
+            # Each landmark's delay array lives only until it is copied.
+            delays = topology.routing.delays_from(landmark)
+            if table is None:
+                table = np.empty((delays.size, len(self.landmarks)))
+            np.multiply(delays, 2.0, out=table[:, column])
+        #: The coordinate table: row = node slot, column = landmark.
+        self._table: np.ndarray = table
 
     def _rows(self, nodes) -> np.ndarray:
         """The coordinates of ``nodes``, one row each."""
-        rows = self._current_table()[np.asarray(nodes, dtype=np.int64)]
+        rows = self._table[np.asarray(nodes, dtype=np.int64)]
         if not np.isfinite(rows).all():
             unreachable = np.asarray(nodes)[~np.isfinite(rows).all(axis=1)][0]
             raise ValueError(f"no route between the landmarks and node {unreachable}")

@@ -61,8 +61,3 @@ def apply_loss_model(topology: Topology, config: LossConfig | None = None) -> No
             loss = baseline_rng.uniform(0.0, config.non_transit_max)
         topology.set_link_loss(index, loss)
 
-
-def clear_loss(topology: Topology) -> None:
-    """Remove all loss from a topology (back to the loss-free baseline)."""
-    for index in range(topology.num_links):
-        topology.set_link_loss(index, 0.0)

@@ -1,4 +1,4 @@
-"""The amortized underlay routing plane (per-source trees + versioned caches).
+"""The amortized underlay routing plane (per-source trees + a route cache).
 
 Every control and data exchange in this reproduction crosses real underlay
 paths (the paper's Section 4.1 fixed-routing assumption), so path computation
@@ -13,23 +13,22 @@ nodes, with the flash-crowd join spike as the worst case.
   computes the tree from one source *once*; the path to every destination a
   node ever discovers is then an O(hops) walk up the tree, instead of one
   bidirectional solve per pair;
-* **split route / attribute caches** — routes depend only on the pinned
-  routing metric, so ``set_link_loss`` / ``set_link_capacity`` /
-  ``set_link_delay`` never invalidate routes: they bump loss/capacity/delay
-  epoch counters and cached routes lazily recompute ``PathInfo.loss_rate`` /
-  ``bottleneck_kbps`` / ``delay_s`` along the already-known links on next
-  access;
+* **one route cache over a fixed underlay** — the first query freezes the
+  topology (see :mod:`repro.topology.graph`), so a resolved ``PathInfo`` —
+  links, delay, loss and bottleneck — stays exact for the run and is cached
+  as is, under an LRU bound;
 * **a ``warm(sources, dsts)`` batch API** — the experiment session calls it
   at overlay construction and on every mid-run join, so the flash-crowd
   discovery spike resolves its paths outside the hot step loop.
 
 The engine reads the topology's :class:`~repro.topology.graph.LinkTable`
-(never the topology itself, so the two form no reference cycle).  When the
-table's structure version moves it rebuilds, in bulk, an adjacency over
-*routers* only.  A stub host — one out-link and one in-link, both to the same
-neighbour — is never an intermediate hop, so the heap loop skips it.  After
-the loop, one vectorised pass hangs every stub host whose router was reached
-off that router's tree.  A stub-host source starts the heap at its router.
+(never the topology itself, so the two form no reference cycle).  On the
+first solve it freezes the table and builds, once and in bulk, an adjacency
+over *routers* only, weighted by link delay.  A stub host — one out-link and
+one in-link, both to the same neighbour — is never an intermediate hop, so
+the heap loop skips it.  After the loop, one vectorised pass hangs every stub
+host whose router was reached off that router's tree.  A stub-host source
+starts the heap at its router.
 
 Tie-breaking note: with the generators' continuous random link delays the
 delay-weighted shortest path between two hosts is unique, so the engine's
@@ -62,14 +61,6 @@ class RoutingStats:
     paths_extracted: int = 0
     #: Queries answered straight from the route cache.
     cache_hits: int = 0
-    #: Cached routes whose loss was lazily recomputed after a loss epoch bump.
-    loss_refreshes: int = 0
-    #: Cached routes whose bottleneck was recomputed after a capacity bump.
-    capacity_refreshes: int = 0
-    #: Cached routes whose latency was recomputed after a delay epoch bump.
-    delay_refreshes: int = 0
-    #: Full invalidations (structural topology changes only).
-    invalidations: int = 0
     #: Routes dropped by the LRU bound on the route cache.
     route_evictions: int = 0
 
@@ -79,26 +70,8 @@ class RoutingStats:
             "dijkstra_runs": float(self.dijkstra_runs),
             "paths_extracted": float(self.paths_extracted),
             "cache_hits": float(self.cache_hits),
-            "loss_refreshes": float(self.loss_refreshes),
-            "capacity_refreshes": float(self.capacity_refreshes),
-            "delay_refreshes": float(self.delay_refreshes),
-            "invalidations": float(self.invalidations),
             "route_evictions": float(self.route_evictions),
         }
-
-
-class _CachedRoute:
-    """One resolved route plus the attribute epochs it was computed under."""
-
-    __slots__ = ("info", "loss_epoch", "capacity_epoch", "delay_epoch")
-
-    def __init__(
-        self, info: PathInfo, loss_epoch: int, capacity_epoch: int, delay_epoch: int
-    ) -> None:
-        self.info = info
-        self.loss_epoch = loss_epoch
-        self.capacity_epoch = capacity_epoch
-        self.delay_epoch = delay_epoch
 
 
 #: A shortest-path tree: ``tree[node]`` is the index of the link that enters
@@ -110,9 +83,8 @@ ShortestPathTree = array
 class RoutingEngine:
     """Amortized shortest-path routing over a :class:`LinkTable`.
 
-    All derived state is rebuilt lazily when the table's structure version
-    moves (nodes/links added), which only happens during topology
-    construction in practice.
+    The adjacency is built once, by the first solve, which also freezes the
+    table: trees and routes never need invalidating.
     """
 
     #: Default bound on materialized routes (~1M pairs covers a 1000-host
@@ -125,12 +97,11 @@ class RoutingEngine:
         if max_routes < 1:
             raise ValueError("max_routes must be positive")
         self._links = links
-        self._built_version = -1
         self._n = 0
-        #: Per node: the ``(router, metric, link)`` triples a solve relaxes.
+        #: Per node: the ``(router, delay, link)`` triples a solve relaxes.
         #: Links into and out of stub hosts are left out; a stub host's row
-        #: is empty.
-        self._adjacency: List[Tuple[Tuple[int, float, int], ...]] = []
+        #: is empty.  ``None`` until the first solve builds it.
+        self._adjacency: Optional[List[Tuple[Tuple[int, float, int], ...]]] = None
         #: Per node: a stub host's one out-link, -1 for every other node.
         self._uplink = array("i")
         #: Stub hosts, each one's router and the link router -> host.
@@ -141,50 +112,15 @@ class RoutingEngine:
         #: Route cache in recency order (python dicts preserve insertion
         #: order; hits re-insert once the bound has been reached, making the
         #: dict an LRU without per-hit overhead while it is far from full).
-        self._routes: Dict[Tuple[int, int], _CachedRoute] = {}
+        self._routes: Dict[Tuple[int, int], PathInfo] = {}
         self.max_routes = max_routes
         self._lru_active = False
-        #: Bumped by the topology whenever any link's loss rate changes.
-        self.loss_epoch = 0
-        #: Bumped by the topology whenever any link's capacity changes.
-        self.capacity_epoch = 0
-        #: Bumped by the topology whenever any link's live delay changes.
-        #: Routes are pinned (the paper's fixed-routing assumption), only
-        #: the cached latency aggregate refreshes lazily.
-        self.delay_epoch = 0
         self.stats = RoutingStats()
 
-    # ------------------------------------------------------------ invalidation
-    def note_loss_change(self) -> None:
-        """A link loss rate changed: routes stay, loss refreshes lazily."""
-        self.loss_epoch += 1
-
-    def note_capacity_change(self) -> None:
-        """A link capacity changed: routes stay, bottlenecks refresh lazily."""
-        self.capacity_epoch += 1
-
-    def note_delay_change(self) -> None:
-        """A link's live delay changed: routes stay pinned to the fixed
-        routing metric, cached ``PathInfo.delay_s`` refreshes lazily."""
-        self.delay_epoch += 1
-
-    @property
-    def structure_version(self) -> int:
-        """The link table's structure version (moves when nodes/links are added)."""
-        return self._links.structure_version
-
-    def invalidate(self) -> None:
-        """Drop all trees and routes (structural change or explicit clear)."""
-        self._trees.clear()
-        self._routes.clear()
-        self._lru_active = False
-        self._built_version = -1
-
-    def _ensure_current(self) -> None:
+    def _build(self) -> None:
+        """Freeze the link table and build the router adjacency from it."""
         links = self._links
-        version = links.structure_version
-        if version == self._built_version:
-            return
+        links.frozen = True
         n = links.node_slots
         src, dst = links.view("src"), links.view("dst")
         rows = np.arange(len(src), dtype=np.int32)
@@ -204,32 +140,25 @@ class RoutingEngine:
         uplink = np.full(n, -1, dtype=np.int32)
         uplink[self._hosts] = up[hosts]
         self._uplink = array("i", uplink.tobytes())
-        # Dijkstra weights use the pinned routing metric, not the live delay:
-        # set_link_delay jitter must never change route choice, even across
-        # a structural rebuild (the nx reference keeps its original weights
-        # the same way).
         stub = uplink >= 0
         keep = np.flatnonzero(~stub[src] & ~stub[dst])
         keep = keep[np.argsort(src[keep], kind="stable")]
         bounds = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(src[keep], minlength=n), out=bounds[1:])
         triples = list(
-            zip(dst[keep].tolist(), links.view("metric_s")[keep].tolist(), keep.tolist())
+            zip(dst[keep].tolist(), links.view("delay_s")[keep].tolist(), keep.tolist())
         )
         bounds = bounds.tolist()
         self._adjacency = [
             tuple(triples[start:stop]) for start, stop in zip(bounds, bounds[1:])
         ]
         self._n = n
-        self._trees.clear()
-        self._routes.clear()
-        self._built_version = version
-        self.stats.invalidations += 1
 
     # ---------------------------------------------------------------- solving
     def shortest_path_tree(self, src: int) -> ShortestPathTree:
         """The shortest-path tree rooted at ``src`` (computed once, cached)."""
-        self._ensure_current()
+        if self._adjacency is None:
+            self._build()
         tree = self._trees.get(src)
         if tree is None:
             tree = self._solve(src)
@@ -237,7 +166,7 @@ class RoutingEngine:
         return tree
 
     def _solve(self, src: int) -> ShortestPathTree:
-        """Binary-heap Dijkstra from ``src`` over the routing metric."""
+        """Binary-heap Dijkstra from ``src`` over the link delays."""
         self.stats.dijkstra_runs += 1
         push, pop = heapq.heappush, heapq.heappop
         n = self._n
@@ -250,7 +179,7 @@ class RoutingEngine:
         if uplink >= 0:
             # A stub host's only way out is its uplink: start at its router.
             router = self._links.dst[uplink]
-            weight = self._links.metric_s[uplink]
+            weight = self._links.delay_s[uplink]
             dist[router] = weight
             parent[router] = uplink
             heap: List[Tuple[float, int]] = [(weight, router)]
@@ -276,10 +205,10 @@ class RoutingEngine:
         return parent
 
     def delays_from(self, src: int) -> np.ndarray:
-        """Live one-way delay of the route from ``src`` to every node.
+        """One-way delay of the route from ``src`` to every node.
 
         Accumulated outward along ``src``'s tree from ``0.0`` — each node's
-        value is its parent's plus the live delay of the link between them —
+        value is its parent's plus the delay of the link between them —
         which is the sum :meth:`path_info` forms walking the same links in
         ``src -> dst`` order, so every entry is bit-equal to
         ``path_info(src, node).delay_s``.  ``inf`` where ``src`` has no
@@ -304,41 +233,30 @@ class RoutingEngine:
 
     # ---------------------------------------------------------------- queries
     def path_info(self, src: int, dst: int) -> PathInfo:
-        """The shortest routing path ``src -> dst`` with fresh attributes.
+        """The shortest routing path ``src -> dst``.
 
-        Raises ``ValueError`` when no route exists.  Cached routes survive
-        loss and capacity changes: only the affected attribute is recomputed
-        along the already-known links, never the route itself.
+        Raises ``ValueError`` when no route exists.
         """
         if src == dst:
             return PathInfo(
                 links=(), delay_s=0.0, loss_rate=0.0, bottleneck_kbps=float("inf")
             )
-        self._ensure_current()
         key = (src, dst)
         routes = self._routes
-        route = routes.get(key)
-        if route is not None:
+        info = routes.get(key)
+        if info is not None:
             self.stats.cache_hits += 1
             if self._lru_active:
                 # Under eviction pressure, refresh recency (dict order).
                 del routes[key]
-                routes[key] = route
-            if (
-                route.loss_epoch != self.loss_epoch
-                or route.capacity_epoch != self.capacity_epoch
-                or route.delay_epoch != self.delay_epoch
-            ):
-                self._refresh(route)
-            return route.info
+                routes[key] = info
+            return info
         info = self._materialize(tuple(self._walk(src, dst)))
         if len(routes) >= self.max_routes:
             self._lru_active = True
             del routes[next(iter(routes))]
             self.stats.route_evictions += 1
-        routes[key] = _CachedRoute(
-            info, self.loss_epoch, self.capacity_epoch, self.delay_epoch
-        )
+        routes[key] = info
         self.stats.paths_extracted += 1
         return info
 
@@ -384,22 +302,6 @@ class RoutingEngine:
             bottleneck_kbps=bottleneck,
         )
 
-    def _refresh(self, route: _CachedRoute) -> None:
-        """Recompute stale attributes along the cached route's links.
-
-        A fresh ``PathInfo`` replaces the cached one (the old object may
-        have escaped to callers that snapshot it, e.g. flows)."""
-        if route.loss_epoch != self.loss_epoch:
-            self.stats.loss_refreshes += 1
-        if route.capacity_epoch != self.capacity_epoch:
-            self.stats.capacity_refreshes += 1
-        if route.delay_epoch != self.delay_epoch:
-            self.stats.delay_refreshes += 1
-        route.info = self._materialize(route.info.links)
-        route.loss_epoch = self.loss_epoch
-        route.capacity_epoch = self.capacity_epoch
-        route.delay_epoch = self.delay_epoch
-
     # ----------------------------------------------------------------- warming
     def warm(
         self, sources: Iterable[int], dsts: Optional[Sequence[int]] = None
@@ -413,7 +315,6 @@ class RoutingEngine:
         keeping the route cache populated on demand.  Returns the number of
         routes materialized.
         """
-        self._ensure_current()
         materialized = 0
         targets = list(dsts) if dsts is not None else None
         routes = self._routes
@@ -436,19 +337,12 @@ class RoutingEngine:
         """Routes currently materialized in the cache."""
         return len(self._routes)
 
-    def cached_tree_count(self) -> int:
-        """Per-source shortest-path trees currently cached."""
-        return len(self._trees)
-
     def describe(self) -> Dict[str, float]:
-        """Status summary: cache sizes, epochs and work counters."""
+        """Status summary: cache sizes and work counters."""
         summary = {
             "trees": float(len(self._trees)),
             "routes": float(len(self._routes)),
             "max_routes": float(self.max_routes),
-            "loss_epoch": float(self.loss_epoch),
-            "capacity_epoch": float(self.capacity_epoch),
-            "delay_epoch": float(self.delay_epoch),
         }
         summary.update(self.stats.describe())
         return summary

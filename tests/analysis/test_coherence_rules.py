@@ -7,7 +7,7 @@ import pytest
 
 SYSTEM_PY = Path(__file__).resolve().parents[2] / "src/repro/hierarchy/system.py"
 MESH_PY = Path(__file__).resolve().parents[2] / "src/repro/core/mesh.py"
-GRAPH_PY = Path(__file__).resolve().parents[2] / "src/repro/topology/graph.py"
+WORKING_SET_PY = Path(__file__).resolve().parents[2] / "src/repro/reconcile/working_set.py"
 
 
 def rules_of(findings):
@@ -268,39 +268,36 @@ class TestBulletMeshJoin:
         assert f"without bumping {missing} " in findings[0].message
 
 
-class TestTopologyLinkColumns:
-    """The real table in topology/graph.py: every write to a guarded link
-    column still needs its epoch or version bump."""
+class TestWorkingSetTable:
+    """The real table in reconcile/working_set.py: every change to the held
+    sequences still needs its version bump."""
 
     def test_shipped_module_is_clean(self, analyze):
-        assert analyze({"graph.py": GRAPH_PY.read_text()}) == []
+        assert analyze({"working_set.py": WORKING_SET_PY.read_text()}) == []
 
     @pytest.mark.parametrize(
         "function, bump, unguarded",
         [
-            ("set_link_loss", "        self._routing.note_loss_change()\n", ["store to .loss_rate"]),
-            ("set_link_delay", "        self._routing.note_delay_change()\n", ["store to .delay_s"]),
             (
-                "set_link_capacity",
-                "        self._capacity_version += 1\n",
-                ["store to .capacity_kbps"],
+                "add_many",
+                "            self.version += 1\n",
+                ["_sequences.add() call", "_ordered.append() call", "_ordered.insert() call"],
             ),
+            ("_prune", "        self.version += 1\n", ["_sequences.difference_update() call"]),
             (
-                "add_links",
-                "        links.structure_version += 1\n",
-                [f"{column}.frombytes() call" for column in (
-                    "src", "dst", "link_type", "capacity_kbps", "delay_s", "loss_rate", "metric_s"
-                )],
+                "prune_below",
+                "        self.version += 1\n",
+                ["_sequences.difference_update() call"],
             ),
-            ("add_node", "        links.structure_version += 1\n", ["store to .node_slots"]),
         ],
+        ids=["add_many", "_prune", "prune_below"],
     )
-    def test_unbumped_column_write_is_flagged(self, analyze, function, bump, unguarded):
-        source = GRAPH_PY.read_text()
+    def test_unbumped_mutation_is_flagged(self, analyze, function, bump, unguarded):
+        source = WORKING_SET_PY.read_text()
         start = source.index(f"    def {function}(")
         drop = source.index(bump, start)
         assert "\n    def " not in source[start + 1 : drop]
-        findings = analyze({"graph.py": source[:drop] + source[drop + len(bump) :]})
+        findings = analyze({"working_set.py": source[:drop] + source[drop + len(bump) :]})
         assert findings and set(rules_of(findings)) == {"COH001"}
         assert all(f"in {function}()" in finding.message for finding in findings)
         assert sorted(
@@ -308,38 +305,19 @@ class TestTopologyLinkColumns:
             for finding in findings if mutation in finding.message
         ) == sorted(unguarded)
 
-    def test_column_write_elsewhere_in_the_tree_is_flagged(self, analyze):
-        findings = analyze({
-            "graph.py": GRAPH_PY.read_text(),
-            "jitter.py": """
-                def jitter(topology, index, delay):
-                    topology.links.delay_s[index] = delay
-            """,
-        })
-        assert rules_of(findings) == ["COH001"]
-        assert findings[0].path.endswith("jitter.py")
-        assert "note_delay_change" in findings[0].message
-
 
 class TestTreeScope:
-    def test_tree_table_guards_other_modules(self, analyze):
-        findings = analyze({
-            "caches.py": """
-                CACHE_INVARIANTS = {
-                    "Link": {
-                        "scope": "tree",
-                        "attrs": {"loss_rate": ["note_loss_change"]},
-                    },
-                }
-            """,
-            "other.py": """
-                def corrupt(link, rate):
-                    link.loss_rate = rate
-            """,
-        })
-        assert rules_of(findings) == ["COH001"]
-        assert findings[0].path.endswith("other.py")
-        assert "caches.py" in findings[0].message
+    def test_tree_scope_is_tbl001(self, analyze):
+        findings = analyze({"caches.py": """
+            CACHE_INVARIANTS = {
+                "Link": {
+                    "scope": "tree",
+                    "attrs": {"loss_rate": ["note_loss_change"]},
+                },
+            }
+        """})
+        assert rules_of(findings) == ["TBL001"]
+        assert "scope must be 'module'" in findings[0].message
 
     def test_module_table_stays_home(self, analyze):
         findings = analyze({

@@ -2,7 +2,7 @@
 
 The second test is the analyzer's own acceptance check: copy the real tree,
 re-introduce the two canonical bug classes — an unsorted set iteration in the
-mesh and a cache mutation whose epoch bump was deleted — and require the
+mesh and a cache mutation whose version bump was deleted — and require the
 scan to fail naming exactly those sites.
 """
 
@@ -41,11 +41,12 @@ class TestSelfGate:
             )
         )
 
-        graph = tmp_path / "src" / "repro" / "topology" / "graph.py"
-        source = graph.read_text()
-        bump = "        self._routing.note_loss_change()\n"
-        assert bump in source
-        graph.write_text(source.replace(bump, "", 1))
+        working_set = tmp_path / "src" / "repro" / "reconcile" / "working_set.py"
+        source = working_set.read_text()
+        prune = source.index("    def _prune(")
+        bump = "        self.version += 1\n"
+        drop = source.index(bump, prune)
+        working_set.write_text(source[:drop] + source[drop + len(bump) :])
 
         config = load_config(tmp_path)
         findings = run_paths(
@@ -57,9 +58,10 @@ class TestSelfGate:
             "repro/core/mesh.py" in line and "DET003" in line for line in rendered
         ), rendered
         assert any(
-            "repro/topology/graph.py" in line
+            "repro/reconcile/working_set.py" in line
             and "COH001" in line
-            and "note_loss_change" in line
+            and "_prune()" in line
+            and "version" in line
             for line in rendered
         ), rendered
 

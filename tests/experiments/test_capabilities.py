@@ -24,7 +24,6 @@ class TestDeclarations:
         caps = SystemCapabilities()
         assert caps.supports_fail_node
         assert caps.supports_join
-        assert not caps.supports_multi_source
         assert not caps.hierarchical
 
     @pytest.mark.parametrize(

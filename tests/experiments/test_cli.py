@@ -43,6 +43,12 @@ class TestRunCommand:
             main(["run", "--system", "carrier-pigeon"])
         assert excinfo.value.code == 2
 
+    def test_run_shorter_than_one_sample_exits_2(self, capsys):
+        assert main(["run", "--nodes", "6", "--duration", "4"]) == 2
+        captured = capsys.readouterr()
+        assert "error: sample_interval_s (5 s) must not exceed duration_s (4 s)" in captured.err
+        assert captured.out == ""
+
     def test_scenario_rejects_flags_the_preset_fixes(self, capsys):
         exit_code = main(["run", "--scenario", "flash-crowd", "--tree", "bottleneck"])
         assert exit_code == 2

@@ -47,6 +47,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(sample_interval_s=0.1)
 
+    def test_rejects_a_run_shorter_than_one_sample(self):
+        # Such a run would take no sample and report 0 Kbps.
+        with pytest.raises(ValueError, match=r"sample_interval_s \(5 s\).*duration_s \(4 s\)"):
+            ExperimentConfig(n_overlay=6, duration_s=4)
+        assert ExperimentConfig(duration_s=5.0, sample_interval_s=5.0).duration_s == 5.0
+
     @pytest.mark.parametrize(
         "retired",
         [

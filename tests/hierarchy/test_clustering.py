@@ -142,7 +142,7 @@ def test_vectorised_election_equals_the_scalar_key_rule(seed, size, tied, with_e
     members = rng.sample(clients, min(size, len(clients) - 1))
     source = rng.choice([node for node in clients if node not in members])
     for node in members[:tied]:  # equal uplinks: the tie-breaks decide
-        topology.set_link_capacity(int(access_uplinks(topology, [node])[0]), 1500.0)
+        topology.links.capacity_kbps[int(access_uplinks(topology, [node])[0])] = 1500.0
     estimator = (
         LandmarkLatencyEstimator(topology, clients, seed, n_landmarks=3)
         if with_estimator else None

@@ -86,16 +86,6 @@ class TestEngineBasics:
         assert close(engine.allocation[1], 500.0)
         assert close(engine.allocation[2], 500.0)
 
-    def test_reset_capacities_forgets_state(self):
-        engine = AllocationEngine({0: 1000.0})
-        engine.submit(1, (0,), float("inf"))
-        engine.solve()
-        engine.reset_capacities({0: 200.0})
-        assert not engine.tracks(1)
-        engine.submit(1, (0,), float("inf"))
-        engine.solve()
-        assert close(engine.allocation[1], 200.0)
-
 
 # --------------------------------------------------------------- property
 

@@ -208,19 +208,6 @@ class TestIncrementalAllocation:
         sim.end_step()
         assert flow_a.allocated_kbps == pytest.approx(1200.0, rel=0.01)
 
-    def test_capacity_change_is_picked_up(self):
-        topo = star_topology(capacity=1000.0)
-        sim = NetworkSimulator(topo, dt=1.0, congestion_loss_rate=0.0)
-        flow = sim.create_flow(1, 2, demand_kbps=10_000.0, use_tfrc=False)
-        sim.begin_step()
-        sim.end_step()
-        assert flow.allocated_kbps == pytest.approx(1000.0)
-        for link in flow.link_indices:
-            topo.set_link_capacity(link, 300.0)
-        sim.begin_step()
-        sim.end_step()
-        assert flow.allocated_kbps == pytest.approx(300.0)
-
     def test_describe_reports_engine_counters(self):
         sim = NetworkSimulator(star_topology(), dt=1.0)
         sim.create_flow(1, 2, demand_kbps=100.0, use_tfrc=False)

@@ -2,14 +2,14 @@
 
 ``networkx_path`` was lifted from ``Topology.path`` when the routing engine
 became the only route resolver in ``src/``: one ``nx.shortest_path`` per
-query over a graph built from the link table (weight = the pinned
-``metric_s`` column), attributes walked from the live columns, nothing
-cached — so it cannot go stale under ``set_link_*`` mutations.  This is the
-only place networkx is imported.
+query over a graph built from the link table (weight = the ``delay_s``
+column), attributes walked from the columns, nothing cached — and, since it
+never touches the routing engine, it does not freeze the topology.  This is
+the only place networkx is imported.
 
 ``landmark_coordinates`` is the per-pair coordinate probe the landmark
 estimator's table replaced: one route walk per (landmark, node) pair, summing
-live delays in ``landmark -> node`` order.  ``landmark_estimate`` is the
+delays in ``landmark -> node`` order.  ``landmark_estimate`` is the
 per-pair triangle-bracket midpoint the estimator computes for many nodes at
 once.
 """
@@ -24,8 +24,8 @@ from repro.topology.graph import PathInfo, Topology
 def _graph(topology: Topology) -> nx.DiGraph:
     graph = nx.DiGraph()
     links = topology.links
-    for src, dst, metric in zip(links.src, links.dst, links.metric_s):
-        graph.add_edge(src, dst, weight=metric)
+    for src, dst, delay in zip(links.src, links.dst, links.delay_s):
+        graph.add_edge(src, dst, weight=delay)
     return graph
 
 

@@ -5,6 +5,7 @@ import weakref
 
 import pytest
 
+from repro.network.simulator import NetworkSimulator
 from repro.topology.graph import Topology
 from repro.topology.links import LinkSpec, LinkType
 
@@ -42,6 +43,17 @@ class TestTopologyBuild:
         topo = build_line_topology()
         with pytest.raises(KeyError):
             topo.add_link(0, 99, LinkType.CLIENT_STUB, 100.0, 0.001)
+
+    def test_duplicate_node_rejected(self):
+        topo = Topology()
+        topo.add_node(0, "client")
+        with pytest.raises(ValueError, match="duplicate node 0"):
+            topo.add_node(0, "client")
+        with pytest.raises(ValueError, match="duplicate node 0"):
+            topo.add_node(0, "stub")
+        assert topo.client_nodes == (0,)
+        assert topo.num_nodes == 1
+        assert topo.node_role(0) == "client"
 
     def test_unknown_role_rejected(self):
         topo = Topology()
@@ -167,8 +179,6 @@ class TestIngestRanges:
         topo = build_line_topology()
         with pytest.raises(ValueError, match=r"loss_rate must be in \[0, 1\)"):
             topo.set_link_loss(0, 1.5)
-        with pytest.raises(ValueError, match=r"delay_s must be > 0"):
-            topo.set_link_delay(0, -0.1)
 
 
 class TestReclaim:
@@ -227,13 +237,6 @@ class TestRouting:
         assert rtt == pytest.approx(2 * (0.001 + 0.01 + 0.01 + 0.002))
         assert loss == 0.0
 
-    def test_set_link_loss_invalidates_cache(self):
-        topo = build_line_topology()
-        before = topo.path(0, 4).loss_rate
-        topo.set_link_loss(topo.link_between(2, 3), 0.2)
-        after = topo.path(0, 4).loss_rate
-        assert before == 0.0 and after == pytest.approx(0.2)
-
     def test_no_route_raises(self):
         topo = Topology()
         topo.add_node(0, "client")
@@ -259,31 +262,39 @@ class TestCapacityMap:
         topo = build_line_topology()
         assert topo.capacity_map() is topo.capacity_map()
 
-    def test_add_link_bumps_version_and_invalidates(self):
-        topo = build_line_topology()
-        first = topo.capacity_map()
-        version = topo.capacity_version
-        topo.add_node(99, "client")
-        topo.add_link(99, 0, LinkType.CLIENT_STUB, 777.0, 0.01)
-        assert topo.capacity_version > version
-        second = topo.capacity_map()
-        assert second is not first
-        assert second[topo.link_between(99, 0)] == 777.0
 
-    def test_set_link_capacity(self):
-        topo = build_line_topology()
-        index = topo.link_between(0, 1)
-        bottleneck_before = topo.path(0, 2).bottleneck_kbps
-        version = topo.capacity_version
-        topo.set_link_capacity(index, 123.0)
-        assert topo.capacity_version > version
-        assert topo.capacity_map()[index] == 123.0
-        assert topo.link(index).capacity_kbps == 123.0
-        # Cached routes embedding the old bottleneck are dropped.
-        assert topo.path(0, 2).bottleneck_kbps != bottleneck_before
-        assert topo.path(0, 2).bottleneck_kbps == 123.0
+#: Ways a finished topology gets used: each one fixes the underlay.
+FREEZERS = {
+    "path": lambda topo: topo.path(0, 4),
+    "warm_routes": lambda topo: topo.warm_routes([0]),
+    "simulator": lambda topo: NetworkSimulator(topo),
+}
 
-    def test_set_link_capacity_rejects_nonpositive(self):
+#: Every mutator, each given arguments it would accept on a topology still
+#: being built.
+MUTATORS = {
+    "add_node": lambda topo: topo.add_node(5, "client"),
+    "add_link": lambda topo: topo.add_link(0, 2, LinkType.STUB_STUB, 100.0, 0.001),
+    "add_links": lambda topo: topo.add_links(
+        [0], [2], [LinkType.STUB_STUB], [100.0], [0.001]
+    ),
+    "add_duplex_link": lambda topo: topo.add_duplex_link(
+        0, 2, LinkType.STUB_STUB, 100.0, 0.001
+    ),
+    "set_link_loss": lambda topo: topo.set_link_loss(0, 0.1),
+}
+
+
+class TestFrozenUnderlay:
+    """The underlay is fixed once it is routed (Section 4.1): the first route
+    query, tree warm-up or capacity-map read freezes the topology."""
+
+    @pytest.mark.parametrize("mutator", sorted(MUTATORS))
+    @pytest.mark.parametrize("freezer", sorted(FREEZERS))
+    def test_mutators_raise_after_first_use(self, freezer, mutator):
         topo = build_line_topology()
-        with pytest.raises(ValueError):
-            topo.set_link_capacity(0, 0.0)
+        FREEZERS[freezer](topo)
+        before = topo.describe(), [topo.link(index) for index in range(topo.num_links)]
+        with pytest.raises(RuntimeError, match="fixed once it is routed"):
+            MUTATORS[mutator](topo)
+        assert (topo.describe(), [topo.link(index) for index in range(topo.num_links)]) == before

@@ -4,7 +4,7 @@ import pytest
 
 from repro.topology.generator import TopologyConfig, generate_topology
 from repro.topology.links import LinkType
-from repro.topology.loss import LossConfig, apply_loss_model, clear_loss
+from repro.topology.loss import LossConfig, apply_loss_model
 
 
 def make_topology(seed=5):
@@ -71,12 +71,6 @@ class TestApplyLossModel:
         apply_loss_model(a, LossConfig(seed=9))
         apply_loss_model(b, LossConfig(seed=9))
         assert [l.loss_rate for l in snapshots(a)] == [l.loss_rate for l in snapshots(b)]
-
-    def test_clear_loss(self):
-        topo = make_topology()
-        apply_loss_model(topo, LossConfig(seed=2))
-        clear_loss(topo)
-        assert all(link.loss_rate == 0.0 for link in snapshots(topo))
 
     def test_paths_become_lossy(self):
         topo = make_topology()

@@ -1,11 +1,11 @@
-"""Route-cache bounds (LRU eviction) and per-link delay mutation semantics."""
+"""Route-cache bounds (LRU eviction)."""
 
 import pytest
-from oracles.routing import networkx_path
 
 from repro.topology.generator import TopologyConfig, generate_topology
-from repro.topology.graph import Topology
+from repro.topology.graph import LinkTable, Topology
 from repro.topology.links import LinkType
+from repro.topology.routing import RoutingEngine
 from repro.util.rng import SeededRng
 
 SMALL = TopologyConfig(
@@ -18,9 +18,9 @@ SMALL = TopologyConfig(
 )
 
 
-def line_topology(max_cached_routes=None):
+def line_topology(max_routes=None):
     """client 0 -- stub 1 -- transit 2 -- stub 3 -- client 4."""
-    topo = Topology(max_cached_routes=max_cached_routes)
+    topo = Topology()
     topo.add_node(0, "client")
     topo.add_node(1, "stub")
     topo.add_node(2, "transit")
@@ -30,6 +30,8 @@ def line_topology(max_cached_routes=None):
     topo.add_duplex_link(1, 2, LinkType.TRANSIT_STUB, 2000.0, 0.01)
     topo.add_duplex_link(2, 3, LinkType.TRANSIT_STUB, 3000.0, 0.01)
     topo.add_duplex_link(3, 4, LinkType.CLIENT_STUB, 500.0, 0.002)
+    if max_routes is not None:
+        topo.routing.max_routes = max_routes
     return topo
 
 
@@ -62,7 +64,7 @@ class TestRouteCacheLru:
             assert again.delay_s == ref.delay_s
 
     def test_recency_protects_hot_routes(self):
-        topology = line_topology(max_cached_routes=2)
+        topology = line_topology(max_routes=2)
         hot = (0, 4)
         topology.path(*hot)
         # Touch other pairs, re-touching the hot route between each: the
@@ -82,62 +84,13 @@ class TestRouteCacheLru:
 
     def test_rejects_nonpositive_bound(self):
         with pytest.raises(ValueError):
-            line_topology(max_cached_routes=0)
+            RoutingEngine(LinkTable(), max_routes=0)
 
     def test_describe_reports_bound_and_evictions(self):
-        topology = line_topology(max_cached_routes=2)
+        topology = line_topology(max_routes=2)
         for pair in ((0, 4), (0, 2), (1, 4)):
             topology.path(*pair)
         described = topology.routing.describe()
         assert described["max_routes"] == 2
         assert described["route_evictions"] >= 1
 
-
-class TestSetLinkDelay:
-    def test_routes_stay_pinned_but_delay_refreshes(self):
-        topology = line_topology()
-        before = topology.path(0, 4)
-        link = topology.link_between(1, 2)
-        topology.set_link_delay(link, 0.5)
-        after = topology.path(0, 4)
-        assert after.links == before.links  # fixed-routing: no re-route
-        assert after.delay_s == pytest.approx(before.delay_s - 0.01 + 0.5)
-        assert topology.routing_stats.delay_refreshes >= 1
-
-    def test_routing_metric_frozen_at_ingest(self):
-        topology = line_topology()
-        link = topology.link_between(1, 2)
-        assert topology.links.metric_s[link] == 0.01
-        topology.set_link_delay(link, 0.5)
-        topology.set_link_delay(link, 0.9)
-        assert topology.links.metric_s[link] == 0.01  # construction-time metric
-        assert topology.link(link).delay_s == 0.9
-
-    def test_structural_growth_keeps_mutated_metric(self):
-        # A structural rebuild re-runs Dijkstra; it must use the frozen
-        # metric, not the mutated live delay, so routes stay stable.
-        topology = line_topology()
-        link = topology.link_between(2, 3)
-        topology.set_link_delay(link, 60.0)  # huge live latency
-        topology.add_node(5, "client")
-        topology.add_duplex_link(3, 5, LinkType.CLIENT_STUB, 500.0, 0.002)
-        path = topology.path(0, 5)
-        assert link in path.links  # still routed over 2->3
-        assert path.delay_s > 60.0  # but the aggregate reflects the mutation
-
-    def test_networkx_oracle_sees_identical_aggregates(self):
-        topology = line_topology()
-        topology.path(0, 4)
-        topology.set_link_delay(topology.link_between(1, 2), 0.25)
-        a = topology.path(0, 4)
-        b = networkx_path(topology, 0, 4)
-        assert a.links == b.links
-        assert a.delay_s == b.delay_s
-        assert a.loss_rate == b.loss_rate
-        assert a.bottleneck_kbps == b.bottleneck_kbps
-
-    def test_rejects_bad_delay(self):
-        topology = line_topology()
-        link = topology.link_between(0, 1)
-        with pytest.raises(ValueError):
-            topology.set_link_delay(link, 0.0)

@@ -83,58 +83,6 @@ class TestEngineMatchesNetworkx:
             topo.path(0, 1)
 
 
-class TestSplitRouteAttributeCaches:
-    def test_loss_change_does_not_invalidate_routes(self):
-        """The regression the split cache exists for: loss changes used to
-        nuke the whole path cache and force full re-solves."""
-        topo = generate_topology(SMALL)
-        pairs = sample_pairs(topo, 60)
-        for src, dst in pairs:
-            topo.path(src, dst)
-        solves = topo.routing_stats.dijkstra_runs
-        extractions = topo.routing_stats.paths_extracted
-        for index in range(0, topo.num_links, 3):
-            topo.set_link_loss(index, 0.08)
-        for src, dst in pairs:
-            topo.path(src, dst)
-        assert topo.routing_stats.dijkstra_runs == solves
-        assert topo.routing_stats.paths_extracted == extractions
-        assert topo.routing_stats.loss_refreshes > 0
-
-    def test_loss_values_refresh_lazily(self):
-        topo = line_topology()
-        assert topo.path(0, 4).loss_rate == 0.0
-        topo.set_link_loss(topo.link_between(2, 3), 0.25)
-        assert topo.path(0, 4).loss_rate == pytest.approx(0.25)
-
-    def test_capacity_change_refreshes_bottleneck_without_resolve(self):
-        topo = line_topology()
-        assert topo.path(0, 4).bottleneck_kbps == 500.0
-        solves = topo.routing_stats.dijkstra_runs
-        topo.set_link_capacity(topo.link_between(3, 4), 80.0)
-        assert topo.path(0, 4).bottleneck_kbps == 80.0
-        assert topo.routing_stats.dijkstra_runs == solves
-
-    def test_escaped_path_info_is_not_mutated(self):
-        """Snapshots held by flows must not change under later refreshes."""
-        topo = line_topology()
-        before = topo.path(0, 4)
-        topo.set_link_loss(topo.link_between(0, 1), 0.5)
-        after = topo.path(0, 4)
-        assert before.loss_rate == 0.0
-        assert after.loss_rate == pytest.approx(0.5)
-        assert before is not after
-
-    def test_structural_change_invalidates_routes(self):
-        topo = line_topology()
-        long_way = topo.path(0, 4)
-        assert len(long_way.links) == 4
-        # A direct shortcut must be picked up.
-        topo.add_duplex_link(1, 3, LinkType.STUB_STUB, 900.0, 0.001)
-        assert len(topo.path(0, 4).links) == 3
-        assert topo.path(0, 4).links == networkx_path(topo, 0, 4).links
-
-
 class TestWarmBatchApi:
     def test_warm_builds_one_tree_per_source(self):
         topo = generate_topology(SMALL)
@@ -176,15 +124,6 @@ class TestEngineQueriesAvoidDijkstraAfterWarm:
                 if src != dst:
                     topo.path(src, dst)
         assert topo.routing_stats.dijkstra_runs == solves
-
-    def test_invalidate_resets_engine(self):
-        topo = line_topology()
-        topo.path(0, 4)
-        topo.routing.invalidate()
-        assert topo.routing.cached_route_count() == 0
-        assert topo.routing.cached_tree_count() == 0
-        assert_same_path(topo.path(0, 4), topo.path(0, 4))
-
 
 class TestClientNodesView:
     def test_view_is_cached_and_read_only(self):

@@ -47,9 +47,11 @@ class TestThroughputEstimate:
         topology, participants = small_workload()
         a, b = participants[0], participants[1]
         clean = estimate_overlay_link_throughput(topology, a, b, {})
+        # The same underlay, with the path's loss set before its first query.
+        lossy_topology, _ = small_workload()
         for index in topology.path(a, b).links:
-            topology.set_link_loss(index, 0.05)
-        lossy = estimate_overlay_link_throughput(topology, a, b, {})
+            lossy_topology.set_link_loss(index, 0.05)
+        lossy = estimate_overlay_link_throughput(lossy_topology, a, b, {})
         assert lossy < clean
 
 
