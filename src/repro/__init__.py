@@ -10,7 +10,8 @@ The package is organized around the systems described in the SOSP 2003 paper:
   paper's Table 1 bandwidth classes (the ModelNet / INET substitute).
 * :mod:`repro.network` -- a deterministic, time-stepped fluid network
   simulator with max-min fair sharing between competing overlay flows.
-* :mod:`repro.transport` -- TFRC / TCP steady-state rate models.
+* :mod:`repro.transport` -- the TCP steady-state throughput equation and
+  TFRC, one per-flow record evolved by numpy batch kernels.
 * :mod:`repro.trees` -- overlay trees (random, offline bottleneck-bandwidth,
   Overcast-like online).
 * :mod:`repro.ransub` -- the RanSub collect/distribute protocol.

@@ -4,7 +4,7 @@ statistics collection."""
 from repro.network.allocation import AllocationEngine, EngineStats
 from repro.network.control import ControlChannel, ControlMessage
 from repro.network.events import EventScheduler, PeriodicTimer
-from repro.network.fairshare import AllocationRequest, max_min_allocation
+from repro.network.fairshare import AllocationRequest
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
 from repro.network.stats import NodeCounters, StatsCollector
@@ -21,5 +21,4 @@ __all__ = [
     "NodeCounters",
     "PeriodicTimer",
     "StatsCollector",
-    "max_min_allocation",
 ]

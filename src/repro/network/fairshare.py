@@ -258,18 +258,3 @@ class VectorizedMaxMinSolver:
             alloc[alive] = fill
         return dict(zip(keys, alloc.tolist()))
 
-
-def max_min_allocation(
-    requests: Sequence[AllocationRequest],
-    link_capacity_kbps: Dict[int, float],
-    max_iterations: int = 10_000,
-) -> Dict[int, float]:
-    """Compute the max-min fair allocation for ``requests`` in one shot.
-
-    ``link_capacity_kbps`` maps a physical link index to its capacity.  Links
-    a flow references but that are missing from the map are treated as
-    unconstrained.  Returns a map from ``flow_key`` to allocated Kbps.  (A
-    fresh :class:`VectorizedMaxMinSolver` per call; the allocation engine
-    keeps one instance instead, to reuse its incidence between solves.)
-    """
-    return VectorizedMaxMinSolver()(requests, link_capacity_kbps, max_iterations)

@@ -4,7 +4,9 @@ A :class:`Flow` connects two overlay hosts across the fixed routing path the
 topology provides.  Each simulation step the allocator grants the flow a rate
 (bounded by its demand, its TFRC allowed rate and the max-min fair share of
 every physical link it crosses); the flow converts that rate into a packet
-budget exposed through the non-blocking sender the protocols use.
+budget, and a send past it fails rather than blocks (Section 3.3's
+non-blocking transport).  The simulator delivers what survives the path at
+the end of the step and runs the flow's TFRC feedback for it.
 """
 
 from __future__ import annotations
@@ -13,8 +15,7 @@ import itertools
 from typing import List, Optional, Tuple
 
 from repro.topology.graph import PathInfo, Topology
-from repro.transport.socket import NonBlockingSender
-from repro.transport.tfrc import TfrcFlowState, feedback_chunks
+from repro.transport.tfrc import TfrcFlowState
 from repro.util.units import PACKET_SIZE_KBITS
 
 _flow_ids = itertools.count()
@@ -37,7 +38,6 @@ class Flow:
         src: int,
         dst: int,
         label: str = "",
-        packet_kbits: float = PACKET_SIZE_KBITS,
         demand_kbps: float = float("inf"),
         use_tfrc: bool = True,
     ) -> None:
@@ -47,7 +47,6 @@ class Flow:
         self.src = src
         self.dst = dst
         self.label = label or f"{src}->{dst}"
-        self.packet_kbits = packet_kbits
         #: True when this flow's *effective* rate cap (min of demand and the
         #: TFRC rate) changed since the allocator last saw it; a demand write
         #: or feedback round that does not move the binding cap leaves the
@@ -61,14 +60,19 @@ class Flow:
         self.path: PathInfo = forward
         self.rtt_s = max(forward.delay_s + backward.delay_s, 1e-3)
         self.path_loss = forward.loss_rate
-        self.tfrc: Optional[TfrcFlowState] = (
-            TfrcFlowState(rtt_s=self.rtt_s) if use_tfrc else None
-        )
-        self.sender = NonBlockingSender()
+        self.tfrc: Optional[TfrcFlowState] = TfrcFlowState() if use_tfrc else None
         self.allocated_kbps: float = 0.0
+        #: Packets the transport still accepts this step.
+        self._budget: int = 0
+        #: Fractional budget carried over between steps so long-run rates are exact.
+        self._carryover: float = 0.0
+        #: Sequence numbers accepted this step (drained by the simulator).
+        self._accepted: List[int] = []
+        #: Sends accepted and refused over the flow's life.
+        self.total_accepted: int = 0
+        self.total_rejected: int = 0
         self.active: bool = True
         self._delivered: List[int] = []
-        self._in_flight: List[int] = []
         # Cumulative counters for statistics.
         self.packets_sent: int = 0
         self.packets_delivered: int = 0
@@ -100,7 +104,13 @@ class Flow:
         """Submit one packet to the transport; False means it would block."""
         if not self.active:
             return False
-        return self.sender.try_send(sequence)
+        if self._budget <= 0:
+            self.total_rejected += 1
+            return False
+        self._budget -= 1
+        self._accepted.append(sequence)
+        self.total_accepted += 1
+        return True
 
     def send_many(self, sequences: List[int]) -> None:
         """Submit packets already counted against :meth:`send_budget`.
@@ -110,19 +120,19 @@ class Flow:
         (the mesh replaying a node host's accepted sends); raises if that
         count diverged from the flow budget instead of dropping the excess.
         """
-        sender, count = self.sender, len(sequences)
-        if not self.active or count > sender.budget:
+        count = len(sequences)
+        if not self.active or count > self._budget:
             raise RuntimeError(
                 f"{count} sends on {self.label} diverged from the flow budget"
-                f" ({sender.budget if self.active else 'closed'})"
+                f" ({self._budget if self.active else 'closed'})"
             )
-        sender.budget -= count
-        sender.accepted.extend(sequences)
-        sender.total_accepted += count
+        self._budget -= count
+        self._accepted.extend(sequences)
+        self.total_accepted += count
 
     def send_budget(self) -> int:
         """Packets the transport will still accept this step."""
-        return self.sender.budget
+        return self._budget
 
     def take_delivered(self) -> List[int]:
         """Packets that arrived at the destination since the previous call."""
@@ -134,50 +144,27 @@ class Flow:
         """The binding per-flow cap: min(demand, TFRC allowed rate)."""
         cap = self.demand_kbps
         if self.tfrc is not None:
-            cap = min(cap, self.tfrc.rate_cap_kbps())
+            cap = min(cap, self.tfrc.allowed_rate_kbps)
         return cap
 
     def begin_step(self, allocated_kbps: float, dt: float) -> None:
         """Record the allocation and refresh the non-blocking send budget."""
+        if allocated_kbps < 0:
+            raise ValueError("rate must be non-negative")
         self.allocated_kbps = allocated_kbps
-        packets_per_step = allocated_kbps * dt / self.packet_kbits
-        self.sender.refresh(packets_per_step)
+        whole = self._carryover + allocated_kbps * dt / PACKET_SIZE_KBITS
+        # Truncate with an epsilon: repeated float carries can leave ``whole``
+        # a hair under an integer (e.g. 1.9999999999999998 for rate 1.9),
+        # which would silently drop one packet from the long-run budget.
+        self._budget = int(whole + 1e-9)
+        self._carryover = whole - self._budget
+        self._accepted = []
 
     def collect_sent(self) -> List[int]:
         """Drain the packets accepted by the transport during this step."""
-        sent = self.sender.drain()
+        sent, self._accepted = self._accepted, []
         self.packets_sent += len(sent)
         return sent
-
-    def deliver(self, sequences: List[int], lost: int, dt: float = 1.0) -> None:
-        """Called by the simulator at end of step with surviving packets.
-
-        TFRC receivers report feedback once per RTT, and one-or-more losses
-        per RTT count as a single loss event.  A simulation step usually spans
-        many RTTs, so the step's packets are split into per-RTT feedback
-        chunks before being fed to the rate controller — otherwise a heavily
-        lossy step would register as just one loss event and TFRC would badly
-        under-react to congestion.
-        """
-        self._delivered.extend(sequences)
-        self.packets_delivered += len(sequences)
-        self.packets_lost += lost
-        if self.tfrc is None:
-            return
-        # Feedback is about to mutate the TFRC allowed rate; the allocator
-        # must re-read this flow's cap next step unless the binding cap did
-        # not move.
-        was_clean = not self.cap_dirty
-        cap_before = self.rate_cap_kbps() if was_clean else 0.0
-        self.cap_dirty = True
-        received = len(sequences)
-        chunks = int(feedback_chunks(dt, self.rtt_s, lost))
-        for index in range(chunks):
-            chunk_received = received // chunks + (1 if index < received % chunks else 0)
-            chunk_lost = lost // chunks + (1 if index < lost % chunks else 0)
-            self.tfrc.on_feedback(received_packets=chunk_received, lost_packets=chunk_lost)
-        if was_clean and self.rate_cap_kbps() == cap_before:
-            self.cap_dirty = False
 
     def close(self) -> None:
         """Mark the flow inactive; the simulator drops it on the next step."""
@@ -188,12 +175,6 @@ class Flow:
     def link_indices(self) -> Tuple[int, ...]:
         """Physical links the flow traverses, in path order."""
         return self.path.links
-
-    def achieved_kbps(self, elapsed_s: float) -> float:
-        """Average goodput since the start of the flow's life."""
-        if elapsed_s <= 0:
-            return 0.0
-        return self.packets_delivered * self.packet_kbits / elapsed_s
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

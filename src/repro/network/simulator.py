@@ -22,9 +22,11 @@ Each step proceeds in three phases driven by the experiment harness:
    (visible next step), and the clock advances.  The step's TFRC feedback
    rounds run as two numpy batches, one for the flows that sent and one for
    the idle ones (:func:`~repro.transport.tfrc.feedback_rounds`,
-   :func:`~repro.transport.tfrc.evolve_idle_rates`): each flow's state is
-   read once, every flow and round is evolved in a fixed number of numpy
-   calls, and only the state that moved is written back.
+   :func:`~repro.transport.tfrc.evolve_idle_rates`): each flow's
+   :class:`~repro.transport.tfrc.TfrcFlowState` record is read once, every
+   flow and round is evolved in a fixed number of numpy calls, and only the
+   fields that moved are written back.  These kernels are the only TFRC
+   model; the scalar statement they equal is ``tests/oracles/tfrc.py``.
 
 Flows leave the simulator through :meth:`NetworkSimulator.remove_flow`, or by
 :meth:`Flow.close`, after which the next :meth:`~NetworkSimulator.begin_step`
@@ -33,7 +35,7 @@ drops them.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -43,27 +45,41 @@ from repro.network.stats import StatsCollector
 from repro.topology.graph import Topology
 from repro.transport.tfrc import (
     HISTORY_DEPTH,
+    TfrcFlowState,
+    equation_rates,
     evolve_idle_rates,
     feedback_chunks,
     feedback_rounds,
 )
 from repro.util.rng import SeededRng
-from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
 
 
 #: ``[0] * (8 - k)``: pads a ``k``-interval loss history to a full row.
 _PADDING = [[0] * (HISTORY_DEPTH - length) for length in range(HISTORY_DEPTH + 1)]
-_FEEDBACK_COLUMNS = (
-    np.float64, np.bool_, np.bool_, np.int64, np.int64, np.int64, np.int64,
-    np.float64, np.int64, np.float64,
-)
+_FEEDBACK_COLUMNS = (np.float64, np.bool_, np.int64, np.int64, np.float64, np.float64)
 _IDLE_COLUMNS = (np.float64, np.bool_, np.float64, np.float64, np.float64)
 
 
 def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
     """Per-flow state tuples as one array per field."""
     return [np.array(column, dtype=dtype) for column, dtype in zip(zip(*rows), dtypes)]
+
+
+def _histories(records: List[TfrcFlowState]) -> List[np.ndarray]:
+    """The records' loss histories as the kernels take them: ``seen_loss``,
+    the closed intervals as one zero-padded ``(n, 8)`` array, their counts
+    and the open intervals."""
+    padded: List[int] = []
+    for tfrc in records:
+        padded += tfrc.intervals
+        padded += _PADDING[len(tfrc.intervals)]
+    return [
+        np.array([tfrc.seen_loss for tfrc in records], dtype=np.bool_),
+        np.array(padded, dtype=np.int64).reshape(len(records), HISTORY_DEPTH),
+        np.array([len(tfrc.intervals) for tfrc in records], dtype=np.int64),
+        np.array([tfrc.current for tfrc in records], dtype=np.int64),
+    ]
 
 
 def _write_rates(
@@ -89,7 +105,6 @@ class NetworkSimulator:
         topology: Topology,
         dt: float = STEP_S,
         seed: int = 1,
-        packet_kbits: float = PACKET_SIZE_KBITS,
         stats: Optional[StatsCollector] = None,
         congestion_loss_rate: float = 0.03,
         congestion_threshold: float = 0.98,
@@ -110,9 +125,8 @@ class NetworkSimulator:
             raise ValueError("congestion_threshold must be in (0, 1]")
         self.topology = topology
         self.dt = dt
-        self.packet_kbits = packet_kbits
         self.time: float = 0.0
-        self.stats = stats if stats is not None else StatsCollector(packet_kbits)
+        self.stats = stats if stats is not None else StatsCollector()
         self._flows: Dict[int, Flow] = {}
         self._loss_rng = SeededRng(seed, "loss-draws")
         self._step_count = 0
@@ -139,7 +153,6 @@ class NetworkSimulator:
             src,
             dst,
             label=label,
-            packet_kbits=self.packet_kbits,
             demand_kbps=demand_kbps,
             use_tfrc=use_tfrc,
         )
@@ -254,17 +267,14 @@ class NetworkSimulator:
                         survived.append(sequence)
             for sequence in survived:
                 self.stats.record_link_transmission(sequence, flow.link_indices)
-            tfrc = flow.tfrc
-            if tfrc is not None and tfrc.batchable:
-                # Flow.deliver's bookkeeping happens here, and its TFRC
-                # feedback rounds run as one numpy batch after the loop (the
-                # loss draws above already consumed this flow's randomness).
-                flow._delivered.extend(survived)
-                flow.packets_delivered += len(survived)
-                flow.packets_lost += lost
+            flow._delivered.extend(survived)
+            flow.packets_delivered += len(survived)
+            flow.packets_lost += lost
+            if flow.tfrc is not None:
+                # The TFRC feedback rounds run as one numpy batch after the
+                # loop (the loss draws above already consumed this flow's
+                # randomness).
                 batch.append((flow, len(survived), lost))
-                continue
-            flow.deliver(survived, lost, dt=self.dt)
         if batch:
             self._apply_feedback_batch(batch)
         if idle:
@@ -275,111 +285,87 @@ class NetworkSimulator:
     def _apply_feedback_batch(self, batch: List[tuple]) -> None:
         """Run the TFRC feedback rounds for all sending flows in one batch.
 
-        Bit-identical to calling ``flow.deliver(survived, lost, dt)`` on each
-        flow (minus the delivery bookkeeping, already done in the loop): each
-        flow's ``TfrcFlowState`` / ``LossHistory`` is read once, evolved
-        through :func:`~repro.transport.tfrc.feedback_rounds`, and written
-        back where it moved: the rate, the open interval of flows that
-        received, the history and slow-start flag of lossy flows, and
-        ``cap_dirty`` wherever the effective cap moved (the dirty tracking of
-        :meth:`Flow.deliver`).
+        Each flow's record is read once and evolved through
+        :func:`~repro.transport.tfrc.feedback_rounds`; what moved is written
+        back: the rate, the open interval of flows that received, the
+        history and slow-start flag of lossy flows, and ``cap_dirty``
+        wherever the effective cap moved.
         """
-        rows = []
-        padded: List[int] = []
-        for flow, received, lost in batch:
-            tfrc = flow.tfrc
-            history = tfrc.loss_history
-            closed = history.intervals
-            padded += closed
-            padded += _PADDING[len(closed)]
-            rows.append(
-                (
-                    tfrc.allowed_rate_kbps,
-                    tfrc._in_slow_start,
-                    history._seen_loss,
-                    len(closed),
-                    history._current,
-                    received,
-                    lost,
-                    flow.rtt_s,
-                    tfrc.packet_size_bytes,
-                    flow.demand_kbps,
-                )
+        records = [flow.tfrc for flow, _, _ in batch]
+        rows = [
+            (
+                tfrc.allowed_rate_kbps,
+                tfrc.in_slow_start,
+                received,
+                lost,
+                flow.rtt_s,
+                flow.demand_kbps,
             )
-        rates, slow_start, seen_loss, lengths, current, received, lost, rtt_s, size, demand = (
-            _columns(rows, _FEEDBACK_COLUMNS)
-        )
+            for tfrc, (flow, received, lost) in zip(records, batch)
+        ]
+        rates, slow_start, received, lost, rtt_s, demand = _columns(rows, _FEEDBACK_COLUMNS)
+        seen_loss, intervals, lengths, current = _histories(records)
         new_rates, _, intervals, lengths, _ = feedback_rounds(
             rates,
             slow_start,
             seen_loss,
-            np.array(padded, dtype=np.int64).reshape(len(batch), HISTORY_DEPTH),
+            intervals,
             lengths,
             current,
             received,
             lost,
             feedback_chunks(self.dt, rtt_s, lost),
             rtt_s,
-            size,
         )
         _write_rates([flow for flow, _, _ in batch], rates, new_rates, demand)
-        for flow, flow_received, _ in batch:
+        for tfrc, (_, flow_received, _) in zip(records, batch):
             if flow_received:
-                flow.tfrc.loss_history._current += flow_received
+                tfrc.current += flow_received
         for index in np.flatnonzero(lost).tolist():
-            tfrc = batch[index][0].tfrc
-            tfrc._in_slow_start = False
-            history = tfrc.loss_history
-            history._seen_loss = True
-            history._current = 0
-            history.intervals = intervals[index, : lengths[index]].tolist()
+            tfrc = records[index]
+            tfrc.in_slow_start = False
+            tfrc.seen_loss = True
+            tfrc.current = 0
+            tfrc.intervals = intervals[index, : lengths[index]].tolist()
 
     def _evolve_idle(self, idle: List[Flow]) -> None:
         """Advance idle flows' TFRC state in one batch.
 
-        Bit-identical to calling ``flow.deliver([], 0, dt)`` on each flow:
-        flows without TFRC are true no-ops and are skipped outright; flows
-        the kernels model evolve through
-        :func:`~repro.transport.tfrc.evolve_idle_rates` against their cached
-        equation rate; any other (non-default gains) takes the scalar path.
+        Flows without TFRC are true no-ops and are skipped outright; the rest
+        evolve through :func:`~repro.transport.tfrc.evolve_idle_rates`
+        against their equation rate, which stays constant while a flow is
+        idle: it is cached, and the flows missing from the cache get theirs
+        from one :func:`~repro.transport.tfrc.equation_rates` call.
         """
         batch: List[Flow] = []
         rows = []
+        missed: List[int] = []
         idle_targets = self._idle_targets
         for flow in idle:
             tfrc = flow.tfrc
             if tfrc is None:
                 continue
-            if not tfrc.batchable:
-                flow.deliver([], 0, dt=self.dt)
-                continue
-            slow = tfrc._in_slow_start
+            slow = tfrc.in_slow_start
             target = 0.0 if slow else idle_targets.get(flow.flow_id)
             if target is None:
-                target = idle_targets[flow.flow_id] = tfrc.equation_rate_kbps()
+                missed.append(len(batch))
+                target = 0.0
             batch.append(flow)
             rows.append((tfrc.allowed_rate_kbps, slow, flow.rtt_s, target, flow.demand_kbps))
         if not batch:
             return
         rates, slow_start, rtt_s, targets, demand = _columns(rows, _IDLE_COLUMNS)
+        if missed:
+            computed = equation_rates(
+                *_histories([batch[index].tfrc for index in missed]), rtt_s[missed]
+            )
+            targets[missed] = computed
+            for index, target in zip(missed, computed.tolist()):
+                idle_targets[batch[index].flow_id] = target
         new_rates = evolve_idle_rates(
             rates, slow_start, feedback_chunks(self.dt, rtt_s), targets
         )
         _write_rates(batch, rates, new_rates, demand)
-
-    def run_steps(
-        self, n_steps: int, protocol_phase: Optional[Callable[[float], None]] = None
-    ) -> None:
-        """Convenience driver: run ``n_steps`` full cycles.
-
-        ``protocol_phase`` is called between :meth:`begin_step` and
-        :meth:`end_step` with the current simulated time.
-        """
-        for _ in range(n_steps):
-            self.begin_step()
-            if protocol_phase is not None:
-                protocol_phase(self.time)
-            self.end_step()
 
     # ------------------------------------------------------------------ misc
     def warm_routes(self, sources, dsts=None) -> int:

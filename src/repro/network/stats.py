@@ -70,8 +70,7 @@ def _ordered_total(values: np.ndarray) -> float:
 class StatsCollector:
     """Aggregates per-step samples into the time series the figures plot."""
 
-    def __init__(self, packet_kbits: float = PACKET_SIZE_KBITS) -> None:
-        self.packet_kbits = packet_kbits
+    def __init__(self) -> None:
         # The four disjoint packet cells (cumulative) ...
         self._useful_parent = array("q")
         self._duplicate_parent = array("q")
@@ -211,7 +210,7 @@ class StatsCollector:
         useful = useful_parent + useful_peer
         raw = useful + duplicate_parent + duplicate_peer
         rates = {
-            metric: packets * self.packet_kbits / interval_s
+            metric: packets * PACKET_SIZE_KBITS / interval_s
             for metric, packets in (
                 ("raw", raw),
                 ("useful", useful),
@@ -303,7 +302,7 @@ class StatsCollector:
         total = self._total(self._useful_parent, nodes) + self._total(
             self._useful_peer, nodes
         )
-        return total * self.packet_kbits / duration_s / len(nodes)
+        return total * PACKET_SIZE_KBITS / duration_s / len(nodes)
 
     def link_stress(self) -> Tuple[float, int]:
         """Return (average, maximum) link stress over traced packets.

@@ -1,14 +1,12 @@
-"""Transport models: TCP steady-state throughput, TFRC rate control and the
-non-blocking send abstraction Bullet's disjoint send routine relies on."""
+"""Transport models: the TCP steady-state throughput equation and the TFRC
+rate control every overlay flow runs (a per-flow record evolved by numpy
+batch kernels).  The non-blocking send budget lives on
+:class:`repro.network.flows.Flow`."""
 
-from repro.transport.socket import NonBlockingSender
-from repro.transport.tcp_model import tcp_throughput_bytes_per_second, tcp_throughput_kbps
-from repro.transport.tfrc import LossHistory, TfrcFlowState
+from repro.transport.tcp_model import tcp_throughput_kbps
+from repro.transport.tfrc import TfrcFlowState
 
 __all__ = [
-    "LossHistory",
-    "NonBlockingSender",
     "TfrcFlowState",
-    "tcp_throughput_bytes_per_second",
     "tcp_throughput_kbps",
 ]

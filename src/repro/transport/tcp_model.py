@@ -6,9 +6,9 @@ a flow given its round-trip time and loss event rate:
 
     T = s / ( R*sqrt(2p/3) + t_RTO * (3*sqrt(3p/8)) * p * (1 + 32 p^2) )
 
-with ``s`` the packet size in bytes, ``R`` the RTT in seconds, ``p`` the loss
-event rate and ``t_RTO`` the retransmission timeout (the paper uses the
-simple ``t_RTO = 4R``).
+with ``s`` the packet size in bytes (:data:`PACKET_SIZE_BYTES`), ``R`` the
+RTT in seconds, ``p`` the loss event rate and ``t_RTO`` the retransmission
+timeout (the paper uses the simple ``t_RTO = 4R``).
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ import math
 from repro.util.units import PACKET_SIZE_BYTES, bytes_to_kbits
 
 
-def tcp_throughput_bytes_per_second(
-    rtt_s: float,
-    loss_rate: float,
-    packet_size_bytes: int = PACKET_SIZE_BYTES,
-    rto_s: float | None = None,
-) -> float:
-    """Steady-state TCP throughput in bytes/second.
+def tcp_throughput_kbps(rtt_s: float, loss_rate: float) -> float:
+    """Steady-state TCP throughput in Kbps.
 
     For a loss rate of zero the formula diverges; the caller is expected to
     treat the result as "unconstrained" — we return ``inf`` in that case so
@@ -37,23 +32,10 @@ def tcp_throughput_bytes_per_second(
     if loss_rate == 0.0:
         return float("inf")
     p = loss_rate
-    rto = 4.0 * rtt_s if rto_s is None else rto_s
+    rto = 4.0 * rtt_s
     denominator = rtt_s * math.sqrt(2.0 * p / 3.0) + rto * (
         3.0 * math.sqrt(3.0 * p / 8.0)
     ) * p * (1.0 + 32.0 * p * p)
     if denominator <= 0:
         return float("inf")
-    return packet_size_bytes / denominator
-
-
-def tcp_throughput_kbps(
-    rtt_s: float,
-    loss_rate: float,
-    packet_size_bytes: int = PACKET_SIZE_BYTES,
-    rto_s: float | None = None,
-) -> float:
-    """Steady-state TCP throughput in Kbps (the unit used everywhere else)."""
-    rate_bytes = tcp_throughput_bytes_per_second(rtt_s, loss_rate, packet_size_bytes, rto_s)
-    if math.isinf(rate_bytes):
-        return float("inf")
-    return bytes_to_kbits(rate_bytes)
+    return bytes_to_kbits(PACKET_SIZE_BYTES / denominator)

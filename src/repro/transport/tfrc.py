@@ -1,4 +1,4 @@
-"""TCP Friendly Rate Control (TFRC) — the per-flow rate model and its batches.
+"""TCP Friendly Rate Control (TFRC) — one record per flow, evolved in batches.
 
 The paper transfers all data (tree edges and mesh perpendicular links) over
 an *unreliable* TFRC: equation-based congestion control with no
@@ -6,17 +6,24 @@ retransmissions, a smooth sending rate, slow-start-style doubling until the
 first loss, and the standard eight-interval weighted loss-history average
 (RFC 3448 / Floyd et al. 2000).
 
-Inside the fluid simulator a :class:`TfrcFlowState` is attached to each
-overlay flow.  Once per simulated feedback interval (one RTT, but at least
-one simulation step) the simulator reports the loss observed on the flow's
-path; the state updates its allowed rate, which the fair-share allocator then
-uses as a per-flow cap.  A step spans up to :data:`MAX_FEEDBACK_CHUNKS` RTTs,
-so it is split into that many feedback rounds (:func:`feedback_chunks`).
+Inside the fluid simulator a :class:`TfrcFlowState` record is attached to
+each overlay flow.  Once per simulated feedback interval (one RTT) the
+receiver reports what it saw: losses in a round close the open loss interval
+as one loss event, and the loss event rate is the inverse of the weighted
+mean of the last eight intervals (the open one counts once it is longer than
+the newest closed one).  The sender doubles its allowed rate every round
+until the first loss event; afterwards it drops straight to the TCP-equation
+rate at that loss event rate when above it, and climbs towards it by a
+quarter of its rate per round when below.  The rate never falls under
+:data:`MIN_RATE_KBPS`, and the fair-share allocator uses it as the flow's
+cap.  A step spans up to :data:`MAX_FEEDBACK_CHUNKS` RTTs, so it is split
+into that many feedback rounds (:func:`feedback_chunks`).
 
 The simulator runs those rounds for every flow of a step at once, through two
 numpy kernels below: :func:`feedback_rounds` for the flows that sent and
-:func:`evolve_idle_rates` for the ones that did not.  Each costs a fixed
-handful of numpy calls per step, whatever the number of flows or rounds:
+:func:`evolve_idle_rates` for the ones that did not (:func:`equation_rates`
+gives the idle ones' targets).  Each costs a fixed handful of numpy calls per
+step, whatever the number of flows or rounds:
 
 * the loss history a round leaves behind is a sliding window over one
   per-flow sequence, so the loss-event rates of every (round, flow) come
@@ -26,9 +33,12 @@ handful of numpy calls per step, whatever the number of flows or rounds:
 * only the rate recurrence itself stays a loop, of two array operations per
   round (:func:`_advance_rates`).
 
-Both must equal :class:`TfrcFlowState` bit for bit (the hypothesis suites in
-``tests/transport/test_tfrc_kernels.py`` compare them), and do because every
-step is an IEEE-754 float64 operation in the scalar's order:
+The kernels are the model.  Its round-by-round statement, a scalar sender
+and receiver history fed one feedback round per call, lives in
+``tests/oracles/tfrc.py``, and the kernels must equal it bit for bit (the
+hypothesis suites in ``tests/transport/test_tfrc_kernels.py`` compare them).
+They do because every step is an IEEE-754 float64 operation in the scalar's
+order:
 
 * the weighted sums add one depth at a time, left to right, like the scalar
   ``sum()`` over the weighted intervals;
@@ -43,7 +53,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.transport.tcp_model import tcp_throughput_kbps
 from repro.util.units import PACKET_SIZE_BYTES, PACKET_SIZE_KBITS
 
 #: RFC 3448 weights for the eight most recent loss intervals.
@@ -75,137 +84,24 @@ def feedback_chunks(dt, rtt_s, lost=0) -> np.ndarray:
 
 
 @dataclass
-class LossHistory:
-    """The receiver-side loss interval array from Section 2.4.
-
-    A loss interval is the number of packets received correctly between two
-    loss events.  The loss event rate reported to the sender is the inverse
-    of the weighted average of the last eight intervals.
-    """
-
-    max_intervals: int = HISTORY_DEPTH
-    intervals: List[int] = field(default_factory=list)
-    _current: int = 0
-    _seen_loss: bool = False
-
-    def record_packets(self, received: int, lost: int) -> None:
-        """Account one feedback period's worth of received / lost packets.
-
-        Losses within one period count as a single loss event, mirroring
-        TFRC's definition of a loss event as one-or-more losses per RTT.
-        """
-        if received < 0 or lost < 0:
-            raise ValueError("packet counts must be non-negative")
-        self._current += received
-        if lost > 0:
-            self._seen_loss = True
-            self.intervals.insert(0, max(self._current, 1))
-            del self.intervals[self.max_intervals :]
-            self._current = 0
-
-    def loss_event_rate(self) -> float:
-        """The weighted average loss event rate ``p`` (0.0 until first loss)."""
-        if not self._seen_loss or not self.intervals:
-            return 0.0
-        # Include the currently open interval if it is already longer than the
-        # most recent closed one (standard TFRC history discounting).
-        intervals = list(self.intervals)
-        if self._current > intervals[0]:
-            intervals.insert(0, self._current)
-            intervals = intervals[: self.max_intervals]
-        weights = LOSS_INTERVAL_WEIGHTS[: len(intervals)]
-        weighted = sum(weight * interval for weight, interval in zip(weights, intervals))
-        mean_interval = weighted / sum(weights)
-        if mean_interval <= 1.0:
-            # Every packet is part of a loss event; report just under 1 so the
-            # TCP response function stays defined (it diverges at p = 1).
-            return 0.99
-        return min(0.99, 1.0 / mean_interval)
-
-
-@dataclass
 class TfrcFlowState:
-    """Sender-side TFRC state for one overlay flow.
+    """The TFRC state of one overlay flow: what the batch kernels read and write.
 
-    The model captures the aspects of TFRC that matter for the paper's
-    evaluation: slow-start doubling until the first loss event, the
-    equation-based cap afterwards, smooth (rather than instantaneous) rate
-    increases, and responsiveness to congestion signalled by losses.
+    ``allowed_rate_kbps`` is the cap the fair-share allocator honours.  The
+    flow doubles it every feedback round while ``in_slow_start`` (until its
+    first loss event) and follows the TCP equation afterwards.  The loss
+    history is Section 2.4's receiver-side interval array: ``intervals`` are
+    the closed loss intervals (packets received between two loss events),
+    newest first and at most :data:`HISTORY_DEPTH`; ``current`` is the open
+    one, the packets received since the last loss event; ``seen_loss`` says
+    whether the history reports a loss event rate at all.
     """
 
-    rtt_s: float
-    packet_size_bytes: int = PACKET_SIZE_BYTES
-    initial_rate_kbps: float = MIN_RATE_KBPS
-    #: Multiplicative ramp per feedback interval while in slow start.
-    slow_start_gain: float = 2.0
-    #: Additive-increase fraction per feedback interval after slow start.
-    congestion_avoidance_gain: float = 0.25
-
-    allowed_rate_kbps: float = field(init=False)
-    loss_history: LossHistory = field(default_factory=LossHistory)
-    _in_slow_start: bool = field(default=True, init=False)
-
-    def __post_init__(self) -> None:
-        if self.rtt_s <= 0:
-            raise ValueError("rtt must be positive")
-        self.allowed_rate_kbps = max(self.initial_rate_kbps, MIN_RATE_KBPS)
-
-    @property
-    def in_slow_start(self) -> bool:
-        """True until the first loss event has been observed."""
-        return self._in_slow_start
-
-    @property
-    def batchable(self) -> bool:
-        """Whether the batch kernels model this state (default gains, 8 intervals)."""
-        return (
-            self.slow_start_gain == 2.0
-            and self.congestion_avoidance_gain == 0.25
-            and self.loss_history.max_intervals == HISTORY_DEPTH
-        )
-
-    def equation_rate_kbps(self) -> float:
-        """The TCP response function evaluated at the current loss event rate."""
-        p = self.loss_history.loss_event_rate()
-        return tcp_throughput_kbps(self.rtt_s, p, self.packet_size_bytes)
-
-    def on_feedback(self, received_packets: int, lost_packets: int) -> float:
-        """Process one feedback interval and return the new allowed rate (Kbps).
-
-        ``received_packets`` / ``lost_packets`` describe what the receiver saw
-        since the previous feedback.  Behaviour:
-
-        * no loss yet (slow start): double the allowed rate, like TCP slow
-          start, as the paper describes ("the sender doubles its transmission
-          rate each time it receives feedback" until the first loss);
-        * after a loss event: cap at the equation rate; approach it additively
-          from below, drop to it immediately from above.
-        """
-        self.loss_history.record_packets(received_packets, lost_packets)
-        if lost_packets > 0:
-            self._in_slow_start = False
-
-        if self._in_slow_start:
-            self.allowed_rate_kbps = max(
-                MIN_RATE_KBPS, self.allowed_rate_kbps * self.slow_start_gain
-            )
-            return self.allowed_rate_kbps
-
-        target = self.equation_rate_kbps()
-        if target == float("inf"):
-            # Loss history has drained back to zero; resume gentle growth.
-            self.allowed_rate_kbps *= 1.0 + self.congestion_avoidance_gain
-        elif self.allowed_rate_kbps > target:
-            self.allowed_rate_kbps = max(MIN_RATE_KBPS, target)
-        else:
-            step = self.congestion_avoidance_gain * self.allowed_rate_kbps
-            self.allowed_rate_kbps = min(target, self.allowed_rate_kbps + step)
-        self.allowed_rate_kbps = max(MIN_RATE_KBPS, self.allowed_rate_kbps)
-        return self.allowed_rate_kbps
-
-    def rate_cap_kbps(self) -> float:
-        """The rate the fair-share allocator should not exceed for this flow."""
-        return self.allowed_rate_kbps
+    allowed_rate_kbps: float = MIN_RATE_KBPS
+    in_slow_start: bool = True
+    seen_loss: bool = False
+    intervals: List[int] = field(default_factory=list)
+    current: int = 0
 
 
 # ------------------------------------------------------------ batch kernels
@@ -230,9 +126,7 @@ def _weighted_sum(window) -> np.ndarray:
     return total
 
 
-def _tcp_throughput_kbps_vec(
-    rtt_s: np.ndarray, loss_rate: np.ndarray, packet_size_bytes: np.ndarray
-) -> np.ndarray:
+def _tcp_throughput_kbps_vec(rtt_s: np.ndarray, loss_rate: np.ndarray) -> np.ndarray:
     """Vector form of :func:`repro.transport.tcp_model.tcp_throughput_kbps`.
 
     Same expression, same operation order; zero loss maps to ``inf`` exactly
@@ -244,7 +138,7 @@ def _tcp_throughput_kbps_vec(
         denominator = rtt_s * np.sqrt(2.0 * p / 3.0) + rto * (
             3.0 * np.sqrt(3.0 * p / 8.0)
         ) * p * (1.0 + 32.0 * p * p)
-        kbps = packet_size_bytes / denominator * 8.0 / 1000.0
+        kbps = PACKET_SIZE_BYTES / denominator * 8.0 / 1000.0
     return np.where(p == 0.0, np.inf, kbps)
 
 
@@ -293,13 +187,12 @@ def feedback_rounds(
     lost: np.ndarray,
     chunks: np.ndarray,
     rtt_s: np.ndarray,
-    packet_size_bytes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Run one step's TFRC feedback rounds for a batch of sending flows.
 
     Bit-identical to splitting each flow's step into ``chunks[i]`` rounds
-    (larger remainders first, the ``// / %`` split :meth:`Flow.deliver`
-    uses) and calling ``TfrcFlowState.on_feedback`` once per round.
+    (larger remainders first, by ``//`` and ``%``) and feeding the scalar
+    model one round at a time (``feed_step`` in ``tests/oracles/tfrc.py``).
     ``intervals`` is ``(n, 8)``, newest first, zero past ``lengths``.
     Returns the new ``(rates, in_slow_start, intervals, lengths, current)``;
     ``seen_loss`` and the history change exactly on the rows with
@@ -317,10 +210,10 @@ def feedback_rounds(
     """
     rounds = int(chunks.max())
     lossy = lost > 0
-    caps, closed = _round_caps(
-        rounds, lossy, seen_loss, intervals, lengths, current, received, chunks, rtt_s,
-        packet_size_bytes,
+    caps, closed = _round_targets(
+        rounds, lossy, seen_loss, intervals, lengths, current, received, chunks, rtt_s
     )
+    np.maximum(caps, MIN_RATE_KBPS, out=caps)
     slow_start = in_slow_start & ~lossy
     new_rates = _advance_rates(rates, slow_start, chunks, caps)
     new_intervals = np.where(lossy[:, None], closed, intervals)
@@ -329,7 +222,7 @@ def feedback_rounds(
     return new_rates, slow_start, new_intervals, new_lengths, new_current
 
 
-def _round_caps(
+def _round_targets(
     rounds: int,
     lossy: np.ndarray,
     seen_loss: np.ndarray,
@@ -339,10 +232,9 @@ def _round_caps(
     received: np.ndarray,
     chunks: np.ndarray,
     rtt_s: np.ndarray,
-    packet_size_bytes: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every (round, flow) rate cap ``max(MIN, equation rate)``, and each
-    lossy flow's final history.
+    """Every (round, flow) TCP-equation rate, and each lossy flow's final
+    history.
 
     See :func:`feedback_rounds`.  The ``(round, flow)`` intermediates are
     dropped as soon as they are consumed and updated in place where they can
@@ -382,8 +274,7 @@ def _round_caps(
         loss_rate[weighted <= 1.0] = 0.99
     del weighted
     np.copyto(loss_rate, 0.0, where=~(lossy | reported))
-    caps = _tcp_throughput_kbps_vec(rtt_s, loss_rate, packet_size_bytes)
-    return np.maximum(caps, MIN_RATE_KBPS, out=caps), closed
+    return _tcp_throughput_kbps_vec(rtt_s, loss_rate), closed
 
 
 def evolve_idle_rates(
@@ -394,9 +285,31 @@ def evolve_idle_rates(
 ) -> np.ndarray:
     """Advance idle-flow TFRC rates by ``chunks`` loss-free, empty rounds.
 
-    Bit-identical to calling ``TfrcFlowState.on_feedback(0, 0)`` ``chunks[i]``
-    times on each flow: ``record_packets(0, 0)`` changes nothing, so the loss
-    history — and with it the equation rate ``targets[i]`` — is the same in
-    every round, and only the rate recurrence of :func:`_advance_rates` runs.
+    Bit-identical to feeding the scalar model ``chunks[i]`` rounds with no
+    packets received or lost: an empty round changes no loss history,
+    so the equation rate ``targets[i]`` (:func:`equation_rates`) is the same
+    in every round, and only the rate recurrence of :func:`_advance_rates`
+    runs.
     """
     return _advance_rates(rates, slow_start, chunks, np.maximum(targets, MIN_RATE_KBPS))
+
+
+def equation_rates(
+    seen_loss: np.ndarray,
+    intervals: np.ndarray,
+    lengths: np.ndarray,
+    current: np.ndarray,
+    rtt_s: np.ndarray,
+) -> np.ndarray:
+    """Each flow's TCP-equation rate at the loss event rate its history reports.
+
+    ``inf`` for a history that reports no loss.  The history arguments are
+    laid out as for :func:`feedback_rounds`; the rates are the targets of one
+    round that carries no traffic, which leaves every history as it is.
+    """
+    n = len(rtt_s)
+    none = np.zeros(n, dtype=np.int64)
+    targets, _ = _round_targets(
+        1, none > 0, seen_loss, intervals, lengths, current, none, none + 1, rtt_s
+    )
+    return targets[0]

@@ -7,11 +7,7 @@ from oracles.fairshare import (
     single_pass_allocation,
 )
 
-from repro.network.fairshare import (
-    AllocationRequest,
-    VectorizedMaxMinSolver,
-    max_min_allocation,
-)
+from repro.network.fairshare import AllocationRequest, VectorizedMaxMinSolver
 
 
 def req(key, links, cap=float("inf")):
@@ -20,18 +16,18 @@ def req(key, links, cap=float("inf")):
 
 class TestMaxMinAllocation:
     def test_single_flow_gets_bottleneck(self):
-        allocation = max_min_allocation([req(1, [0, 1])], {0: 1000.0, 1: 400.0})
+        allocation = VectorizedMaxMinSolver()([req(1, [0, 1])], {0: 1000.0, 1: 400.0})
         assert allocation[1] == pytest.approx(400.0)
 
     def test_two_flows_share_bottleneck_equally(self):
-        allocation = max_min_allocation(
+        allocation = VectorizedMaxMinSolver()(
             [req(1, [0]), req(2, [0])], {0: 1000.0}
         )
         assert allocation[1] == pytest.approx(500.0)
         assert allocation[2] == pytest.approx(500.0)
 
     def test_cap_limits_flow_and_frees_share(self):
-        allocation = max_min_allocation(
+        allocation = VectorizedMaxMinSolver()(
             [req(1, [0], cap=100.0), req(2, [0])], {0: 1000.0}
         )
         assert allocation[1] == pytest.approx(100.0)
@@ -39,7 +35,7 @@ class TestMaxMinAllocation:
 
     def test_classic_parking_lot(self):
         # Flow A crosses links 0 and 1; flows B and C cross one link each.
-        allocation = max_min_allocation(
+        allocation = VectorizedMaxMinSolver()(
             [req("a", [0, 1]), req("b", [0]), req("c", [1])],
             {0: 1000.0, 1: 1000.0},
         )
@@ -48,27 +44,27 @@ class TestMaxMinAllocation:
         assert allocation["c"] == pytest.approx(500.0)
 
     def test_unconstrained_flow_capped_by_demand_only(self):
-        allocation = max_min_allocation([req(1, [], cap=250.0)], {})
+        allocation = VectorizedMaxMinSolver()([req(1, [], cap=250.0)], {})
         assert allocation[1] == pytest.approx(250.0)
 
     def test_zero_cap_gets_zero(self):
-        allocation = max_min_allocation([req(1, [0], cap=0.0), req(2, [0])], {0: 600.0})
+        allocation = VectorizedMaxMinSolver()([req(1, [0], cap=0.0), req(2, [0])], {0: 600.0})
         assert allocation[1] == 0.0
         assert allocation[2] == pytest.approx(600.0)
 
     def test_empty_requests(self):
-        assert max_min_allocation([], {0: 100.0}) == {}
+        assert VectorizedMaxMinSolver()([], {0: 100.0}) == {}
 
     def test_no_allocation_exceeds_cap(self):
         requests = [req(i, [i % 3], cap=50.0 * (i + 1)) for i in range(6)]
-        allocation = max_min_allocation(requests, {0: 120.0, 1: 500.0, 2: 80.0})
+        allocation = VectorizedMaxMinSolver()(requests, {0: 120.0, 1: 500.0, 2: 80.0})
         for request in requests:
             assert allocation[request.flow_key] <= request.cap_kbps + 1e-6
 
     def test_link_capacity_never_exceeded(self):
         requests = [req(i, [0, 1 + (i % 2)]) for i in range(7)]
         capacities = {0: 900.0, 1: 300.0, 2: 450.0}
-        allocation = max_min_allocation(requests, capacities)
+        allocation = VectorizedMaxMinSolver()(requests, capacities)
         for link, capacity in capacities.items():
             used = sum(
                 allocation[r.flow_key] for r in requests if link in r.link_indices
@@ -95,7 +91,7 @@ class TestMaxMinAllocation:
     def test_feasibility_property(self, flows, capacities):
         """Allocations are always feasible: within caps and link capacities."""
         requests = [req(i, links, cap) for i, (links, cap) in enumerate(flows)]
-        allocation = max_min_allocation(requests, capacities)
+        allocation = VectorizedMaxMinSolver()(requests, capacities)
         for request in requests:
             assert allocation[request.flow_key] <= request.cap_kbps + 1e-6
             assert allocation[request.flow_key] >= 0.0
@@ -117,7 +113,7 @@ class TestMaxMinAllocation:
         """Max-min never allocates less total bandwidth than the c/n estimate."""
         capacities = {i: 1000.0 for i in range(5)}
         requests = [req(i, links) for i, links in enumerate(flow_links)]
-        better = max_min_allocation(requests, capacities)
+        better = VectorizedMaxMinSolver()(requests, capacities)
         simple = single_pass_allocation(requests, capacities)
         assert sum(better.values()) >= sum(simple.values()) - 1e-6
 
@@ -157,14 +153,14 @@ class TestMaxMinBitIdentity:
     def test_matches_scalar_reference_exactly(self, problem):
         requests, capacities = problem
         scalar = scalar_max_min_allocation(requests, capacities)
-        vector = max_min_allocation(requests, capacities)
+        vector = VectorizedMaxMinSolver()(requests, capacities)
         assert vector == scalar  # exact float equality, key by key
 
     @settings(max_examples=200, deadline=None)
     @given(allocation_problems(capacity=tie_values, cap=tie_values, max_flows=30))
     def test_tie_heavy_rounds_match_exactly(self, problem):
         requests, capacities = problem
-        assert max_min_allocation(requests, capacities) == scalar_max_min_allocation(
+        assert VectorizedMaxMinSolver()(requests, capacities) == scalar_max_min_allocation(
             requests, capacities
         )
 
@@ -185,7 +181,7 @@ class TestMaxMinBitIdentity:
             assert solver.rebuilds == 1  # same keys + same cap map: no rebuild
 
     def test_empty_request_set(self):
-        assert max_min_allocation([], {0: 100.0}) == {}
+        assert VectorizedMaxMinSolver()([], {0: 100.0}) == {}
 
 
 class TestFrozenFlowBookkeepingRegression:
@@ -203,7 +199,7 @@ class TestFrozenFlowBookkeepingRegression:
         # Flow 1 reaches its cap exactly when link 0 saturates (two freeze
         # reasons at once); flow 2 is frozen by the saturation; flow 3 keeps
         # filling on link 1 afterwards.
-        allocation = max_min_allocation(
+        allocation = VectorizedMaxMinSolver()(
             [
                 AllocationRequest(1, (0,), 300.0),
                 AllocationRequest(2, (0, 1), float("inf")),
@@ -218,7 +214,7 @@ class TestFrozenFlowBookkeepingRegression:
     def test_two_links_saturating_same_round_with_shared_flow(self):
         # Links 0 and 1 saturate in the same round; flow "shared" crosses
         # both, so its freeze must not double-touch either saturated link.
-        allocation = max_min_allocation(
+        allocation = VectorizedMaxMinSolver()(
             [
                 AllocationRequest("shared", (0, 1), float("inf")),
                 AllocationRequest("a", (0,), float("inf")),
@@ -237,7 +233,7 @@ class TestFrozenFlowBookkeepingRegression:
         # the shares flows 3 and 4 then receive on links 1 and 2 depend on
         # accurate counts there — stale or negative counts from round one
         # would skew their increments.
-        allocation = max_min_allocation(
+        allocation = VectorizedMaxMinSolver()(
             [
                 AllocationRequest(1, (0, 1), float("inf")),
                 AllocationRequest(2, (0, 2), float("inf")),
@@ -256,9 +252,9 @@ class TestFrozenFlowBookkeepingRegression:
             AllocationRequest(i, (i % 2, 2), 150.0 * (i + 1)) for i in range(5)
         ]
         capacities = {0: 300.0, 1: 250.0, 2: 700.0}
-        first = max_min_allocation(requests, capacities)
+        first = VectorizedMaxMinSolver()(requests, capacities)
         for _ in range(3):
-            assert max_min_allocation(requests, capacities) == first
+            assert VectorizedMaxMinSolver()(requests, capacities) == first
 
 
 class TestSinglePassAllocation:

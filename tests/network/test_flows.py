@@ -1,10 +1,13 @@
 """Tests for overlay flows."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.network.flows import Flow
+from repro.network.simulator import NetworkSimulator
 from repro.topology.graph import Topology
 from repro.topology.links import LinkType
+from repro.util.units import PACKET_SIZE_KBITS
 
 
 def two_host_topology(loss=0.0):
@@ -15,6 +18,10 @@ def two_host_topology(loss=0.0):
     topo.add_duplex_link(0, 1, LinkType.CLIENT_STUB, 1000.0, 0.01, loss_rate=loss)
     topo.add_duplex_link(1, 2, LinkType.CLIENT_STUB, 1000.0, 0.01, loss_rate=loss)
     return topo
+
+
+#: One routed underlay shared by the hypothesis examples.
+TOPOLOGY = two_host_topology()
 
 
 class TestFlow:
@@ -39,10 +46,9 @@ class TestFlow:
     def test_try_send_respects_budget(self):
         topo = two_host_topology()
         flow = Flow(topo, 0, 2)
-        flow.begin_step(allocated_kbps=24.0, dt=1.0)
-        assert flow.try_send(0)
-        assert flow.try_send(1)
-        assert not flow.try_send(2)
+        flow.begin_step(allocated_kbps=3 * PACKET_SIZE_KBITS, dt=1.0)
+        results = [flow.try_send(i) for i in range(5)]
+        assert results == [True, True, True, False, False]
 
     def test_send_many_is_the_bulk_form_of_try_send(self):
         topo = two_host_topology()
@@ -52,7 +58,7 @@ class TestFlow:
         sent_bulk = sent_single = 0
         for _ in range(200):
             for flow in (bulk, single):
-                flow.begin_step(allocated_kbps=1.9 * flow.packet_kbits, dt=1.0)
+                flow.begin_step(allocated_kbps=1.9 * PACKET_SIZE_KBITS, dt=1.0)
             budget = bulk.send_budget()
             bulk.send_many(list(range(sent_bulk, sent_bulk + budget)))
             sent_bulk += budget
@@ -62,7 +68,7 @@ class TestFlow:
             assert bulk.collect_sent() == single.collect_sent()
         assert sent_bulk == sent_single == 380
         assert bulk.packets_sent == 380
-        assert bulk.sender.total_accepted == single.sender.total_accepted
+        assert bulk.total_accepted == single.total_accepted
 
     def test_send_many_beyond_the_budget_raises(self):
         topo = two_host_topology()
@@ -79,24 +85,24 @@ class TestFlow:
             flow.send_many([0])
 
     def test_delivery_round_trip(self):
-        topo = two_host_topology()
-        flow = Flow(topo, 0, 2)
-        flow.begin_step(allocated_kbps=120.0, dt=1.0)
-        for seq in range(5):
-            flow.try_send(seq)
-        sent = flow.collect_sent()
-        flow.deliver(sent, lost=0)
-        assert flow.take_delivered() == [0, 1, 2, 3, 4]
+        sim = NetworkSimulator(two_host_topology(), congestion_loss_rate=0.0)
+        flow = sim.create_flow(0, 2, demand_kbps=120.0)
+        sim.begin_step()
+        for seq in range(2):
+            assert flow.try_send(seq)
+        sim.end_step()
+        assert flow.take_delivered() == [0, 1]
         assert flow.take_delivered() == []
-        assert flow.packets_delivered == 5
+        assert flow.packets_sent == flow.packets_delivered == 2
 
     def test_tfrc_feedback_applied_on_delivery(self):
-        topo = two_host_topology()
-        flow = Flow(topo, 0, 2)
+        sim = NetworkSimulator(two_host_topology(), congestion_loss_rate=0.0)
+        flow = sim.create_flow(0, 2)
         initial_cap = flow.rate_cap_kbps()
-        flow.begin_step(allocated_kbps=initial_cap, dt=1.0)
+        sim.begin_step()
         flow.try_send(0)
-        flow.deliver(flow.collect_sent(), lost=0)
+        sim.end_step()
+        assert flow.take_delivered() == [0]
         assert flow.rate_cap_kbps() > initial_cap  # slow-start doubling
 
     def test_demand_caps_rate(self):
@@ -124,12 +130,55 @@ class TestFlow:
         flow = Flow(topo, 0, 2)
         assert flow.path_loss == pytest.approx(1 - 0.9 * 0.9)
 
-    def test_achieved_kbps(self):
-        topo = two_host_topology()
-        flow = Flow(topo, 0, 2)
-        flow.begin_step(allocated_kbps=600.0, dt=1.0)
-        for seq in range(50):
-            flow.try_send(seq)
-        flow.deliver(flow.collect_sent(), lost=0)
-        assert flow.achieved_kbps(elapsed_s=1.0) == pytest.approx(600.0)
-        assert flow.achieved_kbps(elapsed_s=0.0) == 0.0
+
+class TestFlowSendWindow:
+    """The non-blocking send budget a flow refreshes every step."""
+
+    def test_would_block(self):
+        flow = Flow(two_host_topology(), 0, 2)
+        flow.begin_step(allocated_kbps=PACKET_SIZE_KBITS, dt=1.0)
+        assert flow.send_budget() == 1
+        flow.try_send(0)
+        assert flow.send_budget() == 0
+        assert not flow.try_send(1)
+
+    def test_fractional_budget_carries_over(self):
+        flow = Flow(two_host_topology(), 0, 2)
+        accepted = 0
+        for _ in range(10):
+            flow.begin_step(allocated_kbps=0.5 * PACKET_SIZE_KBITS, dt=1.0)
+            if flow.try_send(accepted):
+                accepted += 1
+        assert accepted == 5
+
+    def test_collect_sent_returns_and_clears(self):
+        flow = Flow(two_host_topology(), 0, 2)
+        flow.begin_step(allocated_kbps=2 * PACKET_SIZE_KBITS, dt=1.0)
+        flow.try_send(7)
+        flow.try_send(8)
+        assert flow.collect_sent() == [7, 8]
+        assert flow.collect_sent() == []
+        assert flow.packets_sent == 2
+
+    def test_counters(self):
+        flow = Flow(two_host_topology(), 0, 2)
+        flow.begin_step(allocated_kbps=PACKET_SIZE_KBITS, dt=1.0)
+        flow.try_send(1)
+        flow.try_send(2)
+        assert flow.total_accepted == 1
+        assert flow.total_rejected == 1
+
+    def test_negative_rate_rejected(self):
+        flow = Flow(two_host_topology(), 0, 2)
+        with pytest.raises(ValueError):
+            flow.begin_step(allocated_kbps=-1.0, dt=1.0)
+
+    @given(st.floats(min_value=0, max_value=50), st.integers(min_value=1, max_value=200))
+    def test_long_run_rate_matches_budget(self, rate, steps):
+        flow = Flow(TOPOLOGY, 0, 2)
+        accepted = 0
+        for _ in range(steps):
+            flow.begin_step(allocated_kbps=rate * PACKET_SIZE_KBITS, dt=1.0)
+            while flow.try_send(accepted):
+                accepted += 1
+        assert accepted == int(rate * steps) or abs(accepted - rate * steps) < 1.0

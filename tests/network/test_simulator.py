@@ -1,10 +1,12 @@
 """Tests for the time-stepped fluid network simulator."""
 
 import pytest
+from oracles.tfrc import TfrcFlowState, as_record, feed_step
 
 from repro.network.simulator import NetworkSimulator
 from repro.topology.graph import Topology
 from repro.topology.links import LinkType
+from repro.transport.tfrc import feedback_chunks
 
 
 def star_topology(capacity=1000.0, loss=0.0):
@@ -17,6 +19,13 @@ def star_topology(capacity=1000.0, loss=0.0):
     return topo
 
 
+def run_steps(sim, n_steps):
+    """Run ``n_steps`` full cycles with nothing sent in between."""
+    for _ in range(n_steps):
+        sim.begin_step()
+        sim.end_step()
+
+
 class TestNetworkSimulator:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
@@ -24,7 +33,7 @@ class TestNetworkSimulator:
 
     def test_clock_advances(self):
         sim = NetworkSimulator(star_topology(), dt=0.5)
-        sim.run_steps(4)
+        run_steps(sim, 4)
         assert sim.time == pytest.approx(2.0)
 
     def test_single_flow_achieves_bottleneck(self):
@@ -126,17 +135,17 @@ class TestNetworkSimulator:
         assert len(sim.flows) == 1
         sim.remove_flow(flow)
         assert len(sim.flows) == 0
-        sim.run_steps(2)  # must not raise
+        run_steps(sim, 2)  # must not raise
 
     def test_closed_flow_leaves_on_the_next_step(self):
         sim = NetworkSimulator(star_topology(), dt=1.0)
         kept = sim.create_flow(1, 2)
         closed = sim.create_flow(1, 3)
-        closed.tfrc._in_slow_start = False
-        sim.run_steps(2)  # idle past slow start: its equation rate is cached
+        closed.tfrc.in_slow_start = False
+        run_steps(sim, 2)  # idle past slow start: its equation rate is cached
         assert closed.flow_id in sim._idle_targets
         closed.close()
-        sim.run_steps(3)
+        run_steps(sim, 3)
         assert sim.flows == [kept]
         assert sim.active_flow_count() == 1
         assert sim.describe()["flows"] == 1.0
@@ -166,6 +175,55 @@ class TestNetworkSimulator:
         assert run(11) != run(12) or run(13) != run(11)
 
 
+class TestTfrcRecordsFollowTheScalarModel:
+    """The simulator's batched TFRC feedback against the round-by-round oracle."""
+
+    def test_every_record_equals_an_oracle_stepped_alongside(self):
+        topo = Topology()
+        topo.add_node(0, "stub")
+        for client in (1, 2, 3, 4):
+            topo.add_node(client, "client")
+            loss = 0.04 if client == 1 else 0.0
+            topo.add_duplex_link(client, 0, LinkType.CLIENT_STUB, 900.0, 0.005, loss_rate=loss)
+        sim = NetworkSimulator(topo, dt=1.0, seed=9)
+        # Full budget over a lossy path; every third step only (idle steps
+        # after losses read cached equation rates); a trickle over clean
+        # links that stays in slow start; never a packet; demand-capped.
+        full = sim.create_flow(1, 2)
+        bursty = sim.create_flow(4, 1)
+        trickle = sim.create_flow(2, 3, demand_kbps=120.0)
+        silent = sim.create_flow(3, 4)
+        capped = sim.create_flow(1, 3, demand_kbps=200.0)
+        flows = [full, bursty, trickle, silent, capped]
+        oracles = {flow.flow_id: TfrcFlowState(rtt_s=flow.rtt_s) for flow in flows}
+        idle_after_loss = 0
+        for step in range(40):
+            before = {f.flow_id: (f.packets_delivered, f.packets_lost) for f in flows}
+            sim.begin_step()
+            for flow in (full, capped):
+                for i in range(flow.send_budget()):
+                    flow.try_send(step * 1000 + i)
+            if step % 3 == 0:
+                for i in range(bursty.send_budget()):
+                    bursty.try_send(step * 1000 + i)
+            elif bursty.tfrc.seen_loss:
+                idle_after_loss += 1
+            trickle.try_send(step)
+            sim.end_step()
+            for flow in flows:
+                flow.take_delivered()
+                delivered_before, lost_before = before[flow.flow_id]
+                received = flow.packets_delivered - delivered_before
+                lost = flow.packets_lost - lost_before
+                oracle = oracles[flow.flow_id]
+                feed_step(oracle, received, lost, int(feedback_chunks(sim.dt, flow.rtt_s, lost)))
+                assert flow.tfrc == as_record(oracle), f"step {step}, {flow.label}"
+        assert not full.tfrc.in_slow_start and full.tfrc.intervals
+        assert idle_after_loss > 0
+        assert trickle.tfrc.in_slow_start and trickle.packets_delivered == 40
+        assert silent.tfrc.in_slow_start and silent.packets_sent == 0
+
+
 class TestIncrementalAllocation:
     """The simulator's wiring of the incremental allocation engine."""
 
@@ -173,7 +231,7 @@ class TestIncrementalAllocation:
         sim = NetworkSimulator(star_topology(), dt=1.0, congestion_loss_rate=0.0)
         sim.create_flow(1, 2, demand_kbps=400.0, use_tfrc=False)
         sim.create_flow(2, 3, demand_kbps=400.0, use_tfrc=False)
-        sim.run_steps(10)
+        run_steps(sim, 10)
         stats = sim.allocation_stats
         assert stats.solves == 1  # only the first step solved
         assert stats.clean_steps == 9
@@ -181,7 +239,7 @@ class TestIncrementalAllocation:
     def test_demand_change_triggers_resolve(self):
         sim = NetworkSimulator(star_topology(), dt=1.0, congestion_loss_rate=0.0)
         flow = sim.create_flow(1, 2, demand_kbps=400.0, use_tfrc=False)
-        sim.run_steps(3)
+        run_steps(sim, 3)
         solves_before = sim.allocation_stats.solves
         flow.set_demand(200.0)
         sim.begin_step()
@@ -192,7 +250,7 @@ class TestIncrementalAllocation:
     def test_tfrc_flows_recap_every_step(self):
         sim = NetworkSimulator(star_topology(), dt=1.0)
         sim.create_flow(1, 2, demand_kbps=800.0, use_tfrc=True)
-        sim.run_steps(5)
+        run_steps(sim, 5)
         # TFRC feedback dirties the cap each step until demand binds.
         assert sim.allocation_stats.solves >= 2
 
@@ -211,7 +269,7 @@ class TestIncrementalAllocation:
     def test_describe_reports_engine_counters(self):
         sim = NetworkSimulator(star_topology(), dt=1.0)
         sim.create_flow(1, 2, demand_kbps=100.0, use_tfrc=False)
-        sim.run_steps(4)
+        run_steps(sim, 4)
         summary = sim.describe()
         assert summary["alloc_steps"] == 4.0
         assert "alloc_clean_fraction" in summary

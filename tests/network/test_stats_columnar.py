@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from oracles.stats import DictStatsCollector
 from repro.network.stats import NodeCounters, StatsCollector
+from repro.util.units import PACKET_SIZE_KBITS
 
 #: Small ids collide often; the odd large one forces the columns to grow.
 NODES = st.one_of(st.integers(0, 12), st.integers(0, 12), st.integers(13, 400))
@@ -122,7 +123,7 @@ def test_interval_resets_for_nodes_left_out_of_a_sample():
         collector.sample_interval(2.0, 1.0, [3, 900])
     assert columnar.time_series("useful") == oracle.time_series("useful")
     assert columnar.time_series("control") == oracle.time_series("control")
-    assert columnar.per_node_bandwidth_at(2.0) == {3: 2 * columnar.packet_kbits, 900: 0.0}
+    assert columnar.per_node_bandwidth_at(2.0) == {3: 2 * PACKET_SIZE_KBITS, 900: 0.0}
 
 
 def test_batch_entry_point_validates_its_arrays():

@@ -7,7 +7,8 @@ loops and the per-key Bloom probe and recovery selection
 per-pair networkx routing and per-pair landmark probes
 (:mod:`oracles.routing`), the per-member head-election key
 (:mod:`oracles.clustering`), the scalar interior stepper
-(:mod:`oracles.interior`) and the synchronous RanSub driver
-(:mod:`oracles.ransub`).  Nothing here is imported from ``src/``; the root
+(:mod:`oracles.interior`), the synchronous RanSub driver
+(:mod:`oracles.ransub`) and the round-by-round scalar TFRC model
+(:mod:`oracles.tfrc`).  Nothing here is imported from ``src/``; the root
 ``conftest.py`` puts ``tests/`` on the path.
 """

@@ -18,8 +18,7 @@ from repro.util.units import PACKET_SIZE_KBITS, bytes_to_kbits
 class DictStatsCollector:
     """The stats collector as it was before the columnar rewrite."""
 
-    def __init__(self, packet_kbits: float = PACKET_SIZE_KBITS) -> None:
-        self.packet_kbits = packet_kbits
+    def __init__(self) -> None:
         self._counters: Dict[int, NodeCounters] = defaultdict(NodeCounters)
         self._samples: List[Tuple[float, Dict[str, float]]] = []
         self._interval_counters: Dict[int, NodeCounters] = defaultdict(NodeCounters)
@@ -91,9 +90,9 @@ class DictStatsCollector:
         totals = {"raw": 0.0, "useful": 0.0, "from_parent": 0.0, "control": 0.0}
         for node in nodes:
             counters = self._interval_counters[node]
-            raw = counters.raw_packets * self.packet_kbits / interval_s
-            useful = counters.useful_packets * self.packet_kbits / interval_s
-            parent = counters.from_parent_packets * self.packet_kbits / interval_s
+            raw = counters.raw_packets * PACKET_SIZE_KBITS / interval_s
+            useful = counters.useful_packets * PACKET_SIZE_KBITS / interval_s
+            parent = counters.from_parent_packets * PACKET_SIZE_KBITS / interval_s
             control = bytes_to_kbits(counters.control_bytes) / interval_s
             per_node_useful[node] = useful
             totals["raw"] += raw
@@ -152,7 +151,7 @@ class DictStatsCollector:
         if duration_s <= 0 or not nodes:
             return 0.0
         total = sum(self._counters[node].useful_packets for node in nodes)
-        return total * self.packet_kbits / duration_s / len(nodes)
+        return total * PACKET_SIZE_KBITS / duration_s / len(nodes)
 
     def link_stress(self) -> Tuple[float, int]:
         """Return (average, maximum) link stress over traced packets.

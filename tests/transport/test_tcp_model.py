@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.transport.tcp_model import tcp_throughput_bytes_per_second, tcp_throughput_kbps
+from repro.transport.tcp_model import tcp_throughput_kbps
 
 
 class TestTcpThroughput:
@@ -28,11 +28,6 @@ class TestTcpThroughput:
         short = tcp_throughput_kbps(0.02, 0.01)
         long = tcp_throughput_kbps(0.2, 0.01)
         assert long < short
-
-    def test_larger_packets_mean_more_throughput(self):
-        small = tcp_throughput_bytes_per_second(0.1, 0.01, packet_size_bytes=500)
-        large = tcp_throughput_bytes_per_second(0.1, 0.01, packet_size_bytes=1500)
-        assert large > small
 
     def test_rejects_bad_rtt(self):
         with pytest.raises(ValueError):

@@ -1,8 +1,14 @@
-"""Tests for the TFRC rate-control model."""
+"""Behaviour of the TFRC rate-control model, stated round by round.
+
+The cases run against the scalar model in ``tests/oracles/tfrc.py``, which
+the batch kernels in ``repro.transport.tfrc`` equal bit for bit
+(``test_tfrc_kernels.py``).
+"""
 
 import pytest
+from oracles.tfrc import LossHistory, TfrcFlowState
 
-from repro.transport.tfrc import LossHistory, MIN_RATE_KBPS, TfrcFlowState
+from repro.transport.tfrc import MIN_RATE_KBPS
 
 
 class TestLossHistory:

@@ -2,7 +2,7 @@
 
 Exports are byte-compared against committed digests, so "close enough" is
 not good enough here: each kernel is compared against the scalar
-``TfrcFlowState`` with exact float64 equality, under hypothesis-generated
+``TfrcFlowState`` of ``tests/oracles/tfrc.py`` with exact float64 equality, under hypothesis-generated
 batches that hit loss events, slow-start exits, open-interval discounting,
 rates below the floor and next to overflow, every chunk count the simulator
 produces, per-flow RTTs, and batches of up to 64 flows.
@@ -10,11 +10,12 @@ produces, per-flow RTTs, and batches of up to 64 flows.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
+from oracles.tfrc import TfrcFlowState, feed_step
 
 from repro.transport.tfrc import (
     MAX_FEEDBACK_CHUNKS,
     MIN_RATE_KBPS,
-    TfrcFlowState,
+    equation_rates,
     evolve_idle_rates,
     feedback_chunks,
     feedback_rounds,
@@ -94,17 +95,8 @@ class TestFeedbackRoundsBitIdentity:
     @given(tfrc_batches)
     def test_matches_scalar_chunk_loop_exactly(self, batch):
         states = [scalar_state(flow) for flow in batch]
-        # Scalar reference: Flow.deliver's split of the step into feedback
-        # rounds, larger remainders first, one on_feedback per round.
         for flow, state in zip(batch, states):
-            chunks = flow["chunks"]
-            base_r, rem_r = divmod(flow["received"], chunks)
-            base_l, rem_l = divmod(flow["lost"], chunks)
-            for round_index in range(chunks):
-                state.on_feedback(
-                    base_r + (1 if round_index < rem_r else 0),
-                    base_l + (1 if round_index < rem_l else 0),
-                )
+            feed_step(state, flow["received"], flow["lost"], flow["chunks"])
 
         with np.errstate(all="raise", under="ignore"):
             rates, slow_start, intervals, lengths, current = feedback_rounds(
@@ -118,7 +110,6 @@ class TestFeedbackRoundsBitIdentity:
                 column(batch, "lost", np.int64),
                 column(batch, "chunks", np.int64),
                 column(batch, "rtt_s", np.float64),
-                np.full(len(batch), states[0].packet_size_bytes, dtype=np.int64),
             )
         for i, (flow, state) in enumerate(zip(batch, states)):
             history = state.loss_history
@@ -148,6 +139,22 @@ class TestIdleEvolutionBitIdentity:
             )
         for i, state in enumerate(states):
             assert evolved[i] == state.allowed_rate_kbps, f"flow {i} rate"
+
+    @settings(max_examples=150, deadline=None)
+    @given(tfrc_batches)
+    def test_kernel_targets_equal_the_scalar_equation_rate(self, batch):
+        # The simulator's idle targets come from the kernels' own loss-rate
+        # code; they must be the scalar equation rate, inf included.
+        with np.errstate(all="raise", under="ignore"):
+            targets = equation_rates(
+                column(batch, "seen_loss", bool),
+                interval_rows(batch),
+                np.array([len(flow["intervals"]) for flow in batch]),
+                column(batch, "current", np.int64),
+                column(batch, "rtt_s", np.float64),
+            )
+        for i, flow in enumerate(batch):
+            assert targets[i] == scalar_state(flow).equation_rate_kbps(), f"flow {i}"
 
     def test_slow_start_doubling_is_exact_power_of_two(self):
         evolved = evolve_idle_rates(
