@@ -134,6 +134,17 @@ class TestFlow:
 class TestFlowSendWindow:
     """The non-blocking send budget a flow refreshes every step."""
 
+    def test_budget_limits_sends(self):
+        flow = Flow(two_host_topology(), 0, 2)
+        flow.begin_step(allocated_kbps=3 * PACKET_SIZE_KBITS, dt=1.0)
+        results, budgets = [], []
+        for i in range(5):
+            results.append(flow.try_send(i))
+            budgets.append(flow.send_budget())
+        assert results == [True, True, True, False, False]
+        assert budgets == [2, 1, 0, 0, 0]
+        assert flow.collect_sent() == [0, 1, 2]
+
     def test_would_block(self):
         flow = Flow(two_host_topology(), 0, 2)
         flow.begin_step(allocated_kbps=PACKET_SIZE_KBITS, dt=1.0)
