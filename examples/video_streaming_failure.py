@@ -26,8 +26,8 @@ from repro.baselines.streaming import TreeStreaming
 from repro.core import BulletConfig, BulletMesh
 from repro.experiments.workloads import build_workload
 from repro.failure.injector import FailureInjector, worst_case_victim
-from repro.network.events import PeriodicTimer
 from repro.network.simulator import NetworkSimulator
+from repro.sched import StepEngine
 from repro.topology.links import BandwidthClass
 
 STREAM_KBPS = 600.0
@@ -52,13 +52,14 @@ def run_with_failure(system_name: str, seed: int = 21) -> dict:
     injector = FailureInjector(driver)
     injector.schedule_failure(victim, FAILURE_AT_S)
 
-    sample = PeriodicTimer(5.0)
+    sampling = StepEngine()
+    sampling.arm_every("sample", 5.0, 5.0)
     for _ in range(int(DURATION_S)):
         simulator.begin_step()
         injector.tick(simulator.time)
         driver.protocol_phase(simulator.time)
         simulator.end_step()
-        if sample.fire(simulator.time):
+        if "sample" in sampling.due(simulator.time):
             simulator.stats.sample_interval(simulator.time, 5.0, driver.receivers())
 
     series = simulator.stats.time_series("useful")

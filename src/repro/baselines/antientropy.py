@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 from repro.baselines.streaming import TreeStreaming
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
-from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
 from repro.reconcile.bloom import BloomSnapshot, optimal_parameters
@@ -76,7 +75,6 @@ class AntiEntropyStreaming(TreeStreaming):
     ) -> None:
         super().__init__(simulator, tree, stream_rate_kbps=stream_rate_kbps)
         self.recovery_peers = min(RECOVERY_PEERS, len(tree.members()) - 1)
-        self._ae_timer = PeriodicTimer(ANTI_ENTROPY_EPOCH_S)
         self._rng = SeededRng(seed, "anti-entropy")
         self.control_channel = ControlChannel(
             simulator.topology,
@@ -87,38 +85,27 @@ class AntiEntropyStreaming(TreeStreaming):
         #: Per (helper, requester) pair: packets queued for recovery push.
         self._recovery_pending: Dict[Tuple[int, int], List[int]] = {}
         self.recovery_flows: Dict[Tuple[int, int], Flow] = {}
-        # A private engine until a session attaches its own.
-        self.attach_step_engine(StepEngine())
-
-    # ----------------------------------------------------------- step engine
-    def attach_step_engine(self, engine) -> None:
-        """Arm the anti-entropy round timer as a step-engine wakeup.
-
-        The round timer is only polled when due, and the channel pump is
-        skipped on steps where no digests were sent and nothing in flight
-        arrives within the pump horizon.  (The streaming loop underneath is
-        purely data-driven and declares no wakeups of its own.)
-        """
-        self._step_engine = engine
-        engine.arm_timer(("antientropy", "round"), self._ae_timer, self.simulator.time)
+        #: The anti-entropy round timer.  The control pump is skipped on
+        #: steps where no digests were sent and nothing in flight arrives in
+        #: time.  (The streaming loop underneath is purely data-driven.)
+        self.step_engine = StepEngine()
+        self.step_engine.arm_every(
+            "round", ANTI_ENTROPY_EPOCH_S, simulator.time + ANTI_ENTROPY_EPOCH_S
+        )
 
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
         self._deliver_recovery_phase()
         super().protocol_phase(now)
-        engine = self._step_engine
-        fired = False
-        if ("antientropy", "round") in engine.due_set(now):
-            if self._ae_timer.fire(now):
-                self._anti_entropy_round(now)
-                fired = True
-            engine.arm_timer(("antientropy", "round"), self._ae_timer, now)
+        fired = "round" in self.step_engine.due(now)
+        if fired:
+            self._anti_entropy_round(now)
         horizon = now + self.simulator.dt
         due = self.control_channel.next_due()
         if not fired and (due is None or due > horizon + 1e-12):
             # No digests left this step and nothing in flight is due by the
             # horizon: the pump would deliver nothing (handlers never send).
-            engine.note_skipped(1)
+            self.step_engine.note_skipped(1)
         else:
             self.control_channel.pump(horizon, self._handle_control)
         self._drain_recovery_queues()

@@ -28,7 +28,6 @@ from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
-from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
 from repro.sched.engine import StepEngine
@@ -75,7 +74,6 @@ class PushGossip:
         self.fanout = min(FANOUT, len(self.members) - 1)
         self.stats = simulator.stats
         self._rng = SeededRng(seed, "push-gossip")
-        self._view_timer = PeriodicTimer(VIEW_REFRESH_S)
         self.control_channel = ControlChannel(
             simulator.topology,
             stats=simulator.stats,
@@ -98,8 +96,10 @@ class PushGossip:
         self._targets: Dict[int, List[int]] = {}
         for node in self.members:
             self._reselect_targets(node)
-        # A private engine until a session attaches its own.
-        self.attach_step_engine(StepEngine())
+        #: The view-refresh timer.  The control pump is skipped on steps
+        #: where nothing was sent and nothing in flight arrives in time.
+        self.step_engine = StepEngine()
+        self.step_engine.arm_every("view", VIEW_REFRESH_S, simulator.time + VIEW_REFRESH_S)
 
     # -------------------------------------------------------------- topology
     def _reselect_targets(self, node: int) -> None:
@@ -132,28 +132,12 @@ class PushGossip:
             if message.dst in self._targets.get(message.src, []):
                 self._active_pairs.add((message.src, message.dst))
 
-    # ----------------------------------------------------------- step engine
-    def attach_step_engine(self, engine) -> None:
-        """Register this system's wakeup sources with a step engine.
-
-        Gossip owns one periodic wakeup — the view-refresh timer — plus the
-        control channel's pending deliveries.  :meth:`protocol_phase` only
-        polls the view timer when its wakeup is due and skips the channel
-        pump on steps where nothing was sent and nothing in flight arrives
-        within the pump horizon.
-        """
-        self._step_engine = engine
-        engine.arm_timer(("gossip", "view"), self._view_timer, self.simulator.time)
-
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
         """One gossip pass; call between simulator begin/end step."""
-        engine = self._step_engine
-        if ("gossip", "view") in engine.due_set(now):
-            if self._view_timer.fire(now):
-                for node in self.members:
-                    self._reselect_targets(node)
-            engine.arm_timer(("gossip", "view"), self._view_timer, now)
+        if "view" in self.step_engine.due(now):
+            for node in self.members:
+                self._reselect_targets(node)
         sent = len(self._outbox)
         for message in self._outbox:
             self.control_channel.send(message, now)
@@ -163,7 +147,7 @@ class PushGossip:
         if sent == 0 and (due is None or due > horizon + 1e-12):
             # No new sends and nothing in flight due by the horizon: the pump
             # would deliver nothing (handlers never send), so skip it.
-            engine.note_skipped(1)
+            self.step_engine.note_skipped(1)
         else:
             self.control_channel.pump(horizon, self._handle_control)
         self._deliver_phase()

@@ -167,9 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      " systems; 1 = serial, byte-identical to sharded)")
     run.add_argument("--hierarchy-levels", type=int, default=None,
                      help=_with_default("clustering depth for hierarchical systems:"
-                                        " 1 (flat mesh), 2 (leaf clusters under mesh"
-                                        " heads) or 3 (head groups of leaf clusters,"
-                                        " for 100k-node runs)", "hierarchy_levels"))
+                                        " 2 (leaf clusters under mesh heads) or 3"
+                                        " (head groups of leaf clusters, for"
+                                        " 100k-node runs)", "hierarchy_levels"))
     run.add_argument("--latency-estimator", choices=["exact", "landmark"],
                      default=None,
                      help=_with_default("RTT source for head election, join routing and"
@@ -292,10 +292,10 @@ def _validate_hierarchy_flags(args: argparse.Namespace) -> None:
             f"--shard-workers must be >= 1 (1 steps serially, >= 2 forks"
             f" that many shard workers); got {args.shard_workers}"
         )
-    if args.hierarchy_levels is not None and not 1 <= args.hierarchy_levels <= 3:
+    if args.hierarchy_levels is not None and args.hierarchy_levels not in (2, 3):
         raise ValueError(
-            f"--hierarchy-levels must be between 1 and 3 (1 = flat mesh,"
-            f" 2 = leaf clusters, 3 = head groups); got {args.hierarchy_levels}"
+            f"--hierarchy-levels must be 2 or 3 (2 = leaf clusters, 3 = head"
+            f" groups; the flat mesh is --system bullet); got {args.hierarchy_levels}"
         )
 
 

@@ -58,7 +58,6 @@ from repro.core.config import BLOOM_REFRESH_S, RECOVERY_SPAN_PACKETS, BulletConf
 from repro.core.node_host import DeliveryEntry, NodeHost, ServiceCall
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
-from repro.network.events import PeriodicTimer
 from repro.network.flows import Flow
 from repro.network.simulator import NetworkSimulator
 from repro.sched.engine import StepEngine
@@ -67,6 +66,10 @@ from repro.util.hashing import stable_hash
 from repro.util.rng import SeededRng
 from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
+
+#: The RanSub epoch's step-engine key; each member's Bloom refresh is
+#: ``("refresh", node)``.
+_EPOCH = "epoch"
 
 #: Every this-many-th stream packet has its link-level transmissions traced,
 #: the sample the link-stress statistics are computed over.
@@ -164,14 +167,13 @@ class BulletMesh:
         # Mesh (perpendicular) flows are created lazily as peerings form.
         self.mesh_flows: Dict[Tuple[int, int], Flow] = {}
 
-        self._epoch_timer = PeriodicTimer(self.config.ransub_epoch_s)
-        #: Per-node refresh timers.  Each node gets a deterministic phase
-        #: offset inside the refresh period, spreading the per-refresh
-        #: protocol work across simulation steps instead of spiking every
-        #: node on the same step.
-        self._refresh_timers: Dict[int, PeriodicTimer] = {
-            member: self._make_refresh_timer(member) for member in members
-        }
+        #: The mesh's timers: the RanSub epoch and one Bloom refresh per
+        #: live member.  :meth:`protocol_phase` runs exactly the due ones.
+        self.step_engine = StepEngine()
+        epoch_s = self.config.ransub_epoch_s
+        self.step_engine.arm_every(_EPOCH, epoch_s, simulator.time + epoch_s)
+        for member in members:
+            self._arm_refresh(member)
 
         #: Wall-clock seconds spent per protocol-phase stage (read by the
         #: end-to-end benchmark's tracer): ``timers`` covers the RanSub
@@ -183,8 +185,6 @@ class BulletMesh:
         }
 
         self._rebuild_depth_levels()
-        # A private engine until a session attaches its own.
-        self.attach_step_engine(StepEngine())
 
     @property
     def nodes(self) -> Dict[int, BulletNode]:
@@ -229,12 +229,20 @@ class BulletMesh:
         for host in self._hosts:
             host.set_latency_estimator(estimator)
 
-    def _make_refresh_timer(self, node: int) -> PeriodicTimer:
+    def _arm_refresh(self, node: int) -> None:
+        """Arm ``node``'s Bloom refresh, every :data:`BLOOM_REFRESH_S`.
+
+        Each node gets a deterministic phase offset inside the period,
+        spreading the per-refresh protocol work across simulation steps
+        instead of spiking every node on the same step.  A joiner's first
+        deadline may already be past; it refreshes on its first step and
+        then keeps the phase.
+        """
         period = BLOOM_REFRESH_S
         dt = self.simulator.dt
         slots = max(1, int(round(period / dt)))
         offset = (stable_hash(f"refresh-phase-{node}", self.config.seed) % slots) * dt
-        return PeriodicTimer(period, start_at=period + offset)
+        self.step_engine.arm_every(("refresh", node), period, period + offset)
 
     def _rebuild_depth_levels(self) -> None:
         """Group members by tree depth, deepest first, for the RanSub
@@ -284,59 +292,6 @@ class BulletMesh:
             tree_flows=len(self.tree_flows),
             total_peerings=peerings,
         )
-
-    # ----------------------------------------------------------- step engine
-    def attach_step_engine(self, engine) -> None:
-        """Register this mesh's wakeup sources with a step engine.
-
-        The mesh owns two kinds of periodic wakeups: the global RanSub epoch
-        timer and one staggered Bloom-refresh timer per member.
-        :meth:`protocol_phase` consults the due set and only fires (and
-        re-arms) the timers whose wakeups came due, instead of polling every
-        member's timer every step.  Firing exactly the due subset in
-        ascending node order equals a poll of every member: a non-due
-        ``PeriodicTimer.fire`` is a no-op, so skipping it changes nothing,
-        and due members keep their relative order.  A mesh arms a private
-        engine at construction; a session that drives it attaches its own
-        (timers keep their deadlines across re-attachment).
-        """
-        self._step_engine = engine
-        now = self.simulator.time
-        engine.arm_timer(("bullet", "epoch"), self._epoch_timer, now)
-        for member in self.active_members():
-            engine.arm_timer(
-                ("bullet", "refresh", member), self._refresh_timers[member], now
-            )
-
-    def _fire_due_timers(self, now: float) -> Tuple[bool, List[int]]:
-        """Fire and re-arm the timers whose wakeups are due at ``now``.
-
-        Returns whether a RanSub epoch begins and which members (ascending)
-        send their recovery refreshes this step.
-        """
-        engine = self._step_engine
-        due = engine.due_set(now)
-        epoch_fired = False
-        if ("bullet", "epoch") in due:
-            epoch_fired = self._epoch_timer.fire(now)
-            engine.arm_timer(("bullet", "epoch"), self._epoch_timer, now)
-        due_members = sorted(
-            key[2]
-            for key in due
-            if type(key) is tuple and len(key) == 3 and key[:2] == ("bullet", "refresh")
-        )
-        checked = 0
-        refreshing: List[int] = []
-        for node_id in due_members:
-            if node_id in self.failed or node_id not in self._owner_of:
-                continue
-            checked += 1
-            timer = self._refresh_timers[node_id]
-            if timer.fire(now):
-                refreshing.append(node_id)
-            engine.arm_timer(("bullet", "refresh", node_id), timer, now)
-        engine.note_skipped(len(self._owner_of) - len(self.failed) - checked)
-        return epoch_fired, refreshing
 
     # ------------------------------------------------------------------ steps
     def protocol_phase(self, now: float) -> None:
@@ -410,9 +365,14 @@ class BulletMesh:
         Returns whether any node's RanSub collect deadline is due — the
         probe that gates :meth:`_poll_cascade`.
         """
-        epoch_fired, refreshing = self._fire_due_timers(now)
+        due = self.step_engine.due(now)
+        refreshing = sorted(key[1] for key in due if key != _EPOCH)
+        # A polling loop would have checked every live member's refresh.
+        self.step_engine.note_skipped(
+            len(self._owner_of) - len(self.failed) - len(refreshing)
+        )
         epoch = None
-        if epoch_fired:
+        if _EPOCH in due:
             self._epoch_count += 1
             epoch = (
                 self._epoch_count,
@@ -506,7 +466,7 @@ class BulletMesh:
             # no dispatch can run, so no outbox can refill.  Skip it.
             due = self.control_channel.next_due()
             if due is None or due > horizon + 1e-12:
-                self._step_engine.note_skipped(1)
+                self.step_engine.note_skipped(1)
                 return
         while True:
             batch: List[ControlMessage] = []
@@ -654,12 +614,7 @@ class BulletMesh:
             parent, node_id, label=f"tree:{parent}->{node_id}",
             demand_kbps=self.config.stream_rate_kbps,
         )
-        self._refresh_timers[node_id] = self._make_refresh_timer(node_id)
-        self._step_engine.arm_timer(
-            ("bullet", "refresh", node_id),
-            self._refresh_timers[node_id],
-            self.simulator.time,
-        )
+        self._arm_refresh(node_id)
         self._rebuild_depth_levels()
         return parent
 
@@ -680,7 +635,7 @@ class BulletMesh:
         # Every host tracks the failure (peer exclusions); the owner mutes it.
         self.exchange({host: ("mesh_fail", node_id) for host in range(len(self._hosts))})
         self.control_channel.mark_down(node_id)
-        self._step_engine.disarm(("bullet", "refresh", node_id))
+        self.step_engine.cancel(("refresh", node_id))
         for key, flow in list(self.tree_flows.items()):
             if node_id in key:
                 self.simulator.remove_flow(flow)

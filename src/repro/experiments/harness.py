@@ -103,11 +103,11 @@ class ExperimentConfig:
     #: systems shard; flat systems ignore it.
     shard_workers: int = 0
     #: How many levels the clustered hierarchy builds (hierarchical systems
-    #: only): 1 puts every participant straight into the mesh (flat), 2 is
-    #: the classic clusters-of-interiors-under-elected-heads layout, and 3
-    #: additionally groups the cluster heads into super-clusters so only the
-    #: super-heads ever join the Bullet mesh (100k-node runs never
-    #: materialize a flat mesh).
+    #: only): 2 is the classic clusters-of-interiors-under-elected-heads
+    #: layout, and 3 additionally groups the cluster heads into
+    #: super-clusters so only the super-heads ever join the Bullet mesh
+    #: (100k-node runs never materialize a flat mesh).  The flat mesh is
+    #: ``system="bullet"``.
     hierarchy_levels: int = 2
     #: How hierarchical systems measure inter-node latency when electing
     #: heads, routing joins to the nearest cluster and scoring mesh peers:
@@ -156,8 +156,8 @@ class ExperimentConfig:
             raise ValueError("cluster_size must be at least 1")
         if self.shard_workers < 0:
             raise ValueError("shard_workers must be non-negative")
-        if not 1 <= self.hierarchy_levels <= 3:
-            raise ValueError("hierarchy_levels must be between 1 and 3")
+        if self.hierarchy_levels not in (2, 3):
+            raise ValueError("hierarchy_levels must be 2 or 3")
         if self.latency_estimator not in ("exact", "landmark"):
             raise ValueError("latency_estimator must be 'exact' or 'landmark'")
         for name in self.bullet:

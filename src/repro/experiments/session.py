@@ -38,8 +38,7 @@ from repro.experiments.registry import (
     get_system,
 )
 from repro.experiments.workloads import build_workload_for
-from repro.failure.injector import FailureInjector
-from repro.network.events import PeriodicTimer
+from repro.failure.injector import FailureInjector, JoinEvent
 from repro.network.simulator import NetworkSimulator
 from repro.sched.engine import StepEngine
 
@@ -116,10 +115,6 @@ class ExperimentSession:
         self.config = config
         self.observers: List[SessionObserver] = list(observers)
 
-        #: The quiescence-aware step engine every wakeup source of this
-        #: session (system timers, control deliveries, injector events) arms.
-        self.step_engine = StepEngine()
-
         self.spec: Optional[SystemSpec] = None
         if system is None and config is not None:
             self.spec = get_system(config.system)
@@ -154,9 +149,8 @@ class ExperimentSession:
             self._warm_initial_routes(context)
             system = self.spec.build(context)
         self.system = system
-        attach = getattr(self.system, "attach_step_engine", None)
-        if attach is not None:
-            attach(self.step_engine)
+        #: The system's own step engine (``None`` for one without timers).
+        self.step_engine: Optional[StepEngine] = getattr(system, "step_engine", None)
 
         # Systems that route control traffic over a ControlChannel expose it
         # as ``control_channel``; tap it so observers can watch the control
@@ -172,7 +166,8 @@ class ExperimentSession:
         if sample_interval_s is None:
             sample_interval_s = config.sample_interval_s if config is not None else 5.0
         self.sample_interval_s = sample_interval_s
-        self._sample_timer = PeriodicTimer(sample_interval_s)
+        #: The sample deadline, armed at the end of the first step.
+        self._sampling = StepEngine()
 
         self.failure_time: Optional[float] = None
         self._injector: Optional[FailureInjector] = None
@@ -373,35 +368,23 @@ class ExperimentSession:
         """Advance the simulation by one ``dt``; returns the new sim time."""
         simulator = self.simulator
         simulator.begin_step()
-        injector_due = self._injector is not None
-        if injector_due:
-            # Injector wakeup: skip the tick (and the pending-event scans)
-            # on steps where no failure/join can fire.  run_due with nothing
-            # due is a no-op, so skipping it is behaviour-identical.
-            next_event = self._injector.next_event_time()
-            injector_due = (
-                next_event is not None and next_event <= simulator.time + 1e-12
-            )
-        if injector_due:
-            pending = [event for event in self._injector.events if not event.fired]
-            pending_joins = [
-                event for event in self._injector.join_events if not event.fired
-            ]
-            self._injector.tick(simulator.time)
-            for event in pending:
-                if event.fired:
-                    for observer in self.observers:
-                        observer.on_failure(self, simulator.time, event.node)
-            for event in pending_joins:
-                if event.fired:
-                    for observer in self.observers:
+        if self._injector is not None:
+            for event in self._injector.tick(simulator.time):
+                for observer in self.observers:
+                    if isinstance(event, JoinEvent):
                         observer.on_join(self, simulator.time, event.node)
+                    else:
+                        observer.on_failure(self, simulator.time, event.node)
         self.system.protocol_phase(simulator.time)
         simulator.end_step()
         now = simulator.time
         for observer in self.observers:
             observer.on_step(self, now)
-        if self._sample_timer.fire(now):
+        sampling = self._sampling
+        if "sample" not in sampling:
+            interval = self.sample_interval_s
+            sampling.arm_every("sample", interval, now + interval)
+        if "sample" in sampling.due(now):
             simulator.stats.sample_interval(
                 now, self.sample_interval_s, self.system.receivers()
             )

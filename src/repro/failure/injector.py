@@ -16,9 +16,9 @@ ramp.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol, Tuple, Union
 
-from repro.network.events import EventScheduler
+from repro.sched.engine import StepEngine
 from repro.trees.tree import OverlayTree
 
 
@@ -45,6 +45,9 @@ class JoinEvent:
     node: int
     at_time_s: float
     fired: bool = False
+
+
+MembershipEvent = Union[FailureEvent, JoinEvent]
 
 
 def worst_case_victim(tree: OverlayTree) -> int:
@@ -94,24 +97,33 @@ def targeted_victims_for(system, tree: Optional[OverlayTree]) -> list[int]:
 
 
 class FailureInjector:
-    """Schedules membership events (failures and joins) against a driver."""
+    """Schedules membership events (failures and joins) against a driver.
+
+    Each event is a one-shot step-engine key ``(time, sequence)``; events due
+    in the same step fire in that order, earliest first and ties in
+    scheduling order.
+    """
 
     def __init__(self, driver: SupportsFailNode) -> None:
         self.driver = driver
-        self.scheduler = EventScheduler()
         self.events: list[FailureEvent] = []
         self.join_events: list[JoinEvent] = []
+        self._engine = StepEngine()
+        #: Event key -> the event and the action that fires it.
+        self._pending: Dict[Tuple[float, int], Tuple[MembershipEvent, Callable[[], None]]] = {}
+
+    def _schedule(self, event: MembershipEvent, action: Callable[[], None]) -> None:
+        if event.at_time_s < 0:
+            raise ValueError("event time must be non-negative")
+        key = (event.at_time_s, len(self.events) + len(self.join_events))
+        self._pending[key] = (event, action)
+        self._engine.arm(key, event.at_time_s)
 
     def schedule_failure(self, node: int, at_time_s: float) -> FailureEvent:
         """Fail ``node`` once the simulation clock reaches ``at_time_s``."""
         event = FailureEvent(node=node, at_time_s=at_time_s)
+        self._schedule(event, lambda: self.driver.fail_node(node))
         self.events.append(event)
-
-        def fire() -> None:
-            self.driver.fail_node(node)
-            event.fired = True
-
-        self.scheduler.schedule(at_time_s, fire)
         return event
 
     def schedule_join(
@@ -133,33 +145,30 @@ class FailureInjector:
                 f"driver {type(self.driver).__name__} does not support add_node"
             )
         event = JoinEvent(node=node, at_time_s=at_time_s)
-        self.join_events.append(event)
 
         def fire() -> None:
             if prepare is not None:
                 prepare(node)
             add_node(node)
-            event.fired = True
 
-        self.scheduler.schedule(at_time_s, fire)
+        self._schedule(event, fire)
+        self.join_events.append(event)
         return event
 
     def schedule_worst_case(self, tree: OverlayTree, at_time_s: float) -> FailureEvent:
         """Schedule the paper's worst-case failure: the largest root subtree."""
         return self.schedule_failure(worst_case_victim(tree), at_time_s)
 
-    def tick(self, now: float) -> int:
-        """Fire any due failures; returns how many fired."""
-        return self.scheduler.run_due(now)
-
-    def next_event_time(self) -> Optional[float]:
-        """When the earliest still-pending event fires (``None`` when drained).
-
-        This is the injector's wakeup deadline under the step engine: steps
-        before it skip the tick (and the pending-event bookkeeping) entirely.
-        """
-        return self.scheduler.next_time()
+    def tick(self, now: float) -> List[MembershipEvent]:
+        """Fire the events due at ``now``; returns them in firing order."""
+        fired = []
+        for key in sorted(self._engine.due(now)):
+            event, action = self._pending.pop(key)
+            action()
+            event.fired = True
+            fired.append(event)
+        return fired
 
     def pending(self) -> int:
-        """Failures not yet fired."""
-        return self.scheduler.pending()
+        """Events not yet fired."""
+        return len(self._pending)

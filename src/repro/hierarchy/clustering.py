@@ -15,8 +15,7 @@ on top of itself.  At ``levels=2`` (the default) the leaf-cluster heads join
 the Bullet mesh directly; at ``levels=3`` the leaf heads are themselves
 clustered into *head groups* whose elected super-heads are the only mesh
 members, so a 100k-node overlay runs a mesh of ~10 nodes instead of ~800.
-``levels=1`` degenerates to the flat mesh (every participant is its own
-head), kept for apples-to-apples comparisons.
+(One level would be the flat mesh, which ``system="bullet"`` runs.)
 
 Latency-aware decisions (nearest-cluster join routing, proximity tiebreaks
 in head election) take an optional estimator — any object with
@@ -213,23 +212,13 @@ def plan_hierarchy(
 ) -> HierarchyPlan:
     """Build a recursive clustering plan with ``levels`` tiers.
 
-    * ``levels=1`` — every participant is its own head: the mesh is flat.
     * ``levels=2`` — the classic layout: leaf clusters, heads in the mesh.
     * ``levels=3`` — leaf heads are clustered again by the same rule; only
       the elected super-heads join the mesh, and each super-head fans the
       stream out to the other leaf heads of its group through a head tree.
     """
-    if not 1 <= levels <= 3:
-        raise ValueError("levels must be between 1 and 3")
-    if levels == 1:
-        if source not in participants:
-            raise ValueError("the source must be a participant")
-        others = sorted(node for node in participants if node != source)
-        if len(others) != len(participants) - 1:
-            raise ValueError("participants must be unique")
-        leaf_plans = [ClusterPlan(head=source, interiors=())]
-        leaf_plans.extend(ClusterPlan(head=node, interiors=()) for node in others)
-        return HierarchyPlan(levels=1, leaf_plans=tuple(leaf_plans))
+    if levels not in (2, 3):
+        raise ValueError("levels must be 2 or 3")
     leaf_plans = plan_clusters(
         topology, source, participants, cluster_size, estimator=estimator
     )

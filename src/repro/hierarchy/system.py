@@ -227,9 +227,10 @@ class ClusteredBullet:
         """The head mesh's control channel (session observers tap it)."""
         return self.mesh.control_channel
 
-    def attach_step_engine(self, engine) -> None:
-        """Forward the session's step engine to the head mesh."""
-        self.mesh.attach_step_engine(engine)
+    @property
+    def step_engine(self):
+        """The head mesh's step engine: its timers are the system's."""
+        return self.mesh.step_engine
 
     @property
     def sharded(self) -> bool:

@@ -68,9 +68,6 @@ class Flow:
         self._carryover: float = 0.0
         #: Sequence numbers accepted this step (drained by the simulator).
         self._accepted: List[int] = []
-        #: Sends accepted and refused over the flow's life.
-        self.total_accepted: int = 0
-        self.total_rejected: int = 0
         self.active: bool = True
         self._delivered: List[int] = []
         # Cumulative counters for statistics.
@@ -105,11 +102,9 @@ class Flow:
         if not self.active:
             return False
         if self._budget <= 0:
-            self.total_rejected += 1
             return False
         self._budget -= 1
         self._accepted.append(sequence)
-        self.total_accepted += 1
         return True
 
     def send_many(self, sequences: List[int]) -> None:
@@ -128,7 +123,6 @@ class Flow:
             )
         self._budget -= count
         self._accepted.extend(sequences)
-        self.total_accepted += count
 
     def send_budget(self) -> int:
         """Packets the transport will still accept this step."""

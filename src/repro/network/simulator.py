@@ -57,8 +57,8 @@ from repro.analysis.shakeout import tracked_set
 
 #: ``[0] * (8 - k)``: pads a ``k``-interval loss history to a full row.
 _PADDING = [[0] * (HISTORY_DEPTH - length) for length in range(HISTORY_DEPTH + 1)]
-_FEEDBACK_COLUMNS = (np.float64, np.bool_, np.int64, np.int64, np.float64, np.float64)
-_IDLE_COLUMNS = (np.float64, np.bool_, np.float64, np.float64, np.float64)
+_FEEDBACK_COLUMNS = (np.float64, np.int64, np.int64, np.float64, np.float64)
+_IDLE_COLUMNS = (np.float64, np.int64, np.float64, np.float64, np.float64)
 
 
 def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
@@ -67,15 +67,14 @@ def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
 
 
 def _histories(records: List[TfrcFlowState]) -> List[np.ndarray]:
-    """The records' loss histories as the kernels take them: ``seen_loss``,
-    the closed intervals as one zero-padded ``(n, 8)`` array, their counts
-    and the open intervals."""
+    """The records' loss histories as the kernels take them: the closed
+    intervals as one zero-padded ``(n, 8)`` array, their counts and the open
+    intervals."""
     padded: List[int] = []
     for tfrc in records:
         padded += tfrc.intervals
         padded += _PADDING[len(tfrc.intervals)]
     return [
-        np.array([tfrc.seen_loss for tfrc in records], dtype=np.bool_),
         np.array(padded, dtype=np.int64).reshape(len(records), HISTORY_DEPTH),
         np.array([len(tfrc.intervals) for tfrc in records], dtype=np.int64),
         np.array([tfrc.current for tfrc in records], dtype=np.int64),
@@ -288,14 +287,13 @@ class NetworkSimulator:
         Each flow's record is read once and evolved through
         :func:`~repro.transport.tfrc.feedback_rounds`; what moved is written
         back: the rate, the open interval of flows that received, the
-        history and slow-start flag of lossy flows, and ``cap_dirty``
-        wherever the effective cap moved.
+        history of lossy flows, and ``cap_dirty`` wherever the effective cap
+        moved.
         """
         records = [flow.tfrc for flow, _, _ in batch]
         rows = [
             (
                 tfrc.allowed_rate_kbps,
-                tfrc.in_slow_start,
                 received,
                 lost,
                 flow.rtt_s,
@@ -303,12 +301,10 @@ class NetworkSimulator:
             )
             for tfrc, (flow, received, lost) in zip(records, batch)
         ]
-        rates, slow_start, received, lost, rtt_s, demand = _columns(rows, _FEEDBACK_COLUMNS)
-        seen_loss, intervals, lengths, current = _histories(records)
-        new_rates, _, intervals, lengths, _ = feedback_rounds(
+        rates, received, lost, rtt_s, demand = _columns(rows, _FEEDBACK_COLUMNS)
+        intervals, lengths, current = _histories(records)
+        new_rates, intervals, lengths, _ = feedback_rounds(
             rates,
-            slow_start,
-            seen_loss,
             intervals,
             lengths,
             current,
@@ -323,8 +319,6 @@ class NetworkSimulator:
                 tfrc.current += flow_received
         for index in np.flatnonzero(lost).tolist():
             tfrc = records[index]
-            tfrc.in_slow_start = False
-            tfrc.seen_loss = True
             tfrc.current = 0
             tfrc.intervals = intervals[index, : lengths[index]].tolist()
 
@@ -345,16 +339,17 @@ class NetworkSimulator:
             tfrc = flow.tfrc
             if tfrc is None:
                 continue
-            slow = tfrc.in_slow_start
-            target = 0.0 if slow else idle_targets.get(flow.flow_id)
+            length = len(tfrc.intervals)
+            # A flow in slow start (no loss yet) ignores its target.
+            target = idle_targets.get(flow.flow_id) if length else 0.0
             if target is None:
                 missed.append(len(batch))
                 target = 0.0
             batch.append(flow)
-            rows.append((tfrc.allowed_rate_kbps, slow, flow.rtt_s, target, flow.demand_kbps))
+            rows.append((tfrc.allowed_rate_kbps, length, flow.rtt_s, target, flow.demand_kbps))
         if not batch:
             return
-        rates, slow_start, rtt_s, targets, demand = _columns(rows, _IDLE_COLUMNS)
+        rates, lengths, rtt_s, targets, demand = _columns(rows, _IDLE_COLUMNS)
         if missed:
             computed = equation_rates(
                 *_histories([batch[index].tfrc for index in missed]), rtt_s[missed]
@@ -363,7 +358,7 @@ class NetworkSimulator:
             for index, target in zip(missed, computed.tolist()):
                 idle_targets[batch[index].flow_id] = target
         new_rates = evolve_idle_rates(
-            rates, slow_start, feedback_chunks(self.dt, rtt_s), targets
+            rates, lengths, feedback_chunks(self.dt, rtt_s), targets
         )
         _write_rates(batch, rates, new_rates, demand)
 

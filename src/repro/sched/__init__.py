@@ -1,22 +1,14 @@
-"""Quiescence-aware event-scheduled step core.
+"""The step engine: deadline-driven stepping instead of per-step polling.
 
-A fixed-step driver that visits every node and every flow each ``dt``
-regardless of whether anything is due wastes most of its visits.  This
-package hosts the wakeup-driven step core:
+:class:`~repro.sched.engine.StepEngine` is one earliest-deadline heap of
+periodic and one-shot keys.  Each system with timers owns one from
+construction (``system.step_engine``); a session samples bandwidth and the
+failure injector fires its events through instances of the same class.
 
-* :class:`~repro.sched.wakeups.WakeupQueue` — an earliest-deadline index over
-  opaque wakeup keys, built on the same lazy-heap pattern as
-  :class:`~repro.network.events.EventScheduler`;
-* :class:`~repro.sched.engine.StepEngine` — the per-session coordinator that
-  systems register their wakeups with (periodic timers, pending control
-  deliveries, dirty flows, injector events) and that answers "which keys are
-  due this step?".
-
-The per-flow TFRC batch kernels that run at the end of every step live
-beside the scalar model they must equal, in :mod:`repro.transport.tfrc`.
+The per-flow TFRC batch kernels that run at the end of every step live in
+:mod:`repro.transport.tfrc`.
 """
 
 from repro.sched.engine import StepEngine
-from repro.sched.wakeups import WakeupQueue
 
-__all__ = ["StepEngine", "WakeupQueue"]
+__all__ = ["StepEngine"]

@@ -88,18 +88,17 @@ class TfrcFlowState:
     """The TFRC state of one overlay flow: what the batch kernels read and write.
 
     ``allowed_rate_kbps`` is the cap the fair-share allocator honours.  The
-    flow doubles it every feedback round while ``in_slow_start`` (until its
-    first loss event) and follows the TCP equation afterwards.  The loss
-    history is Section 2.4's receiver-side interval array: ``intervals`` are
-    the closed loss intervals (packets received between two loss events),
-    newest first and at most :data:`HISTORY_DEPTH`; ``current`` is the open
-    one, the packets received since the last loss event; ``seen_loss`` says
-    whether the history reports a loss event rate at all.
+    loss history is Section 2.4's receiver-side interval array: ``intervals``
+    are the closed loss intervals (packets received between two loss
+    events), newest first and at most :data:`HISTORY_DEPTH`; ``current`` is
+    the open one, the packets received since the last loss event.  Every
+    loss event closes an interval of at least one packet, so an empty
+    ``intervals`` means no loss yet: the flow is in slow start, doubling its
+    rate every feedback round, and follows the TCP equation from its first
+    loss event on.
     """
 
     allowed_rate_kbps: float = MIN_RATE_KBPS
-    in_slow_start: bool = True
-    seen_loss: bool = False
     intervals: List[int] = field(default_factory=list)
     current: int = 0
 
@@ -178,8 +177,6 @@ def _advance_rates(
 
 def feedback_rounds(
     rates: np.ndarray,
-    in_slow_start: np.ndarray,
-    seen_loss: np.ndarray,
     intervals: np.ndarray,
     lengths: np.ndarray,
     current: np.ndarray,
@@ -193,10 +190,10 @@ def feedback_rounds(
     Bit-identical to splitting each flow's step into ``chunks[i]`` rounds
     (larger remainders first, by ``//`` and ``%``) and feeding the scalar
     model one round at a time (``feed_step`` in ``tests/oracles/tfrc.py``).
-    ``intervals`` is ``(n, 8)``, newest first, zero past ``lengths``.
-    Returns the new ``(rates, in_slow_start, intervals, lengths, current)``;
-    ``seen_loss`` and the history change exactly on the rows with
-    ``lost > 0``.
+    ``intervals`` is ``(n, 8)``, newest first, zero past ``lengths``; a row
+    with ``lengths == 0`` has seen no loss and is in slow start.  Returns the
+    new ``(rates, intervals, lengths, current)``; the history changes exactly
+    on the rows with ``lost > 0``.
 
     :func:`feedback_chunks` makes a row lossy in every round or in none, so
     only a lossy row closes intervals, one per round: round ``k`` closes
@@ -211,21 +208,20 @@ def feedback_rounds(
     rounds = int(chunks.max())
     lossy = lost > 0
     caps, closed = _round_targets(
-        rounds, lossy, seen_loss, intervals, lengths, current, received, chunks, rtt_s
+        rounds, lossy, intervals, lengths, current, received, chunks, rtt_s
     )
     np.maximum(caps, MIN_RATE_KBPS, out=caps)
-    slow_start = in_slow_start & ~lossy
+    slow_start = (lengths == 0) & ~lossy
     new_rates = _advance_rates(rates, slow_start, chunks, caps)
     new_intervals = np.where(lossy[:, None], closed, intervals)
     new_lengths = np.where(lossy, np.minimum(lengths + chunks, HISTORY_DEPTH), lengths)
     new_current = np.where(lossy, 0, current + received)
-    return new_rates, slow_start, new_intervals, new_lengths, new_current
+    return new_rates, new_intervals, new_lengths, new_current
 
 
 def _round_targets(
     rounds: int,
     lossy: np.ndarray,
-    seen_loss: np.ndarray,
     intervals: np.ndarray,
     lengths: np.ndarray,
     current: np.ndarray,
@@ -251,7 +247,7 @@ def _round_targets(
     np.maximum(per_round, 1, out=per_round)
     sequence = np.concatenate((per_round[::-1], history))
     del per_round
-    reported = seen_loss & (lengths > 0)
+    reported = lengths > 0
     open_now = reported & ~lossy & (opened > history[0])
     weighted = _weighted_sum([opened, *history[:-1]])
     del opened
@@ -279,7 +275,7 @@ def _round_targets(
 
 def evolve_idle_rates(
     rates: np.ndarray,
-    slow_start: np.ndarray,
+    lengths: np.ndarray,
     chunks: np.ndarray,
     targets: np.ndarray,
 ) -> np.ndarray:
@@ -289,13 +285,15 @@ def evolve_idle_rates(
     packets received or lost: an empty round changes no loss history,
     so the equation rate ``targets[i]`` (:func:`equation_rates`) is the same
     in every round, and only the rate recurrence of :func:`_advance_rates`
-    runs.
+    runs.  ``lengths`` counts each flow's closed loss intervals; a flow with
+    none is in slow start.
     """
-    return _advance_rates(rates, slow_start, chunks, np.maximum(targets, MIN_RATE_KBPS))
+    return _advance_rates(
+        rates, lengths == 0, chunks, np.maximum(targets, MIN_RATE_KBPS)
+    )
 
 
 def equation_rates(
-    seen_loss: np.ndarray,
     intervals: np.ndarray,
     lengths: np.ndarray,
     current: np.ndarray,
@@ -310,6 +308,6 @@ def equation_rates(
     n = len(rtt_s)
     none = np.zeros(n, dtype=np.int64)
     targets, _ = _round_targets(
-        1, none > 0, seen_loss, intervals, lengths, current, none, none + 1, rtt_s
+        1, none > 0, intervals, lengths, current, none, none + 1, rtt_s
     )
     return targets[0]

@@ -8,7 +8,7 @@ from repro.trees.bottleneck_tree import (
 )
 from repro.trees.overcast import build_overcast_tree
 from repro.trees.random_tree import build_balanced_tree, build_random_tree
-from repro.trees.tree import OverlayTree, tree_from_parent_map, validate_spans
+from repro.trees.tree import OverlayTree
 
 __all__ = [
     "OverlayTree",
@@ -18,6 +18,4 @@ __all__ = [
     "build_random_tree",
     "estimate_overlay_link_throughput",
     "tree_bottleneck_estimate",
-    "tree_from_parent_map",
-    "validate_spans",
 ]

@@ -66,10 +66,6 @@ class OverlayTree:
         """The node's direct children (sorted, possibly empty)."""
         return list(self._children.get(node, []))
 
-    def is_leaf(self, node: int) -> bool:
-        """True if the node has no children."""
-        return not self._children.get(node)
-
     def leaves(self) -> List[int]:
         """All leaf nodes."""
         return [node for node in self._children if not self._children[node]]
@@ -129,10 +125,6 @@ class OverlayTree:
             current = parent
         return result
 
-    def path_from_root(self, node: int) -> List[int]:
-        """Nodes from the root down to ``node`` inclusive."""
-        return list(reversed([node] + self.ancestors(node)))
-
     def edges(self) -> List[Tuple[int, int]]:
         """All (parent, child) tree edges."""
         return [(parent, child) for child, parent in self._parents.items()]
@@ -181,44 +173,6 @@ class OverlayTree:
         children.append(node)
         children.sort()
 
-    def remove_subtree(self, node: int) -> List[int]:
-        """Remove ``node`` and its whole subtree (models an unrecovered failure)."""
-        if node == self.root:
-            raise ValueError("cannot remove the root")
-        removed = self.subtree(node)
-        removed_set = set(removed)
-        parent = self._parents[node]
-        self._children[parent] = [child for child in self._children[parent] if child != node]
-        for member in removed:
-            self._parents.pop(member, None)
-            self._children.pop(member, None)
-        # Defensive: no surviving node should reference a removed parent.
-        for member, member_parent in list(self._parents.items()):
-            if member_parent in removed_set:
-                raise RuntimeError("remove_subtree left an orphaned node")
-        return removed
-
-    def remove_node_reparent_children(self, node: int) -> List[int]:
-        """Remove one node, reattaching its children to the node's parent.
-
-        Models a tree-repair transformation some overlays perform; Bullet's
-        failure experiments deliberately do *not* use it (worst case), but the
-        baselines and tests do.
-        """
-        if node == self.root:
-            raise ValueError("cannot remove the root")
-        parent = self._parents[node]
-        orphans = self._children.get(node, [])
-        for child in orphans:
-            self._parents[child] = parent
-            self._children[parent].append(child)
-        self._children[parent] = sorted(
-            child for child in self._children[parent] if child != node
-        )
-        self._parents.pop(node)
-        self._children.pop(node)
-        return orphans
-
     def copy(self) -> "OverlayTree":
         """An independent copy of the tree."""
         return OverlayTree(self.root, dict(self._parents))
@@ -229,18 +183,3 @@ class OverlayTree:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"OverlayTree(root={self.root}, members={len(self)}, height={self.height()})"
-
-
-def tree_from_parent_map(root: int, parents: Dict[int, int]) -> OverlayTree:
-    """Convenience constructor mirroring :class:`OverlayTree`'s signature."""
-    return OverlayTree(root, parents)
-
-
-def validate_spans(tree: OverlayTree, members: Iterable[int]) -> None:
-    """Raise if the tree does not span exactly the given member set."""
-    expected = set(members)
-    actual = set(tree.members())
-    if expected != actual:
-        missing = expected - actual
-        extra = actual - expected
-        raise ValueError(f"tree does not span members (missing={missing}, extra={extra})")

@@ -246,8 +246,19 @@ class TestHierarchyFlagValidation:
         assert completed.returncode == 2
         assert completed.stdout == ""
         assert "error:" in completed.stderr
-        assert "--hierarchy-levels must be between 1 and 3" in completed.stderr
+        assert "--hierarchy-levels must be 2 or 3" in completed.stderr
         assert "got 0" in completed.stderr
+
+    def test_rejects_one_hierarchy_level(self):
+        # One level is the flat mesh, which --system bullet already runs.
+        completed = self._run_cli(
+            "--system", "bullet-clustered", "--nodes", "12",
+            "--duration", "20", "--hierarchy-levels", "1",
+        )
+        assert completed.returncode == 2
+        assert completed.stdout == ""
+        assert "--hierarchy-levels must be 2 or 3" in completed.stderr
+        assert "got 1" in completed.stderr
 
     def test_validation_runs_before_scenario_expansion(self):
         # Bad ranges fail fast even with a preset that would otherwise

@@ -36,9 +36,9 @@ class TestFailureInjector:
         driver = RecordingDriver()
         injector = FailureInjector(driver)
         event = injector.schedule_failure(7, at_time_s=10.0)
-        assert injector.tick(5.0) == 0
+        assert injector.tick(5.0) == []
         assert driver.failed == []
-        assert injector.tick(10.0) == 1
+        assert injector.tick(10.0) == [event]
         assert driver.failed == [7]
         assert event.fired
 

@@ -20,6 +20,7 @@ from repro.experiments.harness import ExperimentConfig, run_experiment
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
 from repro.reconcile.working_set import WorkingSet
+from repro.sched.engine import StepEngine
 
 
 def _mesh(n_overlay: int, seed: int = 7) -> BulletMesh:
@@ -29,10 +30,19 @@ def _mesh(n_overlay: int, seed: int = 7) -> BulletMesh:
 
 
 class TestRefreshStagger:
-    def test_refresh_timers_are_phase_offset(self):
-        mesh = _mesh(20)
+    def test_refresh_timers_are_phase_offset(self, monkeypatch):
+        first_deadlines = {}
+        arm_every = StepEngine.arm_every
+
+        def recording(engine, key, period, first_at):
+            first_deadlines[key] = first_at
+            arm_every(engine, key, period, first_at)
+
+        monkeypatch.setattr(StepEngine, "arm_every", recording)
+        _mesh(20)
+        # The refresh keys are ("refresh", node); the epoch's is not a tuple.
         offsets = {
-            timer.start_at for timer in mesh._refresh_timers.values()
+            first_at for key, first_at in first_deadlines.items() if isinstance(key, tuple)
         }
         period = BLOOM_REFRESH_S
         # More than one phase in use, all within one period of the first fire.
@@ -42,14 +52,14 @@ class TestRefreshStagger:
     def test_refresh_work_is_spread_across_steps(self, monkeypatch):
         mesh = _mesh(20)
         refreshing_per_step = []
-        fire_due_timers = mesh._fire_due_timers
+        due = mesh.step_engine.due
 
         def recording(now):
-            epoch_fired, refreshing = fire_due_timers(now)
-            refreshing_per_step.append(len(refreshing))
-            return epoch_fired, refreshing
+            keys = due(now)
+            refreshing_per_step.append(sum(isinstance(key, tuple) for key in keys))
+            return keys
 
-        monkeypatch.setattr(mesh, "_fire_due_timers", recording)
+        monkeypatch.setattr(mesh.step_engine, "due", recording)
         mesh.run(40)
         steady = refreshing_per_step[10:]
         # Every member refreshes once per period...

@@ -30,8 +30,8 @@ class TestQuiescenceEngages:
         assert described["wakeups_fired_total"] > 0
         assert described["armed"] > 0
 
-    def test_bare_sessions_reattach_and_rearm(self):
-        """``mesh.run()`` twice == one long run, engine attached each time."""
+    def test_bare_sessions_keep_timers(self):
+        """``mesh.run()`` twice == one long run: the timers live in the mesh."""
 
         def build():
             workload = build_workload(n_overlay=14, seed=6)
@@ -39,18 +39,16 @@ class TestQuiescenceEngages:
             return simulator, BulletMesh(simulator, workload.tree, BulletConfig(seed=6))
 
         simulator, mesh = build()
-        private = mesh._step_engine
+        engine = mesh.step_engine
         mesh.run(20)
-        first = mesh._step_engine
-        assert first is not private  # the bare session attached its own
-        assert first.describe()["wakeups_fired_total"] > 0
+        assert ExperimentSession(simulator=simulator, system=mesh).step_engine is engine
+        fired = engine.describe()["wakeups_fired_total"]
+        assert fired > 0
         mesh.run(25)
-        second = mesh._step_engine
-        assert second is not first
-        # Every live member's refresh timer and the epoch timer were re-armed
-        # on the new engine, and kept firing.
-        assert second.describe()["armed"] == len(mesh.active_members()) + 1
-        assert second.describe()["wakeups_fired_total"] > 0
+        assert mesh.step_engine is engine
+        # Every live member's refresh and the epoch stay armed, and kept firing.
+        assert engine.describe()["armed"] == len(mesh.active_members()) + 1
+        assert engine.describe()["wakeups_fired_total"] > fired
 
         # Sampling restarts with each session, so compare what the protocol
         # did, not where the samples fell.

@@ -1,8 +1,11 @@
-"""Tests for periodic timers and the one-shot event scheduler."""
+"""Pin the polled timer and one-shot scheduler of ``oracles.clock``.
+
+They are the reference the step engine is checked against
+(``tests/sched/test_clock_oracle.py``), so their own behaviour stays pinned.
+"""
 
 import pytest
-
-from repro.network.events import EventScheduler, PeriodicTimer
+from oracles.clock import EventScheduler, PeriodicTimer
 
 
 class TestPeriodicTimer:

@@ -67,8 +67,7 @@ class TestFlow:
                 sent_single += 1
             assert bulk.collect_sent() == single.collect_sent()
         assert sent_bulk == sent_single == 380
-        assert bulk.packets_sent == 380
-        assert bulk.total_accepted == single.total_accepted
+        assert bulk.packets_sent == single.packets_sent == 380
 
     def test_send_many_beyond_the_budget_raises(self):
         topo = two_host_topology()
@@ -174,10 +173,10 @@ class TestFlowSendWindow:
     def test_counters(self):
         flow = Flow(two_host_topology(), 0, 2)
         flow.begin_step(allocated_kbps=PACKET_SIZE_KBITS, dt=1.0)
-        flow.try_send(1)
-        flow.try_send(2)
-        assert flow.total_accepted == 1
-        assert flow.total_rejected == 1
+        assert flow.try_send(1)
+        assert not flow.try_send(2)
+        assert flow.collect_sent() == [1]
+        assert flow.packets_sent == 1
 
     def test_negative_rate_rejected(self):
         flow = Flow(two_host_topology(), 0, 2)

@@ -141,7 +141,7 @@ class TestNetworkSimulator:
         sim = NetworkSimulator(star_topology(), dt=1.0)
         kept = sim.create_flow(1, 2)
         closed = sim.create_flow(1, 3)
-        closed.tfrc.in_slow_start = False
+        closed.tfrc.intervals = [10]
         run_steps(sim, 2)  # idle past slow start: its equation rate is cached
         assert closed.flow_id in sim._idle_targets
         closed.close()
@@ -206,7 +206,7 @@ class TestTfrcRecordsFollowTheScalarModel:
             if step % 3 == 0:
                 for i in range(bursty.send_budget()):
                     bursty.try_send(step * 1000 + i)
-            elif bursty.tfrc.seen_loss:
+            elif bursty.tfrc.intervals:
                 idle_after_loss += 1
             trickle.try_send(step)
             sim.end_step()
@@ -218,10 +218,10 @@ class TestTfrcRecordsFollowTheScalarModel:
                 oracle = oracles[flow.flow_id]
                 feed_step(oracle, received, lost, int(feedback_chunks(sim.dt, flow.rtt_s, lost)))
                 assert flow.tfrc == as_record(oracle), f"step {step}, {flow.label}"
-        assert not full.tfrc.in_slow_start and full.tfrc.intervals
+        assert full.tfrc.intervals
         assert idle_after_loss > 0
-        assert trickle.tfrc.in_slow_start and trickle.packets_delivered == 40
-        assert silent.tfrc.in_slow_start and silent.packets_sent == 0
+        assert not trickle.tfrc.intervals and trickle.packets_delivered == 40
+        assert not silent.tfrc.intervals and silent.packets_sent == 0
 
 
 class TestIncrementalAllocation:

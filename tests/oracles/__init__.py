@@ -8,7 +8,8 @@ per-pair networkx routing and per-pair landmark probes
 (:mod:`oracles.routing`), the per-member head-election key
 (:mod:`oracles.clustering`), the scalar interior stepper
 (:mod:`oracles.interior`), the synchronous RanSub driver
-(:mod:`oracles.ransub`) and the round-by-round scalar TFRC model
-(:mod:`oracles.tfrc`).  Nothing here is imported from ``src/``; the root
+(:mod:`oracles.ransub`), the round-by-round scalar TFRC model
+(:mod:`oracles.tfrc`) and the polled timers and event scheduler the step
+engine replaced (:mod:`oracles.clock`).  Nothing here is imported from ``src/``; the root
 ``conftest.py`` puts ``tests/`` on the path.
 """

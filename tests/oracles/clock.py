@@ -1,9 +1,12 @@
-"""Periodic timers for protocol logic running on the simulation clock.
+"""The polled clocks the step engine's periodic and one-shot keys replaced.
 
-RanSub epochs, Bloom filter refreshes and peer re-evaluation all fire "every
-N seconds" in the paper.  :class:`PeriodicTimer` encapsulates that pattern so
-protocol code reads as "if timer.fire(now): ...".  :class:`EventScheduler`
-provides one-shot scheduled callbacks (used by the failure injector).
+:class:`PeriodicTimer` is a protocol timer polled every step ("if
+timer.fire(now): ..."), lazily armed one period after its first poll unless
+``start_at`` says otherwise; :class:`EventScheduler` is a lazy heap of
+one-shot callbacks, run in (time, insertion) order.  They were lifted from
+``src/`` when :class:`repro.sched.engine.StepEngine` became the one deadline
+structure: ``tests/sched/test_clock_oracle.py`` checks that the engine's due
+times equal their fire times exactly, float for float.
 """
 
 from __future__ import annotations

@@ -163,12 +163,16 @@ def feed_step(state: TfrcFlowState, received: int, lost: int, chunks: int) -> No
 
 
 def as_record(state: TfrcFlowState) -> TfrcRecord:
-    """The five fields of ``state`` that the simulator's TFRC record keeps."""
+    """The three fields of ``state`` that the simulator's TFRC record keeps.
+
+    The record has no slow-start or seen-loss flag: both follow from whether
+    any loss interval closed, which is asserted here.
+    """
     history = state.loss_history
+    assert state.in_slow_start == (not history.intervals)
+    assert history._seen_loss == bool(history.intervals)
     return TfrcRecord(
         allowed_rate_kbps=state.allowed_rate_kbps,
-        in_slow_start=state.in_slow_start,
-        seen_loss=history._seen_loss,
         intervals=list(history.intervals),
         current=history._current,
     )

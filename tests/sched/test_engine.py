@@ -1,77 +1,69 @@
-"""Unit tests for the StepEngine wakeup coordinator."""
+"""The step engine's periodic keys, due sets and counters."""
 
-from repro.network.events import PeriodicTimer
+import pytest
+from oracles.clock import PeriodicTimer
+
 from repro.sched.engine import StepEngine
 
 
 class TestArmTimer:
     def test_unarmed_timer_is_primed_like_a_polling_loop(self):
         # A polling loop calling fire() every step from t=0 lazily arms an
-        # unarmed timer at 0 + period.  arm_timer must land the wakeup there,
-        # not at attach-time + period.
+        # unarmed timer at 0 + period; a key armed at 0 + period wakes there.
         engine = StepEngine()
+        engine.arm_every("t", 5.0, 0.0 + 5.0)
         timer = PeriodicTimer(5.0)
-        engine.arm_timer("t", timer, 0.0)
-        assert engine.queue.deadline("t") == 5.0
-        # The primed timer then actually fires at the wakeup.
-        assert "t" in engine.due_set(5.0)
+        assert not timer.fire(0.0)
+        assert engine.due(4.0) == set()
+        assert "t" in engine.due(5.0)
         assert timer.fire(5.0)
 
     def test_attach_after_start_does_not_slip_a_period(self):
-        # Regression guard: arming at attach-time + period (instead of
-        # priming) made the first firing one full period late.
-        engine = StepEngine()
+        # A key armed mid-schedule (its timer first polled at 0, the key
+        # armed at 3) wakes at the schedule's deadline, not 3 + period.
         timer = PeriodicTimer(5.0)
-        timer.fire(0.0)  # lazy-armed to 5.0 by the polling loop
-        engine.arm_timer("t", timer, 3.0)
-        assert engine.queue.deadline("t") == 5.0
+        timer.fire(0.0)
+        engine = StepEngine()
+        engine.arm_every("t", 5.0, timer.prime(3.0))
+        assert engine.due(5.0) == {"t"}
 
     def test_start_at_in_the_past_wakes_immediately(self):
-        # A joiner's staggered start_at can predate its attach time; the
-        # wakeup must be already-due so the catch-up fire happens on the
-        # very next step, exactly as the legacy poll would.
+        # A joiner's staggered first deadline can predate its join; the key
+        # is already due and then catches up by whole periods.
         engine = StepEngine()
-        timer = PeriodicTimer(10.0, start_at=2.0)
-        engine.arm_timer("t", timer, 6.0)
-        assert engine.queue.deadline("t") == 2.0
-        assert "t" in engine.due_set(6.0)
-        assert timer.fire(6.0)
+        engine.arm_every("t", 10.0, 2.0)
+        assert "t" in engine.due(6.0)
+        assert engine.due(11.0) == set()
+        assert "t" in engine.due(12.0)
 
     def test_rearm_after_fire_tracks_schedule(self):
         engine = StepEngine()
-        timer = PeriodicTimer(4.0)
-        engine.arm_timer("t", timer, 0.0)
-        engine.due_set(4.0)
-        assert timer.fire(4.0)
-        engine.arm_timer("t", timer, 4.0)
-        assert engine.queue.deadline("t") == 8.0
+        engine.arm_every("t", 4.0, 4.0)
+        assert engine.due(4.0) == {"t"}
+        assert "t" in engine
+        assert engine.due(7.0) == set()
+        assert engine.due(8.0) == {"t"}
+
+    def test_rejects_bad_period(self):
+        with pytest.raises(ValueError):
+            StepEngine().arm_every("t", 0.0, 1.0)
 
 
 class TestDueSet:
-    def test_cached_within_one_timestamp(self):
-        # Several subsystems consult due_set in one step; all must see the
-        # same snapshot even though the underlying pop drains the queue.
-        engine = StepEngine()
-        engine.arm("a", 2.0)
-        first = engine.due_set(2.0)
-        second = engine.due_set(2.0)
-        assert first == {"a"}
-        assert second == {"a"}
-        assert engine.steps == 1
-
     def test_new_timestamp_pops_fresh(self):
         engine = StepEngine()
         engine.arm("a", 1.0)
         engine.arm("b", 2.0)
-        assert engine.due_set(1.0) == {"a"}
-        assert engine.due_set(2.0) == {"b"}
+        assert engine.due(1.0) == {"a"}
+        assert engine.due(2.0) == {"b"}
         assert engine.steps == 2
 
     def test_disarm_suppresses_wakeup(self):
         engine = StepEngine()
-        engine.arm("a", 1.0)
-        engine.disarm("a")
-        assert engine.due_set(1.0) == set()
+        engine.arm_every("a", 1.0, 1.0)
+        engine.cancel("a")
+        assert engine.due(5.0) == set()
+        assert "a" not in engine
 
 
 class TestCounters:
@@ -83,10 +75,9 @@ class TestCounters:
 
     def test_describe_reports_queue_and_step_state(self):
         engine = StepEngine()
-        timer = PeriodicTimer(3.0)
-        engine.arm_timer("t", timer, 0.0)
+        engine.arm_every("t", 3.0, 3.0)
         engine.arm("x", 1.0)
-        engine.due_set(1.0)
+        engine.due(1.0)
         engine.note_skipped(5)
         described = engine.describe()
         assert described["steps"] == 1
@@ -94,3 +85,7 @@ class TestCounters:
         assert described["wakeups_armed_total"] == 2
         assert described["wakeups_fired_total"] == 1
         assert described["skipped"] == 5
+
+    def test_engine_is_truthy_with_nothing_armed(self):
+        # Callers test ``if session.step_engine`` for "has timers at all".
+        assert StepEngine()

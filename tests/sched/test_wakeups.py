@@ -1,96 +1,100 @@
-"""Unit tests for the lazy-heap wakeup index behind the step engine."""
+"""The lazy heap behind the step engine, through its one-shot keys."""
 
-from repro.sched.wakeups import WakeupQueue
+from repro.sched.engine import StepEngine
 
 
 class TestArming:
     def test_arm_and_pop_due(self):
-        queue = WakeupQueue()
-        queue.arm("a", 5.0)
-        queue.arm("b", 2.0)
-        queue.arm("c", 9.0)
-        assert queue.pop_due(5.0) == ["b", "a"]
-        assert queue.pop_due(5.0) == []
-        assert queue.pop_due(9.0) == ["c"]
+        engine = StepEngine()
+        engine.arm("a", 5.0)
+        engine.arm("b", 2.0)
+        engine.arm("c", 9.0)
+        assert engine.due(5.0) == {"a", "b"}
+        assert engine.due(5.0) == set()
+        assert engine.due(9.0) == {"c"}
 
     def test_rearm_replaces_deadline(self):
-        queue = WakeupQueue()
-        queue.arm("a", 2.0)
-        queue.arm("a", 8.0)
-        assert queue.deadline("a") == 8.0
-        assert queue.pop_due(5.0) == []
-        assert queue.pop_due(8.0) == ["a"]
+        engine = StepEngine()
+        engine.arm("a", 2.0)
+        engine.arm("a", 8.0)
+        assert engine.due(5.0) == set()
+        assert engine.due(8.0) == {"a"}
 
     def test_rearm_can_move_deadline_earlier(self):
-        queue = WakeupQueue()
-        queue.arm("a", 8.0)
-        queue.arm("a", 2.0)
-        assert queue.pop_due(2.0) == ["a"]
+        engine = StepEngine()
+        engine.arm("a", 8.0)
+        engine.arm("a", 2.0)
+        assert engine.due(2.0) == {"a"}
         # The stale 8.0 entry must not resurface later.
-        assert queue.pop_due(10.0) == []
+        assert engine.due(10.0) == set()
 
     def test_rearm_at_same_deadline_is_noop(self):
-        queue = WakeupQueue()
-        queue.arm("a", 4.0)
-        armed_before = queue.armed_total
-        queue.arm("a", 4.0)
-        assert queue.armed_total == armed_before
-        assert queue.pop_due(4.0) == ["a"]
+        # Arming again at the same deadline still wakes the key once.
+        engine = StepEngine()
+        engine.arm("a", 4.0)
+        engine.arm("a", 4.0)
+        assert engine.due(4.0) == {"a"}
+        assert engine.due(5.0) == set()
+        assert engine.fired_total == 1
 
     def test_disarm_cancels_pending_wakeup(self):
-        queue = WakeupQueue()
-        queue.arm("a", 3.0)
-        queue.disarm("a")
-        assert queue.pop_due(10.0) == []
-        assert queue.deadline("a") is None
+        engine = StepEngine()
+        engine.arm("a", 3.0)
+        engine.cancel("a")
+        assert engine.due(10.0) == set()
+        assert "a" not in engine
 
     def test_disarm_unknown_key_is_noop(self):
-        queue = WakeupQueue()
-        queue.disarm("ghost")
-        assert len(queue) == 0
+        engine = StepEngine()
+        engine.cancel("ghost")
+        assert engine.describe()["armed"] == 0
 
 
 class TestQueries:
     def test_next_time_skips_stale_entries(self):
-        queue = WakeupQueue()
-        queue.arm("a", 2.0)
-        queue.arm("a", 7.0)
-        queue.arm("b", 5.0)
-        assert queue.next_time() == 5.0
+        # The next key to wake is "b" at 5.0: "a"'s stale 2.0 entry is
+        # dropped, not woken.
+        engine = StepEngine()
+        engine.arm("a", 2.0)
+        engine.arm("a", 7.0)
+        engine.arm("b", 5.0)
+        assert engine.due(4.0) == set()
+        assert engine.due(5.0) == {"b"}
 
     def test_next_time_none_when_idle(self):
-        queue = WakeupQueue()
-        assert queue.next_time() is None
-        queue.arm("a", 1.0)
-        queue.pop_due(1.0)
-        assert queue.next_time() is None
+        # Once its only key fired, nothing is left to wake.
+        engine = StepEngine()
+        engine.arm("a", 1.0)
+        engine.due(1.0)
+        assert engine.describe()["armed"] == 0
+        assert engine.due(1e9) == set()
 
     def test_epsilon_due_check(self):
         # A deadline a hair past ``now`` (within 1e-12) still counts as due,
-        # matching PeriodicTimer.fire / EventScheduler.run_due.
-        queue = WakeupQueue()
-        queue.arm("a", 5.0 + 5e-13)
-        assert queue.pop_due(5.0) == ["a"]
+        # matching the polled oracles in ``oracles.clock``.
+        engine = StepEngine()
+        engine.arm("a", 5.0 + 5e-13)
+        assert engine.due(5.0) == {"a"}
 
     def test_len_and_contains_track_live_keys(self):
-        queue = WakeupQueue()
-        queue.arm("a", 1.0)
-        queue.arm("b", 2.0)
-        assert len(queue) == 2 and "a" in queue
-        queue.pop_due(1.0)
-        assert len(queue) == 1 and "a" not in queue and "b" in queue
+        engine = StepEngine()
+        engine.arm("a", 1.0)
+        engine.arm("b", 2.0)
+        assert engine.describe()["armed"] == 2 and "a" in engine
+        engine.due(1.0)
+        assert engine.describe()["armed"] == 1 and "a" not in engine and "b" in engine
 
     def test_counters(self):
-        queue = WakeupQueue()
-        queue.arm("a", 1.0)
-        queue.arm("b", 2.0)
-        queue.arm("b", 3.0)
-        queue.pop_due(3.0)
-        assert queue.armed_total == 3
-        assert queue.fired_total == 2
+        engine = StepEngine()
+        engine.arm("a", 1.0)
+        engine.arm("b", 2.0)
+        engine.arm("b", 3.0)
+        engine.due(3.0)
+        assert engine.armed_total == 3
+        assert engine.fired_total == 2
 
     def test_tuple_keys(self):
-        queue = WakeupQueue()
-        queue.arm(("refresh", 7), 1.0)
-        queue.arm(("refresh", 8), 1.0)
-        assert set(queue.pop_due(1.0)) == {("refresh", 7), ("refresh", 8)}
+        engine = StepEngine()
+        engine.arm(("refresh", 7), 1.0)
+        engine.arm(("refresh", 8), 1.0)
+        assert engine.due(1.0) == {("refresh", 7), ("refresh", 8)}

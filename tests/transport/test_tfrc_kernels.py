@@ -30,16 +30,17 @@ rates_strategy = st.one_of(
 
 @st.composite
 def tfrc_flow(draw):
-    """One flow's TFRC state and step, under the simulator's chunk rule."""
-    slow_start = draw(st.booleans())
-    length = 0 if slow_start else draw(st.integers(min_value=0, max_value=8))
+    """One flow's TFRC state and step, under the simulator's chunk rule.
+
+    Only reachable states: a flow is in slow start and reports no loss
+    exactly while its history has no closed interval.
+    """
+    length = draw(st.integers(min_value=0, max_value=8))
     chunks = draw(st.integers(min_value=1, max_value=MAX_FEEDBACK_CHUNKS))
     # A lossy step has at least one lost packet per feedback round.
     lost = draw(st.one_of(st.just(0), st.integers(min_value=chunks, max_value=chunks + 40)))
     return {
         "rate": draw(rates_strategy),
-        "slow_start": slow_start,
-        "seen_loss": length > 0 or (not slow_start and draw(st.booleans())),
         "intervals": draw(st.lists(st.integers(1, 500), min_size=length, max_size=length)),
         "current": draw(st.integers(min_value=0, max_value=400)),
         "received": draw(st.integers(min_value=0, max_value=300)),
@@ -55,16 +56,20 @@ tfrc_batches = st.lists(tfrc_flow(), min_size=1, max_size=64)
 def scalar_state(flow):
     state = TfrcFlowState(rtt_s=flow["rtt_s"])
     state.allowed_rate_kbps = flow["rate"]
-    state._in_slow_start = flow["slow_start"]
+    state._in_slow_start = not flow["intervals"]
     history = state.loss_history
     history.intervals = list(flow["intervals"])
     history._current = flow["current"]
-    history._seen_loss = flow["seen_loss"]
+    history._seen_loss = bool(flow["intervals"])
     return state
 
 
 def column(batch, key, dtype):
     return np.array([flow[key] for flow in batch], dtype=dtype)
+
+
+def interval_lengths(batch):
+    return np.array([len(flow["intervals"]) for flow in batch], dtype=np.int64)
 
 
 def interval_rows(batch):
@@ -99,12 +104,10 @@ class TestFeedbackRoundsBitIdentity:
             feed_step(state, flow["received"], flow["lost"], flow["chunks"])
 
         with np.errstate(all="raise", under="ignore"):
-            rates, slow_start, intervals, lengths, current = feedback_rounds(
+            rates, intervals, lengths, current = feedback_rounds(
                 column(batch, "rate", np.float64),
-                column(batch, "slow_start", bool),
-                column(batch, "seen_loss", bool),
                 interval_rows(batch),
-                np.array([len(flow["intervals"]) for flow in batch]),
+                interval_lengths(batch),
                 column(batch, "current", np.int64),
                 column(batch, "received", np.int64),
                 column(batch, "lost", np.int64),
@@ -114,8 +117,8 @@ class TestFeedbackRoundsBitIdentity:
         for i, (flow, state) in enumerate(zip(batch, states)):
             history = state.loss_history
             assert rates[i] == state.allowed_rate_kbps, f"flow {i} rate"
-            assert bool(slow_start[i]) == state.in_slow_start
-            assert (flow["seen_loss"] or flow["lost"] > 0) == history._seen_loss
+            assert (lengths[i] == 0) == state.in_slow_start
+            assert (lengths[i] > 0) == history._seen_loss
             assert int(current[i]) == history._current
             assert int(lengths[i]) == len(history.intervals)
             assert intervals[i, : lengths[i]].tolist() == history.intervals
@@ -133,7 +136,7 @@ class TestIdleEvolutionBitIdentity:
         with np.errstate(all="raise", under="ignore"):
             evolved = evolve_idle_rates(
                 column(batch, "rate", np.float64),
-                column(batch, "slow_start", bool),
+                interval_lengths(batch),
                 column(batch, "chunks", np.int64),
                 targets,
             )
@@ -147,9 +150,8 @@ class TestIdleEvolutionBitIdentity:
         # code; they must be the scalar equation rate, inf included.
         with np.errstate(all="raise", under="ignore"):
             targets = equation_rates(
-                column(batch, "seen_loss", bool),
                 interval_rows(batch),
-                np.array([len(flow["intervals"]) for flow in batch]),
+                interval_lengths(batch),
                 column(batch, "current", np.int64),
                 column(batch, "rtt_s", np.float64),
             )
@@ -159,7 +161,7 @@ class TestIdleEvolutionBitIdentity:
     def test_slow_start_doubling_is_exact_power_of_two(self):
         evolved = evolve_idle_rates(
             np.array([MIN_RATE_KBPS]),
-            np.array([True]),
+            np.array([0]),
             np.array([10], dtype=np.int64),
             np.array([np.inf]),
         )

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.trees.tree import OverlayTree, tree_from_parent_map, validate_spans
+from repro.trees.tree import OverlayTree
 
 
 def sample_tree():
@@ -36,15 +36,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             OverlayTree(0, {1: 2, 2: 1})
 
-    def test_tree_from_parent_map(self):
-        tree = tree_from_parent_map(0, {1: 0})
-        assert tree.members() == [0, 1]
-
-    def test_validate_spans(self):
-        tree = sample_tree()
-        validate_spans(tree, range(7))
-        with pytest.raises(ValueError):
-            validate_spans(tree, range(8))
 
 
 class TestQueries:
@@ -81,7 +72,7 @@ class TestQueries:
     def test_ancestors_and_path(self):
         tree = sample_tree()
         assert tree.ancestors(6) == [5, 2, 0]
-        assert tree.path_from_root(6) == [0, 2, 5, 6]
+        assert tree.ancestors(0) == []
 
     def test_edges(self):
         tree = sample_tree()
@@ -92,38 +83,20 @@ class TestQueries:
 
     def test_is_leaf_and_contains(self):
         tree = sample_tree()
-        assert tree.is_leaf(3)
-        assert not tree.is_leaf(1)
+        assert 3 in tree.leaves()
+        assert 1 not in tree.leaves()
         assert 5 in tree
         assert 99 not in tree
 
 
 class TestMutation:
-    def test_remove_subtree(self):
-        tree = sample_tree()
-        removed = tree.remove_subtree(2)
-        assert sorted(removed) == [2, 5, 6]
-        assert sorted(tree.members()) == [0, 1, 3, 4]
-        assert tree.children(0) == [1]
-
-    def test_remove_subtree_of_root_rejected(self):
-        with pytest.raises(ValueError):
-            sample_tree().remove_subtree(0)
-
-    def test_remove_node_reparent_children(self):
-        tree = sample_tree()
-        orphans = tree.remove_node_reparent_children(2)
-        assert orphans == [5]
-        assert tree.parent(5) == 0
-        assert 2 not in tree
-        assert sorted(tree.members()) == [0, 1, 3, 4, 5, 6]
-
     def test_copy_is_independent(self):
         tree = sample_tree()
         clone = tree.copy()
-        clone.remove_subtree(1)
-        assert 3 in tree
-        assert 3 not in clone
+        clone.add_leaf(7, 3)
+        assert 7 in clone
+        assert 7 not in tree
+        assert tree.children(3) == []
 
     def test_as_parent_map_round_trip(self):
         tree = sample_tree()
