@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from types import CodeType
+from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
@@ -36,10 +38,8 @@ if str(SRC) not in sys.path:
 PACKAGE_ROOT = SRC / "repro"
 
 
-def executable_lines(path: Path) -> set[int]:
+def executable_lines(code: CodeType) -> set[int]:
     """Executable line numbers of a module, from its code objects."""
-    source = path.read_text()
-    code = compile(source, str(path), "exec")
     lines: set[int] = set()
     stack = [code]
     while stack:
@@ -53,14 +53,28 @@ def executable_lines(path: Path) -> set[int]:
     return lines
 
 
-def main() -> int:
+def measure(
+    root: Path, run: Callable[[], int]
+) -> tuple[int, dict[Path, tuple[set[int], set[int]]]]:
+    """Run ``run()`` under a line tracer for the ``.py`` files below ``root``.
+
+    Returns ``run()``'s exit code and, per file, its executable lines and
+    the lines hit.  Hits are line numbers of the code the run imported, so
+    the executable lines come from that same code, not from the file on
+    disk afterwards: a file edited during the run is measured against the
+    lines that ran.  A file the run never imported is compiled from disk.
+    """
     hit: dict[str, set[int]] = {}
-    prefix = str(PACKAGE_ROOT)
+    imported: dict[str, CodeType] = {}
+    prefix = str(root)
 
     def tracer(frame, event, arg):
-        filename = frame.f_code.co_filename
+        code = frame.f_code
+        filename = code.co_filename
         if not filename.startswith(prefix):
             return None
+        if code.co_name == "<module>":
+            imported.setdefault(filename, code)
         lines = hit.setdefault(filename, set())
 
         def line_tracer(frame, event, arg):
@@ -72,19 +86,32 @@ def main() -> int:
             lines.add(frame.f_lineno)
         return line_tracer
 
+    sys.settrace(tracer)
+    try:
+        exit_code = run()
+    finally:
+        sys.settrace(None)
+
+    files: dict[Path, tuple[set[int], set[int]]] = {}
+    for path in sorted(root.rglob("*.py")):
+        code = imported.get(str(path))
+        if code is None:
+            code = compile(path.read_text(), str(path), "exec")
+        executable = executable_lines(code)
+        files[path] = (executable, hit.get(str(path), set()) & executable)
+    return exit_code, files
+
+
+def main() -> int:
     import pytest
 
     args = sys.argv[1:] or ["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0"]
-    sys.settrace(tracer)
-    exit_code = pytest.main(args)
-    sys.settrace(None)
+    exit_code, files = measure(PACKAGE_ROOT, lambda: pytest.main(args))
 
     total_executable = 0
     total_hit = 0
     by_package: dict[str, list[int]] = {}
-    for path in sorted(PACKAGE_ROOT.rglob("*.py")):
-        executable = executable_lines(path)
-        hit_here = hit.get(str(path), set()) & executable
+    for path, (executable, hit_here) in files.items():
         total_executable += len(executable)
         total_hit += len(hit_here)
         package = path.relative_to(PACKAGE_ROOT).parts[0]

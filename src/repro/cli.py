@@ -41,7 +41,8 @@ from repro.report import (
     get_experiment,
     run_reproduction,
 )
-from repro.report.docs import DEFAULT_DOC, check_timing_doc, refresh_timing_table
+from repro.report.catalog import catalog_rows
+from repro.report.docs import DEFAULT_DOC, committed_blocks, refresh_docs
 from repro.report.manifest import load_timing
 from repro.topology.links import BandwidthClass
 
@@ -449,8 +450,8 @@ def _print_catalog() -> None:
     print(f"experiment catalog ({len(CATALOG)} entries; run with:"
           " repro reproduce --only ID1,ID2)")
     print(f"  {'#':>2} {'id':<18} {'paper ref':<20} title")
-    for entry in CATALOG:
-        print(f"  {entry.number:>2} {entry.id:<18} {entry.paper_ref:<20} {entry.title}")
+    for number, entry in catalog_rows():
+        print(f"  {number:>2} {entry.id:<18} {entry.paper_ref:<20} {entry.title}")
 
 
 def _command_reproduce(args: argparse.Namespace) -> int:
@@ -474,7 +475,7 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     )
     if args.refresh_docs:
         # Fail before the first experiment, not after the last one.
-        check_timing_doc(DEFAULT_DOC)
+        committed_blocks(DEFAULT_DOC)
     tier = TIERS[args.tier]
     say = (lambda _line: None) if args.json else print
     say(f"reproduce: tier {tier.name} ({tier.description})"
@@ -484,8 +485,8 @@ def _command_reproduce(args: argparse.Namespace) -> int:
     failures = expectation_failures(run.manifest)
     if args.refresh_docs:
         timing = load_timing(run.results_dir)
-        changed = refresh_timing_table(DEFAULT_DOC, run.manifest, timing)
-        say(f"{DEFAULT_DOC}: timing table"
+        changed = refresh_docs(DEFAULT_DOC, run.manifest, timing)
+        say(f"{DEFAULT_DOC}: generated blocks"
             f" {'refreshed' if changed else 'already up to date'}")
     if args.json:
         print(json.dumps({

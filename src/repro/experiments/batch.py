@@ -137,15 +137,6 @@ class AggregateRow:
         return dict(self.group)
 
 
-def _mean_std(values: Sequence[float]) -> Tuple[float, float]:
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, 0.0
-    variance = sum((value - mean) ** 2 for value in values) / (n - 1)
-    return mean, math.sqrt(variance)
-
-
 #: Two-sided 95% Student-t critical values by degrees of freedom (1..30).
 #: Seed counts are typically tiny (2-5), where the normal z=1.96 would
 #: understate the interval severely (df=1 needs 12.71, df=2 needs 4.30).
@@ -156,11 +147,20 @@ _T95 = (
 )
 
 
-def _t95(df: int) -> float:
-    """95% two-sided t critical value (normal approximation past df=30)."""
-    if df < 1:
-        return 0.0
-    return _T95[df - 1] if df <= len(_T95) else 1.96
+def mean_std_ci95(values: Sequence[float]) -> Tuple[float, float, float]:
+    """Mean, sample std and Student-t 95% CI half-width of ``values``.
+
+    One value has std and CI 0; past 30 degrees of freedom the t value is
+    the normal 1.96.  ``ResultSet.aggregate`` and the reproduction
+    pipeline's ``--stability`` columns both use this.
+    """
+    n = len(values)
+    mean = sum(values) / n
+    if n < 2:
+        return mean, 0.0, 0.0
+    std = math.sqrt(sum((value - mean) ** 2 for value in values) / (n - 1))
+    t95 = _T95[n - 2] if n - 1 <= len(_T95) else 1.96
+    return mean, std, t95 * std / math.sqrt(n)
 
 
 class ResultSet(Sequence):
@@ -229,9 +229,7 @@ class ResultSet(Sequence):
         )
         for key, members in groups.items():
             values = members.metric_values(metric)
-            mean, std = _mean_std(values)
-            n = len(values)
-            ci95 = _t95(n - 1) * std / math.sqrt(n) if n > 1 else 0.0
+            mean, std, ci95 = mean_std_ci95(values)
             rows.append(
                 AggregateRow(
                     group=tuple(zip(by, key)),

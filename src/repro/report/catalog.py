@@ -1,12 +1,13 @@
 """The reproduction experiment catalog.
 
 Every figure, table, ablation and scale scenario of the evaluation is one
-:class:`ReproExperiment` here: a numbered entry with a runner that produces
+:class:`ReproExperiment` here: an entry with a runner that produces
 structured results, the scalar metrics the report surfaces, and the paper's
 expected relationships annotated as machine-checkable
-:class:`Expectation` objects.  ``python -m repro.cli reproduce`` drives this
-catalog; ``docs/REPRODUCTION.md`` documents it entry by entry
-(``tests/report/test_docs.py`` fails if the two drift apart), and
+:class:`Expectation` objects.  An entry's number is its 1-based position in
+:data:`CATALOG` (:func:`catalog_rows`).  ``python -m repro.cli reproduce``
+drives this catalog; ``reproduce --list``, the report and the tier and
+catalog tables of ``docs/REPRODUCTION.md`` are all rendered from it, and
 ``benchmarks/test_catalog.py`` runs the smoke tier once and holds every
 entry to its smoke-gated expectations.
 
@@ -48,10 +49,6 @@ from repro.experiments.tables import table1_bandwidth_ranges
 from repro.experiments.workloads import scenario_config
 from repro.report.manifest import ExpectationOutcome
 
-#: Every tier the pipeline knows; ``--tier`` validates against this.
-TIER_NAMES = ("smoke", "paper", "scale")
-
-
 @dataclass(frozen=True)
 class Tier:
     """One pipeline size: the scale figure-style experiments run at."""
@@ -69,23 +66,29 @@ TIERS: Dict[str, Tier] = {
         n_overlay=16,
         duration_s=60.0,
         seed=1,
-        description="CI-sized: every experiment in roughly a minute total",
+        description="CI-sized: the full catalog in roughly a minute;"
+        " expectations still checked",
     ),
     "paper": Tier(
         name="paper",
         n_overlay=200,
         duration_s=400.0,
         seed=1,
-        description="paper-comparable figure scale (200 nodes, 400 s runs)",
+        description="paper-comparable figure scale; scenario pack at ~half"
+        " presets",
     ),
     "scale": Tier(
         name="scale",
         n_overlay=500,
         duration_s=400.0,
         seed=1,
-        description="figures at 500 nodes; scenario pack at full presets",
+        description="figures at 500 nodes; scenario pack at full presets"
+        " (includes the paper's 1000-node run)",
     ),
 }
+
+#: Every tier the pipeline knows; ``--tier`` validates against this.
+TIER_NAMES = tuple(TIERS)
 
 
 @dataclass(frozen=True)
@@ -143,10 +146,9 @@ class Expectation:
 
 @dataclass(frozen=True)
 class ReproExperiment:
-    """One numbered entry of the reproduction catalog."""
+    """One entry of the reproduction catalog."""
 
     id: str
-    number: int
     section: str  # "figures" | "tables" | "ablations" | "scale"
     title: str
     paper_ref: str
@@ -302,7 +304,6 @@ def _bandwidth_class_expectations(factor: float, note: str) -> Tuple[Expectation
 CATALOG: Tuple[ReproExperiment, ...] = (
     ReproExperiment(
         id="fig6",
-        number=1,
         section="figures",
         title="TFRC streaming over bottleneck vs random tree",
         paper_ref="Figure 6",
@@ -323,7 +324,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig7",
-        number=2,
         section="figures",
         title="Bullet over a random tree",
         paper_ref="Figure 7",
@@ -351,7 +351,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig8",
-        number=3,
         section="figures",
         title="Per-node bandwidth CDF",
         paper_ref="Figure 8",
@@ -371,7 +370,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig9",
-        number=4,
         section="figures",
         title="Bullet vs bottleneck tree across bandwidth classes",
         paper_ref="Figure 9",
@@ -415,7 +413,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig10",
-        number=5,
         section="figures",
         title="Disjoint vs non-disjoint transmission",
         paper_ref="Figure 10",
@@ -436,7 +433,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig11",
-        number=6,
         section="figures",
         title="Bullet vs epidemic approaches",
         paper_ref="Figure 11",
@@ -465,7 +461,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig12",
-        number=7,
         section="figures",
         title="Bullet vs bottleneck tree on lossy topologies",
         paper_ref="Figure 12",
@@ -485,7 +480,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig13",
-        number=8,
         section="figures",
         title="Worst-case failure without recovery",
         paper_ref="Figure 13",
@@ -513,7 +507,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig14",
-        number=9,
         section="figures",
         title="Worst-case failure with recovery",
         paper_ref="Figure 14",
@@ -534,7 +527,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="fig15",
-        number=10,
         section="figures",
         title="PlanetLab: Bullet vs hand-crafted trees",
         paper_ref="Figure 15",
@@ -561,7 +553,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="table1",
-        number=11,
         section="tables",
         title="Table 1 bandwidth ranges",
         paper_ref="Table 1",
@@ -580,7 +571,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="headline",
-        number=12,
         section="tables",
         title="Headline scalar claims",
         paper_ref="Sections 1 and 4.2",
@@ -613,7 +603,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="abl-peers",
-        number=13,
         section="ablations",
         title="Ablation: peer-set size",
         paper_ref="Section 4 (peer limit 10)",
@@ -643,7 +632,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="abl-epoch",
-        number=14,
         section="ablations",
         title="Ablation: RanSub epoch length",
         paper_ref="Section 3.2 (5 s epochs)",
@@ -670,7 +658,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="abl-disjoint",
-        number=15,
         section="ablations",
         title="Ablation: disjoint send and recovery lookahead",
         paper_ref="Section 3.3 / Figure 10",
@@ -693,7 +680,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="abl-eviction",
-        number=16,
         section="ablations",
         title="Ablation: sender eviction",
         paper_ref="Section 3.4",
@@ -716,7 +702,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="systems",
-        number=17,
         section="scale",
         title="Cross-system matrix",
         paper_ref="Section 4 (all comparisons)",
@@ -751,7 +736,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="scale-500",
-        number=18,
         section="scale",
         title="Scale scenario: 500 nodes",
         paper_ref="scenario pack",
@@ -776,7 +760,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="scale-1000",
-        number=19,
         section="scale",
         title="Scale scenario: the paper's 1000 nodes",
         paper_ref="scenario pack",
@@ -802,7 +785,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="flash-crowd",
-        number=20,
         section="scale",
         title="Scale scenario: flash crowd",
         paper_ref="scenario pack",
@@ -828,7 +810,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="churn-heavy",
-        number=21,
         section="scale",
         title="Scale scenario: heavy churn",
         paper_ref="scenario pack",
@@ -854,7 +835,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="churn-adversarial",
-        number=22,
         section="scale",
         title="Scale scenario: adversarial churn",
         paper_ref="scenario pack",
@@ -880,7 +860,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="scale-10000",
-        number=23,
         section="scale",
         title="Scale scenario: 10000 nodes, clustered and sharded",
         paper_ref="scenario pack",
@@ -917,7 +896,6 @@ CATALOG: Tuple[ReproExperiment, ...] = (
     ),
     ReproExperiment(
         id="scale-100000",
-        number=24,
         section="scale",
         title="Scale scenario: 100000 nodes, three-level and landmark-scored",
         paper_ref="scenario pack",
@@ -972,8 +950,22 @@ SECTIONS: Tuple[Tuple[str, str], ...] = (
 )
 
 
+def catalog_rows(section: Optional[str] = None) -> List[Tuple[int, ReproExperiment]]:
+    """``(number, entry)`` per catalog entry, or per entry of one section.
+
+    An entry's number is its 1-based position in :data:`CATALOG`;
+    ``reproduce --list``, the report and the docs' catalog tables all
+    number entries through this.
+    """
+    return [
+        (number, entry)
+        for number, entry in enumerate(CATALOG, start=1)
+        if section is None or entry.section == section
+    ]
+
+
 def experiment_ids() -> List[str]:
-    """All catalog ids in catalog (numbered) order."""
+    """All catalog ids in catalog order."""
     return [entry.id for entry in CATALOG]
 
 

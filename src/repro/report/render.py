@@ -1,27 +1,34 @@
 """Render a reproduction manifest into markdown and standalone HTML.
 
-Both renderers consume the same intermediate model built from the manifest
-plus the wall-clock sidecar, so the two outputs cannot drift: a run summary,
-the cross-system comparison matrix (from the ``systems`` catalog entry), a
+:func:`report_blocks` walks the manifest plus the wall-clock sidecar once
+and states the report as a short list of blocks (heading, paragraph, table,
+bullet list) whose text carries markdown inline marks: a run summary, the
+cross-system comparison matrix (from the ``systems`` catalog entry), a
 per-experiment summary table with paper-expectation verdicts, and
 per-experiment metric detail (with mean ± 95% CI columns when the run used
-``--stability``).
+``--stability``).  :func:`render_markdown` and :func:`render_html` are two
+emitters over that one list, so the two outputs say the same thing.
 """
 
 from __future__ import annotations
 
-import html as html_escape
-from typing import List, Mapping, Optional, Tuple
+import html
+import re
+from typing import Any, List, Mapping, Optional, Sequence, Tuple
 
 from repro.report.catalog import (
-    CATALOG,
     EXPERIMENTS,
     MATRIX_CONDITIONS,
     MATRIX_SYSTEMS,
     SECTIONS,
+    catalog_rows,
     system_supports_churn,
 )
 from repro.report.manifest import ExperimentRecord, Manifest
+
+#: One report block: ``("h1" | "h2" | "h3", text)``, ``("p", text)``,
+#: ``("table", header, rows)`` or ``("ul", items)``.
+Block = Tuple[Any, ...]
 
 _STATUS_MARK = {"pass": "PASS", "fail": "FAIL", "info": "info"}
 
@@ -34,21 +41,6 @@ def _format_value(value: float) -> str:
     if abs(value) >= 10:
         return f"{value:.1f}"
     return f"{value:.3g}"
-
-
-def _ordered_records(manifest: Manifest) -> List[Tuple[int, str, ExperimentRecord]]:
-    """Manifest records in catalog order, then any unknown ids after."""
-    rows: List[Tuple[int, str, ExperimentRecord]] = []
-    for entry in CATALOG:
-        record = manifest.experiments.get(entry.id)
-        if record is not None:
-            rows.append((entry.number, entry.id, record))
-    extra_number = len(CATALOG) + 1
-    for experiment_id, record in manifest.experiments.items():
-        if experiment_id not in EXPERIMENTS:
-            rows.append((extra_number, experiment_id, record))
-            extra_number += 1
-    return rows
 
 
 def _check_summary(record: ExperimentRecord) -> str:
@@ -107,30 +99,17 @@ def _metric_rows(record: ExperimentRecord) -> List[List[str]]:
     return rows
 
 
-def _has_stability(manifest: Manifest) -> bool:
-    return any(record.stability for record in manifest.experiments.values())
-
-
-# ------------------------------------------------------------------ markdown
-def _md_table(header: List[str], rows: List[List[str]]) -> List[str]:
-    lines = ["| " + " | ".join(header) + " |"]
-    lines.append("|" + "|".join(" --- " for _ in header) + "|")
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return lines
-
-
-def render_markdown(manifest: Manifest, timing: Mapping[str, object]) -> str:
-    lines: List[str] = []
-    lines.append("# Bullet reproduction report")
-    lines.append("")
-    lines.append(
-        "One-command reproduction of *Bullet: High Bandwidth Data Dissemination"
-        " Using an Overlay Mesh* (Kostić et al., SOSP 2003) — see"
-        " `docs/REPRODUCTION.md` for the experiment catalog."
-    )
-    lines.append("")
-    total = timing.get("total_s")
+def report_blocks(manifest: Manifest, timing: Mapping[str, object]) -> List[Block]:
+    """The whole report, walked once from the manifest and timing sidecar."""
+    blocks: List[Block] = [
+        ("h1", "Bullet reproduction report"),
+        (
+            "p",
+            "One-command reproduction of *Bullet: High Bandwidth Data Dissemination"
+            " Using an Overlay Mesh* (Kostić et al., SOSP 2003) — see"
+            " `docs/REPRODUCTION.md` for the experiment catalog.",
+        ),
+    ]
     meta_rows = [
         ["run id", manifest.run_id],
         ["tier", manifest.tier],
@@ -138,94 +117,117 @@ def render_markdown(manifest: Manifest, timing: Mapping[str, object]) -> str:
         ["stability seeds", str(max(manifest.stability, 1))],
         ["git SHA", manifest.git_sha],
     ]
+    total = timing.get("total_s")
     if isinstance(total, (int, float)):
         meta_rows.append(["total wall-clock", f"{float(total):.1f} s"])
-    lines.extend(_md_table(["run", "value"], meta_rows))
-    lines.append("")
+    blocks.append(("table", ["run", "value"], meta_rows))
 
-    complete = [r for r in manifest.experiments.values() if r.complete]
-    failed = [r for r in manifest.experiments.values() if not r.complete]
-    checks_pass = sum(
-        1 for r in complete for o in r.expectations if o.status == "pass"
-    )
-    checks_fail = sum(
-        1 for r in complete for o in r.expectations if o.status == "fail"
-    )
-    lines.append(
-        f"**{len(complete)} experiments complete, {len(failed)} failed;"
-        f" paper expectations: {checks_pass} pass, {checks_fail} fail.**"
-    )
-    lines.append("")
+    records = manifest.experiments.values()
+    complete = [r for r in records if r.complete]
+    verdicts = [o.status for r in complete for o in r.expectations]
+    blocks.append((
+        "p",
+        f"**{len(complete)} experiments complete, {len(records) - len(complete)}"
+        f" failed; paper expectations: {verdicts.count('pass')} pass,"
+        f" {verdicts.count('fail')} fail.**",
+    ))
 
     matrix = _matrix_rows(manifest)
     if matrix:
-        lines.append("## Cross-system comparison")
-        lines.append("")
-        lines.append(
-            "Average useful bandwidth (Kbps) per system and condition, from"
-            " the `systems` matrix experiment:"
-        )
-        lines.append("")
-        lines.extend(_md_table(["system", *MATRIX_CONDITIONS], matrix))
-        lines.append("")
+        blocks += [
+            ("h2", "Cross-system comparison"),
+            (
+                "p",
+                "Average useful bandwidth (Kbps) per system and condition, from"
+                " the `systems` matrix experiment:",
+            ),
+            ("table", ["system", *MATRIX_CONDITIONS], matrix),
+        ]
 
-    lines.append("## Summary")
-    lines.append("")
+    # Catalog order, then any ids the catalog no longer knows.
+    numbered = [
+        (number, entry.id) for number, entry in catalog_rows()
+        if entry.id in manifest.experiments
+    ]
+    unknown = [i for i in manifest.experiments if i not in EXPERIMENTS]
+    numbered += [(len(EXPERIMENTS) + k, i) for k, i in enumerate(unknown, start=1)]
     summary_rows = []
-    for number, experiment_id, record in _ordered_records(manifest):
+    for number, experiment_id in numbered:
         entry = EXPERIMENTS.get(experiment_id)
+        record = manifest.experiments[experiment_id]
         wall = _timing_for(timing, experiment_id)
-        summary_rows.append(
-            [
-                str(number),
-                f"`{experiment_id}`",
-                entry.paper_ref if entry else "-",
-                entry.title if entry else "-",
-                record.status,
-                f"{wall:.1f}" if wall is not None else "-",
-                _check_summary(record),
-            ]
-        )
-    lines.extend(
-        _md_table(
+        summary_rows.append([
+            str(number),
+            f"`{experiment_id}`",
+            entry.paper_ref if entry else "-",
+            entry.title if entry else "-",
+            record.status,
+            f"{wall:.1f}" if wall is not None else "-",
+            _check_summary(record),
+        ])
+    blocks += [
+        ("h2", "Summary"),
+        (
+            "table",
             ["#", "id", "paper ref", "experiment", "status", "wall (s)", "checks"],
             summary_rows,
-        )
-    )
-    lines.append("")
+        ),
+    ]
 
     for section_key, section_title in SECTIONS:
-        section_entries = [
-            entry
-            for entry in CATALOG
-            if entry.section == section_key and entry.id in manifest.experiments
+        rows = [
+            (number, entry) for number, entry in catalog_rows(section_key)
+            if entry.id in manifest.experiments
         ]
-        if not section_entries:
-            continue
-        lines.append(f"## {section_title}")
-        lines.append("")
-        for entry in section_entries:
+        if rows:
+            blocks.append(("h2", section_title))
+        for number, entry in rows:
             record = manifest.experiments[entry.id]
-            lines.append(f"### {entry.number}. `{entry.id}` — {entry.title}")
-            lines.append("")
-            lines.append(f"*{entry.paper_ref}.* {entry.description}")
-            lines.append("")
+            blocks += [
+                ("h3", f"{number}. `{entry.id}` — {entry.title}"),
+                ("p", f"*{entry.paper_ref}.* {entry.description}"),
+            ]
             if not record.complete:
-                lines.append(f"**FAILED**: `{record.error}`")
-                lines.append("")
+                blocks.append(("p", f"**FAILED**: `{record.error}`"))
                 continue
             if record.metrics:
                 header = ["metric", "value"]
                 if any(record.stability.get(name) for name in record.metrics):
                     header.append("mean ± 95% CI")
-                lines.extend(_md_table(header, _metric_rows(record)))
-                lines.append("")
-            for outcome in record.expectations:
-                mark = _STATUS_MARK.get(outcome.status, outcome.status)
-                lines.append(f"- **{mark}** {outcome.name}: {outcome.detail}")
+                blocks.append(("table", header, _metric_rows(record)))
             if record.expectations:
-                lines.append("")
-    return "\n".join(lines) + "\n"
+                blocks.append((
+                    "ul",
+                    [
+                        f"**{_STATUS_MARK.get(o.status, o.status)}** {o.name}: {o.detail}"
+                        for o in record.expectations
+                    ],
+                ))
+    return blocks
+
+
+# ------------------------------------------------------------------ markdown
+def markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """A pipe table, one line per row."""
+    lines = ["| " + " | ".join(header) + " |"]
+    lines.append("|" + "|".join(" --- " for _ in header) + "|")
+    lines.extend("| " + " | ".join(row) + " |" for row in rows)
+    return "\n".join(lines)
+
+
+def render_markdown(manifest: Manifest, timing: Mapping[str, object]) -> str:
+    """The report as markdown, each block followed by one blank line."""
+    out = []
+    for kind, *body in report_blocks(manifest, timing):
+        if kind == "table":
+            out.append(markdown_table(*body))
+        elif kind == "ul":
+            out.append("\n".join(f"- {item}" for item in body[0]))
+        elif kind == "p":
+            out.append(body[0])
+        else:
+            out.append("#" * int(kind[1]) + " " + body[0])
+    return "".join(f"{text}\n\n" for text in out)
 
 
 # ---------------------------------------------------------------------- html
@@ -240,113 +242,53 @@ code { background: #f5f5f5; padding: 0.1rem 0.25rem; border-radius: 3px; }
 .pass { color: #116611; font-weight: 600; }
 .fail { color: #aa1111; font-weight: 600; }
 .info { color: #666666; }
-.status-failed { color: #aa1111; font-weight: 600; }
 """
 
+#: Bold marks that are verdicts render with their verdict's CSS class.
+_MARK_CLASS = {"PASS": "pass", "FAIL": "fail", "FAILED": "fail", "info": "info"}
 
-def _html_table(header: List[str], rows: List[List[str]]) -> List[str]:
-    lines = ["<table>", "<tr>"]
-    lines.extend(f"<th>{html_escape.escape(cell)}</th>" for cell in header)
-    lines.append("</tr>")
-    for row in rows:
-        lines.append("<tr>")
-        lines.extend(f"<td>{html_escape.escape(cell)}</td>" for cell in row)
-        lines.append("</tr>")
-    lines.append("</table>")
-    return lines
+_INLINE = re.compile(r"`([^`]+)`|\*\*(.+?)\*\*|\*([^*]+)\*")
+
+
+def _inline_html(text: str) -> str:
+    """Escape ``text``, then map its ``**…**``, `` `…` `` and ``*…*`` marks."""
+
+    def mark(match: "re.Match[str]") -> str:
+        code, strong, emphasis = match.groups()
+        if code is not None:
+            return f"<code>{code}</code>"
+        if strong is not None:
+            css = _MARK_CLASS.get(strong)
+            return f'<span class="{css}">{strong}</span>' if css else f"<strong>{strong}</strong>"
+        return f"<em>{emphasis}</em>"
+
+    return _INLINE.sub(mark, html.escape(text))
 
 
 def render_html(manifest: Manifest, timing: Mapping[str, object]) -> str:
-    esc = html_escape.escape
+    """The report as a standalone HTML page."""
     parts: List[str] = [
         "<!DOCTYPE html>",
-        "<html lang=\"en\"><head><meta charset=\"utf-8\">",
+        '<html lang="en"><head><meta charset="utf-8">',
         "<title>Bullet reproduction report</title>",
         f"<style>{_HTML_STYLE}</style>",
         "</head><body>",
-        "<h1>Bullet reproduction report</h1>",
-        "<p>One-command reproduction of <em>Bullet: High Bandwidth Data"
-        " Dissemination Using an Overlay Mesh</em> (Kostić et al., SOSP 2003)."
-        " See <code>docs/REPRODUCTION.md</code> for the experiment catalog.</p>",
     ]
-    total = timing.get("total_s")
-    meta_rows = [
-        ["run id", manifest.run_id],
-        ["tier", manifest.tier],
-        ["base seed", str(manifest.seed)],
-        ["stability seeds", str(max(manifest.stability, 1))],
-        ["git SHA", manifest.git_sha],
-    ]
-    if isinstance(total, (int, float)):
-        meta_rows.append(["total wall-clock", f"{float(total):.1f} s"])
-    parts.extend(_html_table(["run", "value"], meta_rows))
-
-    matrix = _matrix_rows(manifest)
-    if matrix:
-        parts.append("<h2>Cross-system comparison</h2>")
-        parts.append(
-            "<p>Average useful bandwidth (Kbps) per system and condition:</p>"
-        )
-        parts.extend(_html_table(["system", *MATRIX_CONDITIONS], matrix))
-
-    parts.append("<h2>Summary</h2>")
-    parts.append("<table><tr>")
-    for cell in ("#", "id", "paper ref", "experiment", "status", "wall (s)", "checks"):
-        parts.append(f"<th>{esc(cell)}</th>")
-    parts.append("</tr>")
-    for number, experiment_id, record in _ordered_records(manifest):
-        entry = EXPERIMENTS.get(experiment_id)
-        wall = _timing_for(timing, experiment_id)
-        status_class = "" if record.complete else " class=\"status-failed\""
-        parts.append(
-            "<tr>"
-            f"<td>{number}</td>"
-            f"<td><code>{esc(experiment_id)}</code></td>"
-            f"<td>{esc(entry.paper_ref if entry else '-')}</td>"
-            f"<td>{esc(entry.title if entry else '-')}</td>"
-            f"<td{status_class}>{esc(record.status)}</td>"
-            f"<td>{f'{wall:.1f}' if wall is not None else '-'}</td>"
-            f"<td>{esc(_check_summary(record))}</td>"
-            "</tr>"
-        )
-    parts.append("</table>")
-
-    for section_key, section_title in SECTIONS:
-        section_entries = [
-            entry
-            for entry in CATALOG
-            if entry.section == section_key and entry.id in manifest.experiments
-        ]
-        if not section_entries:
-            continue
-        parts.append(f"<h2>{esc(section_title)}</h2>")
-        for entry in section_entries:
-            record = manifest.experiments[entry.id]
-            parts.append(
-                f"<h3>{entry.number}. <code>{esc(entry.id)}</code>"
-                f" — {esc(entry.title)}</h3>"
+    for kind, *body in report_blocks(manifest, timing):
+        if kind == "table":
+            header, rows = body
+            parts.append("<table>")
+            parts.append("<tr>" + "".join(f"<th>{_inline_html(c)}</th>" for c in header) + "</tr>")
+            parts.extend(
+                "<tr>" + "".join(f"<td>{_inline_html(c)}</td>" for c in row) + "</tr>"
+                for row in rows
             )
-            parts.append(
-                f"<p><em>{esc(entry.paper_ref)}.</em> {esc(entry.description)}</p>"
-            )
-            if not record.complete:
-                parts.append(
-                    f"<p class=\"fail\">FAILED: <code>{esc(record.error)}</code></p>"
-                )
-                continue
-            if record.metrics:
-                header = ["metric", "value"]
-                if any(record.stability.get(name) for name in record.metrics):
-                    header.append("mean ± 95% CI")
-                parts.extend(_html_table(header, _metric_rows(record)))
-            if record.expectations:
-                parts.append("<ul>")
-                for outcome in record.expectations:
-                    mark = _STATUS_MARK.get(outcome.status, outcome.status)
-                    parts.append(
-                        f"<li><span class=\"{esc(outcome.status)}\">{esc(mark)}</span>"
-                        f" {esc(outcome.name)}: {esc(outcome.detail)}</li>"
-                    )
-                parts.append("</ul>")
+            parts.append("</table>")
+        elif kind == "ul":
+            parts.append("<ul>")
+            parts.extend(f"<li>{_inline_html(item)}</li>" for item in body[0])
+            parts.append("</ul>")
+        else:
+            parts.append(f"<{kind}>{_inline_html(body[0])}</{kind}>")
     parts.append("</body></html>")
     return "\n".join(parts) + "\n"

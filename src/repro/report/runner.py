@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
-from repro.experiments.batch import _mean_std, _t95
+from repro.experiments.batch import mean_std_ci95
 from repro.report.catalog import (
     TIERS,
     ReproExperiment,
@@ -124,10 +124,8 @@ def _aggregate_stability(
     table: Dict[str, Dict[str, float]] = {}
     for name in names:
         values = [metrics[name] for metrics in per_seed_metrics if name in metrics]
-        mean, std = _mean_std(values)
-        n = len(values)
-        ci95 = _t95(n - 1) * std / (n ** 0.5) if n > 1 else 0.0
-        table[name] = {"mean": mean, "std": std, "ci95": ci95, "n": float(n)}
+        mean, std, ci95 = mean_std_ci95(values)
+        table[name] = {"mean": mean, "std": std, "ci95": ci95, "n": float(len(values))}
     return table
 
 
@@ -183,8 +181,16 @@ def run_reproduction(
             stability=plan.stability,
             git_sha=git_sha(),
         )
-    timing = load_timing(results_dir)
-    per_experiment_timing = dict(timing.get("experiments", {}))
+    per_experiment_timing = dict(load_timing(results_dir).get("experiments", {}))
+
+    def save_walls() -> Dict[str, object]:
+        timing = {
+            "experiments": per_experiment_timing,
+            "total_s": round(sum(per_experiment_timing.values()), 3),
+        }
+        save_timing(results_dir, timing)
+        return timing
+
     seeds = [base_seed + offset for offset in range(plan.stability)]
     contexts = [
         RunContext(
@@ -263,13 +269,7 @@ def run_reproduction(
         )
         manifest.save(results_dir)
         per_experiment_timing[entry.id] = round(wall, 3)
-        save_timing(
-            results_dir,
-            {
-                "experiments": per_experiment_timing,
-                "total_s": round(sum(per_experiment_timing.values()), 3),
-            },
-        )
+        save_walls()
         checks = sum(1 for outcome in outcomes if outcome.status == "pass")
         fails = sum(1 for outcome in outcomes if outcome.status == "fail")
         verdict = f"{checks} pass" + (f", {fails} FAIL" if fails else "")
@@ -278,14 +278,7 @@ def run_reproduction(
             ExperimentOutcome(experiment_id=entry.id, status="complete", wall_s=wall)
         )
 
-    save_timing(
-        results_dir,
-        {
-            "experiments": per_experiment_timing,
-            "total_s": round(sum(per_experiment_timing.values()), 3),
-        },
-    )
-    timing = load_timing(results_dir)
+    timing = save_walls()
     run.report_markdown = results_dir / "report.md"
     run.report_markdown.write_text(render_markdown(manifest, timing))
     run.report_html = results_dir / "report.html"

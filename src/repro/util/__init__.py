@@ -8,9 +8,6 @@ from repro.util.units import (
     PACKET_SIZE_BYTES,
     PACKET_SIZE_KBITS,
     bytes_to_kbits,
-    kbits_to_bytes,
-    kbps_to_packets_per_second,
-    packets_to_kbits,
 )
 
 __all__ = [
@@ -20,9 +17,6 @@ __all__ = [
     "PACKET_SIZE_KBITS",
     "SeededRng",
     "bytes_to_kbits",
-    "kbits_to_bytes",
-    "kbps_to_packets_per_second",
-    "packets_to_kbits",
     "spawn_rng",
     "stable_hash",
     "universal_hash_family",

@@ -46,10 +46,6 @@ class SeededRng:
         """Uniform float in [low, high]."""
         return self._random.uniform(low, high)
 
-    def randint(self, low: int, high: int) -> int:
-        """Uniform integer in [low, high] inclusive."""
-        return self._random.randint(low, high)
-
     def choice(self, seq: Sequence[T]) -> T:
         """Uniformly choose one element of a non-empty sequence."""
         return self._random.choice(seq)
@@ -66,10 +62,6 @@ class SeededRng:
     def weighted_choice(self, items: Sequence[T], weights: Sequence[float]) -> T:
         """Choose one element with probability proportional to its weight."""
         return self._random.choices(list(items), weights=list(weights), k=1)[0]
-
-    def coin(self, p_true: float) -> bool:
-        """Return ``True`` with probability ``p_true``."""
-        return self._random.random() < p_true
 
     def permutation(self, items: Iterable[T]) -> list[T]:
         """Return a shuffled copy of ``items``."""

@@ -26,20 +26,3 @@ PACKET_SIZE_KBITS: float = PACKET_SIZE_BYTES * 8 / 1000.0
 def bytes_to_kbits(n_bytes: float) -> float:
     """Convert a byte count to kilobits."""
     return n_bytes * 8.0 / 1000.0
-
-
-def kbits_to_bytes(kbits: float) -> float:
-    """Convert kilobits to bytes."""
-    return kbits * 1000.0 / 8.0
-
-
-def kbps_to_packets_per_second(rate_kbps: float, packet_kbits: float = PACKET_SIZE_KBITS) -> float:
-    """Convert a rate in Kbps to packets per second for a given packet size."""
-    if packet_kbits <= 0:
-        raise ValueError("packet size must be positive")
-    return rate_kbps / packet_kbits
-
-
-def packets_to_kbits(n_packets: float, packet_kbits: float = PACKET_SIZE_KBITS) -> float:
-    """Convert a packet count to kilobits."""
-    return n_packets * packet_kbits

@@ -13,6 +13,7 @@ from repro.report.catalog import (
     TIERS,
     Expectation,
     RunContext,
+    catalog_rows,
     flatten_export,
     experiment_ids,
     get_experiment,
@@ -24,9 +25,11 @@ class TestCatalogShape:
     def test_ids_unique_and_numbers_sequential(self):
         ids = [entry.id for entry in CATALOG]
         assert len(ids) == len(set(ids))
-        assert [entry.number for entry in CATALOG] == list(
-            range(1, len(CATALOG) + 1)
-        )
+        # A number is a position: catalog_rows numbers entries 1..N in
+        # catalog order, and a section's rows keep their catalog numbers.
+        assert catalog_rows() == list(enumerate(CATALOG, start=1))
+        by_section = [row for key, _ in SECTIONS for row in catalog_rows(key)]
+        assert sorted(by_section, key=lambda row: row[0]) == catalog_rows()
 
     def test_every_entry_in_a_known_section(self):
         known = {key for key, _ in SECTIONS}
@@ -87,7 +90,8 @@ class TestSelection:
         assert "fig7" in str(excinfo.value)
 
     def test_get_experiment(self):
-        assert get_experiment("fig7").number == 2
+        assert get_experiment("fig7") is CATALOG[1]
+        assert dict((entry.id, n) for n, entry in catalog_rows())["fig7"] == 2
         with pytest.raises(ValueError, match="nope"):
             get_experiment("nope")
 

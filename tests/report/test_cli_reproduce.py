@@ -6,7 +6,7 @@ import pytest
 
 from repro.cli import main
 from repro.report.catalog import CATALOG
-from repro.report.docs import TIMING_BEGIN, TIMING_END
+from repro.report.docs import BLOCK_NAMES
 from repro.report.manifest import Manifest
 
 
@@ -96,7 +96,10 @@ class TestReproduceRun:
 
     def test_refresh_docs_updates_tmp_doc(self, tmp_path, capsys, monkeypatch):
         doc = tmp_path / "REPRODUCTION.md"
-        doc.write_text(f"intro\n{TIMING_BEGIN}\n{TIMING_END}\n")
+        doc.write_text("intro\n" + "".join(
+            f"<!-- repro:{name}:begin -->\n<!-- repro:{name}:end -->\n"
+            for name in BLOCK_NAMES
+        ))
         monkeypatch.setattr("repro.cli.DEFAULT_DOC", doc)
         code = main(
             [
@@ -105,7 +108,9 @@ class TestReproduceRun:
             ]
         )
         assert code == 0
-        assert "| smoke | 1/" in doc.read_text()
+        text = doc.read_text()
+        assert "| smoke | 1/" in text
+        assert "| 2 | `fig7` | Figure 7 |" in text  # every block, not only timing
 
     def test_refresh_docs_outside_the_repo_root_exits_2_before_running(
         self, tmp_path, capsys, monkeypatch

@@ -1,5 +1,8 @@
 """Report rendering from a synthetic manifest: both formats, all sections."""
 
+import html
+import re
+
 from repro.report.catalog import MATRIX_CONDITIONS, MATRIX_SYSTEMS
 from repro.report.manifest import ExpectationOutcome, ExperimentRecord, Manifest
 from repro.report.render import render_html, render_markdown
@@ -111,3 +114,58 @@ class TestHtml:
     def test_renders_without_timing(self):
         html = render_html(_manifest(), {})
         assert "total wall-clock" not in html
+
+
+class TestParity:
+    """report.html says everything report.md says: both come from one walk."""
+
+    #: The markdown inline marks the report uses, as HTML.
+    INLINE = re.compile(r"`([^`]+)`|\*\*(.+?)\*\*|\*([^*]+)\*")
+    VERDICT = {"PASS": "pass", "FAIL": "fail", "FAILED": "fail", "info": "info"}
+
+    def _html(self, text):
+        def mark(match):
+            code, strong, emphasis = match.groups()
+            if code is not None:
+                return f"<code>{code}</code>"
+            if strong is not None:
+                if strong in self.VERDICT:
+                    return f'<span class="{self.VERDICT[strong]}">{strong}</span>'
+                return f"<strong>{strong}</strong>"
+            return f"<em>{emphasis}</em>"
+
+        return self.INLINE.sub(mark, html.escape(text))
+
+    def _markdown_items(self, text):
+        """Every heading, paragraph, table cell and list item, as HTML."""
+        items = []
+        for line in text.splitlines():
+            if not line or set(line) <= {"|", "-", " "}:
+                continue  # blank line or a table's separator row
+            if line.startswith("#"):
+                level, _, body = line.partition(" ")
+                items.append(f"<h{len(level)}>{self._html(body)}</h{len(level)}>")
+            elif line.startswith("| "):
+                items.extend(
+                    f">{self._html(cell.strip())}</t"
+                    for cell in line.strip().strip("|").split(" | ")
+                )
+            elif line.startswith("- "):
+                items.append(f"<li>{self._html(line[2:])}</li>")
+            else:
+                items.append(f"<p>{self._html(line)}</p>")
+        return items
+
+    def test_every_markdown_item_is_in_the_html(self):
+        manifest = _manifest()
+        manifest.experiments["fig7"].stability = {
+            "useful_kbps": {"mean": 474.0, "std": 2.0, "ci95": 3.5, "n": 3.0}
+        }
+        markdown = render_markdown(manifest, TIMING)
+        page = render_html(manifest, TIMING)
+        items = self._markdown_items(markdown)
+        assert any("FAILED" in item for item in items)
+        assert any("474.0 ± 3.5 (n=3)" in item for item in items)
+        assert any("n/a (capability)" in item for item in items)
+        missing = [item for item in items if item not in page]
+        assert not missing

@@ -21,10 +21,9 @@ from repro.report.runner import (
 )
 
 
-def _entry(experiment_id, runner, number=1, expectations=(), headline=("value",)):
+def _entry(experiment_id, runner, expectations=(), headline=("value",)):
     return ReproExperiment(
         id=experiment_id,
-        number=number,
         section="figures",
         title=f"synthetic {experiment_id}",
         paper_ref="Figure 0",
@@ -147,8 +146,8 @@ class TestPipeline:
         _patch_catalog(
             monkeypatch,
             [
-                _entry("bad", boom, number=1),
-                _entry("good", lambda ctx: {"value": 2.0}, number=2),
+                _entry("bad", boom),
+                _entry("good", lambda ctx: {"value": 2.0}),
             ],
         )
         run = run_reproduction(ReproducePlan(tier="smoke", out_dir=tmp_path))
@@ -180,7 +179,7 @@ class TestPipeline:
 
         _patch_catalog(
             monkeypatch,
-            [_entry(name, runner, number=index) for index, name in enumerate("abc")],
+            [_entry(name, runner) for name in "abc"],
         )
         run = run_reproduction(ReproducePlan(tier="smoke", out_dir=tmp_path))
         assert run.completed == ["a", "b", "c"]

@@ -1,36 +1,14 @@
 """Tests for unit conversion helpers."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.util.units import (
-    PACKET_SIZE_BYTES,
-    PACKET_SIZE_KBITS,
-    bytes_to_kbits,
-    kbits_to_bytes,
-    kbps_to_packets_per_second,
-    packets_to_kbits,
-)
+from repro.util.units import PACKET_SIZE_BYTES, PACKET_SIZE_KBITS, bytes_to_kbits
 
 
 class TestUnits:
     def test_packet_size_consistency(self):
         assert PACKET_SIZE_KBITS == pytest.approx(PACKET_SIZE_BYTES * 8 / 1000)
 
-    def test_bytes_kbits_round_trip(self):
-        assert kbits_to_bytes(bytes_to_kbits(1500)) == pytest.approx(1500)
-
-    @given(st.floats(min_value=0, max_value=1e9, allow_nan=False))
-    def test_round_trip_property(self, n_bytes):
-        assert kbits_to_bytes(bytes_to_kbits(n_bytes)) == pytest.approx(n_bytes, rel=1e-9)
-
-    def test_stream_rate_to_packets(self):
-        # 600 Kbps with 12 Kbit packets is 50 packets per second.
-        assert kbps_to_packets_per_second(600.0) == pytest.approx(50.0)
-
-    def test_packets_to_kbits_inverse(self):
-        assert packets_to_kbits(kbps_to_packets_per_second(600.0)) == pytest.approx(600.0)
-
-    def test_zero_packet_size_rejected(self):
-        with pytest.raises(ValueError):
-            kbps_to_packets_per_second(100.0, packet_kbits=0)
+    def test_bytes_to_kbits(self):
+        # One 1500-byte packet is 12 Kbit.
+        assert bytes_to_kbits(PACKET_SIZE_BYTES) == pytest.approx(12.0)
