@@ -23,6 +23,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import BulletConfig, BulletMesh
 from repro.experiments.metrics import steady_state_average
+from repro.experiments.session import ExperimentSession
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
 from repro.topology.links import BandwidthClass
@@ -44,7 +45,7 @@ def main() -> None:
     simulator = NetworkSimulator(workload.topology, dt=1.0, seed=42)
     config = BulletConfig(stream_rate_kbps=600.0, seed=42)
     mesh = BulletMesh(simulator, workload.tree, config)
-    mesh.run(duration_s=150.0, sample_interval_s=5.0)
+    ExperimentSession(simulator=simulator, system=mesh, sample_interval_s=5.0).drive(150.0)
 
     # 4. Report what each receiver achieved.
     stats = simulator.stats

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.baselines.streaming import TreeStreaming
+from repro.baselines.streaming import TreeStreaming, absorb_delivered
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
 from repro.network.flows import Flow
@@ -115,17 +115,14 @@ class AntiEntropyStreaming(TreeStreaming):
     def _deliver_recovery_phase(self) -> None:
         for (helper, requester), flow in self.recovery_flows.items():
             delivered = flow.take_delivered()
-            if requester in self.failed:
+            if not delivered or requester in self.failed:
                 continue
-            received = self._received[requester]
-            for sequence in delivered:
-                duplicate = sequence in received
-                if not duplicate:
-                    received.add(sequence)
-                    self._fresh[requester].append(sequence)
-                self.stats.record_receive(
-                    requester, sequence, duplicate=duplicate, from_parent=False
-                )
+            useful = absorb_delivered(
+                self._received[requester], self._fresh[requester], delivered
+            )
+            self.stats.record_receive_counts(
+                requester, useful, len(delivered) - useful, from_parent=False
+            )
 
     def _anti_entropy_round(self, now: float) -> None:
         """Each node gossips a digest of its holdings to random peers."""
@@ -183,8 +180,8 @@ class AntiEntropyStreaming(TreeStreaming):
                 pending[:budget],
                 pending[budget:],
             )
-            for sequence in batch:
-                flow.try_send(sequence)
+            if flow.active:
+                flow.send_many(batch)
 
     def _update_recovery_demands(self) -> None:
         dt = self.simulator.dt

@@ -26,9 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.baselines.streaming import absorb_delivered
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
-from repro.network.flows import Flow
+from repro.network.flows import Flow, StreamSource
 from repro.network.simulator import NetworkSimulator
 from repro.sched.engine import StepEngine
 from repro.util.rng import SeededRng
@@ -81,8 +82,7 @@ class PushGossip:
             extra_loss_rate=control_loss_rate,
         )
 
-        self._next_sequence = 0
-        self._source_carry = 0.0
+        self.stream_source = StreamSource(stream_rate_kbps)
         self._received: Dict[int, set] = {node: set() for node in self.members}
         self._fresh: Dict[int, List[int]] = {node: [] for node in self.members}
         #: Per-node pending queues keyed by current gossip target.
@@ -155,14 +155,6 @@ class PushGossip:
         self._forward_phase()
         self._update_demands()
 
-    def run(self, duration_s: float, sample_interval_s: float = 5.0) -> None:
-        """Drive the simulator for ``duration_s`` simulated seconds."""
-        from repro.experiments.session import ExperimentSession
-
-        ExperimentSession(
-            simulator=self.simulator, system=self, sample_interval_s=sample_interval_s
-        ).drive(duration_s)
-
     def receivers(self) -> List[int]:
         """Every member except the source."""
         return [node for node in self.members if node != self.source]
@@ -191,27 +183,19 @@ class PushGossip:
     def _deliver_phase(self) -> None:
         for (sender, receiver), flow in self.flows.items():
             delivered = flow.take_delivered()
-            received = self._received[receiver]
-            for sequence in delivered:
-                duplicate = sequence in received
-                if not duplicate:
-                    received.add(sequence)
-                    self._fresh[receiver].append(sequence)
-                self.stats.record_receive(
-                    receiver, sequence, duplicate=duplicate, from_parent=False
-                )
+            if not delivered:
+                continue
+            useful = absorb_delivered(
+                self._received[receiver], self._fresh[receiver], delivered
+            )
+            self.stats.record_receive_counts(
+                receiver, useful, len(delivered) - useful, from_parent=False
+            )
 
     def _source_phase(self) -> None:
-        packets = (
-            self.stream_rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS + self._source_carry
-        )
-        count = int(packets)
-        self._source_carry = packets - count
-        for _ in range(count):
-            sequence = self._next_sequence
-            self._next_sequence += 1
-            self._received[self.source].add(sequence)
-            self._fresh[self.source].append(sequence)
+        sequences = self.stream_source.emit(self.simulator.dt)
+        self._received[self.source].update(sequences)
+        self._fresh[self.source].extend(sequences)
 
     def _forward_phase(self) -> None:
         for node in self.members:
@@ -234,8 +218,8 @@ class PushGossip:
                     continue
                 budget = flow.send_budget()
                 batch, self._pending[(node, target)] = pending[:budget], pending[budget:]
-                for sequence in batch:
-                    flow.try_send(sequence)
+                if flow.active:
+                    flow.send_many(batch)
                 # Gossip does not retransmit: anything still pending beyond a
                 # step is stale and dropped (push model).
                 if len(self._pending[(node, target)]) > 512:

@@ -16,11 +16,27 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.experiments.registry import BuildContext, register_system
-from repro.network.flows import Flow
+from repro.network.flows import Flow, StreamSource
 from repro.network.simulator import NetworkSimulator
 from repro.trees.tree import OverlayTree
-from repro.util.units import PACKET_SIZE_KBITS
 from repro.analysis.shakeout import tracked_set
+
+
+def absorb_delivered(received: set, fresh: List[int], delivered: List[int]) -> int:
+    """Take one flow's delivered packets in arrival order; returns how many
+    were first copies.
+
+    Each sequence not yet in ``received`` joins it and ``fresh`` (the node's
+    forwarding queue); the rest, including a repeat within ``delivered``
+    itself, are duplicates.
+    """
+    useful = 0
+    for sequence in delivered:
+        if sequence not in received:
+            received.add(sequence)
+            fresh.append(sequence)
+            useful += 1
+    return useful
 
 
 class TreeStreaming:
@@ -40,8 +56,7 @@ class TreeStreaming:
         self.stats = simulator.stats
         self.failed: set[int] = tracked_set("streaming.failed")
 
-        self._next_sequence = 0
-        self._source_carry = 0.0
+        self.stream_source = StreamSource(stream_rate_kbps)
         #: Sequences each node has received (duplicate detection).
         self._received: Dict[int, set] = {node: set() for node in tree.members()}
         #: Packets awaiting forwarding, per node (filled on delivery).
@@ -63,14 +78,6 @@ class TreeStreaming:
         self._source_phase()
         self._forward_phase()
 
-    def run(self, duration_s: float, sample_interval_s: float = 5.0) -> None:
-        """Drive the simulator for ``duration_s`` simulated seconds."""
-        from repro.experiments.session import ExperimentSession
-
-        ExperimentSession(
-            simulator=self.simulator, system=self, sample_interval_s=sample_interval_s
-        ).drive(duration_s)
-
     def receivers(self) -> List[int]:
         """Every participant except the source and failed nodes."""
         return [
@@ -83,30 +90,20 @@ class TreeStreaming:
     def _deliver_phase(self) -> None:
         for (parent, child), flow in self.flows.items():
             delivered = flow.take_delivered()
-            if child in self.failed:
+            if not delivered or child in self.failed:
                 continue
-            received = self._received[child]
-            for sequence in delivered:
-                duplicate = sequence in received
-                if not duplicate:
-                    received.add(sequence)
-                    self._fresh[child].append(sequence)
-                self.stats.record_receive(child, sequence, duplicate=duplicate, from_parent=True)
+            useful = absorb_delivered(self._received[child], self._fresh[child], delivered)
+            self.stats.record_receive_counts(
+                child, useful, len(delivered) - useful, from_parent=True
+            )
 
     def _source_phase(self) -> None:
         if self.tree.root in self.failed:
             return
-        packets = (
-            self.stream_rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS + self._source_carry
-        )
-        count = int(packets)
-        self._source_carry = packets - count
+        sequences = self.stream_source.emit(self.simulator.dt)
         root = self.tree.root
-        for _ in range(count):
-            sequence = self._next_sequence
-            self._next_sequence += 1
-            self._received[root].add(sequence)
-            self._fresh[root].append(sequence)
+        self._received[root].update(sequences)
+        self._fresh[root].extend(sequences)
 
     def _forward_phase(self) -> None:
         for node in self.tree.members():
@@ -124,8 +121,8 @@ class TreeStreaming:
                     continue
                 # A packet the flow does not accept is lost for this subtree
                 # (no retransmission).
-                for sequence in fresh:
-                    flow.try_send(sequence)
+                if flow.active:
+                    flow.send_many(fresh[: flow.send_budget()])
 
     # ------------------------------------------------------------- membership
     def add_node(self, node: int, parent: int | None = None) -> int:

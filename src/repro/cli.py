@@ -228,8 +228,9 @@ def _build_parser() -> argparse.ArgumentParser:
     reproduce.add_argument("--strict-expectations", action="store_true",
                            help="exit non-zero when any paper expectation fails")
     reproduce.add_argument("--refresh-docs", action="store_true",
-                           help="rewrite the measured-timing table in"
-                           " docs/REPRODUCTION.md from this run's timing.json")
+                           help="rewrite every generated block of"
+                           " docs/REPRODUCTION.md (tier and catalog tables,"
+                           " and this tier's measured wall-clock row)")
     reproduce.add_argument("--json", action="store_true",
                            help="print a JSON run summary instead of text")
 

@@ -2,7 +2,7 @@
 the disjoint send routine, peer management, recovery and the mesh
 orchestrator."""
 
-from repro.core.bullet_node import BulletNode, ControlPlaneServices, ReceiveOutcome
+from repro.core.bullet_node import BulletNode, ControlPlaneServices
 from repro.core.config import BulletConfig
 from repro.core.control_messages import (
     PeeringReply,
@@ -29,7 +29,6 @@ __all__ = [
     "PeeringReply",
     "PeeringRequest",
     "PeeringTeardown",
-    "ReceiveOutcome",
     "ReceiverRecord",
     "RecoveryRefresh",
     "RecoveryRequest",

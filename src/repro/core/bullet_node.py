@@ -17,7 +17,6 @@ through the narrow :class:`ControlPlaneServices` interface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence, Set, Tuple
 
 from repro.core.config import (
@@ -69,14 +68,6 @@ class ControlPlaneServices(Protocol):
         """Nodes this participant must not peer with (failed nodes and the
         source)."""
         ...  # pragma: no cover - protocol definition
-
-
-@dataclass
-class ReceiveOutcome:
-    """What happened when a packet arrived at a node."""
-
-    useful: bool
-    duplicate: bool
 
 
 class BulletNode:
@@ -151,11 +142,6 @@ class BulletNode:
             if record is not None:
                 record.record_packets(useful, duplicates)
         return useful, duplicates
-
-    def on_packet(self, sequence: int, from_node: Optional[int], via_peer: bool) -> ReceiveOutcome:
-        """Process one arriving packet (a one-element :meth:`on_packets`)."""
-        useful, duplicates = self.on_packets((sequence,), from_node, via_peer)
-        return ReceiveOutcome(useful=bool(useful), duplicate=bool(duplicates))
 
     def take_newly_received(self) -> List[int]:
         """Drain packets that arrived since the previous protocol phase."""
@@ -232,11 +218,6 @@ class BulletNode:
             self.ransub.begin_epoch(epoch, self.member_summary(epoch), now, timeout_s)
         )
         self._apply_sending_factors()
-
-    def poll_control(self, now: float) -> None:
-        """Fire node-local control timeouts (RanSub deadline, stale requests)."""
-        self.poll_ransub(now)
-        self.poll_pending_requests(now)
 
     def poll_ransub(self, now: float) -> bool:
         """Fire the RanSub collect deadline; True if a timeout produced messages.

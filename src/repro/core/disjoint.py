@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Sequence, Set
 from repro.core.config import LIMITING_FACTOR_INITIAL, LIMITING_FACTOR_MIN, BulletConfig
 
 #: Signature of the transport callback: (child, sequence) -> accepted?
-TrySend = Callable[[int, int], bool]
+Transport = Callable[[int, int], bool]
 
 
 @dataclass
@@ -63,9 +63,6 @@ class DisjointSender:
         self._ordered: List[ChildSendState] | None = None
         #: Running sum of ``owned_sent`` across children this epoch.
         self._owned_total: int = 0
-        #: Packets no child could accept; cached for peer recovery (the parent
-        #: "will cache the data packet and serve it to its requesting peers").
-        self.dropped_sequences: List[int] = []
         self._set_equal_sending_factors()
 
     # ---------------------------------------------------------------- set-up
@@ -127,12 +124,7 @@ class DisjointSender:
             state.total_sent = 0
 
     # ------------------------------------------------------------------ send
-    def send_packet(self, sequence: int, try_send: TrySend) -> List[int]:
-        """Forward one packet to children per Figure 5; returns the recipients."""
-        batch = self.send_batch([sequence], try_send)
-        return sorted(child for child, sequences in batch.items() if sequence in sequences)
-
-    def send_batch(self, sequences: Sequence[int], try_send: TrySend) -> Dict[int, List[int]]:
+    def send_batch(self, sequences: Sequence[int], transport: Transport) -> Dict[int, List[int]]:
         """Forward a batch of freshly received packets to the children.
 
         The batch is processed in two rounds, which is what the Figure 5
@@ -155,30 +147,25 @@ class DisjointSender:
             return recipients
         if not self.config.disjoint_send:
             for sequence in sequences:
-                for child in self._send_non_disjoint(sequence, try_send):
+                for child in self._send_non_disjoint(sequence, transport):
                     recipients[child].append(sequence)
             return recipients
 
         step = self.config.limiting_factor_step
         # Round 1: ownership.
+        # A packet no child accepts (the children's bandwidths sum short of
+        # the stream) stays in this node's working set, from which its mesh
+        # peers can still recover it.
         for sequence in sequences:
             self._epoch_packets += 1
-            owned = False
-            ordered = self._children_by_deficit()
-            for state in ordered:
+            for state in self._children_by_deficit():
                 if sequence in state.sent_filter:
                     continue
-                if try_send(state.child, sequence):
+                if transport(state.child, sequence):
                     self._record_send(state, sequence, owned=True)
                     recipients[state.child].append(sequence)
-                    owned = True
                     break
                 state.lifetime_rejected += 1
-            if not owned:
-                # No child could accept the packet: the sum of children
-                # bandwidths is inadequate.  Cache it so peers can still
-                # recover it from us.
-                self.dropped_sequences.append(sequence)
 
         # Round 2: extra bandwidth, governed by the limiting factors.
         for sequence in sequences:
@@ -187,7 +174,7 @@ class DisjointSender:
                     continue
                 if not self._limiting_factor_selects(state, sequence):
                     continue
-                if try_send(state.child, sequence):
+                if transport(state.child, sequence):
                     self._record_send(state, sequence, owned=False)
                     recipients[state.child].append(sequence)
                     state.limiting_factor = min(1.0, state.limiting_factor + step)
@@ -208,21 +195,17 @@ class DisjointSender:
 
         return sorted(self._iter_children(), key=deficit, reverse=True)
 
-    def _send_non_disjoint(self, sequence: int, try_send: TrySend) -> List[int]:
+    def _send_non_disjoint(self, sequence: int, transport: Transport) -> List[int]:
         """Figure 10 baseline: attempt to send every packet to every child."""
         recipients: List[int] = []
-        sent_any = False
         for state in self._iter_children():
             if sequence in state.sent_filter:
                 continue
-            if try_send(state.child, sequence):
+            if transport(state.child, sequence):
                 self._record_send(state, sequence, owned=True)
                 recipients.append(state.child)
-                sent_any = True
             else:
                 state.lifetime_rejected += 1
-        if not sent_any:
-            self.dropped_sequences.append(sequence)
         return recipients
 
     # ---------------------------------------------------------------- helpers
@@ -265,8 +248,3 @@ class DisjointSender:
         if total == 0:
             return {child: 0.0 for child in self._children}
         return {child: state.owned_sent / total for child, state in self._children.items()}
-
-    def take_dropped(self) -> List[int]:
-        """Return and clear the packets no child could accept."""
-        dropped, self.dropped_sequences = self.dropped_sequences, []
-        return dropped

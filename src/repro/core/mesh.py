@@ -24,8 +24,8 @@ with the :class:`~repro.core.node_host.NodeHost` (s) that own the nodes:
 
 The mesh is deliberately a *thin scheduler*, and the system of record for
 everything whose order defines the run: the control channel, the flows, the
-timers and step engine, the stats, the tree, the failed set and the source's
-sequence counter.  The hosts own all node state, and all protocol decisions
+timers and step engine, the stats, the tree, the failed set and the stream
+source.  The hosts own all node state, and all protocol decisions
 live in the node handlers (:meth:`BulletNode.handle_control`); every
 cross-node interaction — peering requests and replies, recovery refreshes,
 teardowns, RanSub collect/distribute — travels through the control channel
@@ -58,7 +58,7 @@ from repro.core.config import BLOOM_REFRESH_S, RECOVERY_SPAN_PACKETS, BulletConf
 from repro.core.node_host import DeliveryEntry, NodeHost, ServiceCall
 from repro.experiments.registry import BuildContext, register_system
 from repro.network.control import ControlChannel, ControlMessage
-from repro.network.flows import Flow
+from repro.network.flows import Flow, StreamSource
 from repro.network.simulator import NetworkSimulator
 from repro.sched.engine import StepEngine
 from repro.trees.tree import OverlayTree
@@ -115,8 +115,7 @@ class BulletMesh:
         self.stats = simulator.stats
         self.failed: Set[int] = tracked_set("mesh.failed")
         self._epoch_count = 0
-        self._next_sequence = 0
-        self._source_carry = 0.0
+        self.stream_source = StreamSource(self.config.stream_rate_kbps)
         #: Smoothed fresh-packet production rate per node (packets per step).
         self._fresh_rate: Dict[int, float] = {}
 
@@ -268,7 +267,7 @@ class BulletMesh:
         reads it to feed the source-led cluster, since the source never
         records receives for its own packets.
         """
-        return self._next_sequence
+        return self.stream_source.next_sequence
 
     def members(self) -> List[int]:
         """All overlay participants (including failed ones)."""
@@ -312,14 +311,6 @@ class BulletMesh:
         phases["timers"] += t2 - t1
         phases["control"] += t3 - t2
         phases["data_out"] += t4 - t3
-
-    def run(self, duration_s: float, sample_interval_s: float = 5.0) -> None:
-        """Drive the simulator for ``duration_s`` seconds of simulated time."""
-        from repro.experiments.session import ExperimentSession
-
-        ExperimentSession(
-            simulator=self.simulator, system=self, sample_interval_s=sample_interval_s
-        ).drive(duration_s)
 
     def exchange(self, commands: Dict[int, Tuple]) -> Dict[int, Dict]:
         """The transport: takes ``{host index: command}`` to the node hosts,
@@ -493,14 +484,7 @@ class BulletMesh:
         """Generate this step's new stream packets at the root."""
         if self.root in self.failed:
             return range(0)
-        packets = (
-            self.config.stream_rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS
-            + self._source_carry
-        )
-        count = int(packets)
-        self._source_carry = packets - count
-        sequences = range(self._next_sequence, self._next_sequence + count)
-        self._next_sequence = sequences.stop
+        sequences = self.stream_source.emit(self.simulator.dt)
         self.stats.trace_sequences(s for s in sequences if s % TRACE_SAMPLE_STRIDE == 0)
         return sequences
 
@@ -607,7 +591,7 @@ class BulletMesh:
             raise ValueError(f"join parent {parent} is not a live overlay member")
         self.tree.add_leaf(node_id, parent)
         owner = self._owner_of[node_id] = self._owner_for(node_id)
-        prune_head = self._next_sequence - RECOVERY_SPAN_PACKETS
+        prune_head = self.stream_source.next_sequence - RECOVERY_SPAN_PACKETS
         self.exchange({owner: ("mesh_add", node_id, parent, prune_head)})
         self.exchange({self._owner_of[parent]: ("mesh_add_child", parent, node_id)})
         self.tree_flows[(parent, node_id)] = self.simulator.create_flow(

@@ -209,8 +209,9 @@ class NodeHost:
         The budget maps hold the integer send budget of each owned flow that
         can send this step (absent = would block).  The host mimics the
         non-blocking transport against them — accept while budget remains,
-        consuming ``tree_budgets`` in place — and reports the accepted sequences per flow for the mesh to replay
-        on the real flows, plus what the mesh needs to set next step's flow
+        consuming ``tree_budgets`` in place — and reports the accepted
+        sequences per flow for the mesh to replay on the real flows with
+        ``Flow.send_many``, plus what the mesh needs to set next step's flow
         demands: fresh-packet counts per node and recovery backlog per
         peering (zero entries omitted).
         """
@@ -232,7 +233,7 @@ class NodeHost:
                     record.queue.offer_new_packets(fresh)
                 if node.disjoint.children:
 
-                    def try_send(child: int, _sequence: int, _parent: int = node_id) -> bool:
+                    def accept(child: int, _sequence: int, _parent: int = node_id) -> bool:
                         key = (_parent, child)
                         left = tree_budgets.get(key, 0)
                         if left <= 0:
@@ -240,7 +241,7 @@ class NodeHost:
                         tree_budgets[key] = left - 1
                         return True
 
-                    accepted = node.disjoint.send_batch(fresh, try_send)
+                    accepted = node.disjoint.send_batch(fresh, accept)
                     for child, sequences in accepted.items():
                         if sequences:
                             tree_sends[(node_id, child)] = sequences

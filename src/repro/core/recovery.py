@@ -206,10 +206,6 @@ class SenderQueue:
             if index == len(pending) or pending[index] != sequence:
                 pending.insert(index, sequence)
 
-    def offer_new_packet(self, sequence: int) -> None:
-        """Consider one packet (a one-element :meth:`offer_new_packets`)."""
-        self.offer_new_packets((sequence,))
-
     def take_for_send(self, budget: int) -> List[int]:
         """Dequeue up to ``budget`` packets to push to the receiver."""
         if budget <= 0 or not self.pending:

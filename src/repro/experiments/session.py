@@ -1,8 +1,8 @@
 """The experiment session: one simulate–sample–inject loop for every scenario.
 
-:class:`ExperimentSession` is the single owner of the drive loop (the
-harness, ``BulletMesh.run``, ``TreeStreaming.run`` and ``PushGossip.run`` all
-delegate here).  A session
+:class:`ExperimentSession` is the single owner of the drive loop: the
+harness runs every configured experiment through one, and so does every
+caller that drives a hand-built system.  A session
 
 * prepares whatever was not supplied — workload (from the config), simulator
   (from the workload topology) and system (through the pluggable
@@ -20,9 +20,8 @@ Typical use::
     session = ExperimentSession(ExperimentConfig(system="bullet"))
     result = session.run()
 
-Systems that expose their own ``run()`` convenience (BulletMesh,
-TreeStreaming, PushGossip) delegate here by wrapping an already-built
-simulator/system pair::
+An already-built simulator/system pair (a ``BulletMesh``, ``TreeStreaming``
+or ``PushGossip`` wired up by hand) is driven the same way::
 
     ExperimentSession(simulator=sim, system=mesh).drive(duration_s)
 """
@@ -155,8 +154,8 @@ class ExperimentSession:
         # Systems that route control traffic over a ControlChannel expose it
         # as ``control_channel``; tap it so observers can watch the control
         # plane without forking the loop.  Only the most recent session's tap
-        # stays installed, so re-driving the same system (e.g. repeated
-        # ``mesh.run()`` calls) never duplicates notifications.  A session
+        # stays installed, so re-driving the same system (one mesh driven by
+        # several sessions in turn) never duplicates notifications.  A session
         # without observers installs none: the tap would point the system
         # back at the session, a cycle only a full collection frees.
         channel = getattr(self.system, "control_channel", None)

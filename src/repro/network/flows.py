@@ -24,11 +24,13 @@ _flow_ids = itertools.count()
 class Flow:
     """A unidirectional overlay flow between two hosts.
 
-    The protocol layer interacts with a flow through three methods:
+    The protocol layer interacts with a flow through four methods:
 
     * :meth:`set_demand` — how fast the application wants to push data;
-    * :meth:`try_send` — non-blocking packet submission (fails when the
-      current step's budget is exhausted);
+    * :meth:`send_budget` — how many packets the transport still accepts
+      this step (a send past it would block, so the caller drops or keeps
+      the excess instead);
+    * :meth:`send_many` — submit packets within that budget;
     * :meth:`take_delivered` — packets that arrived since the last call.
     """
 
@@ -97,23 +99,13 @@ class Flow:
             raise ValueError("demand must be non-negative")
         self.demand_kbps = demand_kbps
 
-    def try_send(self, sequence: int) -> bool:
-        """Submit one packet to the transport; False means it would block."""
-        if not self.active:
-            return False
-        if self._budget <= 0:
-            return False
-        self._budget -= 1
-        self._accepted.append(sequence)
-        return True
-
     def send_many(self, sequences: List[int]) -> None:
         """Submit packets already counted against :meth:`send_budget`.
 
-        One bulk accept in place of ``len(sequences)`` :meth:`try_send` calls
-        that would all succeed, for a caller that consumed the budget itself
-        (the mesh replaying a node host's accepted sends); raises if that
-        count diverged from the flow budget instead of dropping the excess.
+        The caller sizes the batch itself (at most :meth:`send_budget`
+        packets, and only while the flow is :attr:`active`); a batch past the
+        budget, or any batch on a closed flow, raises instead of dropping
+        the excess.
         """
         count = len(sequences)
         if not self.active or count > self._budget:
@@ -175,3 +167,28 @@ class Flow:
             f"Flow({self.label}, alloc={self.allocated_kbps:.1f} Kbps, "
             f"sent={self.packets_sent}, delivered={self.packets_delivered})"
         )
+
+
+class StreamSource:
+    """The stream's origin: ``rate_kbps`` worth of numbered packets per step.
+
+    Each :meth:`emit` yields the whole packets the rate has accumulated since
+    the previous one, carrying the fraction over, numbered consecutively
+    from 0.  A system stops calling it once its source has failed, so a
+    failed source neither emits packets nor advances its carry.
+    """
+
+    def __init__(self, rate_kbps: float) -> None:
+        self.rate_kbps = rate_kbps
+        #: The next sequence number: also how many packets were generated.
+        self.next_sequence: int = 0
+        self._carry: float = 0.0
+
+    def emit(self, dt: float) -> range:
+        """This step's new packets, as a range of sequence numbers."""
+        packets = self.rate_kbps * dt / PACKET_SIZE_KBITS + self._carry
+        count = int(packets)
+        self._carry = packets - count
+        sequences = range(self.next_sequence, self.next_sequence + count)
+        self.next_sequence = sequences.stop
+        return sequences

@@ -16,7 +16,8 @@ Each step proceeds in three phases driven by the experiment harness:
    constraint graph only; per-flow non-blocking send budgets are refreshed
    from the result.
 2. The protocol layer runs: it consumes packets delivered in the previous
-   step and submits new packets through ``flow.try_send``.
+   step and submits new packets through ``flow.send_many``, at most
+   ``flow.send_budget()`` of them per flow.
 3. :meth:`NetworkSimulator.end_step` — packets accepted by each flow are
    subjected to path loss, surviving packets are handed to the destination
    (visible next step), and the clock advances.  The step's TFRC feedback

@@ -15,13 +15,14 @@ of four disjoint cells of its node — (first copy | duplicate) x (from the
 tree parent | from a mesh peer) — and each cell is one ``array('q')``
 column, so recording a batch writes one element, two when it holds
 duplicates; the five counters the figures read (raw, useful, duplicate,
-from-parent, duplicate-from-parent) are sums of cells.  The scalar
-``record_*`` calls index the columns directly; the batch side
-(:meth:`StatsCollector.record_receive_counts_many`,
-:meth:`StatsCollector.sample_interval`) takes transient ``np.frombuffer``
-views of the same memory, so there is one storage and no copy between the
-per-packet and the per-barrier paths.  The views are never kept: an
-``array`` cannot grow while a buffer export is alive.
+from-parent, duplicate-from-parent) are sums of cells.  Receives are only
+ever recorded in batches: :meth:`StatsCollector.record_receive_counts`
+takes one flow's (useful, duplicate) counts for a step and indexes the
+columns directly, while :meth:`StatsCollector.record_receive_counts_many`
+and :meth:`StatsCollector.sample_interval` take transient
+``np.frombuffer`` views of the same memory, so there is one storage and no
+copy between the per-flow and the per-barrier paths.  The views are never
+kept: an ``array`` cannot grow while a buffer export is alive.
 
 The *interval* packet counters are not stored: an interval is the
 cumulative counter minus its value at the last sample, which is exact for
@@ -106,28 +107,14 @@ class StatsCollector:
         self._control_interval.extend([0.0] * extra)
 
     # -------------------------------------------------------------- recording
-    def record_receive(
-        self, node: int, sequence: int, duplicate: bool, from_parent: bool
-    ) -> None:
-        """Record one received packet at ``node``."""
-        if from_parent:
-            column = self._duplicate_parent if duplicate else self._useful_parent
-        else:
-            column = self._duplicate_peer if duplicate else self._useful_peer
-        try:
-            column[node] += 1
-        except IndexError:
-            self._grow(node)
-            column[node] += 1
-
     def record_receive_counts(
         self, node: int, useful: int, duplicates: int = 0, from_parent: bool = True
     ) -> None:
         """Record a batch of received packets at ``node`` in one call.
 
-        Equivalent to ``useful + duplicates`` individual
-        :meth:`record_receive` calls with the same ``from_parent`` flag, but
-        O(1).  The mesh delivery loops use this once per flow per step.
+        ``useful`` first copies and ``duplicates`` repeats, all from the tree
+        parent or all from mesh peers.  Every system's delivery loop calls
+        this once per flow per step.
         """
         if useful < 0 or duplicates < 0:
             raise ValueError("packet counts must be non-negative")

@@ -164,7 +164,7 @@ class WorkingSet:
     def add_many(self, sequences: Iterable[int]) -> List[int]:
         """Record received packets; returns the new (useful) ones, in order.
 
-        Exactly a loop of single adds: the window is pruned after each
+        Packets are taken one at a time: the window is pruned after each
         accepted packet, so a later packet of the same batch that falls
         below the advanced low-water mark counts as a duplicate.
         """
@@ -191,14 +191,6 @@ class WorkingSet:
             if len(ordered) > window:
                 self._prune()
         return fresh
-
-    def add(self, sequence: int) -> bool:
-        """Record a received packet; returns True if it was new (useful)."""
-        return bool(self.add_many((sequence,)))
-
-    def update(self, sequences: Iterable[int]) -> int:
-        """Add many packets; returns how many were new."""
-        return len(self.add_many(sequences))
 
     def _prune(self) -> None:
         """Drop the oldest sequences beyond the prune window."""
@@ -244,14 +236,6 @@ class WorkingSet:
     def sequences(self) -> List[int]:
         """A sorted list of currently held sequence numbers."""
         return list(self._sorted())
-
-    def missing_in_range(self, low: int, high: int) -> List[int]:
-        """Sequence numbers in ``[low, high]`` the node does not hold."""
-        if high < low:
-            return []
-        start = max(low, self._low_water)
-        held = self._sequences
-        return [seq for seq in range(start, high + 1) if seq not in held]
 
     def recovery_range(self, span: int) -> Tuple[int, int]:
         """The (Low, High) range of sequences the node is interested in.
@@ -395,15 +379,9 @@ class WorkingSet:
             self._snapshot_key = key
         return self._snapshot
 
-    def sequences_in_range(self, low: int, high: int) -> List[int]:
-        """Held sequence numbers within ``[low, high]``, sorted ascending."""
-        if high < low:
-            return []
-        ordered = self._sorted()
-        return ordered[bisect_left(ordered, low) : bisect_right(ordered, high)]
-
     def sequences_in_range_view(self, low: int, high: int) -> SortedRangeView:
-        """Like :meth:`sequences_in_range` but a zero-copy read-only view.
+        """Held sequence numbers within ``[low, high]``, ascending, as a
+        zero-copy read-only view.
 
         The hot request/serve path (refresh installs at every sending peer)
         only iterates the holdings once, so it gets a window over the
@@ -417,8 +395,3 @@ class WorkingSet:
         return SortedRangeView(
             ordered, bisect_left(ordered, low), bisect_right(ordered, high)
         )
-
-    def duplicate_fraction(self) -> float:
-        """Fraction of all receives that were duplicates."""
-        total = self.total_received + self.total_duplicates
-        return self.total_duplicates / total if total else 0.0

@@ -85,10 +85,14 @@ def _matrix_rows(manifest: Manifest) -> List[List[str]]:
     return rows
 
 
-def _metric_rows(record: ExperimentRecord) -> List[List[str]]:
+def _metric_rows(record: ExperimentRecord, headline: Sequence[str]) -> List[List[str]]:
+    """One row per recorded metric, in the catalog entry's headline order
+    (a reloaded manifest stores them sorted by name)."""
     rows = []
-    for name, value in record.metrics.items():
-        row = [name, _format_value(value)]
+    for name in headline:
+        if name not in record.metrics:
+            continue
+        row = [name, _format_value(record.metrics[name])]
         aggregate = record.stability.get(name)
         if aggregate:
             row.append(
@@ -194,7 +198,7 @@ def report_blocks(manifest: Manifest, timing: Mapping[str, object]) -> List[Bloc
                 header = ["metric", "value"]
                 if any(record.stability.get(name) for name in record.metrics):
                     header.append("mean ± 95% CI")
-                blocks.append(("table", header, _metric_rows(record)))
+                blocks.append(("table", header, _metric_rows(record, entry.headline)))
             if record.expectations:
                 blocks.append((
                     "ul",

@@ -100,3 +100,78 @@ def test_report_always_exits_zero(tmp_path):
     assert completed.returncode == 0
     assert "(a) called nowhere: 2" in completed.stdout
     assert "src/pkg/mod.py:6 planted_unused" in completed.stdout
+
+
+#: Every public name under ``src/`` that only tests call, and why it stays,
+#: keyed ``module.qualname`` under ``repro`` (dotted, so no key reads as a
+#: reference to the name).  A name that leaves ``src/`` leaves this table
+#: too; a new test-only name needs an entry here, or a runtime caller.
+TEST_ONLY_ALLOWED = {
+    "core.disjoint.DisjointSender.child_state":
+        "per-child counters the Figure 5 send tests inspect",
+    "core.disjoint.DisjointSender.remove_child":
+        "departed-child re-normalisation; no run removes a child yet",
+    "core.disjoint.DisjointSender.ownership_shares":
+        "the owned-share readout the sending-factor tests check",
+    "core.peering.PeerManager.receiver_ids":
+        "the receiver-side twin of sender_ids, read by peering tests",
+    "core.recovery.RecoveryRequest.wants":
+        "the per-key selection the vector recovery oracle is stated in",
+    "experiments.registry.unregister_system":
+        "lets registry tests remove the toy systems they register",
+    "hierarchy.interior.InteriorCluster.count_of":
+        "one member's packet count, read by the interior stepper tests",
+    "network.control.ControlChannel.is_down":
+        "the mark_down readout the control-channel tests check",
+    "ransub.protocol.RanSubNodeState.force_finalize":
+        "the synchronous RanSub oracle's forced collect",
+    "reconcile.summary_ticket.SummaryTicket.from_working_set":
+        "one-call ticket build the resemblance tests use",
+    "topology.generator.TopologyConfig.total_clients":
+        "the generator's client count, checked by generator tests",
+    "topology.graph.Topology.add_link":
+        "one-direction link for hand-built test underlays",
+    "topology.graph.Topology.node_role":
+        "the per-node role readout the generator tests check",
+    "topology.graph.Topology.link_between":
+        "directed link lookup for hand-built test underlays",
+    "topology.graph.Topology.routing_stats":
+        "routing-engine work counters the route-cache tests read",
+    "topology.landmarks.LandmarkLatencyEstimator.coordinates":
+        "landmark item: one node's RTT vector, tested until a run uses it",
+    "topology.landmarks.LandmarkLatencyEstimator.bracket":
+        "landmark item: scalar form of brackets, tested until a run uses it",
+    "topology.routing.RoutingEngine.cached_route_count":
+        "route-cache size the cache tests assert on",
+    "trees.bottleneck_tree.tree_bottleneck_estimate":
+        "per-edge bottleneck estimate the tree tests compare against",
+    "trees.random_tree.build_balanced_tree":
+        "deterministic tree shape for tests",
+    "trees.tree.OverlayTree.leaves":
+        "tree readout the tree tests check",
+    "trees.tree.OverlayTree.non_descendants":
+        "RanSub-nondescendants population, checked by tree tests",
+    "trees.tree.OverlayTree.ancestors":
+        "tree readout the tree tests check",
+    "trees.tree.OverlayTree.as_parent_map":
+        "tree readout the tree tests check",
+}
+
+
+def _key(definition):
+    module = definition.path.removeprefix("src/repro/").removesuffix(".py")
+    return f"{module.replace('/', '.')}.{definition.qualname}"
+
+
+def test_the_repository_has_no_dead_names_and_no_unlisted_test_only_names():
+    uncalled, test_only = scan(REPO_ROOT)
+    assert [f"{d.path}:{d.line} {d.qualname}" for d in uncalled] == []
+    unlisted = [
+        f"{d.path}:{d.line} {d.qualname}"
+        for d in test_only
+        if _key(d) not in TEST_ONLY_ALLOWED
+    ]
+    assert unlisted == [], "test-only names without an allow-list entry"
+    stale = sorted(set(TEST_ONLY_ALLOWED) - {_key(d) for d in test_only})
+    assert stale == [], "allow-list entries for names that are gone or now called"
+    assert all(reason.strip() for reason in TEST_ONLY_ALLOWED.values())

@@ -1,5 +1,6 @@
 """Tests for the streaming-with-anti-entropy baseline."""
 
+from driving import drive
 from oracles.reconcile import FifoBloomFilter
 from repro.baselines.antientropy import RECOVERY_WINDOW, AntiEntropyStreaming
 from repro.baselines.streaming import TreeStreaming
@@ -25,12 +26,12 @@ def build(n=12, seed=6, bandwidth_class=BandwidthClass.LOW):
 class TestAntiEntropyStreaming:
     def test_recovery_flows_created_after_an_epoch(self):
         _, _, system = build()
-        system.run(30)
+        drive(system, 30)
         assert len(system.recovery_flows) > 0
 
     def test_all_receivers_get_data(self):
         _, simulator, system = build()
-        system.run(40)
+        drive(system, 40)
         for node in system.receivers():
             assert simulator.stats.node_counters(node).useful_packets > 0
 
@@ -38,9 +39,9 @@ class TestAntiEntropyStreaming:
         """On a constrained topology anti-entropy must beat plain streaming."""
         workload, plain_sim, _ = build(seed=8)
         plain = TreeStreaming(plain_sim, workload.tree, stream_rate_kbps=600.0)
-        plain.run(80)
+        drive(plain, 80)
         _, ae_sim, ae = build(seed=8)
-        ae.run(80)
+        drive(ae, 80)
         plain_total = sum(
             plain_sim.stats.node_counters(n).useful_packets for n in plain.receivers()
         )
@@ -49,21 +50,21 @@ class TestAntiEntropyStreaming:
 
     def test_anti_entropy_charges_control_overhead(self):
         _, simulator, system = build()
-        system.run(40)
+        drive(system, 40)
         overhead = simulator.stats.control_overhead_kbps(system.receivers(), simulator.time)
         assert overhead > 0
 
     def test_recovery_produces_some_duplicates(self):
         """Digest staleness means some recovered packets arrive twice."""
         _, simulator, system = build(seed=10)
-        system.run(80)
+        drive(system, 80)
         assert simulator.stats.duplicate_ratio(system.receivers()) >= 0.0
 
     def test_digest_matches_a_fifo_filter_fed_the_same_holdings(self):
         """The digest is the counting FIFO filter it replaced, bit for bit:
         same bytes, floor zero, same answer for every key a helper offers."""
         _, _, system = build()
-        system.run(40)
+        drive(system, 40)
         for requester in system.receivers()[:4]:
             holdings = sorted(system._received[requester])[-RECOVERY_WINDOW:]
             reference = FifoBloomFilter.with_capacity(RECOVERY_WINDOW, 0.01, window=RECOVERY_WINDOW)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from driving import drive
 from repro.baselines.gossip import FANOUT, PushGossip
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
@@ -36,7 +37,7 @@ class TestPushGossip:
 
     def test_data_spreads_without_a_tree(self):
         _, simulator, gossip = build()
-        gossip.run(50)
+        drive(gossip, 50)
         reached = sum(
             1
             for node in gossip.receivers()
@@ -47,20 +48,20 @@ class TestPushGossip:
     def test_gossip_generates_duplicates(self):
         """Epidemic push is wasteful: raw exceeds useful noticeably."""
         _, simulator, gossip = build()
-        gossip.run(60)
+        drive(gossip, 60)
         ratio = simulator.stats.duplicate_ratio(gossip.receivers())
         assert ratio > 0.05
 
     def test_targets_reselected_over_time(self):
         _, _, gossip = build()
         before = {node: list(targets) for node, targets in gossip._targets.items()}
-        gossip.run(30)
+        drive(gossip, 30)
         changed = sum(1 for node, targets in gossip._targets.items() if before[node] != targets)
         assert changed > 0
 
     def test_no_from_parent_traffic(self):
         _, simulator, gossip = build()
-        gossip.run(30)
+        drive(gossip, 30)
         assert all(
             simulator.stats.node_counters(node).from_parent_packets == 0
             for node in gossip.receivers()

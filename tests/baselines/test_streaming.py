@@ -2,6 +2,7 @@
 
 import pytest
 
+from driving import drive
 from repro.baselines.streaming import TreeStreaming
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
@@ -22,19 +23,19 @@ class TestTreeStreaming:
 
     def test_all_receivers_get_data(self):
         _, simulator, streaming = build()
-        streaming.run(40)
+        drive(streaming, 40)
         for node in streaming.receivers():
             assert simulator.stats.node_counters(node).useful_packets > 0
 
     def test_no_duplicates_in_plain_streaming(self):
         _, simulator, streaming = build()
-        streaming.run(40)
+        drive(streaming, 40)
         assert simulator.stats.duplicate_ratio(streaming.receivers()) == 0.0
 
     def test_bandwidth_monotonically_non_increasing_down_the_tree(self):
         """Deeper nodes never receive more than their ancestors (tree property)."""
         workload, simulator, streaming = build(n=16, seed=7)
-        streaming.run(60)
+        drive(streaming, 60)
         tree = workload.tree
         for node in streaming.receivers():
             parent = tree.parent(node)
@@ -46,14 +47,14 @@ class TestTreeStreaming:
 
     def test_failure_cuts_off_subtree(self):
         workload, simulator, streaming = build(n=16, seed=5)
-        streaming.run(30)
+        drive(streaming, 30)
         victim = workload.tree.children(workload.tree.root)[0]
         descendants = workload.tree.descendants(victim)
         before = {
             node: simulator.stats.node_counters(node).useful_packets for node in descendants
         }
         streaming.fail_node(victim)
-        streaming.run(30)
+        drive(streaming, 30)
         for node in descendants:
             after = simulator.stats.node_counters(node).useful_packets
             assert after == before[node]
@@ -66,9 +67,9 @@ class TestTreeStreaming:
     def test_bottleneck_tree_outperforms_random_tree(self):
         """The Figure 6 ordering at small scale."""
         _, sim_random, random_streaming = build(n=16, seed=11, tree_kind="random")
-        random_streaming.run(60)
+        drive(random_streaming, 60)
         _, sim_bottleneck, bottleneck_streaming = build(n=16, seed=11, tree_kind="bottleneck")
-        bottleneck_streaming.run(60)
+        drive(bottleneck_streaming, 60)
         random_total = sum(
             sim_random.stats.node_counters(n).useful_packets
             for n in random_streaming.receivers()

@@ -10,6 +10,7 @@ lost.
 
 import inspect
 
+from driving import drive
 import repro.core.mesh as mesh_module
 import repro.core.node_host as host_module
 from repro.core.bullet_node import BulletNode
@@ -31,7 +32,7 @@ def build_mesh(n=12, seed=2, duration=0, **config_kwargs):
     config = BulletConfig(stream_rate_kbps=600.0, seed=seed, **config_kwargs)
     mesh = BulletMesh(simulator, workload.tree, config)
     if duration:
-        mesh.run(duration)
+        drive(mesh, duration)
     return workload, simulator, mesh
 
 
@@ -120,8 +121,7 @@ class TestPeeringHandshake:
     """Node-level send-message / handle-message pairs."""
 
     def prime(self, node, count=50):
-        for sequence in range(count):
-            node.on_packet(sequence, from_node=None, via_peer=False)
+        node.on_packets(range(count), from_node=None, via_peer=False)
         node.take_newly_received()
 
     def test_request_accept_reply_refresh_round_trip(self):
@@ -177,9 +177,9 @@ class TestPeeringHandshake:
         receiver = make_node(1)
         receiver.request_peering(2, now=0.0)
         receiver.take_outbox()
-        receiver.poll_control(now=PEERING_TIMEOUT_S - 1.0)
+        receiver.poll_pending_requests(now=PEERING_TIMEOUT_S - 1.0)
         assert 2 in receiver.pending_requests
-        receiver.poll_control(now=PEERING_TIMEOUT_S)
+        receiver.poll_pending_requests(now=PEERING_TIMEOUT_S)
         assert 2 not in receiver.pending_requests
 
     def test_refresh_from_stranger_is_answered_with_teardown(self):

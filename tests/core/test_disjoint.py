@@ -57,8 +57,8 @@ class TestOwnershipAssignment:
     def test_ample_bandwidth_everyone_gets_everything(self):
         sender = DisjointSender(BulletConfig(), [1, 2, 3])
         for sequence in range(100):
-            recipients = sender.send_packet(sequence, accept_all)
-            assert sorted(recipients) == [1, 2, 3]
+            recipients = sender.send_batch([sequence], accept_all)
+            assert recipients == {1: [sequence], 2: [sequence], 3: [sequence]}
 
     def test_ownership_follows_descendant_weights(self):
         """With constrained children, owned shares approach sending factors."""
@@ -67,7 +67,7 @@ class TestOwnershipAssignment:
         sender.update_sending_factors({1: 3, 2: 1})
         transport = BudgetedTransport({1: 60, 2: 60})
         for sequence in range(80):
-            sender.send_packet(sequence, transport)
+            sender.send_batch([sequence], transport)
         shares = sender.ownership_shares()
         assert shares[1] > shares[2]
         assert shares[1] == pytest.approx(0.75, abs=0.15)
@@ -78,25 +78,26 @@ class TestOwnershipAssignment:
         sender.update_sending_factors({1: 10, 2: 1})
         transport = BudgetedTransport({1: 0, 2: 50})
         for sequence in range(40):
-            sender.send_packet(sequence, transport)
+            sender.send_batch([sequence], transport)
         assert sender.child_state(2).owned_sent == 40
         assert sender.child_state(1).lifetime_sent == 0
 
     def test_dropped_when_no_child_can_accept(self):
         sender = DisjointSender(BulletConfig(), [1, 2])
         for sequence in range(5):
-            assert sender.send_packet(sequence, reject_all) == []
-        assert sender.take_dropped() == [0, 1, 2, 3, 4]
-        assert sender.take_dropped() == []
+            assert sender.send_batch([sequence], reject_all) == {1: [], 2: []}
+        # The packets stay with the parent (its working set) for peer recovery.
+        assert sender.child_state(1).lifetime_sent == sender.child_state(2).lifetime_sent == 0
+        assert sender.child_state(1).lifetime_rejected > 0
 
     def test_no_children_sends_nothing(self):
         sender = DisjointSender(BulletConfig(), [])
-        assert sender.send_packet(0, accept_all) == []
+        assert sender.send_batch([0], accept_all) == {}
 
     def test_never_sends_same_packet_twice_to_a_child(self):
         sender = DisjointSender(BulletConfig(), [1])
-        sender.send_packet(7, accept_all)
-        assert sender.send_packet(7, accept_all) == []
+        sender.send_batch([7], accept_all)
+        assert sender.send_batch([7], accept_all) == {1: []}
 
 
 class TestLimitingFactor:
@@ -108,7 +109,7 @@ class TestLimitingFactor:
         transport = BudgetedTransport({1: 1000, 2: 0})
         initial = sender.child_state(2).limiting_factor
         for sequence in range(200):
-            sender.send_packet(sequence, transport)
+            sender.send_batch([sequence], transport)
         assert sender.child_state(2).limiting_factor < initial
 
     def test_increases_back_on_success(self):
@@ -116,10 +117,10 @@ class TestLimitingFactor:
         sender = DisjointSender(config, [1, 2])
         constrained = BudgetedTransport({1: 1000, 2: 0})
         for sequence in range(200):
-            sender.send_packet(sequence, constrained)
+            sender.send_batch([sequence], constrained)
         depressed = sender.child_state(2).limiting_factor
         for sequence in range(200, 1200):
-            sender.send_packet(sequence, accept_all)
+            sender.send_batch([sequence], accept_all)
         assert sender.child_state(2).limiting_factor > depressed
 
     def test_limiting_factor_bounded(self):
@@ -127,7 +128,7 @@ class TestLimitingFactor:
         sender = DisjointSender(config, [1, 2])
         transport = BudgetedTransport({1: 10_000, 2: 0})
         for sequence in range(2000):
-            sender.send_packet(sequence, transport)
+            sender.send_batch([sequence], transport)
         assert sender.child_state(2).limiting_factor >= LIMITING_FACTOR_MIN
 
 
@@ -165,13 +166,13 @@ class TestDisjointness:
         sender = DisjointSender(config, [1, 2])
         transport = BudgetedTransport({1: 100, 2: 100})
         for sequence in range(100):
-            sender.send_packet(sequence, transport)
+            sender.send_batch([sequence], transport)
         assert transport.sent[1] == transport.sent[2]
 
     def test_epoch_reset_clears_ownership_counters(self):
         sender = DisjointSender(BulletConfig(), [1, 2])
         for sequence in range(50):
-            sender.send_packet(sequence, accept_all)
+            sender.send_batch([sequence], accept_all)
         sender.reset_epoch()
         assert sender.child_state(1).owned_sent == 0
         assert sender.child_state(1).total_sent == 0

@@ -7,6 +7,7 @@ as a peer candidate again) and from RanSub — which either stalls entirely
 (failure detection on).
 """
 
+from driving import drive
 from repro.core.config import BulletConfig
 from repro.core.mesh import BulletMesh
 from repro.experiments.workloads import build_workload
@@ -20,7 +21,7 @@ def build_mesh(n=14, seed=3, duration=0, **config_kwargs):
     config = BulletConfig(stream_rate_kbps=600.0, seed=seed, **config_kwargs)
     mesh = BulletMesh(simulator, workload.tree, config)
     if duration:
-        mesh.run(duration)
+        drive(mesh, duration)
     return workload, simulator, mesh
 
 
@@ -59,7 +60,7 @@ class TestFlowTeardown:
         assert mesh.nodes[victim].pending_requests == {}
         delivered_before = channel.delivered_count
         dropped_before = channel.dropped_count
-        mesh.run(15)
+        drive(mesh, 15)
         # Control kept flowing among survivors, but messages addressed to
         # the victim (refreshes from its former peers, collects from its
         # children) were dropped.
@@ -78,7 +79,7 @@ class TestFlowTeardown:
         victim = victims[0]
         mesh.fail_node(victim)
         # Two eviction periods (3 epochs each) plus slack.
-        mesh.run(60)
+        drive(mesh, 60)
         for node_id in mesh.receivers():
             assert victim not in mesh.nodes[node_id].peers.senders
             assert victim not in mesh.nodes[node_id].peers.receivers
@@ -93,7 +94,7 @@ class TestCandidateExclusion:
             node_id: victim in mesh.nodes[node_id].peers.senders
             for node_id in mesh.receivers()
         }
-        mesh.run(60)
+        drive(mesh, 60)
         for node_id in mesh.receivers():
             node = mesh.nodes[node_id]
             # No *new* peering with the victim ever forms (stale ones are
@@ -114,7 +115,7 @@ class TestRanSubFailureModes:
         assert max(before.values()) > 0  # epochs completed while healthy
         victim = worst_case_victim(workload.tree)
         mesh.fail_node(victim)
-        mesh.run(30)
+        drive(mesh, 30)
         after = view_epochs(mesh)
         # "RanSub stops functioning": nobody receives a fresh view.
         assert after == {
@@ -135,7 +136,7 @@ class TestRanSubFailureModes:
         assert not workload.tree.children(victim)  # deepest node is a leaf
         before = view_epochs(mesh)
         mesh.fail_node(victim)
-        mesh.run(40)
+        drive(mesh, 40)
         after = view_epochs(mesh)
         # Nothing was below the victim, so every survivor — including its
         # ancestors and their healthy subtrees — keeps receiving fresh views.
@@ -148,7 +149,7 @@ class TestRanSubFailureModes:
         victim = worst_case_victim(workload.tree)
         cut_off = set(workload.tree.subtree(victim))
         mesh.fail_node(victim)
-        mesh.run(40)
+        drive(mesh, 40)
         after = view_epochs(mesh)
         failure_epoch = max(before.values())
         for node_id, epoch in after.items():

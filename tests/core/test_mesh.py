@@ -2,6 +2,7 @@
 
 import pytest
 
+from driving import drive
 from repro.core.config import BulletConfig
 from repro.core.mesh import BulletMesh
 from repro.experiments.workloads import build_workload
@@ -14,7 +15,7 @@ def build_mesh(n=12, seed=2, duration=0, **config_kwargs):
     config = BulletConfig(stream_rate_kbps=600.0, seed=seed, **config_kwargs)
     mesh = BulletMesh(simulator, workload.tree, config)
     if duration:
-        mesh.run(duration)
+        drive(mesh, duration)
     return workload, simulator, mesh
 
 
@@ -108,7 +109,7 @@ class TestFailure:
             for node in mesh.receivers()
         }
         mesh.fail_node(victim)
-        mesh.run(30)
+        drive(mesh, 30)
         survivors = [node for node in mesh.receivers() if node != victim]
         gained = [
             simulator.stats.node_counters(node).useful_packets - before[node]

@@ -8,7 +8,7 @@ from repro.reconcile.working_set import WorkingSet
 
 def working_set_with(sequences):
     ws = WorkingSet()
-    ws.update(sequences)
+    ws.add_many(sequences)
     return ws
 
 
@@ -117,14 +117,13 @@ class TestSenderQueue:
         queue = SenderQueue(receiver=7)
         request = self.make_request(held=[], mod=0, total=2, low=0, high=100)
         queue.install_request(request, holdings=[])
-        queue.offer_new_packet(4)    # even row: queued
-        queue.offer_new_packet(5)    # odd row: not ours
-        queue.offer_new_packet(400)  # out of range
+        # 4: even row, queued; 5: odd row, not ours; 400: out of range.
+        queue.offer_new_packets([4, 5, 400])
         assert queue.pending == [4]
 
     def test_offer_before_install_is_ignored(self):
         queue = SenderQueue(receiver=7)
-        queue.offer_new_packet(3)
+        queue.offer_new_packets([3])
         assert queue.pending_count() == 0
 
     def test_row_partition_prevents_overlap_between_senders(self):

@@ -17,7 +17,7 @@ from repro.experiments.registry import (
     unregister_system,
 )
 from repro.experiments.session import ExperimentSession
-from repro.util.units import PACKET_SIZE_KBITS
+from repro.network.flows import StreamSource
 
 
 class StarBlast:
@@ -29,8 +29,7 @@ class StarBlast:
         self.members = list(members)
         self.rate_kbps = rate_kbps
         self._received = {node: set() for node in self.members}
-        self._next_sequence = 0
-        self._carry = 0.0
+        self.stream_source = StreamSource(rate_kbps)
         self.flows = {
             node: simulator.create_flow(
                 source, node, label=f"star:{node}", demand_kbps=rate_kbps, use_tfrc=True
@@ -41,20 +40,17 @@ class StarBlast:
 
     def protocol_phase(self, now):
         for node, flow in self.flows.items():
-            for sequence in flow.take_delivered():
-                duplicate = sequence in self._received[node]
-                self._received[node].add(sequence)
-                self.simulator.stats.record_receive(
-                    node, sequence, duplicate=duplicate, from_parent=True
-                )
-        packets = self.rate_kbps * self.simulator.dt / PACKET_SIZE_KBITS + self._carry
-        count = int(packets)
-        self._carry = packets - count
-        for _ in range(count):
-            sequence = self._next_sequence
-            self._next_sequence += 1
-            for flow in self.flows.values():
-                flow.try_send(sequence)
+            delivered = flow.take_delivered()
+            received = self._received[node]
+            before = len(received)
+            received.update(delivered)
+            useful = len(received) - before
+            self.simulator.stats.record_receive_counts(
+                node, useful, len(delivered) - useful, from_parent=True
+            )
+        sequences = self.stream_source.emit(self.simulator.dt)
+        for flow in self.flows.values():
+            flow.send_many(list(sequences[: flow.send_budget()]))
 
     def receivers(self):
         return [node for node in self.members if node != self.source]

@@ -134,7 +134,7 @@ class TestObservers:
             observed.drive(10)
             assert mesh.control_channel.taps == [observed._notify_control]
         # A session without observers installs no tap and removes the last.
-        mesh.run(10)
+        ExperimentSession(simulator=simulator, system=mesh).drive(10)
         assert mesh.control_channel.taps == []
 
     def test_on_control_silent_for_systems_without_a_channel(self):
@@ -184,11 +184,11 @@ class TestDrive:
 
         assert streamed_total([40.0]) == streamed_total([40.0])
 
-    def test_system_run_convenience_uses_session(self):
+    def test_bare_session_drives_a_hand_built_system(self):
         workload = build_workload(n_overlay=10, seed=7)
         simulator = NetworkSimulator(workload.topology, dt=1.0, seed=7)
         system = TreeStreaming(simulator, workload.tree, stream_rate_kbps=600.0)
-        system.run(40.0)
+        ExperimentSession(simulator=simulator, system=system).drive(40.0)
         assert simulator.time == pytest.approx(40.0)
         assert simulator.stats.time_series("useful")
 

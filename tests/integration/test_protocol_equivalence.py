@@ -13,6 +13,7 @@ properties of the staggered refresh schedule are checked here directly:
 
 from hypothesis import given, settings, strategies as st
 
+from driving import drive
 from repro.core.config import BLOOM_REFRESH_S, BulletConfig
 from repro.core.mesh import BulletMesh
 from repro.core.recovery import SenderQueue, build_recovery_requests
@@ -60,7 +61,7 @@ class TestRefreshStagger:
             return keys
 
         monkeypatch.setattr(mesh.step_engine, "due", recording)
-        mesh.run(40)
+        drive(mesh, 40)
         steady = refreshing_per_step[10:]
         # Every member refreshes once per period...
         assert sum(steady) == len(mesh.nodes) * len(steady) // BLOOM_REFRESH_S
@@ -96,7 +97,7 @@ class TestRowDisjointnessUnderStagger:
     ):
         """Whatever the refresh phase, senders queue pairwise-disjoint rows."""
         receiver_ws = WorkingSet()
-        receiver_ws.update(held)
+        receiver_ws.add_many(held)
         senders = list(range(10, 10 + n_senders))
         requests = build_recovery_requests(
             1, receiver_ws, senders, BulletConfig(), rotation=rotation

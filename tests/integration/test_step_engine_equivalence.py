@@ -7,6 +7,7 @@ work (quiescence must engage, or the wakeups are decoration), and that a
 system driven through bare sessions keeps its timers across them.
 """
 
+from driving import drive
 from repro.core.config import BulletConfig
 from repro.core.mesh import BulletMesh
 from repro.experiments.harness import ExperimentConfig
@@ -31,7 +32,7 @@ class TestQuiescenceEngages:
         assert described["armed"] > 0
 
     def test_bare_sessions_keep_timers(self):
-        """``mesh.run()`` twice == one long run: the timers live in the mesh."""
+        """Two bare sessions == one long one: the timers live in the mesh."""
 
         def build():
             workload = build_workload(n_overlay=14, seed=6)
@@ -40,11 +41,11 @@ class TestQuiescenceEngages:
 
         simulator, mesh = build()
         engine = mesh.step_engine
-        mesh.run(20)
+        drive(mesh, 20)
         assert ExperimentSession(simulator=simulator, system=mesh).step_engine is engine
         fired = engine.describe()["wakeups_fired_total"]
         assert fired > 0
-        mesh.run(25)
+        drive(mesh, 25)
         assert mesh.step_engine is engine
         # Every live member's refresh and the epoch stay armed, and kept firing.
         assert engine.describe()["armed"] == len(mesh.active_members()) + 1
@@ -53,7 +54,7 @@ class TestQuiescenceEngages:
         # Sampling restarts with each session, so compare what the protocol
         # did, not where the samples fell.
         reference_simulator, reference = build()
-        reference.run(45)
+        drive(reference, 45)
         assert mesh.packets_generated == reference.packets_generated
         for node in reference.nodes:
             assert mesh.nodes[node].holdings() == reference.nodes[node].holdings()

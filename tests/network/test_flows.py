@@ -43,14 +43,7 @@ class TestFlow:
         flow.begin_step(allocated_kbps=120.0, dt=1.0)
         assert flow.send_budget() == 10
 
-    def test_try_send_respects_budget(self):
-        topo = two_host_topology()
-        flow = Flow(topo, 0, 2)
-        flow.begin_step(allocated_kbps=3 * PACKET_SIZE_KBITS, dt=1.0)
-        results = [flow.try_send(i) for i in range(5)]
-        assert results == [True, True, True, False, False]
-
-    def test_send_many_is_the_bulk_form_of_try_send(self):
+    def test_send_many_equals_one_packet_sends(self):
         topo = two_host_topology()
         bulk, single = Flow(topo, 0, 2), Flow(topo, 0, 2)
         # 1.9 packets/step: the float carry (0.9, 0.8, ..., then a sum a hair
@@ -63,7 +56,8 @@ class TestFlow:
             bulk.send_many(list(range(sent_bulk, sent_bulk + budget)))
             sent_bulk += budget
             assert bulk.send_budget() == 0
-            while single.try_send(sent_single):
+            while single.send_budget():
+                single.send_many([sent_single])
                 sent_single += 1
             assert bulk.collect_sent() == single.collect_sent()
         assert sent_bulk == sent_single == 380
@@ -87,8 +81,8 @@ class TestFlow:
         sim = NetworkSimulator(two_host_topology(), congestion_loss_rate=0.0)
         flow = sim.create_flow(0, 2, demand_kbps=120.0)
         sim.begin_step()
-        for seq in range(2):
-            assert flow.try_send(seq)
+        assert flow.send_budget() >= 2
+        flow.send_many([0, 1])
         sim.end_step()
         assert flow.take_delivered() == [0, 1]
         assert flow.take_delivered() == []
@@ -99,7 +93,7 @@ class TestFlow:
         flow = sim.create_flow(0, 2)
         initial_cap = flow.rate_cap_kbps()
         sim.begin_step()
-        flow.try_send(0)
+        flow.send_many([0])
         sim.end_step()
         assert flow.take_delivered() == [0]
         assert flow.rate_cap_kbps() > initial_cap  # slow-start doubling
@@ -122,7 +116,9 @@ class TestFlow:
         flow = Flow(topo, 0, 2)
         flow.begin_step(allocated_kbps=120.0, dt=1.0)
         flow.close()
-        assert not flow.try_send(0)
+        with pytest.raises(RuntimeError, match="closed"):
+            flow.send_many([0])
+        assert flow.collect_sent() == []
 
     def test_path_loss_recorded(self):
         topo = two_host_topology(loss=0.1)
@@ -136,36 +132,37 @@ class TestFlowSendWindow:
     def test_budget_limits_sends(self):
         flow = Flow(two_host_topology(), 0, 2)
         flow.begin_step(allocated_kbps=3 * PACKET_SIZE_KBITS, dt=1.0)
-        results, budgets = [], []
-        for i in range(5):
-            results.append(flow.try_send(i))
+        budgets = []
+        for i in range(3):
+            flow.send_many([i])
             budgets.append(flow.send_budget())
-        assert results == [True, True, True, False, False]
-        assert budgets == [2, 1, 0, 0, 0]
+        assert budgets == [2, 1, 0]
+        with pytest.raises(RuntimeError, match="diverged from the flow budget"):
+            flow.send_many([3])
         assert flow.collect_sent() == [0, 1, 2]
 
     def test_would_block(self):
         flow = Flow(two_host_topology(), 0, 2)
         flow.begin_step(allocated_kbps=PACKET_SIZE_KBITS, dt=1.0)
         assert flow.send_budget() == 1
-        flow.try_send(0)
+        flow.send_many([0])
+        # A second packet would block: the budget says so before any send.
         assert flow.send_budget() == 0
-        assert not flow.try_send(1)
 
     def test_fractional_budget_carries_over(self):
         flow = Flow(two_host_topology(), 0, 2)
         accepted = 0
         for _ in range(10):
             flow.begin_step(allocated_kbps=0.5 * PACKET_SIZE_KBITS, dt=1.0)
-            if flow.try_send(accepted):
+            if flow.send_budget():
+                flow.send_many([accepted])
                 accepted += 1
         assert accepted == 5
 
     def test_collect_sent_returns_and_clears(self):
         flow = Flow(two_host_topology(), 0, 2)
         flow.begin_step(allocated_kbps=2 * PACKET_SIZE_KBITS, dt=1.0)
-        flow.try_send(7)
-        flow.try_send(8)
+        flow.send_many([7, 8])
         assert flow.collect_sent() == [7, 8]
         assert flow.collect_sent() == []
         assert flow.packets_sent == 2
@@ -173,8 +170,8 @@ class TestFlowSendWindow:
     def test_counters(self):
         flow = Flow(two_host_topology(), 0, 2)
         flow.begin_step(allocated_kbps=PACKET_SIZE_KBITS, dt=1.0)
-        assert flow.try_send(1)
-        assert not flow.try_send(2)
+        flow.send_many([1][: flow.send_budget()])
+        flow.send_many([2][: flow.send_budget()])
         assert flow.collect_sent() == [1]
         assert flow.packets_sent == 1
 
@@ -189,6 +186,7 @@ class TestFlowSendWindow:
         accepted = 0
         for _ in range(steps):
             flow.begin_step(allocated_kbps=rate * PACKET_SIZE_KBITS, dt=1.0)
-            while flow.try_send(accepted):
-                accepted += 1
+            budget = flow.send_budget()
+            flow.send_many(list(range(accepted, accepted + budget)))
+            accepted += budget
         assert accepted == int(rate * steps) or abs(accepted - rate * steps) < 1.0

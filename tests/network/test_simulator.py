@@ -42,9 +42,8 @@ class TestNetworkSimulator:
         delivered = []
 
         def phase(now):
-            for seq in range(200):
-                if not flow.try_send(len(delivered) * 200 + seq):
-                    break
+            count = min(200, flow.send_budget())
+            flow.send_many([len(delivered) * 200 + seq for seq in range(count)])
 
         for _ in range(10):
             sim.begin_step()
@@ -70,8 +69,7 @@ class TestNetworkSimulator:
         for step in range(30):
             sim.begin_step()
             budget = flow.send_budget()
-            for i in range(budget):
-                flow.try_send(step * 1000 + i)
+            flow.send_many([step * 1000 + i for i in range(budget)])
             total_sent += budget
             sim.end_step()
             total_delivered += len(flow.take_delivered())
@@ -86,8 +84,7 @@ class TestNetworkSimulator:
         rates = []
         for step in range(40):
             sim.begin_step()
-            for i in range(flow.send_budget()):
-                flow.try_send(step * 1000 + i)
+            flow.send_many([step * 1000 + i for i in range(flow.send_budget())])
             sim.end_step()
             flow.take_delivered()
             rates.append(flow.allocated_kbps)
@@ -105,8 +102,7 @@ class TestNetworkSimulator:
         for step in range(30):
             sim.begin_step()
             budget = flow.send_budget()
-            for i in range(budget):
-                flow.try_send(step * 1000 + i)
+            flow.send_many([step * 1000 + i for i in range(budget)])
             sent += budget
             sim.end_step()
             delivered += len(flow.take_delivered())
@@ -118,8 +114,7 @@ class TestNetworkSimulator:
         flow = sim.create_flow(1, 2, demand_kbps=10_000.0, use_tfrc=False)
         for step in range(10):
             sim.begin_step()
-            for i in range(flow.send_budget()):
-                flow.try_send(step * 1000 + i)
+            flow.send_many([step * 1000 + i for i in range(flow.send_budget())])
             sim.end_step()
         assert flow.packets_lost == 0
 
@@ -165,8 +160,7 @@ class TestNetworkSimulator:
             delivered = 0
             for step in range(20):
                 sim.begin_step()
-                for i in range(flow.send_budget()):
-                    flow.try_send(step * 100 + i)
+                flow.send_many([step * 100 + i for i in range(flow.send_budget())])
                 sim.end_step()
                 delivered += len(flow.take_delivered())
             return delivered
@@ -201,14 +195,12 @@ class TestTfrcRecordsFollowTheScalarModel:
             before = {f.flow_id: (f.packets_delivered, f.packets_lost) for f in flows}
             sim.begin_step()
             for flow in (full, capped):
-                for i in range(flow.send_budget()):
-                    flow.try_send(step * 1000 + i)
+                flow.send_many([step * 1000 + i for i in range(flow.send_budget())])
             if step % 3 == 0:
-                for i in range(bursty.send_budget()):
-                    bursty.try_send(step * 1000 + i)
+                bursty.send_many([step * 1000 + i for i in range(bursty.send_budget())])
             elif bursty.tfrc.intervals:
                 idle_after_loss += 1
-            trickle.try_send(step)
+            trickle.send_many([step][: trickle.send_budget()])
             sim.end_step()
             for flow in flows:
                 flow.take_delivered()

@@ -9,8 +9,8 @@ from repro.util.units import PACKET_SIZE_KBITS
 class TestRecording:
     def test_receive_counters(self):
         stats = StatsCollector()
-        stats.record_receive(1, sequence=10, duplicate=False, from_parent=True)
-        stats.record_receive(1, sequence=10, duplicate=True, from_parent=False)
+        stats.record_receive_counts(1, useful=1, duplicates=0, from_parent=True)
+        stats.record_receive_counts(1, useful=0, duplicates=1, from_parent=False)
         counters = stats.node_counters(1)
         assert counters.raw_packets == 2
         assert counters.useful_packets == 1
@@ -20,7 +20,7 @@ class TestRecording:
 
     def test_duplicate_from_parent_tracked(self):
         stats = StatsCollector()
-        stats.record_receive(1, sequence=3, duplicate=True, from_parent=True)
+        stats.record_receive_counts(1, useful=0, duplicates=1, from_parent=True)
         assert stats.node_counters(1).duplicate_from_parent == 1
 
     def test_control_bytes(self):
@@ -31,10 +31,8 @@ class TestRecording:
 
     def test_duplicate_ratio(self):
         stats = StatsCollector()
-        for i in range(8):
-            stats.record_receive(1, i, duplicate=False, from_parent=True)
-        for i in range(2):
-            stats.record_receive(1, i, duplicate=True, from_parent=False)
+        stats.record_receive_counts(1, useful=8, from_parent=True)
+        stats.record_receive_counts(1, useful=0, duplicates=2, from_parent=False)
         assert stats.duplicate_ratio([1]) == pytest.approx(0.2)
         assert stats.duplicate_ratio([99]) == 0.0
 
@@ -43,8 +41,7 @@ class TestSampling:
     def test_interval_series(self):
         stats = StatsCollector()
         # 10 useful packets in 5 seconds at one node = 24 Kbps with 12-Kbit packets.
-        for i in range(10):
-            stats.record_receive(1, i, duplicate=False, from_parent=True)
+        stats.record_receive_counts(1, useful=10, from_parent=True)
         stats.sample_interval(5.0, 5.0, nodes=[1])
         series = stats.time_series("useful")
         assert series == [(5.0, pytest.approx(10 * PACKET_SIZE_KBITS / 5.0))]
@@ -54,8 +51,7 @@ class TestSampling:
 
     def test_interval_averages_over_nodes(self):
         stats = StatsCollector()
-        for i in range(10):
-            stats.record_receive(1, i, duplicate=False, from_parent=False)
+        stats.record_receive_counts(1, useful=10, from_parent=False)
         stats.sample_interval(5.0, 5.0, nodes=[1, 2])
         # Node 2 received nothing, so the average halves.
         assert stats.time_series("useful")[0][1] == pytest.approx(10 * PACKET_SIZE_KBITS / 5.0 / 2)
@@ -66,10 +62,8 @@ class TestSampling:
 
     def test_per_node_bandwidth_and_cdf(self):
         stats = StatsCollector()
-        for i in range(10):
-            stats.record_receive(1, i, duplicate=False, from_parent=False)
-        for i in range(5):
-            stats.record_receive(2, i, duplicate=False, from_parent=False)
+        stats.record_receive_counts(1, useful=10, from_parent=False)
+        stats.record_receive_counts(2, useful=5, from_parent=False)
         stats.sample_interval(5.0, 5.0, nodes=[1, 2])
         per_node = stats.per_node_bandwidth_at(5.0)
         assert per_node[1] > per_node[2]
@@ -91,8 +85,7 @@ class TestDerivedMetrics:
 
     def test_average_useful_kbps(self):
         stats = StatsCollector()
-        for i in range(100):
-            stats.record_receive(1, i, duplicate=False, from_parent=False)
+        stats.record_receive_counts(1, useful=100, from_parent=False)
         assert stats.average_useful_kbps([1], duration_s=10.0) == pytest.approx(
             100 * PACKET_SIZE_KBITS / 10.0
         )

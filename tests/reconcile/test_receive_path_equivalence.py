@@ -64,7 +64,7 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
         last_snapshot = last_described = None
         for kind, argument in ops:
             if kind == "add":
-                assert fast.add(argument) == oracle.add(argument)
+                assert fast.add_many([argument]) == ([argument] if oracle.add(argument) else [])
             elif kind == "add_many":
                 assert fast.add_many(argument) == [s for s in argument if oracle.add(s)]
             elif kind == "prune_below":
@@ -100,15 +100,15 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
 
     def test_snapshot_object_survives_changes_below_its_window(self):
         ws = WorkingSet(prune_window=64)
-        ws.update(range(10, 40))
+        ws.add_many(range(10, 40))
         snapshot = ws.bloom_snapshot(expected_items=8)
-        ws.add(3)  # new to the working set, older than the filter's window
+        ws.add_many([3])  # new to the working set, older than the filter's window
         assert ws.bloom_snapshot(expected_items=8) is snapshot
         ws.prune_below(20)  # drops held sequences, none of them in the window
         assert ws.bloom_snapshot(expected_items=8) is snapshot
-        ws.add(25)  # duplicate
+        ws.add_many([25])  # duplicate
         assert ws.bloom_snapshot(expected_items=8) is snapshot
-        ws.add(40)
+        ws.add_many([40])
         assert ws.bloom_snapshot(expected_items=8) is not snapshot
 
     def test_a_batch_is_pruned_packet_by_packet(self):
@@ -164,17 +164,19 @@ class TestOnPacketsMatchesThePerPacketLoop:
             assert_same_state(batch.working_set, loop.working_set)
 
     def test_on_packet_is_a_one_element_batch(self):
-        node = make_node(WorkingSet())
-        first = node.on_packet(5, from_node=7, via_peer=True)
-        second = node.on_packet(5, from_node=7, via_peer=True)
-        assert (first.useful, first.duplicate) == (True, False)
-        assert (second.useful, second.duplicate) == (False, True)
-        assert node.peers.senders[7].period_total() == 2
+        """One arriving packet is received as ``on_packets((sequence,), ...)``."""
+        batch = make_node(WorkingSet())
+        loop = make_node(SortEverythingWorkingSet())
+        for expected in ((1, 0), (0, 1)):
+            assert batch.on_packets((5,), from_node=7, via_peer=True) == expected
+            assert on_packet_loop(loop, (5,), from_node=7, via_peer=True) == expected
+        assert batch.peers.senders[7] == loop.peers.senders[7]
+        assert batch.peers.senders[7].period_total() == 2
 
 
 def make_queue(receiver_holds, sender_holds, low, high, mod, total, sent):
     receiver = WorkingSet()
-    receiver.update(receiver_holds)
+    receiver.add_many(receiver_holds)
     request = RecoveryRequest(
         receiver=9,
         bloom=receiver.bloom_snapshot(expected_items=32),
@@ -244,7 +246,7 @@ class TestRecoverySelectionMatchesThePerKeyOracle:
         self, receiver_holds, capacity, sender_holds, bounds, row, sent, offers
     ):
         receiver = WorkingSet()
-        receiver.update(receiver_holds)
+        receiver.add_many(receiver_holds)
         low, high = min(bounds), max(bounds)
         mod, total = row
         request = RecoveryRequest(
@@ -256,11 +258,11 @@ class TestRecoverySelectionMatchesThePerKeyOracle:
             total_senders=total,
         )
         sender = WorkingSet()
-        sender.update(sender_holds)
+        sender.add_many(sender_holds)
         batch, loop = SenderQueue(receiver=9), SenderQueue(receiver=9)
         batch.already_sent, loop.already_sent = set(sent), set(sent)
         batch.install_request(request, sender.sequences_in_range_view(low, high))
-        install_request_loop(loop, request, sender.sequences_in_range(low, high))
+        install_request_loop(loop, request, list(sender.sequences_in_range_view(low, high)))
         assert batch.pending == loop.pending
         for fresh in offers:
             fresh = sender.add_many(fresh)

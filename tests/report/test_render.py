@@ -85,6 +85,25 @@ class TestMarkdown:
         text = render_markdown(_manifest(with_systems=False), TIMING)
         assert "Cross-system comparison" not in text
 
+    def test_reloaded_manifest_renders_like_the_fresh_one(self, tmp_path):
+        # A fresh run stores metrics in headline order; the saved manifest
+        # sorts its keys.  The rows follow the headline either way.
+        manifest = _manifest()
+        manifest.experiments["fig7"].metrics = {
+            "useful_kbps": 474.2,
+            "from_parent_kbps": 301.5,
+            "duplicate_ratio": 0.052,
+        }
+        manifest.save(tmp_path)
+        reloaded = Manifest.load(tmp_path)
+        assert list(reloaded.experiments["fig7"].metrics) != list(
+            manifest.experiments["fig7"].metrics
+        )
+        fresh = render_markdown(manifest, TIMING)
+        assert render_markdown(reloaded, TIMING) == fresh
+        rows = [line.split(" | ")[0] for line in fresh.splitlines() if "_kbps |" in line]
+        assert rows[:2] == ["| useful_kbps", "| from_parent_kbps"]
+
     def test_stability_column_when_present(self):
         manifest = _manifest(with_systems=False)
         manifest.experiments["fig7"].stability = {
