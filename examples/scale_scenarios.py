@@ -6,8 +6,8 @@ packages the runs that push the simulator toward the paper's 1000-node
 setting: ``scale-500`` / ``scale-1000`` steady-state dissemination,
 ``flash-crowd`` (400 receivers join a 100-node overlay mid-run, over a
 30-second arrival window) and ``churn-heavy`` (receivers keep departing
-while the stream is live).  They all lean on the incremental allocation
-and protocol engines.
+while the stream is live).  They all lean on the per-step max-min solve
+and the protocol-plane engine.
 
 Run one scenario at its full scale (minutes of wall-clock for the 500/1000
 node presets)::
@@ -67,15 +67,13 @@ def run_scenario(name: str, scale: float = 1.0, seed: int = 1) -> dict:
         "duplicate_ratio": result.duplicate_ratio,
         "wall_s": elapsed,
         "sim_steps_per_s": stats.steps / elapsed if elapsed > 0 else 0.0,
-        "alloc_clean_fraction": stats.clean_fraction,
         "alloc_solve_fraction": stats.solve_fraction,
     }
     print(
         f"   useful {summary['average_useful_kbps']:.0f} Kbps,"
         f" duplicates {summary['duplicate_ratio']:.1%},"
         f" {elapsed:.1f}s wall ({summary['sim_steps_per_s']:.1f} steps/s),"
-        f" allocator reused {stats.clean_fraction:.0%} of steps"
-        f" / solved {stats.solve_fraction:.0%} of flow-rounds"
+        f" {stats.solve_fraction:.0%} of open flow-steps sending"
     )
     return summary
 

@@ -39,13 +39,8 @@ class ChildSendState:
     limiting_factor: float = 1.0
     #: Packets this child owned (accepted) in the current epoch.
     owned_sent: int = 0
-    #: All packets accepted by this child's transport in the current epoch.
-    total_sent: int = 0
     #: Sequences already forwarded to this child (duplicate suppression).
     sent_filter: Set[int] = field(default_factory=set)
-    #: Lifetime counters (for statistics and tests).
-    lifetime_sent: int = 0
-    lifetime_rejected: int = 0
 
 
 class DisjointSender:
@@ -57,7 +52,6 @@ class DisjointSender:
             child: ChildSendState(child=child, limiting_factor=LIMITING_FACTOR_INITIAL)
             for child in children
         }
-        self._epoch_packets: int = 0
         #: Child states in child-id order; rebuilt lazily after membership
         #: changes (the send hot path walks this list once per packet).
         self._ordered: List[ChildSendState] | None = None
@@ -117,11 +111,9 @@ class DisjointSender:
 
     def reset_epoch(self) -> None:
         """Start a new epoch: ownership proportions are measured per epoch."""
-        self._epoch_packets = 0
         self._owned_total = 0
         for state in self._children.values():
             state.owned_sent = 0
-            state.total_sent = 0
 
     # ------------------------------------------------------------------ send
     def send_batch(self, sequences: Sequence[int], transport: Transport) -> Dict[int, List[int]]:
@@ -157,7 +149,6 @@ class DisjointSender:
         # the stream) stays in this node's working set, from which its mesh
         # peers can still recover it.
         for sequence in sequences:
-            self._epoch_packets += 1
             for state in self._children_by_deficit():
                 if sequence in state.sent_filter:
                     continue
@@ -165,7 +156,6 @@ class DisjointSender:
                     self._record_send(state, sequence, owned=True)
                     recipients[state.child].append(sequence)
                     break
-                state.lifetime_rejected += 1
 
         # Round 2: extra bandwidth, governed by the limiting factors.
         for sequence in sequences:
@@ -179,7 +169,6 @@ class DisjointSender:
                     recipients[state.child].append(sequence)
                     state.limiting_factor = min(1.0, state.limiting_factor + step)
                 else:
-                    state.lifetime_rejected += 1
                     state.limiting_factor = max(
                         LIMITING_FACTOR_MIN, state.limiting_factor - step
                     )
@@ -204,8 +193,6 @@ class DisjointSender:
             if transport(state.child, sequence):
                 self._record_send(state, sequence, owned=True)
                 recipients.append(state.child)
-            else:
-                state.lifetime_rejected += 1
         return recipients
 
     # ---------------------------------------------------------------- helpers
@@ -231,8 +218,6 @@ class DisjointSender:
 
     def _record_send(self, state: ChildSendState, sequence: int, owned: bool) -> None:
         state.sent_filter.add(sequence)
-        state.total_sent += 1
-        state.lifetime_sent += 1
         if owned:
             state.owned_sent += 1
             self._owned_total += 1

@@ -30,32 +30,24 @@ scalar's flow-by-flow loop).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Hashable, List, Mapping, Sequence
 
 import numpy as np
 
-#: Numerical slack used when deciding whether a link is saturated.
+#: Numerical slack used when deciding whether a link is saturated; a cap at
+#: or below it means "not sending".
 _EPSILON = 1e-9
-
-
-@dataclass
-class AllocationRequest:
-    """One flow's view for the allocator: its path and its rate cap."""
-
-    flow_key: int
-    link_indices: Sequence[int]
-    cap_kbps: float
 
 
 class VectorizedMaxMinSolver:
     """Max-min progressive filling over flat arrays, with memory.
 
-    The flow->link incidence is flattened once and reused while the request
-    set (and the capacity map object) stay the same — the common case under
-    the allocation engine, where the affected region's membership is stable
-    between steps and only the caps move.  One instance per allocation
-    engine.  Inline comments pair each block with the scalar oracle's.
+    A solve takes three parallel sequences: each flow's key, its rate cap
+    and the links it crosses (read only for a key the solver has not seen).
+    The flow->link incidence is flattened once and reused while the key
+    sequence (and the capacity map object) stay the same, so a step whose
+    flows did not change pays only for the caps.  The simulator owns one
+    instance.  Inline comments pair each block with the scalar oracle's.
     """
 
     #: Per-flow column caches are dropped wholesale past this size (flows
@@ -72,7 +64,7 @@ class VectorizedMaxMinSolver:
         self._link_rows: np.ndarray = np.zeros(0, dtype=np.intp)
         self._link_ptr: List[int] = [0]
         self._m = 0
-        #: link index -> column, shared by every request set under one
+        #: link index -> column, shared by every key sequence under one
         #: capacity map (columns only ever grow).
         self._link_col: Dict[int, int] = {}
         self._capacities: List[float] = []
@@ -82,14 +74,14 @@ class VectorizedMaxMinSolver:
         self.rebuilds = 0
 
     def _columns_for(
-        self, request: AllocationRequest, link_capacity_kbps: Dict[int, float]
+        self, key: Hashable, links: Sequence[int], link_capacity_kbps: Mapping[int, float]
     ) -> np.ndarray:
-        cols = self._flow_cols.get(request.flow_key)
+        cols = self._flow_cols.get(key)
         if cols is None:
             link_col = self._link_col
             capacities = self._capacities
             entries: List[int] = []
-            for link in request.link_indices:
+            for link in links:
                 if link in link_capacity_kbps:
                     col = link_col.get(link)
                     if col is None:
@@ -100,27 +92,31 @@ class VectorizedMaxMinSolver:
             cols = np.asarray(entries, dtype=np.intp)
             if len(self._flow_cols) >= self._FLOW_CACHE_MAX:
                 self._flow_cols.clear()
-            self._flow_cols[request.flow_key] = cols
+            self._flow_cols[key] = cols
         return cols
 
     def _build(
         self,
-        requests: Sequence[AllocationRequest],
-        link_capacity_kbps: Dict[int, float],
+        keys: Sequence[Hashable],
+        paths: Sequence[Sequence[int]],
+        link_capacity_kbps: Mapping[int, float],
     ) -> None:
         """Assemble the flattened incidence from per-flow column caches.
 
-        The request *membership* changes nearly every step under the
-        incremental allocation engine, but each flow's own links never do —
-        so the per-request work is a dict lookup plus a concatenate, not a
-        Python loop over every link of every flow.
+        The set of sending flows changes on most steps (flows open, close
+        and start or stop sending), but each flow's own links never do — so
+        the per-flow work is a dict lookup plus a concatenate, not a Python
+        loop over every link of every flow.
         """
         if link_capacity_kbps is not self._caps_ref:
             # New capacity map: column numbering and caps are stale.
             self._link_col = {}
             self._capacities = []
             self._flow_cols = {}
-        per_flow = [self._columns_for(request, link_capacity_kbps) for request in requests]
+        per_flow = [
+            self._columns_for(key, links, link_capacity_kbps)
+            for key, links in zip(keys, paths)
+        ]
         lengths = np.fromiter(
             (len(cols) for cols in per_flow), dtype=np.intp, count=len(per_flow)
         )
@@ -143,22 +139,25 @@ class VectorizedMaxMinSolver:
 
     def __call__(
         self,
-        requests: Sequence[AllocationRequest],
-        link_capacity_kbps: Dict[int, float],
+        keys: Sequence[Hashable],
+        caps_kbps: Sequence[float],
+        paths: Sequence[Sequence[int]],
+        link_capacity_kbps: Mapping[int, float],
         max_iterations: int = 10_000,
-    ) -> Dict[int, float]:
-        if not requests:
+    ) -> Dict[Hashable, float]:
+        """Each key's max-min share.  Links missing from
+        ``link_capacity_kbps`` do not constrain; a cap at or below
+        ``_EPSILON`` gets 0.0 and never contends."""
+        if not keys:
             return {}
-        n = len(requests)
-        keys = tuple(request.flow_key for request in requests)
+        n = len(keys)
+        keys = tuple(keys)
         if keys != self._keys or link_capacity_kbps is not self._caps_ref:
-            self._build(requests, link_capacity_kbps)
+            self._build(keys, paths, link_capacity_kbps)
             self._keys = keys
             self._caps_ref = link_capacity_kbps
 
-        caps = np.fromiter(
-            (request.cap_kbps for request in requests), dtype=np.float64, count=n
-        )
+        caps = np.fromiter(caps_kbps, dtype=np.float64, count=n)
         alloc = np.zeros(n, dtype=np.float64)
         # Zero-cap flows get 0.0 and never contend — same as the scalar
         # pre-filter; they simply start (and stay) frozen here.

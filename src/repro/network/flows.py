@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Tuple
 
-from repro.topology.graph import PathInfo, Topology
+from repro.topology.graph import Topology
 from repro.transport.tfrc import TfrcFlowState
 from repro.util.units import PACKET_SIZE_KBITS
 
@@ -49,17 +49,14 @@ class Flow:
         self.src = src
         self.dst = dst
         self.label = label or f"{src}->{dst}"
-        #: True when this flow's *effective* rate cap (min of demand and the
-        #: TFRC rate) changed since the allocator last saw it; a demand write
-        #: or feedback round that does not move the binding cap leaves the
-        #: flow clean, and the allocation engine skips clean flows.
-        self.cap_dirty: bool = True
-        self._demand_kbps = demand_kbps
+        #: How fast the application wants to send over this flow (Kbps).
+        self.demand_kbps = demand_kbps
         # One engine lookup per direction: the forward path carries the data,
         # the backward path only contributes its delay to the control RTT.
         forward = topology.path(src, dst)
         backward = topology.path(dst, src)
-        self.path: PathInfo = forward
+        #: Physical links the flow traverses, in path order.
+        self.link_indices: Tuple[int, ...] = forward.links
         self.rtt_s = max(forward.delay_s + backward.delay_s, 1e-3)
         self.path_loss = forward.loss_rate
         self.tfrc: Optional[TfrcFlowState] = TfrcFlowState() if use_tfrc else None
@@ -78,21 +75,6 @@ class Flow:
         self.packets_lost: int = 0
 
     # ------------------------------------------------------------------- app
-    @property
-    def demand_kbps(self) -> float:
-        """How fast the application wants to send over this flow (Kbps)."""
-        return self._demand_kbps
-
-    @demand_kbps.setter
-    def demand_kbps(self, value: float) -> None:
-        if self.cap_dirty:
-            self._demand_kbps = value
-            return
-        before = self.rate_cap_kbps()
-        self._demand_kbps = value
-        if self.rate_cap_kbps() != before:
-            self.cap_dirty = True
-
     def set_demand(self, demand_kbps: float) -> None:
         """Set how fast the application wants to send over this flow."""
         if demand_kbps < 0:
@@ -157,11 +139,6 @@ class Flow:
         self.active = False
 
     # ------------------------------------------------------------------ misc
-    @property
-    def link_indices(self) -> Tuple[int, ...]:
-        """Physical links the flow traverses, in path order."""
-        return self.path.links
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Flow({self.label}, alloc={self.allocated_kbps:.1f} Kbps, "

@@ -9,12 +9,12 @@ packet, so thousand-node overlays run in pure Python.
 
 Each step proceeds in three phases driven by the experiment harness:
 
-1. :meth:`NetworkSimulator.begin_step` — flows whose effective cap changed
-   (demand writes, TFRC feedback, creation/removal) are re-submitted to the
-   :class:`~repro.network.allocation.AllocationEngine`, which re-solves the
-   max-min fair allocation for the affected region of the flow/link
-   constraint graph only; per-flow non-blocking send budgets are refreshed
-   from the result.
+1. :meth:`NetworkSimulator.begin_step` — every open flow whose effective
+   cap (min of demand and TFRC rate) is positive enters one max-min fair
+   solve, in creation order
+   (:class:`~repro.network.fairshare.VectorizedMaxMinSolver`); the others
+   get nothing.  Per-flow non-blocking send budgets are refreshed from the
+   result.
 2. The protocol layer runs: it consumes packets delivered in the previous
    step and submits new packets through ``flow.send_many``, at most
    ``flow.send_budget()`` of them per flow.
@@ -36,11 +36,12 @@ drops them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
-from repro.network.allocation import AllocationEngine, EngineStats
+from repro.network.fairshare import _EPSILON, VectorizedMaxMinSolver
 from repro.network.flows import Flow
 from repro.network.stats import StatsCollector
 from repro.topology.graph import Topology
@@ -58,8 +59,8 @@ from repro.analysis.shakeout import tracked_set
 
 #: ``[0] * (8 - k)``: pads a ``k``-interval loss history to a full row.
 _PADDING = [[0] * (HISTORY_DEPTH - length) for length in range(HISTORY_DEPTH + 1)]
-_FEEDBACK_COLUMNS = (np.float64, np.int64, np.int64, np.float64, np.float64)
-_IDLE_COLUMNS = (np.float64, np.int64, np.float64, np.float64, np.float64)
+_FEEDBACK_COLUMNS = (np.float64, np.int64, np.int64, np.float64)
+_IDLE_COLUMNS = (np.float64, np.int64, np.float64, np.float64)
 
 
 def _columns(rows: List[tuple], dtypes: tuple) -> List[np.ndarray]:
@@ -82,19 +83,40 @@ def _histories(records: List[TfrcFlowState]) -> List[np.ndarray]:
     ]
 
 
-def _write_rates(
-    flows: List[Flow], rates: np.ndarray, new_rates: np.ndarray, demand: np.ndarray
-) -> None:
-    """Store evolved TFRC rates; a flow whose effective cap moved turns dirty."""
-    moved = np.minimum(demand, new_rates) != np.minimum(demand, rates)
-    for flow, rate, cap_moved in zip(flows, new_rates.tolist(), moved.tolist()):
+def _write_rates(flows: List[Flow], new_rates: np.ndarray) -> None:
+    """Store evolved TFRC rates."""
+    for flow, rate in zip(flows, new_rates.tolist()):
         flow.tfrc.allowed_rate_kbps = rate
-        if cap_moved:
-            flow.cap_dirty = True
 
 
 #: The simulation step, in seconds, every experiment runs at.
 STEP_S: float = 1.0
+
+
+@dataclass
+class AllocationStats:
+    """Work counters of the per-step max-min solve."""
+
+    #: Steps allocated.
+    steps: int = 0
+    #: Solver calls (one per step with at least one sending flow).
+    solves: int = 0
+    #: Flows handed to the solver, summed over steps.
+    flows_solved: int = 0
+    #: Open flows, summed over steps.
+    flows_seen: int = 0
+
+    @property
+    def solve_fraction(self) -> float:
+        """Solved flows as a fraction of open flow-steps (zero-cap flows
+        are not solved)."""
+        return self.flows_solved / self.flows_seen if self.flows_seen else 0.0
+
+    @property
+    def clean_fraction(self) -> float:
+        """Fraction of steps that reused the previous allocation: every
+        step solves, so this is 0.0."""
+        return 0.0
 
 
 class NetworkSimulator:
@@ -133,7 +155,9 @@ class NetworkSimulator:
         self.congestion_loss_rate = congestion_loss_rate
         self.congestion_threshold = congestion_threshold
         self._congested_links: set[int] = tracked_set("simulator.congested_links")
-        self._engine = AllocationEngine(topology.capacity_map())
+        self._capacities: Mapping[int, float] = topology.capacity_map()
+        self._solver = VectorizedMaxMinSolver()
+        self.allocation_stats = AllocationStats()
         #: Cached equation-rate targets for idle (nothing-sent) TFRC flows;
         #: constant while a flow stays idle, invalidated on any delivery.
         self._idle_targets: Dict[int, float] = {}
@@ -163,7 +187,6 @@ class NetworkSimulator:
         """Close and forget a flow."""
         flow.close()
         self._flows.pop(flow.flow_id, None)
-        self._engine.retire(flow.flow_id)
         self._idle_targets.pop(flow.flow_id, None)
 
     @property
@@ -177,53 +200,55 @@ class NetworkSimulator:
 
     # ------------------------------------------------------------------ steps
     def begin_step(self) -> None:
-        """Allocate bandwidth to every active flow and refresh send budgets.
+        """Allocate bandwidth to every open flow and refresh send budgets.
 
-        Only flows whose effective rate cap changed since the previous step
-        (``Flow.cap_dirty``), plus flows created or removed, are re-submitted
-        to the :class:`AllocationEngine`; the engine re-solves just the
-        affected region of the constraint graph.  Flows closed since the
-        previous step leave the simulator here.
+        Flows closed since the previous step leave the simulator here.  Every
+        open flow whose rate cap is positive then enters one max-min solve,
+        in creation order; the rest are granted 0.
         """
-        engine = self._engine
-        closed: List[int] = []
-        for flow in self._flows.values():
-            if not flow.active:
-                closed.append(flow.flow_id)
-            elif flow.cap_dirty or not engine.tracks(flow.flow_id):
-                engine.submit(flow.flow_id, flow.link_indices, flow.rate_cap_kbps())
-                flow.cap_dirty = False
-        for flow_id in closed:
-            del self._flows[flow_id]
-            engine.retire(flow_id)
+        flows = self._flows
+        for flow_id in [flow_id for flow_id, flow in flows.items() if not flow.active]:
+            del flows[flow_id]
             self._idle_targets.pop(flow_id, None)
-        changed = engine.solve()
-        allocation = engine.allocation
-        for flow in self._flows.values():
-            if not flow.active:
-                continue
+        sending: List[Flow] = []
+        caps: List[float] = []
+        for flow in flows.values():
+            cap = flow.rate_cap_kbps()
+            if cap > _EPSILON:
+                sending.append(flow)
+                caps.append(cap)
+        allocation = self._solver(
+            tuple(flow.flow_id for flow in sending),
+            caps,
+            [flow.link_indices for flow in sending],
+            self._capacities,
+        )
+        stats = self.allocation_stats
+        stats.steps += 1
+        stats.flows_seen += len(flows)
+        if sending:
+            stats.solves += 1
+            stats.flows_solved += len(sending)
+        for flow in flows.values():
             flow.begin_step(allocation.get(flow.flow_id, 0.0), self.dt)
-        if changed:
-            self._congested_links = tracked_set(
-                "simulator.congested_links", self._find_congested_links(allocation)
-            )
-        # On clean rounds every allocation is unchanged, so the congested set
-        # from the previous step is still exact.
+        self._congested_links = tracked_set(
+            "simulator.congested_links", self._find_congested_links(sending, allocation)
+        )
 
-    def _find_congested_links(self, allocation: Mapping[int, float]) -> set:
+    def _find_congested_links(
+        self, sending: List[Flow], allocation: Mapping[int, float]
+    ) -> set:
         """Links whose allocated traffic reaches the congestion threshold."""
         if self.congestion_loss_rate <= 0.0:
             return set()
         load: Dict[int, float] = {}
-        for flow in self._flows.values():
-            if not flow.active:
-                continue
-            granted = allocation.get(flow.flow_id, 0.0)
+        for flow in sending:
+            granted = allocation[flow.flow_id]
             if granted <= 0:
                 continue
             for link in flow.link_indices:
                 load[link] = load.get(link, 0.0) + granted
-        capacities = self._engine.capacities
+        capacities = self._capacities
         return {
             link
             for link, used in load.items()
@@ -287,9 +312,8 @@ class NetworkSimulator:
 
         Each flow's record is read once and evolved through
         :func:`~repro.transport.tfrc.feedback_rounds`; what moved is written
-        back: the rate, the open interval of flows that received, the
-        history of lossy flows, and ``cap_dirty`` wherever the effective cap
-        moved.
+        back: the rate, the open interval of flows that received, and the
+        history of lossy flows.
         """
         records = [flow.tfrc for flow, _, _ in batch]
         rows = [
@@ -298,11 +322,10 @@ class NetworkSimulator:
                 received,
                 lost,
                 flow.rtt_s,
-                flow.demand_kbps,
             )
             for tfrc, (flow, received, lost) in zip(records, batch)
         ]
-        rates, received, lost, rtt_s, demand = _columns(rows, _FEEDBACK_COLUMNS)
+        rates, received, lost, rtt_s = _columns(rows, _FEEDBACK_COLUMNS)
         intervals, lengths, current = _histories(records)
         new_rates, intervals, lengths, _ = feedback_rounds(
             rates,
@@ -314,7 +337,7 @@ class NetworkSimulator:
             feedback_chunks(self.dt, rtt_s, lost),
             rtt_s,
         )
-        _write_rates([flow for flow, _, _ in batch], rates, new_rates, demand)
+        _write_rates([flow for flow, _, _ in batch], new_rates)
         for tfrc, (_, flow_received, _) in zip(records, batch):
             if flow_received:
                 tfrc.current += flow_received
@@ -347,10 +370,10 @@ class NetworkSimulator:
                 missed.append(len(batch))
                 target = 0.0
             batch.append(flow)
-            rows.append((tfrc.allowed_rate_kbps, length, flow.rtt_s, target, flow.demand_kbps))
+            rows.append((tfrc.allowed_rate_kbps, length, flow.rtt_s, target))
         if not batch:
             return
-        rates, lengths, rtt_s, targets, demand = _columns(rows, _IDLE_COLUMNS)
+        rates, lengths, rtt_s, targets = _columns(rows, _IDLE_COLUMNS)
         if missed:
             computed = equation_rates(
                 *_histories([batch[index].tfrc for index in missed]), rtt_s[missed]
@@ -361,7 +384,7 @@ class NetworkSimulator:
         new_rates = evolve_idle_rates(
             rates, lengths, feedback_chunks(self.dt, rtt_s), targets
         )
-        _write_rates(batch, rates, new_rates, demand)
+        _write_rates(batch, new_rates)
 
     # ------------------------------------------------------------------ misc
     def warm_routes(self, sources, dsts=None) -> int:
@@ -375,11 +398,6 @@ class NetworkSimulator:
         """
         return self.topology.warm_routes(sources, dsts)
 
-    @property
-    def allocation_stats(self) -> EngineStats:
-        """Counters from the allocation engine (work avoided)."""
-        return self._engine.stats
-
     def describe(self) -> Dict[str, float]:
         """Small status summary for logging and debugging."""
         summary = {
@@ -388,8 +406,15 @@ class NetworkSimulator:
             "active_flows": float(self.active_flow_count()),
             "steps": float(self._step_count),
         }
+        stats = self.allocation_stats
         summary.update(
-            {f"alloc_{key}": value for key, value in self._engine.describe().items()}
+            {
+                "alloc_steps": float(stats.steps),
+                "alloc_solves": float(stats.solves),
+                "alloc_flows_solved": float(stats.flows_solved),
+                "alloc_solve_fraction": stats.solve_fraction,
+                "alloc_clean_fraction": stats.clean_fraction,
+            }
         )
         summary.update(
             {

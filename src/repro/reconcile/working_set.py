@@ -140,8 +140,6 @@ class WorkingSet:
         self._ordered_shared: bool = False
         self._low_water: int = 0
         self._highest: int = -1
-        self.total_received: int = 0
-        self.total_duplicates: int = 0
         #: Bumped on every observable mutation (accepted add, prune).
         self.version: int = 0
         # Last Bloom snapshot and the window it describes (see bloom_snapshot).
@@ -177,7 +175,6 @@ class WorkingSet:
             if sequence < self._low_water or sequence in self._sequences:
                 if sequence < 0:
                     raise ValueError("sequence numbers are non-negative")
-                self.total_duplicates += 1
                 continue
             self._sequences.add(sequence)
             if sequence > self._highest:
@@ -185,7 +182,6 @@ class WorkingSet:
                 self._ordered.append(sequence)
             else:
                 self._ordered.insert(bisect_left(ordered, sequence), sequence)
-            self.total_received += 1
             self.version += 1
             fresh.append(sequence)
             if len(ordered) > window:

@@ -80,15 +80,22 @@ class TestOwnershipAssignment:
         for sequence in range(40):
             sender.send_batch([sequence], transport)
         assert sender.child_state(2).owned_sent == 40
-        assert sender.child_state(1).lifetime_sent == 0
+        assert transport.sent[1] == []
 
     def test_dropped_when_no_child_can_accept(self):
         sender = DisjointSender(BulletConfig(), [1, 2])
+        offered = []
+
+        def refuse(child, sequence):
+            offered.append((child, sequence))
+            return reject_all(child, sequence)
+
         for sequence in range(5):
-            assert sender.send_batch([sequence], reject_all) == {1: [], 2: []}
-        # The packets stay with the parent (its working set) for peer recovery.
-        assert sender.child_state(1).lifetime_sent == sender.child_state(2).lifetime_sent == 0
-        assert sender.child_state(1).lifetime_rejected > 0
+            assert sender.send_batch([sequence], refuse) == {1: [], 2: []}
+        # Each packet was offered to both children, and stays with the
+        # parent (its working set) for peer recovery.
+        assert set(offered) == {(c, s) for c in (1, 2) for s in range(5)}
+        assert not sender.child_state(1).sent_filter and not sender.child_state(2).sent_filter
 
     def test_no_children_sends_nothing(self):
         sender = DisjointSender(BulletConfig(), [])
@@ -171,10 +178,12 @@ class TestDisjointness:
 
     def test_epoch_reset_clears_ownership_counters(self):
         sender = DisjointSender(BulletConfig(), [1, 2])
+        sent_to_first = []
         for sequence in range(50):
-            sender.send_batch([sequence], accept_all)
+            sent_to_first += sender.send_batch([sequence], accept_all)[1]
+        assert sender.child_state(1).owned_sent > 0
         sender.reset_epoch()
         assert sender.child_state(1).owned_sent == 0
-        assert sender.child_state(1).total_sent == 0
-        # Lifetime counters survive the reset.
-        assert sender.child_state(1).lifetime_sent > 0
+        # Duplicate suppression survives the reset.
+        assert sent_to_first
+        assert sender.child_state(1).sent_filter == set(sent_to_first)

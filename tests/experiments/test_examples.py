@@ -117,6 +117,6 @@ class TestScaleScenariosExample:
 
             summary = example.run_scenario("churn-heavy", scale=0.05, seed=3)
             assert summary["average_useful_kbps"] > 0
-            assert 0.0 <= summary["alloc_clean_fraction"] <= 1.0
+            assert 0.0 < summary["alloc_solve_fraction"] <= 1.0
         finally:
             sys.path.remove(str(EXAMPLES_DIR))

@@ -1,160 +1,156 @@
-"""Tests for the incremental allocation engine.
+"""The simulator's per-step allocation against the scalar max-min oracle.
 
-The engine's contract: after any sequence of flow creations, removals and
-cap changes, ``solve()`` leaves :attr:`AllocationEngine.allocation` equal to
-what a from-scratch solve of the scalar max-min oracle over the current flow
-population would produce (up to float associativity — the engine may solve
-affected regions in isolation), while touching only the affected region.
+Each ``begin_step`` grants every open flow exactly what
+``oracles.fairshare.max_min_allocation`` gives the open flows, taken in
+creation order with their current rate caps: equal as floats, not merely
+close.  The cases drive a :class:`NetworkSimulator` on small hand-built
+underlays with TFRC off, so a flow's cap is its demand.
 """
 
-import math
-
 from hypothesis import given, settings, strategies as st
-from oracles.fairshare import max_min_allocation
+from oracles.fairshare import AllocationRequest, max_min_allocation
 
-from repro.network.allocation import AllocationEngine
-from repro.network.fairshare import AllocationRequest
+from repro.network.simulator import NetworkSimulator
+from repro.topology.graph import Topology
+from repro.topology.links import LinkType
+
+INF = float("inf")
 
 
-def close(a, b):
-    return math.isclose(a, b, rel_tol=1e-9, abs_tol=1e-6)
+def dumbbell(access, core):
+    """Hosts 1, 2 on stub router 0 and hosts 3, 4 on stub router 5.
+
+    ``access`` gives the four hosts' access-link capacities, ``core`` the
+    0-5 link's; every cable is duplex with the same capacity both ways.
+    """
+    topo = Topology()
+    for router in (0, 5):
+        topo.add_node(router, "stub")
+    for host, router, capacity in zip((1, 2, 3, 4), (0, 0, 5, 5), access):
+        topo.add_node(host, "client")
+        topo.add_duplex_link(host, router, LinkType.CLIENT_STUB, capacity, 0.005)
+    topo.add_duplex_link(0, 5, LinkType.STUB_STUB, core, 0.01)
+    return topo
+
+
+def simulator(access=(5000.0, 5000.0, 5000.0, 5000.0), core=5000.0):
+    return NetworkSimulator(dumbbell(access, core), dt=1.0, congestion_loss_rate=0.0)
+
+
+def allocate(sim):
+    """One full step; returns what the next step's allocation grants."""
+    sim.end_step()
+    sim.begin_step()
+    return {flow.flow_id: flow.allocated_kbps for flow in sim.flows}
+
+
+def assert_allocation_is_the_oracle(sim):
+    flows = sim.flows
+    capacities = sim.topology.capacity_map()
+    reference = max_min_allocation(
+        [
+            AllocationRequest(flow.flow_id, flow.link_indices, flow.rate_cap_kbps())
+            for flow in flows
+        ],
+        capacities,
+    )
+    assert {flow.flow_id: flow.allocated_kbps for flow in flows} == reference
+    for link, capacity in capacities.items():
+        used = sum(flow.allocated_kbps for flow in flows if link in flow.link_indices)
+        assert used <= capacity + 1e-6, (link, used, capacity)
 
 
 class TestEngineBasics:
     def test_single_flow_gets_bottleneck(self):
-        engine = AllocationEngine({0: 1000.0, 1: 400.0})
-        engine.submit(1, (0, 1), float("inf"))
-        assert engine.solve() is True
-        assert close(engine.allocation[1], 400.0)
-
-    def test_clean_round_reuses_allocation(self):
-        engine = AllocationEngine({0: 1000.0})
-        engine.submit(1, (0,), 600.0)
-        engine.solve()
-        before = dict(engine.allocation)
-        engine.submit(1, (0,), 600.0)  # unchanged cap: not dirty
-        assert engine.solve() is False
-        assert engine.allocation == before
-        assert engine.stats.clean_steps == 1
+        sim = simulator(access=(1000.0, 5000.0, 400.0, 5000.0))
+        flow = sim.create_flow(1, 3, use_tfrc=False)
+        sim.begin_step()
+        assert flow.allocated_kbps == 400.0
 
     def test_cap_change_redistributes(self):
-        engine = AllocationEngine({0: 1000.0})
-        engine.submit(1, (0,), float("inf"))
-        engine.submit(2, (0,), float("inf"))
-        engine.solve()
-        assert close(engine.allocation[1], 500.0)
-        engine.submit(1, (0,), 100.0)
-        assert engine.solve() is True
-        assert close(engine.allocation[1], 100.0)
-        assert close(engine.allocation[2], 900.0)
+        sim = simulator(access=(5000.0, 5000.0, 1000.0, 5000.0))
+        first = sim.create_flow(1, 3, use_tfrc=False)
+        second = sim.create_flow(2, 3, use_tfrc=False)
+        sim.begin_step()
+        assert first.allocated_kbps == second.allocated_kbps == 500.0
+        first.set_demand(100.0)
+        assert allocate(sim) == {first.flow_id: 100.0, second.flow_id: 900.0}
 
     def test_retire_frees_share_for_link_sharers(self):
-        engine = AllocationEngine({0: 900.0})
-        engine.submit(1, (0,), float("inf"))
-        engine.submit(2, (0,), float("inf"))
-        engine.solve()
-        engine.retire(1)
-        assert engine.solve() is True
-        assert 1 not in engine.allocation
-        assert close(engine.allocation[2], 900.0)
-
-    def test_disjoint_component_untouched_by_churn(self):
-        """A change in one component must not re-solve the other."""
-        engine = AllocationEngine({0: 1000.0, 1: 800.0})
-        engine.submit(1, (0,), float("inf"))
-        engine.submit(2, (1,), float("inf"))
-        engine.solve()
-        flows_solved = engine.stats.flows_solved
-        engine.submit(1, (0,), 250.0)
-        engine.solve()
-        # Only flow 1's component (one flow) re-solved.
-        assert engine.stats.flows_solved == flows_solved + 1
-        assert close(engine.allocation[1], 250.0)
-        assert close(engine.allocation[2], 800.0)
+        sim = simulator(access=(5000.0, 5000.0, 900.0, 5000.0))
+        first = sim.create_flow(1, 3, use_tfrc=False)
+        second = sim.create_flow(2, 3, use_tfrc=False)
+        sim.begin_step()
+        sim.remove_flow(first)
+        assert allocate(sim) == {second.flow_id: 900.0}
 
     def test_zero_cap_flow_gets_zero_without_dirtying_others(self):
-        engine = AllocationEngine({0: 1000.0})
-        engine.submit(1, (0,), float("inf"))
-        engine.solve()
-        engine.submit(2, (0,), 0.0)
-        engine.solve()
-        assert engine.allocation[2] == 0.0
-        assert close(engine.allocation[1], 1000.0)
-        # Transitioning to a positive cap joins the constraint graph.
-        engine.submit(2, (0,), float("inf"))
-        engine.solve()
-        assert close(engine.allocation[1], 500.0)
-        assert close(engine.allocation[2], 500.0)
+        sim = simulator(access=(5000.0, 5000.0, 1000.0, 5000.0))
+        sending = sim.create_flow(1, 3, use_tfrc=False)
+        idle = sim.create_flow(2, 3, demand_kbps=0.0, use_tfrc=False)
+        sim.begin_step()
+        assert (sending.allocated_kbps, idle.allocated_kbps) == (1000.0, 0.0)
+        # A positive demand makes the idle flow contend again.
+        idle.set_demand(INF)
+        assert allocate(sim) == {sending.flow_id: 500.0, idle.flow_id: 500.0}
 
 
 # --------------------------------------------------------------- property
 
-_LINKS = list(range(6))
-_CAPACITIES = {link: 400.0 + 120.0 * link for link in _LINKS}
+#: A few values only, so several links saturate, and flows reach their caps,
+#: in the same fill round.
+_capacity = st.one_of(
+    st.sampled_from([150.0, 400.0, 600.0, 1000.0]),
+    st.floats(min_value=10.0, max_value=5000.0),
+)
+_demand = st.one_of(
+    st.just(0.0),
+    st.just(INF),
+    st.sampled_from([100.0, 200.0, 300.0]),
+    st.floats(min_value=0.1, max_value=3000.0),
+)
+_pick = st.integers(min_value=0, max_value=30)
 
 _operation = st.one_of(
+    # source host, offset to the destination host (never the source), demand
     st.tuples(
         st.just("create"),
-        st.lists(st.sampled_from(_LINKS), min_size=1, max_size=3, unique=True),
-        st.floats(min_value=0.0, max_value=2000.0),
+        st.integers(min_value=1, max_value=4),
+        st.integers(min_value=1, max_value=3),
+        _demand,
     ),
-    st.tuples(st.just("remove"), st.integers(min_value=0, max_value=30)),
-    st.tuples(
-        st.just("recap"),
-        st.integers(min_value=0, max_value=30),
-        st.floats(min_value=0.0, max_value=2000.0),
-    ),
+    st.tuples(st.just("remove"), _pick),
+    st.tuples(st.just("close"), _pick),
+    st.tuples(st.just("demand"), _pick, _demand),
     st.just(("step",)),
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.lists(_operation, min_size=1, max_size=40))
-def test_incremental_matches_from_scratch_after_arbitrary_ops(operations):
-    """Hypothesis: engine == from-scratch max_min after any op sequence."""
-    engine = AllocationEngine(_CAPACITIES)
-    live = {}  # key -> (links, cap)
-    next_key = 0
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_capacity, min_size=5, max_size=5), st.lists(_operation, min_size=1, max_size=40))
+def test_allocation_equals_the_oracle_after_arbitrary_ops(capacities, operations):
+    """Hypothesis: after any create / remove / close / demand / step
+    sequence, every step's allocation is the oracle's, float for float, and
+    no link carries more than its capacity."""
+    sim = simulator(access=capacities[:4], core=capacities[4])
     for operation in operations:
         kind = operation[0]
+        flows = [flow for flow in sim.flows if flow.active]
         if kind == "create":
-            _, links, cap = operation
-            live[next_key] = (tuple(links), cap)
-            engine.submit(next_key, tuple(links), cap)
-            next_key += 1
-        elif kind == "remove":
-            if live:
-                key = sorted(live)[operation[1] % len(live)]
-                del live[key]
-                engine.retire(key)
-        elif kind == "recap":
-            if live:
-                key = sorted(live)[operation[1] % len(live)]
-                links, _ = live[key]
-                live[key] = (links, operation[2])
-                engine.submit(key, links, operation[2])
-        else:  # step: solve mid-sequence so later ops hit cached state
-            engine.solve()
-    engine.solve()
-
-    requests = [
-        AllocationRequest(flow_key=key, link_indices=links, cap_kbps=cap)
-        for key, (links, cap) in live.items()
-    ]
-    reference = max_min_allocation(requests, _CAPACITIES)
-    assert set(engine.allocation) == set(reference)
-    for key, expected in reference.items():
-        assert close(engine.allocation[key], expected), (
-            key,
-            engine.allocation[key],
-            expected,
-        )
-
-    # Feasibility: no link's allocated sum exceeds its capacity.
-    for link, capacity in _CAPACITIES.items():
-        used = sum(
-            engine.allocation[key]
-            for key, (links, _) in live.items()
-            if link in links
-        )
-        assert used <= capacity + 1e-5
+            _, src, offset, demand = operation
+            dst = (src - 1 + offset) % 4 + 1
+            sim.create_flow(src, dst, demand_kbps=demand, use_tfrc=False)
+        elif kind == "step":
+            sim.begin_step()
+            assert_allocation_is_the_oracle(sim)
+            sim.end_step()
+        elif flows:
+            flow = flows[operation[1] % len(flows)]
+            if kind == "remove":
+                sim.remove_flow(flow)
+            elif kind == "close":
+                flow.close()
+            else:
+                flow.set_demand(operation[2])
+    sim.begin_step()
+    assert_allocation_is_the_oracle(sim)

@@ -3,39 +3,55 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 from oracles.fairshare import (
+    AllocationRequest,
     max_min_allocation as scalar_max_min_allocation,
     single_pass_allocation,
 )
 
-from repro.network.fairshare import AllocationRequest, VectorizedMaxMinSolver
+from repro.network.fairshare import VectorizedMaxMinSolver
 
 
 def req(key, links, cap=float("inf")):
     return AllocationRequest(flow_key=key, link_indices=links, cap_kbps=cap)
 
 
+def solve(solver, requests, capacities):
+    """``solver`` over ``requests``, passed as its key, cap and path columns."""
+    return solver(
+        [request.flow_key for request in requests],
+        [request.cap_kbps for request in requests],
+        [request.link_indices for request in requests],
+        capacities,
+    )
+
+
 class TestMaxMinAllocation:
     def test_single_flow_gets_bottleneck(self):
-        allocation = VectorizedMaxMinSolver()([req(1, [0, 1])], {0: 1000.0, 1: 400.0})
+        allocation = solve(VectorizedMaxMinSolver(), [req(1, [0, 1])], {0: 1000.0, 1: 400.0})
         assert allocation[1] == pytest.approx(400.0)
 
     def test_two_flows_share_bottleneck_equally(self):
-        allocation = VectorizedMaxMinSolver()(
-            [req(1, [0]), req(2, [0])], {0: 1000.0}
+        allocation = solve(
+            VectorizedMaxMinSolver(),
+            [req(1, [0]), req(2, [0])],
+            {0: 1000.0},
         )
         assert allocation[1] == pytest.approx(500.0)
         assert allocation[2] == pytest.approx(500.0)
 
     def test_cap_limits_flow_and_frees_share(self):
-        allocation = VectorizedMaxMinSolver()(
-            [req(1, [0], cap=100.0), req(2, [0])], {0: 1000.0}
+        allocation = solve(
+            VectorizedMaxMinSolver(),
+            [req(1, [0], cap=100.0), req(2, [0])],
+            {0: 1000.0},
         )
         assert allocation[1] == pytest.approx(100.0)
         assert allocation[2] == pytest.approx(900.0)
 
     def test_classic_parking_lot(self):
         # Flow A crosses links 0 and 1; flows B and C cross one link each.
-        allocation = VectorizedMaxMinSolver()(
+        allocation = solve(
+            VectorizedMaxMinSolver(),
             [req("a", [0, 1]), req("b", [0]), req("c", [1])],
             {0: 1000.0, 1: 1000.0},
         )
@@ -44,27 +60,29 @@ class TestMaxMinAllocation:
         assert allocation["c"] == pytest.approx(500.0)
 
     def test_unconstrained_flow_capped_by_demand_only(self):
-        allocation = VectorizedMaxMinSolver()([req(1, [], cap=250.0)], {})
+        allocation = solve(VectorizedMaxMinSolver(), [req(1, [], cap=250.0)], {})
         assert allocation[1] == pytest.approx(250.0)
 
     def test_zero_cap_gets_zero(self):
-        allocation = VectorizedMaxMinSolver()([req(1, [0], cap=0.0), req(2, [0])], {0: 600.0})
+        allocation = solve(
+            VectorizedMaxMinSolver(), [req(1, [0], cap=0.0), req(2, [0])], {0: 600.0}
+        )
         assert allocation[1] == 0.0
         assert allocation[2] == pytest.approx(600.0)
 
     def test_empty_requests(self):
-        assert VectorizedMaxMinSolver()([], {0: 100.0}) == {}
+        assert solve(VectorizedMaxMinSolver(), [], {0: 100.0}) == {}
 
     def test_no_allocation_exceeds_cap(self):
         requests = [req(i, [i % 3], cap=50.0 * (i + 1)) for i in range(6)]
-        allocation = VectorizedMaxMinSolver()(requests, {0: 120.0, 1: 500.0, 2: 80.0})
+        allocation = solve(VectorizedMaxMinSolver(), requests, {0: 120.0, 1: 500.0, 2: 80.0})
         for request in requests:
             assert allocation[request.flow_key] <= request.cap_kbps + 1e-6
 
     def test_link_capacity_never_exceeded(self):
         requests = [req(i, [0, 1 + (i % 2)]) for i in range(7)]
         capacities = {0: 900.0, 1: 300.0, 2: 450.0}
-        allocation = VectorizedMaxMinSolver()(requests, capacities)
+        allocation = solve(VectorizedMaxMinSolver(), requests, capacities)
         for link, capacity in capacities.items():
             used = sum(
                 allocation[r.flow_key] for r in requests if link in r.link_indices
@@ -91,7 +109,7 @@ class TestMaxMinAllocation:
     def test_feasibility_property(self, flows, capacities):
         """Allocations are always feasible: within caps and link capacities."""
         requests = [req(i, links, cap) for i, (links, cap) in enumerate(flows)]
-        allocation = VectorizedMaxMinSolver()(requests, capacities)
+        allocation = solve(VectorizedMaxMinSolver(), requests, capacities)
         for request in requests:
             assert allocation[request.flow_key] <= request.cap_kbps + 1e-6
             assert allocation[request.flow_key] >= 0.0
@@ -113,7 +131,7 @@ class TestMaxMinAllocation:
         """Max-min never allocates less total bandwidth than the c/n estimate."""
         capacities = {i: 1000.0 for i in range(5)}
         requests = [req(i, links) for i, links in enumerate(flow_links)]
-        better = VectorizedMaxMinSolver()(requests, capacities)
+        better = solve(VectorizedMaxMinSolver(), requests, capacities)
         simple = single_pass_allocation(requests, capacities)
         assert sum(better.values()) >= sum(simple.values()) - 1e-6
 
@@ -153,14 +171,14 @@ class TestMaxMinBitIdentity:
     def test_matches_scalar_reference_exactly(self, problem):
         requests, capacities = problem
         scalar = scalar_max_min_allocation(requests, capacities)
-        vector = VectorizedMaxMinSolver()(requests, capacities)
+        vector = solve(VectorizedMaxMinSolver(), requests, capacities)
         assert vector == scalar  # exact float equality, key by key
 
     @settings(max_examples=200, deadline=None)
     @given(allocation_problems(capacity=tie_values, cap=tie_values, max_flows=30))
     def test_tie_heavy_rounds_match_exactly(self, problem):
         requests, capacities = problem
-        assert VectorizedMaxMinSolver()(requests, capacities) == scalar_max_min_allocation(
+        assert solve(VectorizedMaxMinSolver(), requests, capacities) == scalar_max_min_allocation(
             requests, capacities
         )
 
@@ -171,17 +189,17 @@ class TestMaxMinBitIdentity:
         # stable; moving caps must not desynchronize it from the reference.
         requests, capacities = problem
         solver = VectorizedMaxMinSolver()
-        assert solver(requests, capacities) == scalar_max_min_allocation(requests, capacities)
+        assert solve(solver, requests, capacities) == scalar_max_min_allocation(requests, capacities)
         moved = [
             AllocationRequest(r.flow_key, r.link_indices, r.cap_kbps + bump * 7.5)
             for r in requests
         ]
-        assert solver(moved, capacities) == scalar_max_min_allocation(moved, capacities)
+        assert solve(solver, moved, capacities) == scalar_max_min_allocation(moved, capacities)
         if requests:  # empty request sets early-return before building
             assert solver.rebuilds == 1  # same keys + same cap map: no rebuild
 
     def test_empty_request_set(self):
-        assert VectorizedMaxMinSolver()([], {0: 100.0}) == {}
+        assert solve(VectorizedMaxMinSolver(), [], {0: 100.0}) == {}
 
 
 class TestFrozenFlowBookkeepingRegression:
@@ -199,7 +217,8 @@ class TestFrozenFlowBookkeepingRegression:
         # Flow 1 reaches its cap exactly when link 0 saturates (two freeze
         # reasons at once); flow 2 is frozen by the saturation; flow 3 keeps
         # filling on link 1 afterwards.
-        allocation = VectorizedMaxMinSolver()(
+        allocation = solve(
+            VectorizedMaxMinSolver(),
             [
                 AllocationRequest(1, (0,), 300.0),
                 AllocationRequest(2, (0, 1), float("inf")),
@@ -214,7 +233,8 @@ class TestFrozenFlowBookkeepingRegression:
     def test_two_links_saturating_same_round_with_shared_flow(self):
         # Links 0 and 1 saturate in the same round; flow "shared" crosses
         # both, so its freeze must not double-touch either saturated link.
-        allocation = VectorizedMaxMinSolver()(
+        allocation = solve(
+            VectorizedMaxMinSolver(),
             [
                 AllocationRequest("shared", (0, 1), float("inf")),
                 AllocationRequest("a", (0,), float("inf")),
@@ -233,7 +253,8 @@ class TestFrozenFlowBookkeepingRegression:
         # the shares flows 3 and 4 then receive on links 1 and 2 depend on
         # accurate counts there — stale or negative counts from round one
         # would skew their increments.
-        allocation = VectorizedMaxMinSolver()(
+        allocation = solve(
+            VectorizedMaxMinSolver(),
             [
                 AllocationRequest(1, (0, 1), float("inf")),
                 AllocationRequest(2, (0, 2), float("inf")),
@@ -252,9 +273,9 @@ class TestFrozenFlowBookkeepingRegression:
             AllocationRequest(i, (i % 2, 2), 150.0 * (i + 1)) for i in range(5)
         ]
         capacities = {0: 300.0, 1: 250.0, 2: 700.0}
-        first = VectorizedMaxMinSolver()(requests, capacities)
+        first = solve(VectorizedMaxMinSolver(), requests, capacities)
         for _ in range(3):
-            assert VectorizedMaxMinSolver()(requests, capacities) == first
+            assert solve(VectorizedMaxMinSolver(), requests, capacities) == first
 
 
 class TestSinglePassAllocation:

@@ -9,9 +9,19 @@ block of this loop, and the hypothesis suites require bit-equal allocations.
 bound the max-min allocation is checked to dominate.
 """
 
-from typing import Dict, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, Hashable, List, Sequence
 
-from repro.network.fairshare import _EPSILON, AllocationRequest
+from repro.network.fairshare import _EPSILON
+
+
+@dataclass
+class AllocationRequest:
+    """One flow's view for the allocator: its key, its path and its rate cap."""
+
+    flow_key: Hashable
+    link_indices: Sequence[int]
+    cap_kbps: float
 
 
 def max_min_allocation(

@@ -319,8 +319,6 @@ class SortEverythingWorkingSet:
         self._sequences: Set[int] = set()
         self._low_water: int = 0
         self._highest: int = -1
-        self.total_received: int = 0
-        self.total_duplicates: int = 0
         #: Bumped on every observable mutation (accepted add, prune).
         self.version: int = 0
         self._sorted_cache: List[int] = []
@@ -342,12 +340,10 @@ class SortEverythingWorkingSet:
         if sequence < 0:
             raise ValueError("sequence numbers are non-negative")
         if sequence < self._low_water or sequence in self._sequences:
-            self.total_duplicates += 1
             return False
         self._sequences.add(sequence)
         if sequence > self._highest:
             self._highest = sequence
-        self.total_received += 1
         self.version += 1
         if self._live_bloom is not None:
             self._live_bloom.add(sequence)

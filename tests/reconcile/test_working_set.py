@@ -12,8 +12,7 @@ class TestWorkingSet:
         ws = WorkingSet()
         assert ws.add_many([5]) == [5]
         assert ws.add_many([5]) == []
-        assert ws.total_received == 1
-        assert ws.total_duplicates == 1
+        assert ws.sequences() == [5]
 
     def test_contains_and_len(self):
         ws = WorkingSet()
@@ -157,8 +156,7 @@ class TestWorkingSet:
         ws = WorkingSet(prune_window=10_000)
         useful = len(ws.add_many(sequences))
         assert useful == len(set(sequences))
-        assert ws.total_received == len(set(sequences))
-        assert ws.total_duplicates == len(sequences) - len(set(sequences))
+        assert ws.sequences() == sorted(set(sequences))
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=1, max_value=100), st.integers(min_value=1, max_value=400))
