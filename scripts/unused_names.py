@@ -30,6 +30,7 @@ gate.
 from __future__ import annotations
 
 import ast
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -160,4 +161,12 @@ def main(argv: List[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    try:
+        status = main(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader stopped early (``| head``): the report is still a success.
+        # Point stdout at devnull so the interpreter's exit flush stays quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 0
+    sys.exit(status)

@@ -14,9 +14,9 @@ table *next to the cache*:
                 "_sequences": ["version"],
             },
             "calls": {                # "receiver.method" call (or on an item of it) -> bumps
-                "_ordered.append": ["version", "_writable"],
+                "_ordered.append": ["version"],
             },
-            "exempt": ["_writable"],  # functions whose *callers* bump
+            "exempt": ["_helper"],    # functions whose *callers* bump
         },
     }
 

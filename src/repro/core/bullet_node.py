@@ -23,7 +23,6 @@ from repro.core.config import (
     BLOOM_REFRESH_S,
     PEERING_TIMEOUT_S,
     RANSUB_SET_SIZE,
-    RECOVERY_SPAN_PACKETS,
     TICKET_SAMPLE_STRIDE,
     TICKET_WINDOW,
     BulletConfig,
@@ -36,11 +35,7 @@ from repro.core.control_messages import (
 )
 from repro.core.disjoint import DisjointSender
 from repro.core.peering import PeerManager
-from repro.core.recovery import (
-    RecoveryRequest,
-    build_recovery_requests,
-    recovery_bloom,
-)
+from repro.core.recovery import RecoveryRequest, build_recovery_requests
 from repro.network.control import ControlMessage
 from repro.ransub.protocol import RanSubCollect, RanSubDistribute, RanSubNodeState
 from repro.ransub.state import MemberSummary
@@ -114,10 +109,6 @@ class BulletNode:
         self._period_useful_packets: int = 0
         #: Counts Bloom-refresh rounds to rotate the row assignment (Fig 4b).
         self._refresh_round: int = 0
-        #: Per-rotation-phase cache of (selection key, requests) for the
-        #: resend-verbatim path, valid for one sender set.
-        self._refresh_cache: Dict[int, tuple] = {}
-        self._refresh_cache_senders: tuple = ()
         self._cached_ticket: SummaryTicket = SummaryTicket()
 
     # ------------------------------------------------------------- reception
@@ -319,7 +310,7 @@ class BulletNode:
             record = self.peers.add_receiver(message.src, message.epoch)
             record.queue.install_request(
                 message.request,
-                self.working_set.sequences_in_range_view(
+                self.working_set.sequences_in_range(
                     message.request.low, message.request.high
                 ),
             )
@@ -359,16 +350,9 @@ class BulletNode:
             )
             return
         request = message.request
-        installed = record.queue.request
-        if installed is not None and request.same_selection(installed):
-            # Unchanged selection (same snapshot, range and row): the pending
-            # queue already matches; skip materializing our holdings.
-            record.queue.adopt_request(request, self.working_set.low_water)
-        else:
-            record.queue.install_request(
-                request,
-                self.working_set.sequences_in_range_view(request.low, request.high),
-            )
+        record.queue.install_request(
+            request, self.working_set.sequences_in_range(request.low, request.high)
+        )
         record.reported_bandwidth_kbps = request.reported_bandwidth_kbps
         record.period_refreshes += 1
 
@@ -409,49 +393,10 @@ class BulletNode:
         """Queue a recovery request for every sending peer (Figure 4)."""
         if not self.peers.senders:
             return
-        for sender_id, request in self._refresh_requests().items():
+        for sender_id, request in self.build_recovery_requests().items():
             self.outbox.append(
                 RecoveryRefresh(src=self.node, dst=sender_id, request=request)
             )
-
-    def _refresh_requests(self) -> Dict[int, RecoveryRequest]:
-        """This round's refresh requests, regenerated only when they changed.
-
-        A previous round's requests are resent verbatim when nothing that
-        determines them moved: the sender set, the (low,
-        high) range, the Bloom snapshot (compared by identity — the working
-        set hands out the same frozen object until its content changes), the
-        row assignment's phase and the reported bandwidth.  The rotation
-        phase cycles through ``total`` residues, so the cache keeps one
-        entry per phase: a stalled node with N senders starts hitting again
-        after N rounds.  The reporting period still restarts and the
-        rotation still advances, so a resend is indistinguishable from a
-        rebuild on the wire.
-        """
-        senders = tuple(self.peers.sender_ids())
-        total = len(senders)
-        low, high = self.working_set.recovery_range(RECOVERY_SPAN_PACKETS)
-        high += self.config.recovery_lookahead_packets
-        if senders != self._refresh_cache_senders:
-            # The sender set changed: every phase's entry is stale (and a
-            # stale entry would pin dead snapshots in memory).
-            self._refresh_cache.clear()
-            self._refresh_cache_senders = senders
-        phase = self._refresh_round % total
-        key = (
-            low,
-            high,
-            recovery_bloom(self.working_set),
-            self.reported_bandwidth_kbps(),
-        )
-        cached = self._refresh_cache.get(phase)
-        if cached is not None and cached[0] == key:
-            self._period_useful_packets = 0
-            self._refresh_round += 1
-            return cached[1]
-        requests = self.build_recovery_requests()
-        self._refresh_cache[phase] = (key, requests)
-        return requests
 
     # --------------------------------------------------------------- eviction
     def evaluate_peers(self, services: ControlPlaneServices, epoch: int) -> None:

@@ -53,29 +53,12 @@ class RecoveryRequest:
             return False
         return sequence not in self.bloom
 
-    def same_selection(self, other: "RecoveryRequest") -> bool:
-        """True if both requests select exactly the same packets.
-
-        Filters are compared by identity: a working set hands out one
-        frozen snapshot object for as long as its recent window is
-        unchanged, so identity is exact and O(1).  Distinct snapshot objects
-        compare unequal, which merely costs the sender a rescan.
-        """
-        return (
-            self.bloom is other.bloom
-            and self.low == other.low
-            and self.high == other.high
-            and self.mod == other.mod
-            and self.total_senders == other.total_senders
-        )
-
 
 def recovery_bloom(working_set: WorkingSet) -> BloomSnapshot:
     """The filter a node's recovery requests carry this refresh round.
 
-    A frozen snapshot of the working set's recent window: the same object is
-    returned until that window changes, which is what lets senders recognise
-    unchanged selections.
+    A frozen snapshot of the working set's recent window, shared by every
+    request of the round (see :meth:`WorkingSet.bloom_snapshot`).
     """
     return working_set.bloom_snapshot(
         expected_items=max(RECOVERY_SPAN_PACKETS, 128),
@@ -132,24 +115,6 @@ class SenderQueue:
     pending: List[int] = field(default_factory=list)
     #: Sequences already pushed to this receiver (avoid re-sending every step).
     already_sent: set = field(default_factory=set)
-    #: Lifetime counters for peer evaluation.
-    packets_sent: int = 0
-
-    def adopt_request(self, request: RecoveryRequest, holdings_low_water: int = 0) -> None:
-        """Take over a refresh whose selection is unchanged.
-
-        The pending queue already equals what a rescan would rebuild (offers
-        keep it sorted and complete), so only the request object — carrying a
-        possibly updated reported bandwidth — is swapped in.
-        ``holdings_low_water`` is the sender's working-set low-water mark:
-        packets the sender pruned must leave the queue exactly as a rescan
-        against current holdings would drop them (a sender cannot serve data
-        it discarded).
-        """
-        self.request = request
-        pending = self.pending
-        if pending and pending[0] < holdings_low_water:
-            del pending[: bisect_left(pending, holdings_low_water)]
 
     def _unsent_wanted(self, sequences: Iterable[int]) -> List[int]:
         """The ``sequences`` the installed request wants and we never pushed.
@@ -198,8 +163,7 @@ class SenderQueue:
             return
         pending = self.pending
         for sequence in self._unsent_wanted(sequences):
-            # Keep the queue sorted (drains stay in sequence order, and an
-            # unchanged-selection refresh can adopt it verbatim) and
+            # Keep the queue sorted (drains stay in sequence order) and
             # deduplicated: a packet that arrived in the same step as a
             # refresh is already queued by the install's holdings scan.
             index = bisect_left(pending, sequence)
@@ -213,7 +177,6 @@ class SenderQueue:
         batch, self.pending = self.pending[:budget], self.pending[budget:]
         for sequence in batch:
             self.already_sent.add(sequence)
-        self.packets_sent += len(batch)
         return batch
 
     def pending_count(self) -> int:

@@ -12,8 +12,9 @@ low sequence numbers (Section 3.1), so what a request carries describes a
 *window*: the most recent ``capacity`` sequences a node holds.
 :meth:`BloomSnapshot.from_keys` derives that frozen wire state from the
 window's keys in one vectorised pass over a per-process position table: a
-node reads its filter once per refresh, so nothing is maintained between
-reads (see :meth:`~repro.reconcile.working_set.WorkingSet.bloom_snapshot`).
+node reads its filter once per refresh, so nothing is maintained per packet,
+and its working set keeps only the last snapshot, until the window changes
+(see :meth:`~repro.reconcile.working_set.WorkingSet.bloom_snapshot`).
 The ``antientropy`` baseline builds its digests the same way.
 """
 

@@ -16,7 +16,7 @@ nodes, with the flash-crowd join spike as the worst case.
 * **one route cache over a fixed underlay** — the first query freezes the
   topology (see :mod:`repro.topology.graph`), so a resolved ``PathInfo`` —
   links, delay, loss and bottleneck — stays exact for the run and is cached
-  as is, under an LRU bound;
+  as is;
 * **a ``warm(sources, dsts)`` batch API** — the experiment session calls it
   at overlay construction and on every mid-run join, so the flash-crowd
   discovery spike resolves its paths outside the hot step loop.
@@ -61,8 +61,6 @@ class RoutingStats:
     paths_extracted: int = 0
     #: Queries answered straight from the route cache.
     cache_hits: int = 0
-    #: Routes dropped by the LRU bound on the route cache.
-    route_evictions: int = 0
 
     def describe(self) -> Dict[str, float]:
         """Counters as a flat float mapping (for logging/diagnostics)."""
@@ -70,7 +68,6 @@ class RoutingStats:
             "dijkstra_runs": float(self.dijkstra_runs),
             "paths_extracted": float(self.paths_extracted),
             "cache_hits": float(self.cache_hits),
-            "route_evictions": float(self.route_evictions),
         }
 
 
@@ -87,15 +84,7 @@ class RoutingEngine:
     table: trees and routes never need invalidating.
     """
 
-    #: Default bound on materialized routes (~1M pairs covers a 1000-host
-    #: full mesh; beyond that the cache evicts least-recently-used routes).
-    DEFAULT_MAX_ROUTES = 1 << 20
-
-    def __init__(self, links: LinkTable, max_routes: Optional[int] = None) -> None:
-        if max_routes is None:
-            max_routes = self.DEFAULT_MAX_ROUTES
-        if max_routes < 1:
-            raise ValueError("max_routes must be positive")
+    def __init__(self, links: LinkTable) -> None:
         self._links = links
         self._n = 0
         #: Per node: the ``(router, delay, link)`` triples a solve relaxes.
@@ -109,12 +98,8 @@ class RoutingEngine:
         self._host_router = np.empty(0, dtype=np.int32)
         self._host_link = np.empty(0, dtype=np.int32)
         self._trees: Dict[int, ShortestPathTree] = {}
-        #: Route cache in recency order (python dicts preserve insertion
-        #: order; hits re-insert once the bound has been reached, making the
-        #: dict an LRU without per-hit overhead while it is far from full).
+        #: Every route resolved so far (the underlay is frozen, so none stale).
         self._routes: Dict[Tuple[int, int], PathInfo] = {}
-        self.max_routes = max_routes
-        self._lru_active = False
         self.stats = RoutingStats()
 
     def _build(self) -> None:
@@ -242,21 +227,12 @@ class RoutingEngine:
                 links=(), delay_s=0.0, loss_rate=0.0, bottleneck_kbps=float("inf")
             )
         key = (src, dst)
-        routes = self._routes
-        info = routes.get(key)
+        info = self._routes.get(key)
         if info is not None:
             self.stats.cache_hits += 1
-            if self._lru_active:
-                # Under eviction pressure, refresh recency (dict order).
-                del routes[key]
-                routes[key] = info
             return info
         info = self._materialize(tuple(self._walk(src, dst)))
-        if len(routes) >= self.max_routes:
-            self._lru_active = True
-            del routes[next(iter(routes))]
-            self.stats.route_evictions += 1
-        routes[key] = info
+        self._routes[key] = info
         self.stats.paths_extracted += 1
         return info
 
@@ -342,7 +318,6 @@ class RoutingEngine:
         summary = {
             "trees": float(len(self._trees)),
             "routes": float(len(self._routes)),
-            "max_routes": float(self.max_routes),
         }
         summary.update(self.stats.describe())
         return summary

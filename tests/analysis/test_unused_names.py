@@ -1,5 +1,6 @@
 """The unused-name report: what counts as a caller, and what does not."""
 
+import os
 import runpy
 import subprocess
 import sys
@@ -100,6 +101,24 @@ def test_report_always_exits_zero(tmp_path):
     assert completed.returncode == 0
     assert "(a) called nowhere: 2" in completed.stdout
     assert "src/pkg/mod.py:6 planted_unused" in completed.stdout
+
+
+def test_report_exits_zero_when_the_reader_closes_at_once(tmp_path):
+    _plant(tmp_path)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # a reader that is gone before the first line
+    try:
+        completed = subprocess.run(
+            [sys.executable, str(SCRIPT), str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            check=False,
+        )
+    finally:
+        os.close(write_end)
+    assert completed.returncode == 0
+    assert completed.stderr == ""
 
 
 #: Every public name under ``src/`` that only tests call, and why it stays,

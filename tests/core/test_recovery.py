@@ -102,12 +102,13 @@ class TestSenderQueue:
         queue = SenderQueue(receiver=7)
         request = self.make_request(held=[], low=0, high=9)
         queue.install_request(request, holdings=range(10))
-        batch = queue.take_for_send(4)
-        assert batch == [0, 1, 2, 3]
-        assert queue.packets_sent == 4
+        assert queue.take_for_send(4) == [0, 1, 2, 3]
+        assert queue.already_sent == {0, 1, 2, 3}
         # Re-installing the same request does not re-queue sent packets.
         queue.install_request(request, holdings=range(10))
         assert 0 not in queue.pending
+        assert queue.take_for_send(100) == [4, 5, 6, 7, 8, 9]
+        assert queue.take_for_send(100) == []
 
     def test_take_with_no_budget(self):
         queue = SenderQueue(receiver=7)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.reconcile.bloom import (
@@ -388,11 +388,6 @@ class SortEverythingWorkingSet:
         """Highest sequence number seen (-1 if none)."""
         return self._highest
 
-    @property
-    def low_water(self) -> int:
-        """Sequences below this mark have been pruned (treated as held)."""
-        return self._low_water
-
     def _sorted(self) -> List[int]:
         """The held sequences in ascending order (cached per version)."""
         if self._sorted_version != self.version:
@@ -579,10 +574,7 @@ class SortEverythingWorkingSet:
 
     def sequences_in_range(self, low: int, high: int) -> List[int]:
         """Held sequence numbers within ``[low, high]``, sorted ascending."""
-        if high < low:
-            return []
-        ordered = self._sorted()
-        return ordered[bisect_left(ordered, low) : bisect_right(ordered, high)]
+        return [sequence for sequence in self._sorted() if low <= sequence <= high]
 
 
 def on_packet_loop(node, sequences, from_node, via_peer) -> Tuple[int, int]:

@@ -31,7 +31,7 @@ operations = st.lists(
         st.tuples(st.just("add"), keys),
         st.tuples(st.just("add_many"), batches),
         st.tuples(st.just("prune_below"), keys),
-        st.tuples(st.just("view"), st.tuples(keys, keys)),
+        st.tuples(st.just("range"), st.tuples(keys, keys)),
         st.tuples(st.just("snapshot"), st.sampled_from([6, 16])),
         st.tuples(st.just("ticket"), st.sampled_from([(None, 1), (8, 1), (16, 2)])),
     ),
@@ -41,7 +41,8 @@ operations = st.lists(
 
 
 def assert_same_state(fast, oracle):
-    assert fast.low_water == oracle.low_water
+    # An unbounded span puts the prune mark at the low end of the range.
+    assert fast.recovery_range(10**6) == oracle.recovery_range(10**6)
     assert fast.highest_sequence == oracle.highest_sequence
     assert fast.version == oracle.version
     assert fast.sequences() == oracle.sequences()
@@ -58,7 +59,7 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
     def test_every_operation_of_any_interleaving(self, prune_window, ops):
         fast = WorkingSet(prune_window=prune_window, ticket_entries=5)
         oracle = SortEverythingWorkingSet(prune_window=prune_window, ticket_entries=5)
-        views = []
+        taken = []
         last_snapshot = last_described = None
         for kind, argument in ops:
             if kind == "add":
@@ -68,11 +69,11 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
             elif kind == "prune_below":
                 fast.prune_below(argument)
                 oracle.prune_below(argument)
-            elif kind == "view":
+            elif kind == "range":
                 low, high = argument
-                view = fast.sequences_in_range_view(low, high)
-                assert list(view) == oracle.sequences_in_range(low, high)
-                views.append((view, list(view)))
+                held = fast.sequences_in_range(low, high)
+                assert held == oracle.sequences_in_range(low, high)
+                taken.append((held, list(held)))
             elif kind == "snapshot":
                 snapshot = fast.bloom_snapshot(expected_items=argument)
                 rebuilt = oracle.bloom_filter(expected_items=argument).snapshot()
@@ -93,8 +94,8 @@ class TestWorkingSetMatchesTheSortEverythingOracle:
                 rebuilt = oracle.summary_ticket(window, stride)
                 assert ticket.entries == diffed.entries == rebuilt.entries
             assert_same_state(fast, oracle)
-            for view, content in views:  # a view is a stable snapshot
-                assert list(view) == content
+            for held, content in taken:  # a returned list is the caller's copy
+                assert held == content
 
     def test_snapshot_object_survives_changes_below_its_window(self):
         ws = WorkingSet(prune_window=64)
@@ -258,8 +259,8 @@ class TestRecoverySelectionMatchesThePerKeyOracle:
         sender.add_many(sender_holds)
         batch, loop = SenderQueue(receiver=9), SenderQueue(receiver=9)
         batch.already_sent, loop.already_sent = set(sent), set(sent)
-        batch.install_request(request, sender.sequences_in_range_view(low, high))
-        install_request_loop(loop, request, list(sender.sequences_in_range_view(low, high)))
+        batch.install_request(request, sender.sequences_in_range(low, high))
+        install_request_loop(loop, request, sender.sequences_in_range(low, high))
         assert batch.pending == loop.pending
         for fresh in offers:
             fresh = sender.add_many(fresh)

@@ -36,7 +36,8 @@ class TestWorkingSet:
         ws = WorkingSet(prune_window=100)
         ws.add_many(range(250))
         assert len(ws) <= 100
-        assert ws.low_water >= 150
+        # The prune mark floors the recovery range of an unbounded span.
+        assert ws.recovery_range(span=10**6)[0] >= 150
         # Pruned sequences are treated as held (no point recovering them).
         assert 0 in ws
 
@@ -71,49 +72,24 @@ class TestWorkingSet:
     def test_sequences_in_range(self):
         ws = WorkingSet()
         ws.add_many([1, 4, 6, 9, 15])
-        assert list(ws.sequences_in_range_view(4, 9)) == [4, 6, 9]
-        assert list(ws.sequences_in_range_view(10, 5)) == []
+        assert ws.sequences_in_range(4, 9) == [4, 6, 9]
+        assert ws.sequences_in_range(10, 5) == []
 
-    def test_sequences_in_range_view_matches_list(self):
+    def test_sequences_in_range_matches_list(self):
         ws = WorkingSet()
         ws.add_many([1, 4, 6, 9, 15])
-        view = ws.sequences_in_range_view(4, 9)
-        assert list(view) == [4, 6, 9]
-        assert view == [4, 6, 9]
-        assert len(view) == 3
-        assert view[0] == 4 and view[-1] == 9
-        assert view[1:] == [6, 9]
-        # Negative-step slices must honour the window even at offset zero.
-        assert view[::-1] == [9, 6, 4]
-        full = ws.sequences_in_range_view(0, 100)
-        assert full[::-1] == [15, 9, 6, 4, 1]
-        assert full[::2] == [1, 6, 15]
-        assert 6 in view
-        assert len(ws.sequences_in_range_view(10, 5)) == 0
-
-    def test_sequences_in_range_view_is_zero_copy_snapshot(self):
-        ws = WorkingSet()
-        ws.add_many([1, 4, 6, 9, 15])
-        view = ws.sequences_in_range_view(1, 15)
-        # No copy: the view windows the working set's ascending list itself.
-        assert view._data is ws._sorted()
-        # The first mutation after a view copies the list (once); the view
-        # still sees the content it was taken over (a stable snapshot).
-        ws.add_many([7])
-        assert list(view) == [1, 4, 6, 9, 15]
-        assert ws.sequences() == [1, 4, 6, 7, 9, 15]
-        unshared = ws._sorted()
-        ws.add_many([8])
-        assert ws._sorted() is unshared
-
-    def test_view_is_read_only(self):
-        ws = WorkingSet()
-        ws.add_many([1, 2, 3])
-        view = ws.sequences_in_range_view(1, 3)
-        with pytest.raises((TypeError, AttributeError)):
-            view.append(4)  # type: ignore[attr-defined]
-        with pytest.raises(TypeError):
-            view[0] = 9  # type: ignore[index]
+        assert ws.sequences_in_range(0, 100) == ws.sequences() == [1, 4, 6, 9, 15]
+        # Bounds are inclusive at both ends and need not be held values.
+        assert ws.sequences_in_range(1, 15) == [1, 4, 6, 9, 15]
+        assert ws.sequences_in_range(5, 8) == [6]
+        assert ws.sequences_in_range(7, 8) == []
+        assert ws.sequences_in_range(16, 100) == []
+        assert ws.sequences_in_range(9, 9) == [9]
+        # A returned list is the caller's: editing it leaves the set alone.
+        taken = ws.sequences_in_range(4, 9)
+        taken.append(99)
+        assert ws.sequences_in_range(4, 9) == [4, 6, 9]
+        assert 99 not in ws
 
     def test_summary_ticket_window(self):
         ws = WorkingSet()
@@ -184,9 +160,14 @@ class TestVersionedCaches:
         assert ws.sequences() == [1, 5, 9]
         ws.add_many([3])
         assert ws.sequences() == [1, 3, 5, 9]
-        assert list(ws.sequences_in_range_view(2, 6)) == [3, 5]
+        taken = ws.sequences_in_range(2, 6)
+        assert taken == [3, 5]
         ws.prune_below(4)
-        assert list(ws.sequences_in_range_view(0, 100)) == [5, 9]
+        assert ws.sequences_in_range(0, 100) == [5, 9]
+        # A list handed out earlier does not follow later mutations.
+        ws.add_many([4, 6])
+        assert taken == [3, 5]
+        assert ws.sequences_in_range(2, 6) == [4, 5, 6]
 
     def test_bloom_snapshot_cached_until_content_changes(self):
         ws = WorkingSet()
