@@ -25,7 +25,8 @@ Usage::
     python scripts/call_counts.py --src OTHER/src --commit REV --append
 
 ``--src`` measures another checkout's ``src/`` (an older commit unpacked with
-``git archive``); ``--commit`` names the commit it was unpacked from.  A
+``git archive``); ``--commit`` names the commit it was unpacked from, and a
+ref this repository does not know exits 2 before anything is measured.  A
 record measured on this tree with uncommitted changes under ``src/`` is
 marked ``"dirty": true``.  ``--append`` replaces a stored record of the
 same commit and dirtiness instead of adding a second one.  The configs use
@@ -162,6 +163,13 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
+def _is_commit(ref: str) -> bool:
+    return subprocess.run(
+        ["git", "-C", str(REPO), "rev-parse", "--verify", "--quiet", f"{ref}^{{commit}}"],
+        capture_output=True,
+    ).returncode == 0
+
+
 def measure(src: Path, commit: Optional[str]) -> Dict[str, object]:
     """One record: every config, each in a fresh interpreter."""
     dirty = False
@@ -232,6 +240,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.probe:
         print(json.dumps(probe(args.probe, src)))
         return 0
+    if args.commit is not None and not _is_commit(args.commit):
+        print(f"error: --commit {args.commit}: no such commit in {REPO}", file=sys.stderr)
+        return 2
     record = measure(src, args.commit)
     print(json.dumps(record, indent=1) if args.json else table(record))
     if args.append:

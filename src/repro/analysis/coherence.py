@@ -16,7 +16,6 @@ table *next to the cache*:
             "calls": {                # "receiver.method" call (or on an item of it) -> bumps
                 "_ordered.append": ["version"],
             },
-            "exempt": ["_helper"],    # functions whose *callers* bump
         },
     }
 
@@ -55,7 +54,6 @@ class GuardTable:
     source_path: str
     attrs: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
     calls: Dict[Tuple[str, str], Tuple[str, ...]] = field(default_factory=dict)
-    exempt: Tuple[str, ...] = ()
 
 
 def load_tables(tree: ast.Module, path: str) -> Tuple[List[GuardTable], List[Finding]]:
@@ -94,7 +92,7 @@ def _validate(raw: object, path: str) -> List[GuardTable]:
     for owner, spec in sorted(raw.items()):
         if not isinstance(owner, str) or not isinstance(spec, dict):
             raise ValueError("each entry must map a class name to a spec dict")
-        unknown = sorted(set(spec) - {"scope", "attrs", "calls", "exempt"})
+        unknown = sorted(set(spec) - {"scope", "attrs", "calls"})
         if unknown:
             raise ValueError(f"{owner}: unknown spec keys {unknown}")
         if spec.get("scope", "module") != "module":
@@ -110,15 +108,7 @@ def _validate(raw: object, path: str) -> List[GuardTable]:
             calls[(receiver, method)] = _bump_tuple(owner, key, bumps)
         if not attrs and not calls:
             raise ValueError(f"{owner}: spec guards nothing")
-        tables.append(
-            GuardTable(
-                owner=owner,
-                source_path=path,
-                attrs=attrs,
-                calls=calls,
-                exempt=tuple(str(name) for name in spec.get("exempt", [])),
-            )
-        )
+        tables.append(GuardTable(owner=owner, source_path=path, attrs=attrs, calls=calls))
     return tables
 
 
@@ -154,12 +144,9 @@ class CoherenceChecker:
         name = func.name
         if name in _AUTO_EXEMPT:
             return
-        tables = [table for table in self._tables if name not in table.exempt]
-        if not tables:
-            return
         parent_stmts = _statement_parents(func)
         for node in ast.walk(func):
-            for table, what, bumps in self._guarded_mutations(node, tables):
+            for table, what, bumps in self._guarded_mutations(node, self._tables):
                 missing = [
                     bump
                     for bump in bumps

@@ -168,7 +168,11 @@ class AntiEntropyStreaming(TreeStreaming):
     def _missing_at(self, helper: int, digest: BloomSnapshot) -> List[int]:
         """Packets the helper holds that the digest does not describe."""
         recent = sorted(self._received[helper])[-RECOVERY_WINDOW:]
-        return [sequence for sequence in recent if sequence not in digest]
+        if not recent:
+            return []
+        low = recent[0]
+        missing = digest.missing_flags(low, recent[-1])
+        return [sequence for sequence in recent if missing[sequence - low]]
 
     def _drain_recovery_queues(self) -> None:
         for (helper, requester), flow in self.recovery_flows.items():

@@ -45,14 +45,6 @@ class RecoveryRequest:
         """Wire size of the request (control-overhead accounting)."""
         return RECOVERY_REQUEST_HEADER_BYTES + self.bloom.size_bytes()
 
-    def wants(self, sequence: int) -> bool:
-        """Does the receiver want ``sequence`` from this particular sender?"""
-        if sequence < self.low or sequence > self.high:
-            return False
-        if self.total_senders > 0 and sequence % self.total_senders != self.mod:
-            return False
-        return sequence not in self.bloom
-
 
 def recovery_bloom(working_set: WorkingSet) -> BloomSnapshot:
     """The filter a node's recovery requests carry this refresh round.
@@ -144,12 +136,12 @@ class SenderQueue:
     def install_request(self, request: RecoveryRequest, holdings: Iterable[int]) -> None:
         """Install a fresh recovery request and rebuild the pending queue.
 
-        ``holdings`` is the sender's current working-set content; only packets
-        the receiver wants (range, row, Bloom filter) are queued.
+        ``holdings`` is the sender's current working-set content in ascending
+        order; only packets the receiver wants (range, row, Bloom filter) are
+        queued, and the queue keeps that order.
         """
         self.request = request
         self.pending = self._unsent_wanted(holdings)
-        self.pending.sort()
         # The receiver's Bloom filter supersedes our memory of what we sent
         # long ago; keep only recent entries to bound memory.
         sent = self.already_sent

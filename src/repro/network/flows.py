@@ -69,10 +69,6 @@ class Flow:
         self._accepted: List[int] = []
         self.active: bool = True
         self._delivered: List[int] = []
-        # Cumulative counters for statistics.
-        self.packets_sent: int = 0
-        self.packets_delivered: int = 0
-        self.packets_lost: int = 0
 
     # ------------------------------------------------------------------- app
     def set_demand(self, demand_kbps: float) -> None:
@@ -131,7 +127,6 @@ class Flow:
     def collect_sent(self) -> List[int]:
         """Drain the packets accepted by the transport during this step."""
         sent, self._accepted = self._accepted, []
-        self.packets_sent += len(sent)
         return sent
 
     def close(self) -> None:
@@ -140,10 +135,7 @@ class Flow:
 
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Flow({self.label}, alloc={self.allocated_kbps:.1f} Kbps, "
-            f"sent={self.packets_sent}, delivered={self.packets_delivered})"
-        )
+        return f"Flow({self.label}, alloc={self.allocated_kbps:.1f} Kbps)"
 
 
 class StreamSource:

@@ -293,8 +293,6 @@ class NetworkSimulator:
             for sequence in survived:
                 self.stats.record_link_transmission(sequence, flow.link_indices)
             flow._delivered.extend(survived)
-            flow.packets_delivered += len(survived)
-            flow.packets_lost += lost
             if flow.tfrc is not None:
                 # The TFRC feedback rounds run as one numpy batch after the
                 # loop (the loss draws above already consumed this flow's

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.reconcile.summary_ticket import SummaryTicket
+from repro.reconcile.summary_ticket import TICKET_BYTES, SummaryTicket
 
 #: Default number of member summaries per collect/distribute set; the paper
 #: uses 10 so each message fits in a non-fragmented IP packet.
@@ -19,6 +19,9 @@ DEFAULT_SET_SIZE: int = 10
 
 #: Approximate fixed header bytes per collect/distribute message.
 MESSAGE_HEADER_BYTES: int = 40
+
+#: Wire bytes of one member summary: node id (4), epoch (4) and the ticket.
+SUMMARY_BYTES: int = 8 + TICKET_BYTES
 
 
 @dataclass(frozen=True)
@@ -31,7 +34,7 @@ class MemberSummary:
 
     def size_bytes(self) -> int:
         """Wire size: node id (4), epoch (4) and the ticket itself."""
-        return 8 + self.ticket.size_bytes()
+        return SUMMARY_BYTES
 
 
 @dataclass
@@ -46,18 +49,10 @@ class CollectSet:
     sender: int
     summaries: List[MemberSummary] = field(default_factory=list)
     population: int = 1
-    #: Cached serialization size; a set's content is frozen once it is sent,
-    #: so the sum over summaries is computed at most once per payload no
-    #: matter how many hops charge it (the shared-serialization fast path).
-    _size_cache: Optional[int] = field(default=None, repr=False, compare=False)
 
     def size_bytes(self) -> int:
         """Wire size of the message."""
-        if self._size_cache is None:
-            self._size_cache = MESSAGE_HEADER_BYTES + sum(
-                summary.size_bytes() for summary in self.summaries
-            )
-        return self._size_cache
+        return MESSAGE_HEADER_BYTES + SUMMARY_BYTES * len(self.summaries)
 
 
 @dataclass
@@ -72,8 +67,6 @@ class DistributeSet:
     summaries: List[MemberSummary] = field(default_factory=list)
     population: int = 0
     epoch: int = 0
-    #: Cached serialization size (see :class:`CollectSet`).
-    _size_cache: Optional[int] = field(default=None, repr=False, compare=False)
 
     def members(self) -> List[int]:
         """Node ids present in the set."""
@@ -81,11 +74,7 @@ class DistributeSet:
 
     def size_bytes(self) -> int:
         """Wire size of the message."""
-        if self._size_cache is None:
-            self._size_cache = MESSAGE_HEADER_BYTES + sum(
-                summary.size_bytes() for summary in self.summaries
-            )
-        return self._size_cache
+        return MESSAGE_HEADER_BYTES + SUMMARY_BYTES * len(self.summaries)
 
 
 @dataclass

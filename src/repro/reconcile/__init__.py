@@ -1,5 +1,10 @@
 """Informed content delivery primitives: working sets, min-wise summary
-tickets, Bloom filters and resemblance-ranked peering."""
+tickets, Bloom filters and resemblance-ranked peering.
+
+One mechanism per job: a :class:`SummaryTicket` is an immutable value of 30
+minima, built only by :meth:`WorkingSet.summary_ticket`; Bloom membership is
+read only through :meth:`~repro.reconcile.bloom.BloomSnapshot.missing_flags`.
+"""
 
 from repro.reconcile.bloom import optimal_parameters
 from repro.reconcile.resemblance import rank_peers_by_divergence

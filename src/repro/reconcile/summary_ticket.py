@@ -7,137 +7,44 @@ of ticket entries that agree — an unbiased estimator of the Jaccard
 similarity (Broder's min-wise hashing).  RanSub carries these 120-byte
 tickets through the tree so receivers can pick peers whose content diverges
 most from their own.
+
+A ticket is an immutable value holding its 30 entries and nothing else; the
+one builder is :meth:`~repro.reconcile.working_set.WorkingSet.summary_ticket`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence
-
-from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients, universal_hash_family
+import operator
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 #: The paper states summary tickets are "small (120 bytes)"; with 4-byte
 #: entries that is 30 permutation functions.
 DEFAULT_TICKET_ENTRIES: int = 30
-TICKET_ENTRY_BYTES: int = 4
+TICKET_BYTES: int = 4 * DEFAULT_TICKET_ENTRIES
 
 
-def _rebuild_ticket(num_entries: int, seed: int, entries) -> "SummaryTicket":
-    """Unpickle helper: re-derive the permutation family from the seed."""
-    ticket = SummaryTicket(num_entries=num_entries, seed=seed)
-    ticket._entries = list(entries)
-    return ticket
-
-
-def _rebuild_custom_ticket(num_entries, seed, permutations, entries) -> "SummaryTicket":
-    """Unpickle helper for tickets built over hand-rolled permutations."""
-    ticket = SummaryTicket(num_entries=num_entries, seed=seed, permutations=permutations)
-    ticket._entries = list(entries)
-    return ticket
-
-
+@dataclass(frozen=True, slots=True)
 class SummaryTicket:
-    """A min-wise sketch of a working set."""
+    """A min-wise sketch of a working set: one minimum per permutation,
+    ``None`` throughout for an empty working set."""
 
-    def __init__(
-        self,
-        num_entries: int = DEFAULT_TICKET_ENTRIES,
-        seed: int = 0,
-        permutations: Optional[Sequence[Callable[[int], int]]] = None,
-    ) -> None:
-        if num_entries <= 0:
-            raise ValueError("num_entries must be positive")
-        self.num_entries = num_entries
-        self.seed = seed
-        if permutations is not None:
-            self._permutations = list(permutations)
-            self._coefficients = None
-        else:
-            self._permutations = universal_hash_family(num_entries, seed=seed)
-            # Raw (a, b) pairs enable the batch update fast path below.
-            self._coefficients = permutation_coefficients(num_entries, seed=seed)
-        if len(self._permutations) != num_entries:
-            raise ValueError("need exactly one permutation per ticket entry")
-        self._entries: List[Optional[int]] = [None] * num_entries
+    entries: Tuple[Optional[int], ...] = (None,) * DEFAULT_TICKET_ENTRIES
 
-    def insert(self, key: int) -> None:
-        """Insert one element: each entry keeps the minimum permuted value."""
-        for index, permute in enumerate(self._permutations):
-            value = permute(key)
-            current = self._entries[index]
-            if current is None or value < current:
-                self._entries[index] = value
-
-    def update(self, keys: Iterable[int]) -> None:
-        """Insert many elements."""
-        if self._coefficients is not None:
-            keys = list(keys)
-            if not keys:
-                return
-            # Batch fast path: one tight ``min`` per permutation instead of a
-            # Python closure call per (key, permutation) pair.  This is the
-            # RanSub-epoch hot path (every node re-sketches its working set
-            # each epoch).
-            entries = self._entries
-            universe = DEFAULT_UNIVERSE
-            for index, (a, b) in enumerate(self._coefficients):
-                value = min((a * key + b) % universe for key in keys)
-                current = entries[index]
-                if current is None or value < current:
-                    entries[index] = value
-            return
-        for key in keys:
-            self.insert(key)
-
-    @property
-    def entries(self) -> List[Optional[int]]:
-        """The raw ticket entries (None where the working set was empty)."""
-        return list(self._entries)
-
-    def is_empty(self) -> bool:
-        """True if nothing has been inserted."""
-        return all(entry is None for entry in self._entries)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "entries", tuple(self.entries))
+        if len(self.entries) != DEFAULT_TICKET_ENTRIES:
+            raise ValueError(f"a summary ticket holds {DEFAULT_TICKET_ENTRIES} entries")
 
     def resemblance(self, other: "SummaryTicket") -> float:
-        """Estimate Jaccard similarity as the fraction of matching entries."""
-        if self.num_entries != other.num_entries:
-            raise ValueError("tickets must have the same number of entries")
-        if self.is_empty() and other.is_empty():
-            return 1.0
-        matches = sum(
-            1
-            for mine, theirs in zip(self._entries, other._entries)
-            if mine is not None and mine == theirs
-        )
-        return matches / self.num_entries
+        """Estimate Jaccard similarity as the fraction of matching entries.
+
+        A non-empty working set gives every entry a minimum, so ``None``
+        entries match only between two empty tickets, which therefore
+        resemble each other fully.
+        """
+        return sum(map(operator.eq, self.entries, other.entries)) / DEFAULT_TICKET_ENTRIES
 
     def size_bytes(self) -> int:
         """Wire size of the ticket (control-overhead accounting)."""
-        return self.num_entries * TICKET_ENTRY_BYTES
-
-    def __reduce__(self):
-        # Tickets ride RanSub messages across process pipes (sharded head
-        # meshes).  When the permutations are the seed-derived family, ship
-        # only (size, seed, entries) and re-derive the family on load;
-        # hand-rolled permutation lists (tests) pickle as constructed.
-        if self._coefficients is not None:
-            return (_rebuild_ticket, (self.num_entries, self.seed, self._entries))
-        return (
-            _rebuild_custom_ticket,
-            (self.num_entries, self.seed, self._permutations, self._entries),
-        )
-
-    def copy(self) -> "SummaryTicket":
-        """A snapshot sharing permutation functions but not entries."""
-        clone = SummaryTicket(self.num_entries, seed=self.seed, permutations=self._permutations)
-        clone._coefficients = self._coefficients
-        clone._entries = list(self._entries)
-        return clone
-
-    @classmethod
-    def from_working_set(
-        cls, keys: Iterable[int], num_entries: int = DEFAULT_TICKET_ENTRIES, seed: int = 0
-    ) -> "SummaryTicket":
-        """Build a ticket directly from an iterable of sequence numbers."""
-        ticket = cls(num_entries=num_entries, seed=seed)
-        ticket.update(keys)
-        return ticket
+        return TICKET_BYTES

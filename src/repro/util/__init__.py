@@ -1,6 +1,6 @@
 """Small shared utilities: deterministic RNG management, unit helpers, hashing."""
 
-from repro.util.hashing import stable_hash, universal_hash_family
+from repro.util.hashing import stable_hash
 from repro.util.rng import SeededRng, spawn_rng
 from repro.util.units import (
     KBPS,
@@ -19,5 +19,4 @@ __all__ = [
     "bytes_to_kbits",
     "spawn_rng",
     "stable_hash",
-    "universal_hash_family",
 ]

@@ -2,14 +2,15 @@
 
 The paper uses cheap universal permutation functions of the form
 ``P_j(x) = (a * x + b) mod |U|`` for summary tickets, and ``k`` independent
-hash functions for Bloom filters.  Both are provided here so the reconcile
-package stays free of hashing details.
+hash functions for Bloom filters.  :func:`permutation_coefficients` gives the
+tickets' ``(a, b)`` pairs, which the working set applies to a whole window in
+one numpy pass; :func:`stable_hash` seeds both families.
 """
 
 from __future__ import annotations
 
 import zlib
-from typing import Callable, List
+from typing import List
 
 #: A large prime used as the default universe size for permutation functions.
 DEFAULT_UNIVERSE: int = (1 << 31) - 1  # Mersenne prime 2^31 - 1
@@ -26,89 +27,25 @@ def stable_hash(value: int | str, salt: int = 0) -> int:
     return zlib.crc32(data) & 0xFFFF_FFFF
 
 
-class _LinearPermutation:
-    """The permutation ``x -> (a*x + b) mod universe``, as a picklable callable.
-
-    Summary tickets travel inside RanSub control messages, which cross
-    process boundaries when the head mesh runs sharded — a plain closure
-    cannot be pickled, this can.
-    """
-
-    __slots__ = ("a", "b", "universe")
-
-    def __init__(self, a: int, b: int, universe: int) -> None:
-        self.a = a
-        self.b = b
-        self.universe = universe
-
-    def __call__(self, x: int) -> int:
-        return (self.a * x + self.b) % self.universe
-
-    def __reduce__(self):
-        return (_LinearPermutation, (self.a, self.b, self.universe))
-
-
-def linear_permutation(a: int, b: int, universe: int = DEFAULT_UNIVERSE) -> Callable[[int], int]:
-    """Return the permutation function ``x -> (a*x + b) mod universe``.
-
-    With a prime universe and ``a`` not a multiple of the modulus this is a
-    bijection on ``[0, universe)``, exactly the "specialized hash function"
-    the paper describes for populating summary tickets.
-    """
-    if universe <= 1:
-        raise ValueError("universe must be > 1")
-    a = a % universe
-    if a == 0:
-        a = 1
-    b = b % universe
-    return _LinearPermutation(a, b, universe)
-
-
 def permutation_coefficients(
     count: int, seed: int = 0, universe: int = DEFAULT_UNIVERSE
 ) -> List[tuple[int, int]]:
-    """The raw ``(a, b)`` pairs behind :func:`universal_hash_family`.
+    """The ``(a, b)`` pairs of ``count`` linear permutations ``(a*x + b) mod universe``.
 
-    Returned in the family's order and already normalized exactly as
-    :func:`linear_permutation` normalizes them, so
-    ``(a * x + b) % universe`` reproduces ``family[i](x)`` bit for bit —
-    callers use the pairs for batched arithmetic on hot paths.
+    With a prime universe and ``a`` in ``[1, universe)`` each is a bijection
+    on ``[0, universe)``, the "specialized hash function" the paper describes
+    for populating summary tickets.  The pairs are derived deterministically
+    from ``seed``, so every node agrees on them — a requirement for comparing
+    summary tickets between nodes.
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    cached = _COEFFICIENT_CACHE.get((count, seed, universe))
-    if cached is None:
-        cached = []
-        for index in range(count):
-            a = (stable_hash(f"a:{index}", seed) % (universe - 1)) + 1
-            b = stable_hash(f"b:{index}", seed) % universe
-            cached.append((a, b))
-        _COEFFICIENT_CACHE[(count, seed, universe)] = cached
-    return list(cached)
-
-
-def universal_hash_family(
-    count: int, seed: int = 0, universe: int = DEFAULT_UNIVERSE
-) -> List[Callable[[int], int]]:
-    """Build ``count`` independent linear permutation functions.
-
-    The coefficients are derived deterministically from ``seed`` so two nodes
-    configured with the same seed agree on the family — a requirement for
-    comparing summary tickets between nodes.  Families are cached per
-    ``(count, seed, universe)``: the functions are pure, and constructing a
-    summary ticket per node per RanSub epoch must not re-derive 2·count
-    hashes every time.
-    """
-    cached = _FAMILY_CACHE.get((count, seed, universe))
-    if cached is None:
-        cached = [
-            linear_permutation(a, b, universe)
-            for a, b in permutation_coefficients(count, seed, universe)
-        ]
-        _FAMILY_CACHE[(count, seed, universe)] = cached
-    return list(cached)
-
-
-#: Caches for the deterministic permutation families (pure functions).
-_COEFFICIENT_CACHE: dict = {}
-_FAMILY_CACHE: dict = {}
+    if universe <= 1:
+        raise ValueError("universe must be > 1")
+    return [
+        (
+            (stable_hash(f"a:{index}", seed) % (universe - 1)) + 1,
+            stable_hash(f"b:{index}", seed) % universe,
+        )
+        for index in range(count)
+    ]

@@ -6,6 +6,8 @@ against the config list of ``scripts/call_counts.py``.
 
 import json
 import runpy
+import subprocess
+import sys
 from datetime import datetime
 from pathlib import Path
 
@@ -63,3 +65,20 @@ def test_append_replaces_a_record_of_the_same_commit_and_dirtiness(tmp_path):
         ("b", False, 2),
         ("b", True, 4),
     ]
+
+
+def test_an_unknown_commit_exits_2_before_any_probe(tmp_path):
+    # A ``repro`` package that leaves a marker when imported: a probe would.
+    marker = tmp_path / "probed"
+    package = tmp_path / "src" / "repro"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(f"open({str(marker)!r}, 'w').close()\n")
+    completed = subprocess.run(
+        [sys.executable, str(REPO_ROOT / "scripts" / "call_counts.py"),
+         "--src", str(tmp_path / "src"), "--commit", "no-such-ref"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert completed.returncode == 2
+    assert "--commit no-such-ref" in completed.stderr
+    assert completed.stdout == ""
+    assert not marker.exists()

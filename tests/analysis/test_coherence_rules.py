@@ -20,7 +20,6 @@ TABLE = textwrap.dedent("""
             "scope": "module",
             "attrs": {"payload": ["version"]},
             "calls": {"_items.append": ["version"]},
-            "exempt": ["_swap_payload"],
         },
     }
 """)
@@ -112,18 +111,6 @@ class TestCoh001Attrs:
         assert all("payload" in finding.message for finding in findings)
         assert "in poison()" in findings[0].message
         assert "in nested()" in findings[1].message
-
-    def test_declared_exempt_helper(self, analyze):
-        findings = analyze({"mod.py": guarded("""
-            class Cache:
-                def _swap_payload(self, value):
-                    self.payload = value
-
-                def store(self, value):
-                    self._swap_payload(value)
-                    self.version += 1
-        """)})
-        assert findings == []
 
 
 class TestCoh001Calls:

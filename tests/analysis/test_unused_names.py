@@ -134,8 +134,6 @@ TEST_ONLY_ALLOWED = {
         "the owned-share readout the sending-factor tests check",
     "core.peering.PeerManager.receiver_ids":
         "the receiver-side twin of sender_ids, read by peering tests",
-    "core.recovery.RecoveryRequest.wants":
-        "the per-key selection the vector recovery oracle is stated in",
     "experiments.registry.unregister_system":
         "lets registry tests remove the toy systems they register",
     "hierarchy.interior.InteriorCluster.count_of":
@@ -144,8 +142,6 @@ TEST_ONLY_ALLOWED = {
         "the mark_down readout the control-channel tests check",
     "ransub.protocol.RanSubNodeState.force_finalize":
         "the synchronous RanSub oracle's forced collect",
-    "reconcile.summary_ticket.SummaryTicket.from_working_set":
-        "one-call ticket build the resemblance tests use",
     "topology.generator.TopologyConfig.total_clients":
         "the generator's client count, checked by generator tests",
     "topology.graph.Topology.add_link":

@@ -1,11 +1,14 @@
 """Tests for the streaming-with-anti-entropy baseline."""
 
+from hypothesis import given, settings, strategies as st
+
 from driving import drive
-from oracles.reconcile import FifoBloomFilter
-from repro.baselines.antientropy import RECOVERY_WINDOW, AntiEntropyStreaming
+from oracles.reconcile import FifoBloomFilter, bloom_contains, bloom_missing
+from repro.baselines.antientropy import DIGEST_GEOMETRY, RECOVERY_WINDOW, AntiEntropyStreaming
 from repro.baselines.streaming import TreeStreaming
 from repro.experiments.workloads import build_workload
 from repro.network.simulator import NetworkSimulator
+from repro.reconcile.bloom import BloomSnapshot
 from repro.topology.links import BandwidthClass
 
 
@@ -74,4 +77,25 @@ class TestAntiEntropyStreaming:
             assert digest.size_bytes() == reference.size_bytes()
             assert digest._bits == bytes(reference._bits)
             probes = range(max(holdings[-1], 0) + RECOVERY_WINDOW)
-            assert [key in digest for key in probes] == [key in reference for key in probes]
+            assert [bloom_contains(digest, key) for key in probes] == [
+                key in reference for key in probes
+            ]
+
+
+#: Held sequences around and past a digest window, so a helper's recent
+#: holdings can start below, inside or above the requester's.
+holdings = st.sets(st.integers(min_value=0, max_value=3 * RECOVERY_WINDOW), max_size=400)
+
+
+class TestMissingAtMatchesThePerKeyProbe:
+    @settings(max_examples=60, deadline=None)
+    @given(helper_holds=holdings, requester_holds=holdings)
+    def test_missing_at(self, helper_holds, requester_holds):
+        _, _, system = build(n=4)
+        helper = system.receivers()[0]
+        system._received[helper] = set(helper_holds)
+        digest = BloomSnapshot.from_keys(
+            sorted(requester_holds)[-RECOVERY_WINDOW:], *DIGEST_GEOMETRY, low_sequence=0
+        )
+        recent = sorted(helper_holds)[-RECOVERY_WINDOW:]
+        assert system._missing_at(helper, digest) == bloom_missing(digest, recent)

@@ -3,6 +3,7 @@
 
 from repro.core.bullet_node import BulletNode
 from repro.core.config import BulletConfig
+from repro.reconcile.summary_ticket import SummaryTicket
 
 
 def make_node(node=1, children=(2, 3), parent=0, is_root=False, **cfg):
@@ -43,9 +44,9 @@ class TestTickets:
         node = make_node()
         node.on_packets(range(100), from_node=0, via_peer=False)
         before = node.current_ticket()
-        assert before.is_empty()
+        assert before == SummaryTicket()
         refreshed = node.refresh_ticket()
-        assert not refreshed.is_empty()
+        assert None not in refreshed.entries
         assert node.current_ticket() is refreshed
 
     def test_member_summary_carries_node_id(self):

@@ -1,11 +1,11 @@
 """Tests for peer-set management (Sections 3.1 and 3.4)."""
 
 import pytest
+from oracles.reconcile import scalar_ticket
 
 from repro.core.config import BulletConfig
 from repro.core.peering import PeerManager
 from repro.ransub.state import MemberSummary, RanSubView
-from repro.reconcile.summary_ticket import SummaryTicket
 
 
 def view_of(tickets):
@@ -18,7 +18,7 @@ def view_of(tickets):
 
 
 def ticket(sequences):
-    return SummaryTicket.from_working_set(sequences, seed=0)
+    return scalar_ticket(sequences)
 
 
 class TestCapacity:

@@ -59,6 +59,8 @@ class TestBuildRecoveryRequests:
 
 
 class TestRecoveryRequestWants:
+    """What a request asks of its sender, read through the queue it installs."""
+
     def make_request(self, held, low=0, high=99, mod=0, total=2):
         ws = working_set_with(held)
         bloom = ws.bloom_snapshot(expected_items=256)
@@ -66,16 +68,20 @@ class TestRecoveryRequestWants:
             receiver=1, bloom=bloom, low=low, high=high, mod=mod, total_senders=total
         )
 
+    def wanted(self, request, holdings):
+        queue = SenderQueue(receiver=1)
+        queue.install_request(request, holdings)
+        return queue.pending
+
     def test_wants_missing_in_row(self):
         request = self.make_request(held=[1, 3, 5], mod=0, total=2)
-        assert request.wants(8)          # even row, missing
-        assert not request.wants(7)      # wrong row
-        assert not request.wants(150)    # out of range
+        # 8: even row, missing; 7: wrong row; 150: out of range.
+        assert self.wanted(request, [7, 8, 150]) == [8]
 
     def test_never_wants_described_packets(self):
         held = list(range(0, 100, 2))
         request = self.make_request(held=held, mod=0, total=2)
-        assert all(not request.wants(seq) for seq in held)
+        assert self.wanted(request, held) == []
 
     def test_size_includes_bloom(self):
         request = self.make_request(held=range(50))

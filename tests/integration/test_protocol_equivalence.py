@@ -1,9 +1,9 @@
 """Invariant guards for the protocol plane's refresh scheduling.
 
-That the protocol plane (derived Bloom snapshots, snapshot reuse,
-skip-unchanged refresh installs, diffed min-wise tickets) exports the right
-bytes is pinned by the literals in ``test_golden_digests.py``.  Two
-properties of the staggered refresh schedule are checked here directly:
+That the protocol plane (derived Bloom snapshots, snapshot reuse, min-wise
+tickets) exports the right bytes is pinned by the literals in
+``test_golden_digests.py``.  Two properties of the staggered refresh
+schedule are checked here directly:
 
 1. per-node refresh timers spread refresh work across steps instead of
    spiking every node on one step in every period;

@@ -10,8 +10,11 @@ window filter that live set fed) are the filters
 ``BloomSnapshot.from_keys`` is checked against.  The free functions are the
 per-packet forms of ``BulletNode.on_packets`` and
 ``SenderQueue.offer_new_packets`` as the delivery loops used to spell them,
-and the per-key Bloom probe and recovery selection that
-``BloomSnapshot.missing_flags`` replaced.  :func:`jaccard_similarity` and
+and the per-key Bloom probe (:func:`bloom_contains`) and recovery selection
+(:func:`request_wants`) that ``BloomSnapshot.missing_flags`` replaced.
+:func:`scalar_ticket` is the scalar min-wise sketch the working set's numpy
+one is checked against, and :func:`ticket_resemblance` the entry count
+``SummaryTicket.resemblance`` must equal.  :func:`jaccard_similarity` and
 :func:`expected_useful_fraction` are the exact set measures the min-wise
 resemblance estimate is checked against.
 """
@@ -31,7 +34,6 @@ from repro.reconcile.bloom import (
     BloomSnapshot,
     _hash_coefficients,
     _hash_key,
-    _position_family,
     optimal_parameters,
 )
 from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
@@ -46,6 +48,32 @@ def jaccard_similarity(a: Iterable[int], b: Iterable[int]) -> float:
     if not union:
         return 1.0
     return len(set_a & set_b) / len(union)
+
+
+def scalar_ticket(keys: Iterable[int]) -> SummaryTicket:
+    """The summary ticket of ``keys``: per permutation, a Python ``min`` of
+    the permuted keys (``None`` throughout for no keys)."""
+    keys = list(keys)
+    if not keys:
+        return SummaryTicket()
+    return SummaryTicket(
+        min((a * key + b) % DEFAULT_UNIVERSE for key in keys)
+        for a, b in permutation_coefficients(DEFAULT_TICKET_ENTRIES)
+    )
+
+
+def ticket_resemblance(mine: SummaryTicket, theirs: SummaryTicket) -> float:
+    """The fraction of entries two tickets share, counting only entries that
+    hold a minimum; two empty tickets resemble each other fully."""
+    empty = SummaryTicket()
+    if mine == empty and theirs == empty:
+        return 1.0
+    matches = sum(
+        1
+        for a, b in zip(mine.entries, theirs.entries)
+        if a is not None and a == b
+    )
+    return matches / DEFAULT_TICKET_ENTRIES
 
 
 def expected_useful_fraction(own: Sequence[int], remote: Sequence[int]) -> float:
@@ -150,7 +178,6 @@ class FifoBloomFilter:
         self._num_bits = num_bits
         self._num_hashes = num_hashes
         self._coefficients = _hash_coefficients(num_hashes)
-        self._family = _position_family(num_bits, num_hashes)
         #: Live keys as a min-heap (duplicates allowed, as with the historical
         #: key list): the heap root is always the lowest key in the window.
         self._heap: List[int] = []
@@ -186,10 +213,7 @@ class FifoBloomFilter:
 
     # ------------------------------------------------------------- mutation
     def _positions(self, key: int) -> Tuple[int, ...]:
-        positions = self._family.get(key)
-        if positions is None:
-            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
-        return positions
+        return _hash_key(key, self._num_bits, self._coefficients)
 
     def add(self, key: int) -> None:
         """Insert a sequence number (ignored if below the current window)."""
@@ -198,10 +222,7 @@ class FifoBloomFilter:
         heapq.heappush(self._heap, key)
         counts = self._counts
         bits = self._bits
-        positions = self._family.get(key)
-        if positions is None:
-            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
-        for position in positions:
+        for position in self._positions(key):
             counts[position] += 1
             bits[position >> 3] |= 1 << (position & 7)
         self.version += 1
@@ -247,10 +268,7 @@ class FifoBloomFilter:
             # senders do not waste bandwidth on stale packets.
             return True
         bits = self._bits
-        positions = self._family.get(key)
-        if positions is None:
-            positions = _hash_key(key, self._num_bits, self._coefficients, self._family)
-        for position in positions:
+        for position in self._positions(key):
             if not bits[position >> 3] & (1 << (position & 7)):
                 return False
         return True
@@ -268,22 +286,6 @@ class FifoBloomFilter:
             return 0.0
         exponent = -self._num_hashes * len(self._heap) / self._num_bits
         return (1.0 - math.exp(exponent)) ** self._num_hashes
-
-    # -------------------------------------------------------------- pickling
-    def __getstate__(self):
-        # Live filters can ride peering requests across process pipes
-        # (sharded head meshes).  The coefficient family and the position
-        # cache are process-local derived state: shipping them would drag
-        # the whole shared cache along with every message.
-        state = dict(self.__dict__)
-        del state["_coefficients"]
-        del state["_family"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._coefficients = _hash_coefficients(self._num_hashes)
-        self._family = _position_family(self._num_bits, self._num_hashes)
 
     # ------------------------------------------------------------- snapshot
     def snapshot(self) -> BloomSnapshot:
@@ -309,13 +311,10 @@ class FifoBloomFilter:
 class SortEverythingWorkingSet:
     """The working set as it was before the sorted-window rewrite."""
 
-    def __init__(self, prune_window: int = 4096, ticket_entries: int = DEFAULT_TICKET_ENTRIES,
-                 ticket_seed: int = 0) -> None:
+    def __init__(self, prune_window: int = 4096) -> None:
         if prune_window <= 0:
             raise ValueError("prune_window must be positive")
         self.prune_window = prune_window
-        self.ticket_entries = ticket_entries
-        self.ticket_seed = ticket_seed
         self._sequences: Set[int] = set()
         self._low_water: int = 0
         self._highest: int = -1
@@ -328,11 +327,6 @@ class SortEverythingWorkingSet:
         self._live_bloom_params: Optional[Tuple[int, float]] = None
         self._snapshot_cache: Optional[BloomSnapshot] = None
         self._snapshot_version: int = -1
-        # Incremental min-wise sketch state: (params, key set, entry mins,
-        # per-entry argmin keys) of the previous ticket build.
-        self._ticket_sketch: Optional[
-            Tuple[Tuple[Optional[int], int], Set[int], List[Optional[int]], List[int]]
-        ] = None
 
     # ---------------------------------------------------------------- updates
     def add(self, sequence: int) -> bool:
@@ -420,8 +414,7 @@ class SortEverythingWorkingSet:
 
     # ------------------------------------------------------------- summaries
     def summary_ticket(
-        self, window: Optional[int] = None, sample_stride: int = 1,
-        incremental: bool = False,
+        self, window: Optional[int] = None, sample_stride: int = 1
     ) -> SummaryTicket:
         """Build the node's current summary ticket.
 
@@ -433,14 +426,6 @@ class SortEverythingWorkingSet:
         numbers divisible by the stride are sketched) so that every node
         samples the same universe subset and resemblance estimates between
         nodes remain comparable.
-
-        ``incremental`` reuses the previous build: min-wise entries are
-        monotone under inserts, so only keys that entered the window since
-        last time are folded in, and only entries whose minimum was achieved
-        by a key that *left* the window are re-sketched from scratch.  The
-        result is identical to a full rebuild (ties resolve to the smallest
-        key in both paths); the flag exists so the pre-incremental hot path
-        stays available for benchmarks.
         """
         if sample_stride < 1:
             raise ValueError("sample_stride must be >= 1")
@@ -455,65 +440,9 @@ class SortEverythingWorkingSet:
             sampled = [key for key in keys if key % sample_stride == 0]
             # Fall back to the full window when the value-based sample is too
             # thin to say anything (tiny working sets early in a run).
-            if len(sampled) >= self.ticket_entries:
+            if len(sampled) >= DEFAULT_TICKET_ENTRIES:
                 keys = sampled
-        if incremental:
-            return self._incremental_ticket(keys, (window, sample_stride))
-        ticket = SummaryTicket(num_entries=self.ticket_entries, seed=self.ticket_seed)
-        ticket.update(keys)
-        return ticket
-
-    def _incremental_ticket(
-        self, keys: List[int], params: Tuple[Optional[int], int]
-    ) -> SummaryTicket:
-        """Min-wise sketch of ``keys``, diffed against the previous build."""
-        coefficients = permutation_coefficients(self.ticket_entries, seed=self.ticket_seed)
-        universe = DEFAULT_UNIVERSE
-        key_set = set(keys)
-        state = self._ticket_sketch
-        if state is not None and state[0] == params:
-            _, old_keys, entries, min_keys = state
-            entries = list(entries)
-            min_keys = list(min_keys)
-            removed = old_keys - key_set
-            added = key_set - old_keys
-            if removed:
-                # Entries whose minimum left the window lose their witness;
-                # re-sketch just those over the full key list.
-                for index in [
-                    i for i, owner in enumerate(min_keys) if owner in removed
-                ]:
-                    a, b = coefficients[index]
-                    if keys:
-                        value, owner = min(((a * k + b) % universe, k) for k in keys)
-                        entries[index], min_keys[index] = value, owner
-                    else:
-                        entries[index], min_keys[index] = None, -1
-            if added:
-                added_keys = sorted(added)
-                for index, (a, b) in enumerate(coefficients):
-                    value, owner = min(((a * k + b) % universe, k) for k in added_keys)
-                    current = entries[index]
-                    if (
-                        current is None
-                        or value < current
-                        or (value == current and owner < min_keys[index])
-                    ):
-                        entries[index], min_keys[index] = value, owner
-        elif keys:
-            entries = []
-            min_keys = []
-            for a, b in coefficients:
-                value, owner = min(((a * k + b) % universe, k) for k in keys)
-                entries.append(value)
-                min_keys.append(owner)
-        else:
-            entries = [None] * self.ticket_entries
-            min_keys = [-1] * self.ticket_entries
-        self._ticket_sketch = (params, key_set, entries, min_keys)
-        ticket = SummaryTicket(num_entries=self.ticket_entries, seed=self.ticket_seed)
-        ticket._entries = list(entries)
-        return ticket
+        return scalar_ticket(keys)
 
     def bloom_filter(
         self, expected_items: Optional[int] = None, false_positive_rate: float = 0.01
@@ -602,6 +531,16 @@ def on_packet_loop(node, sequences, from_node, via_peer) -> Tuple[int, int]:
     return useful_count, len(sequences) - useful_count
 
 
+def request_wants(request, sequence: int) -> bool:
+    """Does ``request``'s receiver want ``sequence`` from this sender (range,
+    row, Bloom filter), probed for one key."""
+    if sequence < request.low or sequence > request.high:
+        return False
+    if request.total_senders > 0 and sequence % request.total_senders != request.mod:
+        return False
+    return not bloom_contains(request.bloom, sequence)
+
+
 def offer_new_packet_loop(queue, sequences) -> None:
     """Per-packet offers: the reference ``SenderQueue.offer_new_packets`` equals."""
     for sequence in sequences:
@@ -609,25 +548,35 @@ def offer_new_packet_loop(queue, sequences) -> None:
             return
         if sequence in queue.already_sent:
             continue
-        if queue.request.wants(sequence):
+        if request_wants(queue.request, sequence):
             index = bisect_left(queue.pending, sequence)
             if index < len(queue.pending) and queue.pending[index] == sequence:
                 continue
             queue.pending.insert(index, sequence)
 
 
-def bloom_missing(bloom, keys) -> List[int]:
-    """The ``keys`` a Bloom filter does not describe, probed one at a time
-    (the ``missing`` loop the filters used to carry)."""
-    return [key for key in keys if key not in bloom]
+def bloom_contains(snapshot: BloomSnapshot, key: int) -> bool:
+    """Does the snapshot describe ``key``?  Keys below its floor always are."""
+    if key < snapshot.low_sequence:
+        return True
+    bits = snapshot._bits
+    for position in _hash_key(key, snapshot.num_bits, _hash_coefficients(snapshot.num_hashes)):
+        if not bits[position >> 3] & (1 << (position & 7)):
+            return False
+    return True
+
+
+def bloom_missing(snapshot: BloomSnapshot, keys) -> List[int]:
+    """The ``keys`` a snapshot does not describe, probed one at a time."""
+    return [key for key in keys if not bloom_contains(snapshot, key)]
 
 
 def install_request_loop(queue, request, holdings) -> None:
-    """``SenderQueue.install_request`` key by key: ``RecoveryRequest.wants``
-    on every holding the queue never pushed."""
+    """``SenderQueue.install_request`` key by key: :func:`request_wants` on
+    every holding the queue never pushed."""
     queue.request = request
     queue.pending = sorted(
         sequence
         for sequence in holdings
-        if sequence not in queue.already_sent and request.wants(sequence)
+        if sequence not in queue.already_sent and request_wants(request, sequence)
     )

@@ -3,15 +3,15 @@
 from collections import Counter
 
 import pytest
+from oracles.reconcile import scalar_ticket
 
 from repro.ransub.compact import compact
 from repro.ransub.state import MemberSummary
-from repro.reconcile.summary_ticket import SummaryTicket
 from repro.util.rng import SeededRng
 
 
 def summary(node):
-    return MemberSummary(node=node, ticket=SummaryTicket.from_working_set([node], seed=0))
+    return MemberSummary(node=node, ticket=scalar_ticket([node]))
 
 
 def summaries(nodes):

@@ -2,9 +2,9 @@
 
 import pytest
 from oracles.ransub import RanSubProtocol
+from oracles.reconcile import scalar_ticket
 
 from repro.ransub.state import MemberSummary
-from repro.reconcile.summary_ticket import SummaryTicket
 from repro.trees.random_tree import build_balanced_tree
 
 
@@ -14,7 +14,7 @@ def make_tree(n=15, fanout=2):
 
 
 def state_provider(node):
-    return MemberSummary(node=node, ticket=SummaryTicket.from_working_set([node], seed=0))
+    return MemberSummary(node=node, ticket=scalar_ticket([node]))
 
 
 class TestRanSubEpoch:

@@ -1,5 +1,7 @@
 """Tests for RanSub wire-level state objects."""
 
+from oracles.reconcile import scalar_ticket
+
 from repro.ransub.state import (
     CollectSet,
     DEFAULT_SET_SIZE,
@@ -12,7 +14,7 @@ from repro.reconcile.summary_ticket import SummaryTicket
 
 
 def summary(node, sequences=()):
-    return MemberSummary(node=node, ticket=SummaryTicket.from_working_set(sequences, seed=0))
+    return MemberSummary(node=node, ticket=scalar_ticket(sequences))
 
 
 class TestMemberSummary:
@@ -31,6 +33,7 @@ class TestCollectSet:
         small = CollectSet(sender=1, summaries=[summary(2)])
         large = CollectSet(sender=1, summaries=[summary(2), summary(3), summary(4)])
         assert large.size_bytes() > small.size_bytes()
+        assert large.size_bytes() == MESSAGE_HEADER_BYTES + 3 * (8 + 120)
 
 
 class TestDistributeSet:

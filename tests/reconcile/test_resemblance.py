@@ -2,10 +2,9 @@
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles.reconcile import expected_useful_fraction, jaccard_similarity
+from oracles.reconcile import expected_useful_fraction, jaccard_similarity, scalar_ticket
 
 from repro.reconcile.resemblance import rank_peers_by_divergence
-from repro.reconcile.summary_ticket import SummaryTicket
 
 
 class TestJaccard:
@@ -32,22 +31,22 @@ class TestJaccard:
 
 class TestRanking:
     def test_most_divergent_first(self):
-        own = SummaryTicket.from_working_set(range(0, 200), seed=1)
-        similar = SummaryTicket.from_working_set(range(0, 190), seed=1)
-        divergent = SummaryTicket.from_working_set(range(5000, 5200), seed=1)
+        own = scalar_ticket(range(0, 200))
+        similar = scalar_ticket(range(0, 190))
+        divergent = scalar_ticket(range(5000, 5200))
         ranked = rank_peers_by_divergence(own, {10: similar, 20: divergent})
         assert ranked[0][0] == 20
         assert ranked[0][1] <= ranked[1][1]
 
     def test_tie_broken_by_id(self):
-        own = SummaryTicket.from_working_set(range(100), seed=2)
-        a = SummaryTicket.from_working_set(range(100), seed=2)
-        b = SummaryTicket.from_working_set(range(100), seed=2)
+        own = scalar_ticket(range(100))
+        a = scalar_ticket(range(100))
+        b = scalar_ticket(range(100))
         ranked = rank_peers_by_divergence(own, {7: a, 3: b})
         assert [peer for peer, _ in ranked] == [3, 7]
 
     def test_empty_candidates(self):
-        own = SummaryTicket.from_working_set(range(10), seed=1)
+        own = scalar_ticket(range(10))
         assert rank_peers_by_divergence(own, {}) == []
 
 
@@ -66,9 +65,9 @@ class TestExpectedUsefulFraction:
         own = list(range(0, 300))
         similar_remote = list(range(10, 310))
         divergent_remote = list(range(5000, 5300))
-        own_ticket = SummaryTicket.from_working_set(own, seed=5)
-        similar_ticket = SummaryTicket.from_working_set(similar_remote, seed=5)
-        divergent_ticket = SummaryTicket.from_working_set(divergent_remote, seed=5)
+        own_ticket = scalar_ticket(own)
+        similar_ticket = scalar_ticket(similar_remote)
+        divergent_ticket = scalar_ticket(divergent_remote)
         assert own_ticket.resemblance(divergent_ticket) < own_ticket.resemblance(
             similar_ticket
         )

@@ -2,8 +2,9 @@
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles.reconcile import SortEverythingWorkingSet
+from oracles.reconcile import SortEverythingWorkingSet, bloom_contains, scalar_ticket
 
+from repro.reconcile.summary_ticket import SummaryTicket
 from repro.reconcile.working_set import WorkingSet
 
 
@@ -124,7 +125,7 @@ class TestWorkingSet:
         ws = WorkingSet()
         ws.add_many(range(500))
         bloom = ws.bloom_snapshot(expected_items=200)
-        assert all(seq in bloom for seq in range(300, 500))
+        assert all(bloom_contains(bloom, seq) for seq in range(300, 500))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=5000), min_size=1, max_size=300))
@@ -199,30 +200,49 @@ class TestBloomSnapshotEquivalence:
         assert snapshot.size_bytes() == rebuilt.size_bytes()
         assert snapshot.low_sequence == rebuilt.low_sequence
         for probe in range(0, 310, 2):
-            assert (probe in snapshot) == (probe in rebuilt)
+            assert bloom_contains(snapshot, probe) == (probe in rebuilt)
 
 
-class TestIncrementalTicketEquivalence:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        st.lists(
-            st.lists(st.integers(min_value=0, max_value=500), min_size=0, max_size=60),
-            min_size=1,
-            max_size=6,
-        )
-    )
-    def test_incremental_ticket_equals_rebuild_each_round(self, rounds):
-        """Diffed min-wise sketches match full rebuilds after every round."""
-        ws = WorkingSet(prune_window=96)
-        reference = SortEverythingWorkingSet(prune_window=96)
-        for batch in rounds:
+#: One round of a working set's life: a batch of arrivals (scattered keys,
+#: or a run long enough to fill a stride-sampled window), maybe a prune,
+#: then a ticket over some window and stride.
+ticket_rounds = st.lists(
+    st.tuples(
+        st.one_of(
+            st.lists(st.integers(min_value=0, max_value=1000), max_size=80),
+            st.builds(
+                lambda start, length: list(range(start, start + length)),
+                st.integers(min_value=0, max_value=1000),
+                st.integers(min_value=0, max_value=400),
+            ),
+        ),
+        st.one_of(st.none(), st.integers(min_value=0, max_value=1000)),
+        st.sampled_from([None, 16, 64, 200]),
+        st.sampled_from([1, 2, 3]),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestTicketEquivalence:
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([48, 400]), ticket_rounds)
+    def test_ticket_equals_scalar_sketch_each_round(self, prune_window, rounds):
+        """The numpy sketch equals the scalar one after adds and prunes, for
+        any window and stride (a 400-packet set sketches its stride-sampled
+        window; smaller ones fall back to the whole window)."""
+        ws = WorkingSet(prune_window=prune_window)
+        reference = SortEverythingWorkingSet(prune_window=prune_window)
+        for batch, prune_at, window, stride in rounds:
             ws.add_many(batch)
             reference.update(batch)
-            fast = ws.summary_ticket(window=48, sample_stride=2)
-            slow = reference.summary_ticket(window=48, sample_stride=2)
-            assert fast.entries == slow.entries
+            if prune_at is not None:
+                ws.prune_below(prune_at)
+                reference.prune_below(prune_at)
+            assert ws.summary_ticket(window, stride) == reference.summary_ticket(window, stride)
 
-    def test_incremental_ticket_survives_pruning(self):
+    def test_ticket_survives_pruning(self):
         ws = WorkingSet(prune_window=64)
         reference = SortEverythingWorkingSet(prune_window=64)
         ws.add_many(range(100))
@@ -235,3 +255,10 @@ class TestIncrementalTicketEquivalence:
         fast = ws.summary_ticket(window=32, sample_stride=2)
         slow = reference.summary_ticket(window=32, sample_stride=2)
         assert fast.entries == slow.entries
+
+    def test_an_empty_window_gives_the_empty_ticket(self):
+        ws = WorkingSet()
+        assert ws.summary_ticket() == SummaryTicket()
+        ws.add_many(range(10))
+        ws.prune_below(10)
+        assert ws.summary_ticket(window=8) == SummaryTicket() == scalar_ticket([])

@@ -3,12 +3,15 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.hashing import (
-    DEFAULT_UNIVERSE,
-    linear_permutation,
-    stable_hash,
-    universal_hash_family,
-)
+from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients, stable_hash
+
+
+def permutations(count, seed=0, universe=DEFAULT_UNIVERSE):
+    """The family's functions ``x -> (a*x + b) mod universe``."""
+    return [
+        lambda x, a=a, b=b: (a * x + b) % universe
+        for a, b in permutation_coefficients(count, seed, universe)
+    ]
 
 
 class TestStableHash:
@@ -27,41 +30,41 @@ class TestStableHash:
 class TestLinearPermutation:
     def test_is_bijection_on_small_prime(self):
         universe = 101
-        permute = linear_permutation(7, 13, universe)
-        outputs = {permute(x) for x in range(universe)}
-        assert len(outputs) == universe
+        for permute in permutations(6, seed=4, universe=universe):
+            outputs = {permute(x) for x in range(universe)}
+            assert len(outputs) == universe
 
     def test_zero_multiplier_coerced(self):
-        permute = linear_permutation(0, 5, 101)
-        # Must still be injective (a forced to 1).
-        assert len({permute(x) for x in range(101)}) == 101
+        # The multiplier is drawn from [1, universe): never zero, so every
+        # permutation stays injective.
+        for seed in range(20):
+            for a, b in permutation_coefficients(30, seed=seed, universe=101):
+                assert 1 <= a < 101 and 0 <= b < 101
 
     def test_rejects_trivial_universe(self):
         with pytest.raises(ValueError):
-            linear_permutation(3, 4, universe=1)
+            permutation_coefficients(3, universe=1)
 
 
 class TestUniversalHashFamily:
     def test_family_size(self):
-        family = universal_hash_family(8, seed=1)
-        assert len(family) == 8
+        assert len(permutation_coefficients(8, seed=1)) == 8
 
     def test_same_seed_same_family(self):
-        a = universal_hash_family(4, seed=9)
-        b = universal_hash_family(4, seed=9)
+        a = permutations(4, seed=9)
+        b = permutations(4, seed=9)
         assert [f(123) for f in a] == [f(123) for f in b]
 
     def test_different_seeds_differ(self):
-        a = universal_hash_family(4, seed=1)
-        b = universal_hash_family(4, seed=2)
+        a = permutations(4, seed=1)
+        b = permutations(4, seed=2)
         assert [f(123) for f in a] != [f(123) for f in b]
 
     def test_rejects_non_positive_count(self):
         with pytest.raises(ValueError):
-            universal_hash_family(0)
+            permutation_coefficients(0)
 
     @given(st.integers(min_value=0, max_value=10**9))
     def test_outputs_within_universe(self, key):
-        family = universal_hash_family(5, seed=3)
-        for function in family:
+        for function in permutations(5, seed=3):
             assert 0 <= function(key) < DEFAULT_UNIVERSE
