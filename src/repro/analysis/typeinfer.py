@@ -101,7 +101,7 @@ class SetTypeInference:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 for stmt in node.body:
-                    # dataclass fields: `sent_filter: Set[int] = field(...)`
+                    # dataclass fields: `held: Set[int] = field(...)`
                     if isinstance(stmt, ast.AnnAssign) and isinstance(
                         stmt.target, ast.Name
                     ):

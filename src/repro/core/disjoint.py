@@ -15,19 +15,23 @@ expected number of overlay nodes holding any given packet is the same:
   Successful extra sends nudge the limiting factor up by one packet per
   epoch; failed ones nudge it down by the same amount.
 
+The transport is one integer send budget per child and step: a child
+accepts while its budget lasts and blocks after.  Each step's fresh packets
+are forwarded as one batch.  No sequence reaches the routine twice — a batch
+is ``WorkingSet.add_many``'s fresh list, which returns every sequence at
+most once over the node's lifetime — so the only duplicate to avoid is
+offering a packet's owner a second copy within its batch.
+
 With ``disjoint_send`` disabled the routine degenerates into "send everything
 to every child, subject to the transport" — the Figure 10 baseline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Set
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.config import LIMITING_FACTOR_INITIAL, LIMITING_FACTOR_MIN, BulletConfig
-
-#: Signature of the transport callback: (child, sequence) -> accepted?
-Transport = Callable[[int, int], bool]
 
 
 @dataclass
@@ -39,8 +43,6 @@ class ChildSendState:
     limiting_factor: float = 1.0
     #: Packets this child owned (accepted) in the current epoch.
     owned_sent: int = 0
-    #: Sequences already forwarded to this child (duplicate suppression).
-    sent_filter: Set[int] = field(default_factory=set)
 
 
 class DisjointSender:
@@ -48,13 +50,11 @@ class DisjointSender:
 
     def __init__(self, config: BulletConfig, children: Sequence[int]) -> None:
         self.config = config
+        #: Child states, kept in child-id order.
         self._children: Dict[int, ChildSendState] = {
             child: ChildSendState(child=child, limiting_factor=LIMITING_FACTOR_INITIAL)
-            for child in children
+            for child in sorted(children)
         }
-        #: Child states in child-id order; rebuilt lazily after membership
-        #: changes (the send hot path walks this list once per packet).
-        self._ordered: List[ChildSendState] | None = None
         #: Running sum of ``owned_sent`` across children this epoch.
         self._owned_total: int = 0
         self._set_equal_sending_factors()
@@ -67,8 +67,8 @@ class DisjointSender:
 
     @property
     def children(self) -> List[int]:
-        """Children currently managed by this sender."""
-        return sorted(self._children)
+        """Children currently managed by this sender, in id order."""
+        return list(self._children)
 
     def child_state(self, child: int) -> ChildSendState:
         """Bookkeeping for one child (raises ``KeyError`` if unknown)."""
@@ -82,15 +82,7 @@ class DisjointSender:
         self._children[child] = ChildSendState(
             child=child, limiting_factor=LIMITING_FACTOR_INITIAL
         )
-        self._ordered = None
-        self.update_sending_factors({})
-
-    def remove_child(self, child: int) -> None:
-        """Forget a departed child and re-normalize sending factors."""
-        state = self._children.pop(child, None)
-        if state is not None:
-            self._owned_total -= state.owned_sent
-        self._ordered = None
+        self._children = dict(sorted(self._children.items()))
         self.update_sending_factors({})
 
     def update_sending_factors(self, descendant_counts: Dict[int, int]) -> None:
@@ -116,57 +108,70 @@ class DisjointSender:
             state.owned_sent = 0
 
     # ------------------------------------------------------------------ send
-    def send_batch(self, sequences: Sequence[int], transport: Transport) -> Dict[int, List[int]]:
-        """Forward a batch of freshly received packets to the children.
+    def send_batch(
+        self, sequences: Sequence[int], budgets: Mapping[int, int]
+    ) -> Dict[int, List[int]]:
+        """Forward one step's fresh packets to the children.
 
-        The batch is processed in two rounds, which is what the Figure 5
+        ``budgets`` maps child -> packets its transport accepts this step
+        (absent = blocks).  Returns child -> the sequences it accepted, never
+        more than its budget: those it owns, then its extra copies.  The
+        batch is processed in two rounds, which is what the Figure 5
         per-packet routine converges to in continuous operation:
 
         1. *Ownership round* — every packet is offered to the child whose
            owned share trails its sending factor the most; if that child's
-           transport blocks, ownership is transferred to any child that can
-           accept it.  When children bandwidth is tight this round alone runs,
-           so the children receive (mostly) disjoint data.
-        2. *Extra-bandwidth round* — with whatever transport budget remains,
-           each packet is additionally offered to the other children according
-           to their limiting factors, which adapt up on success and down on
-           failure exactly as in the paper.
+           budget is spent, ownership is transferred to the next child in
+           deficit order that has budget left.  When children bandwidth is
+           tight this round alone runs, so the children receive (mostly)
+           disjoint data.
+        2. *Extra-bandwidth round* — with whatever budget remains, each
+           packet is additionally offered to every child but its owner,
+           according to the limiting factors, which adapt up on success and
+           down on failure exactly as in the paper.
 
-        Returns a map from child to the packets accepted for it.
+        A packet no child accepts (the children's bandwidths sum short of
+        the stream) stays in this node's working set, from which its mesh
+        peers can still recover it.
         """
-        recipients: Dict[int, List[int]] = {child: [] for child in self._children}
-        if not self._children:
+        children = self._children
+        recipients: Dict[int, List[int]] = {child: [] for child in children}
+        if not children:
             return recipients
+        left = {child: budgets.get(child, 0) for child in children}
         if not self.config.disjoint_send:
-            for sequence in sequences:
-                for child in self._send_non_disjoint(sequence, transport):
-                    recipients[child].append(sequence)
+            # Figure 10 baseline: every child takes the head of the batch.
+            for child, state in children.items():
+                taken = list(sequences[: max(left[child], 0)])
+                recipients[child] = taken
+                state.owned_sent += len(taken)
+                self._owned_total += len(taken)
             return recipients
 
-        step = self.config.limiting_factor_step
         # Round 1: ownership.
-        # A packet no child accepts (the children's bandwidths sum short of
-        # the stream) stays in this node's working set, from which its mesh
-        # peers can still recover it.
+        owners: List[Optional[int]] = []
         for sequence in sequences:
+            owner = None
             for state in self._children_by_deficit():
-                if sequence in state.sent_filter:
-                    continue
-                if transport(state.child, sequence):
-                    self._record_send(state, sequence, owned=True)
-                    recipients[state.child].append(sequence)
+                child = state.child
+                if left[child] > 0:
+                    left[child] -= 1
+                    state.owned_sent += 1
+                    self._owned_total += 1
+                    recipients[child].append(sequence)
+                    owner = child
                     break
+            owners.append(owner)
 
         # Round 2: extra bandwidth, governed by the limiting factors.
-        for sequence in sequences:
-            for state in self._iter_children():
-                if sequence in state.sent_filter:
+        step = self.config.limiting_factor_step
+        for sequence, owner in zip(sequences, owners):
+            for child, state in children.items():
+                if child == owner or not self._limiting_factor_selects(state, sequence):
                     continue
-                if not self._limiting_factor_selects(state, sequence):
-                    continue
-                if transport(state.child, sequence):
-                    self._record_send(state, sequence, owned=False)
-                    recipients[state.child].append(sequence)
+                if left[child] > 0:
+                    left[child] -= 1
+                    recipients[child].append(sequence)
                     state.limiting_factor = min(1.0, state.limiting_factor + step)
                 else:
                     state.limiting_factor = max(
@@ -182,28 +187,9 @@ class DisjointSender:
             share = state.owned_sent / total if total > 0 else 0.0
             return state.sending_factor - share
 
-        return sorted(self._iter_children(), key=deficit, reverse=True)
-
-    def _send_non_disjoint(self, sequence: int, transport: Transport) -> List[int]:
-        """Figure 10 baseline: attempt to send every packet to every child."""
-        recipients: List[int] = []
-        for state in self._iter_children():
-            if sequence in state.sent_filter:
-                continue
-            if transport(state.child, sequence):
-                self._record_send(state, sequence, owned=True)
-                recipients.append(state.child)
-        return recipients
+        return sorted(self._children.values(), key=deficit, reverse=True)
 
     # ---------------------------------------------------------------- helpers
-    def _iter_children(self) -> List[ChildSendState]:
-        ordered = self._ordered
-        if ordered is None:
-            ordered = self._ordered = [
-                self._children[child] for child in sorted(self._children)
-            ]
-        return ordered
-
     def _limiting_factor_selects(self, state: ChildSendState, sequence: int) -> bool:
         """Deterministically select the ``lf`` fraction of packets for a child.
 
@@ -215,21 +201,3 @@ class DisjointSender:
             return True
         stride = max(2, int(round(1.0 / max(lf, LIMITING_FACTOR_MIN))))
         return sequence % stride == 0
-
-    def _record_send(self, state: ChildSendState, sequence: int, owned: bool) -> None:
-        state.sent_filter.add(sequence)
-        if owned:
-            state.owned_sent += 1
-            self._owned_total += 1
-        if len(state.sent_filter) > 4 * self.config.working_set_window:
-            # Bound memory: forget which very old sequences went to this child.
-            cutoff = sequence - 2 * self.config.working_set_window
-            state.sent_filter = {seq for seq in state.sent_filter if seq >= cutoff}
-
-    # ------------------------------------------------------------- inspection
-    def ownership_shares(self) -> Dict[int, float]:
-        """Fraction of this epoch's owned packets that went to each child."""
-        total = sum(state.owned_sent for state in self._children.values())
-        if total == 0:
-            return {child: 0.0 for child in self._children}
-        return {child: state.owned_sent / total for child, state in self._children.items()}

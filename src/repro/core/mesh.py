@@ -497,13 +497,13 @@ class BulletMesh:
         """
         owner_of = self._owner_of
         hosts = range(len(self._hosts))
-        #: Per host: (tree budgets, mesh budgets), each (sender, receiver) -> packets.
+        #: Per host: (tree budgets, mesh budgets), each sender -> receiver -> packets.
         budgets: List[Tuple[Dict, Dict]] = [({}, {}) for _ in hosts]
         for index, flows in enumerate((self.tree_flows, self.mesh_flows)):
-            for key, flow in flows.items():
+            for (sender, receiver), flow in flows.items():
                 budget = flow.send_budget()
                 if budget > 0 and flow.active:
-                    budgets[owner_of[key[0]]][index][key] = budget
+                    budgets[owner_of[sender]][index].setdefault(sender, {})[receiver] = budget
         source = self._source_packets()
         root_host = owner_of[self.root]
         replies = self.exchange(

@@ -200,20 +200,19 @@ class NodeHost:
     def _data(
         self,
         source_seqs: Sequence[int],
-        tree_budgets: Dict[Tuple[int, int], int],
-        mesh_budgets: Dict[Tuple[int, int], int],
+        tree_budgets: Dict[int, Dict[int, int]],
+        mesh_budgets: Dict[int, Dict[int, int]],
     ) -> Dict:
         """Source injection, disjoint tree forwarding (Figure 5) and peer
         serving (Figure 4).
 
-        The budget maps hold the integer send budget of each owned flow that
-        can send this step (absent = would block).  The host mimics the
-        non-blocking transport against them — accept while budget remains,
-        consuming ``tree_budgets`` in place — and reports the accepted
-        sequences per flow for the mesh to replay on the real flows with
-        ``Flow.send_many``, plus what the mesh needs to set next step's flow
-        demands: fresh-packet counts per node and recovery backlog per
-        peering (zero entries omitted).
+        The budget maps hold, as sender -> receiver -> packets, the integer
+        send budget of each owned flow that can send this step (absent =
+        would block); a parent's tree map is what its disjoint sender
+        spends.  The host reports the accepted sequences per flow for the
+        mesh to replay on the real flows with ``Flow.send_many``, plus what
+        the mesh needs to set next step's flow demands: fresh-packet counts
+        per node and recovery backlog per peering (zero entries omitted).
         """
         if source_seqs:
             self.nodes[self.root].on_packets(source_seqs, from_node=None, via_peer=False)
@@ -231,23 +230,14 @@ class NodeHost:
                 # so peers can pull them without waiting for the next refresh.
                 for record in node.peers.receivers.values():
                     record.queue.offer_new_packets(fresh)
-                if node.disjoint.children:
-
-                    def accept(child: int, _sequence: int, _parent: int = node_id) -> bool:
-                        key = (_parent, child)
-                        left = tree_budgets.get(key, 0)
-                        if left <= 0:
-                            return False
-                        tree_budgets[key] = left - 1
-                        return True
-
-                    accepted = node.disjoint.send_batch(fresh, accept)
-                    for child, sequences in accepted.items():
-                        if sequences:
-                            tree_sends[(node_id, child)] = sequences
+                accepted = node.disjoint.send_batch(fresh, tree_budgets.get(node_id, {}))
+                for child, sequences in accepted.items():
+                    if sequences:
+                        tree_sends[(node_id, child)] = sequences
+            serve = mesh_budgets.get(node_id, {})
             for receiver_id, record in node.peers.receivers.items():
                 key = (node_id, receiver_id)
-                budget = mesh_budgets.get(key, 0)
+                budget = serve.get(receiver_id, 0)
                 if budget > 0:
                     batch = record.queue.take_for_send(budget)
                     if batch:

@@ -34,17 +34,13 @@ class SenderRecord:
 
     sender: int
     added_epoch: int = 0
-    useful_packets: int = 0
-    duplicate_packets: int = 0
     #: Counters over the current evaluation period (reset at each evaluation).
     period_useful: int = 0
     period_duplicates: int = 0
 
     def record_packets(self, useful: int, duplicates: int) -> None:
         """Account packets received from this sender."""
-        self.useful_packets += useful
         self.period_useful += useful
-        self.duplicate_packets += duplicates
         self.period_duplicates += duplicates
 
     def period_total(self) -> int:

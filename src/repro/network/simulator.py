@@ -290,8 +290,7 @@ class NetworkSimulator:
                         lost += 1
                     else:
                         survived.append(sequence)
-            for sequence in survived:
-                self.stats.record_link_transmission(sequence, flow.link_indices)
+            self.stats.record_link_transmissions(survived, flow.link_indices)
             flow._delivered.extend(survived)
             if flow.tfrc is not None:
                 # The TFRC feedback rounds run as one numpy batch after the

@@ -168,12 +168,18 @@ class StatsCollector:
         """Mark sequence numbers whose link-level transmissions are traced."""
         self._traced_sequences.update(sequences)
 
-    def record_link_transmission(self, sequence: int, link_indices: Sequence[int]) -> None:
-        """Record one overlay transmission of a traced packet over physical links."""
-        if sequence not in self._traced_sequences:
+    def record_link_transmissions(
+        self, sequences: Sequence[int], link_indices: Sequence[int]
+    ) -> None:
+        """Record one flow's overlay transmissions over its physical links;
+        only traced packets count."""
+        traced = self._traced_sequences
+        if not traced:
             return
-        for link in link_indices:
-            self._trace_link_counts[(sequence, link)] += 1
+        for sequence in sequences:
+            if sequence in traced:
+                for link in link_indices:
+                    self._trace_link_counts[(sequence, link)] += 1
 
     # --------------------------------------------------------------- sampling
     def sample_interval(self, time_s: float, interval_s: float, nodes: Sequence[int]) -> None:

@@ -128,10 +128,6 @@ def test_report_exits_zero_when_the_reader_closes_at_once(tmp_path):
 TEST_ONLY_ALLOWED = {
     "core.disjoint.DisjointSender.child_state":
         "per-child counters the Figure 5 send tests inspect",
-    "core.disjoint.DisjointSender.remove_child":
-        "departed-child re-normalisation; no run removes a child yet",
-    "core.disjoint.DisjointSender.ownership_shares":
-        "the owned-share readout the sending-factor tests check",
     "core.peering.PeerManager.receiver_ids":
         "the receiver-side twin of sender_ids, read by peering tests",
     "experiments.registry.unregister_system":

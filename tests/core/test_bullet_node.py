@@ -29,8 +29,8 @@ class TestReception:
         node.on_packets((1,), from_node=9, via_peer=True)
         node.on_packets((1,), from_node=9, via_peer=True)
         record = node.peers.senders[9]
-        assert record.useful_packets == 1
-        assert record.duplicate_packets == 1
+        assert record.period_useful == 1
+        assert record.period_duplicates == 1
 
     def test_parent_packets_do_not_touch_peer_records(self):
         node = make_node()

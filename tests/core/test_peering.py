@@ -121,10 +121,11 @@ class TestSenderEvaluation:
     def test_reset_periods(self):
         peers = PeerManager(1, BulletConfig())
         record = peers.add_sender(10, epoch=1)
-        record.record_packets(useful=0, duplicates=1)
+        record.record_packets(useful=2, duplicates=1)
+        assert (record.period_useful, record.period_duplicates) == (2, 1)
         peers.reset_periods()
+        assert (record.period_useful, record.period_duplicates) == (0, 0)
         assert record.period_total() == 0
-        assert record.duplicate_packets == 1  # lifetime counter kept
 
 
 class TestReceiverEvaluation:

@@ -1,6 +1,8 @@
 """Tests for the statistics collector."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from oracles.stats import DictStatsCollector
 
 from repro.network.stats import StatsCollector
 from repro.util.units import PACKET_SIZE_KBITS
@@ -93,12 +95,36 @@ class TestDerivedMetrics:
     def test_link_stress(self):
         stats = StatsCollector()
         stats.trace_sequences([5])
-        stats.record_link_transmission(5, [0, 1])
-        stats.record_link_transmission(5, [1, 2])
-        stats.record_link_transmission(99, [0])  # untraced: ignored
+        stats.record_link_transmissions([5, 99], [0, 1])  # 99 untraced: ignored
+        stats.record_link_transmissions([5], [1, 2])
+        stats.record_link_transmissions([99], [0])
         average, maximum = stats.link_stress()
         assert maximum == 2
         assert average == pytest.approx((1 + 2 + 1) / 3)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.integers(0, 20), max_size=8),
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(0, 20), max_size=6),
+                st.lists(st.integers(0, 9), max_size=4),
+            ),
+            max_size=10,
+        ),
+    )
+    def test_link_transmissions_equal_the_per_packet_oracle(self, traced, flows):
+        """One call per flow records what one oracle call per packet does."""
+        stats = StatsCollector()
+        oracle = DictStatsCollector()
+        stats.trace_sequences(traced)
+        oracle.trace_sequences(traced)
+        for sequences, links in flows:
+            stats.record_link_transmissions(sequences, links)
+            for sequence in sequences:
+                oracle.record_link_transmission(sequence, links)
+        assert stats._trace_link_counts == oracle._trace_link_counts
+        assert stats.link_stress() == oracle.link_stress()
 
     def test_link_stress_empty(self):
         assert StatsCollector().link_stress() == (0.0, 0)

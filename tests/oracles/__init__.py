@@ -9,7 +9,9 @@ per-pair networkx routing and per-pair landmark probes
 (:mod:`oracles.clustering`), the scalar interior stepper
 (:mod:`oracles.interior`), the synchronous RanSub driver
 (:mod:`oracles.ransub`), the round-by-round scalar TFRC model
-(:mod:`oracles.tfrc`) and the polled timers and event scheduler the step
-engine replaced (:mod:`oracles.clock`).  Nothing here is imported from ``src/``; the root
-``conftest.py`` puts ``tests/`` on the path.
+(:mod:`oracles.tfrc`), the callback-per-offer disjoint sender with its
+per-child sent filter (:mod:`oracles.disjoint`) and the polled timers and
+event scheduler the step engine replaced (:mod:`oracles.clock`).  Nothing
+here is imported from ``src/``; the root ``conftest.py`` puts ``tests/`` on
+the path.
 """

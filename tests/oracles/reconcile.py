@@ -523,10 +523,8 @@ def on_packet_loop(node, sequences, from_node, via_peer) -> Tuple[int, int]:
             record = node.peers.senders.get(from_node)
             if record is not None:
                 if useful:
-                    record.useful_packets += 1
                     record.period_useful += 1
                 else:
-                    record.duplicate_packets += 1
                     record.period_duplicates += 1
     return useful_count, len(sequences) - useful_count
 

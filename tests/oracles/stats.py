@@ -3,7 +3,9 @@
 :class:`DictStatsCollector` is the pre-rewrite collector, kept verbatim as
 the reference the columnar one is checked against: two
 ``defaultdict(NodeCounters)`` maps — cumulative and per-interval — written on
-every event, and a per-node Python loop at every sample.
+every event, and a per-node Python loop at every sample.  Its
+per-packet ``record_link_transmission`` is the reference for the collector's
+one-call-per-flow ``record_link_transmissions``.
 """
 
 from __future__ import annotations
