@@ -11,7 +11,10 @@ from ``resource.getrusage``, is recorded for scale) and once under
   for each package under ``src/repro``, ``builtins`` for functions written
   in C, ``numpy``, ``other``);
 * ``top``: the 20 ``repro`` call sites with the most calls;
-* ``cpu_s``: CPU seconds of the unprofiled run (not deterministic).
+* ``cpu_s``: CPU seconds of the unprofiled run (not deterministic);
+* ``maxrss_mb``: the process's peak resident set (MiB) right after the
+  unprofiled run, before the profiler allocates anything (not deterministic,
+  but it moves by far less than a change to what a run keeps alive).
 
 The counts repeat exactly from run to run and across ``PYTHONHASHSEED``
 values, so a cost claim can rest on them.  ``BENCH_CALLS.json`` at the repo
@@ -117,6 +120,8 @@ def probe(name: str, src: Path) -> Dict[str, object]:
         before = _cpu_s()
         _run(spec, Path(scratch) / "warm")
         cpu_s = _cpu_s() - before
+        # ``ru_maxrss`` is in KiB on Linux.
+        maxrss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         profiler = cProfile.Profile()
         run_child = subprocess.run
 
@@ -153,6 +158,7 @@ def probe(name: str, src: Path) -> Dict[str, object]:
         "packages": dict(sorted(packages.items())),
         "top": dict(top),
         "cpu_s": round(cpu_s, 3),
+        "maxrss_mb": round(maxrss_mb, 1),
     }
 
 
@@ -221,6 +227,7 @@ def table(record: Dict[str, object]) -> str:
         lines.append(
             f"  {name:18} {result['total_calls']:>11,} calls"
             f"  repro.network {network:>9,}  cpu {result['cpu_s']:.2f} s"
+            f"  rss {result['maxrss_mb']:.1f} MiB"
         )
     return "\n".join(lines)
 

@@ -1,23 +1,23 @@
-"""Cache-coherence rule (COH001): guarded mutations must bump their version.
+"""Cache-coherence rule (COH001): guarded mutations must refresh their derived state.
 
-Incremental state in this repo hangs caches off monotonic counters or
-derived fields — ``WorkingSet.version``, ``BulletMesh``'s depth levels,
-``ClusteredBullet``'s receivers list — and a mutation that forgets its bump
-produces a stale cache that only a determinism-matrix flake would catch.
-Each module owning such a cache declares a module-level ``CACHE_INVARIANTS``
-table *next to the cache*:
+Incremental state in this repo hangs caches off keys or derived fields —
+``WorkingSet``'s Bloom snapshot and its window key, ``BulletMesh``'s depth
+levels, ``ClusteredBullet``'s receivers list — and a mutation that forgets
+its bump produces a stale cache that only a determinism-matrix flake would
+catch.  Each module owning such a cache declares a module-level
+``CACHE_INVARIANTS`` table *next to the cache*:
 
     CACHE_INVARIANTS = {
-        "WorkingSet": {
+        "BulletMesh": {
             "scope": "module",        # the only scope: the declaring module
-            "attrs": {                # attribute (or item of it) stored -> bumps
-                "_sequences": ["version"],
-            },
             "calls": {                # "receiver.method" call (or on an item of it) -> bumps
-                "_ordered.append": ["version"],
+                "tree.add_leaf": ["_rebuild_depth_levels", "_owner_of"],
             },
         },
     }
+
+``attrs`` maps a stored attribute (or an item of it) to its bumps the same
+way: ``WorkingSet``'s table is ``{"_snapshot": ["_snapshot_key"]}``.
 
 The analyzer literal-evals the table (it must be a pure literal) and then
 verifies, for every function of the declaring module, that each guarded
@@ -29,7 +29,7 @@ branch.  ``__init__``/``__new__``
 are exempt by construction (no cache can predate construction).
 
 A bump is either an assignment/augmented assignment to an attribute of the
-required name (``self.version += 1``) or to an item of it
+required name (``self._snapshot_key = key``) or to an item of it
 (``self._owner_of[node] = host``), or a call whose terminal name matches
 (``self._rebuild_depth_levels()``).
 """

@@ -105,7 +105,8 @@ class SenderQueue:
     request: Optional[RecoveryRequest] = None
     #: Sequences selected for transmission but not yet accepted by transport.
     pending: List[int] = field(default_factory=list)
-    #: Sequences already pushed to this receiver (avoid re-sending every step).
+    #: Sequences already pushed to this receiver (avoid re-sending every
+    #: step); none is below the installed request's Low.
     already_sent: set = field(default_factory=set)
 
     def _unsent_wanted(self, sequences: Iterable[int]) -> List[int]:
@@ -142,12 +143,12 @@ class SenderQueue:
         """
         self.request = request
         self.pending = self._unsent_wanted(holdings)
-        # The receiver's Bloom filter supersedes our memory of what we sent
-        # long ago; keep only recent entries to bound memory.
-        sent = self.already_sent
-        if len(sent) > 4096:
-            cutoff = request.low
-            self.already_sent = {seq for seq in sent if seq >= cutoff}
+        # Only sequences at or above a request's Low are ever asked about,
+        # and a receiver's Low never falls: both of its terms (low-water
+        # mark, highest sequence seen) only rise, and its requests reach us
+        # in the order it sent them.  Nothing below this Low is asked again.
+        low = request.low
+        self.already_sent = {sequence for sequence in self.already_sent if sequence >= low}
 
     def offer_new_packets(self, sequences: Iterable[int]) -> None:
         """Consider packets that just arrived at the sender for this receiver."""

@@ -11,27 +11,25 @@ Bullet removes items that are no longer needed for data reconstruction, so
 the working set supports pruning below a low-water mark while remembering the
 node's cumulative useful packet count.
 
-Receiving a packet is O(1) amortised: the held sequences live twice, as a
-membership set and as one ascending list kept in step with it (in-order
-arrivals append, stragglers are bisected in, pruning slices the head off).
-Everything else is *derived* from that list when somebody asks:
+The held sequences live once, as one ascending list: an in-order arrival
+is appended, a straggler is bisected in (an equal neighbour makes it a
+duplicate), and pruning deletes the head.  Everything else is *derived*
+from the list when somebody asks:
 
-* range queries bisect it and return a plain list slice;
+* membership and range queries bisect it (a range is a plain list slice);
 * :meth:`WorkingSet.bloom_snapshot` builds the wire-format Bloom filter of
   the most recent ``capacity`` entries on demand — a node reads its filter
   once per refresh period, so nothing is maintained per packet — and keeps
   the last one until that window's content changes;
 * :meth:`WorkingSet.summary_ticket` sketches the window afresh on every
   call, in one numpy pass.
-
-Every observable mutation bumps :attr:`WorkingSet.version`.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from functools import lru_cache
-from typing import Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -40,24 +38,12 @@ from repro.reconcile.summary_ticket import DEFAULT_TICKET_ENTRIES, SummaryTicket
 from repro.util.hashing import DEFAULT_UNIVERSE, permutation_coefficients
 
 #: Cache-coherence invariants checked by ``python -m repro.analysis`` (COH001).
-#: The ascending list mirrors the membership set, so whatever changes one must
-#: bump :attr:`WorkingSet.version` on the same control-flow path.  The Bloom
-#: snapshot cache is valid only for the window it was built over: storing one
-#: without its key is a stale filter.
+#: The Bloom snapshot cache is valid only for the window it was built over:
+#: storing one without its key is a stale filter.
 CACHE_INVARIANTS = {
     "WorkingSet": {
         "scope": "module",
-        "attrs": {
-            "_sequences": ["version"],
-            "_ordered": ["version"],
-            "_snapshot": ["_snapshot_key"],
-        },
-        "calls": {
-            "_sequences.add": ["version"],
-            "_sequences.difference_update": ["version"],
-            "_ordered.append": ["version"],
-            "_ordered.insert": ["version"],
-        },
+        "attrs": {"_snapshot": ["_snapshot_key"]},
     },
 }
 
@@ -87,13 +73,10 @@ class WorkingSet:
         if prune_window <= 0:
             raise ValueError("prune_window must be positive")
         self.prune_window = prune_window
-        self._sequences: Set[int] = set()
-        #: The same sequences in ascending order.
+        #: The held sequences, ascending.
         self._ordered: List[int] = []
         self._low_water: int = 0
         self._highest: int = -1
-        #: Bumped on every observable mutation (accepted add, prune).
-        self.version: int = 0
         # Last Bloom snapshot and the window it describes (see bloom_snapshot).
         self._snapshot: Optional[BloomSnapshot] = None
         self._snapshot_key: Optional[Tuple[int, float, int, int]] = None
@@ -107,53 +90,47 @@ class WorkingSet:
         below the advanced low-water mark counts as a duplicate.
         """
         fresh: List[int] = []
-        # ``ordered`` is ``self._ordered``; edits spell the attribute out so
-        # the COH001 guards above see them.
         ordered = self._ordered
         window = self.prune_window
         for sequence in sequences:
-            if sequence < self._low_water or sequence in self._sequences:
+            if sequence < self._low_water:
                 if sequence < 0:
                     raise ValueError("sequence numbers are non-negative")
                 continue
-            self._sequences.add(sequence)
             if sequence > self._highest:
                 self._highest = sequence
-                self._ordered.append(sequence)
+                ordered.append(sequence)
             else:
-                self._ordered.insert(bisect_left(ordered, sequence), sequence)
-            self.version += 1
+                # Here ``ordered`` ends at ``_highest``: it is empty only
+                # when everything seen lies below the low-water mark.
+                index = bisect_left(ordered, sequence)
+                if ordered[index] == sequence:
+                    continue
+                ordered.insert(index, sequence)
             fresh.append(sequence)
             if len(ordered) > window:
-                self._prune()
+                del ordered[: len(ordered) - window]
+                self._low_water = ordered[0]
         return fresh
-
-    def _prune(self) -> None:
-        """Drop the oldest sequences beyond the prune window."""
-        ordered = self._ordered
-        excess = len(ordered) - self.prune_window
-        self._sequences.difference_update(ordered[:excess])
-        del ordered[:excess]
-        self._low_water = ordered[0]
-        self.version += 1
 
     def prune_below(self, low_sequence: int) -> None:
         """Explicitly drop every sequence below ``low_sequence``."""
         if low_sequence <= self._low_water:
             return
-        ordered = self._ordered
-        cut = bisect_left(ordered, low_sequence)
-        self._sequences.difference_update(ordered[:cut])
-        del ordered[:cut]
+        del self._ordered[: bisect_left(self._ordered, low_sequence)]
         self._low_water = low_sequence
-        self.version += 1
 
     # ---------------------------------------------------------------- queries
     def __contains__(self, sequence: int) -> bool:
-        return sequence < self._low_water or sequence in self._sequences
+        if sequence < self._low_water:
+            return True
+        if sequence > self._highest:
+            return False
+        ordered = self._ordered
+        return ordered[bisect_left(ordered, sequence)] == sequence
 
     def __len__(self) -> int:
-        return len(self._sequences)
+        return len(self._ordered)
 
     @property
     def highest_sequence(self) -> int:

@@ -34,7 +34,8 @@ class TopologyConfig:
     toward the paper's 20,000-node setting.
     """
 
-    #: Number of transit (core) routers, fully meshed plus a ring for slack.
+    #: Number of transit (core) routers: a ring plus up to
+    #: ``transit_routers // 2`` random chords.
     transit_routers: int = 10
     #: Number of stub domains, each homed on one transit router.
     stub_domains: int = 40

@@ -39,6 +39,11 @@ def test_the_script_runs_the_configs_of_the_last_record():
     assert _records()[-1]["configs"] == script["CONFIGS"]
 
 
+def test_the_last_record_has_each_runs_peak_rss():
+    for result in _records()[-1]["results"].values():
+        assert result["maxrss_mb"] > 0
+
+
 def test_calls_are_bucketed_by_package():
     package = script["_package"]
     root = "/checkout/src/repro/"

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.report import EXIT_FINDINGS, exit_code
+
 SYSTEM_PY = Path(__file__).resolve().parents[2] / "src/repro/hierarchy/system.py"
 MESH_PY = Path(__file__).resolve().parents[2] / "src/repro/core/mesh.py"
 WORKING_SET_PY = Path(__file__).resolve().parents[2] / "src/repro/reconcile/working_set.py"
@@ -256,41 +258,53 @@ class TestBulletMeshJoin:
 
 
 class TestWorkingSetTable:
-    """The real table in reconcile/working_set.py: every change to the held
-    sequences still needs its version bump."""
+    """The real table in reconcile/working_set.py: a stored Bloom snapshot
+    still needs the key of the window it describes."""
 
     def test_shipped_module_is_clean(self, analyze):
         assert analyze({"working_set.py": WORKING_SET_PY.read_text()}) == []
 
-    @pytest.mark.parametrize(
-        "function, bump, unguarded",
-        [
-            (
-                "add_many",
-                "            self.version += 1\n",
-                ["_sequences.add() call", "_ordered.append() call", "_ordered.insert() call"],
-            ),
-            ("_prune", "        self.version += 1\n", ["_sequences.difference_update() call"]),
-            (
-                "prune_below",
-                "        self.version += 1\n",
-                ["_sequences.difference_update() call"],
-            ),
-        ],
-        ids=["add_many", "_prune", "prune_below"],
-    )
-    def test_unbumped_mutation_is_flagged(self, analyze, function, bump, unguarded):
+    def test_snapshot_without_its_key_is_flagged(self, analyze):
         source = WORKING_SET_PY.read_text()
-        start = source.index(f"    def {function}(")
+        start = source.index("    def bloom_snapshot(")
+        bump = "            self._snapshot_key = key\n"
         drop = source.index(bump, start)
         assert "\n    def " not in source[start + 1 : drop]
         findings = analyze({"working_set.py": source[:drop] + source[drop + len(bump) :]})
-        assert findings and set(rules_of(findings)) == {"COH001"}
-        assert all(f"in {function}()" in finding.message for finding in findings)
-        assert sorted(
-            mutation for mutation in unguarded
-            for finding in findings if mutation in finding.message
-        ) == sorted(unguarded)
+        assert exit_code(findings) == EXIT_FINDINGS
+        assert rules_of(findings) == ["COH001"]
+        assert (
+            "store to ._snapshot in bloom_snapshot() without bumping _snapshot_key "
+            in findings[0].message
+        )
+
+    @pytest.mark.parametrize(
+        "function, anchor",
+        [
+            ("add_many", "            fresh.append(sequence)\n"),
+            ("add_many", "                self._low_water = ordered[0]\n"),
+            ("prune_below", "        self._low_water = low_sequence\n"),
+        ],
+        ids=["add_many", "_prune", "prune_below"],
+    )
+    def test_unbumped_mutation_is_flagged(self, analyze, function, anchor):
+        # Each site that changes the held list (an arrival, the window prune
+        # inside add_many, an explicit prune) drops the cached snapshot: the
+        # drop is flagged unless the window key goes with it.
+        source = WORKING_SET_PY.read_text()
+        start = source.index(f"    def {function}(")
+        at = source.index(anchor, start) + len(anchor)
+        assert "\n    def " not in source[start + 1 : at]
+        indent = anchor[: len(anchor) - len(anchor.lstrip())]
+        drop = f"{indent}self._snapshot = None\n"
+        findings = analyze({"working_set.py": source[:at] + drop + source[at:]})
+        assert rules_of(findings) == ["COH001"]
+        assert (
+            f"store to ._snapshot in {function}() without bumping _snapshot_key "
+            in findings[0].message
+        )
+        bumped = drop + f"{indent}self._snapshot_key = None\n"
+        assert analyze({"working_set.py": source[:at] + bumped + source[at:]}) == []
 
 
 class TestTreeScope:

@@ -1,9 +1,9 @@
 """The analyzer gates this repo: src/ is clean, seeded regressions are not.
 
 The second test is the analyzer's own acceptance check: copy the real tree,
-re-introduce the two canonical bug classes — an unsorted set iteration in the
-mesh and a cache mutation whose version bump was deleted — and require the
-scan to fail naming exactly those sites.
+re-introduce the two canonical bug classes in the mesh — an unsorted set
+iteration, and a join that no longer rebuilds the depth levels derived from
+the tree — and require the scan to fail naming exactly those sites.
 """
 
 import shutil
@@ -41,12 +41,12 @@ class TestSelfGate:
             )
         )
 
-        working_set = tmp_path / "src" / "repro" / "reconcile" / "working_set.py"
-        source = working_set.read_text()
-        prune = source.index("    def _prune(")
-        bump = "        self.version += 1\n"
-        drop = source.index(bump, prune)
-        working_set.write_text(source[:drop] + source[drop + len(bump) :])
+        source = mesh.read_text()
+        join = source.index("    def add_node(")
+        bump = "        self._rebuild_depth_levels()\n"
+        drop = source.index(bump, join)
+        assert "\n    def " not in source[join + 1 : drop]
+        mesh.write_text(source[:drop] + source[drop + len(bump) :])
 
         config = load_config(tmp_path)
         findings = run_paths(
@@ -58,10 +58,10 @@ class TestSelfGate:
             "repro/core/mesh.py" in line and "DET003" in line for line in rendered
         ), rendered
         assert any(
-            "repro/reconcile/working_set.py" in line
+            "repro/core/mesh.py" in line
             and "COH001" in line
-            and "_prune()" in line
-            and "version" in line
+            and "add_node()" in line
+            and "_rebuild_depth_levels" in line
             for line in rendered
         ), rendered
 

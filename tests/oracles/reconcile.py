@@ -1,8 +1,9 @@
 """Test-side oracles for the receive path (no slow twin lives in ``src/``).
 
 :class:`SortEverythingWorkingSet` is the pre-rewrite working set, kept
-verbatim as the reference the fast one is checked against: a bare membership
-set re-sorted after every mutation (and rebuilt on every prune), a *live*
+verbatim but for its version counter as the reference the fast one is
+checked against: a bare membership set sorted afresh on every read (and
+rebuilt on every prune), a *live*
 counting Bloom filter fed insert by insert with snapshots exported from it,
 and the scalar generator-fed min-wise sketch.  :class:`BloomFilter` (a
 classic bit array) and :class:`FifoBloomFilter` (the mutable, counting
@@ -16,7 +17,9 @@ and the per-key Bloom probe (:func:`bloom_contains`) and recovery selection
 one is checked against, and :func:`ticket_resemblance` the entry count
 ``SummaryTicket.resemblance`` must equal.  :func:`jaccard_similarity` and
 :func:`expected_useful_fraction` are the exact set measures the min-wise
-resemblance estimate is checked against.
+resemblance estimate is checked against.  :class:`BoundedSentSenderQueue`
+is ``SenderQueue`` as it was when its sent-memory was trimmed below the
+request's Low only past 4096 entries, kept verbatim but for its name.
 """
 
 from __future__ import annotations
@@ -24,7 +27,10 @@ from __future__ import annotations
 import heapq
 import math
 from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Set, Tuple
+
+from repro.core.recovery import RecoveryRequest
 
 from repro.reconcile.bloom import (
     _HASH_PRIME,
@@ -318,10 +324,6 @@ class SortEverythingWorkingSet:
         self._sequences: Set[int] = set()
         self._low_water: int = 0
         self._highest: int = -1
-        #: Bumped on every observable mutation (accepted add, prune).
-        self.version: int = 0
-        self._sorted_cache: List[int] = []
-        self._sorted_version: int = 0
         # Live Bloom filter state (created lazily on first snapshot request).
         self._live_bloom: Optional[FifoBloomFilter] = None
         self._live_bloom_params: Optional[Tuple[int, float]] = None
@@ -338,7 +340,6 @@ class SortEverythingWorkingSet:
         self._sequences.add(sequence)
         if sequence > self._highest:
             self._highest = sequence
-        self.version += 1
         if self._live_bloom is not None:
             self._live_bloom.add(sequence)
         if len(self._sequences) > self.prune_window:
@@ -355,7 +356,6 @@ class SortEverythingWorkingSet:
         keep = ordered[-self.prune_window :]
         self._low_water = keep[0] if keep else self._low_water
         self._sequences = set(keep)
-        self.version += 1
         if self._live_bloom is not None:
             # No-op unless the prune window undercuts the bloom window.
             self._live_bloom.advance_window(self._low_water)
@@ -366,7 +366,6 @@ class SortEverythingWorkingSet:
             return
         self._low_water = low_sequence
         self._sequences = {seq for seq in self._sequences if seq >= low_sequence}
-        self.version += 1
         if self._live_bloom is not None:
             self._live_bloom.advance_window(low_sequence)
 
@@ -383,11 +382,8 @@ class SortEverythingWorkingSet:
         return self._highest
 
     def _sorted(self) -> List[int]:
-        """The held sequences in ascending order (cached per version)."""
-        if self._sorted_version != self.version:
-            self._sorted_cache = sorted(self._sequences)
-            self._sorted_version = self.version
-        return self._sorted_cache
+        """The held sequences in ascending order."""
+        return sorted(self._sequences)
 
     def sequences(self) -> List[int]:
         """A sorted list of currently held sequence numbers."""
@@ -578,3 +574,82 @@ def install_request_loop(queue, request, holdings) -> None:
         for sequence in holdings
         if sequence not in queue.already_sent and request_wants(request, sequence)
     )
+
+
+@dataclass
+class BoundedSentSenderQueue:
+    """Sender-side state for one receiver it serves."""
+
+    receiver: int
+    request: Optional[RecoveryRequest] = None
+    #: Sequences selected for transmission but not yet accepted by transport.
+    pending: List[int] = field(default_factory=list)
+    #: Sequences already pushed to this receiver (avoid re-sending every step).
+    already_sent: set = field(default_factory=set)
+
+    def _unsent_wanted(self, sequences: Iterable[int]) -> List[int]:
+        """The ``sequences`` the installed request wants and we never pushed.
+
+        The one selection both :meth:`install_request` and
+        :meth:`offer_new_packets` use.  The Bloom filter is not probed key by
+        key: :meth:`BloomSnapshot.missing_flags` tests the whole request range
+        in one vector pass, shared by every sender the snapshot is installed
+        at and by every later offer, and each key reads its flag.  The result
+        holds the caller's own int objects, in the caller's order.
+        """
+        request = self.request
+        sent = self.already_sent
+        low = request.low
+        high = request.high
+        total = request.total_senders
+        mod = request.mod
+        missing = request.bloom.missing_flags(low, high)
+        if total > 1:
+            return [
+                s
+                for s in sequences
+                if low <= s <= high and s % total == mod and missing[s - low] and s not in sent
+            ]
+        return [s for s in sequences if low <= s <= high and missing[s - low] and s not in sent]
+
+    def install_request(self, request: RecoveryRequest, holdings: Iterable[int]) -> None:
+        """Install a fresh recovery request and rebuild the pending queue.
+
+        ``holdings`` is the sender's current working-set content in ascending
+        order; only packets the receiver wants (range, row, Bloom filter) are
+        queued, and the queue keeps that order.
+        """
+        self.request = request
+        self.pending = self._unsent_wanted(holdings)
+        # The receiver's Bloom filter supersedes our memory of what we sent
+        # long ago; keep only recent entries to bound memory.
+        sent = self.already_sent
+        if len(sent) > 4096:
+            cutoff = request.low
+            self.already_sent = {seq for seq in sent if seq >= cutoff}
+
+    def offer_new_packets(self, sequences: Iterable[int]) -> None:
+        """Consider packets that just arrived at the sender for this receiver."""
+        if self.request is None:
+            return
+        pending = self.pending
+        for sequence in self._unsent_wanted(sequences):
+            # Keep the queue sorted (drains stay in sequence order) and
+            # deduplicated: a packet that arrived in the same step as a
+            # refresh is already queued by the install's holdings scan.
+            index = bisect_left(pending, sequence)
+            if index == len(pending) or pending[index] != sequence:
+                pending.insert(index, sequence)
+
+    def take_for_send(self, budget: int) -> List[int]:
+        """Dequeue up to ``budget`` packets to push to the receiver."""
+        if budget <= 0 or not self.pending:
+            return []
+        batch, self.pending = self.pending[:budget], self.pending[budget:]
+        for sequence in batch:
+            self.already_sent.add(sequence)
+        return batch
+
+    def pending_count(self) -> int:
+        """Packets currently queued for this receiver."""
+        return len(self.pending)

@@ -1,15 +1,18 @@
-"""The O(1)-per-packet receive path against the test-side oracles.
+"""The batch receive path against the test-side oracles.
 
 The fast :class:`WorkingSet` (sorted window, derived Bloom snapshots,
 vectorised sketch) and the batch entry points built on it must be
 indistinguishable, after every single operation, from the sort-everything
 reference and the per-packet loops in :mod:`oracles.reconcile` — with windows
 small enough that pruning, Bloom eviction and the "prune window undercuts
-the filter window" regime all happen within a few dozen operations.
+the filter window" regime all happen within a few dozen operations.  The
+sender side, whose sent-memory ends at the installed Low, must queue and
+send what the original bounded only past 4096 entries does.
 """
 
 from hypothesis import given, settings, strategies as st
 from oracles.reconcile import (
+    BoundedSentSenderQueue,
     SortEverythingWorkingSet,
     install_request_loop,
     offer_new_packet_loop,
@@ -45,9 +48,11 @@ def assert_same_state(fast, oracle):
     # An unbounded span puts the prune mark at the low end of the range.
     assert fast.recovery_range(10**6) == oracle.recovery_range(10**6)
     assert fast.highest_sequence == oracle.highest_sequence
-    assert fast.version == oracle.version
     assert fast.sequences() == oracle.sequences()
     assert len(fast) == len(oracle)
+    assert [key for key in range(130) if key in fast] == [
+        key for key in range(130) if key in oracle
+    ]
 
 
 def wire_state(snapshot):
@@ -263,3 +268,100 @@ class TestRecoverySelectionMatchesThePerKeyOracle:
             assert batch.pending == loop.pending
         held = {id(sequence) for sequence in sender.sequences()}
         assert all(id(sequence) in held for sequence in batch.pending)
+
+
+#: One event at a sender serving one receiver: a fresh request whose Low has
+#: moved up by ``rise`` (range width, row, and which of the range the
+#: receiver already holds: every ``stride``-th from ``Low + phase``), packets
+#: arriving at the sender (a run, so the sent-memory outgrows 4096 within a
+#: few events), or a send.
+sender_events = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("install"),
+            st.tuples(
+                st.integers(min_value=0, max_value=1500),
+                st.integers(min_value=0, max_value=3000),
+                rows,
+                st.sampled_from([1, 3, 7]),
+                st.integers(min_value=0, max_value=4),
+            ),
+        ),
+        st.tuples(
+            st.just("offer"),
+            st.tuples(st.integers(min_value=0, max_value=9000), st.integers(0, 2500)),
+        ),
+        st.tuples(st.just("take"), st.integers(min_value=0, max_value=3000)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+def replay_sender(events):
+    """Drive ``SenderQueue`` and the 4096-bounded original through the same
+    events; yields both after each one with what each sent."""
+    sender, receiver = WorkingSet(prune_window=20_000), WorkingSet(prune_window=20_000)
+    trimmed, bounded = SenderQueue(receiver=9), BoundedSentSenderQueue(receiver=9)
+    low = 0
+    for kind, argument in events:
+        sent = None
+        if kind == "install":
+            rise, width, (mod, total), stride, phase = argument
+            low += rise
+            receiver.add_many(range(low + phase, low + width + 1, stride))
+            request = RecoveryRequest(
+                receiver=9,
+                bloom=receiver.bloom_snapshot(expected_items=1024),
+                low=low,
+                high=low + width,
+                mod=mod,
+                total_senders=total,
+            )
+            holdings = sender.sequences_in_range(low, low + width)
+            trimmed.install_request(request, holdings)
+            bounded.install_request(request, holdings)
+        elif kind == "offer":
+            start, length = argument
+            fresh = sender.add_many(range(start, start + length))
+            trimmed.offer_new_packets(fresh)
+            bounded.offer_new_packets(fresh)
+        else:
+            sent = (trimmed.take_for_send(argument), bounded.take_for_send(argument))
+        yield trimmed, bounded, sent
+
+
+class TestSentMemoryEndsAtTheLow:
+    """Forgetting every sent sequence below the installed Low changes nothing
+    while the receiver's Low never falls."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sender_events)
+    def test_pending_and_sends_match_the_bounded_original(self, events):
+        for trimmed, bounded, sent in replay_sender(events):
+            assert trimmed.pending == bounded.pending
+            if sent is not None:
+                assert sent[0] == sent[1]
+            if trimmed.request is not None:
+                low = trimmed.request.low
+                assert all(sequence >= low for sequence in trimmed.already_sent)
+                assert trimmed.already_sent == {s for s in bounded.already_sent if s >= low}
+
+    def test_a_long_stream_crosses_the_old_bound(self):
+        """A steady stream: the original trims past 4096 entries, the new
+        queue at every install, and both send the same packets."""
+        events = []
+        for step in range(40):
+            events.append(("offer", (step * 300, 300)))
+            events.append(("install", (0 if step < 5 else 300, 1500, (step % 2, 2), 5, 1)))
+            events.append(("take", 280))
+        sends = 0
+        largest = 0
+        for trimmed, bounded, sent in replay_sender(events):
+            assert trimmed.pending == bounded.pending
+            if sent is not None:
+                assert sent[0] == sent[1]
+                sends += len(sent[0])
+            largest = max(largest, len(bounded.already_sent))
+        assert sends > 4096 and largest > 4096
+        assert len(trimmed.already_sent) < 4096
